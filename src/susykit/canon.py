@@ -3,9 +3,17 @@
 The certificate is a byte string: a canonical JSON encoding of the graph
 after vertices and flags are renumbered by a refinement-plus-backtracking
 search that minimizes the encoding.  Two graphs are isomorphic over fixed
-tail labels exactly when their certificates agree.  A slower brute-force
-enumerator of isomorphisms is also provided; it doubles as the oracle for
-the canonical form and computes automorphism groups.
+tail labels exactly when their certificates agree.
+
+One search serves both entry points.  ``canonical_form`` runs it and then
+builds the renumbered graph and its witnesses; ``certificate_digest`` is
+the digest-only path, which hashes the winning certificate and builds
+nothing.  Each search gathers the flags at every vertex once and works from
+that incidence list throughout.
+
+A slower brute-force enumerator of isomorphisms is also provided; it
+doubles as the oracle for the canonical form and computes automorphism
+groups.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ValidationError
-from .graphs import Graph, flags_at
+from .graphs import Graph
 from .susy import NS, R, SusyGraph, SusyLabeling, require_susy
 
 __all__ = [
@@ -51,27 +59,39 @@ def _label_of(g: SusyGraph) -> dict[str, str]:
     return out
 
 
-def _base_key(g: SusyGraph, labels: dict[str, str], v: str) -> tuple:
-    fl = flags_at(g.graph, v)
+def _incidence(g: SusyGraph) -> dict[str, list[str]]:
+    """Sorted flags at each vertex, gathered in one pass over the flags."""
+    inc: dict[str, list[str]] = {v: [] for v in g.vertices}
+    b = g.boundary
+    for f in sorted(g.flags):
+        inc[b[f]].append(f)
+    return inc
+
+
+def _base_key(
+    g: SusyGraph, labels: dict[str, str], inc: dict[str, list[str]], v: str
+) -> tuple:
+    fl = inc[v]
     j = g.involution
-    tails = sorted(
-        (g.color_of(f), labels[f]) for f in fl if j[f] == f
-    )
+    color = g.labeling.color
+    tails = sorted((color[f], labels[f]) for f in fl if j[f] == f)
     loops = [f for f in fl if j[f] != f and g.boundary[j[f]] == v]
     plain = [f for f in fl if j[f] != f and g.boundary[j[f]] != v]
     return (
         g.genus_of(v),
         tuple(tails),
-        sum(1 for f in loops if g.color_of(f) == NS),
-        sum(1 for f in loops if g.color_of(f) == R),
-        sum(1 for f in plain if g.color_of(f) == NS),
-        sum(1 for f in plain if g.color_of(f) == R),
+        sum(1 for f in loops if color[f] == NS),
+        sum(1 for f in loops if color[f] == R),
+        sum(1 for f in plain if color[f] == NS),
+        sum(1 for f in plain if color[f] == R),
     )
 
 
-def _refine(g: SusyGraph, cells: list[list[str]]) -> list[list[str]]:
-    j = g.involution
-    b = g.boundary
+def _refine(
+    neighbours: dict[str, list[tuple[str, str]]], cells: list[list[str]]
+) -> list[list[str]]:
+    """Split cells by the multiset of (edge color, neighbour cell) until
+    stable; ``neighbours`` lists those pairs per vertex, loops left out."""
     while True:
         index_of = {v: i for i, cell in enumerate(cells) for v in cell}
         out: list[list[str]] = []
@@ -82,13 +102,7 @@ def _refine(g: SusyGraph, cells: list[list[str]]) -> list[list[str]]:
                 continue
             keyed: dict[tuple, list[str]] = {}
             for v in cell:
-                k = tuple(
-                    sorted(
-                        (g.color_of(f), index_of[b[j[f]]])
-                        for f in flags_at(g.graph, v)
-                        if j[f] != f and b[j[f]] != v
-                    )
-                )
+                k = tuple(sorted((c, index_of[w]) for c, w in neighbours[v]))
                 keyed.setdefault(k, []).append(v)
             parts = [keyed[k] for k in sorted(keyed)]
             if len(parts) > 1:
@@ -99,18 +113,20 @@ def _refine(g: SusyGraph, cells: list[list[str]]) -> list[list[str]]:
             return cells
 
 
-def _encode(g: SusyGraph, labels: dict[str, str], order: list[str]) -> tuple:
+def _encode(
+    g: SusyGraph, labels: dict[str, str], inc: dict[str, list[str]], order: list[str]
+) -> tuple:
     """Certificate payload and witnesses for one vertex ordering."""
     pos = {v: i for i, v in enumerate(order)}
     j = g.involution
     b = g.boundary
+    color = g.labeling.color
     flag_index: dict[str, int] = {}
     sequence: list[str] = []
     for v in order:
-        fl = flags_at(g.graph, v)
 
         def sort_key(f: str) -> tuple:
-            color_rank = 0 if g.color_of(f) == NS else 1
+            color_rank = 0 if color[f] == NS else 1
             if j[f] == f:
                 return (0, color_rank, labels[f], "")
             w = b[j[f]]
@@ -121,14 +137,14 @@ def _encode(g: SusyGraph, labels: dict[str, str], order: list[str]) -> tuple:
                 return (1, pos[w], color_rank, flag_index[j[f]])
             return (3, pos[w], color_rank, f)
 
-        for f in sorted(fl, key=sort_key):
+        for f in sorted(inc[v], key=sort_key):
             flag_index[f] = len(sequence)
             sequence.append(f)
     payload = {
         "modular": g.modular,
         "genus": [g.genus_of(v) for v in order],
         "vertex_of": [pos[b[f]] for f in sequence],
-        "color": [g.color_of(f) for f in sequence],
+        "color": [color[f] for f in sequence],
         "tails": sorted(
             [labels[f], flag_index[f]] for f in sequence if j[f] == f
         ),
@@ -145,29 +161,36 @@ def _sort_key_blocks_comparable(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def canonical_form(g: SusyGraph) -> CanonicalForm:
-    """Renumber vertices and flags canonically; equal certificates mean
-    isomorphic over fixed tail labels."""
+def _search(g: SusyGraph) -> tuple[bytes, dict[str, int], dict[str, int]]:
+    """The least certificate over every leaf of the refinement search, with
+    the vertex and flag positions of the leaf that produced it."""
     require_susy(g)
     labels = _label_of(g)
-    verts = sorted(g.vertices)
+    inc = _incidence(g)
+    j = g.involution
+    b = g.boundary
+    color = g.labeling.color
+    neighbours = {
+        v: [(color[f], b[j[f]]) for f in fl if j[f] != f and b[j[f]] != v]
+        for v, fl in inc.items()
+    }
     keyed: dict[tuple, list[str]] = {}
-    for v in verts:
-        keyed.setdefault(_base_key(g, labels, v), []).append(v)
+    for v in sorted(g.vertices):
+        keyed.setdefault(_base_key(g, labels, inc, v), []).append(v)
     cells = [keyed[k] for k in sorted(keyed)]
 
-    best: tuple[bytes, dict, dict[str, int], dict[str, int]] | None = None
+    best: tuple[bytes, dict[str, int], dict[str, int]] | None = None
 
     def search(cells: list[list[str]]) -> None:
         nonlocal best
-        cells = _refine(g, cells)
+        cells = _refine(neighbours, cells)
         split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if split_at is None:
             order = [v for cell in cells for v in cell]
-            payload, pos, flag_index = _encode(g, labels, order)
+            payload, pos, flag_index = _encode(g, labels, inc, order)
             cert = _sort_key_blocks_comparable(payload)
             if best is None or cert < best[0]:
-                best = (cert, payload, pos, flag_index)
+                best = (cert, pos, flag_index)
             return
         cell = cells[split_at]
         for v in sorted(cell):
@@ -176,8 +199,13 @@ def canonical_form(g: SusyGraph) -> CanonicalForm:
 
     search(cells)
     assert best is not None
-    cert, payload, pos, flag_index = best
+    return best
 
+
+def canonical_form(g: SusyGraph) -> CanonicalForm:
+    """Renumber vertices and flags canonically; equal certificates mean
+    isomorphic over fixed tail labels."""
+    cert, pos, flag_index = _search(g)
     vertex_witness = {v: f"v{i}" for v, i in pos.items()}
     flag_witness = {f: f"f{i}" for f, i in flag_index.items()}
     boundary = {flag_witness[f]: vertex_witness[g.boundary[f]] for f in g.flags}
@@ -204,7 +232,8 @@ def canonical_form(g: SusyGraph) -> CanonicalForm:
 
 
 def certificate_digest(g: SusyGraph) -> str:
-    return canonical_form(g).digest
+    """The digest of ``canonical_form(g)``, without building the graph."""
+    return hashlib.sha256(_search(g)[0]).hexdigest()
 
 
 def isomorphisms_between(
@@ -223,8 +252,13 @@ def isomorphisms_between(
     if labels_fixed and set(labels1.values()) != set(labels2.values()):
         return
 
-    def vkey(g: SusyGraph, labels: dict[str, str], v: str) -> tuple:
-        k = _base_key(g, labels, v)
+    inc1 = _incidence(g1)
+    inc2 = _incidence(g2)
+
+    def vkey(
+        g: SusyGraph, labels: dict[str, str], inc: dict[str, list[str]], v: str
+    ) -> tuple:
+        k = _base_key(g, labels, inc, v)
         if labels_fixed:
             return k
         return (k[0],) + (tuple(c for c, _ in k[1]),) + k[2:]
@@ -233,9 +267,8 @@ def isomorphisms_between(
     verts2 = sorted(g2.vertices)
     by_key: dict[tuple, list[str]] = {}
     for w in verts2:
-        by_key.setdefault(vkey(g2, labels2, w), []).append(w)
+        by_key.setdefault(vkey(g2, labels2, inc2, w), []).append(w)
 
-    flags_of = {v: sorted(flags_at(g1.graph, v)) for v in verts1}
     j1, j2 = g1.involution, g2.involution
     b1, b2 = g1.boundary, g2.boundary
 
@@ -253,7 +286,7 @@ def isomorphisms_between(
             yield from extend_flags(vmap, fmap, used, todo[1:])
             return
         w = vmap[b1[f]]
-        for c in sorted(flags_at(g2.graph, w)):
+        for c in inc2[w]:
             if c in used:
                 continue
             if g2.color_of(c) != g1.color_of(f):
@@ -282,11 +315,11 @@ def isomorphisms_between(
         i: int, vmap: dict[str, str], used: set[str]
     ) -> Iterator[Isomorphism]:
         if i == len(verts1):
-            todo = [f for v in verts1 for f in flags_of[v]]
+            todo = [f for v in verts1 for f in inc1[v]]
             yield from extend_flags(vmap, {}, set(), todo)
             return
         v = verts1[i]
-        for w in by_key.get(vkey(g1, labels1, v), []):
+        for w in by_key.get(vkey(g1, labels1, inc1, v), []):
             if w in used:
                 continue
             yield from extend_vertices(i + 1, {**vmap, v: w}, used | {w})

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .canon import certificate_digest
 from .curves import dual_graph
@@ -43,11 +43,14 @@ def _labels(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _emit(args: argparse.Namespace, data: dict, table: list[str]) -> None:
+def _emit(
+    args: argparse.Namespace, data: dict, table: Callable[[], list[str]]
+) -> None:
+    """Write ``data`` as JSON, or the lines ``table()`` builds on demand."""
     if args.format == "json":
         sys.stdout.write(dumps(data))
     else:
-        sys.stdout.write("\n".join(table) + "\n")
+        sys.stdout.write("\n".join(table()) + "\n")
 
 
 def _graph_summary(g: SusyGraph) -> list[str]:
@@ -97,7 +100,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     ns, r = _labels(args.ns), _labels(args.r)
     count = lift_count_general(g, ns, r)
     if args.count:
-        _emit(args, {"count": count}, [f"colorings     {count}"])
+        _emit(args, {"count": count}, lambda: [f"colorings     {count}"])
         return 0
     if args.enumerate:
         colorings = enumerate_edge_colorings(g, ns, r)
@@ -105,27 +108,38 @@ def _cmd_lift(args: argparse.Namespace) -> int:
             "count": count,
             "colorings": [graph_to_json(c) for c in colorings],
         }
-        table = [f"colorings     {count}"] + [
-            f"  [{i}] digest {certificate_digest(c)}"
-            for i, c in enumerate(colorings)
-        ]
-        _emit(args, data, table)
+        _emit(
+            args,
+            data,
+            lambda: [f"colorings     {count}"]
+            + [
+                f"  [{i}] digest {certificate_digest(c)}"
+                for i, c in enumerate(colorings)
+            ],
+        )
         return 0
     lifted = lift_tree_coloring(g, ns, r)
-    _emit(args, graph_to_json(lifted), _graph_summary(lifted))
+    _emit(args, graph_to_json(lifted), lambda: _graph_summary(lifted))
     return 0
 
 
 def _cmd_dual_graph(args: argparse.Namespace) -> int:
     g = dual_graph(load_curve(args.file))
-    _emit(args, graph_to_json(g), _graph_summary(g))
+    _emit(args, graph_to_json(g), lambda: _graph_summary(g))
     return 0
 
 
-def _stratum_record(g: SusyGraph) -> dict:
+def _stratum_record(g: SusyGraph, digest: str) -> dict:
     record = graph_to_json(g)
-    record["certificate"] = certificate_digest(g)
+    record["certificate"] = digest
     return record
+
+
+def _digest_lines(graphs: list[SusyGraph], digests: Sequence[str]) -> list[str]:
+    return [
+        f"  [{i}] edges {len(edges(g.graph))} digest {d}"
+        for i, (g, d) in enumerate(zip(graphs, digests))
+    ]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -133,33 +147,40 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
     if args.shapes:
         shapes = enumerate_modular_shapes(args.genus, ns + r, args.max_edges)
+        digests = [certificate_digest(s) for s in shapes]
         data = {
             "count": len(shapes),
-            "shapes": [_stratum_record(s) for s in shapes],
+            "shapes": [_stratum_record(s, d) for s, d in zip(shapes, digests)],
         }
-        table = [f"shapes        {len(shapes)}"] + [
-            f"  [{i}] edges {len(edges(s.graph))} digest {certificate_digest(s)}"
-            for i, s in enumerate(shapes)
-        ]
-        _emit(args, data, table)
+        _emit(
+            args,
+            data,
+            lambda: [f"shapes        {len(shapes)}"] + _digest_lines(shapes, digests),
+        )
         return 0
     strata = enumerate_strata(args.genus, ns, r, args.max_edges)
-    data = {"count": len(strata), "strata": [_stratum_record(s) for s in strata]}
-    table = [f"strata        {len(strata)}"] + [
-        f"  [{i}] edges {len(edges(s.graph))} digest {certificate_digest(s)}"
-        for i, s in enumerate(strata)
-    ]
-    if args.poset:
-        poset = contraction_poset(strata)
-        data["poset"] = {
-            "ranks": list(poset.ranks),
-            "covers": {
-                str(i): sorted(j for a, j in poset.covers if a == i)
-                for i in range(len(strata))
-            },
-        }
-        table.append("covers:")
-        table.extend(f"  S{i} -> S{j}" for i, j in sorted(poset.covers))
+    poset = contraction_poset(strata) if args.poset else None
+    if poset is None:
+        digests, covers = [certificate_digest(s) for s in strata], []
+    else:
+        digests, covers = poset.digests, sorted(poset.covers)
+    data = {
+        "count": len(strata),
+        "strata": [_stratum_record(s, d) for s, d in zip(strata, digests)],
+    }
+    if poset is not None:
+        by_source: dict[str, list[int]] = {str(i): [] for i in range(len(strata))}
+        for i, j in covers:
+            by_source[str(i)].append(j)
+        data["poset"] = {"ranks": list(poset.ranks), "covers": by_source}
+
+    def table() -> list[str]:
+        lines = [f"strata        {len(strata)}"] + _digest_lines(strata, digests)
+        if poset is not None:
+            lines.append("covers:")
+            lines.extend(f"  S{i} -> S{j}" for i, j in covers)
+        return lines
+
     _emit(args, data, table)
     return 0
 
@@ -177,7 +198,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         f"odd dimension   {int(dim.odd)}",
         f"codimension     ({dim.codimension[0]}, {dim.codimension[1]})",
     ]
-    _emit(args, data, table)
+    _emit(args, data, lambda: table)
     return 0
 
 
@@ -193,7 +214,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         f"R gluings       {len(rec.r_gluings)}",
         f"ramond rank     {rec.ramond_fiber_rank}",
     ]
-    _emit(args, data, table)
+    _emit(args, data, lambda: table)
     return 0
 
 
@@ -210,7 +231,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     ]
     table.append("passed" if report.passed else "FAILED")
     table.extend(f"  {f}" for f in report.failures)
-    _emit(args, data, table)
+    _emit(args, data, lambda: table)
     return 0 if report.passed else 1
 
 

@@ -5,7 +5,9 @@ are isomorphism classes of stable SUSY graphs.  Enumeration proceeds in two
 passes: modular shapes first, generated from the one-vertex graph by vertex
 splitting and genus-to-loop moves and deduplicated by canonical certificate,
 then NS/R colorings of each shape, counted by the parity argument (2^b1 per
-shape) and deduplicated the same way.
+shape) and deduplicated the same way.  Each ``StratumRecord`` keeps the
+certificate digests of its colorings in ``digests``, parallel to
+``colorings``, so the strata are ordered without canonizing them again.
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
 instance guard refuses enumerations whose bound exceeds a configurable
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .canon import canonical_form
+from .canon import canonical_form, certificate_digest
 from .errors import ValidationError
 from .graphs import Graph, edges, flags_at, orbit_pairs
 from .lifting import enumerate_edge_colorings, lift_count_general
@@ -201,6 +203,7 @@ def enumerate_modular_shapes(
 class StratumRecord:
     shape: SusyGraph
     colorings: tuple[SusyGraph, ...]
+    digests: tuple[str, ...]
     predicted_colorings: int
 
 
@@ -211,8 +214,9 @@ def enumerate_strata_records(
     max_edges: int | None = None,
 ) -> list[StratumRecord]:
     """Strata grouped by underlying modular shape.  Each record carries the
-    distinct colorings (canonical representatives) and the parity-argument
-    prediction for how many there are."""
+    distinct colorings (canonical representatives, in digest order), their
+    certificate digests and the parity-argument prediction for how many
+    there are."""
     ns = sorted(set(ns_labels))
     rr = sorted(set(r_labels))
     overlap = set(ns) & set(rr)
@@ -232,10 +236,12 @@ def enumerate_strata_records(
             form = canonical_form(c)
             if form.digest not in seen:
                 seen[form.digest] = form.graph
-        colorings = tuple(
-            g for _, g in sorted(seen.items(), key=lambda kv: kv[0])
+        digests = tuple(sorted(seen))
+        records.append(
+            StratumRecord(
+                shape, tuple(seen[d] for d in digests), digests, predicted
+            )
         )
-        records.append(StratumRecord(shape, colorings, predicted))
     return records
 
 
@@ -248,13 +254,12 @@ def enumerate_strata(
     """Isomorphism classes of stable SUSY graphs with the given total genus
     and labeled NS/R tails, as canonical representatives ordered by edge
     count and certificate digest."""
-    out: list[SusyGraph] = []
-    for rec in enumerate_strata_records(genus, ns_labels, r_labels, max_edges):
-        out.extend(rec.colorings)
-    return sorted(
-        out,
-        key=lambda g: (len(edges(g.graph)), canonical_form(g).digest),
-    )
+    keyed = [
+        (len(edges(g.graph)), d, g)
+        for rec in enumerate_strata_records(genus, ns_labels, r_labels, max_edges)
+        for g, d in zip(rec.colorings, rec.digests)
+    ]
+    return [g for _, _, g in sorted(keyed, key=lambda t: t[:2])]
 
 
 @dataclass(frozen=True)
@@ -270,21 +275,24 @@ class ContractionPoset:
     covers: frozenset[tuple[int, int]]
 
     def index_of(self, g: SusyGraph) -> int:
-        return self.digests.index(canonical_form(g).digest)
+        return self.digests.index(certificate_digest(g))
 
     def less_or_equal(self, i: int, j: int) -> bool:
         """True when stratum j is reachable from stratum i by contractions
         (i lies in the closure of j, i.e. i is deeper in the boundary)."""
         if i == j:
             return True
-        frontier = {i}
+        successors: dict[int, list[int]] = {}
+        for x, y in self.covers:
+            successors.setdefault(x, []).append(y)
+        frontier = [i]
         seen = {i}
         while frontier:
-            nxt = set()
+            nxt = []
             for a in frontier:
-                for x, y in self.covers:
-                    if x == a and y not in seen:
-                        nxt.add(y)
+                for y in successors.get(a, ()):
+                    if y not in seen:
+                        nxt.append(y)
                         seen.add(y)
             if j in seen:
                 return True
@@ -304,7 +312,7 @@ def contraction_poset(strata: Iterable[SusyGraph]) -> ContractionPoset:
     single-pair contraction of a listed stratum must land on a listed
     stratum (the list is closed under contraction)."""
     items = list(strata)
-    digests = [canonical_form(g).digest for g in items]
+    digests = [certificate_digest(g) for g in items]
     index = {d: i for i, d in enumerate(digests)}
     if len(index) != len(items):
         raise ValidationError("duplicate strata passed to contraction_poset")
@@ -312,7 +320,7 @@ def contraction_poset(strata: Iterable[SusyGraph]) -> ContractionPoset:
     for i, g in enumerate(items):
         for pair in orbit_pairs(g.graph.involution):
             step = contract_pair(g, pair)
-            d = canonical_form(step.target).digest
+            d = certificate_digest(step.target)
             j = index.get(d)
             if j is None:
                 raise ValidationError(

@@ -193,11 +193,12 @@ def validate_susy_graph(g: SusyGraph) -> ValidationReport:
                 problems.append(
                     f"color: edge flags disagree across the involution at {mismatched}"
                 )
+            r_count = dict.fromkeys(base.vertices, 0)
+            for f in base.flags:
+                if lab.color[f] == R:
+                    r_count[base.boundary[f]] += 1
             for v in sorted(base.vertices):
-                r_count = sum(
-                    1 for f in base.flags if base.boundary[f] == v and lab.color[f] == R
-                )
-                if r_count % 2:
+                if r_count[v] % 2:
                     problems.append(f"vertex {v!r} sees an odd number of R flags")
 
     if not problems:

@@ -170,6 +170,14 @@ class TestCertificates:
         assert same_digest == brute_is_isomorphic(g1, g2)
 
     @given(st.integers(0, 10**6))
+    def test_digest_only_path_matches_canonical_form(self, seed):
+        rng = random.Random(seed)
+        g = retagged_copy(random_susy_graph(rng), rng)
+        form = canonical_form(g)
+        assert g != form.graph
+        assert certificate_digest(g) == form.digest
+
+    @given(st.integers(0, 10**6))
     def test_witness_is_valid_on_random_pairs(self, seed):
         rng = random.Random(seed)
         g1 = random_susy_graph(rng)

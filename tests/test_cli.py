@@ -1,6 +1,7 @@
 """End-to-end command-line coverage: every subcommand, the documented
 output shapes, and the 0/1/2 exit code contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -146,6 +147,37 @@ class TestEnumerate:
         assert rc == 0
         assert "strata        3" in out
         assert "S1 -> S0" in out
+
+
+class TestGoldenOutput:
+    """sha256 of stdout for fixed enumerations.  A change here changes the
+    digests or the JSON the CLI prints, which is a behaviour change."""
+
+    @pytest.mark.parametrize(
+        "argv, sha",
+        [
+            (
+                "enumerate --genus 0 --ns 5 --poset",
+                "375b90e1422752b40f8812751e9d73dacc28db724627d194c28f2fbd3fb8c3e9",
+            ),
+            (
+                "enumerate --genus 1 --ns 1 --r 2 --poset",
+                "1d450dacafa90e076d820c7ffe34b5ee0f5dd49a5025dcb901ddc738cde3c53e",
+            ),
+            (
+                "enumerate --genus 2 --poset --format table",
+                "141dee06821bca339592bfaaf2331598e71c2daf98fbdb9a616ef49b9abf8de9",
+            ),
+            (
+                "enumerate --genus 2 --ns 1 --shapes",
+                "3bc92a3c6bff136f6ef7cf9812666be7dff226bde5540cb1446fc33ff2290a4a",
+            ),
+        ],
+    )
+    def test_stdout_hash(self, capsys, argv, sha):
+        rc, out, _ = run(capsys, *argv.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 class TestLift:

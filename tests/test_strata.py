@@ -101,6 +101,16 @@ class TestStrataCounts:
         assert {k: len(v) for k, v in by_edges.items()} == {0: 1, 1: 10, 2: 15}
         match_one_to_one(strata, brute_strata(0, FIVE, [], 2))
 
+    @pytest.mark.parametrize(
+        "g, ns, r", [(0, FIVE, []), (1, ["1", "2"], ["3", "4"]), (2, [], [])]
+    )
+    def test_record_digests_are_the_colorings_digests(self, g, ns, r):
+        for rec in enumerate_strata_records(g, ns, r):
+            assert len(rec.digests) == len(rec.colorings)
+            assert list(rec.digests) == sorted(rec.digests)
+            for c, d in zip(rec.colorings, rec.digests):
+                assert d == canonical_form(c).digest
+
     def test_no_duplicate_certificates(self):
         strata = enumerate_strata(1, ["1", "2"], ["3", "4"])
         digests = [certificate_digest(g) for g in strata]
@@ -163,6 +173,26 @@ class TestPoset:
         nodal = [g for g in strata if edges(g.graph)]
         with pytest.raises(ValidationError, match="closed under contraction"):
             contraction_poset(nodal)
+
+    def test_digests_are_the_strata_digests(self):
+        strata = enumerate_strata(1, ["1", "2"], ["3", "4"])
+        poset = contraction_poset(strata)
+        assert list(poset.digests) == [canonical_form(g).digest for g in strata]
+
+    def test_less_or_equal_is_the_transitive_closure(self):
+        strata = enumerate_strata(0, FIVE, [])
+        poset = contraction_poset(strata)
+        n = len(strata)
+        reach = [[i == j for j in range(n)] for i in range(n)]
+        for i, j in poset.covers:
+            reach[i][j] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+        for i in range(n):
+            for j in range(n):
+                assert poset.less_or_equal(i, j) == reach[i][j]
 
     def test_duplicates_rejected(self):
         strata = enumerate_strata(0, FOUR, [])

@@ -194,6 +194,32 @@ class TestColorInvariants:
         assert not report.ok
         assert any("odd number of R flags" in v for v in report.violations)
 
+    def test_odd_r_vertices_reported_in_vertex_order(self):
+        # w and v each carry one R tail; u sees no R flag at all
+        g = susy_graph(
+            flags=["p", "q", "s", "t", "x", "y", "z"],
+            vertices=["w", "u", "v"],
+            boundary={
+                "p": "u", "q": "v", "s": "u", "t": "w",
+                "x": "v", "y": "w", "z": "u",
+            },
+            involution={
+                "p": "q", "q": "p", "s": "t", "t": "s",
+                "x": "x", "y": "y", "z": "z",
+            },
+            genus={"u": 0, "v": 0, "w": 0},
+            color={
+                "p": NS, "q": NS, "s": NS, "t": NS,
+                "x": R, "y": R, "z": NS,
+            },
+            ns_labels={"z": "z"},
+            r_labels={"x": "x", "y": "y"},
+        )
+        assert validate_susy_graph(g).violations == (
+            "vertex 'v' sees an odd number of R flags",
+            "vertex 'w' sees an odd number of R flags",
+        )
+
     def test_labels_must_cover_tails(self):
         g = susy_graph(
             flags=["t", "u"],
