@@ -59,16 +59,6 @@ __all__ = [
     "total_grafting",
 ]
 
-_ELEMENTARY_KINDS = (
-    "identity",
-    "isomorphism",
-    "grafting",
-    "edge_contraction",
-    "loop_contraction",
-    "virtual_contraction",
-    "composite",
-)
-
 
 @dataclass(frozen=True)
 class Elementary:

@@ -124,15 +124,7 @@ def tails(g: Graph) -> list[str]:
 
 def edges(g: Graph) -> list[tuple[str, str]]:
     """Two-element involution orbits as sorted pairs, sorted."""
-    seen = set()
-    out = []
-    for f in g.flags:
-        p = g.involution[f]
-        if p != f and f not in seen:
-            seen.add(f)
-            seen.add(p)
-            out.append((f, p) if f < p else (p, f))
-    return sorted(out)
+    return orbit_pairs(g.involution)
 
 
 def flags_at(g: Graph, v: str) -> list[str]:

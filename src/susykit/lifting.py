@@ -1,30 +1,29 @@
 """Lifting colorless graphs to SUSY colorings.
 
-The centerpiece is the tree lift: a stable genus-zero tree together with an
-even split of its tail labels into NS and R parts admits exactly one valid
-edge coloring, found here by leaf peeling.  Peel any vertex bounding exactly
-one remaining edge; the parity of the R flags already determined at that
-vertex forces the edge's color (NS for even, R for odd); cut the edge and
-delete the vertex.  The cut stub keeps the edge's color at the surviving
-endpoint, so the argument repeats.
+A SUSY coloring needs an even number of R flags at every vertex.  Every
+lift here comes from one spanning-forest rule:
 
-For arbitrary stable graphs the number of valid edge colorings extending a
-tail partition is 0 or ``2 ** b1``: the per-vertex parity constraints form
-a linear system over GF(2) in the non-loop edge variables (a loop puts both
-of its flags on one vertex and so contributes nothing mod 2), and the system
-is consistent exactly when every connected component has an even number of
-R tails.
+1. Grow a spanning forest by Kruskal's rule, taking edges in ``edges()``
+   order.  The loops and the remaining non-tree edges are the free edges;
+   there are ``b1`` of them (first Betti number).
+2. Color the free edges NS and peel each tree from its leaves up to its
+   root, its smallest vertex: a tree edge is R exactly when the subtree
+   below it carries an odd number of R tails.  A root left odd means its
+   component receives an odd number of R tails, and then no lift exists.
+3. Every other lift differs from this one by a sum of fundamental cycles,
+   one per free edge (a loop's cycle is the loop itself), so the lifts of
+   a fixed tail partition number 0 or ``2 ** b1``.
+
+On a stable genus-zero tree there are no free edges, so every even split
+of the tail labels into NS and R parts admits exactly one lift.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from .errors import ValidationError
-from .gf2 import solve_gf2
-from .graphs import connected_components, edges, is_connected, tails
+from .graphs import edges, is_connected, tails
 from .susy import (
     NS,
     R,
@@ -77,65 +76,114 @@ def _require_tree(g: SusyGraph) -> None:
         raise ValidationError("input is not a tree: total genus must be zero")
 
 
-def lift_tree_coloring(
-    tree: SusyGraph, ns_labels: Iterable[str], r_labels: Iterable[str]
-) -> SusyGraph:
-    """The unique SUSY lift of a stable tree for an even label partition.
+def _forest_lift(
+    g: SusyGraph, r_set: frozenset[str]
+) -> tuple[list[tuple[str, str]], int, list[int]] | None:
+    """The spanning-forest lift of the module docstring, or None if no lift.
 
-    Deterministic: leaves are peeled in lexicographic vertex order.
+    Returns ``(pairs, particular, cycles)``: ``pairs`` is ``edges(g.graph)``,
+    and colorings are int bitmasks over its indices (bit set means R).
+    ``particular`` colors every free edge NS; ``cycles`` holds one
+    fundamental cycle per free edge, loops first, each group sorted.
     """
-    _require_stable_modular(tree, "lift_tree_coloring")
-    _require_tree(tree)
-    ns_set, r_set = _checked_partition(tree, ns_labels, r_labels)
+    base = g.graph
+    boundary = base.boundary
+    pairs = edges(base)
+    component = {v: v for v in base.vertices}
 
-    label_to_tail = tree.labeling.ns_tail_labels
-    color: dict[str, str] = {}
-    for lab in ns_set:
-        color[label_to_tail[lab]] = NS
+    def find(v: str) -> str:
+        while component[v] != v:
+            component[v] = component[component[v]]
+            v = component[v]
+        return v
+
+    tree_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in base.vertices}
+    loops, chords = [], []
+    for i, (a, b) in enumerate(pairs):
+        u, v = boundary[a], boundary[b]
+        if u == v:
+            loops.append(i)
+            continue
+        cu, cv = find(u), find(v)
+        if cu == cv:
+            chords.append(i)
+            continue
+        component[cu] = cv
+        tree_edges[u].append((v, i))
+        tree_edges[v].append((u, i))
+
+    odd = dict.fromkeys(base.vertices, 0)
+    label_to_tail = g.labeling.ns_tail_labels
     for lab in r_set:
-        color[label_to_tail[lab]] = R
+        odd[boundary[label_to_tail[lab]]] ^= 1
+    # path_to_root[v]: bitmask of the tree edges from v up to its root
+    path_to_root: dict[str, int] = {}
+    particular = 0
+    for root in sorted(base.vertices):
+        if root in path_to_root:
+            continue
+        path_to_root[root] = 0
+        queue, below = [root], []
+        for v in queue:
+            for w, i in tree_edges[v]:
+                if w not in path_to_root:
+                    path_to_root[w] = path_to_root[v] | (1 << i)
+                    queue.append(w)
+                    below.append((w, v, i))
+        for v, up, i in reversed(below):
+            if odd[v]:
+                particular |= 1 << i
+                odd[up] ^= 1
+        if odd[root]:
+            return None
 
-    base = tree.graph
-    flags_of: dict[str, list[str]] = {v: [] for v in base.vertices}
-    for f in base.flags:
-        flags_of[base.boundary[f]].append(f)
-    edge_degree = {v: 0 for v in base.vertices}
-    alive_edges = set(edges(base))
-    for a, b in alive_edges:
-        edge_degree[base.boundary[a]] += 1
-        edge_degree[base.boundary[b]] += 1
-
-    alive = set(base.vertices)
-    while alive_edges:
-        leaf = min(v for v in alive if edge_degree[v] == 1)
-        the_edge = next(
-            (a, b)
-            for a, b in alive_edges
-            if base.boundary[a] == leaf or base.boundary[b] == leaf
+    cycles = [1 << i for i in loops]
+    for i in chords:
+        a, b = pairs[i]
+        cycles.append(
+            (1 << i) ^ path_to_root[boundary[a]] ^ path_to_root[boundary[b]]
         )
-        r_seen = sum(1 for f in flags_of[leaf] if color.get(f) == R)
-        c = R if r_seen % 2 else NS
-        a, b = the_edge
-        color[a] = c
-        color[b] = c
-        alive_edges.remove(the_edge)
-        other = base.boundary[b] if base.boundary[a] == leaf else base.boundary[a]
-        edge_degree[other] -= 1
-        alive.remove(leaf)
+    return pairs, particular, cycles
 
-    # The last vertex's parity is forced by global evenness; check anyway.
-    lifted = SusyGraph(
-        base,
+
+def _colored(
+    g: SusyGraph,
+    ns_set: frozenset[str],
+    r_set: frozenset[str],
+    pairs: list[tuple[str, str]],
+    mask: int,
+) -> SusyGraph:
+    """``g`` with its tails colored by the partition and edge ``pairs[i]``
+    colored R exactly when bit ``i`` of ``mask`` is set."""
+    label_to_tail = g.labeling.ns_tail_labels
+    color = {label_to_tail[lab]: NS for lab in ns_set}
+    color.update((label_to_tail[lab], R) for lab in r_set)
+    for i, (a, b) in enumerate(pairs):
+        color[a] = color[b] = R if (mask >> i) & 1 else NS
+    colored = SusyGraph(
+        g.graph,
         SusyLabeling(
-            genus=dict(tree.labeling.genus),
+            genus=dict(g.labeling.genus),
             color=color,
             ns_tail_labels={l: label_to_tail[l] for l in ns_set},
             r_tail_labels={l: label_to_tail[l] for l in r_set},
         ),
         modular=False,
     )
-    validate_susy_graph(lifted).raise_if_invalid("lifted tree")
-    return lifted
+    validate_susy_graph(colored).raise_if_invalid("edge coloring")
+    return colored
+
+
+def lift_tree_coloring(
+    tree: SusyGraph, ns_labels: Iterable[str], r_labels: Iterable[str]
+) -> SusyGraph:
+    """The unique SUSY lift of a stable tree for an even label partition."""
+    _require_stable_modular(tree, "lift_tree_coloring")
+    _require_tree(tree)
+    ns_set, r_set = _checked_partition(tree, ns_labels, r_labels)
+    # A connected tree with an even R part always lifts, with no free edges.
+    pairs, particular, _ = _forest_lift(tree, r_set)
+    return _colored(tree, ns_set, r_set, pairs, particular)
 
 
 def count_lifts(tree: SusyGraph) -> int:
@@ -155,32 +203,6 @@ def count_even_partitions(k: int) -> int:
     return 1 if k == 0 else 2 ** (k - 1)
 
 
-def _parity_system(
-    g: SusyGraph, r_set: frozenset[str]
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]], np.ndarray, np.ndarray]:
-    """Per-vertex parity constraints in the non-loop edge variables."""
-    base = g.graph
-    label_to_tail = g.labeling.ns_tail_labels
-    r_tails = {label_to_tail[l] for l in r_set}
-    vert_order = sorted(base.vertices)
-    vert_index = {v: i for i, v in enumerate(vert_order)}
-    non_loop = []
-    loops = []
-    for a, b in edges(base):
-        if base.boundary[a] == base.boundary[b]:
-            loops.append((a, b))
-        else:
-            non_loop.append((a, b))
-    a_mat = np.zeros((len(vert_order), len(non_loop)), dtype=np.uint8)
-    for j, (a, b) in enumerate(non_loop):
-        a_mat[vert_index[base.boundary[a]], j] ^= 1
-        a_mat[vert_index[base.boundary[b]], j] ^= 1
-    rhs = np.zeros(len(vert_order), dtype=np.uint8)
-    for f in r_tails:
-        rhs[vert_index[base.boundary[f]]] ^= 1
-    return non_loop, loops, a_mat, rhs
-
-
 def lift_count_general(
     g: SusyGraph, ns_labels: Iterable[str], r_labels: Iterable[str]
 ) -> int:
@@ -191,11 +213,8 @@ def lift_count_general(
     """
     _require_stable_modular(g, "lift_count_general")
     _, r_set = _checked_partition(g, ns_labels, r_labels)
-    non_loop, loops, a_mat, rhs = _parity_system(g, r_set)
-    consistent, _, basis = solve_gf2(a_mat, rhs)
-    if not consistent:
-        return 0
-    return 2 ** (len(basis) + len(loops))
+    lift = _forest_lift(g, r_set)
+    return 0 if lift is None else 2 ** len(lift[2])
 
 
 def enumerate_edge_colorings(
@@ -209,46 +228,20 @@ def enumerate_edge_colorings(
     ``limit`` solutions to keep desk-scale use honest."""
     _require_stable_modular(g, "enumerate_edge_colorings")
     ns_set, r_set = _checked_partition(g, ns_labels, r_labels)
-    non_loop, loops, a_mat, rhs = _parity_system(g, r_set)
-    consistent, particular, basis = solve_gf2(a_mat, rhs)
-    if not consistent:
+    lift = _forest_lift(g, r_set)
+    if lift is None:
         return []
-    count = 2 ** (len(basis) + len(loops))
+    pairs, particular, cycles = lift
+    count = 2 ** len(cycles)
     if count > limit:
         raise ValidationError(
             f"too many colorings ({count}) for enumeration; limit is {limit}"
         )
-
-    label_to_tail = g.labeling.ns_tail_labels
-    base_color: dict[str, str] = {}
-    for lab in ns_set:
-        base_color[label_to_tail[lab]] = NS
-    for lab in r_set:
-        base_color[label_to_tail[lab]] = R
-
-    out: list[SusyGraph] = []
-    for mask in range(2 ** len(basis)):
-        vec = particular.copy()
-        for i, bvec in enumerate(basis):
-            if (mask >> i) & 1:
-                vec ^= bvec
-        for loop_mask in range(2 ** len(loops)):
-            color = dict(base_color)
-            for j, (a, b) in enumerate(non_loop):
-                color[a] = color[b] = R if vec[j] else NS
-            for j, (a, b) in enumerate(loops):
-                color[a] = color[b] = R if (loop_mask >> j) & 1 else NS
-            colored = SusyGraph(
-                g.graph,
-                SusyLabeling(
-                    genus=dict(g.labeling.genus),
-                    color=color,
-                    ns_tail_labels={l: label_to_tail[l] for l in ns_set},
-                    r_tail_labels={l: label_to_tail[l] for l in r_set},
-                ),
-                modular=False,
-            )
-            validate_susy_graph(colored).raise_if_invalid("edge coloring")
-            out.append(colored)
-    assert len(out) == count
+    out = []
+    for m in range(count):
+        mask = particular
+        for i, cycle in enumerate(cycles):
+            if (m >> i) & 1:
+                mask ^= cycle
+        out.append(_colored(g, ns_set, r_set, pairs, mask))
     return out

@@ -114,6 +114,7 @@ class TestOrbitQueries:
     def test_flag_partition(self, seed):
         g = random_modular_graph(random.Random(seed)).graph
         assert len(g.flags) == len(tails(g)) + 2 * len(edges(g))
+        assert edges(g) == orbit_pairs(g.involution)
 
     @given(st.integers(0, 10**6))
     def test_every_flag_in_exactly_one_vertex_star(self, seed):

@@ -1,8 +1,14 @@
-"""Tree coloring lifts, counting formulas, and the GF(2) generalization."""
+"""Tree coloring lifts, counting formulas, and the general graph lift."""
 
+import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +17,7 @@ from hypothesis import strategies as st
 from susykit import (
     R,
     SusyKitError,
+    ValidationError,
     count_even_partitions,
     count_lifts,
     edges,
@@ -219,3 +226,74 @@ class TestGeneralCount:
         for colored in found:
             assert validate_susy_graph(colored).ok
             assert genus(colored) == genus(g)
+
+    def test_odd_r_on_each_component_has_no_lift(self):
+        # two disjoint corollas, each receiving one of the two R tails
+        g = modular_graph(
+            flags=["a", "b", "c", "d", "e", "f"],
+            vertices=["v1", "v2"],
+            boundary={"a": "v1", "b": "v1", "c": "v1", "d": "v2", "e": "v2", "f": "v2"},
+            involution={f: f for f in "abcdef"},
+            genus={"v1": 0, "v2": 0},
+        )
+        ns, r = ["b", "c", "e", "f"], ["a", "d"]
+        assert lift_count_general(g, ns, r) == 0
+        assert enumerate_edge_colorings(g, ns, r) == []
+        assert brute_color_sets(g, ns, r) == []
+
+    def test_enumeration_limit_rejected(self):
+        g = modular_graph(
+            flags=["t", "l1", "m1", "l2", "m2"],
+            vertices=["v"],
+            boundary={f: "v" for f in ["t", "l1", "m1", "l2", "m2"]},
+            involution={"t": "t", "l1": "m1", "m1": "l1", "l2": "m2", "m2": "l2"},
+            genus={"v": 0},
+        )
+        assert len(enumerate_edge_colorings(g, ["t"], [], limit=4)) == 4
+        with pytest.raises(ValidationError, match="too many colorings"):
+            enumerate_edge_colorings(g, ["t"], [], limit=3)
+
+    @given(st.integers(0, 10**6))
+    def test_tree_lift_is_the_only_enumerated_coloring(self, seed):
+        rng = random.Random(seed)
+        t = random_modular_tree(rng)
+        ns, r = random_tail_partition(rng, t)
+        assert enumerate_edge_colorings(t, ns, r) == [lift_tree_coloring(t, ns, r)]
+
+
+def test_coloring_order_is_pinned():
+    # R-colored edges of every enumerated coloring, in enumeration order;
+    # ``susykit lift --enumerate`` and ``random_susy_graph`` depend on it.
+    rows = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = random_modular_graph(rng, max_vertices=5, max_genus=3, max_extra_edges=4)
+        ns, r = random_tail_partition(rng, g)
+        rows.append(
+            [
+                [a for a, b in edges(c.graph) if c.color_of(a) == R]
+                for c in enumerate_edge_colorings(g, ns, r)
+            ]
+        )
+    assert sum(map(len, rows)) == 1918
+    assert (
+        hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        == "deb043615527598f261bfeae5845bea83f341314eb74642d808bae91d25351aa"
+    )
+
+
+def test_import_pulls_in_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, susykit, susykit.cli; assert 'numpy' not in sys.modules",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
