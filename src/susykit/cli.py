@@ -98,12 +98,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_lift(args: argparse.Namespace) -> int:
     g = load_graph(args.tree)
     ns, r = _labels(args.ns), _labels(args.r)
-    count = lift_count_general(g, ns, r)
     if args.count:
+        count = lift_count_general(g, ns, r)
         _emit(args, {"count": count}, lambda: [f"colorings     {count}"])
         return 0
     if args.enumerate:
         colorings = enumerate_edge_colorings(g, ns, r)
+        count = len(colorings)
         data = {
             "count": count,
             "colorings": [graph_to_json(c) for c in colorings],

@@ -32,7 +32,6 @@ from .susy import (
     genus,
     is_stable,
     require_susy,
-    validate_susy_graph,
 )
 
 __all__ = [
@@ -154,13 +153,14 @@ def _colored(
     mask: int,
 ) -> SusyGraph:
     """``g`` with its tails colored by the partition and edge ``pairs[i]``
-    colored R exactly when bit ``i`` of ``mask`` is set."""
+    colored R exactly when bit ``i`` of ``mask`` is set.  Callers check
+    ``g`` and the partition; the forest rule makes every such mask valid."""
     label_to_tail = g.labeling.ns_tail_labels
     color = {label_to_tail[lab]: NS for lab in ns_set}
     color.update((label_to_tail[lab], R) for lab in r_set)
     for i, (a, b) in enumerate(pairs):
         color[a] = color[b] = R if (mask >> i) & 1 else NS
-    colored = SusyGraph(
+    return SusyGraph(
         g.graph,
         SusyLabeling(
             genus=dict(g.labeling.genus),
@@ -170,8 +170,6 @@ def _colored(
         ),
         modular=False,
     )
-    validate_susy_graph(colored).raise_if_invalid("edge coloring")
-    return colored
 
 
 def lift_tree_coloring(

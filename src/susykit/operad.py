@@ -5,8 +5,10 @@ genus together with the NS and R marked-point label sets.  Morphisms between
 signatures are gluing recipes: a normal form listing which source factors
 land where, which label pairs get glued into nodes, how surviving labels are
 renamed, and the count of Ramond gluings (the rank of the odd gluing
-parameters).  SUSY graph morphisms evaluate to recipes, and erasing colors is
-a projection onto classical signatures that commutes with evaluation.
+parameters).  Signatures are validated when constructed, so recipes never
+re-check their endpoints.  SUSY graph morphisms evaluate to recipes, and
+erasing colors is a projection onto classical signatures that commutes with
+evaluation.
 
 Dimension bookkeeping lives here too: the even and odd dimensions of the
 stratum attached to a stable SUSY graph, computed both from closed formulas
@@ -16,7 +18,7 @@ and from per-vertex sums, which must agree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -74,24 +76,28 @@ def _factor_key(f: ModuliFactor) -> tuple:
 
 @dataclass(frozen=True)
 class ModuliSignature:
+    """A product of factors in canonical order.  Construction validates it
+    (raising ValidationError), so every instance is a valid signature."""
+
     factors: tuple[ModuliFactor, ...]
     mode: str = SUPER
+    _factor_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
+        validate_signature(self).raise_if_invalid("signature")
+        object.__setattr__(
+            self,
+            "_factor_index",
+            {l: i for i, f in enumerate(self.factors) for l in f.labels},
+        )
 
     @property
     def labels(self) -> frozenset[str]:
-        out: set[str] = set()
-        for f in self.factors:
-            out |= f.labels
-        return frozenset(out)
+        return frozenset(self._factor_index)
 
     def factor_of(self, label: str) -> int:
-        for i, f in enumerate(self.factors):
-            if label in f.labels:
-                return i
-        raise KeyError(label)
+        return self._factor_index[label]
 
     def color_of(self, label: str) -> str:
         f = self.factors[self.factor_of(label)]
@@ -125,15 +131,16 @@ def validate_signature(sig: ModuliSignature) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _sorted_with_positions(
-    factors: Sequence[ModuliFactor],
-) -> tuple[tuple[ModuliFactor, ...], list[int]]:
-    """Stable-sort factors; also return old index -> new position."""
+def _fresh_signature(
+    factors: Sequence[ModuliFactor], mode: str
+) -> tuple[ModuliSignature, list[int]]:
+    """Stable-sort factors into a signature; also return old index -> new
+    position."""
     order = sorted(range(len(factors)), key=lambda i: _factor_key(factors[i]))
     position = [0] * len(factors)
     for new, old in enumerate(order):
         position[old] = new
-    return tuple(factors[i] for i in order), position
+    return ModuliSignature(tuple(factors[i] for i in order), mode), position
 
 
 def signature(
@@ -145,10 +152,7 @@ def signature(
         f if isinstance(f, ModuliFactor) else ModuliFactor(f[0], f[1], f[2])
         for f in factors
     ]
-    ordered, _ = _sorted_with_positions(built)
-    sig = ModuliSignature(ordered, mode)
-    validate_signature(sig).raise_if_invalid("signature")
-    return sig
+    return _fresh_signature(built, mode)[0]
 
 
 @dataclass(frozen=True)
@@ -213,11 +217,6 @@ def recipe(
 
 def validate_recipe(r: GluingRecipe) -> ValidationReport:
     problems: list[str] = []
-    for side, sig in (("source", r.source), ("target", r.target)):
-        rep = validate_signature(sig)
-        problems.extend(f"{side}: {p}" for p in rep.violations)
-    if problems:
-        return ValidationReport(tuple(problems))
     if r.source.mode != r.target.mode:
         problems.append("source and target modes differ")
 
@@ -341,15 +340,6 @@ def recipe_compose(first: GluingRecipe, second: GluingRecipe) -> GluingRecipe:
         if b in second.relabeling
     }
     return recipe(first.source, second.target, assignment, ns_pairs, r_pairs, relabeling)
-
-
-def _fresh_signature(
-    factors: Sequence[ModuliFactor], mode: str
-) -> tuple[ModuliSignature, list[int]]:
-    ordered, position = _sorted_with_positions(factors)
-    sig = ModuliSignature(ordered, mode)
-    validate_signature(sig).raise_if_invalid("signature")
-    return sig, position
 
 
 def relabel_recipe(
@@ -477,28 +467,21 @@ def evaluate_operad(h: SusyMorphism) -> GluingRecipe:
     return recipe(src_sig, tgt_sig, assignment, ns_pairs, r_pairs, relabeling)
 
 
+def _erased(sig: ModuliSignature) -> tuple[ModuliSignature, list[int]]:
+    """``sig`` with every R label made NS, as a classical signature."""
+    factors = [ModuliFactor(f.genus, f.labels, frozenset()) for f in sig.factors]
+    return _fresh_signature(factors, CLASSICAL)
+
+
 def project(x: ModuliSignature | GluingRecipe):
     """Erase colors: every R label becomes NS and R gluings become NS
     gluings.  Works on signatures and on recipes."""
     if isinstance(x, ModuliSignature):
-        factors = [
-            ModuliFactor(f.genus, f.ns_labels | f.r_labels, frozenset())
-            for f in x.factors
-        ]
-        sig, _ = _fresh_signature(factors, CLASSICAL)
-        return sig
+        return _erased(x)[0]
     if isinstance(x, GluingRecipe):
-        src_factors = [
-            ModuliFactor(f.genus, f.ns_labels | f.r_labels, frozenset())
-            for f in x.source.factors
-        ]
-        tgt_factors = [
-            ModuliFactor(f.genus, f.ns_labels | f.r_labels, frozenset())
-            for f in x.target.factors
-        ]
-        src, src_pos = _fresh_signature(src_factors, CLASSICAL)
-        tgt, tgt_pos = _fresh_signature(tgt_factors, CLASSICAL)
-        assignment = [0] * len(src_factors)
+        src, src_pos = _erased(x.source)
+        tgt, tgt_pos = _erased(x.target)
+        assignment = [0] * len(src_pos)
         for old, new in enumerate(src_pos):
             assignment[new] = tgt_pos[x.assignment[old]]
         return recipe(
@@ -664,11 +647,9 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         direct = relabel_recipe(sig, {l: s2[s1[l]] for l in sig.labels})
         return recipe_compose(first, second), direct
 
-    def relabel_loop() -> tuple[GluingRecipe, GluingRecipe]:
-        pool = _LabelPool()
-        sig = signature([_random_factor(rng, pool, min_ns=2, min_r=2)])
-        color = rng.choice([NS, R])
-        a, b = _pick_pair(rng, sig.factors[0], color)
+    def relabel_past_glue(
+        pool: _LabelPool, sig: ModuliSignature, a: str, b: str
+    ) -> tuple[GluingRecipe, GluingRecipe]:
         ren = fresh_renaming(rng, pool, sig.labels)
         glue_first = _glue(sig, a, b)
         lhs = recipe_compose(
@@ -684,6 +665,13 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         )
         return lhs, rhs
 
+    def relabel_loop() -> tuple[GluingRecipe, GluingRecipe]:
+        pool = _LabelPool()
+        sig = signature([_random_factor(rng, pool, min_ns=2, min_r=2)])
+        color = rng.choice([NS, R])
+        a, b = _pick_pair(rng, sig.factors[0], color)
+        return relabel_past_glue(pool, sig, a, b)
+
     def relabel_edge() -> tuple[GluingRecipe, GluingRecipe]:
         pool = _LabelPool()
         f1 = _random_factor(rng, pool, min_ns=1, min_r=2)
@@ -692,20 +680,7 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         color = rng.choice([NS, R])
         a = _pick_one(rng, f1, color)
         b = _pick_one(rng, f2, color)
-        ren = fresh_renaming(rng, pool, sig.labels)
-        glue_first = _glue(sig, a, b)
-        lhs = recipe_compose(
-            glue_first,
-            relabel_recipe(
-                glue_first.target,
-                {l: ren[l] for l in glue_first.target.labels},
-            ),
-        )
-        relabel_first = relabel_recipe(sig, ren)
-        rhs = recipe_compose(
-            relabel_first, _glue(relabel_first.target, ren[a], ren[b])
-        )
-        return lhs, rhs
+        return relabel_past_glue(pool, sig, a, b)
 
     def two_step(
         sig: ModuliSignature, p1: tuple[str, str], p2: tuple[str, str]
@@ -748,14 +723,13 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         pool2 = sorted(f2.ns_labels if c_edge == NS else f2.r_labels)
         a1 = rng.choice(pool1)
         b1 = rng.choice(pool2)
+        # min_ns/min_r above leave pool1b and pool2b non-empty
         pool1b = sorted(
             (f1.ns_labels if c2 == NS else f1.r_labels) - {a1, b1}
         )
         pool2b = sorted(
             (f2.ns_labels if c2 == NS else f2.r_labels) - {a1, b1}
         )
-        if not pool1b or not pool2b:
-            return loop_edge()
         a2 = rng.choice(pool1b)
         b2 = rng.choice(pool2b)
         return two_step(sig, (a1, b1), (a2, b2)), two_step(
@@ -771,9 +745,8 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         c1, c2 = rng.choice([NS, R]), rng.choice([NS, R])
         a1 = rng.choice(sorted(f1.ns_labels if c1 == NS else f1.r_labels))
         b1 = rng.choice(sorted(f2.ns_labels if c1 == NS else f2.r_labels))
+        # f2's min_ns/min_r leave mid non-empty
         mid = (f2.ns_labels if c2 == NS else f2.r_labels) - {b1}
-        if not mid:
-            return edges_commute()
         a2 = rng.choice(sorted(mid))
         b2 = rng.choice(sorted(f3.ns_labels if c2 == NS else f3.r_labels))
         return two_step(sig, (a1, b1), (a2, b2)), two_step(

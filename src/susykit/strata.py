@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from .canon import canonical_form, certificate_digest
 from .errors import ValidationError
 from .graphs import Graph, edges, flags_at, orbit_pairs
-from .lifting import enumerate_edge_colorings, lift_count_general
+from .lifting import enumerate_edge_colorings
 from .susy import NS, SusyGraph, SusyLabeling, is_stable, modular_graph
 from .calculus import contract_pair
 
@@ -215,8 +215,8 @@ def enumerate_strata_records(
 ) -> list[StratumRecord]:
     """Strata grouped by underlying modular shape.  Each record carries the
     distinct colorings (canonical representatives, in digest order), their
-    certificate digests and the parity-argument prediction for how many
-    there are."""
+    certificate digests and the number of raw colorings of the shape
+    (``2 ** b1`` by the parity argument)."""
     ns = sorted(set(ns_labels))
     rr = sorted(set(r_labels))
     overlap = set(ns) & set(rr)
@@ -227,10 +227,9 @@ def enumerate_strata_records(
     shapes = enumerate_modular_shapes(genus, ns + rr, max_edges)
     records = []
     for shape in shapes:
-        predicted = lift_count_general(shape, set(ns), set(rr))
-        if predicted == 0:
-            continue
         colored = enumerate_edge_colorings(shape, set(ns), set(rr))
+        if not colored:
+            continue
         seen: dict[str, SusyGraph] = {}
         for c in colored:
             form = canonical_form(c)
@@ -239,7 +238,7 @@ def enumerate_strata_records(
         digests = tuple(sorted(seen))
         records.append(
             StratumRecord(
-                shape, tuple(seen[d] for d in digests), digests, predicted
+                shape, tuple(seen[d] for d in digests), digests, len(colored)
             )
         )
     return records

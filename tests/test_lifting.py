@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import susykit.lifting
+import susykit.susy
 from susykit import (
     R,
     SusyKitError,
@@ -259,6 +261,29 @@ class TestGeneralCount:
         t = random_modular_tree(rng)
         ns, r = random_tail_partition(rng, t)
         assert enumerate_edge_colorings(t, ns, r) == [lift_tree_coloring(t, ns, r)]
+
+    def test_enumeration_validates_its_input_once(self, monkeypatch):
+        # b1 = 2: two loops at one vertex, so four colorings
+        g = modular_graph(
+            flags=["t", "l1", "m1", "l2", "m2"],
+            vertices=["v"],
+            boundary={f: "v" for f in ["t", "l1", "m1", "l2", "m2"]},
+            involution={"t": "t", "l1": "m1", "m1": "l1", "l2": "m2", "m2": "l2"},
+            genus={"v": 0},
+        )
+        calls = []
+        real = susykit.susy.validate_susy_graph
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(susykit.susy, "validate_susy_graph", counting)
+        monkeypatch.setattr(
+            susykit.lifting, "validate_susy_graph", counting, raising=False
+        )
+        assert len(enumerate_edge_colorings(g, ["t"], [])) == 4
+        assert calls == [g]
 
 
 def test_coloring_order_is_pinned():

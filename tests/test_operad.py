@@ -1,14 +1,20 @@
 """Signature algebra: generators, recipe composition, evaluation of graph
 morphisms, projection to the colorless theory, and dimension formulas."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import susykit.operad
 from susykit import (
     NS,
     R,
     GluingRecipe,
+    ModuliFactor,
+    ModuliSignature,
     ValidationError,
     check_operad_axioms,
     compose,
@@ -34,7 +40,12 @@ from susykit import (
     total_grafting,
     validate_recipe,
 )
-from susykit.sampling import random_morphism, random_susy_graph
+from susykit.jsonio import recipe_to_json
+from susykit.sampling import (
+    random_composable_pair,
+    random_morphism,
+    random_susy_graph,
+)
 
 from conftest import star
 
@@ -117,6 +128,15 @@ class TestSignatureBasics:
     def test_odd_r_count_rejected(self):
         with pytest.raises(ValidationError, match="odd number of R"):
             signature([(1, {"a"}, {"r1"})])
+
+    def test_direct_construction_is_validated(self):
+        big = ModuliFactor(1, {"z"}, ())
+        small = ModuliFactor(0, {"a", "b", "c"}, ())
+        assert ModuliSignature((small, big)) == signature([big, small])
+        with pytest.raises(ValidationError, match="canonical order"):
+            ModuliSignature((big, small))
+        with pytest.raises(ValidationError, match="unstable"):
+            ModuliSignature((ModuliFactor(0, {"a", "b"}, ()),))
 
     def test_classical_mode_bans_r_labels(self):
         with pytest.raises(ValidationError, match="classical"):
@@ -373,6 +393,46 @@ class TestEvaluate:
             assert evaluate_operad(both) == recipe_compose(
                 evaluate_operad(h1), evaluate_operad(h2)
             )
+
+    def test_signatures_validated_once_each(self, monkeypatch):
+        g = triple_edge_graph()
+        h1 = contract_pair(g, ("n1", "n2"))
+        h2 = contract_pair(h1.target, ("p1", "p2"))
+        r1, r2 = evaluate_operad(h1), evaluate_operad(h2)
+        calls = []
+        real = susykit.operad.validate_signature
+
+        def counting(sig):
+            calls.append(sig)
+            return real(sig)
+
+        monkeypatch.setattr(susykit.operad, "validate_signature", counting)
+        recipe_compose(r1, r2)
+        assert calls == []
+        evaluate_operad(h1)
+        assert len(calls) == 2
+
+    def test_recipe_corpus_is_pinned(self):
+        rows = []
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_susy_graph(
+                rng, max_vertices=4, max_genus=2, max_extra_edges=2
+            )
+            h, f = random_composable_pair(rng, g)
+            eh, ef = evaluate_operad(h), evaluate_operad(f)
+            for x in (
+                eh,
+                ef,
+                evaluate_operad(compose(h, f)),
+                recipe_compose(eh, ef),
+                project(eh),
+            ):
+                rows.append(recipe_to_json(x))
+        assert (
+            hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+            == "8541a0104d7211ac7bbb32bfb645b6693d459ab95ac8c73ed44c67996622525d"
+        )
 
     def test_unstable_graph_rejected(self):
         g = star(0, 2)
