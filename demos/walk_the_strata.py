@@ -8,11 +8,9 @@ the end renders with graphviz: `python3 demos/walk_the_strata.py | tail
 """
 
 from susykit import (
-    certificate_digest,
-    contraction_poset,
     edges,
-    enumerate_strata,
     enumerate_strata_records,
+    strata_poset,
     stratum_dimension,
 )
 from susykit.dot import poset_to_dot
@@ -20,20 +18,21 @@ from susykit.dot import poset_to_dot
 
 def main() -> None:
     genus, ns, r = 0, ["1", "2", "3", "4"], []
-    strata = enumerate_strata(genus, ns, r)
+    records = enumerate_strata_records(genus, ns, r)
+    poset = strata_poset(records)
+    strata = poset.strata
     print(f"genus {genus} with tails NS={ns} R={r}: {len(strata)} strata")
     print()
 
     for i, g in enumerate(strata):
         dim = stratum_dimension(g)
-        n_edges = len(edges(g.graph))
-        digest = certificate_digest(g)[:12]
+        n_edges = poset.ranks[i]
+        digest = poset.digests[i][:12]
         print(
             f"  S{i}: {n_edges} edge(s), dimension {dim.even}|{dim.odd}, "
             f"codim {dim.codimension[0]}, cert {digest}"
         )
 
-    records = enumerate_strata_records(genus, ns, r)
     print()
     for rec in records:
         print(
@@ -41,7 +40,6 @@ def main() -> None:
             f"{len(rec.colorings)} coloring(s), predicted {rec.predicted_colorings}"
         )
 
-    poset = contraction_poset(strata)
     print()
     print(f"poset top (smooth stratum): S{poset.top}")
     for i, j in sorted(poset.covers):

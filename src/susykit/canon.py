@@ -5,11 +5,12 @@ after vertices and flags are renumbered by a refinement-plus-backtracking
 search that minimizes the encoding.  Two graphs are isomorphic over fixed
 tail labels exactly when their certificates agree.
 
-One search serves both entry points.  ``canonical_form`` runs it and then
-builds the renumbered graph and its witnesses; ``certificate_digest`` is
-the digest-only path, which hashes the winning certificate and builds
-nothing.  Each search gathers the flags at every vertex once and works from
-that incidence list throughout.
+One search serves both entry points.  ``canonical_form`` runs it and keeps
+the winning leaf's vertex and flag positions; the renumbered graph and the
+witnesses are built from those positions only when they are first read, so
+``certificate_digest`` (the digest of ``canonical_form``) builds nothing.
+Each search gathers the flags at every vertex once and works from that
+incidence list throughout.
 
 A slower brute-force enumerator of isomorphisms is also provided; it
 doubles as the oracle for the canonical form and computes automorphism
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .errors import ValidationError
@@ -46,11 +48,42 @@ class Isomorphism:
 
 @dataclass(frozen=True)
 class CanonicalForm:
+    """The least certificate of ``source`` and its digest.  ``graph`` and
+    the witnesses are built from the winning leaf's positions when read."""
+
     certificate: bytes
     digest: str
-    graph: SusyGraph
-    vertex_witness: dict[str, str]
-    flag_witness: dict[str, str]
+    source: SusyGraph = field(repr=False)
+    vertex_position: dict[str, int] = field(repr=False)
+    flag_position: dict[str, int] = field(repr=False)
+
+    @cached_property
+    def vertex_witness(self) -> dict[str, str]:
+        return {v: f"v{i}" for v, i in self.vertex_position.items()}
+
+    @cached_property
+    def flag_witness(self) -> dict[str, str]:
+        return {f: f"f{i}" for f, i in self.flag_position.items()}
+
+    @cached_property
+    def graph(self) -> SusyGraph:
+        g = self.source
+        vw, fw = self.vertex_witness, self.flag_witness
+        return SusyGraph(
+            Graph(
+                frozenset(fw.values()),
+                frozenset(vw.values()),
+                {fw[f]: vw[g.boundary[f]] for f in g.flags},
+                {fw[f]: fw[g.involution[f]] for f in g.flags},
+            ),
+            SusyLabeling(
+                {vw[v]: g.genus_of(v) for v in g.vertices},
+                {fw[f]: g.color_of(f) for f in g.flags},
+                {l: fw[f] for l, f in g.labeling.ns_tail_labels.items()},
+                {l: fw[f] for l, f in g.labeling.r_tail_labels.items()},
+            ),
+            modular=g.modular,
+        )
 
 
 def _label_of(g: SusyGraph) -> dict[str, str]:
@@ -206,34 +239,12 @@ def canonical_form(g: SusyGraph) -> CanonicalForm:
     """Renumber vertices and flags canonically; equal certificates mean
     isomorphic over fixed tail labels."""
     cert, pos, flag_index = _search(g)
-    vertex_witness = {v: f"v{i}" for v, i in pos.items()}
-    flag_witness = {f: f"f{i}" for f, i in flag_index.items()}
-    boundary = {flag_witness[f]: vertex_witness[g.boundary[f]] for f in g.flags}
-    involution = {flag_witness[f]: flag_witness[g.involution[f]] for f in g.flags}
-    genus = {vertex_witness[v]: g.genus_of(v) for v in g.vertices}
-    color = {flag_witness[f]: g.color_of(f) for f in g.flags}
-    canon = SusyGraph(
-        Graph(
-            frozenset(flag_witness.values()),
-            frozenset(vertex_witness.values()),
-            boundary,
-            involution,
-        ),
-        SusyLabeling(
-            genus,
-            color,
-            {l: flag_witness[f] for l, f in g.labeling.ns_tail_labels.items()},
-            {l: flag_witness[f] for l, f in g.labeling.r_tail_labels.items()},
-        ),
-        modular=g.modular,
-    )
-    digest = hashlib.sha256(cert).hexdigest()
-    return CanonicalForm(cert, digest, canon, vertex_witness, flag_witness)
+    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, pos, flag_index)
 
 
 def certificate_digest(g: SusyGraph) -> str:
-    """The digest of ``canonical_form(g)``, without building the graph."""
-    return hashlib.sha256(_search(g)[0]).hexdigest()
+    """The digest of ``canonical_form(g)``."""
+    return canonical_form(g).digest
 
 
 def isomorphisms_between(

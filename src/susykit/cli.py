@@ -32,7 +32,13 @@ from .jsonio import (
 )
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
 from .operad import check_operad_axioms, evaluate_operad, stratum_dimension
-from .strata import contraction_poset, enumerate_modular_shapes, enumerate_strata
+from .strata import (
+    _ordered,
+    _shapes,
+    contraction_poset,
+    enumerate_strata_records,
+    strata_poset,
+)
 from .susy import R, SusyGraph, genus, is_stable
 from .dot import graph_to_dot, poset_to_dot
 
@@ -136,7 +142,7 @@ def _stratum_record(g: SusyGraph, digest: str) -> dict:
     return record
 
 
-def _digest_lines(graphs: list[SusyGraph], digests: Sequence[str]) -> list[str]:
+def _digest_lines(graphs: Sequence[SusyGraph], digests: Sequence[str]) -> list[str]:
     return [
         f"  [{i}] edges {len(edges(g.graph))} digest {d}"
         for i, (g, d) in enumerate(zip(graphs, digests))
@@ -147,8 +153,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     ns = [str(i) for i in range(1, args.ns + 1)]
     r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
     if args.shapes:
-        shapes = enumerate_modular_shapes(args.genus, ns + r, args.max_edges)
-        digests = [certificate_digest(s) for s in shapes]
+        found = _shapes(args.genus, ns + r, args.max_edges)
+        shapes = [s for _, s in found]
+        digests = [d for d, _ in found]
         data = {
             "count": len(shapes),
             "shapes": [_stratum_record(s, d) for s, d in zip(shapes, digests)],
@@ -159,12 +166,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             lambda: [f"shapes        {len(shapes)}"] + _digest_lines(shapes, digests),
         )
         return 0
-    strata = enumerate_strata(args.genus, ns, r, args.max_edges)
-    poset = contraction_poset(strata) if args.poset else None
+    records = enumerate_strata_records(args.genus, ns, r, args.max_edges)
+    poset = strata_poset(records) if args.poset else None
     if poset is None:
-        digests, covers = [certificate_digest(s) for s in strata], []
+        strata, digests, _ = _ordered(records)
+        covers = []
     else:
-        digests, covers = poset.digests, sorted(poset.covers)
+        strata, digests, covers = poset.strata, poset.digests, sorted(poset.covers)
+    # the shapes and colouring tables are not printed: free them first
+    del records
     data = {
         "count": len(strata),
         "strata": [_stratum_record(s, d) for s, d in zip(strata, digests)],

@@ -8,6 +8,16 @@ then NS/R colorings of each shape, counted by the parity argument (2^b1 per
 shape) and deduplicated the same way.  Each ``StratumRecord`` keeps the
 certificate digests of its colorings in ``digests``, parallel to
 ``colorings``, so the strata are ordered without canonizing them again.
+It also keeps its shape's digest and, in ``coloring_digests``, the stratum
+digest of every raw coloring of the shape, keyed by its set of R flags.
+
+Contraction covers come from the shapes: contracting edge e of a colored
+stratum (S, k) gives (S/e, k restricted to S/e), so ``strata_poset``
+contracts each edge of each shape once, canonizes the modular graph S/e,
+and carries the remaining R flags along the flag witness into the target
+shape, where one lookup in its ``coloring_digests`` names the covering
+stratum.  ``contraction_poset`` is the general path for an arbitrary list
+of strata: it canonizes every stratum and every contraction of it.
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
 instance guard refuses enumerations whose bound exceeds a configurable
@@ -17,15 +27,15 @@ limit (SUSY_KIT_MAX_EDGES, default 8).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
-from .canon import canonical_form, certificate_digest
+from .canon import CanonicalForm, canonical_form, certificate_digest
 from .errors import ValidationError
 from .graphs import Graph, edges, flags_at, orbit_pairs
 from .lifting import enumerate_edge_colorings
-from .susy import NS, SusyGraph, SusyLabeling, is_stable, modular_graph
+from .susy import NS, R, SusyGraph, SusyLabeling, is_stable, modular_graph
 from .calculus import contract_pair
 
 __all__ = [
@@ -36,6 +46,7 @@ __all__ = [
     "enumerate_strata",
     "enumerate_strata_records",
     "max_edge_limit",
+    "strata_poset",
 ]
 
 ENV_LIMIT = "SUSY_KIT_MAX_EDGES"
@@ -158,12 +169,10 @@ def _deloop_moves(g: SusyGraph) -> Iterator[SusyGraph]:
         )
 
 
-def enumerate_modular_shapes(
+def _shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
-) -> list[SusyGraph]:
-    """All stable modular graphs of the given total genus and tail label
-    set, one canonical representative per isomorphism class, ordered by
-    edge count and certificate."""
+) -> list[tuple[str, SusyGraph]]:
+    """``enumerate_modular_shapes`` with each shape's certificate digest."""
     labels = sorted(set(tail_labels))
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
@@ -193,18 +202,33 @@ def enumerate_modular_shapes(
                 found[form.digest] = form.graph
                 fresh.append(form.graph)
         frontier = fresh
-    out = sorted(
-        found.items(), key=lambda kv: (len(edges(kv[1].graph)), kv[0])
-    )
-    return [g for _, g in out]
+    return sorted(found.items(), key=lambda kv: (len(edges(kv[1].graph)), kv[0]))
+
+
+def enumerate_modular_shapes(
+    genus: int, tail_labels: Iterable[str], max_edges: int | None = None
+) -> list[SusyGraph]:
+    """All stable modular graphs of the given total genus and tail label
+    set, one canonical representative per isomorphism class, ordered by
+    edge count and certificate."""
+    return [g for _, g in _shapes(genus, tail_labels, max_edges)]
 
 
 @dataclass(frozen=True)
 class StratumRecord:
+    """The strata over one modular shape.  ``coloring_digests`` maps the R
+    flags of each raw coloring of ``shape`` (in the shape's flag names) to
+    that coloring's stratum digest."""
+
     shape: SusyGraph
+    shape_digest: str
     colorings: tuple[SusyGraph, ...]
     digests: tuple[str, ...]
-    predicted_colorings: int
+    coloring_digests: Mapping[frozenset[str], str]
+
+    @property
+    def predicted_colorings(self) -> int:
+        return len(self.coloring_digests)
 
 
 def enumerate_strata_records(
@@ -224,24 +248,49 @@ def enumerate_strata_records(
         raise ValidationError(f"labels {sorted(overlap)} are both NS and R")
     if len(rr) % 2:
         raise ValidationError("the number of R tail labels must be even")
-    shapes = enumerate_modular_shapes(genus, ns + rr, max_edges)
     records = []
-    for shape in shapes:
+    for shape_digest, shape in _shapes(genus, ns + rr, max_edges):
         colored = enumerate_edge_colorings(shape, set(ns), set(rr))
         if not colored:
             continue
-        seen: dict[str, SusyGraph] = {}
+        forms: dict[str, CanonicalForm] = {}
+        coloring_digests: dict[frozenset[str], str] = {}
         for c in colored:
             form = canonical_form(c)
-            if form.digest not in seen:
-                seen[form.digest] = form.graph
-        digests = tuple(sorted(seen))
+            forms.setdefault(form.digest, form)
+            r_flags = frozenset(f for f, k in c.labeling.color.items() if k == R)
+            coloring_digests[r_flags] = form.digest
+        digests = tuple(sorted(forms))
         records.append(
             StratumRecord(
-                shape, tuple(seen[d] for d in digests), digests, len(colored)
+                shape,
+                shape_digest,
+                tuple(forms[d].graph for d in digests),
+                digests,
+                coloring_digests,
             )
         )
     return records
+
+
+def _ordered(
+    records: Iterable[StratumRecord],
+) -> tuple[tuple[SusyGraph, ...], tuple[str, ...], tuple[int, ...]]:
+    """The strata of ``records`` with their digests and edge counts, ordered
+    by edge count and digest."""
+    keyed = sorted(
+        (
+            (len(edges(rec.shape.graph)), d, g)
+            for rec in records
+            for g, d in zip(rec.colorings, rec.digests)
+        ),
+        key=lambda t: t[:2],
+    )
+    return (
+        tuple(g for _, _, g in keyed),
+        tuple(d for _, d, _ in keyed),
+        tuple(n for n, _, _ in keyed),
+    )
 
 
 def enumerate_strata(
@@ -253,12 +302,8 @@ def enumerate_strata(
     """Isomorphism classes of stable SUSY graphs with the given total genus
     and labeled NS/R tails, as canonical representatives ordered by edge
     count and certificate digest."""
-    keyed = [
-        (len(edges(g.graph)), d, g)
-        for rec in enumerate_strata_records(genus, ns_labels, r_labels, max_edges)
-        for g, d in zip(rec.colorings, rec.digests)
-    ]
-    return [g for _, _, g in sorted(keyed, key=lambda t: t[:2])]
+    records = enumerate_strata_records(genus, ns_labels, r_labels, max_edges)
+    return list(_ordered(records)[0])
 
 
 @dataclass(frozen=True)
@@ -272,24 +317,33 @@ class ContractionPoset:
     digests: tuple[str, ...]
     ranks: tuple[int, ...]
     covers: frozenset[tuple[int, int]]
+    _successors: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        successors: dict[int, list[int]] = {}
+        for x, y in self.covers:
+            successors.setdefault(x, []).append(y)
+        object.__setattr__(self, "_successors", successors)
+        object.__setattr__(self, "_index", {d: i for i, d in enumerate(self.digests)})
 
     def index_of(self, g: SusyGraph) -> int:
-        return self.digests.index(certificate_digest(g))
+        d = certificate_digest(g)
+        if d not in self._index:
+            raise ValueError(f"stratum {d} is not in the poset")
+        return self._index[d]
 
     def less_or_equal(self, i: int, j: int) -> bool:
         """True when stratum j is reachable from stratum i by contractions
         (i lies in the closure of j, i.e. i is deeper in the boundary)."""
         if i == j:
             return True
-        successors: dict[int, list[int]] = {}
-        for x, y in self.covers:
-            successors.setdefault(x, []).append(y)
         frontier = [i]
         seen = {i}
         while frontier:
             nxt = []
             for a in frontier:
-                for y in successors.get(a, ()):
+                for y in self._successors.get(a, ()):
                     if y not in seen:
                         nxt.append(y)
                         seen.add(y)
@@ -329,3 +383,35 @@ def contraction_poset(strata: Iterable[SusyGraph]) -> ContractionPoset:
             covers.add((i, j))
     ranks = tuple(len(edges(g.graph)) for g in items)
     return ContractionPoset(tuple(items), tuple(digests), ranks, frozenset(covers))
+
+
+def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:
+    """The contraction poset of every stratum in ``records``, which must be
+    closed under contraction, as ``enumerate_strata_records`` returns them.
+    Strata come in ``enumerate_strata`` order.  Each edge of each shape is
+    contracted and canonized once; the covers of the shape's strata are
+    then looked up in the target shape's ``coloring_digests``."""
+    records = list(records)
+    strata, digests, ranks = _ordered(records)
+    index = {d: i for i, d in enumerate(digests)}
+    tables = {rec.shape_digest: rec.coloring_digests for rec in records}
+    covers: set[tuple[int, int]] = set()
+    for rec in records:
+        # raw colorings with one digest differ by an automorphism of the
+        # shape, so one of them gives the stratum's covers
+        keys: dict[str, frozenset[str]] = {}
+        for key, d in rec.coloring_digests.items():
+            keys.setdefault(d, key)
+        for pair in orbit_pairs(rec.shape.graph.involution):
+            form = canonical_form(contract_pair(rec.shape, pair).target)
+            table = tables.get(form.digest)
+            if table is None:
+                raise ValidationError(
+                    "contraction leaves the given records; pass every record "
+                    "of one enumeration"
+                )
+            witness = form.flag_witness
+            for d, key in keys.items():
+                moved = frozenset(witness[f] for f in key if f not in pair)
+                covers.add((index[d], index[table[moved]]))
+    return ContractionPoset(strata, digests, ranks, frozenset(covers))

@@ -154,6 +154,13 @@ class TestCertificates:
         )
         assert certificate_digest(c.graph) == c.digest
 
+    def test_graph_and_witnesses_are_built_when_read(self):
+        form = canonical_form(double_edge_graph())
+        lazy = {"graph", "vertex_witness", "flag_witness"}
+        assert not lazy & set(vars(form))
+        assert form.graph is form.graph
+        assert lazy <= set(vars(form))
+
     def test_modular_and_susy_views_never_isomorphic(self):
         g = star(0, 4)
         assert not are_isomorphic(g, forget(g))[0]

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from susykit import contract_pair
+from susykit import canon, cli, contract_pair, edges, strata
 from susykit.cli import main
 from susykit.jsonio import curve_to_json, dumps, graph_to_json, morphism_to_json
 
@@ -149,6 +149,74 @@ class TestEnumerate:
         assert "S1 -> S0" in out
 
 
+def counted(monkeypatch, module, name, counts):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestEnumerateSearches:
+    """Each stratum is searched once: the poset comes from one contraction
+    and one search per shape edge, and no emitted stratum is searched
+    again after the records are built."""
+
+    def test_poset_contracts_each_shape_edge_once(self, monkeypatch, capsys):
+        counts: dict[str, int] = {}
+        counted(monkeypatch, canon, "_search", counts)
+        counted(monkeypatch, strata, "contract_pair", counts)
+        counted(monkeypatch, cli, "contraction_poset", counts)
+        counted(monkeypatch, strata, "contraction_poset", counts)
+        records = []
+        searches = []
+        poset_fn = cli.strata_poset
+
+        def poset_phase(recs):
+            records.extend(recs)
+            searches.append(counts["_search"])
+            out = poset_fn(recs)
+            searches.append(counts["_search"])
+            return out
+
+        monkeypatch.setattr(cli, "strata_poset", poset_phase)
+        rc, _, _ = run(capsys, "enumerate", "--genus", "3", "--poset")
+        assert rc == 0
+        shape_edges = sum(len(edges(rec.shape.graph)) for rec in records)
+        assert len(records) == 42 and shape_edges > 0
+        assert counts["contract_pair"] == shape_edges
+        before, after = searches
+        assert after - before == shape_edges
+        assert counts["_search"] == after
+        assert "contraction_poset" not in counts
+
+    @pytest.mark.parametrize(
+        "argv, builder",
+        [
+            ("enumerate --genus 1 --ns 2 --r 2", "enumerate_strata_records"),
+            ("enumerate --genus 2 --ns 1 --shapes", "_shapes"),
+        ],
+    )
+    def test_no_search_after_the_records(self, monkeypatch, capsys, argv, builder):
+        counts: dict[str, int] = {}
+        counted(monkeypatch, canon, "_search", counts)
+        build = getattr(cli, builder)
+        built: list[int] = []
+
+        def recorded(*args):
+            out = build(*args)
+            built.append(counts["_search"])
+            return out
+
+        monkeypatch.setattr(cli, builder, recorded)
+        rc, _, _ = run(capsys, *argv.split())
+        assert rc == 0
+        assert built == [counts["_search"]]
+
+
 class TestGoldenOutput:
     """sha256 of stdout for fixed enumerations.  A change here changes the
     digests or the JSON the CLI prints, which is a behaviour change."""
@@ -171,6 +239,22 @@ class TestGoldenOutput:
             (
                 "enumerate --genus 2 --ns 1 --shapes",
                 "3bc92a3c6bff136f6ef7cf9812666be7dff226bde5540cb1446fc33ff2290a4a",
+            ),
+            (
+                "enumerate --genus 3 --poset",
+                "fa62e5936ddf712091b0c49caa52432e86a4fa4aa5c211f08ac3d25ec6f17df8",
+            ),
+            (
+                "enumerate --genus 1 --ns 2 --r 2 --poset",
+                "cfb8fe5fb2d35dceb36cacc948c0d19bce4ca6efd151c398f670f93f80bd3dfa",
+            ),
+            (
+                "enumerate --genus 1 --ns 2 --r 2",
+                "bfc09aa4a0869b97d7ec83202820585910646e05410aed509e7760ef4e0d746c",
+            ),
+            (
+                "enumerate --genus 0 --ns 4 --r 2 --poset --format table",
+                "e401e22af0450028917b3b138f0d5d2ad553e0222e8ca40db2f0fc7267c3ba28",
             ),
         ],
     )

@@ -15,7 +15,9 @@ from susykit import (
     enumerate_strata_records,
     genus,
     lift_count_general,
+    strata_poset,
 )
+from susykit.susy import R
 from susykit.strata import max_edge_limit
 
 from oracles import (
@@ -117,6 +119,23 @@ class TestStrataCounts:
         assert len(digests) == len(set(digests))
 
 
+class TestColoringTables:
+    @pytest.mark.parametrize(
+        "g, ns, r",
+        [(1, ["1"], []), (1, ["1", "2"], ["3", "4"]), (2, [], []), (3, [], [])],
+    )
+    def test_every_raw_coloring_maps_to_its_stratum(self, g, ns, r):
+        for rec in enumerate_strata_records(g, ns, r):
+            raw = enumerate_edge_colorings(rec.shape, set(ns), set(r))
+            assert len(rec.coloring_digests) == 2 ** forest_b1(rec.shape.graph)
+            assert len(raw) == len(rec.coloring_digests)
+            assert set(rec.coloring_digests.values()) == set(rec.digests)
+            for c in raw:
+                key = frozenset(f for f in c.flags if c.color_of(f) == R)
+                assert rec.coloring_digests[key] == canonical_form(c).digest
+            assert rec.shape_digest == canonical_form(rec.shape).digest
+
+
 class TestColoringCounts:
     @pytest.mark.parametrize(
         "g, ns, r",
@@ -204,6 +223,39 @@ class TestPoset:
         poset = contraction_poset(strata)
         for i, g in enumerate(strata):
             assert poset.index_of(g) == i
+
+
+    def test_index_of_rejects_a_stratum_not_listed(self):
+        poset = contraction_poset(enumerate_strata(0, FOUR, []))
+        with pytest.raises(ValueError):
+            poset.index_of(enumerate_strata(0, FIVE, [])[0])
+
+
+class TestStrataPoset:
+    @pytest.mark.parametrize(
+        "g, ns, r",
+        [
+            (0, FIVE, []),
+            (1, ["1"], []),
+            (1, ["1", "2"], ["3", "4"]),
+            (0, FOUR, ["5", "6"]),
+            (2, [], []),
+            (3, [], []),
+        ],
+    )
+    def test_equals_contraction_poset(self, g, ns, r):
+        mine = strata_poset(enumerate_strata_records(g, ns, r))
+        ref = contraction_poset(enumerate_strata(g, ns, r))
+        assert mine.strata == ref.strata
+        assert mine.digests == ref.digests
+        assert mine.ranks == ref.ranks
+        assert mine.covers == ref.covers
+
+    def test_records_must_be_closed_under_contraction(self):
+        records = enumerate_strata_records(1, ["1"], [])
+        nodal = [rec for rec in records if edges(rec.shape.graph)]
+        with pytest.raises(ValidationError, match="every record"):
+            strata_poset(nodal)
 
 
 class TestBoundsAndErrors:
