@@ -5,12 +5,14 @@ after vertices and flags are renumbered by a refinement-plus-backtracking
 search that minimizes the encoding.  Two graphs are isomorphic over fixed
 tail labels exactly when their certificates agree.
 
-One search serves both entry points.  ``canonical_form`` runs it and keeps
-the winning leaf's vertex and flag positions; the renumbered graph and the
-witnesses are built from those positions only when they are first read, so
-``certificate_digest`` (the digest of ``canonical_form``) builds nothing.
-Each search gathers the flags at every vertex once and works from that
-incidence list throughout.
+One search serves both entry points.  ``canonical_form`` validates its
+input once, runs the search and keeps the winning leaf's vertex and flag
+positions; the renumbered graph and the witnesses are built from those
+positions only when they are first read, so ``certificate_digest`` (the
+digest of ``canonical_form``) builds nothing.  The search itself does not
+validate: the enumeration in ``strata`` canonizes graphs it built itself
+through the unchecked ``_canonical_form``.  Each search gathers the flags
+at every vertex once and works from that incidence list throughout.
 
 A slower brute-force enumerator of isomorphisms is also provided; it
 doubles as the oracle for the canonical form and computes automorphism
@@ -196,8 +198,8 @@ def _sort_key_blocks_comparable(payload: dict) -> bytes:
 
 def _search(g: SusyGraph) -> tuple[bytes, dict[str, int], dict[str, int]]:
     """The least certificate over every leaf of the refinement search, with
-    the vertex and flag positions of the leaf that produced it."""
-    require_susy(g)
+    the vertex and flag positions of the leaf that produced it.  The input
+    is not validated here."""
     labels = _label_of(g)
     inc = _incidence(g)
     j = g.involution
@@ -235,11 +237,18 @@ def _search(g: SusyGraph) -> tuple[bytes, dict[str, int], dict[str, int]]:
     return best
 
 
+def _canonical_form(g: SusyGraph) -> CanonicalForm:
+    """``canonical_form`` without validating ``g``, for graphs the library
+    built itself."""
+    cert, pos, flag_index = _search(g)
+    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, pos, flag_index)
+
+
 def canonical_form(g: SusyGraph) -> CanonicalForm:
     """Renumber vertices and flags canonically; equal certificates mean
     isomorphic over fixed tail labels."""
-    cert, pos, flag_index = _search(g)
-    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, pos, flag_index)
+    require_susy(g)
+    return _canonical_form(g)
 
 
 def certificate_digest(g: SusyGraph) -> str:

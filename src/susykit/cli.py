@@ -154,8 +154,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
     if args.shapes:
         found = _shapes(args.genus, ns + r, args.max_edges)
-        shapes = [s for _, s in found]
-        digests = [d for d, _ in found]
+        shapes = [s for _, s, _ in found]
+        digests = [d for d, _, _ in found]
         data = {
             "count": len(shapes),
             "shapes": [_stratum_record(s, d) for s, d in zip(shapes, digests)],

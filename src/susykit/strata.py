@@ -5,19 +5,26 @@ are isomorphism classes of stable SUSY graphs.  Enumeration proceeds in two
 passes: modular shapes first, generated from the one-vertex graph by vertex
 splitting and genus-to-loop moves and deduplicated by canonical certificate,
 then NS/R colorings of each shape, counted by the parity argument (2^b1 per
-shape) and deduplicated the same way.  Each ``StratumRecord`` keeps the
-certificate digests of its colorings in ``digests``, parallel to
-``colorings``, so the strata are ordered without canonizing them again.
-It also keeps its shape's digest and, in ``coloring_digests``, the stratum
-digest of every raw coloring of the shape, keyed by its set of R flags.
+shape) and deduplicated the same way.  Each split is generated once, not
+once more as its mirror image, and every move of a stable shape is stable.
+Each ``StratumRecord`` keeps the certificate digests of its colorings in
+``digests``, parallel to ``colorings``, so the strata are ordered without
+canonizing them again.  It also keeps its shape's digest and, in
+``coloring_digests``, the stratum digest of every raw coloring of the
+shape, keyed by its set of R flags.
 
-Contraction covers come from the shapes: contracting edge e of a colored
+Contraction covers are recorded while the shapes are generated.  Each move
+is the inverse of one edge contraction, and the search that deduplicates
+the child also names the new edge in the child's flags and maps the rest
+onto the parent's, so ``shape_covers`` holds, for at least one edge in
+each orbit of the shape's automorphisms, the digest of the shape that
+contracting it gives and that flag map.  Contracting edge e of a colored
 stratum (S, k) gives (S/e, k restricted to S/e), so ``strata_poset``
-contracts each edge of each shape once, canonizes the modular graph S/e,
-and carries the remaining R flags along the flag witness into the target
-shape, where one lookup in its ``coloring_digests`` names the covering
-stratum.  ``contraction_poset`` is the general path for an arbitrary list
-of strata: it canonizes every stratum and every contraction of it.
+carries the remaining R flags of every raw coloring along the flag map
+into the target shape, where one lookup in its ``coloring_digests`` names
+the covering stratum; it contracts and canonizes nothing.
+``contraction_poset`` is the general path for an arbitrary list of
+strata: it canonizes every stratum and every contraction of it.
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
 instance guard refuses enumerations whose bound exceeds a configurable
@@ -28,14 +35,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
-from .canon import CanonicalForm, canonical_form, certificate_digest
+from .canon import CanonicalForm, _canonical_form, certificate_digest
 from .errors import ValidationError
 from .graphs import Graph, edges, flags_at, orbit_pairs
 from .lifting import enumerate_edge_colorings
-from .susy import NS, R, SusyGraph, SusyLabeling, is_stable, modular_graph
+from .susy import NS, R, SusyGraph, SusyLabeling, modular_graph
 from .calculus import contract_pair
 
 __all__ = [
@@ -84,23 +91,28 @@ def _fresh_pair(g: Graph) -> tuple[str, str]:
     return f"e{n}a", f"e{n}b"
 
 
-def _split_moves(g: SusyGraph) -> Iterator[SusyGraph]:
-    """Replace one vertex by two joined by a new edge, distributing its
-    flags and genus in every stable way."""
+def _split_moves(g: SusyGraph, ea: str, eb: str) -> Iterator[SusyGraph]:
+    """Replace one vertex by two joined by the new edge (ea, eb),
+    distributing its flags and genus in every stable way.  A split and its
+    mirror, with the two halves swapped, are one graph, so only the split
+    that puts the vertex's first flag on ``va`` is made (at a vertex
+    without flags, the one with ga <= gb)."""
     base = g.graph
     for v in sorted(base.vertices):
         fl = sorted(flags_at(base, v))
         gv = g.genus_of(v)
-        ea, eb = _fresh_pair(base)
         va, vb = f"{v}a", f"{v}b"
         while va in base.vertices or vb in base.vertices:
             va += "a"
             vb += "b"
-        for size in range(len(fl) + 1):
-            for part in combinations(fl, size):
-                part_set = set(part)
+        head, rest = fl[:1], fl[1:]
+        for size in range(len(rest) + 1):
+            for more in combinations(rest, size):
+                part_set = set(head).union(more)
                 for ga in range(gv + 1):
                     gb = gv - ga
+                    if not fl and ga > gb:
+                        continue
                     if 2 * ga - 2 + len(part_set) + 1 <= 0:
                         continue
                     if 2 * gb - 2 + (len(fl) - len(part_set)) + 1 <= 0:
@@ -136,14 +148,13 @@ def _split_moves(g: SusyGraph) -> Iterator[SusyGraph]:
                     )
 
 
-def _deloop_moves(g: SusyGraph) -> Iterator[SusyGraph]:
-    """Trade one unit of genus at a vertex for a loop."""
+def _deloop_moves(g: SusyGraph, ea: str, eb: str) -> Iterator[SusyGraph]:
+    """Trade one unit of genus at a vertex for the new loop (ea, eb)."""
     base = g.graph
     for v in sorted(base.vertices):
         gv = g.genus_of(v)
         if gv < 1:
             continue
-        ea, eb = _fresh_pair(base)
         boundary = dict(base.boundary)
         boundary[ea] = v
         boundary[eb] = v
@@ -169,10 +180,21 @@ def _deloop_moves(g: SusyGraph) -> Iterator[SusyGraph]:
         )
 
 
+# edge of a shape (its two flags, sorted) -> (digest of the shape that
+# contracting it gives, map from the remaining flags onto that shape's flags)
+ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
+
+
 def _shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
-) -> list[tuple[str, SusyGraph]]:
-    """``enumerate_modular_shapes`` with each shape's certificate digest."""
+) -> list[tuple[str, SusyGraph, ShapeCovers]]:
+    """``enumerate_modular_shapes`` with each shape's certificate digest and
+    the covers recorded while it was generated.  Every move adds one edge
+    to a canonical parent, so contracting the new edge of the child gives
+    back the parent: the child's flag witness names that edge in the
+    child's flags and maps the rest onto the parent's.  One entry is kept
+    per edge; as every contraction of a shape is the inverse of some move,
+    each orbit of its edges under automorphisms gets at least one."""
     labels = sorted(set(tail_labels))
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
@@ -185,24 +207,32 @@ def _shapes(
             f"shape enumeration needs up to {bound} edges but the limit is "
             f"{limit}; raise {ENV_LIMIT} or pass max_edges to go further"
         )
-    start = canonical_form(_corolla(genus, labels))
-    found: dict[str, SusyGraph] = {start.digest: start.graph}
-    frontier = [start.graph]
+    start = _canonical_form(_corolla(genus, labels))
+    found: dict[str, tuple[SusyGraph, dict]] = {start.digest: (start.graph, {})}
+    frontier = [start.digest]
     depth = 0
     while frontier and depth < bound:
         depth += 1
-        fresh: list[SusyGraph] = []
-        for shape in frontier:
-            for move in list(_split_moves(shape)) + list(_deloop_moves(shape)):
-                if not is_stable(move).stable:
-                    continue
-                form = canonical_form(move)
-                if form.digest in found:
-                    continue
-                found[form.digest] = form.graph
-                fresh.append(form.graph)
+        fresh: list[str] = []
+        for pd in frontier:
+            parent = found[pd][0]
+            ea, eb = _fresh_pair(parent.graph)
+            moves = chain(_split_moves(parent, ea, eb), _deloop_moves(parent, ea, eb))
+            for move in moves:
+                form = _canonical_form(move)
+                if form.digest not in found:
+                    found[form.digest] = (form.graph, {})
+                    fresh.append(form.digest)
+                covers = found[form.digest][1]
+                w = form.flag_witness
+                edge = tuple(sorted((w[ea], w[eb])))
+                if edge not in covers:
+                    covers[edge] = (pd, {w[f]: f for f in parent.flags})
         frontier = fresh
-    return sorted(found.items(), key=lambda kv: (len(edges(kv[1].graph)), kv[0]))
+    return sorted(
+        ((d, g, covers) for d, (g, covers) in found.items()),
+        key=lambda t: (len(edges(t[1].graph)), t[0]),
+    )
 
 
 def enumerate_modular_shapes(
@@ -211,20 +241,24 @@ def enumerate_modular_shapes(
     """All stable modular graphs of the given total genus and tail label
     set, one canonical representative per isomorphism class, ordered by
     edge count and certificate."""
-    return [g for _, g in _shapes(genus, tail_labels, max_edges)]
+    return [g for _, g, _ in _shapes(genus, tail_labels, max_edges)]
 
 
 @dataclass(frozen=True)
 class StratumRecord:
     """The strata over one modular shape.  ``coloring_digests`` maps the R
     flags of each raw coloring of ``shape`` (in the shape's flag names) to
-    that coloring's stratum digest."""
+    that coloring's stratum digest.  ``shape_covers`` maps edges of
+    ``shape``, at least one per orbit under its automorphisms, to the
+    digest of the shape their contraction gives and a map of the remaining
+    flags onto that shape's flags."""
 
     shape: SusyGraph
     shape_digest: str
     colorings: tuple[SusyGraph, ...]
     digests: tuple[str, ...]
     coloring_digests: Mapping[frozenset[str], str]
+    shape_covers: ShapeCovers
 
     @property
     def predicted_colorings(self) -> int:
@@ -249,14 +283,14 @@ def enumerate_strata_records(
     if len(rr) % 2:
         raise ValidationError("the number of R tail labels must be even")
     records = []
-    for shape_digest, shape in _shapes(genus, ns + rr, max_edges):
+    for shape_digest, shape, shape_covers in _shapes(genus, ns + rr, max_edges):
         colored = enumerate_edge_colorings(shape, set(ns), set(rr))
         if not colored:
             continue
         forms: dict[str, CanonicalForm] = {}
         coloring_digests: dict[frozenset[str], str] = {}
         for c in colored:
-            form = canonical_form(c)
+            form = _canonical_form(c)
             forms.setdefault(form.digest, form)
             r_flags = frozenset(f for f, k in c.labeling.color.items() if k == R)
             coloring_digests[r_flags] = form.digest
@@ -268,6 +302,7 @@ def enumerate_strata_records(
                 tuple(forms[d].graph for d in digests),
                 digests,
                 coloring_digests,
+                shape_covers,
             )
         )
     return records
@@ -388,30 +423,25 @@ def contraction_poset(strata: Iterable[SusyGraph]) -> ContractionPoset:
 def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:
     """The contraction poset of every stratum in ``records``, which must be
     closed under contraction, as ``enumerate_strata_records`` returns them.
-    Strata come in ``enumerate_strata`` order.  Each edge of each shape is
-    contracted and canonized once; the covers of the shape's strata are
-    then looked up in the target shape's ``coloring_digests``."""
+    Strata come in ``enumerate_strata`` order.  Nothing is contracted or
+    canonized: each recorded shape cover carries the R flags of each raw
+    coloring into the target shape's ``coloring_digests``.  Raw colorings
+    in one orbit of the shape's automorphisms give one stratum, so going
+    through all of them reaches the edges that were not recorded."""
     records = list(records)
     strata, digests, ranks = _ordered(records)
     index = {d: i for i, d in enumerate(digests)}
     tables = {rec.shape_digest: rec.coloring_digests for rec in records}
     covers: set[tuple[int, int]] = set()
     for rec in records:
-        # raw colorings with one digest differ by an automorphism of the
-        # shape, so one of them gives the stratum's covers
-        keys: dict[str, frozenset[str]] = {}
-        for key, d in rec.coloring_digests.items():
-            keys.setdefault(d, key)
-        for pair in orbit_pairs(rec.shape.graph.involution):
-            form = canonical_form(contract_pair(rec.shape, pair).target)
-            table = tables.get(form.digest)
+        for edge, (target, flag_map) in rec.shape_covers.items():
+            table = tables.get(target)
             if table is None:
                 raise ValidationError(
                     "contraction leaves the given records; pass every record "
                     "of one enumeration"
                 )
-            witness = form.flag_witness
-            for d, key in keys.items():
-                moved = frozenset(witness[f] for f in key if f not in pair)
+            for key, d in rec.coloring_digests.items():
+                moved = frozenset(flag_map[f] for f in key if f not in edge)
                 covers.add((index[d], index[table[moved]]))
     return ContractionPoset(strata, digests, ranks, frozenset(covers))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from susykit import (
     NS,
     R,
+    ValidationError,
     are_isomorphic,
     automorphisms,
     canonical_form,
@@ -160,6 +161,12 @@ class TestCertificates:
         assert not lazy & set(vars(form))
         assert form.graph is form.graph
         assert lazy <= set(vars(form))
+
+    @pytest.mark.parametrize("entry", [canonical_form, certificate_digest])
+    def test_public_entries_validate_their_input(self, entry):
+        # one R tail leaves its vertex with an odd number of R flags
+        with pytest.raises(ValidationError, match="odd number of R flags"):
+            entry(star(0, 2, 1))
 
     def test_modular_and_susy_views_never_isomorphic(self):
         g = star(0, 4)

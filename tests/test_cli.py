@@ -8,11 +8,12 @@ import sys
 
 import pytest
 
-from susykit import canon, cli, contract_pair, edges, strata
+from susykit import calculus, canon, cli, contract_pair, strata
 from susykit.cli import main
 from susykit.jsonio import curve_to_json, dumps, graph_to_json, morphism_to_json
 
 from conftest import star, two_vertex_tree
+from oracles import forest_b1
 from test_jsonio import colorful_graph, small_curve
 from test_operad import two_corolla_graph
 
@@ -160,17 +161,34 @@ def counted(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, wrapper)
 
 
-class TestEnumerateSearches:
-    """Each stratum is searched once: the poset comes from one contraction
-    and one search per shape edge, and no emitted stratum is searched
-    again after the records are built."""
+def counted_moves(monkeypatch, name, counts):
+    """Replace the move generator ``strata.name`` by one that counts the
+    moves it yields."""
+    fn = getattr(strata, name)
 
-    def test_poset_contracts_each_shape_edge_once(self, monkeypatch, capsys):
+    def wrapper(*args):
+        for move in fn(*args):
+            counts["moves"] = counts.get("moves", 0) + 1
+            yield move
+
+    monkeypatch.setattr(strata, name, wrapper)
+
+
+class TestEnumerateSearches:
+    """Each stratum is searched once: the shape generator searches each
+    move and the corolla, the records search each raw coloring, the poset
+    is looked up from the covers recorded during generation, and no
+    emitted stratum is searched again after the records are built."""
+
+    def test_poset_contracts_and_searches_nothing(self, monkeypatch, capsys):
         counts: dict[str, int] = {}
         counted(monkeypatch, canon, "_search", counts)
         counted(monkeypatch, strata, "contract_pair", counts)
+        counted(monkeypatch, calculus, "contract_pair", counts)
         counted(monkeypatch, cli, "contraction_poset", counts)
         counted(monkeypatch, strata, "contraction_poset", counts)
+        counted_moves(monkeypatch, "_split_moves", counts)
+        counted_moves(monkeypatch, "_deloop_moves", counts)
         records = []
         searches = []
         poset_fn = cli.strata_poset
@@ -185,12 +203,12 @@ class TestEnumerateSearches:
         monkeypatch.setattr(cli, "strata_poset", poset_phase)
         rc, _, _ = run(capsys, "enumerate", "--genus", "3", "--poset")
         assert rc == 0
-        shape_edges = sum(len(edges(rec.shape.graph)) for rec in records)
-        assert len(records) == 42 and shape_edges > 0
-        assert counts["contract_pair"] == shape_edges
+        assert len(records) == 42
+        raw = sum(2 ** forest_b1(rec.shape.graph) for rec in records)
         before, after = searches
-        assert after - before == shape_edges
-        assert counts["_search"] == after
+        assert before == 1 + counts["moves"] + raw
+        assert after == before == counts["_search"]
+        assert "contract_pair" not in counts
         assert "contraction_poset" not in counts
 
     @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 """Stratum enumeration against a pedestrian generator, coloring counts
-against the parity closed form, and the contraction order."""
+against the parity closed form, the contraction order, the covers recorded
+by the shape generator, and the orbifold Euler characteristic."""
+
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,21 +11,34 @@ from susykit import (
     ValidationError,
     canonical_form,
     certificate_digest,
+    contract_pair,
     contraction_poset,
     edges,
     enumerate_edge_colorings,
     enumerate_modular_shapes,
     enumerate_strata,
     enumerate_strata_records,
+    flags_at,
     genus,
+    is_stable,
     lift_count_general,
     strata_poset,
 )
+from susykit import susy
 from susykit.susy import R
-from susykit.strata import max_edge_limit
+from susykit.strata import (
+    _corolla,
+    _deloop_moves,
+    _fresh_pair,
+    _shapes,
+    _split_moves,
+    max_edge_limit,
+)
 
 from oracles import (
+    brute_automorphism_order,
     brute_color_sets,
+    brute_isomorphisms,
     brute_is_isomorphic,
     brute_strata,
     brute_strata_shapes,
@@ -256,6 +273,153 @@ class TestStrataPoset:
         nodal = [rec for rec in records if edges(rec.shape.graph)]
         with pytest.raises(ValidationError, match="every record"):
             strata_poset(nodal)
+
+
+def moves_of(shape):
+    ea, eb = _fresh_pair(shape.graph)
+    return list(_split_moves(shape, ea, eb)) + list(_deloop_moves(shape, ea, eb))
+
+
+class TestMoves:
+    @pytest.mark.parametrize("g, labels", [(1, ["1", "2", "3"]), (3, [])])
+    def test_every_move_is_stable(self, g, labels):
+        moves = [m for shape in enumerate_modular_shapes(g, labels) for m in moves_of(shape)]
+        assert moves
+        assert all(is_stable(m).stable for m in moves)
+
+    @pytest.mark.parametrize("n, splits", [(5, 10), (6, 25)])
+    def test_corolla_splits_once_per_unordered_pair(self, n, splits):
+        # a genus-0 vertex with n labeled tails splits into two stable
+        # vertices in one way per subset of 2..n-2 tails, up to mirroring
+        assert splits == sum(comb(n, k) for k in range(2, n - 1)) // 2
+        corolla = _corolla(0, [str(i) for i in range(n)])
+        ea, eb = _fresh_pair(corolla.graph)
+        assert len(list(_split_moves(corolla, ea, eb))) == splits
+
+    def test_flagless_vertex_splits_once_per_genus_pair(self):
+        corolla = _corolla(4, [])
+        ea, eb = _fresh_pair(corolla.graph)
+        # genus 4 = 1 + 3 = 2 + 2; genus 0 + 4 leaves a genus-0 vertex of
+        # degree one
+        assert len(list(_split_moves(corolla, ea, eb))) == 2
+
+    def test_shape_searches_validate_nothing(self, monkeypatch):
+        calls = []
+        check = susy.validate_susy_graph
+        monkeypatch.setattr(
+            susy, "validate_susy_graph", lambda g: calls.append(g) or check(g)
+        )
+        assert len(_shapes(2, ["1"])) > 1
+        assert calls == []
+
+
+COVER_CASES = [(2, []), (3, []), (1, ["1", "2", "3"]), (0, FIVE)]
+
+
+def vertex_map(src, dst, flag_map):
+    """The vertex map a flag map induces, checked to be a bijection."""
+    if not src.flags:
+        assert len(src.vertices) == len(dst.vertices) == 1
+        return {next(iter(src.vertices)): next(iter(dst.vertices))}
+    vmap = {}
+    for f in src.flags:
+        assert vmap.setdefault(src.boundary[f], dst.boundary[flag_map[f]]) == (
+            dst.boundary[flag_map[f]]
+        )
+    assert set(vmap) == set(src.vertices)
+    assert sorted(vmap.values()) == sorted(dst.vertices)
+    return vmap
+
+
+class TestRecordedCovers:
+    """Each cover the shape generator records is an isomorphism from the
+    contracted shape onto its target, and the recorded edges reach every
+    edge of the shape under its automorphisms."""
+
+    @pytest.mark.parametrize("g, labels", COVER_CASES)
+    def test_each_cover_is_a_contraction_isomorphism(self, g, labels):
+        found = _shapes(g, labels)
+        by_digest = {d: shape for d, shape, _ in found}
+        entries = 0
+        for _, shape, covers in found:
+            for edge, (target, flag_map) in covers.items():
+                entries += 1
+                assert shape.involution[edge[0]] == edge[1]
+                contracted = contract_pair(shape, edge).target
+                parent = by_digest[target]
+                assert set(flag_map) == contracted.flags
+                assert sorted(flag_map.values()) == sorted(parent.flags)
+                for f, p in flag_map.items():
+                    assert flag_map[contracted.involution[f]] == parent.involution[p]
+                    assert contracted.color_of(f) == parent.color_of(p)
+                for mine, theirs in (
+                    (contracted.labeling.ns_tail_labels, parent.labeling.ns_tail_labels),
+                    (contracted.labeling.r_tail_labels, parent.labeling.r_tail_labels),
+                ):
+                    assert {l: flag_map[f] for l, f in mine.items()} == theirs
+                vmap = vertex_map(contracted, parent, flag_map)
+                for v, w in vmap.items():
+                    assert contracted.genus_of(v) == parent.genus_of(w)
+        assert entries >= sum(1 for _, shape, _ in found if edges(shape.graph))
+
+    @pytest.mark.parametrize("g, labels", COVER_CASES)
+    def test_recorded_edges_reach_every_edge_orbit(self, g, labels):
+        for _, shape, covers in _shapes(g, labels):
+            reached = {
+                frozenset(fmap[f] for f in edge)
+                for _, fmap in brute_isomorphisms(shape, shape)
+                for edge in covers
+            }
+            assert reached == {frozenset(e) for e in edges(shape.graph)}
+
+
+def bernoulli(m):
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(comb(k + 1, i) * b[i] for i in range(k)) / (k + 1))
+    return b[m]
+
+
+def open_euler(g, n):
+    """Orbifold Euler characteristic of the open moduli space M_{g,n}, for
+    2g - 2 + n > 0 (Harer-Zagier): chi(M_{g,1}) = -B_{2g}/2g for g >= 1,
+    chi(M_{0,3}) = 1, and chi(M_{g,n+1}) = (2 - 2g - n) chi(M_{g,n}), which
+    at n = 0 gives chi(M_g) for g >= 2."""
+    if g == 0:
+        chi, start = Fraction(1), 3
+    else:
+        chi, start = -bernoulli(2 * g) / (2 * g), 1
+    if n < start:
+        return chi / (2 - 2 * g)
+    for k in range(start, n):
+        chi *= 2 - 2 * g - k
+    return chi
+
+
+class TestEulerCharacteristic:
+    """chi(Mbar_{g,n}) summed over the shapes: each shape contributes
+    1/|Aut| times the product of its vertices' open Euler characteristics,
+    with |Aut| from the exhaustive oracle."""
+
+    @pytest.mark.parametrize(
+        "g, n, chi",
+        [
+            (0, 4, Fraction(2)),
+            (0, 5, Fraction(7)),
+            (0, 6, Fraction(34)),
+            (0, 7, Fraction(213)),
+            (1, 1, Fraction(5, 12)),
+            (2, 0, Fraction(119, 1440)),
+        ],
+    )
+    def test_orbifold_euler_characteristic(self, g, n, chi):
+        total = Fraction(0)
+        for shape in enumerate_modular_shapes(g, [str(i) for i in range(n)]):
+            term = Fraction(1, brute_automorphism_order(shape))
+            for v in shape.vertices:
+                term *= open_euler(shape.genus_of(v), len(flags_at(shape.graph, v)))
+            total += term
+        assert total == chi
 
 
 class TestBoundsAndErrors:
