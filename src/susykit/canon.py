@@ -5,7 +5,7 @@ after vertices and flags are renumbered by a refinement-plus-backtracking
 search that minimizes the encoding.  Two graphs are isomorphic over fixed
 tail labels exactly when their certificates agree.
 
-One search serves both entry points.  ``canonical_form`` validates its
+One search serves every entry point.  ``canonical_form`` validates its
 input once, runs the search and keeps the winning leaf's vertex and flag
 positions; the renumbered graph and the witnesses are built from those
 positions only when they are first read, so ``certificate_digest`` (the
@@ -14,20 +14,23 @@ validate: the enumeration in ``strata`` canonizes graphs it built itself
 through the unchecked ``_canonical_form``.  Each search gathers the flags
 at every vertex once and works from that incidence list throughout.
 
-A slower brute-force enumerator of isomorphisms is also provided; it
-doubles as the oracle for the canonical form and computes automorphism
-groups.
+The same search yields isomorphisms and automorphisms.  Every leaf whose
+certificate ties the least one, mapped onto the winning leaf, gives one
+automorphism per vertex permutation; the automorphisms that fix every
+vertex (permuting same-named tails, same-colour parallel edges and
+same-colour loops, and flipping loops) complete each coset.  Without fixed
+labels the search names each tail by its colour.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-from .errors import ValidationError
 from .graphs import Graph
 from .susy import NS, R, SusyGraph, SusyLabeling, require_susy
 
@@ -88,10 +91,12 @@ class CanonicalForm:
         )
 
 
-def _label_of(g: SusyGraph) -> dict[str, str]:
+def _labels(g: SusyGraph, labels_fixed: bool = True) -> dict[str, str]:
+    """The name of each tail: its label, or its colour when labels are not
+    fixed, so that same-colour tails may permute."""
     out = {f: l for l, f in g.labeling.ns_tail_labels.items()}
     out.update({f: l for l, f in g.labeling.r_tail_labels.items()})
-    return out
+    return out if labels_fixed else {f: g.color_of(f) for f in out}
 
 
 def _incidence(g: SusyGraph) -> dict[str, list[str]]:
@@ -196,11 +201,13 @@ def _sort_key_blocks_comparable(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _search(g: SusyGraph) -> tuple[bytes, dict[str, int], dict[str, int]]:
+def _search(
+    g: SusyGraph, labels: dict[str, str]
+) -> tuple[bytes, list[tuple[dict[str, int], dict[str, int]]]]:
     """The least certificate over every leaf of the refinement search, with
-    the vertex and flag positions of the leaf that produced it.  The input
-    is not validated here."""
-    labels = _label_of(g)
+    the vertex and flag positions of each leaf that produced it, the first
+    such leaf first.  ``labels`` names each tail.  The input is not
+    validated here."""
     inc = _incidence(g)
     j = g.involution
     b = g.boundary
@@ -214,18 +221,21 @@ def _search(g: SusyGraph) -> tuple[bytes, dict[str, int], dict[str, int]]:
         keyed.setdefault(_base_key(g, labels, inc, v), []).append(v)
     cells = [keyed[k] for k in sorted(keyed)]
 
-    best: tuple[bytes, dict[str, int], dict[str, int]] | None = None
+    best: bytes | None = None
+    ties: list[tuple[dict[str, int], dict[str, int]]] = []
 
     def search(cells: list[list[str]]) -> None:
-        nonlocal best
+        nonlocal best, ties
         cells = _refine(neighbours, cells)
         split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if split_at is None:
             order = [v for cell in cells for v in cell]
             payload, pos, flag_index = _encode(g, labels, inc, order)
             cert = _sort_key_blocks_comparable(payload)
-            if best is None or cert < best[0]:
-                best = (cert, pos, flag_index)
+            if best is None or cert < best:
+                best, ties = cert, [(pos, flag_index)]
+            elif cert == best:
+                ties.append((pos, flag_index))
             return
         cell = cells[split_at]
         for v in sorted(cell):
@@ -234,13 +244,14 @@ def _search(g: SusyGraph) -> tuple[bytes, dict[str, int], dict[str, int]]:
 
     search(cells)
     assert best is not None
-    return best
+    return best, ties
 
 
 def _canonical_form(g: SusyGraph) -> CanonicalForm:
     """``canonical_form`` without validating ``g``, for graphs the library
     built itself."""
-    cert, pos, flag_index = _search(g)
+    cert, leaves = _search(g, _labels(g))
+    pos, flag_index = leaves[0]
     return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, pos, flag_index)
 
 
@@ -256,113 +267,80 @@ def certificate_digest(g: SusyGraph) -> str:
     return canonical_form(g).digest
 
 
+def _vertex_fixers(g: SusyGraph, labels: dict[str, str]) -> Iterator[dict[str, str]]:
+    """Every automorphism of ``g`` that fixes each vertex, as a flag map,
+    identity first and one at a time: same-named tails permute, and so do
+    same-colour parallel edges and same-colour loops, each loop also
+    flipping."""
+    j, b = g.involution, g.boundary
+    inc = _incidence(g)
+    # each key starts with whether its units are loops, which may also flip
+    blocks: dict[tuple, list[tuple[str, str]]] = {}
+    for v in sorted(inc):
+        for f in inc[v]:
+            p = j[f]
+            if p == f:
+                key: tuple = (False, v, labels[f])
+            elif (v, f) < (b[p], p):
+                key = (b[p] == v, v, b[p], g.color_of(f))
+            else:
+                continue
+            blocks.setdefault(key, []).append((f, p))
+    moving = [(us, key[0]) for key, us in blocks.items() if key[0] or len(us) > 1]
+
+    def fixers(i: int) -> Iterator[dict[str, str]]:
+        if i == len(moving):
+            yield {}
+            return
+        units, flip = moving[i]
+        for images in itertools.permutations(units):
+            turns = [(u, u[::-1]) if flip else (u,) for u in images]
+            for turned in itertools.product(*turns):
+                head = {f: c for u, t in zip(units, turned) for f, c in zip(u, t)}
+                for rest in fixers(i + 1):
+                    yield {**head, **rest}
+
+    return fixers(0)
+
+
+def _isomorphisms(
+    leaves: list[tuple[dict[str, int], dict[str, int]]],
+    target: SusyGraph,
+    labels: dict[str, str],
+    onto: tuple[dict[str, int], dict[str, int]],
+) -> Iterator[Isomorphism]:
+    """Map each leaf onto the leaf ``onto`` of ``target`` that has the same
+    certificate, then follow each map by every automorphism of ``target``
+    that fixes each vertex."""
+    at_vertex = {i: v for v, i in onto[0].items()}
+    at_flag = {i: f for f, i in onto[1].items()}
+    for pos, flag_index in leaves:
+        vmap = {v: at_vertex[i] for v, i in pos.items()}
+        fmap = {f: at_flag[i] for f, i in flag_index.items()}
+        for fix in _vertex_fixers(target, labels):
+            yield Isomorphism(dict(vmap), {f: fix.get(c, c) for f, c in fmap.items()})
+
+
 def isomorphisms_between(
     g1: SusyGraph, g2: SusyGraph, labels_fixed: bool = True
 ) -> Iterator[Isomorphism]:
-    """Enumerate every isomorphism by backtracking.  Exhaustive, hence
-    exponential in the worst case; meant for small graphs and as an oracle."""
+    """Every isomorphism from ``g1`` onto ``g2``, built one at a time: one
+    per automorphism of ``g1``, from one search of each graph."""
     require_susy(g1)
     require_susy(g2)
-    if g1.modular != g2.modular:
-        return
-    if len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices):
-        return
-    labels1 = _label_of(g1)
-    labels2 = _label_of(g2)
-    if labels_fixed and set(labels1.values()) != set(labels2.values()):
-        return
-
-    inc1 = _incidence(g1)
-    inc2 = _incidence(g2)
-
-    def vkey(
-        g: SusyGraph, labels: dict[str, str], inc: dict[str, list[str]], v: str
-    ) -> tuple:
-        k = _base_key(g, labels, inc, v)
-        if labels_fixed:
-            return k
-        return (k[0],) + (tuple(c for c, _ in k[1]),) + k[2:]
-
-    verts1 = sorted(g1.vertices)
-    verts2 = sorted(g2.vertices)
-    by_key: dict[tuple, list[str]] = {}
-    for w in verts2:
-        by_key.setdefault(vkey(g2, labels2, inc2, w), []).append(w)
-
-    j1, j2 = g1.involution, g2.involution
-    b1, b2 = g1.boundary, g2.boundary
-
-    def extend_flags(
-        vmap: dict[str, str],
-        fmap: dict[str, str],
-        used: set[str],
-        todo: list[str],
-    ) -> Iterator[Isomorphism]:
-        if not todo:
-            yield Isomorphism(dict(vmap), dict(fmap))
-            return
-        f = todo[0]
-        if f in fmap:
-            yield from extend_flags(vmap, fmap, used, todo[1:])
-            return
-        w = vmap[b1[f]]
-        for c in inc2[w]:
-            if c in used:
-                continue
-            if g2.color_of(c) != g1.color_of(f):
-                continue
-            f_tail = j1[f] == f
-            if f_tail != (j2[c] == c):
-                continue
-            if f_tail and labels_fixed and labels2[c] != labels1[f]:
-                continue
-            extra: dict[str, str] = {f: c}
-            if not f_tail:
-                p, q = j1[f], j2[c]
-                if p in fmap or q in used:
-                    continue
-                if vmap[b1[p]] != b2[q]:
-                    continue
-                if p != f:
-                    extra[p] = q
-            new_fmap = dict(fmap)
-            new_fmap.update(extra)
-            yield from extend_flags(
-                vmap, new_fmap, used | set(extra.values()), todo[1:]
-            )
-
-    def extend_vertices(
-        i: int, vmap: dict[str, str], used: set[str]
-    ) -> Iterator[Isomorphism]:
-        if i == len(verts1):
-            todo = [f for v in verts1 for f in inc1[v]]
-            yield from extend_flags(vmap, {}, set(), todo)
-            return
-        v = verts1[i]
-        for w in by_key.get(vkey(g1, labels1, inc1, v), []):
-            if w in used:
-                continue
-            yield from extend_vertices(i + 1, {**vmap, v: w}, used | {w})
-
-    yield from extend_vertices(0, {}, set())
+    labels2 = _labels(g2, labels_fixed)
+    cert1, leaves1 = _search(g1, _labels(g1, labels_fixed))
+    cert2, leaves2 = _search(g2, labels2)
+    if cert1 == cert2:
+        yield from _isomorphisms(leaves1, g2, labels2, leaves2[0])
 
 
 def are_isomorphic(
     g1: SusyGraph, g2: SusyGraph, labels_fixed: bool = True
 ) -> tuple[bool, Isomorphism | None]:
-    """Decide isomorphism; on success also return one witness map."""
-    if labels_fixed:
-        c1 = canonical_form(g1)
-        c2 = canonical_form(g2)
-        if c1.certificate != c2.certificate:
-            return False, None
-        back_v = {cv: v for v, cv in c2.vertex_witness.items()}
-        back_f = {cf: f for f, cf in c2.flag_witness.items()}
-        return True, Isomorphism(
-            {v: back_v[cv] for v, cv in c1.vertex_witness.items()},
-            {f: back_f[cf] for f, cf in c1.flag_witness.items()},
-        )
-    found = next(isomorphisms_between(g1, g2, labels_fixed=False), None)
+    """Decide isomorphism by comparing certificates; on success also return
+    the witness that maps ``g1``'s winning leaf onto ``g2``'s."""
+    found = next(isomorphisms_between(g1, g2, labels_fixed), None)
     return (found is not None), found
 
 
@@ -376,9 +354,10 @@ class AutomorphismGroup:
 
 
 def automorphisms(g: SusyGraph, labels_fixed: bool = True) -> AutomorphismGroup:
-    """All self-isomorphisms.  With labels_fixed the labeled tails are
-    pinned pointwise; otherwise tails may permute within a color."""
-    els = tuple(isomorphisms_between(g, g, labels_fixed=labels_fixed))
-    if not els:
-        raise ValidationError("automorphism search lost the identity; invalid input")
-    return AutomorphismGroup(els)
+    """All self-isomorphisms, identity first, from one search.  With
+    labels_fixed the labeled tails are pinned pointwise; otherwise tails may
+    permute within a color."""
+    require_susy(g)
+    labels = _labels(g, labels_fixed)
+    _, leaves = _search(g, labels)
+    return AutomorphismGroup(tuple(_isomorphisms(leaves, g, labels, leaves[0])))

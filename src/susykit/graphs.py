@@ -34,7 +34,6 @@ __all__ = [
     "flags_at",
     "identity_morphism",
     "involution_from_pairs",
-    "merge_disjoint",
     "orbit_pairs",
     "tails",
     "validate_graph",
@@ -111,10 +110,6 @@ def validate_graph(g: Graph) -> ValidationReport:
             if not_inv:
                 problems.append(f"involution: not an involution at {not_inv}")
     return ValidationReport(tuple(problems))
-
-
-def require_graph(g: Graph) -> None:
-    validate_graph(g).raise_if_invalid("graph")
 
 
 def tails(g: Graph) -> list[str]:
@@ -370,23 +365,3 @@ def disjoint_union(g1: Graph, g2: Graph, tags: tuple[str, str] = ("0", "1")) -> 
             **{re2(f): re2(p) for f, p in g2.involution.items()},
         },
     )
-
-
-def merge_disjoint(graphs: Iterable[Graph]) -> Graph:
-    """Union of graphs whose identifier sets are already pairwise disjoint.
-
-    Unlike :func:`disjoint_union` this keeps identifiers untouched, which is
-    what the atomization square needs.
-    """
-    flags: set[str] = set()
-    vertices: set[str] = set()
-    boundary: dict[str, str] = {}
-    involution: dict[str, str] = {}
-    for g in graphs:
-        if flags & g.flags or vertices & g.vertices:
-            raise ValidationError("merge_disjoint: identifier collision")
-        flags |= g.flags
-        vertices |= g.vertices
-        boundary.update(g.boundary)
-        involution.update(g.involution)
-    return Graph(frozenset(flags), frozenset(vertices), boundary, involution)

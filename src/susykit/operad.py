@@ -6,7 +6,7 @@ signatures are gluing recipes: a normal form listing which source factors
 land where, which label pairs get glued into nodes, how surviving labels are
 renamed, and the count of Ramond gluings (the rank of the odd gluing
 parameters).  Signatures are validated when constructed, so recipes never
-re-check their endpoints.  SUSY graph morphisms evaluate to recipes, and
+re-check their endpoints, and the generators check only their labels.  SUSY graph morphisms evaluate to recipes, and
 erasing colors is a projection onto classical signatures that commutes with
 evaluation.
 
@@ -312,12 +312,10 @@ def validate_recipe(r: GluingRecipe) -> ValidationReport:
 
 
 def identity_recipe(sig: ModuliSignature) -> GluingRecipe:
-    return recipe(
-        sig,
-        sig,
-        tuple(range(len(sig.factors))),
-        relabeling={l: l for l in sig.labels},
-    )
+    """Generator: the identity.  The generators skip ``validate_recipe``:
+    each recipe is valid by construction once its labels are checked."""
+    identity = tuple(range(len(sig.factors)))
+    return GluingRecipe(sig, sig, identity, (), (), {l: l for l in sig.labels}, 0)
 
 
 def recipe_compose(first: GluingRecipe, second: GluingRecipe) -> GluingRecipe:
@@ -348,6 +346,8 @@ def relabel_recipe(
     """Generator: rename every label by a bijection, gluing nothing."""
     if set(renaming) != set(sig.labels):
         raise ValidationError("renaming domain must be exactly the signature labels")
+    if len(set(renaming.values())) != len(renaming):
+        raise ValidationError("renaming is not injective")
     factors = [
         ModuliFactor(
             f.genus,
@@ -357,11 +357,26 @@ def relabel_recipe(
         for f in sig.factors
     ]
     target, position = _fresh_signature(factors, sig.mode)
-    return recipe(sig, target, position, relabeling=dict(renaming))
+    return GluingRecipe(sig, target, position, (), (), renaming, 0)
+
+
+def _glued_factors(
+    sig: ModuliSignature, a: str, b: str, color: str
+) -> tuple[int, int]:
+    """The factors of ``a`` and ``b``, which must be two distinct labels of
+    ``sig`` of the given colour."""
+    if a == b:
+        raise ValidationError(f"{color} gluing ({a!r}, {b!r}) is degenerate")
+    for x in (a, b):
+        if x not in sig._factor_index:
+            raise ValidationError(f"{color} gluing mentions unknown label {x!r}")
+        if sig.color_of(x) != color:
+            raise ValidationError(f"{color} gluing uses {x!r} of the wrong color")
+    return sig.factor_of(a), sig.factor_of(b)
 
 
 def _glue_edge(sig: ModuliSignature, a: str, b: str, color: str) -> GluingRecipe:
-    i, j = sig.factor_of(a), sig.factor_of(b)
+    i, j = _glued_factors(sig, a, b, color)
     if i == j:
         raise ValidationError(
             f"labels {a!r}, {b!r} share a factor; use the loop gluing"
@@ -383,14 +398,13 @@ def _glue_edge(sig: ModuliSignature, a: str, b: str, color: str) -> GluingRecipe
     factors.append(merged)
     target, position = _fresh_signature(factors, sig.mode)
     assignment = tuple(position[slot[k]] for k in range(len(sig.factors)))
-    pair = [(a, b)]
-    kwargs = {"ns_gluings": pair} if color == NS else {"r_gluings": pair}
+    ns, r = ([(a, b)], []) if color == NS else ([], [(a, b)])
     relabeling = {l: l for l in sig.labels if l not in (a, b)}
-    return recipe(sig, target, assignment, relabeling=relabeling, **kwargs)
+    return GluingRecipe(sig, target, assignment, ns, r, relabeling, len(r))
 
 
 def _glue_loop(sig: ModuliSignature, a: str, b: str, color: str) -> GluingRecipe:
-    i, j = sig.factor_of(a), sig.factor_of(b)
+    i, j = _glued_factors(sig, a, b, color)
     if i != j:
         raise ValidationError(
             f"labels {a!r}, {b!r} sit in different factors; use the edge gluing"
@@ -401,10 +415,9 @@ def _glue_loop(sig: ModuliSignature, a: str, b: str, color: str) -> GluingRecipe
     )
     factors = [looped if k == i else g for k, g in enumerate(sig.factors)]
     target, position = _fresh_signature(factors, sig.mode)
-    pair = [(a, b)]
-    kwargs = {"ns_gluings": pair} if color == NS else {"r_gluings": pair}
+    ns, r = ([(a, b)], []) if color == NS else ([], [(a, b)])
     relabeling = {l: l for l in sig.labels if l not in (a, b)}
-    return recipe(sig, target, position, relabeling=relabeling, **kwargs)
+    return GluingRecipe(sig, target, position, ns, r, relabeling, len(r))
 
 
 def glue_ns(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:

@@ -1,6 +1,7 @@
 """Canonical forms, certificates, and automorphism groups, cross-checked
 against the exhaustive bijection oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -16,12 +17,15 @@ from susykit import (
     canonical_form,
     certificate_digest,
     classify,
+    enumerate_modular_shapes,
+    enumerate_strata,
     forget,
     iso_between,
     isomorphisms_between,
     make_isomorphism,
     susy_graph,
 )
+from susykit import canon
 from susykit.sampling import random_susy_graph
 
 from conftest import star
@@ -77,6 +81,25 @@ def double_edge_graph():
         ns_labels={},
         r_labels={},
     )
+
+
+def rose_graph(loops):
+    """One genus-0 vertex carrying ``loops`` NS loops and no tails."""
+    flags = [f"l{i}{end}" for i in range(loops) for end in "ab"]
+    return susy_graph(
+        flags=flags,
+        vertices=["v"],
+        boundary={f: "v" for f in flags},
+        involution={f: f[:-1] + ("b" if f[-1] == "a" else "a") for f in flags},
+        genus={"v": 0},
+        color={f: NS for f in flags},
+        ns_labels={},
+        r_labels={},
+    )
+
+
+def as_key(vertex_map, flag_map):
+    return frozenset(vertex_map.items()), frozenset(flag_map.items())
 
 
 def retagged_copy(g, rng):
@@ -265,10 +288,73 @@ class TestAutomorphisms:
     @given(st.integers(0, 10**6))
     def test_iso_counts_match_brute(self, seed):
         rng = random.Random(seed)
-        g = random_susy_graph(rng)
-        h = retagged_copy(g, rng)
-        for fixed in (True, False):
-            found = sum(1 for _ in isomorphisms_between(g, h, labels_fixed=fixed))
-            brute = sum(1 for _ in brute_isomorphisms(g, h, labels_fixed=fixed))
-            assert found == brute
-            assert found >= 1
+        for extra in (2, 4):
+            g = random_susy_graph(rng, max_extra_edges=extra)
+            h = retagged_copy(g, rng)
+            for fixed in (True, False):
+                found = [
+                    as_key(el.vertex_map, el.flag_map)
+                    for el in isomorphisms_between(g, h, labels_fixed=fixed)
+                ]
+                brute = {
+                    as_key(*iso) for iso in brute_isomorphisms(g, h, labels_fixed=fixed)
+                }
+                assert len(found) == len(set(found))
+                assert set(found) == brute
+                assert found
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_groups_match_brute_on_enumerations(self, fixed):
+        graphs = (
+            enumerate_modular_shapes(3, [])
+            + enumerate_modular_shapes(2, ["1"])
+            + enumerate_strata(2, [], ["1", "2"])
+        )
+        assert len(graphs) == 221
+        for g in graphs:
+            group = [
+                as_key(el.vertex_map, el.flag_map)
+                for el in automorphisms(g, labels_fixed=fixed).elements
+            ]
+            assert len(group) == len(set(group))
+            assert set(group) == {
+                as_key(*iso) for iso in brute_isomorphisms(g, g, labels_fixed=fixed)
+            }
+
+    def test_identity_comes_first(self):
+        g = double_edge_graph()
+        first = automorphisms(g).elements[0]
+        assert first.vertex_map == {v: v for v in g.vertices}
+        assert first.flag_map == {f: f for f in g.flags}
+
+    def test_one_search_per_graph(self, monkeypatch):
+        calls = []
+        real = canon._search
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(canon, "_search", counting)
+        g = star(1, 2, 2)
+        automorphisms(g, labels_fixed=False)
+        assert len(calls) == 1
+        h = retagged_copy(g, random.Random(2))
+        same, _ = are_isomorphic(g, h, labels_fixed=False)
+        assert same
+        assert len(calls) == 3
+
+    def test_isomorphisms_are_built_one_at_a_time(self, monkeypatch):
+        # one vertex with six NS loops: 6! * 2**6 = 46,080 automorphisms
+        rose = rose_graph(6)
+        built = []
+
+        class Counted(canon.Isomorphism):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(canon, "Isomorphism", Counted)
+        found = list(itertools.islice(isomorphisms_between(rose, rose), 3))
+        assert len(found) == 3
+        assert len(built) == 3

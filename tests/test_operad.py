@@ -299,6 +299,89 @@ class TestGenerators:
         assert left.relabeling == right.relabeling
 
 
+    @pytest.mark.parametrize("gen", [glue_ns, glue_r, glue_ns_loop, glue_r_loop])
+    def test_labels_checked_up_front(self, gen):
+        sig = signature(
+            [(0, {"a", "b", "c"}, {"r1", "r2"}), (0, {"d", "e"}, {"s1", "s2"})]
+        )
+        mine, other = ("a", "r1") if gen in (glue_ns, glue_ns_loop) else ("r1", "a")
+        for a, b, words in (
+            (mine, "nope", "unknown label 'nope'"),
+            ("nope", mine, "unknown label 'nope'"),
+            (mine, mine, "degenerate"),
+            (mine, other, "wrong color"),
+            (other, mine, "wrong color"),
+        ):
+            with pytest.raises(ValidationError, match=words):
+                gen(sig, a, b)
+
+    def test_non_injective_renaming_rejected(self):
+        sig = signature([(0, {"a", "b", "c"}, ())])
+        with pytest.raises(ValidationError, match="not injective"):
+            relabel_recipe(sig, {"a": "x", "b": "x", "c": "y"})
+
+    def test_generators_build_without_validating(self, monkeypatch):
+        calls = []
+        real = susykit.operad.validate_recipe
+
+        def counting(r):
+            calls.append(r)
+            return real(r)
+
+        monkeypatch.setattr(susykit.operad, "validate_recipe", counting)
+        outputs = random_generator_outputs(random.Random(3), 50)
+        assert len(outputs) > 100
+        assert calls == []
+
+    def test_generator_outputs_are_valid(self):
+        outputs = random_generator_outputs(random.Random(7), 200)
+        kinds = {
+            (
+                len(r.ns_gluings),
+                len(r.r_gluings),
+                len(r.target.factors) - len(r.source.factors),
+            )
+            for r in outputs
+        }
+        # identity/relabel, NS and R edge gluings, NS and R loop gluings
+        assert kinds == {(0, 0, 0), (1, 0, -1), (0, 1, -1), (1, 0, 0), (0, 1, 0)}
+        for r in outputs:
+            assert validate_recipe(r).ok, validate_recipe(r).violations
+
+
+def random_generator_outputs(rng, count):
+    """Identity, relabeling and gluing recipes on ``count`` random
+    signatures, each gluing two random same-colour labels."""
+    out = []
+    for _ in range(count):
+        factors = []
+        serial = 0
+        for _ in range(rng.randint(1, 3)):
+            ns = [f"n{serial + i}" for i in range(rng.randint(0, 3))]
+            serial += len(ns)
+            rs = [f"r{serial + i}" for i in range(2 * rng.randint(0, 2))]
+            serial += len(rs)
+            genus = rng.randint(0, 2)
+            if 2 * genus - 2 + len(ns) + len(rs) <= 0:
+                genus = 2
+            factors.append((genus, ns, rs))
+        sig = signature(factors)
+        names = sorted(sig.labels)
+        out.append(identity_recipe(sig))
+        renamed = rng.sample([l + "z" for l in names], len(names))
+        out.append(relabel_recipe(sig, dict(zip(names, renamed))))
+        for color, edge, loop in (
+            (NS, glue_ns, glue_ns_loop),
+            (R, glue_r, glue_r_loop),
+        ):
+            same = [l for l in names if sig.color_of(l) == color]
+            if len(same) >= 2:
+                a, b = rng.sample(same, 2)
+                gen = loop if sig.factor_of(a) == sig.factor_of(b) else edge
+                out.append(gen(sig, a, b))
+    return out
+
+
 class TestAxiomChecker:
     def test_families_pass(self):
         rep = check_operad_axioms(seed=7, cases=25)
