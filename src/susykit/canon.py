@@ -19,7 +19,10 @@ certificate ties the least one, mapped onto the winning leaf, gives one
 automorphism per vertex permutation; the automorphisms that fix every
 vertex (permuting same-named tails, same-colour parallel edges and
 same-colour loops, and flipping loops) complete each coset.  Without fixed
-labels the search names each tail by its colour.
+labels the search names each tail by its colour.  The same leaves and the
+blocks of vertex-fixing moves give ``CanonicalForm.generators``, a small
+generating set of the canonical graph's automorphisms, and the order of the
+group, which ``automorphisms`` checks before it lists the group.
 """
 
 from __future__ import annotations
@@ -27,14 +30,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
+from .errors import ValidationError
 from .graphs import Graph
 from .susy import NS, R, SusyGraph, SusyLabeling, require_susy
 
 __all__ = [
+    "MAX_AUTOMORPHISMS",
     "CanonicalForm",
     "Isomorphism",
     "are_isomorphic",
@@ -43,6 +49,12 @@ __all__ = [
     "certificate_digest",
     "isomorphisms_between",
 ]
+
+# ``automorphisms`` refuses to list a group larger than this
+MAX_AUTOMORPHISMS = 100_000
+
+# the vertex and flag positions of one leaf of the search
+Leaf = tuple[dict[str, int], dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -53,22 +65,50 @@ class Isomorphism:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """The least certificate of ``source`` and its digest.  ``graph`` and
-    the witnesses are built from the winning leaf's positions when read."""
+    """The least certificate of ``source`` and its digest.  ``leaves`` holds
+    the positions of every leaf that ties it, the winning leaf first;
+    ``graph``, the witnesses and ``generators`` are built from them when
+    read."""
 
     certificate: bytes
     digest: str
     source: SusyGraph = field(repr=False)
-    vertex_position: dict[str, int] = field(repr=False)
-    flag_position: dict[str, int] = field(repr=False)
+    leaves: tuple[Leaf, ...] = field(repr=False)
 
     @cached_property
     def vertex_witness(self) -> dict[str, str]:
-        return {v: f"v{i}" for v, i in self.vertex_position.items()}
+        return {v: f"v{i}" for v, i in self.leaves[0][0].items()}
 
     @cached_property
     def flag_witness(self) -> dict[str, str]:
-        return {f: f"f{i}" for f, i in self.flag_position.items()}
+        return {f: f"f{i}" for f, i in self.leaves[0][1].items()}
+
+    @cached_property
+    def generators(self) -> tuple[Isomorphism, ...]:
+        """Automorphisms that generate the group of ``graph``, in its names:
+        one per tied leaf after the first (winning positions to tied
+        positions), and per block of vertex-fixing moves one transposition
+        per unit after the first and, for loops, one flip.  Empty when the
+        group is trivial."""
+        vw, fw = self.vertex_witness, self.flag_witness
+        out = [
+            Isomorphism(
+                {vw[v]: f"v{i}" for v, i in pos.items()},
+                {fw[f]: f"f{i}" for f, i in flag_index.items()},
+            )
+            for pos, flag_index in self.leaves[1:]
+        ]
+        fixed = {w: w for w in vw.values()}
+        for units, flip in _blocks(self.source, _labels(self.source)):
+            swaps = [(units[0], u) for u in units[1:]]
+            if flip:
+                swaps.append((units[0][:1], units[0][1:]))
+            for a, b in swaps:
+                moved = dict(zip(a + b, b + a))
+                out.append(
+                    Isomorphism(fixed, {fw[f]: fw[moved.get(f, f)] for f in fw})
+                )
+        return tuple(out)
 
     @cached_property
     def graph(self) -> SusyGraph:
@@ -201,9 +241,7 @@ def _sort_key_blocks_comparable(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _search(
-    g: SusyGraph, labels: dict[str, str]
-) -> tuple[bytes, list[tuple[dict[str, int], dict[str, int]]]]:
+def _search(g: SusyGraph, labels: dict[str, str]) -> tuple[bytes, list[Leaf]]:
     """The least certificate over every leaf of the refinement search, with
     the vertex and flag positions of each leaf that produced it, the first
     such leaf first.  ``labels`` names each tail.  The input is not
@@ -222,7 +260,7 @@ def _search(
     cells = [keyed[k] for k in sorted(keyed)]
 
     best: bytes | None = None
-    ties: list[tuple[dict[str, int], dict[str, int]]] = []
+    ties: list[Leaf] = []
 
     def search(cells: list[list[str]]) -> None:
         nonlocal best, ties
@@ -251,8 +289,7 @@ def _canonical_form(g: SusyGraph) -> CanonicalForm:
     """``canonical_form`` without validating ``g``, for graphs the library
     built itself."""
     cert, leaves = _search(g, _labels(g))
-    pos, flag_index = leaves[0]
-    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, pos, flag_index)
+    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, tuple(leaves))
 
 
 def canonical_form(g: SusyGraph) -> CanonicalForm:
@@ -267,26 +304,47 @@ def certificate_digest(g: SusyGraph) -> str:
     return canonical_form(g).digest
 
 
-def _vertex_fixers(g: SusyGraph, labels: dict[str, str]) -> Iterator[dict[str, str]]:
-    """Every automorphism of ``g`` that fixes each vertex, as a flag map,
-    identity first and one at a time: same-named tails permute, and so do
-    same-colour parallel edges and same-colour loops, each loop also
-    flipping."""
+def _blocks(
+    g: SusyGraph, labels: dict[str, str]
+) -> list[tuple[list[tuple[str, ...]], bool]]:
+    """The units that automorphisms fixing every vertex may move, one block
+    of interchangeable units at a time, with whether they are loops, which
+    may also flip: same-named tails at a vertex (one flag each), and
+    same-colour parallel edges or same-colour loops (their two flags).
+    Blocks in which nothing can move are left out."""
     j, b = g.involution, g.boundary
     inc = _incidence(g)
-    # each key starts with whether its units are loops, which may also flip
-    blocks: dict[tuple, list[tuple[str, str]]] = {}
+    # each key starts with whether its units are loops
+    blocks: dict[tuple, list[tuple[str, ...]]] = {}
     for v in sorted(inc):
         for f in inc[v]:
             p = j[f]
             if p == f:
                 key: tuple = (False, v, labels[f])
+                unit: tuple[str, ...] = (f,)
             elif (v, f) < (b[p], p):
                 key = (b[p] == v, v, b[p], g.color_of(f))
+                unit = (f, p)
             else:
                 continue
-            blocks.setdefault(key, []).append((f, p))
-    moving = [(us, key[0]) for key, us in blocks.items() if key[0] or len(us) > 1]
+            blocks.setdefault(key, []).append(unit)
+    return [(us, key[0]) for key, us in blocks.items() if key[0] or len(us) > 1]
+
+
+def _fixer_order(g: SusyGraph, labels: dict[str, str]) -> int:
+    """The number of automorphisms of ``g`` that fix every vertex: k! per
+    block of k units, times 2^k when they are loops."""
+    order = 1
+    for units, flip in _blocks(g, labels):
+        order *= math.factorial(len(units)) * (2 ** len(units) if flip else 1)
+    return order
+
+
+def _vertex_fixers(g: SusyGraph, labels: dict[str, str]) -> Iterator[dict[str, str]]:
+    """Every automorphism of ``g`` that fixes each vertex, as a flag map,
+    identity first and one at a time: the units of each block of
+    ``_blocks`` permute, and loops also flip."""
+    moving = _blocks(g, labels)
 
     def fixers(i: int) -> Iterator[dict[str, str]]:
         if i == len(moving):
@@ -304,10 +362,7 @@ def _vertex_fixers(g: SusyGraph, labels: dict[str, str]) -> Iterator[dict[str, s
 
 
 def _isomorphisms(
-    leaves: list[tuple[dict[str, int], dict[str, int]]],
-    target: SusyGraph,
-    labels: dict[str, str],
-    onto: tuple[dict[str, int], dict[str, int]],
+    leaves: list[Leaf], target: SusyGraph, labels: dict[str, str], onto: Leaf
 ) -> Iterator[Isomorphism]:
     """Map each leaf onto the leaf ``onto`` of ``target`` that has the same
     certificate, then follow each map by every automorphism of ``target``
@@ -356,8 +411,18 @@ class AutomorphismGroup:
 def automorphisms(g: SusyGraph, labels_fixed: bool = True) -> AutomorphismGroup:
     """All self-isomorphisms, identity first, from one search.  With
     labels_fixed the labeled tails are pinned pointwise; otherwise tails may
-    permute within a color."""
+    permute within a color.  The order (tied leaves times the vertex-fixing
+    automorphisms) is computed first, and a group of more than
+    ``MAX_AUTOMORPHISMS`` elements raises ``ValidationError``;
+    ``isomorphisms_between(g, g)`` yields it one element at a time."""
     require_susy(g)
     labels = _labels(g, labels_fixed)
     _, leaves = _search(g, labels)
+    order = len(leaves) * _fixer_order(g, labels)
+    if order > MAX_AUTOMORPHISMS:
+        raise ValidationError(
+            f"the automorphism group has {order} elements, more than the "
+            f"{MAX_AUTOMORPHISMS} automorphisms can list; "
+            "isomorphisms_between yields them one at a time"
+        )
     return AutomorphismGroup(tuple(_isomorphisms(leaves, g, labels, leaves[0])))

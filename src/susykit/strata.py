@@ -7,6 +7,15 @@ splitting and genus-to-loop moves and deduplicated by canonical certificate,
 then NS/R colorings of each shape, counted by the parity argument (2^b1 per
 shape) and deduplicated the same way.  Each split is generated once, not
 once more as its mirror image, and every move of a stable shape is stable.
+
+The search that finds a shape also gives generators of its automorphism
+group (``CanonicalForm.generators``), and they prune both passes.  Moves in
+one orbit of the parent's automorphisms give isomorphic children, so each
+move is keyed before it is built and one move per orbit is searched.  Two
+colorings of a shape are one stratum exactly when an automorphism of the
+shape carries one to the other, so one coloring per orbit is searched and
+the whole orbit takes its digest.  A shape with a trivial group skips this.
+
 Each ``StratumRecord`` keeps the certificate digests of its colorings in
 ``digests``, parallel to ``colorings``, so the strata are ordered without
 canonizing them again.  It also keeps its shape's digest and, in
@@ -18,7 +27,11 @@ is the inverse of one edge contraction, and the search that deduplicates
 the child also names the new edge in the child's flags and maps the rest
 onto the parent's, so ``shape_covers`` holds, for at least one edge in
 each orbit of the shape's automorphisms, the digest of the shape that
-contracting it gives and that flag map.  Contracting edge e of a colored
+contracting it gives and that flag map.  Searching one move per orbit
+keeps this: an automorphism of the parent that carries one move to
+another extends to an isomorphism of the two children that carries new
+edge to new edge, so the moves left out would only have named edges in
+orbits already named.  Contracting edge e of a colored
 stratum (S, k) gives (S/e, k restricted to S/e), so ``strata_poset``
 carries the remaining R flags of every raw coloring along the flag map
 into the target shape, where one lookup in its ``coloring_digests`` names
@@ -35,10 +48,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .canon import CanonicalForm, _canonical_form, certificate_digest
+from .canon import CanonicalForm, Isomorphism, _canonical_form, certificate_digest
 from .errors import ValidationError
 from .graphs import Graph, edges, flags_at, orbit_pairs
 from .lifting import enumerate_edge_colorings
@@ -91,93 +104,131 @@ def _fresh_pair(g: Graph) -> tuple[str, str]:
     return f"e{n}a", f"e{n}b"
 
 
-def _split_moves(g: SusyGraph, ea: str, eb: str) -> Iterator[SusyGraph]:
-    """Replace one vertex by two joined by the new edge (ea, eb),
-    distributing its flags and genus in every stable way.  A split and its
-    mirror, with the two halves swapped, are one graph, so only the split
-    that puts the vertex's first flag on ``va`` is made (at a vertex
-    without flags, the one with ga <= gb)."""
+def _move_keys(g: SusyGraph) -> list[tuple]:
+    """Every stable move of ``g``, keyed without building it: a split is
+    (v, ((part, genus), (part, genus))), the flags and the genus of ``v``
+    shared out between the two new vertices, and a deloop is (v,).  A
+    split and its mirror, with the two sides swapped, are one graph, so
+    each side is a sorted tuple, the two sides are sorted, and only the
+    split that puts the vertex's first flag on the first side is listed (at
+    a vertex without flags, the one with ga <= gb).  Splits come first."""
     base = g.graph
+    splits: list[tuple] = []
+    deloops: list[tuple] = []
     for v in sorted(base.vertices):
         fl = sorted(flags_at(base, v))
         gv = g.genus_of(v)
-        va, vb = f"{v}a", f"{v}b"
-        while va in base.vertices or vb in base.vertices:
-            va += "a"
-            vb += "b"
         head, rest = fl[:1], fl[1:]
         for size in range(len(rest) + 1):
+            # the genera that leave both sides stable, from the sizes alone
+            genera = [
+                (ga, gv - ga)
+                for ga in range(gv + 1)
+                if 2 * ga - 1 + len(head) + size > 0
+                and 2 * (gv - ga) - 1 + len(rest) - size > 0
+                and (fl or 2 * ga <= gv)
+            ]
+            if not genera:
+                continue
             for more in combinations(rest, size):
-                part_set = set(head).union(more)
-                for ga in range(gv + 1):
-                    gb = gv - ga
-                    if not fl and ga > gb:
-                        continue
-                    if 2 * ga - 2 + len(part_set) + 1 <= 0:
-                        continue
-                    if 2 * gb - 2 + (len(fl) - len(part_set)) + 1 <= 0:
-                        continue
-                    boundary = dict(base.boundary)
-                    for f in fl:
-                        boundary[f] = va if f in part_set else vb
-                    boundary[ea] = va
-                    boundary[eb] = vb
-                    involution = dict(base.involution)
-                    involution[ea] = eb
-                    involution[eb] = ea
-                    genus = {
-                        w: g.genus_of(w) for w in base.vertices if w != v
-                    }
-                    genus[va] = ga
-                    genus[vb] = gb
-                    yield SusyGraph(
-                        Graph(
-                            base.flags | {ea, eb},
-                            (base.vertices - {v}) | {va, vb},
-                            boundary,
-                            involution,
-                        ),
-                        SusyLabeling(
-                            genus,
-                            {f: g.color_of(f) for f in base.flags}
-                            | {ea: NS, eb: NS},
-                            dict(g.labeling.ns_tail_labels),
-                            {},
-                        ),
-                        modular=True,
-                    )
+                part = (*head, *more)
+                other = tuple(f for f in rest if f not in more)
+                for ga, gb in genera:
+                    splits.append((v, tuple(sorted([(part, ga), (other, gb)]))))
+        if gv >= 1:
+            deloops.append((v,))
+    return splits + deloops
+
+
+def _move(g: SusyGraph, key: tuple, ea: str, eb: str) -> SusyGraph:
+    """The move ``key`` of ``g`` (see ``_move_keys``) with the new edge
+    (ea, eb): a split replaces its vertex by two joined by the new edge, and
+    a deloop trades one unit of genus at its vertex for the new loop."""
+    base = g.graph
+    v = key[0]
+    boundary = dict(base.boundary)
+    involution = dict(base.involution)
+    involution[ea] = eb
+    involution[eb] = ea
+    genus = {w: g.genus_of(w) for w in base.vertices}
+    vertices = base.vertices
+    if len(key) == 1:
+        boundary[ea] = boundary[eb] = v
+        genus[v] -= 1
+    else:
+        va, vb = f"{v}a", f"{v}b"
+        while va in vertices or vb in vertices:
+            va += "a"
+            vb += "b"
+        vertices = (vertices - {v}) | {va, vb}
+        del genus[v]
+        for w, (part, gw), e in zip((va, vb), key[1], (ea, eb)):
+            boundary.update(dict.fromkeys(part, w))
+            boundary[e] = w
+            genus[w] = gw
+    return SusyGraph(
+        Graph(base.flags | {ea, eb}, vertices, boundary, involution),
+        SusyLabeling(
+            genus,
+            {f: g.color_of(f) for f in base.flags} | {ea: NS, eb: NS},
+            dict(g.labeling.ns_tail_labels),
+            {},
+        ),
+        modular=True,
+    )
+
+
+def _split_moves(g: SusyGraph, ea: str, eb: str) -> Iterator[SusyGraph]:
+    """Every split of ``g``, built, with the new edge (ea, eb)."""
+    return (_move(g, k, ea, eb) for k in _move_keys(g) if len(k) == 2)
 
 
 def _deloop_moves(g: SusyGraph, ea: str, eb: str) -> Iterator[SusyGraph]:
-    """Trade one unit of genus at a vertex for the new loop (ea, eb)."""
-    base = g.graph
-    for v in sorted(base.vertices):
-        gv = g.genus_of(v)
-        if gv < 1:
+    """Every deloop of ``g``, built, with the new loop (ea, eb)."""
+    return (_move(g, k, ea, eb) for k in _move_keys(g) if len(k) == 1)
+
+
+def _move_image(gen: Isomorphism, key: tuple) -> tuple:
+    """The move that the automorphism ``gen`` takes the move ``key`` to."""
+    v = gen.vertex_map[key[0]]
+    if len(key) == 1:
+        return (v,)
+    fm = gen.flag_map
+    return (v, tuple(sorted((tuple(sorted(fm[f] for f in p)), gp) for p, gp in key[1])))
+
+
+def _coloring_image(gen: Isomorphism, key: frozenset[str]) -> frozenset[str]:
+    """The R flags of the coloring that ``gen`` takes the coloring with R
+    flags ``key`` to."""
+    return frozenset(gen.flag_map[f] for f in key)
+
+
+K = TypeVar("K")
+
+
+def _orbits(
+    keys: Iterable[K], generators: tuple[Isomorphism, ...], image: Callable[..., K]
+) -> list[list[K]]:
+    """The orbits of ``keys`` under the group that ``generators`` generate,
+    ``image(gen, key)`` being the action; each orbit starts with its first
+    key in ``keys``, and the orbits come in that order."""
+    if not generators:
+        return [[k] for k in keys]
+    seen: set[K] = set()
+    out = []
+    for k in keys:
+        if k in seen:
             continue
-        boundary = dict(base.boundary)
-        boundary[ea] = v
-        boundary[eb] = v
-        involution = dict(base.involution)
-        involution[ea] = eb
-        involution[eb] = ea
-        genus = {w: g.genus_of(w) for w in base.vertices}
-        genus[v] = gv - 1
-        yield SusyGraph(
-            Graph(
-                base.flags | {ea, eb},
-                base.vertices,
-                boundary,
-                involution,
-            ),
-            SusyLabeling(
-                genus,
-                {f: g.color_of(f) for f in base.flags} | {ea: NS, eb: NS},
-                dict(g.labeling.ns_tail_labels),
-                {},
-            ),
-            modular=True,
-        )
+        seen.add(k)
+        orbit = [k]
+        for x in orbit:
+            for gen in generators:
+                y = image(gen, x)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        out.append(orbit)
+    return out
 
 
 # edge of a shape (its two flags, sorted) -> (digest of the shape that
@@ -185,16 +236,18 @@ def _deloop_moves(g: SusyGraph, ea: str, eb: str) -> Iterator[SusyGraph]:
 ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
 
 
-def _shapes(
+def _generate_shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
-) -> list[tuple[str, SusyGraph, ShapeCovers]]:
-    """``enumerate_modular_shapes`` with each shape's certificate digest and
-    the covers recorded while it was generated.  Every move adds one edge
-    to a canonical parent, so contracting the new edge of the child gives
-    back the parent: the child's flag witness names that edge in the
-    child's flags and maps the rest onto the parent's.  One entry is kept
-    per edge; as every contraction of a shape is the inverse of some move,
-    each orbit of its edges under automorphisms gets at least one."""
+) -> list[tuple[str, SusyGraph, ShapeCovers, tuple[Isomorphism, ...]]]:
+    """``_shapes`` with generators of each shape's automorphism group, in
+    the shape's names, read from the search that found it.
+
+    Moves in one orbit of the parent's automorphisms give isomorphic
+    children, so each move is keyed before it is built and only the first
+    move of each orbit is built and searched.  The one searched names the
+    child's new edge, and the others would have named edges in the same
+    orbit of the child's automorphisms, so every orbit of a shape's edges
+    still gets a recorded cover."""
     labels = sorted(set(tail_labels))
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
@@ -208,31 +261,45 @@ def _shapes(
             f"{limit}; raise {ENV_LIMIT} or pass max_edges to go further"
         )
     start = _canonical_form(_corolla(genus, labels))
-    found: dict[str, tuple[SusyGraph, dict]] = {start.digest: (start.graph, {})}
+    found: dict[str, tuple[SusyGraph, tuple[Isomorphism, ...], dict]] = {
+        start.digest: (start.graph, start.generators, {})
+    }
     frontier = [start.digest]
     depth = 0
     while frontier and depth < bound:
         depth += 1
         fresh: list[str] = []
         for pd in frontier:
-            parent = found[pd][0]
+            parent, generators, _ = found[pd]
             ea, eb = _fresh_pair(parent.graph)
-            moves = chain(_split_moves(parent, ea, eb), _deloop_moves(parent, ea, eb))
-            for move in moves:
-                form = _canonical_form(move)
+            for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
+                form = _canonical_form(_move(parent, key, ea, eb))
                 if form.digest not in found:
-                    found[form.digest] = (form.graph, {})
+                    found[form.digest] = (form.graph, form.generators, {})
                     fresh.append(form.digest)
-                covers = found[form.digest][1]
+                covers = found[form.digest][2]
                 w = form.flag_witness
                 edge = tuple(sorted((w[ea], w[eb])))
                 if edge not in covers:
                     covers[edge] = (pd, {w[f]: f for f in parent.flags})
         frontier = fresh
     return sorted(
-        ((d, g, covers) for d, (g, covers) in found.items()),
+        ((d, g, covers, gens) for d, (g, gens, covers) in found.items()),
         key=lambda t: (len(edges(t[1].graph)), t[0]),
     )
+
+
+def _shapes(
+    genus: int, tail_labels: Iterable[str], max_edges: int | None = None
+) -> list[tuple[str, SusyGraph, ShapeCovers]]:
+    """``enumerate_modular_shapes`` with each shape's certificate digest and
+    the covers recorded while it was generated.  Every move adds one edge
+    to a canonical parent, so contracting the new edge of the child gives
+    back the parent: the child's flag witness names that edge in the
+    child's flags and maps the rest onto the parent's.  One entry is kept
+    per edge; as every contraction of a shape is the inverse of some move,
+    each orbit of its edges under automorphisms gets at least one."""
+    return [(d, g, c) for d, g, c, _ in _generate_shapes(genus, tail_labels, max_edges)]
 
 
 def enumerate_modular_shapes(
@@ -283,17 +350,22 @@ def enumerate_strata_records(
     if len(rr) % 2:
         raise ValidationError("the number of R tail labels must be even")
     records = []
-    for shape_digest, shape, shape_covers in _shapes(genus, ns + rr, max_edges):
+    shapes = _generate_shapes(genus, ns + rr, max_edges)
+    for shape_digest, shape, shape_covers, generators in shapes:
         colored = enumerate_edge_colorings(shape, set(ns), set(rr))
         if not colored:
             continue
+        by_key = {
+            frozenset(f for f, k in c.labeling.color.items() if k == R): c
+            for c in colored
+        }
         forms: dict[str, CanonicalForm] = {}
-        coloring_digests: dict[frozenset[str], str] = {}
-        for c in colored:
-            form = _canonical_form(c)
+        digest_of: dict[frozenset[str], str] = {}
+        for orbit in _orbits(by_key, generators, _coloring_image):
+            form = _canonical_form(by_key[orbit[0]])
             forms.setdefault(form.digest, form)
-            r_flags = frozenset(f for f, k in c.labeling.color.items() if k == R)
-            coloring_digests[r_flags] = form.digest
+            digest_of.update(dict.fromkeys(orbit, form.digest))
+        coloring_digests = {key: digest_of[key] for key in by_key}
         digests = tuple(sorted(forms))
         records.append(
             StratumRecord(

@@ -358,3 +358,41 @@ class TestAutomorphisms:
         found = list(itertools.islice(isomorphisms_between(rose, rose), 3))
         assert len(found) == 3
         assert len(built) == 3
+
+
+class TestAutomorphismGuard:
+    """``automorphisms`` computes the order of the group before it lists it
+    and refuses a group larger than ``MAX_AUTOMORPHISMS``."""
+
+    def test_eight_loop_rose_is_refused_before_listing(self, monkeypatch):
+        # one vertex with eight NS loops: 8! * 2**8 = 10,321,920 automorphisms
+        built = []
+
+        class Counted(canon.Isomorphism):
+            def __init__(self, *args):
+                built.append(args)
+                assert len(built) < 10, "the group is being listed"
+                super().__init__(*args)
+
+        monkeypatch.setattr(canon, "Isomorphism", Counted)
+        with pytest.raises(ValidationError, match="10321920"):
+            automorphisms(rose_graph(8))
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "g, fixed",
+        [
+            (rose_graph(3), True),
+            (double_edge_graph(), True),
+            (star(1, 2, 2), False),
+            (star(0, 2, 2), False),
+        ],
+    )
+    def test_cap_is_the_exact_order(self, monkeypatch, g, fixed):
+        order = brute_automorphism_order(g, labels_fixed=fixed)
+        assert order > 1
+        monkeypatch.setattr(canon, "MAX_AUTOMORPHISMS", order)
+        assert automorphisms(g, labels_fixed=fixed).order == order
+        monkeypatch.setattr(canon, "MAX_AUTOMORPHISMS", order - 1)
+        with pytest.raises(ValidationError, match=f"has {order} elements"):
+            automorphisms(g, labels_fixed=fixed)

@@ -13,7 +13,7 @@ from susykit.cli import main
 from susykit.jsonio import curve_to_json, dumps, graph_to_json, morphism_to_json
 
 from conftest import star, two_vertex_tree
-from oracles import forest_b1
+from oracles import brute_isomorphisms
 from test_jsonio import colorful_graph, small_curve
 from test_operad import two_corolla_graph
 
@@ -161,34 +161,38 @@ def counted(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, wrapper)
 
 
-def counted_moves(monkeypatch, name, counts):
-    """Replace the move generator ``strata.name`` by one that counts the
-    moves it yields."""
-    fn = getattr(strata, name)
+def move_orbits(shape):
+    """The number of orbits of the shape's moves under its automorphisms,
+    the group taken from the exhaustive oracle."""
+    keys = set(strata._move_keys(shape))
+    group = list(brute_isomorphisms(shape, shape))
 
-    def wrapper(*args):
-        for move in fn(*args):
-            counts["moves"] = counts.get("moves", 0) + 1
-            yield move
+    def image(vmap, fmap, key):
+        if len(key) == 1:
+            return (vmap[key[0]],)
+        sides = ((tuple(sorted(fmap[f] for f in part)), g) for part, g in key[1])
+        return (vmap[key[0]], tuple(sorted(sides)))
 
-    monkeypatch.setattr(strata, name, wrapper)
+    orbits = {frozenset(image(vmap, fmap, k) for vmap, fmap in group) for k in keys}
+    assert set().union(*orbits) == keys
+    return len(orbits)
 
 
 class TestEnumerateSearches:
-    """Each stratum is searched once: the shape generator searches each
-    move and the corolla, the records search each raw coloring, the poset
-    is looked up from the covers recorded during generation, and no
-    emitted stratum is searched again after the records are built."""
+    """The shape generator searches the corolla and one move per orbit of
+    each shape's moves under its automorphisms, the records search one
+    raw coloring per stratum, the poset is looked up from the covers
+    recorded during generation, and no emitted stratum is searched again
+    after the records are built."""
 
     def test_poset_contracts_and_searches_nothing(self, monkeypatch, capsys):
         counts: dict[str, int] = {}
         counted(monkeypatch, canon, "_search", counts)
+        counted(monkeypatch, strata, "_move", counts)
         counted(monkeypatch, strata, "contract_pair", counts)
         counted(monkeypatch, calculus, "contract_pair", counts)
         counted(monkeypatch, cli, "contraction_poset", counts)
         counted(monkeypatch, strata, "contraction_poset", counts)
-        counted_moves(monkeypatch, "_split_moves", counts)
-        counted_moves(monkeypatch, "_deloop_moves", counts)
         records = []
         searches = []
         poset_fn = cli.strata_poset
@@ -204,9 +208,12 @@ class TestEnumerateSearches:
         rc, _, _ = run(capsys, "enumerate", "--genus", "3", "--poset")
         assert rc == 0
         assert len(records) == 42
-        raw = sum(2 ** forest_b1(rec.shape.graph) for rec in records)
+        orbits = sum(move_orbits(rec.shape) for rec in records)
+        n_strata = sum(len(rec.digests) for rec in records)
         before, after = searches
-        assert before == 1 + counts["moves"] + raw
+        assert (orbits, n_strata) == (92, 142)
+        assert counts["_move"] == orbits
+        assert before == 1 + orbits + n_strata
         assert after == before == counts["_search"]
         assert "contract_pair" not in counts
         assert "contraction_poset" not in counts
@@ -273,6 +280,10 @@ class TestGoldenOutput:
             (
                 "enumerate --genus 0 --ns 4 --r 2 --poset --format table",
                 "e401e22af0450028917b3b138f0d5d2ad553e0222e8ca40db2f0fc7267c3ba28",
+            ),
+            (
+                "enumerate --genus 2 --ns 1 --r 2 --poset",
+                "6a1cd067cefdf60e50bb3e4b6576a0276cdcdb83b6b725464bfc9e391f8c1ca3",
             ),
         ],
     )

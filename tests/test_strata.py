@@ -1,6 +1,7 @@
 """Stratum enumeration against a pedestrian generator, coloring counts
 against the parity closed form, the contraction order, the covers recorded
-by the shape generator, and the orbifold Euler characteristic."""
+by the shape generator, the automorphism generators it keeps, the orbifold
+Euler characteristic and Burnside's lemma per shape."""
 
 from fractions import Fraction
 from math import comb
@@ -30,6 +31,7 @@ from susykit.strata import (
     _corolla,
     _deloop_moves,
     _fresh_pair,
+    _generate_shapes,
     _shapes,
     _split_moves,
     max_edge_limit,
@@ -420,6 +422,75 @@ class TestEulerCharacteristic:
                 term *= open_euler(shape.genus_of(v), len(flags_at(shape.graph, v)))
             total += term
         assert total == chi
+
+
+class TestCounts:
+    """Closed-form counts: the Schroeder numbers A000311 for genus-0 strata
+    with NS tails, and the 7 and 42 closed shapes of genus 2 and 3."""
+
+    @pytest.mark.parametrize("n, count", [(3, 1), (4, 4), (5, 26), (6, 236)])
+    def test_genus0_strata_are_schroeder_numbers(self, n, count):
+        assert len(enumerate_strata(0, [str(i) for i in range(n)], [])) == count
+
+    @pytest.mark.parametrize("g, count", [(2, 7), (3, 42)])
+    def test_closed_shapes(self, g, count):
+        assert len(enumerate_modular_shapes(g, [])) == count
+
+
+def as_key(vmap, fmap):
+    return frozenset(vmap.items()), frozenset(fmap.items())
+
+
+def generated_group(generators, shape):
+    """Every composite of ``generators``, as (vertex map, flag map) keys."""
+    identity = ({v: v for v in shape.vertices}, {f: f for f in shape.flags})
+    group = {as_key(*identity): identity}
+    frontier = [identity]
+    while frontier:
+        vmap, fmap = frontier.pop()
+        for gen in generators:
+            new = (
+                {v: gen.vertex_map[w] for v, w in vmap.items()},
+                {f: gen.flag_map[c] for f, c in fmap.items()},
+            )
+            if as_key(*new) not in group:
+                group[as_key(*new)] = new
+                frontier.append(new)
+    return set(group)
+
+
+class TestShapeGenerators:
+    """The generators the shape generator keeps for each shape generate
+    exactly its automorphism group, as the exhaustive oracle lists it."""
+
+    @pytest.mark.parametrize("g, labels", [(3, []), (2, ["1"])])
+    def test_generators_generate_the_group(self, g, labels):
+        for _, shape, _, generators in _generate_shapes(g, labels):
+            brute = {as_key(*iso) for iso in brute_isomorphisms(shape, shape)}
+            assert generated_group(generators, shape) == brute
+            assert bool(generators) == (len(brute) > 1)
+
+
+BURNSIDE_CASES = [(2, [], []), (3, [], []), (1, ["1"], ["2", "3"]), (2, ["1"], ["2", "3"])]
+
+
+class TestBurnside:
+    """The strata over a shape S are the orbits of its raw colorings under
+    Aut S, so by Burnside's lemma their number is the mean, over the
+    automorphisms from the exhaustive oracle, of the raw colorings each
+    one fixes."""
+
+    @pytest.mark.parametrize("g, ns, r", BURNSIDE_CASES)
+    def test_strata_per_shape(self, g, ns, r):
+        for rec in enumerate_strata_records(g, ns, r):
+            group = [fmap for _, fmap in brute_isomorphisms(rec.shape, rec.shape)]
+            fixed = sum(
+                1
+                for fmap in group
+                for key in rec.coloring_digests
+                if frozenset(fmap[f] for f in key) == key
+            )
+            assert Fraction(fixed, len(group)) == len(rec.digests)
 
 
 class TestBoundsAndErrors:
