@@ -153,9 +153,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     ns = [str(i) for i in range(1, args.ns + 1)]
     r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
     if args.shapes:
-        found = _shapes(args.genus, ns + r, args.max_edges)
-        shapes = [s for _, s, _ in found]
-        digests = [d for d, _, _ in found]
+        digests, shapes, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
         data = {
             "count": len(shapes),
             "shapes": [_stratum_record(s, d) for s, d in zip(shapes, digests)],

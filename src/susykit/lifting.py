@@ -145,6 +145,27 @@ def _forest_lift(
     return pairs, particular, cycles
 
 
+def _lift_masks(
+    g: SusyGraph, r_set: frozenset[str], limit: int = 4096
+) -> tuple[list[tuple[str, str]], list[int]] | None:
+    """The edge ``pairs`` of ``g`` and every lift with R tails ``r_set`` as
+    a mask over them, or None if there is none.  Lift ``m`` adds the cycle
+    of each set bit of ``m`` to the particular one.  Callers check ``g``."""
+    lift = _forest_lift(g, r_set)
+    if lift is None:
+        return None
+    pairs, particular, cycles = lift
+    count = 2 ** len(cycles)
+    if count > limit:
+        raise ValidationError(
+            f"too many colorings ({count}) for enumeration; limit is {limit}"
+        )
+    masks = [particular]
+    for cycle in cycles:
+        masks += [mask ^ cycle for mask in masks]
+    return pairs, masks
+
+
 def _colored(
     g: SusyGraph,
     ns_set: frozenset[str],
@@ -226,20 +247,5 @@ def enumerate_edge_colorings(
     ``limit`` solutions to keep desk-scale use honest."""
     _require_stable_modular(g, "enumerate_edge_colorings")
     ns_set, r_set = _checked_partition(g, ns_labels, r_labels)
-    lift = _forest_lift(g, r_set)
-    if lift is None:
-        return []
-    pairs, particular, cycles = lift
-    count = 2 ** len(cycles)
-    if count > limit:
-        raise ValidationError(
-            f"too many colorings ({count}) for enumeration; limit is {limit}"
-        )
-    out = []
-    for m in range(count):
-        mask = particular
-        for i, cycle in enumerate(cycles):
-            if (m >> i) & 1:
-                mask ^= cycle
-        out.append(_colored(g, ns_set, r_set, pairs, mask))
-    return out
+    pairs, masks = _lift_masks(g, r_set, limit) or ([], [])
+    return [_colored(g, ns_set, r_set, pairs, mask) for mask in masks]

@@ -6,9 +6,10 @@ signatures are gluing recipes: a normal form listing which source factors
 land where, which label pairs get glued into nodes, how surviving labels are
 renamed, and the count of Ramond gluings (the rank of the odd gluing
 parameters).  Signatures are validated when constructed, so recipes never
-re-check their endpoints, and the generators check only their labels.  SUSY graph morphisms evaluate to recipes, and
-erasing colors is a projection onto classical signatures that commutes with
-evaluation.
+re-check their endpoints; the generators check only their labels, and
+composites only that their endpoints meet.  SUSY graph morphisms evaluate
+to recipes, and erasing colors is a projection onto classical signatures
+that commutes with evaluation.
 
 Dimension bookkeeping lives here too: the even and odd dimensions of the
 stratum attached to a stable SUSY graph, computed both from closed formulas
@@ -319,7 +320,8 @@ def identity_recipe(sig: ModuliSignature) -> GluingRecipe:
 
 
 def recipe_compose(first: GluingRecipe, second: GluingRecipe) -> GluingRecipe:
-    """Compose recipes applied in order (first, then second)."""
+    """Compose recipes applied in order (first, then second).  Only the
+    endpoints are checked: a composite of valid recipes is valid."""
     if first.target != second.source:
         raise ValidationError(
             "recipes do not compose: first.target differs from second.source"
@@ -337,7 +339,10 @@ def recipe_compose(first: GluingRecipe, second: GluingRecipe) -> GluingRecipe:
         for a, b in first.relabeling.items()
         if b in second.relabeling
     }
-    return recipe(first.source, second.target, assignment, ns_pairs, r_pairs, relabeling)
+    return GluingRecipe(
+        first.source, second.target, assignment, ns_pairs, r_pairs, relabeling,
+        len(r_pairs),
+    )
 
 
 def relabel_recipe(

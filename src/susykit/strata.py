@@ -11,10 +11,11 @@ once more as its mirror image, and every move of a stable shape is stable.
 The search that finds a shape also gives generators of its automorphism
 group (``CanonicalForm.generators``), and they prune both passes.  Moves in
 one orbit of the parent's automorphisms give isomorphic children, so each
-move is keyed before it is built and one move per orbit is searched.  Two
-colorings of a shape are one stratum exactly when an automorphism of the
-shape carries one to the other, so one coloring per orbit is searched and
-the whole orbit takes its digest.  A shape with a trivial group skips this.
+move is keyed before it is built and one move per orbit is searched.  The
+colorings of a shape are lift masks keyed by their R flags, and two are one
+stratum exactly when an automorphism of the shape carries one to the other,
+so only the first of each orbit is built and searched, and the whole orbit
+takes its digest.  A shape with a trivial group skips this.
 
 Each ``StratumRecord`` keeps the certificate digests of its colorings in
 ``digests``, parallel to ``colorings``, so the strata are ordered without
@@ -49,13 +50,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .canon import CanonicalForm, Isomorphism, _canonical_form, certificate_digest
 from .errors import ValidationError
 from .graphs import Graph, edges, flags_at, orbit_pairs
-from .lifting import enumerate_edge_colorings
-from .susy import NS, R, SusyGraph, SusyLabeling, modular_graph
+from .lifting import _colored, _lift_masks
+from .susy import NS, SusyGraph, SusyLabeling, modular_graph
 from .calculus import contract_pair
 
 __all__ = [
@@ -178,16 +179,6 @@ def _move(g: SusyGraph, key: tuple, ea: str, eb: str) -> SusyGraph:
     )
 
 
-def _split_moves(g: SusyGraph, ea: str, eb: str) -> Iterator[SusyGraph]:
-    """Every split of ``g``, built, with the new edge (ea, eb)."""
-    return (_move(g, k, ea, eb) for k in _move_keys(g) if len(k) == 2)
-
-
-def _deloop_moves(g: SusyGraph, ea: str, eb: str) -> Iterator[SusyGraph]:
-    """Every deloop of ``g``, built, with the new loop (ea, eb)."""
-    return (_move(g, k, ea, eb) for k in _move_keys(g) if len(k) == 1)
-
-
 def _move_image(gen: Isomorphism, key: tuple) -> tuple:
     """The move that the automorphism ``gen`` takes the move ``key`` to."""
     v = gen.vertex_map[key[0]]
@@ -236,18 +227,24 @@ def _orbits(
 ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
 
 
-def _generate_shapes(
+def _shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
 ) -> list[tuple[str, SusyGraph, ShapeCovers, tuple[Isomorphism, ...]]]:
-    """``_shapes`` with generators of each shape's automorphism group, in
-    the shape's names, read from the search that found it.
+    """``enumerate_modular_shapes`` with each shape's certificate digest,
+    the covers recorded while it was generated, and generators of its
+    automorphism group, in the shape's names, read from the search that
+    found it.
 
-    Moves in one orbit of the parent's automorphisms give isomorphic
-    children, so each move is keyed before it is built and only the first
-    move of each orbit is built and searched.  The one searched names the
-    child's new edge, and the others would have named edges in the same
-    orbit of the child's automorphisms, so every orbit of a shape's edges
-    still gets a recorded cover."""
+    Every move adds one edge to a canonical parent, so contracting the new
+    edge of the child gives back the parent: the child's flag witness names
+    that edge in the child's flags and maps the rest onto the parent's.
+    One entry is kept per edge.  Moves in one orbit of the parent's
+    automorphisms give isomorphic children, so each move is keyed before it
+    is built and only the first move of each orbit is built and searched.
+    Every contraction of a shape is the inverse of some move, and the moves
+    left out would only have named edges in orbits of the child's
+    automorphisms already named, so every orbit of a shape's edges gets a
+    recorded cover."""
     labels = sorted(set(tail_labels))
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
@@ -289,26 +286,13 @@ def _generate_shapes(
     )
 
 
-def _shapes(
-    genus: int, tail_labels: Iterable[str], max_edges: int | None = None
-) -> list[tuple[str, SusyGraph, ShapeCovers]]:
-    """``enumerate_modular_shapes`` with each shape's certificate digest and
-    the covers recorded while it was generated.  Every move adds one edge
-    to a canonical parent, so contracting the new edge of the child gives
-    back the parent: the child's flag witness names that edge in the
-    child's flags and maps the rest onto the parent's.  One entry is kept
-    per edge; as every contraction of a shape is the inverse of some move,
-    each orbit of its edges under automorphisms gets at least one."""
-    return [(d, g, c) for d, g, c, _ in _generate_shapes(genus, tail_labels, max_edges)]
-
-
 def enumerate_modular_shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
 ) -> list[SusyGraph]:
     """All stable modular graphs of the given total genus and tail label
     set, one canonical representative per isomorphism class, ordered by
     edge count and certificate."""
-    return [g for _, g, _ in _shapes(genus, tail_labels, max_edges)]
+    return [g for _, g, _, _ in _shapes(genus, tail_labels, max_edges)]
 
 
 @dataclass(frozen=True)
@@ -341,31 +325,32 @@ def enumerate_strata_records(
     """Strata grouped by underlying modular shape.  Each record carries the
     distinct colorings (canonical representatives, in digest order), their
     certificate digests and the number of raw colorings of the shape
-    (``2 ** b1`` by the parity argument)."""
-    ns = sorted(set(ns_labels))
-    rr = sorted(set(r_labels))
-    overlap = set(ns) & set(rr)
+    (``2 ** b1`` by the parity argument).  Only the labels are checked: the
+    raw colorings are lift masks keyed by their R flags, and only the first
+    of each orbit under the shape's automorphisms is built as a graph."""
+    ns, rr = frozenset(ns_labels), frozenset(r_labels)
+    overlap = ns & rr
     if overlap:
         raise ValidationError(f"labels {sorted(overlap)} are both NS and R")
     if len(rr) % 2:
         raise ValidationError("the number of R tail labels must be even")
     records = []
-    shapes = _generate_shapes(genus, ns + rr, max_edges)
-    for shape_digest, shape, shape_covers, generators in shapes:
-        colored = enumerate_edge_colorings(shape, set(ns), set(rr))
-        if not colored:
+    for shape_digest, shape, covers, generators in _shapes(genus, ns | rr, max_edges):
+        pairs, masks = _lift_masks(shape, rr) or ([], [])
+        if not masks:
             continue
+        r_tails = frozenset(shape.labeling.ns_tail_labels[l] for l in rr)
+        # the R flags: the R tails and both flags of every R edge
         by_key = {
-            frozenset(f for f, k in c.labeling.color.items() if k == R): c
-            for c in colored
+            r_tails.union(*(p for i, p in enumerate(pairs) if (mask >> i) & 1)): mask
+            for mask in masks
         }
         forms: dict[str, CanonicalForm] = {}
-        digest_of: dict[frozenset[str], str] = {}
+        coloring_digests = dict.fromkeys(by_key, "")
         for orbit in _orbits(by_key, generators, _coloring_image):
-            form = _canonical_form(by_key[orbit[0]])
+            form = _canonical_form(_colored(shape, ns, rr, pairs, by_key[orbit[0]]))
             forms.setdefault(form.digest, form)
-            digest_of.update(dict.fromkeys(orbit, form.digest))
-        coloring_digests = {key: digest_of[key] for key in by_key}
+            coloring_digests.update(dict.fromkeys(orbit, form.digest))
         digests = tuple(sorted(forms))
         records.append(
             StratumRecord(
@@ -374,7 +359,7 @@ def enumerate_strata_records(
                 tuple(forms[d].graph for d in digests),
                 digests,
                 coloring_digests,
-                shape_covers,
+                covers,
             )
         )
     return records

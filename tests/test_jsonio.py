@@ -1,8 +1,11 @@
 """Serialization round trips and strict schema rejection."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susykit import (
     NS,
@@ -240,6 +243,97 @@ class TestCurves:
         doc["node_pairing"] = []
         with pytest.raises(ValidationError, match="unpaired node-halves"):
             curve_from_json(doc)
+
+
+# every key of the graph, morphism and curve schemas, and values they use
+SCHEMA_WORDS = [
+    "modular", "vertices", "flags", "edges", "ns_labels", "r_labels", "id",
+    "genus", "vertex", "color", "source", "target", "flag_map", "vertex_map",
+    "contracted", "components", "node_pairing", "special_points", "kind",
+    "label", "NS", "R", "puncture", "node-half", "u", "w", "t", "n1", "x",
+]
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.sampled_from(SCHEMA_WORDS)
+)
+JSON_TREES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_WORDS), inner, max_size=7),
+    max_leaves=12,
+)
+LOADERS = [graph_from_json, morphism_from_json, curve_from_json]
+
+
+def valid_documents():
+    """One valid document per loader, with the loader that reads it."""
+    h = contract_pair(colorful_graph(), ("n1", "n2"))
+    return [
+        (graph_from_json, graph_to_json(colorful_graph())),
+        (morphism_from_json, morphism_to_json(h)),
+        (curve_from_json, curve_to_json(small_curve())),
+    ]
+
+
+def paths(doc, prefix=()):
+    """The path of every value inside ``doc``, as keys and indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from paths(value, (*prefix, key))
+
+
+MUTATION_SITES = [
+    (loader, doc, path) for loader, doc in valid_documents() for path in paths(doc)
+]
+
+
+DELETE = object()
+
+
+def mutated(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced, or deleted
+    when ``value`` is ``DELETE``."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if value is DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    return doc
+
+
+def loads_or_rejects(loader, doc):
+    try:
+        loader(doc)
+    except (SchemaError, ValidationError):
+        pass
+
+
+class TestLoaderFuzz:
+    """Malformed documents only ever raise SchemaError or ValidationError."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(JSON_TREES)
+    def test_random_trees(self, doc):
+        for loader in LOADERS:
+            loads_or_rejects(loader, doc)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.sampled_from(MUTATION_SITES), JSON_TREES)
+    def test_single_field_replacements(self, site, value):
+        loader, doc, path = site
+        loads_or_rejects(loader, mutated(doc, path, value))
+
+    def test_single_field_deletions(self):
+        for loader, doc, path in MUTATION_SITES:
+            loads_or_rejects(loader, mutated(doc, path, DELETE))
 
 
 class TestRecipesAndSignatures:

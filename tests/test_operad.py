@@ -21,6 +21,7 @@ from susykit import (
     contract_pair,
     disjoint_union,
     edges,
+    enumerate_strata,
     evaluate_operad,
     forget,
     genus,
@@ -407,6 +408,52 @@ class TestAxiomChecker:
         b = check_operad_axioms(seed=42, cases=10)
         assert a == b
 
+    def test_composites_build_without_validating(self, monkeypatch):
+        composites, calls = capture_composites(monkeypatch)
+        assert check_operad_axioms(seed=1, cases=200).passed
+        assert len(composites) == 2200
+        assert calls == []
+
+    def test_composites_are_valid(self, monkeypatch):
+        # a composite of two valid recipes is valid by construction
+        composites, _ = capture_composites(monkeypatch)
+        assert check_operad_axioms(seed=5, cases=50).passed
+        rng = random.Random(11)
+        for _ in range(100):
+            h, f = random_composable_pair(rng, random_susy_graph(rng))
+            susykit.operad.recipe_compose(evaluate_operad(h), evaluate_operad(f))
+        assert len(composites) == 650
+        assert any(r.r_gluings for r in composites)
+        for r in composites:
+            assert validate_recipe(r).ok, validate_recipe(r).violations
+
+
+def capture_composites(monkeypatch):
+    """Wrap ``recipe_compose`` to keep every composite it returns, and
+    ``validate_recipe`` to keep every recipe it checks while a composite is
+    being built."""
+    composites, calls, inside = [], [], []
+    validate = susykit.operad.validate_recipe
+    compose_recipes = susykit.operad.recipe_compose
+
+    def validating(r):
+        if inside:
+            calls.append(r)
+        return validate(r)
+
+    def composing(first, second):
+        inside.append(True)
+        try:
+            out = compose_recipes(first, second)
+        finally:
+            inside.pop()
+        composites.append(out)
+        return out
+
+    monkeypatch.setattr(susykit.operad, "validate_recipe", validating)
+    monkeypatch.setattr(susykit.operad, "recipe_compose", composing)
+    return composites, calls
+
 
 class TestEvaluate:
     def test_total_grafting_is_identity_recipe(self):
@@ -640,6 +687,33 @@ class TestDimensions:
             assert dim.even == even
             assert dim.odd == odd + r_edges
             assert dim.codimension == (len(edges(base)), 0)
+
+
+@pytest.mark.parametrize(
+    "g, ns, r, chains",
+    [
+        (3, [], [], 2130),
+        (1, ["1"], ["2", "3"], 102),
+        (2, [], [], 40),
+        (0, ["1", "2", "3"], ["4", "5"], 30),
+    ],
+)
+def test_evaluation_is_functorial_on_every_contraction_chain(g, ns, r, chains):
+    # every chain S -> S/e -> S/e/f of two single contractions, over every
+    # stratum of the enumeration
+    seen, mismatches = 0, []
+    for s in enumerate_strata(g, ns, r):
+        for e in edges(s.graph):
+            h1 = contract_pair(s, e)
+            first = evaluate_operad(h1)
+            for f in edges(h1.target.graph):
+                h2 = contract_pair(h1.target, f)
+                seen += 1
+                if evaluate_operad(compose(h1, h2)) != recipe_compose(
+                    first, evaluate_operad(h2)
+                ):
+                    mismatches.append((s, e, f))
+    assert (seen, mismatches) == (chains, [])
 
 
 def test_evaluate_composite_equals_composed_recipes_many(rng):

@@ -25,15 +25,14 @@ from susykit import (
     lift_count_general,
     strata_poset,
 )
-from susykit import susy
+from susykit import lifting, strata, susy
 from susykit.susy import R
 from susykit.strata import (
     _corolla,
-    _deloop_moves,
     _fresh_pair,
-    _generate_shapes,
+    _move,
+    _move_keys,
     _shapes,
-    _split_moves,
     max_edge_limit,
 )
 
@@ -47,6 +46,7 @@ from oracles import (
     color_set_of,
     forest_b1,
 )
+from test_cli import counted
 
 FOUR = ["1", "2", "3", "4"]
 FIVE = FOUR + ["5"]
@@ -153,6 +153,26 @@ class TestColoringTables:
                 key = frozenset(f for f in c.flags if c.color_of(f) == R)
                 assert rec.coloring_digests[key] == canonical_form(c).digest
             assert rec.shape_digest == canonical_form(rec.shape).digest
+
+    @pytest.mark.parametrize("g, ns, r", [(3, [], []), (1, ["1"], ["2", "3"])])
+    def test_records_build_one_coloring_per_stratum(self, monkeypatch, g, ns, r):
+        # the enumeration lifts the shapes it made itself, so it checks
+        # none of them again and builds one coloring per orbit
+        names = (
+            "validate_susy_graph",
+            "is_stable",
+            "enumerate_edge_colorings",
+            "_colored",
+        )
+        counts = dict.fromkeys(names, 0)
+        for module in (susy, lifting, strata):
+            for name in names:
+                if hasattr(module, name):
+                    counted(monkeypatch, module, name, counts)
+        records = enumerate_strata_records(g, ns, r)
+        n_strata = sum(len(rec.digests) for rec in records)
+        assert n_strata > len(records)
+        assert counts == dict.fromkeys(names[:3], 0) | {"_colored": n_strata}
 
 
 class TestColoringCounts:
@@ -279,7 +299,12 @@ class TestStrataPoset:
 
 def moves_of(shape):
     ea, eb = _fresh_pair(shape.graph)
-    return list(_split_moves(shape, ea, eb)) + list(_deloop_moves(shape, ea, eb))
+    return [_move(shape, key, ea, eb) for key in _move_keys(shape)]
+
+
+def splits_of(shape):
+    """The moves of ``shape`` that split a vertex in two."""
+    return [m for m in moves_of(shape) if len(m.vertices) == len(shape.vertices) + 1]
 
 
 class TestMoves:
@@ -295,15 +320,13 @@ class TestMoves:
         # vertices in one way per subset of 2..n-2 tails, up to mirroring
         assert splits == sum(comb(n, k) for k in range(2, n - 1)) // 2
         corolla = _corolla(0, [str(i) for i in range(n)])
-        ea, eb = _fresh_pair(corolla.graph)
-        assert len(list(_split_moves(corolla, ea, eb))) == splits
+        assert len(splits_of(corolla)) == splits
 
     def test_flagless_vertex_splits_once_per_genus_pair(self):
         corolla = _corolla(4, [])
-        ea, eb = _fresh_pair(corolla.graph)
         # genus 4 = 1 + 3 = 2 + 2; genus 0 + 4 leaves a genus-0 vertex of
         # degree one
-        assert len(list(_split_moves(corolla, ea, eb))) == 2
+        assert len(splits_of(corolla)) == 2
 
     def test_shape_searches_validate_nothing(self, monkeypatch):
         calls = []
@@ -341,9 +364,9 @@ class TestRecordedCovers:
     @pytest.mark.parametrize("g, labels", COVER_CASES)
     def test_each_cover_is_a_contraction_isomorphism(self, g, labels):
         found = _shapes(g, labels)
-        by_digest = {d: shape for d, shape, _ in found}
+        by_digest = {d: shape for d, shape, _, _ in found}
         entries = 0
-        for _, shape, covers in found:
+        for _, shape, covers, _ in found:
             for edge, (target, flag_map) in covers.items():
                 entries += 1
                 assert shape.involution[edge[0]] == edge[1]
@@ -362,11 +385,11 @@ class TestRecordedCovers:
                 vmap = vertex_map(contracted, parent, flag_map)
                 for v, w in vmap.items():
                     assert contracted.genus_of(v) == parent.genus_of(w)
-        assert entries >= sum(1 for _, shape, _ in found if edges(shape.graph))
+        assert entries >= sum(1 for _, shape, _, _ in found if edges(shape.graph))
 
     @pytest.mark.parametrize("g, labels", COVER_CASES)
     def test_recorded_edges_reach_every_edge_orbit(self, g, labels):
-        for _, shape, covers in _shapes(g, labels):
+        for _, shape, covers, _ in _shapes(g, labels):
             reached = {
                 frozenset(fmap[f] for f in edge)
                 for _, fmap in brute_isomorphisms(shape, shape)
@@ -465,7 +488,7 @@ class TestShapeGenerators:
 
     @pytest.mark.parametrize("g, labels", [(3, []), (2, ["1"])])
     def test_generators_generate_the_group(self, g, labels):
-        for _, shape, _, generators in _generate_shapes(g, labels):
+        for _, shape, _, generators in _shapes(g, labels):
             brute = {as_key(*iso) for iso in brute_isomorphisms(shape, shape)}
             assert generated_group(generators, shape) == brute
             assert bool(generators) == (len(brute) > 1)
