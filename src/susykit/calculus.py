@@ -8,6 +8,9 @@ morphism into its per-target-vertex pieces, and witnesses the two
 commutation lemmas (isomorphisms slide past contractions; disjoint
 contractions commute).
 
+Each public entry checks the morphism it is given once; the steps and
+pieces built from a checked morphism are not checked again.
+
 Identifier conventions: contracting an edge between distinct vertices
 names the merged vertex by joining the sorted ``*``-separated parts of
 the two old names, so iterated contractions reach the same name in any
@@ -121,11 +124,17 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
         ),
         modular=g.modular,
     )
+    return _grafting(g, target)
+
+
+def _grafting(source: SusyGraph, target: SusyGraph) -> SusyMorphism:
+    """The morphism between graphs on the same flags and vertices whose
+    flag and vertex maps are identities."""
     return susy_morphism(
-        g,
+        source,
         target,
-        flag_map={f: f for f in g.flags},
-        vertex_map={v: v for v in g.vertices},
+        flag_map={f: f for f in target.flags},
+        vertex_map={v: v for v in target.vertices},
     )
 
 
@@ -263,7 +272,7 @@ def iso_between(
     (``flag_map`` runs target -> source, ``vertex_map`` source -> target)."""
     h = susy_morphism(source, target, flag_map, vertex_map)
     validate_susy_morphism(h).raise_if_invalid("isomorphism")
-    kind = classify(h).kind
+    kind = _classify(h).kind
     if kind not in ("identity", "isomorphism"):
         raise ValidationError(f"maps describe a {kind}, not an isomorphism")
     return h
@@ -283,6 +292,11 @@ def _grafted_pairs(h: SusyMorphism) -> list[tuple[str, str]]:
 def classify(h: SusyMorphism) -> Elementary:
     """Tag a valid morphism with its elementary kind (or ``composite``)."""
     validate_susy_morphism(h).raise_if_invalid("morphism")
+    return _classify(h)
+
+
+def _classify(h: SusyMorphism) -> Elementary:
+    """``classify`` for a morphism already checked or built here."""
     orbits = h.contracted_pairs()
     grafted = _grafted_pairs(h)
     flag_identity = all(v == k for k, v in h.flag_map.items())
@@ -321,23 +335,7 @@ def classify(h: SusyMorphism) -> Elementary:
 def total_grafting(g: SusyGraph) -> SusyMorphism:
     """The grafting from the disjoint union of ``g``'s vertex corollas to
     ``g`` itself; flag and vertex maps are identities."""
-    lab = g.labeling
-    source = SusyGraph(
-        Graph(g.flags, g.vertices, dict(g.boundary), {f: f for f in g.flags}),
-        SusyLabeling(
-            genus=dict(lab.genus),
-            color=dict(lab.color),
-            ns_tail_labels={f: f for f in g.flags if g.color_of(f) == NS},
-            r_tail_labels={f: f for f in g.flags if g.color_of(f) == R},
-        ),
-        modular=g.modular,
-    )
-    return susy_morphism(
-        source,
-        g,
-        flag_map={f: f for f in g.flags},
-        vertex_map={v: v for v in g.vertices},
-    )
+    return _grafting(_piece_graph(g, g.vertices, g.flags, {}), g)
 
 
 def _piece_graph(
@@ -424,7 +422,6 @@ def atomize(h: SusyMorphism) -> Atomization:
             p for p in h.contracted_pairs() if src.boundary[p[0]] in fiber_vertices
         ]
         hm = susy_morphism(piece, corolla, flag_map, vertex_map, contracted)
-        validate_susy_morphism(hm).raise_if_invalid(f"piece at {v!r}")
         pieces[v] = piece
         piece_morphisms[v] = hm
         union_flag_map.update(flag_map)
@@ -433,12 +430,7 @@ def atomize(h: SusyMorphism) -> Atomization:
 
     source_union = _piece_graph(src, set(src.vertices), set(src.flags), keep)
 
-    tails_grafting = susy_morphism(
-        source_union,
-        src,
-        flag_map={f: f for f in src.flags},
-        vertex_map={w: w for w in src.vertices},
-    )
+    tails_grafting = _grafting(source_union, src)
     pieces_morphism = susy_morphism(
         source_union,
         corolla_union,
@@ -446,7 +438,6 @@ def atomize(h: SusyMorphism) -> Atomization:
         union_vertex_map,
         union_contracted_pairs,
     )
-    validate_susy_morphism(pieces_morphism).raise_if_invalid("piece union")
 
     left = compose(tails_grafting, h)
     right = compose(pieces_morphism, target_grafting)
@@ -502,7 +493,7 @@ def decompose_to_elementaries(
         ordered.reverse()
     for a, b in ordered:
         m = contract_pair(current, (a, b))
-        steps.append(classify(m))
+        steps.append(_classify(m))
         current = m.target
         chain_vm = {w: m.vertex_map[chain_vm[w]] for w in chain_vm}
 
@@ -515,7 +506,7 @@ def decompose_to_elementaries(
     )
     if not is_trivial:
         iso = susy_morphism(current, tgt, iso_flag_map, iso_vertex_map)
-        steps.append(classify(iso))
+        steps.append(_classify(iso))
 
     composite = compose_chain(src, [s.morphism for s in steps])
     if composite != h:

@@ -10,7 +10,7 @@ into the edge involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .errors import ValidationError
@@ -169,20 +169,22 @@ def dual_graph(c: CurveConfig) -> SusyGraph:
 
 
 def colorless_dual_graph(c: CurveConfig) -> SusyGraph:
-    """Dual graph built directly in the colorless (modular) view: colors
-    erased, puncture labels merged into one labeling."""
-    colored = dual_graph(c)
-    lab = colored.labeling
-    return SusyGraph(
-        colored.graph,
-        SusyLabeling(
-            genus=dict(lab.genus),
-            color={f: NS for f in colored.flags},
-            ns_tail_labels=colored.merged_tail_labels(),
-            r_tail_labels={},
+    """Dual graph of the configuration with its colors erased: every
+    special point recolored NS, so the puncture labels share one slot,
+    and the result taken in the modular view."""
+    # checked before erasing, which could hide a color fault
+    validate_curve_config(c).raise_if_invalid("curve configuration")
+    erased = CurveConfig(
+        tuple(
+            Component(
+                comp.genus,
+                tuple(replace(p, color=NS) for p in comp.special_points),
+            )
+            for comp in c.components
         ),
-        modular=True,
+        c.node_pairing,
     )
+    return replace(dual_graph(erased), modular=True)
 
 
 def reduction_compatibility(c: CurveConfig) -> bool:

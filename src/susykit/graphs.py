@@ -213,7 +213,12 @@ def validate_morphism(h: GraphMorphism) -> ValidationReport:
             problems.extend(f"{name} graph: {p}" for p in rep.violations)
     if problems:
         return ValidationReport(tuple(problems))
+    return _morphism_axioms(h)
 
+
+def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
+    """The morphism axioms of ``h``; its graphs are already checked."""
+    problems: list[str] = []
     src, tgt = h.source, h.target
 
     if set(h.flag_map) != set(tgt.flags):

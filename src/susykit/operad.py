@@ -8,7 +8,8 @@ renamed, and the count of Ramond gluings (the rank of the odd gluing
 parameters).  Signatures are validated when constructed, so recipes never
 re-check their endpoints; the generators check only their labels, and
 composites only that their endpoints meet.  SUSY graph morphisms evaluate
-to recipes, and erasing colors is a projection onto classical signatures
+to recipes: evaluation checks its morphism once and builds the recipe
+unchecked.  Erasing colors is a projection onto classical signatures
 that commutes with evaluation.
 
 Dimension bookkeeping lives here too: the even and odd dimensions of the
@@ -26,6 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ValidationError
 from .graphs import ValidationReport, edges, flags_at, is_connected, tails
 from .susy import NS, R, SusyGraph, SusyMorphism, genus, is_stable, require_susy
+from .susy import validate_susy_morphism
 
 __all__ = [
     "AxiomReport",
@@ -465,16 +467,16 @@ def _graph_signature(g: SusyGraph) -> tuple[ModuliSignature, dict[str, int]]:
 
 def evaluate_operad(h: SusyMorphism) -> GluingRecipe:
     """Evaluate a SUSY graph morphism to a gluing recipe between the
-    signatures of its endpoint graphs.  Both graphs must be stable."""
-    require_susy(h.source)
-    require_susy(h.target)
+    signatures of its endpoint graphs.  Both graphs must be stable.  The
+    recipe needs no check: each recipe axiom follows from a morphism axiom
+    (the merger ban gives connectivity) or from stability."""
+    validate_susy_morphism(h).raise_if_invalid("morphism")
     for side, g in (("source", h.source), ("target", h.target)):
         if not is_stable(g).stable:
             raise ValidationError(f"evaluation needs a stable {side} graph")
     src_sig, src_pos = _graph_signature(h.source)
     tgt_sig, tgt_pos = _graph_signature(h.target)
-    n_src = len(src_sig.factors)
-    assignment = [0] * n_src
+    assignment = [0] * len(src_sig.factors)
     for v, p in src_pos.items():
         assignment[p] = tgt_pos[h.map.vertex_map[v]]
     ns_pairs: list[tuple[str, str]] = []
@@ -482,7 +484,9 @@ def evaluate_operad(h: SusyMorphism) -> GluingRecipe:
     for a, b in h.map.contracted_pairs():
         (ns_pairs if h.source.color_of(a) == NS else r_pairs).append((a, b))
     relabeling = {fs: ft for ft, fs in h.map.flag_map.items()}
-    return recipe(src_sig, tgt_sig, assignment, ns_pairs, r_pairs, relabeling)
+    return GluingRecipe(
+        src_sig, tgt_sig, assignment, ns_pairs, r_pairs, relabeling, len(r_pairs)
+    )
 
 
 def _erased(sig: ModuliSignature) -> tuple[ModuliSignature, list[int]]:

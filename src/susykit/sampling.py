@@ -12,7 +12,7 @@ from .calculus import contract_pair, contract_tails, graft, make_isomorphism
 from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint, validate_curve_config
 from .errors import ValidationError
 from .graphs import orbit_pairs, tails
-from .lifting import enumerate_edge_colorings
+from .lifting import _colored, _lift_masks
 from .susy import (
     NS,
     R,
@@ -21,7 +21,6 @@ from .susy import (
     compose,
     is_stable,
     modular_graph,
-    require_susy,
     susy_identity,
     validate_susy_graph,
 )
@@ -148,11 +147,10 @@ def random_susy_graph(
     """A stable connected SUSY graph: a sampled modular shape with a random
     even tail partition and a random compatible edge coloring."""
     shape = random_modular_graph(rng, max_vertices, max_genus, max_extra_edges)
-    ns, r = random_tail_partition(rng, shape)
-    colorings = enumerate_edge_colorings(shape, ns, r)
-    out = rng.choice(colorings)
-    require_susy(out)
-    return out
+    ns, r = map(frozenset, random_tail_partition(rng, shape))
+    # a connected shape lifts for every even partition
+    pairs, masks = _lift_masks(shape, r)
+    return _colored(shape, ns, r, pairs, rng.choice(masks))
 
 
 def _same_color_tail_pairs(g: SusyGraph) -> list[tuple[str, str]]:

@@ -28,7 +28,6 @@ from .graphs import (
     orbit_pairs,
     tails,
     validate_graph,
-    validate_morphism,
 )
 from . import graphs as _graphs
 
@@ -275,7 +274,8 @@ def susy_morphism(
 
 
 def validate_susy_morphism(h: SusyMorphism) -> ValidationReport:
-    """Graph-morphism axioms plus genus bookkeeping and color preservation."""
+    """Graph-morphism axioms plus genus bookkeeping and color preservation.
+    Each endpoint graph is checked once."""
     problems: list[str] = []
     for g, name in ((h.source, "source"), (h.target, "target")):
         rep = validate_susy_graph(g)
@@ -288,7 +288,7 @@ def validate_susy_morphism(h: SusyMorphism) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
-    problems = list(validate_morphism(h.map).violations)
+    problems = list(_graphs._morphism_axioms(h.map).violations)
     if problems:
         return ValidationReport(tuple(problems))
 

@@ -1,0 +1,141 @@
+"""Morphisms are checked once, at the public entries of evaluation and the
+surgery calculus, and a malformed morphism raises only ValidationError."""
+
+import sys
+from dataclasses import replace
+
+import pytest
+
+import susykit.graphs
+import susykit.operad
+import susykit.susy
+from susykit import (
+    NS,
+    R,
+    SusyMorphism,
+    ValidationError,
+    classify,
+    compose,
+    contract_pair,
+    contract_tails,
+    decompose_to_elementaries,
+    evaluate_operad,
+    graft,
+    susy_graph,
+    validate_susy_morphism,
+)
+from susykit.calculus import atomize
+
+from conftest import star
+
+
+def path_graph():
+    """Three genus-0 vertices in a row, joined by an NS and an R edge."""
+    boundary = {"a0": "u", "a1": "u", "p": "u", "q": "v", "r": "v"}
+    boundary |= {"b0": "w", "b1": "w", "s": "w", "c0": "v"}
+    involution = {f: f for f in ("a0", "a1", "b0", "b1", "c0")}
+    involution |= {"p": "q", "q": "p", "r": "s", "s": "r"}
+    r_flags = {"b1", "c0", "r", "s"}
+    return susy_graph(
+        flags=boundary,
+        vertices=["u", "v", "w"],
+        boundary=boundary,
+        involution=involution,
+        genus={"u": 0, "v": 0, "w": 0},
+        color={f: R if f in r_flags else NS for f in boundary},
+    )
+
+
+def contraction_chain():
+    first = contract_pair(path_graph(), ("p", "q"))
+    return compose(first, contract_pair(first.target, ("r", "s")))
+
+
+def virtual_contraction():
+    return contract_tails(star(0, 4), ("vn0", "vn1"))
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls to ``fn`` through every susykit module that holds it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("susykit") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("build", [contraction_chain, virtual_contraction])
+def test_each_entry_checks_its_morphism_once(monkeypatch, build):
+    h = build()
+    morphisms = count_calls(monkeypatch, susykit.susy.validate_susy_morphism)
+    graphs = count_calls(monkeypatch, susykit.graphs.validate_graph)
+    recipes = count_calls(monkeypatch, susykit.operad.validate_recipe)
+    for entry in (
+        evaluate_operad,
+        decompose_to_elementaries,
+        atomize,
+        susykit.susy.validate_susy_morphism,
+    ):
+        for calls in (morphisms, graphs, recipes):
+            calls.clear()
+        entry(h)
+        # one morphism check, whose endpoint graphs are checked once each
+        assert (len(morphisms), len(graphs), len(recipes)) == (1, 2, 0), entry
+
+
+def _drop_vertex(m):
+    vertex_map = dict(m.vertex_map)
+    del vertex_map[min(vertex_map)]
+    return replace(m, vertex_map=vertex_map)
+
+
+def _unknown_flag_image(m):
+    return replace(m, flag_map={**m.flag_map, min(m.flag_map): "zz"})
+
+
+def _unknown_contracted_pair(m):
+    return replace(m, contracted={**m.contracted, "x": "y", "y": "x"})
+
+
+def _drop_contracted(m):
+    contracted = dict(m.contracted)
+    del contracted[min(contracted)]
+    return replace(m, contracted=contracted)
+
+
+BASES = {
+    "contract_pair": lambda: contract_pair(path_graph(), ("r", "s")),
+    "graft": lambda: graft(star(0, 4), [("vn0", "vn1")]),
+    "contract_tails": virtual_contraction,
+}
+MUTATIONS = {
+    "drop_vertex": _drop_vertex,
+    "unknown_flag_image": _unknown_flag_image,
+    "unknown_contracted_pair": _unknown_contracted_pair,
+    "drop_contracted": _drop_contracted,
+}
+# a grafting contracts nothing, so it has no contracted entry to drop
+CASES = [
+    (base, mutation)
+    for base in BASES
+    for mutation in MUTATIONS
+    if (base, mutation) != ("graft", "drop_contracted")
+]
+
+
+@pytest.mark.parametrize("base, mutation", CASES)
+def test_malformed_morphism_raises_validation_error(base, mutation):
+    h = BASES[base]()
+    assert validate_susy_morphism(h).ok
+    bad = SusyMorphism(h.source, h.target, MUTATIONS[mutation](h.map))
+    assert not validate_susy_morphism(bad).ok
+    for entry in (evaluate_operad, classify, decompose_to_elementaries, atomize):
+        with pytest.raises(ValidationError, match="invalid morphism"):
+            entry(bad)

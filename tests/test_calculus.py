@@ -143,6 +143,9 @@ class TestAtomize:
         left = compose(atom.tails_grafting, h)
         right = compose(atom.pieces_morphism, atom.target_grafting)
         assert left == right
+        # atomize does not check what it builds: each piece is valid anyway
+        for m in [*atom.piece_morphisms.values(), atom.pieces_morphism]:
+            assert validate_susy_morphism(m).ok, validate_susy_morphism(m).violations
 
 
 class TestDecompose:
@@ -212,6 +215,10 @@ class TestDecompose:
             g = random_susy_graph(rng)
             h = random_morphism(rng, g)
             for s in decompose_to_elementaries(h):
+                # decompose does not check its steps: each is valid anyway
+                rep = validate_susy_morphism(s.morphism)
+                assert rep.ok, rep.violations
+                assert s.kind == classify(s.morphism).kind
                 assert s.kind in (
                     "identity",
                     "isomorphism",
