@@ -26,7 +26,6 @@ from .errors import ValidationError
 from .graphs import (
     Graph,
     edges,
-    orbit_pairs,
     tails,
 )
 from .susy import (
@@ -35,6 +34,7 @@ from .susy import (
     SusyGraph,
     SusyLabeling,
     SusyMorphism,
+    _renamed,
     compose,
     susy_identity,
     susy_morphism,
@@ -238,25 +238,9 @@ def make_isomorphism(
         set(new_vert.values())
     ) != len(new_vert):
         raise ValidationError("renaming must stay injective")
-    lab = g.labeling
-    target = SusyGraph(
-        Graph(
-            frozenset(new_flag.values()),
-            frozenset(new_vert.values()),
-            {new_flag[f]: new_vert[v] for f, v in g.boundary.items()},
-            {new_flag[f]: new_flag[p] for f, p in g.involution.items()},
-        ),
-        SusyLabeling(
-            genus={new_vert[v]: k for v, k in lab.genus.items()},
-            color={new_flag[f]: c for f, c in lab.color.items()},
-            ns_tail_labels={l: new_flag[f] for l, f in lab.ns_tail_labels.items()},
-            r_tail_labels={l: new_flag[f] for l, f in lab.r_tail_labels.items()},
-        ),
-        modular=g.modular,
-    )
     return susy_morphism(
         g,
-        target,
+        _renamed(g, new_flag, new_vert),
         flag_map={new_flag[f]: f for f in g.flags},
         vertex_map=new_vert,
     )

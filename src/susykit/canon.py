@@ -11,8 +11,9 @@ positions; the renumbered graph and the witnesses are built from those
 positions only when they are first read, so ``certificate_digest`` (the
 digest of ``canonical_form``) builds nothing.  The search itself does not
 validate: the enumeration in ``strata`` canonizes graphs it built itself
-through the unchecked ``_canonical_form``.  Each search gathers the flags
-at every vertex once and works from that incidence list throughout.
+through the unchecked ``_canonical_form``.  The flags at each vertex come
+from the graph's own ``incidence``, built once per graph, and a search
+refuses a graph past ``MAX_SEARCH_LEAVES`` leaves.
 
 The same search yields isomorphisms and automorphisms.  Every leaf whose
 certificate ties the least one, mapped onto the winning leaf, gives one
@@ -22,7 +23,8 @@ same-colour loops, and flipping loops) complete each coset.  Without fixed
 labels the search names each tail by its colour.  The same leaves and the
 blocks of vertex-fixing moves give ``CanonicalForm.generators``, a small
 generating set of the canonical graph's automorphisms, and the order of the
-group, which ``automorphisms`` checks before it lists the group.
+group, which ``automorphisms`` checks before it lists the group.  The
+blocks are gathered once per search and serve every leaf.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import ValidationError
-from .graphs import Graph
-from .susy import NS, R, SusyGraph, SusyLabeling, require_susy
+from .susy import NS, R, SusyGraph, _renamed, require_susy
 
 __all__ = [
     "MAX_AUTOMORPHISMS",
+    "MAX_SEARCH_LEAVES",
     "CanonicalForm",
     "Isomorphism",
     "are_isomorphic",
@@ -52,9 +54,14 @@ __all__ = [
 
 # ``automorphisms`` refuses to list a group larger than this
 MAX_AUTOMORPHISMS = 100_000
+# a search refuses a graph once it reaches more leaves than this
+MAX_SEARCH_LEAVES = 10_000
 
 # the vertex and flag positions of one leaf of the search
 Leaf = tuple[dict[str, int], dict[str, int]]
+# the blocks of interchangeable units of ``_blocks``, each with whether its
+# units are loops
+Blocks = list[tuple[list[tuple[str, ...]], bool]]
 
 
 @dataclass(frozen=True)
@@ -112,23 +119,7 @@ class CanonicalForm:
 
     @cached_property
     def graph(self) -> SusyGraph:
-        g = self.source
-        vw, fw = self.vertex_witness, self.flag_witness
-        return SusyGraph(
-            Graph(
-                frozenset(fw.values()),
-                frozenset(vw.values()),
-                {fw[f]: vw[g.boundary[f]] for f in g.flags},
-                {fw[f]: fw[g.involution[f]] for f in g.flags},
-            ),
-            SusyLabeling(
-                {vw[v]: g.genus_of(v) for v in g.vertices},
-                {fw[f]: g.color_of(f) for f in g.flags},
-                {l: fw[f] for l, f in g.labeling.ns_tail_labels.items()},
-                {l: fw[f] for l, f in g.labeling.r_tail_labels.items()},
-            ),
-            modular=g.modular,
-        )
+        return _renamed(self.source, self.flag_witness, self.vertex_witness)
 
 
 def _labels(g: SusyGraph, labels_fixed: bool = True) -> dict[str, str]:
@@ -139,17 +130,8 @@ def _labels(g: SusyGraph, labels_fixed: bool = True) -> dict[str, str]:
     return out if labels_fixed else {f: g.color_of(f) for f in out}
 
 
-def _incidence(g: SusyGraph) -> dict[str, list[str]]:
-    """Sorted flags at each vertex, gathered in one pass over the flags."""
-    inc: dict[str, list[str]] = {v: [] for v in g.vertices}
-    b = g.boundary
-    for f in sorted(g.flags):
-        inc[b[f]].append(f)
-    return inc
-
-
 def _base_key(
-    g: SusyGraph, labels: dict[str, str], inc: dict[str, list[str]], v: str
+    g: SusyGraph, labels: dict[str, str], inc: dict[str, tuple], v: str
 ) -> tuple:
     fl = inc[v]
     j = g.involution
@@ -194,7 +176,7 @@ def _refine(
 
 
 def _encode(
-    g: SusyGraph, labels: dict[str, str], inc: dict[str, list[str]], order: list[str]
+    g: SusyGraph, labels: dict[str, str], inc: dict[str, tuple], order: list[str]
 ) -> tuple:
     """Certificate payload and witnesses for one vertex ordering."""
     pos = {v: i for i, v in enumerate(order)}
@@ -245,8 +227,8 @@ def _search(g: SusyGraph, labels: dict[str, str]) -> tuple[bytes, list[Leaf]]:
     """The least certificate over every leaf of the refinement search, with
     the vertex and flag positions of each leaf that produced it, the first
     such leaf first.  ``labels`` names each tail.  The input is not
-    validated here."""
-    inc = _incidence(g)
+    validated here; past ``MAX_SEARCH_LEAVES`` leaves it raises."""
+    inc = g.graph.incidence
     j = g.involution
     b = g.boundary
     color = g.labeling.color
@@ -261,12 +243,18 @@ def _search(g: SusyGraph, labels: dict[str, str]) -> tuple[bytes, list[Leaf]]:
 
     best: bytes | None = None
     ties: list[Leaf] = []
+    leaves = 0
 
     def search(cells: list[list[str]]) -> None:
-        nonlocal best, ties
+        nonlocal best, ties, leaves
         cells = _refine(neighbours, cells)
         split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if split_at is None:
+            leaves += 1
+            if leaves > MAX_SEARCH_LEAVES:
+                raise ValidationError(
+                    f"the search passed MAX_SEARCH_LEAVES = {MAX_SEARCH_LEAVES} leaves"
+                )
             order = [v for cell in cells for v in cell]
             payload, pos, flag_index = _encode(g, labels, inc, order)
             cert = _sort_key_blocks_comparable(payload)
@@ -304,16 +292,14 @@ def certificate_digest(g: SusyGraph) -> str:
     return canonical_form(g).digest
 
 
-def _blocks(
-    g: SusyGraph, labels: dict[str, str]
-) -> list[tuple[list[tuple[str, ...]], bool]]:
+def _blocks(g: SusyGraph, labels: dict[str, str]) -> Blocks:
     """The units that automorphisms fixing every vertex may move, one block
     of interchangeable units at a time, with whether they are loops, which
     may also flip: same-named tails at a vertex (one flag each), and
     same-colour parallel edges or same-colour loops (their two flags).
     Blocks in which nothing can move are left out."""
     j, b = g.involution, g.boundary
-    inc = _incidence(g)
+    inc = g.graph.incidence
     # each key starts with whether its units are loops
     blocks: dict[tuple, list[tuple[str, ...]]] = {}
     for v in sorted(inc):
@@ -331,26 +317,25 @@ def _blocks(
     return [(us, key[0]) for key, us in blocks.items() if key[0] or len(us) > 1]
 
 
-def _fixer_order(g: SusyGraph, labels: dict[str, str]) -> int:
-    """The number of automorphisms of ``g`` that fix every vertex: k! per
-    block of k units, times 2^k when they are loops."""
+def _fixer_order(blocks: Blocks) -> int:
+    """The number of automorphisms that fix every vertex, from the graph's
+    ``_blocks``: k! per block of k units, times 2^k when they are loops."""
     order = 1
-    for units, flip in _blocks(g, labels):
+    for units, flip in blocks:
         order *= math.factorial(len(units)) * (2 ** len(units) if flip else 1)
     return order
 
 
-def _vertex_fixers(g: SusyGraph, labels: dict[str, str]) -> Iterator[dict[str, str]]:
-    """Every automorphism of ``g`` that fixes each vertex, as a flag map,
-    identity first and one at a time: the units of each block of
-    ``_blocks`` permute, and loops also flip."""
-    moving = _blocks(g, labels)
+def _vertex_fixers(blocks: Blocks) -> Iterator[dict[str, str]]:
+    """Every automorphism that fixes each vertex, as a flag map, identity
+    first and one at a time: the units of each of the graph's ``_blocks``
+    permute, and loops also flip."""
 
     def fixers(i: int) -> Iterator[dict[str, str]]:
-        if i == len(moving):
+        if i == len(blocks):
             yield {}
             return
-        units, flip = moving[i]
+        units, flip = blocks[i]
         for images in itertools.permutations(units):
             turns = [(u, u[::-1]) if flip else (u,) for u in images]
             for turned in itertools.product(*turns):
@@ -362,17 +347,17 @@ def _vertex_fixers(g: SusyGraph, labels: dict[str, str]) -> Iterator[dict[str, s
 
 
 def _isomorphisms(
-    leaves: list[Leaf], target: SusyGraph, labels: dict[str, str], onto: Leaf
+    leaves: list[Leaf], blocks: Blocks, onto: Leaf
 ) -> Iterator[Isomorphism]:
-    """Map each leaf onto the leaf ``onto`` of ``target`` that has the same
-    certificate, then follow each map by every automorphism of ``target``
-    that fixes each vertex."""
+    """Map each leaf onto the leaf ``onto`` of the target that has the same
+    certificate, then follow each map by every automorphism of the target
+    that fixes each vertex; ``blocks`` are the target's ``_blocks``."""
     at_vertex = {i: v for v, i in onto[0].items()}
     at_flag = {i: f for f, i in onto[1].items()}
     for pos, flag_index in leaves:
         vmap = {v: at_vertex[i] for v, i in pos.items()}
         fmap = {f: at_flag[i] for f, i in flag_index.items()}
-        for fix in _vertex_fixers(target, labels):
+        for fix in _vertex_fixers(blocks):
             yield Isomorphism(dict(vmap), {f: fix.get(c, c) for f, c in fmap.items()})
 
 
@@ -387,7 +372,7 @@ def isomorphisms_between(
     cert1, leaves1 = _search(g1, _labels(g1, labels_fixed))
     cert2, leaves2 = _search(g2, labels2)
     if cert1 == cert2:
-        yield from _isomorphisms(leaves1, g2, labels2, leaves2[0])
+        yield from _isomorphisms(leaves1, _blocks(g2, labels2), leaves2[0])
 
 
 def are_isomorphic(
@@ -418,11 +403,12 @@ def automorphisms(g: SusyGraph, labels_fixed: bool = True) -> AutomorphismGroup:
     require_susy(g)
     labels = _labels(g, labels_fixed)
     _, leaves = _search(g, labels)
-    order = len(leaves) * _fixer_order(g, labels)
+    blocks = _blocks(g, labels)
+    order = len(leaves) * _fixer_order(blocks)
     if order > MAX_AUTOMORPHISMS:
         raise ValidationError(
             f"the automorphism group has {order} elements, more than the "
             f"{MAX_AUTOMORPHISMS} automorphisms can list; "
             "isomorphisms_between yields them one at a time"
         )
-    return AutomorphismGroup(tuple(_isomorphisms(leaves, g, labels, leaves[0])))
+    return AutomorphismGroup(tuple(_isomorphisms(leaves, blocks, leaves[0])))

@@ -31,7 +31,7 @@ from .jsonio import (
     _load,
 )
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
-from .operad import check_operad_axioms, evaluate_operad, stratum_dimension
+from .operad import _evaluate, check_operad_axioms, stratum_dimension
 from .strata import (
     _ordered,
     _shapes,
@@ -212,8 +212,9 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    # load_morphism has checked the morphism
     h = load_morphism(args.file)
-    rec = evaluate_operad(h)
+    rec = _evaluate(h)
     data = recipe_to_json(rec)
     table = [
         f"mode            {rec.source.mode}",

@@ -11,9 +11,7 @@ into the edge involution.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
-from .errors import ValidationError
 from .graphs import Graph, ValidationReport
 from .susy import NS, R, SusyGraph, SusyLabeling, forget, validate_susy_graph
 

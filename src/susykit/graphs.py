@@ -20,7 +20,8 @@ connects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from .errors import ValidationError
 
@@ -87,6 +88,16 @@ class Graph:
         object.__setattr__(self, "boundary", dict(self.boundary))
         object.__setattr__(self, "involution", dict(self.involution))
 
+    @cached_property
+    def incidence(self) -> dict[str, tuple[str, ...]]:
+        """The flags at each vertex, sorted, for a valid graph.  Built once,
+        on first read, and shared by every reader, so it is read-only."""
+        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
+        b = self.boundary
+        for f in sorted(self.flags):
+            inc[b[f]].append(f)
+        return {v: tuple(fl) for v, fl in inc.items()}
+
 
 def validate_graph(g: Graph) -> ValidationReport:
     """Check the graph axioms and report every violation found."""
@@ -129,23 +140,25 @@ def flags_at(g: Graph, v: str) -> list[str]:
     return sorted(f for f in g.flags if g.boundary[f] == v)
 
 
+def _root(parent: dict, x):
+    """The root of ``x`` in the union-find forest ``parent`` (each element
+    maps to its parent, a root to itself), halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def connected_components(g: Graph) -> list[frozenset[str]]:
     """Vertex sets of the connected components (edges as adjacency)."""
     parent: dict[str, str] = {v: v for v in g.vertices}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in edges(g):
-        ra, rb = find(g.boundary[a]), find(g.boundary[b])
+        ra, rb = _root(parent, g.boundary[a]), _root(parent, g.boundary[b])
         if ra != rb:
             parent[ra] = rb
     groups: dict[str, set[str]] = {}
     for v in g.vertices:
-        groups.setdefault(find(v), set()).add(v)
+        groups.setdefault(_root(parent, v), set()).add(v)
     return [frozenset(s) for s in groups.values()]
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import ValidationError
-from .graphs import edges, is_connected, tails
+from .graphs import _root, edges, is_connected, tails
 from .susy import (
     NS,
     R,
@@ -89,13 +89,6 @@ def _forest_lift(
     boundary = base.boundary
     pairs = edges(base)
     component = {v: v for v in base.vertices}
-
-    def find(v: str) -> str:
-        while component[v] != v:
-            component[v] = component[component[v]]
-            v = component[v]
-        return v
-
     tree_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in base.vertices}
     loops, chords = [], []
     for i, (a, b) in enumerate(pairs):
@@ -103,7 +96,7 @@ def _forest_lift(
         if u == v:
             loops.append(i)
             continue
-        cu, cv = find(u), find(v)
+        cu, cv = _root(component, u), _root(component, v)
         if cu == cv:
             chords.append(i)
             continue

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .graphs import ValidationReport, edges, flags_at, is_connected, tails
+from .graphs import ValidationReport, _root, edges, is_connected, tails
 from .susy import NS, R, SusyGraph, SusyMorphism, genus, is_stable, require_susy
 from .susy import validate_susy_morphism
 
@@ -296,16 +296,9 @@ def validate_recipe(r: GluingRecipe) -> ValidationReport:
                 f"target factor {t}: genus {tf.genus} but the gluing yields {expected}"
             )
         parent = {i: i for i in fiber}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for i, j in links:
-            parent[find(i)] = find(j)
-        roots = {find(i) for i in fiber}
+            parent[_root(parent, i)] = _root(parent, j)
+        roots = {_root(parent, i) for i in fiber}
         if len(roots) != 1:
             problems.append(f"target factor {t}: glued factors are not connected")
 
@@ -452,7 +445,7 @@ def _graph_signature(g: SusyGraph) -> tuple[ModuliSignature, dict[str, int]]:
     verts = sorted(g.vertices)
     factors = []
     for v in verts:
-        fl = flags_at(g.graph, v)
+        fl = g.graph.incidence[v]
         factors.append(
             ModuliFactor(
                 g.genus_of(v),
@@ -471,6 +464,12 @@ def evaluate_operad(h: SusyMorphism) -> GluingRecipe:
     recipe needs no check: each recipe axiom follows from a morphism axiom
     (the merger ban gives connectivity) or from stability."""
     validate_susy_morphism(h).raise_if_invalid("morphism")
+    return _evaluate(h)
+
+
+def _evaluate(h: SusyMorphism) -> GluingRecipe:
+    """``evaluate_operad`` without checking ``h``, for a morphism that is
+    already checked; the stability of its graphs is still checked."""
     for side, g in (("source", h.source), ("target", h.target)):
         if not is_stable(g).stable:
             raise ValidationError(f"evaluation needs a stable {side} graph")
@@ -555,8 +554,7 @@ def stratum_dimension(g: SusyGraph) -> StratumDimension:
     # per Ramond node (the Ramond gluing fiber).
     even_local = 0
     odd_local = Fraction(0)
-    for v in base.vertices:
-        fl = flags_at(base, v)
+    for v, fl in base.incidence.items():
         ns_v = sum(1 for f in fl if g.color_of(f) == NS)
         r_v = len(fl) - ns_v
         even_local += 3 * g.genus_of(v) - 3 + ns_v + r_v

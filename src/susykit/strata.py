@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Mapping, TypeVar
 
 from .canon import CanonicalForm, Isomorphism, _canonical_form, certificate_digest
 from .errors import ValidationError
-from .graphs import Graph, edges, flags_at, orbit_pairs
+from .graphs import Graph, edges, orbit_pairs
 from .lifting import _colored, _lift_masks
 from .susy import NS, SusyGraph, SusyLabeling, modular_graph
 from .calculus import contract_pair
@@ -117,7 +117,7 @@ def _move_keys(g: SusyGraph) -> list[tuple]:
     splits: list[tuple] = []
     deloops: list[tuple] = []
     for v in sorted(base.vertices):
-        fl = sorted(flags_at(base, v))
+        fl = base.incidence[v]
         gv = g.genus_of(v)
         head, rest = fl[:1], fl[1:]
         for size in range(len(rest) + 1):

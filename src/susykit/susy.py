@@ -24,7 +24,6 @@ from .graphs import (
     ValidationReport,
     connected_components,
     edges,
-    flags_at,
     orbit_pairs,
     tails,
     validate_graph,
@@ -161,6 +160,29 @@ def modular_graph(
             r_tail_labels={},
         ),
         modular=True,
+    )
+
+
+def _renamed(
+    g: SusyGraph, flag_name: Mapping[str, str], vertex_name: Mapping[str, str]
+) -> SusyGraph:
+    """``g`` with each flag and vertex renamed; both renamings must cover
+    every name and be injective, which is not checked here."""
+    fn, vn, lab = flag_name, vertex_name, g.labeling
+    return SusyGraph(
+        Graph(
+            frozenset(fn.values()),
+            frozenset(vn.values()),
+            {fn[f]: vn[v] for f, v in g.boundary.items()},
+            {fn[f]: fn[p] for f, p in g.involution.items()},
+        ),
+        SusyLabeling(
+            {vn[v]: k for v, k in lab.genus.items()},
+            {fn[f]: c for f, c in lab.color.items()},
+            {l: fn[f] for l, f in lab.ns_tail_labels.items()},
+            {l: fn[f] for l, f in lab.r_tail_labels.items()},
+        ),
+        modular=g.modular,
     )
 
 

@@ -1,5 +1,6 @@
 """Morphisms are checked once, at the public entries of evaluation and the
-surgery calculus, and a malformed morphism raises only ValidationError."""
+surgery calculus and in ``susykit evaluate``, and a malformed morphism
+raises only ValidationError."""
 
 import sys
 from dataclasses import replace
@@ -22,9 +23,12 @@ from susykit import (
     evaluate_operad,
     graft,
     susy_graph,
+    susy_identity,
     validate_susy_morphism,
 )
 from susykit.calculus import atomize
+from susykit.cli import main
+from susykit.jsonio import dumps, morphism_to_json
 
 from conftest import star
 
@@ -88,6 +92,29 @@ def test_each_entry_checks_its_morphism_once(monkeypatch, build):
         entry(h)
         # one morphism check, whose endpoint graphs are checked once each
         assert (len(morphisms), len(graphs), len(recipes)) == (1, 2, 0), entry
+
+
+def evaluate_document(tmp_path, capsys, h):
+    """Run ``susykit evaluate`` on a document of ``h``."""
+    path = tmp_path / "m.json"
+    path.write_text(dumps(morphism_to_json(h)), encoding="utf-8")
+    rc = main(["evaluate", str(path)])
+    return rc, capsys.readouterr().err
+
+
+def test_cli_evaluate_checks_its_morphism_once(monkeypatch, tmp_path, capsys):
+    morphisms = count_calls(monkeypatch, susykit.susy.validate_susy_morphism)
+    graphs = count_calls(monkeypatch, susykit.susy.validate_susy_graph)
+    rc, _ = evaluate_document(tmp_path, capsys, contraction_chain())
+    assert rc == 0
+    # the loader checks both endpoint documents, then the morphism
+    assert (len(morphisms), len(graphs)) == (1, 4)
+
+
+def test_cli_evaluate_refuses_an_unstable_morphism(tmp_path, capsys):
+    rc, err = evaluate_document(tmp_path, capsys, susy_identity(star(0, 2)))
+    assert rc == 1
+    assert err == "error: evaluation needs a stable source graph\n"
 
 
 def _drop_vertex(m):

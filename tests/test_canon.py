@@ -3,6 +3,7 @@ against the exhaustive bijection oracle."""
 
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from susykit import (
     susy_graph,
 )
 from susykit import canon
+from susykit.graphs import Graph
 from susykit.sampling import random_susy_graph
 
 from conftest import star
@@ -96,6 +98,38 @@ def rose_graph(loops):
         ns_labels={},
         r_labels={},
     )
+
+
+def complete_graph(n):
+    """K_n: n genus-0 vertices, each pair joined by one NS edge.  Its search
+    has n! leaves, all tied."""
+    boundary, involution = {}, {}
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = f"e{i}.{j}a", f"e{i}.{j}b"
+        boundary[a], boundary[b] = f"v{i}", f"v{j}"
+        involution[a], involution[b] = b, a
+    vertices = [f"v{i}" for i in range(n)]
+    return susy_graph(
+        flags=boundary,
+        vertices=vertices,
+        boundary=boundary,
+        involution=involution,
+        genus=dict.fromkeys(vertices, 0),
+        color=dict.fromkeys(boundary, NS),
+    )
+
+
+def counted_blocks(monkeypatch):
+    """Count the calls to ``canon._blocks``."""
+    calls = []
+    real = canon._blocks
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(canon, "_blocks", counting)
+    return calls
 
 
 def as_key(vertex_map, flag_map):
@@ -344,6 +378,31 @@ class TestAutomorphisms:
         assert same
         assert len(calls) == 3
 
+    def test_one_set_of_blocks_per_search(self, monkeypatch):
+        g = complete_graph(5)
+        calls = counted_blocks(monkeypatch)
+        assert automorphisms(g).order == 120
+        assert len(calls) == 1
+        calls.clear()
+        assert sum(1 for _ in isomorphisms_between(g, g)) == 120
+        assert len(calls) == 1
+
+    def test_generators_reuse_the_search_incidence(self, monkeypatch):
+        built = []
+        real = Graph.incidence.func
+
+        def counting(graph):
+            built.append(graph)
+            return real(graph)
+
+        prop = cached_property(counting)
+        prop.__set_name__(Graph, "incidence")
+        monkeypatch.setattr(Graph, "incidence", prop)
+        g = double_edge_graph()
+        form = canon._canonical_form(g)
+        assert form.generators
+        assert len(built) == 1 and built[0] is g.graph
+
     def test_isomorphisms_are_built_one_at_a_time(self, monkeypatch):
         # one vertex with six NS loops: 6! * 2**6 = 46,080 automorphisms
         rose = rose_graph(6)
@@ -396,3 +455,22 @@ class TestAutomorphismGuard:
         monkeypatch.setattr(canon, "MAX_AUTOMORPHISMS", order - 1)
         with pytest.raises(ValidationError, match=f"has {order} elements"):
             automorphisms(g, labels_fixed=fixed)
+
+
+class TestSearchLeafGuard:
+    """A search refuses a graph once it passes ``MAX_SEARCH_LEAVES`` leaves;
+    K_n has n! leaves."""
+
+    def test_k8_is_refused(self):
+        with pytest.raises(ValidationError, match="MAX_SEARCH_LEAVES = 10000"):
+            canonical_form(complete_graph(8))
+
+    def test_cap_is_the_exact_leaf_count(self, monkeypatch):
+        k7 = complete_graph(7)
+        monkeypatch.setattr(canon, "MAX_SEARCH_LEAVES", 5039)
+        with pytest.raises(ValidationError, match="MAX_SEARCH_LEAVES = 5039"):
+            canonical_form(k7)
+        monkeypatch.setattr(canon, "MAX_SEARCH_LEAVES", 5040)
+        calls = counted_blocks(monkeypatch)
+        assert automorphisms(k7).order == 5040
+        assert len(calls) == 1

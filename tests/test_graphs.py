@@ -1,6 +1,7 @@
 """Core graph type: validation, orbit queries, morphisms, composition."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -123,6 +124,15 @@ class TestOrbitQueries:
         for v in g.vertices:
             seen.extend(flags_at(g, v))
         assert sorted(seen) == sorted(g.flags)
+
+    @given(st.integers(0, 10**6))
+    def test_incidence_is_flags_at_built_once(self, seed):
+        g = random_modular_graph(random.Random(seed)).graph
+        inc = g.incidence
+        assert inc == {v: tuple(flags_at(g, v)) for v in g.vertices}
+        assert g.incidence is inc
+        with pytest.raises(FrozenInstanceError):
+            g.incidence = {}
 
 
 class TestValidateMorphism:

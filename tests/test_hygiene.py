@@ -1,0 +1,47 @@
+"""Every name that a module of the package imports is used there or listed
+in its ``__all__``.  ``__init__.py`` re-exports and is exempt.  The check
+reads each module's syntax tree, so it needs no linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "susykit"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the imports of ``source`` that it neither reads
+    nor lists in ``__all__``; ``__future__`` imports bind no name."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    read: set[str] = set()
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted(n for n in imported if n not in read and n not in exported)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = (
+        "from typing import Iterable, Mapping\n"
+        "import os\n"
+        "__all__ = ['Mapping']\n"
+        "def f(x: Iterable): return x\n"
+    )
+    assert unused_imports(source) == ["os"]

@@ -1,9 +1,11 @@
 """Stratum enumeration against a pedestrian generator, coloring counts
 against the parity closed form, the contraction order, the covers recorded
 by the shape generator, the automorphism generators it keeps, the orbifold
-Euler characteristic and Burnside's lemma per shape."""
+Euler characteristic with the universal-curve identity, and Burnside's
+lemma per shape."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -24,8 +26,10 @@ from susykit import (
     is_stable,
     lift_count_general,
     strata_poset,
+    stratum_dimension,
 )
-from susykit import lifting, strata, susy
+from susykit import graphs, lifting, strata, susy
+from susykit.operad import _graph_signature
 from susykit.susy import R
 from susykit.strata import (
     _corolla,
@@ -46,6 +50,7 @@ from oracles import (
     color_set_of,
     forest_b1,
 )
+from test_boundary import count_calls
 from test_cli import counted
 
 FOUR = ["1", "2", "3", "4"]
@@ -337,6 +342,15 @@ class TestMoves:
         assert len(_shapes(2, ["1"])) > 1
         assert calls == []
 
+    def test_moves_and_signatures_read_the_incidence(self, monkeypatch):
+        shapes = enumerate_modular_shapes(1, FOUR)
+        calls = count_calls(monkeypatch, graphs.flags_at)
+        for shape in shapes:
+            _move_keys(shape)
+            _graph_signature(shape)
+            stratum_dimension(shape)
+        assert calls == []
+
 
 COVER_CASES = [(2, []), (3, []), (1, ["1", "2", "3"]), (0, FIVE)]
 
@@ -421,10 +435,24 @@ def open_euler(g, n):
     return chi
 
 
+@lru_cache(maxsize=None)
+def open_strata(g, n):
+    """Each shape of Mbar_{g,n} with the orbifold Euler characteristic of
+    its open stratum: 1/|Aut|, with |Aut| from the exhaustive oracle, times
+    the product of its vertices' open Euler characteristics."""
+    out = []
+    for shape in enumerate_modular_shapes(g, [str(i) for i in range(n)]):
+        term = Fraction(1, brute_automorphism_order(shape))
+        for v in shape.vertices:
+            term *= open_euler(shape.genus_of(v), len(flags_at(shape.graph, v)))
+        out.append((shape, term))
+    return out
+
+
 class TestEulerCharacteristic:
-    """chi(Mbar_{g,n}) summed over the shapes: each shape contributes
-    1/|Aut| times the product of its vertices' open Euler characteristics,
-    with |Aut| from the exhaustive oracle."""
+    """chi(Mbar_{g,n}) summed over the open strata of the shapes, against
+    known values and against the universal curve Mbar_{g,n+1} over
+    Mbar_{g,n}, which checks two enumerations against each other."""
 
     @pytest.mark.parametrize(
         "g, n, chi",
@@ -438,13 +466,20 @@ class TestEulerCharacteristic:
         ],
     )
     def test_orbifold_euler_characteristic(self, g, n, chi):
-        total = Fraction(0)
-        for shape in enumerate_modular_shapes(g, [str(i) for i in range(n)]):
-            term = Fraction(1, brute_automorphism_order(shape))
-            for v in shape.vertices:
-                term *= open_euler(shape.genus_of(v), len(flags_at(shape.graph, v)))
-            total += term
-        assert total == chi
+        assert sum(term for _, term in open_strata(g, n)) == chi
+
+    @pytest.mark.parametrize(
+        "g, n",
+        [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)],
+    )
+    def test_universal_curve(self, g, n):
+        # the fibre over a curve with dual graph G is the curve itself, whose
+        # Euler characteristic is 2 - 2g + |E(G)|
+        fibred = sum(
+            term * (2 - 2 * g + len(edges(shape.graph)))
+            for shape, term in open_strata(g, n)
+        )
+        assert sum(term for _, term in open_strata(g, n + 1)) == fibred
 
 
 class TestCounts:
