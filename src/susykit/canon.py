@@ -280,6 +280,18 @@ def _canonical_form(g: SusyGraph) -> CanonicalForm:
     return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, tuple(leaves))
 
 
+def _unmodular_digest(certificate: bytes) -> str:
+    """The digest of a modular graph's all-NS coloring, from the graph's
+    certificate.  The two graphs differ only in ``modular``, which every
+    leaf of the search shares, so the same leaf wins and the certificates
+    differ in that one value.  The keys are sorted, and the colours, edges
+    and genera before ``"modular"`` hold only "NS" and integers, so the
+    first ``"modular":true`` is that key and its value."""
+    return hashlib.sha256(
+        certificate.replace(b'"modular":true', b'"modular":false', 1)
+    ).hexdigest()
+
+
 def canonical_form(g: SusyGraph) -> CanonicalForm:
     """Renumber vertices and flags canonically; equal certificates mean
     isomorphic over fixed tail labels."""

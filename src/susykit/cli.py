@@ -20,7 +20,6 @@ from .errors import SchemaError, SusyKitError
 from .graphs import edges, tails
 from .jsonio import (
     curve_from_json,
-    dumps,
     graph_from_json,
     graph_to_json,
     load_curve,
@@ -28,6 +27,7 @@ from .jsonio import (
     load_morphism,
     morphism_from_json,
     recipe_to_json,
+    write_json,
     _load,
 )
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
@@ -54,7 +54,7 @@ def _emit(
 ) -> None:
     """Write ``data`` as JSON, or the lines ``table()`` builds on demand."""
     if args.format == "json":
-        sys.stdout.write(dumps(data))
+        write_json(data, sys.stdout.write)
     else:
         sys.stdout.write("\n".join(table()) + "\n")
 
@@ -153,7 +153,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     ns = [str(i) for i in range(1, args.ns + 1)]
     r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
     if args.shapes:
-        digests, shapes, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
+        digests, _, shapes, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
         data = {
             "count": len(shapes),
             "shapes": [_stratum_record(s, d) for s, d in zip(shapes, digests)],
@@ -173,9 +173,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         strata, digests, covers = poset.strata, poset.digests, sorted(poset.covers)
     # the shapes and colouring tables are not printed: free them first
     del records
+    # the records are rendered and written one at a time
     data = {
         "count": len(strata),
-        "strata": [_stratum_record(s, d) for s, d in zip(strata, digests)],
+        "strata": (_stratum_record(s, d) for s, d in zip(strata, digests)),
     }
     if poset is not None:
         by_source: dict[str, list[int]] = {str(i): [] for i in range(len(strata))}

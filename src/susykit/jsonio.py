@@ -19,13 +19,20 @@ and "target" (inline graph documents, or strings naming graph files resolved
 relative to the morphism file), "flag_map", "vertex_map" and a "contracted"
 pair list.  Curve documents hold "components" and "node_pairing"; puncture
 points carry a "label", node-halves must not.
+
+Documents are written by one writer, ``write_json``: the bytes of
+``json.dumps`` with sorted keys and a two-space indent, written through a
+callable, with an iterator rendered as a list and written element by
+element.  ``dumps`` joins its output into one string.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint, validate_curve_config
 from .errors import SchemaError
@@ -55,12 +62,72 @@ __all__ = [
     "recipe_to_json",
     "save_graph",
     "signature_to_json",
+    "write_json",
 ]
 
 
+def write_json(data: Any, write: Callable[[str], object]) -> None:
+    """Write ``data`` through ``write`` in the canonical rendering: sorted
+    keys, two-space indent, ASCII only, trailing newline; the bytes are
+    those of ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``.  Keys
+    must be strings, and values strings, ints, bools, None, dicts, lists,
+    tuples or iterators; anything else raises ``TypeError``.  An iterator
+    renders as a list and is consumed one element at a time: each element
+    is written as one joined chunk once it is rendered, so a generator of
+    records is never held whole."""
+    parts: list[str] = []
+    _render(data, "\n", parts, write)
+    parts.append("\n")
+    write("".join(parts))
+
+
+def _render(
+    value: Any, newline: str, parts: list[str], write: Callable[[str], object]
+) -> None:
+    """Append the rendering of ``value`` to ``parts``; ``newline`` is a line
+    break and the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + _quote(key) + ": ")
+            _render(item, inner, parts, write)
+            sep = "," + inner
+        parts.append("{}" if sep[0] == "{" else newline + "}")
+    elif isinstance(value, (list, tuple, Iterator)):
+        lazy = isinstance(value, Iterator)
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _render(item, inner, parts, write)
+            sep = "," + inner
+            if lazy:
+                write("".join(parts))
+                parts.clear()
+        parts.append("[]" if sep[0] == "[" else newline + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+
+
 def dumps(data: Any) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """The canonical rendering of ``data`` as one string: what
+    ``write_json`` writes, joined."""
+    parts: list[str] = []
+    write_json(data, parts.append)
+    return "".join(parts)
 
 
 def _kind_ok(value: Any, kind) -> bool:

@@ -14,8 +14,13 @@ one orbit of the parent's automorphisms give isomorphic children, so each
 move is keyed before it is built and one move per orbit is searched.  The
 colorings of a shape are lift masks keyed by their R flags, and two are one
 stratum exactly when an automorphism of the shape carries one to the other,
-so only the first of each orbit is built and searched, and the whole orbit
-takes its digest.  A shape with a trivial group skips this.
+so only the first of each orbit is built, and the whole orbit takes its
+digest.  A shape with a trivial group skips this.  The first of each orbit
+is searched, except the all-NS coloring (no R tails, no R edges), which
+takes its shape's search: it differs from the shape only in ``modular``,
+which every leaf of the search shares, so its certificate is the shape's
+with ``"modular":false`` and, the shape being in canonical names already,
+the coloring is its own canonical graph.
 
 Each ``StratumRecord`` keeps the certificate digests of its colorings in
 ``digests``, parallel to ``colorings``, so the strata are ordered without
@@ -52,7 +57,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .canon import CanonicalForm, Isomorphism, _canonical_form, certificate_digest
+from .canon import Isomorphism, _canonical_form, _unmodular_digest, certificate_digest
 from .errors import ValidationError
 from .graphs import Graph, edges, orbit_pairs
 from .lifting import _colored, _lift_masks
@@ -229,11 +234,12 @@ ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
 
 def _shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
-) -> list[tuple[str, SusyGraph, ShapeCovers, tuple[Isomorphism, ...]]]:
-    """``enumerate_modular_shapes`` with each shape's certificate digest,
-    the covers recorded while it was generated, and generators of its
-    automorphism group, in the shape's names, read from the search that
-    found it.
+) -> list[tuple[str, bytes, SusyGraph, ShapeCovers, tuple[Isomorphism, ...]]]:
+    """``enumerate_modular_shapes`` with each shape's certificate digest and
+    certificate, the covers recorded while it was generated, and generators
+    of its automorphism group, in the shape's names, read from the search
+    that found it.  Only the certificate's bytes are kept, not the
+    ``CanonicalForm``, which would hold on to the move it was built from.
 
     Every move adds one edge to a canonical parent, so contracting the new
     edge of the child gives back the parent: the child's flag witness names
@@ -258,8 +264,8 @@ def _shapes(
             f"{limit}; raise {ENV_LIMIT} or pass max_edges to go further"
         )
     start = _canonical_form(_corolla(genus, labels))
-    found: dict[str, tuple[SusyGraph, tuple[Isomorphism, ...], dict]] = {
-        start.digest: (start.graph, start.generators, {})
+    found: dict[str, tuple[SusyGraph, bytes, tuple[Isomorphism, ...], dict]] = {
+        start.digest: (start.graph, start.certificate, start.generators, {})
     }
     frontier = [start.digest]
     depth = 0
@@ -267,22 +273,24 @@ def _shapes(
         depth += 1
         fresh: list[str] = []
         for pd in frontier:
-            parent, generators, _ = found[pd]
+            parent, _, generators, _ = found[pd]
             ea, eb = _fresh_pair(parent.graph)
             for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
                 form = _canonical_form(_move(parent, key, ea, eb))
                 if form.digest not in found:
-                    found[form.digest] = (form.graph, form.generators, {})
+                    found[form.digest] = (
+                        form.graph, form.certificate, form.generators, {}
+                    )
                     fresh.append(form.digest)
-                covers = found[form.digest][2]
+                covers = found[form.digest][3]
                 w = form.flag_witness
                 edge = tuple(sorted((w[ea], w[eb])))
                 if edge not in covers:
                     covers[edge] = (pd, {w[f]: f for f in parent.flags})
         frontier = fresh
     return sorted(
-        ((d, g, covers, gens) for d, (g, gens, covers) in found.items()),
-        key=lambda t: (len(edges(t[1].graph)), t[0]),
+        ((d, cert, g, covers, gens) for d, (g, cert, gens, covers) in found.items()),
+        key=lambda t: (len(edges(t[2].graph)), t[0]),
     )
 
 
@@ -292,7 +300,7 @@ def enumerate_modular_shapes(
     """All stable modular graphs of the given total genus and tail label
     set, one canonical representative per isomorphism class, ordered by
     edge count and certificate."""
-    return [g for _, g, _, _ in _shapes(genus, tail_labels, max_edges)]
+    return [g for _, _, g, _, _ in _shapes(genus, tail_labels, max_edges)]
 
 
 @dataclass(frozen=True)
@@ -327,7 +335,9 @@ def enumerate_strata_records(
     certificate digests and the number of raw colorings of the shape
     (``2 ** b1`` by the parity argument).  Only the labels are checked: the
     raw colorings are lift masks keyed by their R flags, and only the first
-    of each orbit under the shape's automorphisms is built as a graph."""
+    of each orbit under the shape's automorphisms is built as a graph.  The
+    all-NS coloring takes its digest from the shape's certificate and is
+    its own canonical graph, so it is not searched."""
     ns, rr = frozenset(ns_labels), frozenset(r_labels)
     overlap = ns & rr
     if overlap:
@@ -335,7 +345,9 @@ def enumerate_strata_records(
     if len(rr) % 2:
         raise ValidationError("the number of R tail labels must be even")
     records = []
-    for shape_digest, shape, covers, generators in _shapes(genus, ns | rr, max_edges):
+    for shape_digest, certificate, shape, covers, generators in _shapes(
+        genus, ns | rr, max_edges
+    ):
         pairs, masks = _lift_masks(shape, rr) or ([], [])
         if not masks:
             continue
@@ -345,18 +357,24 @@ def enumerate_strata_records(
             r_tails.union(*(p for i, p in enumerate(pairs) if (mask >> i) & 1)): mask
             for mask in masks
         }
-        forms: dict[str, CanonicalForm] = {}
+        graphs: dict[str, SusyGraph] = {}
         coloring_digests = dict.fromkeys(by_key, "")
         for orbit in _orbits(by_key, generators, _coloring_image):
-            form = _canonical_form(_colored(shape, ns, rr, pairs, by_key[orbit[0]]))
-            forms.setdefault(form.digest, form)
-            coloring_digests.update(dict.fromkeys(orbit, form.digest))
-        digests = tuple(sorted(forms))
+            colored = _colored(shape, ns, rr, pairs, by_key[orbit[0]])
+            if orbit[0]:
+                form = _canonical_form(colored)
+                digest, graph = form.digest, form.graph
+            else:
+                # the all-NS coloring, which takes its shape's search
+                digest, graph = _unmodular_digest(certificate), colored
+            graphs[digest] = graph
+            coloring_digests.update(dict.fromkeys(orbit, digest))
+        digests = tuple(sorted(graphs))
         records.append(
             StratumRecord(
                 shape,
                 shape_digest,
-                tuple(forms[d].graph for d in digests),
+                tuple(graphs[d] for d in digests),
                 digests,
                 coloring_digests,
                 covers,

@@ -11,6 +11,7 @@ plain data structures (graphs, labelings) and the constructors.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Iterator
 
 from susykit import (
@@ -130,10 +131,13 @@ def brute_isomorphisms(
 ) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
     """Yield every (vertex_map, flag_map) isomorphism, by brute search.
 
-    Candidate flag images are constrained per vertex block: a tail goes to
-    a tail of the same color (and same label when labels are fixed), an
-    edge flag to an edge flag of the same color.  Involution equivariance
-    and label preservation are then checked outright.
+    Each flag has a key: a tail its color (and its label when labels are
+    fixed), an edge flag its color.  Vertices are mapped one at a time,
+    each onto a vertex of the same genus and the same multiset of flag
+    keys, so a partial map that cannot extend is dropped before any flag
+    is mapped.  Each flag then goes to a flag of the same key at the image
+    of its vertex whose partner sits at the image of its partner's vertex,
+    and involution equivariance is checked outright on every combination.
     """
     if g1.modular != g2.modular:
         return
@@ -145,69 +149,69 @@ def brute_isomorphisms(
             or g1.labeling.r_tail_labels.keys() != g2.labeling.r_tail_labels.keys()
         ):
             return
-    label1 = {f: l for l, f in g1.merged_tail_labels().items()}
-    label2 = {f: l for l, f in g2.merged_tail_labels().items()}
-    tails1, tails2 = set(tails(g1.graph)), set(tails(g2.graph))
 
-    def flag_key(g, labels, tail_set, f, fixed):
-        if f in tail_set:
-            return ("t", g.color_of(f), labels.get(f) if fixed else None)
-        return ("e", g.color_of(f), None)
+    def flag_keys(g: SusyGraph) -> dict[str, tuple]:
+        labels = {f: l for l, f in g.merged_tail_labels().items()}
+        return {
+            f: ("t", g.color_of(f), labels.get(f) if labels_fixed else None)
+            if g.involution[f] == f
+            else ("e", g.color_of(f), None)
+            for f in g.flags
+        }
 
-    v1 = sorted(g1.vertices)
-    for perm in itertools.permutations(sorted(g2.vertices)):
-        vmap = dict(zip(v1, perm))
-        if any(g1.genus_of(a) != g2.genus_of(vmap[a]) for a in v1):
-            continue
-        blocks = []
-        feasible = True
+    key1, key2 = flag_keys(g1), flag_keys(g2)
+    star1 = {a: flags_at(g1.graph, a) for a in g1.vertices}
+    star2 = {b: flags_at(g2.graph, b) for b in g2.vertices}
+
+    def vertex_key(g, stars, keys, v):
+        return g.genus_of(v), Counter(keys[f] for f in stars[v])
+
+    vkey1 = {a: vertex_key(g1, star1, key1, a) for a in g1.vertices}
+    vkey2 = {b: vertex_key(g2, star2, key2, b) for b in g2.vertices}
+    v1, v2 = sorted(g1.vertices), sorted(g2.vertices)
+
+    def vertex_maps(vmap: dict[str, str]) -> Iterator[dict[str, str]]:
+        if len(vmap) == len(v1):
+            yield dict(vmap)
+            return
+        a = v1[len(vmap)]
+        for b in v2:
+            if b not in vmap.values() and vkey2[b] == vkey1[a]:
+                vmap[a] = b
+                yield from vertex_maps(vmap)
+                del vmap[a]
+
+    def groups(g, keys, stars, v, vertex_image) -> dict[tuple, list[str]]:
+        """The flags at ``v`` by key and the image of their partner's vertex."""
+        out: dict[tuple, list[str]] = {}
+        for f in sorted(stars[v]):
+            partner = g.involution[f]
+            at = vertex_image[g.boundary[partner]] if partner != f else None
+            out.setdefault((keys[f], at), []).append(f)
+        return out
+
+    identity = {b: b for b in v2}
+    for vmap in vertex_maps({}):
+        choices = []
         for a in v1:
-            f1s = sorted(flags_at(g1.graph, a))
-            f2s = sorted(flags_at(g2.graph, vmap[a]))
-            if len(f1s) != len(f2s):
-                feasible = False
-                break
-            groups1: dict = {}
-            groups2: dict = {}
-            for f in f1s:
-                groups1.setdefault(
-                    flag_key(g1, label1, tails1, f, labels_fixed), []
-                ).append(f)
-            for f in f2s:
-                groups2.setdefault(
-                    flag_key(g2, label2, tails2, f, labels_fixed), []
-                ).append(f)
-            if sorted(groups1) != sorted(groups2) or any(
+            groups1 = groups(g1, key1, star1, a, vmap)
+            groups2 = groups(g2, key2, star2, vmap[a], identity)
+            if groups1.keys() != groups2.keys() or any(
                 len(groups1[k]) != len(groups2[k]) for k in groups1
             ):
-                feasible = False
                 break
-            blocks.append((groups1, groups2))
-        if not feasible:
-            continue
-        per_block_choices = []
-        for groups1, groups2 in blocks:
-            keys = sorted(groups1)
-            local = []
-            for key in keys:
-                src = groups1[key]
-                local.append(
-                    [
-                        dict(zip(src, image))
-                        for image in itertools.permutations(groups2[key])
-                    ]
+            for k, src in groups1.items():
+                choices.append(
+                    [dict(zip(src, image)) for image in itertools.permutations(groups2[k])]
                 )
-            per_block_choices.append(local)
-        flat = [chunk for block in per_block_choices for chunk in block]
-        for combo in itertools.product(*flat):
-            fmap: dict[str, str] = {}
-            for piece in combo:
-                fmap.update(piece)
-            # tail colors and (when fixed) labels are enforced by the block
-            # grouping; only involution equivariance is left to check
-            if any(fmap[g1.involution[f]] != g2.involution[fmap[f]] for f in fmap):
-                continue
-            yield vmap, fmap
+        else:
+            for combo in itertools.product(*choices):
+                fmap: dict[str, str] = {}
+                for piece in combo:
+                    fmap.update(piece)
+                if any(fmap[g1.involution[f]] != g2.involution[fmap[f]] for f in fmap):
+                    continue
+                yield vmap, fmap
 
 
 def brute_is_isomorphic(

@@ -31,7 +31,9 @@ from susykit.jsonio import (
     recipe_to_json,
     save_graph,
     signature_to_json,
+    write_json,
 )
+from susykit import cli
 from susykit.curves import Component, CurveConfig, SpecialPoint
 from susykit.sampling import random_morphism, random_susy_graph
 
@@ -356,3 +358,118 @@ class TestRecipesAndSignatures:
         assert doc["assignment"] == [0, 0]
         assert doc["relabeling"] == {l: l for l in ("a", "b", "r2", "s2")}
         assert dumps(doc) == dumps(recipe_to_json(r))
+
+
+# strings that exercise escaping: non-ASCII (also outside the BMP), control
+# characters, quotes and backslashes
+TEXT = st.text(
+    st.sampled_from(["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00",
+                     "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+    max_size=6,
+)
+WRITER_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers(-(2**70), 2**70)
+    | TEXT
+)
+WRITER_TREES = st.recursive(
+    WRITER_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def oracle(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def lazy_lists(data):
+    """``data`` with every list turned into an iterator over its items."""
+    if isinstance(data, dict):
+        return {k: lazy_lists(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return iter([lazy_lists(x) for x in data])
+    return data
+
+
+def golden_enumerate_argvs():
+    """The argv of every case of ``test_cli.TestGoldenOutput``, JSON format.
+    Read when a test runs: ``test_cli`` imports this module."""
+    import test_cli
+
+    (mark,) = [
+        m for m in test_cli.TestGoldenOutput.test_stdout_hash.pytestmark
+        if m.name == "parametrize"
+    ]
+    return [argv.replace(" --format table", "").split() for argv, _ in mark.args[1]]
+
+
+class TestWriter:
+    """``dumps`` and ``write_json`` write the bytes of ``json.dumps`` with
+    sorted keys and a two-space indent, plus a newline."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(WRITER_TREES)
+    def test_random_trees_match_json_dumps(self, data):
+        assert dumps(data) == oracle(data)
+
+    @settings(derandomize=True, max_examples=100)
+    @given(WRITER_TREES)
+    def test_iterators_render_as_lists(self, data):
+        chunks = []
+        write_json(lazy_lists(data), chunks.append)
+        assert "".join(chunks) == oracle(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [[], {}, [[]]]},
+            [True, 1, False, 0, None, -1],
+            {"\u00e9\n\"": ["\x00", "\\", "\U0001f600"]},
+            -(10**40),
+        ],
+    )
+    def test_corner_cases(self, data):
+        assert dumps(data) == oracle(data)
+
+    def test_one_chunk_per_element_of_an_iterator(self):
+        chunks = []
+        records = ({"i": i, "d": [i, str(i)]} for i in range(5))
+        write_json({"count": 5, "strata": records}, chunks.append)
+        assert len(chunks) == 6
+        assert "".join(chunks) == oracle(
+            {"count": 5, "strata": [{"i": i, "d": [i, str(i)]} for i in range(5)]}
+        )
+
+    @pytest.mark.parametrize(
+        "data",
+        [{1: "a"}, {None: 1}, {"a": 1, 2: "b"}, [object()], {"x": {1, 2}},
+         b"bytes", 1.5],
+    )
+    def test_non_str_keys_and_unsupported_values_raise_type_error(self, data):
+        with pytest.raises(TypeError):
+            dumps(data)
+
+    def test_streamed_enumerate_is_dumps_of_the_document(self, monkeypatch, capsys):
+        documents = []
+
+        def assembled(data, write):
+            doc = {k: list(v) if k == "strata" else v for k, v in data.items()}
+            documents.append(doc)
+            write(dumps(doc))
+
+        for argv in golden_enumerate_argvs():
+            assert cli.main(argv) == 0
+            streamed = capsys.readouterr().out
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "write_json", assembled)
+                assert cli.main(argv) == 0
+            assert capsys.readouterr().out == streamed
+            assert streamed == oracle(documents.pop())

@@ -29,6 +29,7 @@ from susykit import (
     stratum_dimension,
 )
 from susykit import graphs, lifting, strata, susy
+from susykit.lifting import _colored
 from susykit.operad import _graph_signature
 from susykit.susy import R
 from susykit.strata import (
@@ -178,6 +179,29 @@ class TestColoringTables:
         n_strata = sum(len(rec.digests) for rec in records)
         assert n_strata > len(records)
         assert counts == dict.fromkeys(names[:3], 0) | {"_colored": n_strata}
+
+
+class TestAllNsStratum:
+    """The all-NS stratum of each shape takes its digest from the shape's
+    certificate and is its own canonical graph; both must equal what a
+    search of the coloring gives."""
+
+    @pytest.mark.parametrize(
+        "g, labels",
+        [(0, FOUR + ["5", "6"]), (1, ["1", "2", "3"]), (2, ["1", "2"]), (3, [])],
+    )
+    def test_digest_and_graph_match_a_search(self, g, labels):
+        records = enumerate_strata_records(g, labels, [])
+        assert len(records) == len(enumerate_modular_shapes(g, labels))
+        for rec in records:
+            digest = rec.coloring_digests[frozenset()]
+            graph = rec.colorings[rec.digests.index(digest)]
+            all_ns = _colored(
+                rec.shape, frozenset(labels), frozenset(), edges(rec.shape.graph), 0
+            )
+            form = canonical_form(all_ns)
+            assert digest == form.digest
+            assert graph == form.graph
 
 
 class TestColoringCounts:
@@ -378,9 +402,9 @@ class TestRecordedCovers:
     @pytest.mark.parametrize("g, labels", COVER_CASES)
     def test_each_cover_is_a_contraction_isomorphism(self, g, labels):
         found = _shapes(g, labels)
-        by_digest = {d: shape for d, shape, _, _ in found}
+        by_digest = {d: shape for d, _, shape, _, _ in found}
         entries = 0
-        for _, shape, covers, _ in found:
+        for _, _, shape, covers, _ in found:
             for edge, (target, flag_map) in covers.items():
                 entries += 1
                 assert shape.involution[edge[0]] == edge[1]
@@ -399,11 +423,11 @@ class TestRecordedCovers:
                 vmap = vertex_map(contracted, parent, flag_map)
                 for v, w in vmap.items():
                     assert contracted.genus_of(v) == parent.genus_of(w)
-        assert entries >= sum(1 for _, shape, _, _ in found if edges(shape.graph))
+        assert entries >= sum(1 for _, _, shape, _, _ in found if edges(shape.graph))
 
     @pytest.mark.parametrize("g, labels", COVER_CASES)
     def test_recorded_edges_reach_every_edge_orbit(self, g, labels):
-        for _, shape, covers, _ in _shapes(g, labels):
+        for _, _, shape, covers, _ in _shapes(g, labels):
             reached = {
                 frozenset(fmap[f] for f in edge)
                 for _, fmap in brute_isomorphisms(shape, shape)
@@ -523,7 +547,7 @@ class TestShapeGenerators:
 
     @pytest.mark.parametrize("g, labels", [(3, []), (2, ["1"])])
     def test_generators_generate_the_group(self, g, labels):
-        for _, shape, _, generators in _shapes(g, labels):
+        for _, _, shape, _, generators in _shapes(g, labels):
             brute = {as_key(*iso) for iso in brute_isomorphisms(shape, shape)}
             assert generated_group(generators, shape) == brute
             assert bool(generators) == (len(brute) > 1)
