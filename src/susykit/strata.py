@@ -367,7 +367,7 @@ def enumerate_strata_records(
             else:
                 # the all-NS coloring, which takes its shape's search
                 digest, graph = _unmodular_digest(certificate), colored
-            graphs[digest] = graph
+            graphs.setdefault(digest, graph)
             coloring_digests.update(dict.fromkeys(orbit, digest))
         digests = tuple(sorted(graphs))
         records.append(

@@ -372,13 +372,15 @@ WRITER_LEAVES = (
     | st.booleans()
     | st.integers(-3, 3)
     | st.integers(-(2**70), 2**70)
+    | st.floats()
     | TEXT
 )
 WRITER_TREES = st.recursive(
     WRITER_LEAVES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(TEXT, inner, max_size=4),
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
     max_leaves=16,
 )
 
@@ -388,8 +390,9 @@ def oracle(data):
 
 
 def lazy_lists(data):
-    """``data`` with every list turned into an iterator over its items."""
-    if isinstance(data, dict):
+    """``data`` with every list turned into an iterator over its items,
+    except under a dict with non-str keys, which ``json.dumps`` renders."""
+    if isinstance(data, dict) and all(isinstance(k, str) for k in data):
         return {k: lazy_lists(v) for k, v in data.items()}
     if isinstance(data, (list, tuple)):
         return iter([lazy_lists(x) for x in data])
@@ -434,6 +437,11 @@ class TestWriter:
             [True, 1, False, 0, None, -1],
             {"\u00e9\n\"": ["\x00", "\\", "\U0001f600"]},
             -(10**40),
+            {1: "a"},
+            {None: 1},
+            {True: 2},
+            [-0.25, 1e300],
+            {"a": [1.5, {2: ["x"]}]},
         ],
     )
     def test_corner_cases(self, data):
@@ -449,11 +457,16 @@ class TestWriter:
         )
 
     @pytest.mark.parametrize(
-        "data",
-        [{1: "a"}, {None: 1}, {"a": 1, 2: "b"}, [object()], {"x": {1, 2}},
-         b"bytes", 1.5],
+        "data", [{"a": 1, 2: "b"}, [object()], {"x": {1, 2}}, b"bytes"]
     )
-    def test_non_str_keys_and_unsupported_values_raise_type_error(self, data):
+    def test_what_json_dumps_rejects_raises_type_error(self, data):
+        with pytest.raises(TypeError):
+            oracle(data)
+        with pytest.raises(TypeError):
+            dumps(data)
+
+    @pytest.mark.parametrize("data", [{1: iter([])}, {"a": {2: iter([])}}])
+    def test_an_iterator_under_a_non_str_key_raises_type_error(self, data):
         with pytest.raises(TypeError):
             dumps(data)
 
