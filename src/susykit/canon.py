@@ -5,15 +5,18 @@ after vertices and flags are renumbered by a refinement-plus-backtracking
 search that minimizes the encoding.  Two graphs are isomorphic over fixed
 tail labels exactly when their certificates agree.
 
-One search serves every entry point.  ``canonical_form`` validates its
-input once, runs the search and keeps the winning leaf's vertex and flag
-positions; the renumbered graph and the witnesses are built from those
-positions only when they are first read, so ``certificate_digest`` (the
-digest of ``canonical_form``) builds nothing.  The search itself does not
-validate: the enumeration in ``strata`` canonizes graphs it built itself
-through the unchecked ``_canonical_form``.  The flags at each vertex come
-from the graph's own ``incidence``, built once per graph, and a search
-refuses a graph past ``MAX_SEARCH_LEAVES`` leaves.
+The search runs on a ``Core``, the graph on integers with its own
+incidence.  ``_core_of`` numbers vertices and flags in the sorted order of
+their names, so each tie the search breaks by name it breaks the same way
+by number.  The certificate's bytes are written directly, as
+``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` writes them,
+and a leaf is two integer tuples.  Names come back at the edge only:
+``CanonicalForm`` names its graph, witnesses and generators when they are
+first read, and the shape generator in ``strata`` names each new shape
+once.  A canonical graph's names are ``v{i}`` and ``f{i}``, and its core
+numbers them in sorted order ("f10" before "f2").  ``canonical_form``
+validates its input once; the search does not, and refuses a graph past
+``MAX_SEARCH_LEAVES`` leaves.
 
 The same search yields isomorphisms and automorphisms.  Every leaf whose
 certificate ties the least one, mapped onto the winning leaf, gives one
@@ -23,22 +26,22 @@ same-colour loops, and flipping loops) complete each coset.  Without fixed
 labels the search names each tail by its colour.  The same leaves and the
 blocks of vertex-fixing moves give ``CanonicalForm.generators``, a small
 generating set of the canonical graph's automorphisms, and the order of the
-group, which ``automorphisms`` checks before it lists the group.  The
-blocks are gathered once per search and serve every leaf.
+group, which ``automorphisms`` checks before it lists the group.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator
+from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .susy import NS, R, SusyGraph, _renamed, require_susy
+from .graphs import Graph
+from .susy import NS, R, SusyGraph, SusyLabeling, require_susy
 
 __all__ = [
     "MAX_AUTOMORPHISMS",
@@ -57,11 +60,102 @@ MAX_AUTOMORPHISMS = 100_000
 # a search refuses a graph once it reaches more leaves than this
 MAX_SEARCH_LEAVES = 10_000
 
-# the vertex and flag positions of one leaf of the search
-Leaf = tuple[dict[str, int], dict[str, int]]
+# a core numbers NS 0 and R 1
+COLORS = (NS, R)
+
+# one leaf of the search: each vertex's position and each flag's index
+Leaf = tuple[tuple[int, ...], tuple[int, ...]]
 # the blocks of interchangeable units of ``_blocks``, each with whether its
 # units are loops
-Blocks = list[tuple[list[tuple[str, ...]], bool]]
+Blocks = list[tuple[list[tuple[int, ...]], bool]]
+
+
+class Core(NamedTuple):
+    """A SUSY graph on integers: ``boundary``, ``involution``, ``color``
+    and ``label`` (each tail's name, else None) by flag, ``genus`` and
+    ``incidence`` (each vertex's flags, ascending) by vertex."""
+
+    genus: tuple[int, ...]
+    boundary: tuple[int, ...]
+    involution: tuple[int, ...]
+    color: tuple[int, ...]
+    label: tuple[str | None, ...]
+    modular: bool
+    incidence: tuple[tuple[int, ...], ...]
+
+
+def _core(*arrays) -> Core:
+    """The core of ``genus, boundary, involution, color, label, modular``,
+    with its incidence built here once."""
+    incidence: list[list[int]] = [[] for _ in arrays[0]]
+    for f, v in enumerate(arrays[1]):
+        incidence[v].append(f)
+    return Core(*arrays, tuple(map(tuple, incidence)))
+
+
+def _core_of(g: SusyGraph, labels_fixed: bool = True) -> Core:
+    """``g`` as a core, each tail named by its label, or by its colour when
+    labels are not fixed, so that same-colour tails may permute."""
+    lab = g.labeling
+    vertex = {v: i for i, v in enumerate(sorted(g.vertices))}
+    flags = sorted(g.flags)
+    flag = {f: i for i, f in enumerate(flags)}
+    label = {f: l for l, f in [*lab.ns_tail_labels.items(), *lab.r_tail_labels.items()]}
+    if not labels_fixed:
+        label = {f: lab.color[f] for f in label}
+    # a genus of True is 1, as the two graphs are equal
+    return _core(
+        tuple(int(lab.genus[v]) for v in vertex),
+        tuple(vertex[g.boundary[f]] for f in flags),
+        tuple(flag[g.involution[f]] for f in flags),
+        tuple(COLORS.index(lab.color[f]) for f in flags),
+        tuple(label.get(f) for f in flags),
+        bool(g.modular),
+    )
+
+
+@cache
+def _canonical_names(prefix: str, n: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The names ``prefix0 .. prefix{n-1}`` in sorted order, and the rank
+    in that order of the name of each number."""
+    names = sorted(f"{prefix}{i}" for i in range(n))
+    rank = {name: k for k, name in enumerate(names)}
+    return tuple(names), tuple(rank[f"{prefix}{i}"] for i in range(n))
+
+
+def _canonical_core(c: Core, leaf: Leaf) -> Core:
+    """The core of the canonical graph that ``leaf`` renames ``c`` to."""
+    (_, vrank), (_, frank) = (_canonical_names(x, len(p)) for x, p in zip("vf", leaf))
+    vertex, flag = [vrank[p] for p in leaf[0]], [frank[i] for i in leaf[1]]
+    # the vertices and flags of ``c`` in their new order
+    vs = sorted(range(len(vertex)), key=vertex.__getitem__)
+    fs = sorted(range(len(flag)), key=flag.__getitem__)
+    return _core(
+        tuple(c.genus[v] for v in vs),
+        tuple(vertex[c.boundary[f]] for f in fs),
+        tuple(flag[c.involution[f]] for f in fs),
+        tuple(c.color[f] for f in fs),
+        tuple(c.label[f] for f in fs),
+        c.modular,
+    )
+
+
+def _graph_of(c: Core, vertex: Sequence[str], flag: Sequence[str]) -> SusyGraph:
+    """The graph of ``c`` that names vertex v ``vertex[v]`` and flag f
+    ``flag[f]``, each tail labeled by its name."""
+    tails: tuple[dict[str, str], dict[str, str]] = ({}, {})
+    for f, l in enumerate(c.label):
+        if l is not None:
+            tails[c.color[f]][l] = flag[f]
+    graph = Graph(
+        frozenset(flag),
+        frozenset(vertex),
+        {flag[f]: vertex[v] for f, v in enumerate(c.boundary)},
+        {flag[f]: flag[p] for f, p in enumerate(c.involution)},
+    )
+    colors = {f: COLORS[k] for f, k in zip(flag, c.color)}
+    labeling = SusyLabeling(dict(zip(vertex, c.genus)), colors, *tails)
+    return SusyGraph(graph, labeling, c.modular)
 
 
 @dataclass(frozen=True)
@@ -72,203 +166,159 @@ class Isomorphism:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """The least certificate of ``source`` and its digest.  ``leaves`` holds
-    the positions of every leaf that ties it, the winning leaf first;
-    ``graph``, the witnesses and ``generators`` are built from them when
-    read."""
+    """The least certificate of ``source`` and its digest.  ``core`` is the
+    core the search ran on, and ``leaves`` holds every leaf that ties it,
+    the winning leaf first; ``graph``, the witnesses and ``generators`` are
+    built from them when read."""
 
     certificate: bytes
     digest: str
     source: SusyGraph = field(repr=False)
+    core: Core = field(repr=False)
     leaves: tuple[Leaf, ...] = field(repr=False)
 
     @cached_property
     def vertex_witness(self) -> dict[str, str]:
-        return {v: f"v{i}" for v, i in self.leaves[0][0].items()}
+        pos = self.leaves[0][0]
+        return {v: f"v{p}" for v, p in zip(sorted(self.source.vertices), pos)}
 
     @cached_property
     def flag_witness(self) -> dict[str, str]:
-        return {f: f"f{i}" for f, i in self.leaves[0][1].items()}
+        index = self.leaves[0][1]
+        return {f: f"f{i}" for f, i in zip(sorted(self.source.flags), index)}
 
     @cached_property
     def generators(self) -> tuple[Isomorphism, ...]:
-        """Automorphisms that generate the group of ``graph``, in its names:
-        one per tied leaf after the first (winning positions to tied
-        positions), and per block of vertex-fixing moves one transposition
-        per unit after the first and, for loops, one flip.  Empty when the
-        group is trivial."""
-        vw, fw = self.vertex_witness, self.flag_witness
-        out = [
-            Isomorphism(
-                {vw[v]: f"v{i}" for v, i in pos.items()},
-                {fw[f]: f"f{i}" for f, i in flag_index.items()},
-            )
-            for pos, flag_index in self.leaves[1:]
-        ]
-        fixed = {w: w for w in vw.values()}
-        for units, flip in _blocks(self.source, _labels(self.source)):
-            swaps = [(units[0], u) for u in units[1:]]
-            if flip:
-                swaps.append((units[0][:1], units[0][1:]))
-            for a, b in swaps:
-                moved = dict(zip(a + b, b + a))
-                out.append(
-                    Isomorphism(fixed, {fw[f]: fw[moved.get(f, f)] for f in fw})
-                )
-        return tuple(out)
+        """Automorphisms that generate the group of ``graph``, in its names
+        (see ``_generators``).  Empty when the group is trivial."""
+        vn = [f"v{p}" for p in range(len(self.core.genus))]
+        fn = [f"f{i}" for i in range(len(self.core.boundary))]
+        maps = _generators(self.core, self.leaves, vn, fn)
+        return tuple(Isomorphism(*m) for m in maps)
 
     @cached_property
     def graph(self) -> SusyGraph:
-        return _renamed(self.source, self.flag_witness, self.vertex_witness)
-
-
-def _labels(g: SusyGraph, labels_fixed: bool = True) -> dict[str, str]:
-    """The name of each tail: its label, or its colour when labels are not
-    fixed, so that same-colour tails may permute."""
-    out = {f: l for l, f in g.labeling.ns_tail_labels.items()}
-    out.update({f: l for l, f in g.labeling.r_tail_labels.items()})
-    return out if labels_fixed else {f: g.color_of(f) for f in out}
-
-
-def _base_key(
-    g: SusyGraph, labels: dict[str, str], inc: dict[str, tuple], v: str
-) -> tuple:
-    fl = inc[v]
-    j = g.involution
-    color = g.labeling.color
-    tails = sorted((color[f], labels[f]) for f in fl if j[f] == f)
-    loops = [f for f in fl if j[f] != f and g.boundary[j[f]] == v]
-    plain = [f for f in fl if j[f] != f and g.boundary[j[f]] != v]
-    return (
-        g.genus_of(v),
-        tuple(tails),
-        sum(1 for f in loops if color[f] == NS),
-        sum(1 for f in loops if color[f] == R),
-        sum(1 for f in plain if color[f] == NS),
-        sum(1 for f in plain if color[f] == R),
-    )
+        vertex, flag = self.vertex_witness.values(), self.flag_witness.values()
+        return _graph_of(self.core, [*vertex], [*flag])
 
 
 def _refine(
-    neighbours: dict[str, list[tuple[str, str]]], cells: list[list[str]]
-) -> list[list[str]]:
+    neighbours: list[list[tuple[int, int]]], cells: list[list[int]]
+) -> list[list[int]]:
     """Split cells by the multiset of (edge color, neighbour cell) until
     stable; ``neighbours`` lists those pairs per vertex, loops left out."""
+    index_of = [0] * len(neighbours)
     while True:
-        index_of = {v: i for i, cell in enumerate(cells) for v in cell}
-        out: list[list[str]] = []
-        changed = False
+        for i, cell in enumerate(cells):
+            for v in cell:
+                index_of[v] = i
+        out: list[list[int]] = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
-            keyed: dict[tuple, list[str]] = {}
+            keyed: dict[tuple, list[int]] = {}
             for v in cell:
-                k = tuple(sorted((c, index_of[w]) for c, w in neighbours[v]))
+                k = tuple(sorted([(col, index_of[w]) for col, w in neighbours[v]]))
                 keyed.setdefault(k, []).append(v)
-            parts = [keyed[k] for k in sorted(keyed)]
-            if len(parts) > 1:
-                changed = True
-            out.extend(parts)
+            out.extend(keyed[k] for k in sorted(keyed))
+        if len(out) == len(cells):
+            return out
         cells = out
-        if not changed:
-            return cells
 
 
-def _encode(
-    g: SusyGraph, labels: dict[str, str], inc: dict[str, tuple], order: list[str]
-) -> tuple:
-    """Certificate payload and witnesses for one vertex ordering."""
-    pos = {v: i for i, v in enumerate(order)}
-    j = g.involution
-    b = g.boundary
-    color = g.labeling.color
-    flag_index: dict[str, int] = {}
-    sequence: list[str] = []
+def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
+    """The certificate of one vertex ordering, and its leaf.  At each
+    vertex come its tails, its edges back to earlier vertices, its loops
+    and its edges on to later vertices, each in the order of its sort key."""
+    genus, b, j, color, label, modular, incidence = c
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    index = [0] * len(b)
+    sequence: list[int] = []
     for v in order:
-
-        def sort_key(f: str) -> tuple:
-            color_rank = 0 if color[f] == NS else 1
-            if j[f] == f:
-                return (0, color_rank, labels[f], "")
-            w = b[j[f]]
-            if w == v:
-                half = min(f, j[f])
-                return (2, color_rank, half, f)
-            if pos[w] < pos[v]:
-                return (1, pos[w], color_rank, flag_index[j[f]])
-            return (3, pos[w], color_rank, f)
-
-        for f in sorted(inc[v], key=sort_key):
-            flag_index[f] = len(sequence)
-            sequence.append(f)
-    payload = {
-        "modular": g.modular,
-        "genus": [g.genus_of(v) for v in order],
-        "vertex_of": [pos[b[f]] for f in sequence],
-        "color": [color[f] for f in sequence],
-        "tails": sorted(
-            [labels[f], flag_index[f]] for f in sequence if j[f] == f
-        ),
-        "edges": sorted(
-            [flag_index[f], flag_index[j[f]]]
-            for f in sequence
-            if j[f] != f and flag_index[f] < flag_index[j[f]]
-        ),
-    }
-    return payload, pos, flag_index
-
-
-def _sort_key_blocks_comparable(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
+        keys = []
+        for f in incidence[v]:
+            p = j[f]
+            if p == f:
+                keys.append((0, color[f], label[f], f))
+            elif b[p] == v:
+                keys.append((2, color[f], min(f, p), f))
+            elif pos[b[p]] < pos[v]:
+                keys.append((1, pos[b[p]], color[f], index[p], f))
+            else:
+                keys.append((3, pos[b[p]], color[f], f))
+        for k in sorted(keys):
+            index[k[-1]] = len(sequence)
+            sequence.append(k[-1])
+    colors, edges, tails, vertex_of = [], [], [], []
+    for i, f in enumerate(sequence):
+        colors.append('"R"' if color[f] else '"NS"')
+        vertex_of.append(str(pos[b[f]]))
+        p = index[j[f]]
+        if i < p:
+            edges.append(f"[{i},{p}]")
+        elif i == p:
+            tails.append((label[f], i))
+    tails = [f"[{encode_basestring_ascii(l)},{i}]" for l, i in sorted(tails)]
+    return (
+        f'{{"color":[{",".join(colors)}],"edges":[{",".join(edges)}],'
+        f'"genus":[{",".join([str(genus[v]) for v in order])}],'
+        f'"modular":{"true" if modular else "false"},"tails":[{",".join(tails)}],'
+        f'"vertex_of":[{",".join(vertex_of)}]}}'
+    ).encode("ascii"), (tuple(pos), tuple(index))
 
 
-def _search(g: SusyGraph, labels: dict[str, str]) -> tuple[bytes, list[Leaf]]:
+def _search(c: Core) -> tuple[bytes, list[Leaf]]:
     """The least certificate over every leaf of the refinement search, with
-    the vertex and flag positions of each leaf that produced it, the first
-    such leaf first.  ``labels`` names each tail.  The input is not
-    validated here; past ``MAX_SEARCH_LEAVES`` leaves it raises."""
-    inc = g.graph.incidence
-    j = g.involution
-    b = g.boundary
-    color = g.labeling.color
-    neighbours = {
-        v: [(color[f], b[j[f]]) for f in fl if j[f] != f and b[j[f]] != v]
-        for v, fl in inc.items()
-    }
-    keyed: dict[tuple, list[str]] = {}
-    for v in sorted(g.vertices):
-        keyed.setdefault(_base_key(g, labels, inc, v), []).append(v)
-    cells = [keyed[k] for k in sorted(keyed)]
-
+    each leaf that produced it, the first such leaf first.  The vertices
+    start split by genus, tails and their loop and edge flags per colour.
+    The input is not validated here; past ``MAX_SEARCH_LEAVES`` leaves it
+    raises."""
+    genus, b, j, color, label, _, incidence = c
+    keyed: dict[tuple, list[int]] = {}
+    neighbours = []
+    for v, fl in enumerate(incidence):
+        # tails, then NS loop flags, R loop flags, NS edge flags, R edge flags
+        tails, counts, around = [], [0, 0, 0, 0], []
+        for f in fl:
+            p = j[f]
+            if p == f:
+                tails.append((color[f], label[f]))
+            elif b[p] == v:
+                counts[color[f]] += 1
+            else:
+                counts[2 + color[f]] += 1
+                around.append((color[f], b[p]))
+        neighbours.append(around)
+        keyed.setdefault((genus[v], tuple(sorted(tails)), *counts), []).append(v)
     best: bytes | None = None
     ties: list[Leaf] = []
     leaves = 0
 
-    def search(cells: list[list[str]]) -> None:
+    def search(cells: list[list[int]]) -> None:
         nonlocal best, ties, leaves
         cells = _refine(neighbours, cells)
-        split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        split_at = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if split_at is None:
             leaves += 1
             if leaves > MAX_SEARCH_LEAVES:
                 raise ValidationError(
                     f"the search passed MAX_SEARCH_LEAVES = {MAX_SEARCH_LEAVES} leaves"
                 )
-            order = [v for cell in cells for v in cell]
-            payload, pos, flag_index = _encode(g, labels, inc, order)
-            cert = _sort_key_blocks_comparable(payload)
+            cert, leaf = _encode(c, [v for cell in cells for v in cell])
             if best is None or cert < best:
-                best, ties = cert, [(pos, flag_index)]
+                best, ties = cert, [leaf]
             elif cert == best:
-                ties.append((pos, flag_index))
+                ties.append(leaf)
             return
         cell = cells[split_at]
         for v in sorted(cell):
             rest = [w for w in cell if w != v]
             search(cells[:split_at] + [[v], rest] + cells[split_at + 1 :])
 
-    search(cells)
+    search([keyed[k] for k in sorted(keyed)])
     assert best is not None
     return best, ties
 
@@ -276,8 +326,9 @@ def _search(g: SusyGraph, labels: dict[str, str]) -> tuple[bytes, list[Leaf]]:
 def _canonical_form(g: SusyGraph) -> CanonicalForm:
     """``canonical_form`` without validating ``g``, for graphs the library
     built itself."""
-    cert, leaves = _search(g, _labels(g))
-    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, tuple(leaves))
+    core = _core_of(g)
+    cert, leaves = _search(core)
+    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, core, tuple(leaves))
 
 
 def _unmodular_digest(certificate: bytes) -> str:
@@ -304,29 +355,57 @@ def certificate_digest(g: SusyGraph) -> str:
     return canonical_form(g).digest
 
 
-def _blocks(g: SusyGraph, labels: dict[str, str]) -> Blocks:
+def _blocks(c: Core) -> Blocks:
     """The units that automorphisms fixing every vertex may move, one block
     of interchangeable units at a time, with whether they are loops, which
     may also flip: same-named tails at a vertex (one flag each), and
     same-colour parallel edges or same-colour loops (their two flags).
     Blocks in which nothing can move are left out."""
-    j, b = g.involution, g.boundary
-    inc = g.graph.incidence
+    b, j = c.boundary, c.involution
     # each key starts with whether its units are loops
-    blocks: dict[tuple, list[tuple[str, ...]]] = {}
-    for v in sorted(inc):
-        for f in inc[v]:
+    blocks: dict[tuple, list[tuple[int, ...]]] = {}
+    for v, fl in enumerate(c.incidence):
+        for f in fl:
             p = j[f]
             if p == f:
-                key: tuple = (False, v, labels[f])
-                unit: tuple[str, ...] = (f,)
+                key: tuple = (False, v, c.label[f])
+                unit: tuple[int, ...] = (f,)
             elif (v, f) < (b[p], p):
-                key = (b[p] == v, v, b[p], g.color_of(f))
+                key = (b[p] == v, v, b[p], c.color[f])
                 unit = (f, p)
             else:
                 continue
             blocks.setdefault(key, []).append(unit)
     return [(us, key[0]) for key, us in blocks.items() if key[0] or len(us) > 1]
+
+
+def _generators(
+    c: Core, leaves: Sequence[Leaf], vertex: Sequence, flag: Sequence
+) -> list[tuple[dict, dict]]:
+    """Vertex and flag maps of automorphisms that generate the group of the
+    graph that the first of ``leaves`` renumbers ``c`` to, the vertex at
+    position p called ``vertex[p]`` and the flag at index i ``flag[i]``:
+    one per tied leaf after the first (winning positions to tied ones), and
+    per block of vertex-fixing moves one transposition per unit after the
+    first and, for loops, one flip."""
+    pos0, index0 = leaves[0]
+    out = [
+        (
+            {vertex[a]: vertex[p] for a, p in zip(pos0, pos)},
+            {flag[a]: flag[i] for a, i in zip(index0, index)},
+        )
+        for pos, index in leaves[1:]
+    ]
+    fixed = {vertex[a]: vertex[a] for a in pos0}
+    for units, flip in _blocks(c):
+        swaps = [(units[0], u) for u in units[1:]]
+        if flip:
+            swaps.append((units[0][:1], units[0][1:]))
+        for a, b in swaps:
+            moved = dict(zip(a + b, b + a))
+            image = [index0[moved.get(f, f)] for f in range(len(index0))]
+            out.append((fixed, {flag[i]: flag[k] for i, k in zip(index0, image)}))
+    return out
 
 
 def _fixer_order(blocks: Blocks) -> int:
@@ -338,12 +417,12 @@ def _fixer_order(blocks: Blocks) -> int:
     return order
 
 
-def _vertex_fixers(blocks: Blocks) -> Iterator[dict[str, str]]:
+def _vertex_fixers(blocks: Blocks) -> Iterator[dict[int, int]]:
     """Every automorphism that fixes each vertex, as a flag map, identity
     first and one at a time: the units of each of the graph's ``_blocks``
     permute, and loops also flip."""
 
-    def fixers(i: int) -> Iterator[dict[str, str]]:
+    def fixers(i: int) -> Iterator[dict[int, int]]:
         if i == len(blocks):
             yield {}
             return
@@ -359,18 +438,23 @@ def _vertex_fixers(blocks: Blocks) -> Iterator[dict[str, str]]:
 
 
 def _isomorphisms(
-    leaves: list[Leaf], blocks: Blocks, onto: Leaf
+    leaves: list[Leaf], blocks: Blocks, onto: Leaf, g1: SusyGraph, g2: SusyGraph
 ) -> Iterator[Isomorphism]:
-    """Map each leaf onto the leaf ``onto`` of the target that has the same
-    certificate, then follow each map by every automorphism of the target
-    that fixes each vertex; ``blocks`` are the target's ``_blocks``."""
-    at_vertex = {i: v for v, i in onto[0].items()}
-    at_flag = {i: f for f, i in onto[1].items()}
-    for pos, flag_index in leaves:
-        vmap = {v: at_vertex[i] for v, i in pos.items()}
-        fmap = {f: at_flag[i] for f, i in flag_index.items()}
+    """Map each leaf of ``g1`` onto the leaf ``onto`` of ``g2`` that has the
+    same certificate, then follow each map by every automorphism of ``g2``
+    that fixes each vertex; ``blocks`` are ``g2``'s ``_blocks``."""
+    vn, fn = sorted(g1.vertices), sorted(g1.flags)
+    wn, gn = sorted(g2.vertices), sorted(g2.flags)
+    # the vertex and the flag of the target at each position and index
+    at_vertex = sorted(range(len(onto[0])), key=onto[0].__getitem__)
+    at_flag = sorted(range(len(onto[1])), key=onto[1].__getitem__)
+    for pos, index in leaves:
+        vmap = {vn[v]: wn[at_vertex[p]] for v, p in enumerate(pos)}
+        fmap = [at_flag[i] for i in index]
         for fix in _vertex_fixers(blocks):
-            yield Isomorphism(dict(vmap), {f: fix.get(c, c) for f, c in fmap.items()})
+            yield Isomorphism(
+                dict(vmap), {fn[f]: gn[fix.get(c, c)] for f, c in enumerate(fmap)}
+            )
 
 
 def isomorphisms_between(
@@ -380,11 +464,11 @@ def isomorphisms_between(
     per automorphism of ``g1``, from one search of each graph."""
     require_susy(g1)
     require_susy(g2)
-    labels2 = _labels(g2, labels_fixed)
-    cert1, leaves1 = _search(g1, _labels(g1, labels_fixed))
-    cert2, leaves2 = _search(g2, labels2)
+    core2 = _core_of(g2, labels_fixed)
+    cert1, leaves1 = _search(_core_of(g1, labels_fixed))
+    cert2, leaves2 = _search(core2)
     if cert1 == cert2:
-        yield from _isomorphisms(leaves1, _blocks(g2, labels2), leaves2[0])
+        yield from _isomorphisms(leaves1, _blocks(core2), leaves2[0], g1, g2)
 
 
 def are_isomorphic(
@@ -413,9 +497,9 @@ def automorphisms(g: SusyGraph, labels_fixed: bool = True) -> AutomorphismGroup:
     ``MAX_AUTOMORPHISMS`` elements raises ``ValidationError``;
     ``isomorphisms_between(g, g)`` yields it one element at a time."""
     require_susy(g)
-    labels = _labels(g, labels_fixed)
-    _, leaves = _search(g, labels)
-    blocks = _blocks(g, labels)
+    core = _core_of(g, labels_fixed)
+    _, leaves = _search(core)
+    blocks = _blocks(core)
     order = len(leaves) * _fixer_order(blocks)
     if order > MAX_AUTOMORPHISMS:
         raise ValidationError(
@@ -423,4 +507,4 @@ def automorphisms(g: SusyGraph, labels_fixed: bool = True) -> AutomorphismGroup:
             f"{MAX_AUTOMORPHISMS} automorphisms can list; "
             "isomorphisms_between yields them one at a time"
         )
-    return AutomorphismGroup(tuple(_isomorphisms(leaves, blocks, leaves[0])))
+    return AutomorphismGroup(tuple(_isomorphisms(leaves, blocks, leaves[0], g, g)))

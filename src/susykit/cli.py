@@ -268,6 +268,13 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A non-negative integer command-line argument."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="susykit",
@@ -308,8 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate boundary strata")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--ns", type=int, default=0, help="number of NS tail labels")
-    p.add_argument("--r", type=int, default=0, help="number of R tail labels")
+    p.add_argument("--ns", type=_count, default=0, help="number of NS tail labels")
+    p.add_argument("--r", type=_count, default=0, help="number of R tail labels")
     p.add_argument("--poset", action="store_true", help="include contraction order")
     p.add_argument("--max-edges", type=int, default=None)
     p.add_argument(
@@ -330,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-axioms", help="run the operad axiom checker")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_count, default=100)
     add_format(p)
     p.set_defaults(func=_cmd_check_axioms)
 

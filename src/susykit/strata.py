@@ -8,42 +8,43 @@ then NS/R colorings of each shape, counted by the parity argument (2^b1 per
 shape) and deduplicated the same way.  Each split is generated once, not
 once more as its mirror image, and every move of a stable shape is stable.
 
+Shapes are generated as integer cores (see ``canon``): each move is built
+from its parent's canonical core and searched as a core, the winning leaf
+of a new shape renumbers the move into the shape's canonical core, and a
+shape is named as a graph once, when the generation ends.  The colorings
+are built from the named shapes and searched as graphs.
+
 The search that finds a shape also gives generators of its automorphism
-group (``CanonicalForm.generators``), and they prune both passes.  Moves in
-one orbit of the parent's automorphisms give isomorphic children, so each
-move is keyed before it is built and one move per orbit is searched.  The
-colorings of a shape are lift masks keyed by their R flags, and two are one
-stratum exactly when an automorphism of the shape carries one to the other,
-so only the first of each orbit is built, and the whole orbit takes its
-digest.  A shape with a trivial group skips this.  The first of each orbit
-is searched, except the all-NS coloring (no R tails, no R edges), which
-takes its shape's search: it differs from the shape only in ``modular``,
-which every leaf of the search shares, so its certificate is the shape's
-with ``"modular":false`` and, the shape being in canonical names already,
-the coloring is its own canonical graph.
+group, and they prune both passes.  Moves in one orbit of the parent's
+automorphisms give isomorphic children, so each move is keyed before it
+is built and one move per orbit is searched.  The colorings of a shape are
+lift masks keyed by their R flags, and two are one stratum exactly when an
+automorphism of the shape carries one to the other, so only the first of
+each orbit is built, and the whole orbit takes its digest.  The first of
+each orbit is searched, except the all-NS coloring (no R tails, no R
+edges), which takes its shape's search: it differs from the shape only in
+``modular``, which every leaf of the search shares, so its certificate is
+the shape's with ``"modular":false`` and, the shape being in canonical
+names already, the coloring is its own canonical graph.
 
 Each ``StratumRecord`` keeps the certificate digests of its colorings in
-``digests``, parallel to ``colorings``, so the strata are ordered without
-canonizing them again.  It also keeps its shape's digest and, in
+``digests``, parallel to ``colorings``, its shape's digest and, in
 ``coloring_digests``, the stratum digest of every raw coloring of the
 shape, keyed by its set of R flags.
 
 Contraction covers are recorded while the shapes are generated.  Each move
-is the inverse of one edge contraction, and the search that deduplicates
-the child also names the new edge in the child's flags and maps the rest
-onto the parent's, so ``shape_covers`` holds, for at least one edge in
-each orbit of the shape's automorphisms, the digest of the shape that
-contracting it gives and that flag map.  Searching one move per orbit
-keeps this: an automorphism of the parent that carries one move to
-another extends to an isomorphism of the two children that carries new
-edge to new edge, so the moves left out would only have named edges in
-orbits already named.  Contracting edge e of a colored
-stratum (S, k) gives (S/e, k restricted to S/e), so ``strata_poset``
-carries the remaining R flags of every raw coloring along the flag map
-into the target shape, where one lookup in its ``coloring_digests`` names
-the covering stratum; it contracts and canonizes nothing.
-``contraction_poset`` is the general path for an arbitrary list of
-strata: it canonizes every stratum and every contraction of it.
+is the inverse of one edge contraction, and the winning leaf of the child's
+search names the new edge in the child's flags and maps the rest onto the
+parent's, so ``shape_covers`` holds, for at least one edge in each orbit of
+the shape's automorphisms, the digest of the shape that contracting it
+gives and that flag map.  Searching one move per orbit keeps this: an
+automorphism of the parent that carries one move to another extends to an
+isomorphism of the two children that carries new edge to new edge.
+Contracting edge e of a colored stratum (S, k) gives (S/e, k restricted to
+S/e), so ``strata_poset`` carries the R flags of every raw coloring along
+the flag map into the target shape's ``coloring_digests``; it contracts and
+canonizes nothing.  ``contraction_poset`` is the general path for an
+arbitrary list of strata: it canonizes every stratum and contraction.
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
 instance guard refuses enumerations whose bound exceeds a configurable
@@ -54,14 +55,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cache
+from hashlib import sha256
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .canon import Isomorphism, _canonical_form, _unmodular_digest, certificate_digest
+from . import canon
+from .canon import Core, Isomorphism, _canonical_core, _canonical_form
+from .canon import _canonical_names, _core, _core_of, _generators, _graph_of
+from .canon import _unmodular_digest, certificate_digest
 from .errors import ValidationError
-from .graphs import Graph, edges, orbit_pairs
+from .graphs import edges, orbit_pairs
 from .lifting import _colored, _lift_masks
-from .susy import NS, SusyGraph, SusyLabeling, modular_graph
+from .susy import SusyGraph, modular_graph
 from .calculus import contract_pair
 
 __all__ = [
@@ -103,27 +109,31 @@ def _corolla(genus: int, labels: list[str]) -> SusyGraph:
     )
 
 
-def _fresh_pair(g: Graph) -> tuple[str, str]:
-    n = 0
-    while f"e{n}a" in g.flags or f"e{n}b" in g.flags:
-        n += 1
-    return f"e{n}a", f"e{n}b"
+@cache
+def _split_order(n: int, v: int) -> tuple[tuple[int, ...], int, int]:
+    """The new index of each vertex of a canonical core with ``n`` vertices
+    when vertex ``v`` splits into va and vb (``v`` itself goes to va), and
+    the indices of va and vb, in the sorted order of the names: "v1a" sorts
+    after "v10"."""
+    names = list(_canonical_names("v", n)[0])
+    va, vb = names[v] + "a", names[v] + "b"
+    index = {w: i for i, w in enumerate(sorted(names[:v] + names[v + 1 :] + [va, vb]))}
+    return tuple(index.get(w, index[va]) for w in names), index[va], index[vb]
 
 
-def _move_keys(g: SusyGraph) -> list[tuple]:
-    """Every stable move of ``g``, keyed without building it: a split is
-    (v, ((part, genus), (part, genus))), the flags and the genus of ``v``
-    shared out between the two new vertices, and a deloop is (v,).  A
-    split and its mirror, with the two sides swapped, are one graph, so
-    each side is a sorted tuple, the two sides are sorted, and only the
-    split that puts the vertex's first flag on the first side is listed (at
-    a vertex without flags, the one with ga <= gb).  Splits come first."""
-    base = g.graph
+def _move_keys(c: Core) -> list[tuple]:
+    """Every stable move of the core ``c``, keyed without building it: a
+    split is (v, ((part, genus), (part, genus))), the flags and the genus
+    of ``v`` shared out between the two new vertices, and a deloop is
+    (v,).  A split and its mirror, with the two sides swapped, are one
+    graph, so each side is a sorted tuple, the two sides are sorted, and
+    only the split that puts the vertex's first flag on the first side is
+    listed (at a vertex without flags, the one with ga <= gb).  Splits come
+    first."""
     splits: list[tuple] = []
     deloops: list[tuple] = []
-    for v in sorted(base.vertices):
-        fl = base.incidence[v]
-        gv = g.genus_of(v)
+    for v, fl in enumerate(c.incidence):
+        gv = c.genus[v]
         head, rest = fl[:1], fl[1:]
         for size in range(len(rest) + 1):
             # the genera that leave both sides stable, from the sizes alone
@@ -146,50 +156,48 @@ def _move_keys(g: SusyGraph) -> list[tuple]:
     return splits + deloops
 
 
-def _move(g: SusyGraph, key: tuple, ea: str, eb: str) -> SusyGraph:
-    """The move ``key`` of ``g`` (see ``_move_keys``) with the new edge
-    (ea, eb): a split replaces its vertex by two joined by the new edge, and
-    a deloop trades one unit of genus at its vertex for the new loop."""
-    base = g.graph
+def _move(c: Core, key: tuple) -> Core:
+    """The move ``key`` of the canonical core ``c`` (see ``_move_keys``),
+    all NS: a split replaces its vertex v by va and vb joined by a new
+    edge, and a deloop trades one unit of genus at its vertex for a new
+    loop.  The new edge's flags e0a and e0b sort before the parent's
+    f0 .., so they are flags 0 and 1 and the parent's flag f is f + 2."""
+    genus, boundary, involution, color, label, _, _ = c
     v = key[0]
-    boundary = dict(base.boundary)
-    involution = dict(base.involution)
-    involution[ea] = eb
-    involution[eb] = ea
-    genus = {w: g.genus_of(w) for w in base.vertices}
-    vertices = base.vertices
     if len(key) == 1:
-        boundary[ea] = boundary[eb] = v
-        genus[v] -= 1
+        new_genus = [*genus[:v], genus[v] - 1, *genus[v + 1 :]]
+        new_boundary = [v, v, *boundary]
     else:
-        va, vb = f"{v}a", f"{v}b"
-        while va in vertices or vb in vertices:
-            va += "a"
-            vb += "b"
-        vertices = (vertices - {v}) | {va, vb}
-        del genus[v]
-        for w, (part, gw), e in zip((va, vb), key[1], (ea, eb)):
-            boundary.update(dict.fromkeys(part, w))
-            boundary[e] = w
-            genus[w] = gw
-    return SusyGraph(
-        Graph(base.flags | {ea, eb}, vertices, boundary, involution),
-        SusyLabeling(
-            genus,
-            {f: g.color_of(f) for f in base.flags} | {ea: NS, eb: NS},
-            dict(g.labeling.ns_tail_labels),
-            {},
-        ),
-        modular=True,
+        at, *sides = _split_order(len(genus), v)
+        new_genus = [0] * (len(genus) + 1)
+        for w, gw in enumerate(genus):
+            new_genus[at[w]] = gw
+        new_boundary = [*sides, *(at[w] for w in boundary)]
+        for w, (part, gw) in zip(sides, key[1]):
+            new_genus[w] = gw
+            for f in part:
+                new_boundary[f + 2] = w
+    return _core(
+        tuple(new_genus),
+        tuple(new_boundary),
+        (1, 0, *(p + 2 for p in involution)),
+        (0, 0, *color),
+        (None, None, *label),
+        True,
     )
 
 
-def _move_image(gen: Isomorphism, key: tuple) -> tuple:
-    """The move that the automorphism ``gen`` takes the move ``key`` to."""
-    v = gen.vertex_map[key[0]]
+# an automorphism of a core, as its vertex map and its flag map
+Generator = tuple[Mapping[int, int], Mapping[int, int]]
+
+
+def _move_image(gen: Generator, key: tuple) -> tuple:
+    """The move that the automorphism ``gen``, a vertex and a flag map of
+    the core, takes the move ``key`` to."""
+    vm, fm = gen
+    v = vm[key[0]]
     if len(key) == 1:
         return (v,)
-    fm = gen.flag_map
     return (v, tuple(sorted((tuple(sorted(fm[f] for f in p)), gp) for p, gp in key[1])))
 
 
@@ -203,7 +211,7 @@ K = TypeVar("K")
 
 
 def _orbits(
-    keys: Iterable[K], generators: tuple[Isomorphism, ...], image: Callable[..., K]
+    keys: Iterable[K], generators: Sequence, image: Callable[..., K]
 ) -> list[list[K]]:
     """The orbits of ``keys`` under the group that ``generators`` generate,
     ``image(gen, key)`` being the action; each orbit starts with its first
@@ -238,19 +246,16 @@ def _shapes(
     """``enumerate_modular_shapes`` with each shape's certificate digest and
     certificate, the covers recorded while it was generated, and generators
     of its automorphism group, in the shape's names, read from the search
-    that found it.  Only the certificate's bytes are kept, not the
-    ``CanonicalForm``, which would hold on to the move it was built from.
+    that found it.
 
-    Every move adds one edge to a canonical parent, so contracting the new
-    edge of the child gives back the parent: the child's flag witness names
-    that edge in the child's flags and maps the rest onto the parent's.
-    One entry is kept per edge.  Moves in one orbit of the parent's
-    automorphisms give isomorphic children, so each move is keyed before it
-    is built and only the first move of each orbit is built and searched.
-    Every contraction of a shape is the inverse of some move, and the moves
-    left out would only have named edges in orbits of the child's
-    automorphisms already named, so every orbit of a shape's edges gets a
-    recorded cover."""
+    Shapes are kept as canonical cores: each move is built and searched as
+    a core, the winning leaf of a new shape's search renumbers the move
+    into the shape's core and gives generators on it, and each shape and
+    its generators are named once, at the end.  The winning leaf also names
+    the new edge of each move in the child's flags and maps the rest onto
+    the parent's, which is the child's cover; one is kept per edge."""
+    if not isinstance(genus, int) or genus < 0:
+        raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
     labels = sorted(set(tail_labels))
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
@@ -263,35 +268,49 @@ def _shapes(
             f"shape enumeration needs up to {bound} edges but the limit is "
             f"{limit}; raise {ENV_LIMIT} or pass max_edges to go further"
         )
-    start = _canonical_form(_corolla(genus, labels))
-    found: dict[str, tuple[SusyGraph, bytes, tuple[Isomorphism, ...], dict]] = {
-        start.digest: (start.graph, start.certificate, start.generators, {})
-    }
-    frontier = [start.digest]
+    # digest -> (canonical core, certificate, generators on the core, covers)
+    found: dict[str, tuple[Core, bytes, list, dict]] = {}
+    fresh: list[str] = []
+
+    def search(child: Core) -> tuple[str, tuple[int, ...]]:
+        """The digest of ``child``, a new shape kept in ``found`` and
+        ``fresh``, and the canonical index of each of its flags."""
+        cert, leaves = canon._search(child)
+        digest = sha256(cert).hexdigest()
+        if digest not in found:
+            _, vrank = _canonical_names("v", len(child.genus))
+            _, frank = _canonical_names("f", len(child.boundary))
+            core = _canonical_core(child, leaves[0])
+            found[digest] = (core, cert, _generators(child, leaves, vrank, frank), {})
+            fresh.append(digest)
+        return digest, leaves[0][1]
+
+    search(_core_of(_corolla(genus, labels)))
     depth = 0
-    while frontier and depth < bound:
+    while fresh and depth < bound:
         depth += 1
-        fresh: list[str] = []
+        frontier, fresh = fresh, []
         for pd in frontier:
             parent, _, generators, _ = found[pd]
-            ea, eb = _fresh_pair(parent.graph)
+            names, _ = _canonical_names("f", len(parent.boundary))
             for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
-                form = _canonical_form(_move(parent, key, ea, eb))
-                if form.digest not in found:
-                    found[form.digest] = (
-                        form.graph, form.certificate, form.generators, {}
-                    )
-                    fresh.append(form.digest)
-                covers = found[form.digest][3]
-                w = form.flag_witness
-                edge = tuple(sorted((w[ea], w[eb])))
+                digest, index = search(_move(parent, key))
+                covers = found[digest][3]
+                edge = tuple(sorted((f"f{index[0]}", f"f{index[1]}")))
                 if edge not in covers:
-                    covers[edge] = (pd, {w[f]: f for f in parent.flags})
-        frontier = fresh
-    return sorted(
-        ((d, cert, g, covers, gens) for d, (g, cert, gens, covers) in found.items()),
-        key=lambda t: (len(edges(t[2].graph)), t[0]),
-    )
+                    covers[edge] = (pd, {f"f{i}": f for i, f in zip(index[2:], names)})
+    out = []
+    for digest, (core, cert, generators, covers) in found.items():
+        vn, _ = _canonical_names("v", len(core.genus))
+        fn, _ = _canonical_names("f", len(core.boundary))
+        named = tuple(
+            Isomorphism(
+                {vn[a]: vn[b] for a, b in vm.items()}, {fn[a]: fn[b] for a, b in fm.items()}
+            )
+            for vm, fm in generators
+        )
+        out.append((digest, cert, _graph_of(core, vn, fn), covers, named))
+    return sorted(out, key=lambda t: (len(edges(t[2].graph)), t[0]))
 
 
 def enumerate_modular_shapes(

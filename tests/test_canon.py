@@ -1,9 +1,10 @@
 """Canonical forms, certificates, and automorphism groups, cross-checked
 against the exhaustive bijection oracle."""
 
+import hashlib
 import itertools
+import json
 import random
-from functools import cached_property
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,6 @@ from susykit import (
     susy_graph,
 )
 from susykit import canon
-from susykit.graphs import Graph
 from susykit.sampling import random_susy_graph
 
 from conftest import star
@@ -116,6 +116,43 @@ def complete_graph(n):
         involution=involution,
         genus=dict.fromkeys(vertices, 0),
         color=dict.fromkeys(boundary, NS),
+    )
+
+
+def cycle_graph(beads, vertex_step, flag_step, tails=(), r_edges=0, genus=()):
+    """``beads`` vertices in a cycle; the first ``len(tails)`` carry the NS
+    tails, in order, and the others an NS loop each; the first cycle edge
+    is doubled by ``r_edges`` extra R edges and is R itself when there are
+    any; the vertices at the positions in ``genus`` have genus 1.  Vertex
+    k is named v{vertex_step * k % beads} and the i-th flag built
+    f{flag_step * i % flags}, so that string order ("v10" < "v2") and
+    number order disagree."""
+    ends = []  # (position, partner, colour) of each flag, in build order
+    for k in range(beads):
+        color = R if k == 0 and r_edges else NS
+        ends.append((k, len(ends) + 1, color))
+        ends.append(((k + 1) % beads, len(ends) - 1, color))
+    for _ in range(r_edges):
+        ends.append((0, len(ends) + 1, R))
+        ends.append((1, len(ends) - 1, R))
+    tail_at = {}
+    for k, label in enumerate(tails):
+        tail_at[len(ends)] = label
+        ends.append((k, len(ends), NS))
+    for k in range(len(tails), beads):
+        ends.append((k, len(ends) + 1, NS))
+        ends.append((k, len(ends) - 1, NS))
+    flag = [f"f{flag_step * i % len(ends)}" for i in range(len(ends))]
+    vertex = [f"v{vertex_step * k % beads}" for k in range(beads)]
+    return susy_graph(
+        flags=flag,
+        vertices=vertex,
+        boundary={flag[i]: vertex[k] for i, (k, _, _) in enumerate(ends)},
+        involution={flag[i]: flag[p] for i, (_, p, _) in enumerate(ends)},
+        genus={v: int(k in genus) for k, v in enumerate(vertex)},
+        color={flag[i]: c for i, (_, _, c) in enumerate(ends)},
+        ns_labels={l: flag[i] for i, l in tail_at.items()},
+        r_labels={},
     )
 
 
@@ -258,6 +295,93 @@ class TestCertificates:
         check_witness(g1, g2, witness)
 
 
+def tie_breaks(form):
+    """sha256 of the witnesses and generators of ``form``, which the
+    search's tie-breaks by name decide."""
+    data = [
+        sorted(form.vertex_witness.items()),
+        sorted(form.flag_witness.items()),
+        [[sorted(a.vertex_map.items()), sorted(a.flag_map.items())] for a in form.generators],
+    ]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+class TestSortOrder:
+    """The search numbers names in their sorted order, where "v10" and
+    "f10" come before "v2" and "f2" and the tail label "10" before "9".
+    The digests (sha256 of the certificate bytes) and the tie-break hashes
+    were taken from the search on names that the integer search replaced."""
+
+    @pytest.mark.parametrize(
+        "g, leaves, digest, ties",
+        [
+            (
+                cycle_graph(12, 5, 7, tails=("9", "10", 'é"x'), r_edges=1, genus=(6,)),
+                1,
+                "6db2e631157d39470a7ca5c0ae1ae3ba7b66d5d163d9e048b51d91aa7ab2e57a",
+                "3e92be960f6417828c918b0f5b9b86ab478ab0f6d5a353d60e497c7e858e8e16",
+            ),
+            (
+                cycle_graph(11, 3, 5),
+                22,
+                "544240e17d3a0873bbcbbdf7fd264ad03ec94321a9c8f92f8a8dabe0b20120f4",
+                "caa2413a1e71c5746536bca212cac03e47a376f00b21f71417f327933212b25d",
+            ),
+            (
+                cycle_graph(13, 4, 3, tails=("10", "9"), genus=(5, 6)),
+                1,
+                "3c52ea4e23dcf3f3a089d64a4de30983692b393dce78b9fc8dd49d9e8f88dc09",
+                "a711a1ad1e11bbbbcf3b6dca558b373876a98ac24aedc3c36a9cd38159ef4720",
+            ),
+        ],
+    )
+    def test_certificates_are_pinned(self, g, leaves, digest, ties):
+        assert len(g.vertices) >= 11 and len(g.flags) >= 11
+        form = canonical_form(g)
+        assert len(form.leaves) == leaves
+        assert hashlib.sha256(form.certificate).hexdigest() == form.digest == digest
+        assert tie_breaks(form) == ties
+        again = canonical_form(form.graph)
+        assert again.certificate == form.certificate
+        assert again.graph == form.graph
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle_graph(12, 5, 7, tails=("9", "10", 'é"x'), r_edges=1, genus=(6,)),
+            cycle_graph(11, 3, 5),
+        ],
+    )
+    def test_canonical_core_is_the_core_of_the_canonical_graph(self, g):
+        form = canonical_form(g)
+        core = canon._canonical_core(form.core, form.leaves[0])
+        assert core == canon._core_of(form.graph)
+        names = [
+            canon._canonical_names(prefix, len(array))[0]
+            for prefix, array in (("v", core.genus), ("f", core.boundary))
+        ]
+        assert canon._graph_of(core, *names) == form.graph
+
+    def test_equal_graphs_have_one_certificate(self):
+        # a genus of True passes validation and the graph equals its genus-1
+        # twin; the certificate once read "genus":[true] for it
+        one, true = star(1, 3), star(True, 3)
+        assert one == true
+        form = canonical_form(true)
+        assert form.certificate == canonical_form(one).certificate
+        assert json.loads(form.certificate)["genus"] == [1]
+
+    def test_labels_are_escaped_as_json_escapes_them(self):
+        g = cycle_graph(12, 5, 7, tails=("9", "10", 'é"x'), r_edges=1, genus=(6,))
+        certificate = canonical_form(g).certificate
+        payload = json.loads(certificate)
+        assert certificate == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ).encode("ascii")
+        assert b'["\\u00e9\\"x",' in certificate
+        assert [l for l, _ in payload["tails"]] == ["10", "9", 'é"x']
+
+
 class TestAutomorphisms:
     def test_labeled_corolla_is_rigid(self):
         g = star(0, 3)
@@ -388,20 +512,22 @@ class TestAutomorphisms:
         assert len(calls) == 1
 
     def test_generators_reuse_the_search_incidence(self, monkeypatch):
-        built = []
-        real = Graph.incidence.func
+        # the core builds the one incidence of a search
+        built, read = [], []
+        real_core, real_blocks = canon._core, canon._blocks
 
-        def counting(graph):
-            built.append(graph)
-            return real(graph)
+        def counting(*args):
+            built.append(real_core(*args))
+            return built[-1]
 
-        prop = cached_property(counting)
-        prop.__set_name__(Graph, "incidence")
-        monkeypatch.setattr(Graph, "incidence", prop)
+        monkeypatch.setattr(canon, "_core", counting)
+        monkeypatch.setattr(canon, "_blocks", lambda c: read.append(c) or real_blocks(c))
         g = double_edge_graph()
         form = canon._canonical_form(g)
         assert form.generators
-        assert len(built) == 1 and built[0] is g.graph
+        assert len(built) == 1 and form.core is built[0]
+        assert len(read) == 1 and read[0] is built[0]
+        assert "incidence" not in vars(g.graph)
 
     def test_isomorphisms_are_built_one_at_a_time(self, monkeypatch):
         # one vertex with six NS loops: 6! * 2**6 = 46,080 automorphisms

@@ -10,6 +10,7 @@ import pytest
 
 from susykit import calculus, canon, cli, contract_pair, strata
 from susykit.cli import main
+from susykit.graphs import Graph
 from susykit.jsonio import curve_to_json, dumps, graph_to_json, morphism_to_json
 
 from conftest import star, two_vertex_tree
@@ -140,6 +141,27 @@ class TestEnumerate:
         assert rc == 1
         assert "unstable" in err
 
+    def test_negative_genus_is_exit_1(self, capsys):
+        rc, out, err = run(capsys, "enumerate", "--genus", "-1", "--ns", "5")
+        assert rc == 1
+        assert out == ""
+        assert "non-negative integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "enumerate --genus 0 --ns -1",
+            "enumerate --genus 0 --ns 4 --r -2",
+            "enumerate --genus 0 --ns four",
+            "check-axioms --cases -5",
+        ],
+    )
+    def test_negative_count_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert "expected a non-negative integer" in capsys.readouterr().err
+
     def test_table_format(self, capsys):
         rc, out, _ = run(
             capsys, "enumerate", "--genus", "1", "--ns", "1",
@@ -164,7 +186,15 @@ def counted(monkeypatch, module, name, counts):
 def move_orbits(shape):
     """The number of orbits of the shape's moves under its automorphisms,
     the group taken from the exhaustive oracle."""
-    keys = set(strata._move_keys(shape))
+    vertices, flags = sorted(shape.vertices), sorted(shape.flags)
+
+    def named(key):
+        if len(key) == 1:
+            return (vertices[key[0]],)
+        sides = ((tuple(flags[f] for f in part), g) for part, g in key[1])
+        return (vertices[key[0]], tuple(sides))
+
+    keys = {named(k) for k in strata._move_keys(canon._core_of(shape))}
     group = list(brute_isomorphisms(shape, shape))
 
     def image(vmap, fmap, key):
@@ -219,6 +249,16 @@ class TestEnumerateSearches:
         assert after == before == counts["_search"]
         assert "contract_pair" not in counts
         assert "contraction_poset" not in counts
+
+    def test_shapes_are_named_once(self, monkeypatch):
+        # one Graph per shape, and one for the corolla the search starts from
+        built = []
+        init = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or init(g))
+        shapes = strata._shapes(3, [])
+        assert len(shapes) == 42
+        assert len(built) == len(shapes) + 1
+        assert {id(g.graph) for _, _, g, _, _ in shapes} <= {id(g) for g in built}
 
     @pytest.mark.parametrize(
         "argv, builder",

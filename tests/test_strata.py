@@ -22,9 +22,11 @@ from susykit import (
     enumerate_strata,
     enumerate_strata_records,
     flags_at,
+    forget,
     genus,
     is_stable,
     lift_count_general,
+    modular_graph,
     strata_poset,
     stratum_dimension,
 )
@@ -32,9 +34,9 @@ from susykit import graphs, lifting, strata, susy
 from susykit.lifting import _colored
 from susykit.operad import _graph_signature
 from susykit.susy import R
+from susykit.canon import _core_of, _graph_of
 from susykit.strata import (
     _corolla,
-    _fresh_pair,
     _move,
     _move_keys,
     _shapes,
@@ -52,6 +54,7 @@ from oracles import (
     forest_b1,
 )
 from test_boundary import count_calls
+from test_canon import cycle_graph
 from test_cli import counted
 
 FOUR = ["1", "2", "3", "4"]
@@ -327,8 +330,43 @@ class TestStrataPoset:
 
 
 def moves_of(shape):
-    ea, eb = _fresh_pair(shape.graph)
-    return [_move(shape, key, ea, eb) for key in _move_keys(shape)]
+    core = _core_of(shape)
+    moves = [_move(core, key) for key in _move_keys(core)]
+    return [
+        _graph_of(m, [f"v{i}" for i in range(len(m.genus))], [f"f{i}" for i in range(len(m.boundary))])
+        for m in moves
+    ]
+
+
+def named_move(shape, key):
+    """The move ``key`` of the canonical modular graph ``shape``, built on
+    names: the new edge is (e0a, e0b), and a split vertex v becomes va and
+    vb.  Numbered in the sorted order of these names, it is the core that
+    ``_move`` builds from the shape's core."""
+    vertices, flags = sorted(shape.vertices), sorted(shape.flags)
+    v = vertices[key[0]]
+    boundary = dict(shape.boundary)
+    involution = {**shape.involution, "e0a": "e0b", "e0b": "e0a"}
+    genus = dict(shape.labeling.genus)
+    kept = set(shape.vertices)
+    if len(key) == 1:
+        boundary["e0a"] = boundary["e0b"] = v
+        genus[v] -= 1
+    else:
+        kept.remove(v)
+        del genus[v]
+        for w, (part, gw), e in zip((v + "a", v + "b"), key[1], ("e0a", "e0b")):
+            kept.add(w)
+            boundary.update({flags[f]: w for f in part}, **{e: w})
+            genus[w] = gw
+    return modular_graph(
+        flags=set(boundary),
+        vertices=kept,
+        boundary=boundary,
+        involution=involution,
+        genus=genus,
+        tail_labels=dict(shape.labeling.ns_tail_labels),
+    )
 
 
 def splits_of(shape):
@@ -357,6 +395,17 @@ class TestMoves:
         # degree one
         assert len(splits_of(corolla)) == 2
 
+    def test_core_moves_are_the_named_moves(self):
+        # eleven vertices, so that v10 and v1a sort before v2
+        necklace = canonical_form(forget(cycle_graph(11, 3, 5))).graph
+        shapes = enumerate_modular_shapes(3, []) + [necklace]
+        assert len(necklace.vertices) == 11
+        for shape in shapes:
+            core = _core_of(shape)
+            for key in _move_keys(core):
+                assert _move(core, key) == _core_of(named_move(shape, key))
+        assert _move_keys(_core_of(necklace))
+
     def test_shape_searches_validate_nothing(self, monkeypatch):
         calls = []
         check = susy.validate_susy_graph
@@ -370,7 +419,7 @@ class TestMoves:
         shapes = enumerate_modular_shapes(1, FOUR)
         calls = count_calls(monkeypatch, graphs.flags_at)
         for shape in shapes:
-            _move_keys(shape)
+            _move_keys(_core_of(shape))
             _graph_signature(shape)
             stratum_dimension(shape)
         assert calls == []
@@ -597,6 +646,14 @@ class TestBoundsAndErrors:
     def test_unstable_request_rejected(self):
         with pytest.raises(ValidationError, match="unstable"):
             enumerate_strata(0, ["1", "2"], [])
+
+    @pytest.mark.parametrize("g", [-1, -3, 1.0, "2", None])
+    def test_genus_must_be_a_non_negative_int(self, g):
+        # a negative genus once passed the stability check with enough tails
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            enumerate_strata(g, ["1", "2", "3", "4", "5"], [])
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            enumerate_modular_shapes(g, ["1", "2", "3", "4", "5"])
 
     def test_odd_r_label_count_rejected(self):
         with pytest.raises(ValidationError, match="even"):
