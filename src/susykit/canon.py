@@ -6,17 +6,18 @@ search that minimizes the encoding.  Two graphs are isomorphic over fixed
 tail labels exactly when their certificates agree.
 
 The search runs on a ``Core``, the graph on integers with its own
-incidence.  ``_core_of`` numbers vertices and flags in the sorted order of
-their names, so each tie the search breaks by name it breaks the same way
-by number.  The certificate's bytes are written directly, as
-``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` writes them,
-and a leaf is two integer tuples.  Names come back at the edge only:
-``CanonicalForm`` names its graph, witnesses and generators when they are
-first read, and the shape generator in ``strata`` names each new shape
-once.  A canonical graph's names are ``v{i}`` and ``f{i}``, and its core
-numbers them in sorted order ("f10" before "f2").  ``canonical_form``
-validates its input once; the search does not, and refuses a graph past
-``MAX_SEARCH_LEAVES`` leaves.
+incidence, and a leaf is two integer tuples: each vertex's position and
+each flag's index.  The certificate does not depend on how a core is
+numbered, since a renumbering only relabels the search tree.  Its bytes
+are written directly, as ``json.dumps(payload, sort_keys=True,
+separators=(",", ":"))`` writes them.  ``_core_of`` numbers a named graph
+in the sorted order of its names ("f10" before "f2"); a canonical core is
+numbered by its leaf, vertex p at position p and flag i at index i, and
+named ``v{p}`` and ``f{i}`` (``_names``).  Names come back at the edge
+only: ``CanonicalForm`` names its graph, witnesses and generators when
+they are first read, and ``strata`` names each new shape and stratum
+once.  ``canonical_form`` validates its input once; the search does not,
+and refuses a graph past ``MAX_SEARCH_LEAVES`` leaves.
 
 The same search yields isomorphisms and automorphisms.  Every leaf whose
 certificate ties the least one, mapped onto the winning leaf, gives one
@@ -103,9 +104,8 @@ def _core_of(g: SusyGraph, labels_fixed: bool = True) -> Core:
     label = {f: l for l, f in [*lab.ns_tail_labels.items(), *lab.r_tail_labels.items()]}
     if not labels_fixed:
         label = {f: lab.color[f] for f in label}
-    # a genus of True is 1, as the two graphs are equal
     return _core(
-        tuple(int(lab.genus[v]) for v in vertex),
+        tuple(lab.genus[v] for v in vertex),
         tuple(vertex[g.boundary[f]] for f in flags),
         tuple(flag[g.involution[f]] for f in flags),
         tuple(COLORS.index(lab.color[f]) for f in flags),
@@ -115,25 +115,22 @@ def _core_of(g: SusyGraph, labels_fixed: bool = True) -> Core:
 
 
 @cache
-def _canonical_names(prefix: str, n: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The names ``prefix0 .. prefix{n-1}`` in sorted order, and the rank
-    in that order of the name of each number."""
-    names = sorted(f"{prefix}{i}" for i in range(n))
-    rank = {name: k for k, name in enumerate(names)}
-    return tuple(names), tuple(rank[f"{prefix}{i}"] for i in range(n))
+def _names(prefix: str, n: int) -> tuple[str, ...]:
+    """The names ``prefix0 .. prefix{n-1}``, one shared tuple per size."""
+    return tuple(f"{prefix}{i}" for i in range(n))
 
 
 def _canonical_core(c: Core, leaf: Leaf) -> Core:
-    """The core of the canonical graph that ``leaf`` renames ``c`` to."""
-    (_, vrank), (_, frank) = (_canonical_names(x, len(p)) for x, p in zip("vf", leaf))
-    vertex, flag = [vrank[p] for p in leaf[0]], [frank[i] for i in leaf[1]]
+    """The canonical core that ``leaf`` renumbers ``c`` to: each vertex
+    numbered by its position and each flag by its index."""
+    pos, index = leaf
     # the vertices and flags of ``c`` in their new order
-    vs = sorted(range(len(vertex)), key=vertex.__getitem__)
-    fs = sorted(range(len(flag)), key=flag.__getitem__)
+    vs = sorted(range(len(pos)), key=pos.__getitem__)
+    fs = sorted(range(len(index)), key=index.__getitem__)
     return _core(
         tuple(c.genus[v] for v in vs),
-        tuple(vertex[c.boundary[f]] for f in fs),
-        tuple(flag[c.involution[f]] for f in fs),
+        tuple(pos[c.boundary[f]] for f in fs),
+        tuple(index[c.involution[f]] for f in fs),
         tuple(c.color[f] for f in fs),
         tuple(c.label[f] for f in fs),
         c.modular,
@@ -180,19 +177,21 @@ class CanonicalForm:
     @cached_property
     def vertex_witness(self) -> dict[str, str]:
         pos = self.leaves[0][0]
-        return {v: f"v{p}" for v, p in zip(sorted(self.source.vertices), pos)}
+        vn = _names("v", len(pos))
+        return {v: vn[p] for v, p in zip(sorted(self.source.vertices), pos)}
 
     @cached_property
     def flag_witness(self) -> dict[str, str]:
         index = self.leaves[0][1]
-        return {f: f"f{i}" for f, i in zip(sorted(self.source.flags), index)}
+        fn = _names("f", len(index))
+        return {f: fn[i] for f, i in zip(sorted(self.source.flags), index)}
 
     @cached_property
     def generators(self) -> tuple[Isomorphism, ...]:
         """Automorphisms that generate the group of ``graph``, in its names
         (see ``_generators``).  Empty when the group is trivial."""
-        vn = [f"v{p}" for p in range(len(self.core.genus))]
-        fn = [f"f{i}" for i in range(len(self.core.boundary))]
+        vn = _names("v", len(self.core.genus))
+        fn = _names("f", len(self.core.boundary))
         maps = _generators(self.core, self.leaves, vn, fn)
         return tuple(Isomorphism(*m) for m in maps)
 
@@ -323,14 +322,6 @@ def _search(c: Core) -> tuple[bytes, list[Leaf]]:
     return best, ties
 
 
-def _canonical_form(g: SusyGraph) -> CanonicalForm:
-    """``canonical_form`` without validating ``g``, for graphs the library
-    built itself."""
-    core = _core_of(g)
-    cert, leaves = _search(core)
-    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, core, tuple(leaves))
-
-
 def _unmodular_digest(certificate: bytes) -> str:
     """The digest of a modular graph's all-NS coloring, from the graph's
     certificate.  The two graphs differ only in ``modular``, which every
@@ -347,7 +338,9 @@ def canonical_form(g: SusyGraph) -> CanonicalForm:
     """Renumber vertices and flags canonically; equal certificates mean
     isomorphic over fixed tail labels."""
     require_susy(g)
-    return _canonical_form(g)
+    core = _core_of(g)
+    cert, leaves = _search(core)
+    return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, core, tuple(leaves))
 
 
 def certificate_digest(g: SusyGraph) -> str:

@@ -72,7 +72,7 @@ def validate_curve_config(c: CurveConfig) -> ValidationReport:
 
     for idx, comp in enumerate(c.components):
         where = f"component {idx}"
-        if not isinstance(comp.genus, int) or comp.genus < 0:
+        if type(comp.genus) is not int or comp.genus < 0:
             problems.append(f"{where}: genus must be a non-negative integer")
         r_count = 0
         for pt in comp.special_points:

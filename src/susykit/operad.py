@@ -113,7 +113,7 @@ def validate_signature(sig: ModuliSignature) -> ValidationReport:
         problems.append(f"unknown mode {sig.mode!r}")
     seen: set[str] = set()
     for i, f in enumerate(sig.factors):
-        if not isinstance(f.genus, int) or f.genus < 0:
+        if type(f.genus) is not int or f.genus < 0:
             problems.append(f"factor {i}: genus must be a non-negative integer")
         overlap = f.ns_labels & f.r_labels
         if overlap:

@@ -12,7 +12,8 @@ Shapes are generated as integer cores (see ``canon``): each move is built
 from its parent's canonical core and searched as a core, the winning leaf
 of a new shape renumbers the move into the shape's canonical core, and a
 shape is named as a graph once, when the generation ends.  The colorings
-are built from the named shapes and searched as graphs.
+are searched as cores too: each is its shape's core with the colours
+replaced, and a stratum is named once, when its digest is new.
 
 The search that finds a shape also gives generators of its automorphism
 group, and they prune both passes.  Moves in one orbit of the parent's
@@ -24,8 +25,8 @@ each orbit is built, and the whole orbit takes its digest.  The first of
 each orbit is searched, except the all-NS coloring (no R tails, no R
 edges), which takes its shape's search: it differs from the shape only in
 ``modular``, which every leaf of the search shares, so its certificate is
-the shape's with ``"modular":false`` and, the shape being in canonical
-names already, the coloring is its own canonical graph.
+the shape's with ``"modular":false``, and the shape with ``modular``
+false, sharing its graph and labeling, is its canonical graph.
 
 Each ``StratumRecord`` keeps the certificate digests of its colorings in
 ``digests``, parallel to ``colorings``, its shape's digest and, in
@@ -47,54 +48,40 @@ canonizes nothing.  ``contraction_poset`` is the general path for an
 arbitrary list of strata: it canonizes every stratum and contraction.
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
-instance guard refuses enumerations whose bound exceeds a configurable
-limit (SUSY_KIT_MAX_EDGES, default 8).
+instance guard refuses enumerations whose bound exceeds ``max_edges``
+(``MAX_EDGES`` by default).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
-from .canon import Core, Isomorphism, _canonical_core, _canonical_form
-from .canon import _canonical_names, _core, _core_of, _generators, _graph_of
-from .canon import _unmodular_digest, certificate_digest
+from .canon import Core, Isomorphism, _canonical_core, _core, _core_of
+from .canon import _generators, _graph_of, _names, _unmodular_digest
+from .canon import certificate_digest
 from .errors import ValidationError
 from .graphs import edges, orbit_pairs
-from .lifting import _colored, _lift_masks
+from .lifting import _lift_masks
 from .susy import SusyGraph, modular_graph
 from .calculus import contract_pair
 
 __all__ = [
+    "MAX_EDGES",
     "ContractionPoset",
     "StratumRecord",
     "contraction_poset",
     "enumerate_modular_shapes",
     "enumerate_strata",
     "enumerate_strata_records",
-    "max_edge_limit",
     "strata_poset",
 ]
 
-ENV_LIMIT = "SUSY_KIT_MAX_EDGES"
-DEFAULT_LIMIT = 8
-
-
-def max_edge_limit(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    raw = os.environ.get(ENV_LIMIT)
-    if raw is None:
-        return DEFAULT_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENV_LIMIT} must be an integer, got {raw!r}")
+# the edge bound an enumeration may reach unless ``max_edges`` raises it
+MAX_EDGES = 8
 
 
 def _corolla(genus: int, labels: list[str]) -> SusyGraph:
@@ -107,18 +94,6 @@ def _corolla(genus: int, labels: list[str]) -> SusyGraph:
         genus={"v": genus},
         tail_labels={l: f for f, l in flags.items()},
     )
-
-
-@cache
-def _split_order(n: int, v: int) -> tuple[tuple[int, ...], int, int]:
-    """The new index of each vertex of a canonical core with ``n`` vertices
-    when vertex ``v`` splits into va and vb (``v`` itself goes to va), and
-    the indices of va and vb, in the sorted order of the names: "v1a" sorts
-    after "v10"."""
-    names = list(_canonical_names("v", n)[0])
-    va, vb = names[v] + "a", names[v] + "b"
-    index = {w: i for i, w in enumerate(sorted(names[:v] + names[v + 1 :] + [va, vb]))}
-    return tuple(index.get(w, index[va]) for w in names), index[va], index[vb]
 
 
 def _move_keys(c: Core) -> list[tuple]:
@@ -157,32 +132,28 @@ def _move_keys(c: Core) -> list[tuple]:
 
 
 def _move(c: Core, key: tuple) -> Core:
-    """The move ``key`` of the canonical core ``c`` (see ``_move_keys``),
-    all NS: a split replaces its vertex v by va and vb joined by a new
-    edge, and a deloop trades one unit of genus at its vertex for a new
-    loop.  The new edge's flags e0a and e0b sort before the parent's
-    f0 .., so they are flags 0 and 1 and the parent's flag f is f + 2."""
+    """The move ``key`` of the core ``c`` (see ``_move_keys``), all NS: a
+    split keeps its first side at vertex v and moves its second side to a
+    new last vertex, and a deloop trades one unit of genus at v for a new
+    loop.  The new edge is the last two flags, the first one at v."""
     genus, boundary, involution, color, label, _, _ = c
-    v = key[0]
+    v, n = key[0], len(boundary)
+    new_genus = [*genus]
+    new_boundary = [*boundary, v, v]
     if len(key) == 1:
-        new_genus = [*genus[:v], genus[v] - 1, *genus[v + 1 :]]
-        new_boundary = [v, v, *boundary]
+        new_genus[v] -= 1
     else:
-        at, *sides = _split_order(len(genus), v)
-        new_genus = [0] * (len(genus) + 1)
-        for w, gw in enumerate(genus):
-            new_genus[at[w]] = gw
-        new_boundary = [*sides, *(at[w] for w in boundary)]
-        for w, (part, gw) in zip(sides, key[1]):
-            new_genus[w] = gw
-            for f in part:
-                new_boundary[f + 2] = w
+        (_, ga), (part, gb) = key[1]
+        new_genus[v] = ga
+        new_genus.append(gb)
+        for f in (*part, n + 1):
+            new_boundary[f] = len(genus)
     return _core(
         tuple(new_genus),
         tuple(new_boundary),
-        (1, 0, *(p + 2 for p in involution)),
-        (0, 0, *color),
-        (None, None, *label),
+        (*involution, n + 1, n),
+        (*color, 0, 0),
+        (*label, None, None),
         True,
     )
 
@@ -235,7 +206,7 @@ def _orbits(
     return out
 
 
-# edge of a shape (its two flags, sorted) -> (digest of the shape that
+# edge of a shape (its two flags) -> (digest of the shape that
 # contracting it gives, map from the remaining flags onto that shape's flags)
 ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
 
@@ -254,7 +225,7 @@ def _shapes(
     its generators are named once, at the end.  The winning leaf also names
     the new edge of each move in the child's flags and maps the rest onto
     the parent's, which is the child's cover; one is kept per edge."""
-    if not isinstance(genus, int) or genus < 0:
+    if type(genus) is not int or genus < 0:
         raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
     labels = sorted(set(tail_labels))
     if 2 * genus - 2 + len(labels) <= 0:
@@ -262,11 +233,11 @@ def _shapes(
             f"unstable enumeration request: 2*{genus} - 2 + {len(labels)} <= 0"
         )
     bound = 3 * genus - 3 + len(labels)
-    limit = max_edge_limit(max_edges)
+    limit = MAX_EDGES if max_edges is None else max_edges
     if bound > limit:
         raise ValidationError(
             f"shape enumeration needs up to {bound} edges but the limit is "
-            f"{limit}; raise {ENV_LIMIT} or pass max_edges to go further"
+            f"{limit}; pass max_edges (--max-edges) to go further"
         )
     # digest -> (canonical core, certificate, generators on the core, covers)
     found: dict[str, tuple[Core, bytes, list, dict]] = {}
@@ -278,10 +249,9 @@ def _shapes(
         cert, leaves = canon._search(child)
         digest = sha256(cert).hexdigest()
         if digest not in found:
-            _, vrank = _canonical_names("v", len(child.genus))
-            _, frank = _canonical_names("f", len(child.boundary))
             core = _canonical_core(child, leaves[0])
-            found[digest] = (core, cert, _generators(child, leaves, vrank, frank), {})
+            maps = _generators(child, leaves, range(len(core.genus)), range(len(core.boundary)))
+            found[digest] = (core, cert, maps, {})
             fresh.append(digest)
         return digest, leaves[0][1]
 
@@ -292,17 +262,17 @@ def _shapes(
         frontier, fresh = fresh, []
         for pd in frontier:
             parent, _, generators, _ = found[pd]
-            names, _ = _canonical_names("f", len(parent.boundary))
+            n = len(parent.boundary)
+            names = _names("f", n + 2)
             for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
                 digest, index = search(_move(parent, key))
                 covers = found[digest][3]
-                edge = tuple(sorted((f"f{index[0]}", f"f{index[1]}")))
+                edge = (names[index[n]], names[index[n + 1]])
                 if edge not in covers:
-                    covers[edge] = (pd, {f"f{i}": f for i, f in zip(index[2:], names)})
+                    covers[edge] = (pd, {names[index[f]]: names[f] for f in range(n)})
     out = []
     for digest, (core, cert, generators, covers) in found.items():
-        vn, _ = _canonical_names("v", len(core.genus))
-        fn, _ = _canonical_names("f", len(core.boundary))
+        vn, fn = _names("v", len(core.genus)), _names("f", len(core.boundary))
         named = tuple(
             Isomorphism(
                 {vn[a]: vn[b] for a, b in vm.items()}, {fn[a]: fn[b] for a, b in fm.items()}
@@ -354,9 +324,9 @@ def enumerate_strata_records(
     certificate digests and the number of raw colorings of the shape
     (``2 ** b1`` by the parity argument).  Only the labels are checked: the
     raw colorings are lift masks keyed by their R flags, and only the first
-    of each orbit under the shape's automorphisms is built as a graph.  The
-    all-NS coloring takes its digest from the shape's certificate and is
-    its own canonical graph, so it is not searched."""
+    of each orbit under the shape's automorphisms is searched, on the
+    shape's core.  The all-NS coloring takes its digest from the shape's
+    certificate and is its own canonical graph, so it is not searched."""
     ns, rr = frozenset(ns_labels), frozenset(r_labels)
     overlap = ns & rr
     if overlap:
@@ -372,21 +342,29 @@ def enumerate_strata_records(
             continue
         r_tails = frozenset(shape.labeling.ns_tail_labels[l] for l in rr)
         # the R flags: the R tails and both flags of every R edge
-        by_key = {
-            r_tails.union(*(p for i, p in enumerate(pairs) if (mask >> i) & 1)): mask
+        keys = [
+            r_tails.union(*(p for i, p in enumerate(pairs) if (mask >> i) & 1))
             for mask in masks
-        }
+        ]
+        if any(keys):
+            # the colorings with an R flag are searched on the shape's core
+            core, flags = _core_of(shape), sorted(shape.flags)
         graphs: dict[str, SusyGraph] = {}
-        coloring_digests = dict.fromkeys(by_key, "")
-        for orbit in _orbits(by_key, generators, _coloring_image):
-            colored = _colored(shape, ns, rr, pairs, by_key[orbit[0]])
-            if orbit[0]:
-                form = _canonical_form(colored)
-                digest, graph = form.digest, form.graph
-            else:
+        coloring_digests = dict.fromkeys(keys, "")
+        for orbit in _orbits(keys, generators, _coloring_image):
+            if not orbit[0]:
                 # the all-NS coloring, which takes its shape's search
-                digest, graph = _unmodular_digest(certificate), colored
-            graphs.setdefault(digest, graph)
+                digest = _unmodular_digest(certificate)
+                graphs[digest] = replace(shape, modular=False)
+            else:
+                color = tuple(int(f in orbit[0]) for f in flags)
+                colored = core._replace(color=color, modular=False)
+                cert, leaves = canon._search(colored)
+                digest = sha256(cert).hexdigest()
+                if digest not in graphs:
+                    c = _canonical_core(colored, leaves[0])
+                    vn, fn = _names("v", len(c.genus)), _names("f", len(c.boundary))
+                    graphs[digest] = _graph_of(c, vn, fn)
             coloring_digests.update(dict.fromkeys(orbit, digest))
         digests = tuple(sorted(graphs))
         records.append(

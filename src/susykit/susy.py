@@ -196,7 +196,7 @@ def validate_susy_graph(g: SusyGraph) -> ValidationReport:
     if set(lab.genus) != set(base.vertices):
         problems.append("genus: domain must be exactly the vertex set")
     else:
-        bad = sorted(v for v, k in lab.genus.items() if not isinstance(k, int) or k < 0)
+        bad = sorted(v for v, k in lab.genus.items() if type(k) is not int or k < 0)
         if bad:
             problems.append(f"genus: negative or non-integer at {bad}")
 

@@ -34,13 +34,13 @@ from susykit import graphs, lifting, strata, susy
 from susykit.lifting import _colored
 from susykit.operad import _graph_signature
 from susykit.susy import R
-from susykit.canon import _core_of, _graph_of
+from susykit.canon import _core_of, _graph_of, _search
 from susykit.strata import (
+    MAX_EDGES,
     _corolla,
     _move,
     _move_keys,
     _shapes,
-    max_edge_limit,
 )
 
 from oracles import (
@@ -163,15 +163,27 @@ class TestColoringTables:
                 assert rec.coloring_digests[key] == canonical_form(c).digest
             assert rec.shape_digest == canonical_form(rec.shape).digest
 
+    @pytest.mark.parametrize(
+        "g, ns, r",
+        [(1, ["1"], []), (1, ["1", "2"], ["3", "4"]), (2, [], []), (3, [], [])],
+    )
+    def test_every_stratum_is_its_own_canonical_graph(self, g, ns, r):
+        for rec in enumerate_strata_records(g, ns, r):
+            for c in rec.colorings:
+                assert canonical_form(c).graph == c
+
     @pytest.mark.parametrize("g, ns, r", [(3, [], []), (1, ["1"], ["2", "3"])])
     def test_records_build_one_coloring_per_stratum(self, monkeypatch, g, ns, r):
         # the enumeration lifts the shapes it made itself, so it checks
-        # none of them again and builds one coloring per orbit
+        # none of them again; it colours the shapes' cores, names each shape
+        # once and each stratum with an R flag once, and the all-NS stratum
+        # is its shape
         names = (
             "validate_susy_graph",
             "is_stable",
             "enumerate_edge_colorings",
             "_colored",
+            "_graph_of",
         )
         counts = dict.fromkeys(names, 0)
         for module in (susy, lifting, strata):
@@ -180,8 +192,11 @@ class TestColoringTables:
                     counted(monkeypatch, module, name, counts)
         records = enumerate_strata_records(g, ns, r)
         n_strata = sum(len(rec.digests) for rec in records)
+        all_ns = sum(frozenset() in rec.coloring_digests for rec in records)
         assert n_strata > len(records)
-        assert counts == dict.fromkeys(names[:3], 0) | {"_colored": n_strata}
+        named = len(records) + n_strata - all_ns
+        assert counts == dict.fromkeys(names[:4], 0) | {"_graph_of": named}
+        assert g != 3 or named == 142
 
 
 class TestAllNsStratum:
@@ -339,10 +354,10 @@ def moves_of(shape):
 
 
 def named_move(shape, key):
-    """The move ``key`` of the canonical modular graph ``shape``, built on
-    names: the new edge is (e0a, e0b), and a split vertex v becomes va and
-    vb.  Numbered in the sorted order of these names, it is the core that
-    ``_move`` builds from the shape's core."""
+    """The move ``key`` of the modular graph ``shape``, its vertices and
+    flags numbered in sorted-name order, built on names: the new edge is
+    (e0a, e0b), and a split vertex v becomes va and vb.  It is isomorphic
+    to the core that ``_move`` builds from the shape's core."""
     vertices, flags = sorted(shape.vertices), sorted(shape.flags)
     v = vertices[key[0]]
     boundary = dict(shape.boundary)
@@ -396,14 +411,16 @@ class TestMoves:
         assert len(splits_of(corolla)) == 2
 
     def test_core_moves_are_the_named_moves(self):
-        # eleven vertices, so that v10 and v1a sort before v2
+        # eleven vertices, so that sorted-name order ("v10" before "v2")
+        # differs from the order of the names' numbers
         necklace = canonical_form(forget(cycle_graph(11, 3, 5))).graph
         shapes = enumerate_modular_shapes(3, []) + [necklace]
         assert len(necklace.vertices) == 11
         for shape in shapes:
             core = _core_of(shape)
             for key in _move_keys(core):
-                assert _move(core, key) == _core_of(named_move(shape, key))
+                certificate, _ = _search(_move(core, key))
+                assert certificate == canonical_form(named_move(shape, key)).certificate
         assert _move_keys(_core_of(necklace))
 
     def test_shape_searches_validate_nothing(self, monkeypatch):
@@ -631,23 +648,20 @@ class TestBoundsAndErrors:
             for s in enumerate_strata(g, ns, r):
                 assert len(edges(s.graph)) <= bound
 
-    def test_default_limit(self, monkeypatch):
-        monkeypatch.delenv("SUSY_KIT_MAX_EDGES", raising=False)
-        assert max_edge_limit() == 8
-        assert max_edge_limit(3) == 3
-
-    def test_env_limit_respected(self, monkeypatch):
-        monkeypatch.setenv("SUSY_KIT_MAX_EDGES", "1")
-        with pytest.raises(ValidationError, match="SUSY_KIT_MAX_EDGES"):
-            enumerate_modular_shapes(1, ["1", "2"])
-        # an explicit override out-ranks the environment
+    def test_default_limit(self):
+        assert MAX_EDGES == 8
+        # twelve tails need up to nine edges
+        with pytest.raises(ValidationError, match="max_edges"):
+            enumerate_modular_shapes(0, [str(i) for i in range(12)])
+        with pytest.raises(ValidationError, match="--max-edges"):
+            enumerate_modular_shapes(1, ["1", "2"], max_edges=1)
         assert enumerate_modular_shapes(1, ["1", "2"], max_edges=2)
 
     def test_unstable_request_rejected(self):
         with pytest.raises(ValidationError, match="unstable"):
             enumerate_strata(0, ["1", "2"], [])
 
-    @pytest.mark.parametrize("g", [-1, -3, 1.0, "2", None])
+    @pytest.mark.parametrize("g", [-1, -3, 1.0, "2", None, True])
     def test_genus_must_be_a_non_negative_int(self, g):
         # a negative genus once passed the stability check with enough tails
         with pytest.raises(ValidationError, match="non-negative integer"):
