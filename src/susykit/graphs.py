@@ -102,24 +102,21 @@ class Graph:
 def validate_graph(g: Graph) -> ValidationReport:
     """Check the graph axioms and report every violation found."""
     problems: list[str] = []
-    if set(g.boundary) != set(g.flags):
+    b, inv = g.boundary, g.involution
+    if b.keys() != g.flags:
         problems.append("boundary: domain must be exactly the flag set")
-    else:
-        bad = sorted(v for v in g.boundary.values() if v not in g.vertices)
-        if bad:
-            problems.append(f"boundary: unknown vertices {bad}")
-    if set(g.involution) != set(g.flags):
+    elif not g.vertices.issuperset(b.values()):
+        bad = sorted(v for v in b.values() if v not in g.vertices)
+        problems.append(f"boundary: unknown vertices {bad}")
+    if inv.keys() != g.flags:
         problems.append("involution: domain must be exactly the flag set")
-    else:
-        bad = sorted(f for f in g.involution.values() if f not in g.flags)
-        if bad:
-            problems.append(f"involution: unknown flags {bad}")
-        else:
-            not_inv = sorted(
-                f for f in g.flags if g.involution[g.involution[f]] != f
-            )
-            if not_inv:
-                problems.append(f"involution: not an involution at {not_inv}")
+    elif not g.flags.issuperset(inv.values()):
+        bad = sorted(f for f in inv.values() if f not in g.flags)
+        problems.append(f"involution: unknown flags {bad}")
+    # inv[inv[f]] == f for every f, read in the involution's key order
+    elif [*map(inv.__getitem__, inv.values())] != [*inv]:
+        not_inv = sorted(f for f in g.flags if inv[inv[f]] != f)
+        problems.append(f"involution: not an involution at {not_inv}")
     return ValidationReport(tuple(problems))
 
 
@@ -213,8 +210,16 @@ class GraphMorphism:
         object.__setattr__(self, "vertex_map", dict(self.vertex_map))
         object.__setattr__(self, "contracted", dict(self.contracted))
 
+    @cached_property
+    def orbits(self) -> tuple[tuple[str, str], ...]:
+        """The orbits of ``contracted`` as sorted pairs, sorted.  Built
+        once, on first read, and shared by every reader, like
+        ``Graph.incidence``."""
+        return tuple(orbit_pairs(self.contracted))
+
     def contracted_pairs(self) -> list[tuple[str, str]]:
-        return orbit_pairs(self.contracted)
+        """``orbits`` as a fresh list, which the caller may change."""
+        return list(self.orbits)
 
 
 def validate_morphism(h: GraphMorphism) -> ValidationReport:
@@ -234,18 +239,20 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
     problems: list[str] = []
     src, tgt = h.source, h.target
 
-    if set(h.flag_map) != set(tgt.flags):
+    image = set(h.flag_map.values())
+    if h.flag_map.keys() != tgt.flags:
         problems.append("flag_map: domain must be exactly the target flag set")
-    if not set(h.flag_map.values()) <= set(src.flags):
+    if not image <= src.flags:
         problems.append("flag_map: values must be source flags")
-    if len(set(h.flag_map.values())) != len(h.flag_map):
+    if len(image) != len(h.flag_map):
         problems.append("flag_map: must be injective")
 
-    if set(h.vertex_map) != set(src.vertices):
+    if h.vertex_map.keys() != src.vertices:
         problems.append("vertex_map: domain must be exactly the source vertex set")
-    if not set(h.vertex_map.values()) <= set(tgt.vertices):
+    hit = set(h.vertex_map.values())
+    if not hit <= tgt.vertices:
         problems.append("vertex_map: values must be target vertices")
-    elif set(h.vertex_map.values()) != set(tgt.vertices):
+    elif hit != tgt.vertices:
         problems.append("vertex_map: must be surjective")
 
     if problems:
@@ -257,7 +264,6 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
                 f"flag_map: boundary incompatible at target flag {f!r}"
             )
 
-    image = set(h.flag_map.values())
     for f in tails(tgt):
         pre = h.flag_map[f]
         if src.involution[pre] != pre:
@@ -271,8 +277,7 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
                 f"edge ({a!r}, {b!r}) pulls back to neither an edge nor a tail pair"
             )
 
-    leftover = set(src.flags) - image
-    if set(h.contracted) != leftover:
+    if h.contracted.keys() != src.flags - image:
         problems.append(
             "contracted: domain must be exactly the source flags outside "
             "the flag_map image"
@@ -286,7 +291,7 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
                 problems.append(f"contracted: fixed point at {f!r}")
                 break
         else:
-            for a, b in orbit_pairs(h.contracted):
+            for a, b in h.orbits:
                 is_edge = src.involution[a] == b
                 both_tails = src.involution[a] == a and src.involution[b] == b
                 if not (is_edge or both_tails):
@@ -309,7 +314,7 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
     for v, w in h.vertex_map.items():
         fibers.setdefault(w, set()).add(v)
     adjacency: dict[str, set[str]] = {v: set() for v in src.vertices}
-    for a, b in orbit_pairs(h.contracted):
+    for a, b in h.orbits:
         va, vb = src.boundary[a], src.boundary[b]
         adjacency[va].add(vb)
         adjacency[vb].add(va)

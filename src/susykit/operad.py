@@ -8,9 +8,11 @@ renamed, and the count of Ramond gluings (the rank of the odd gluing
 parameters).  Signatures are validated when constructed, so recipes never
 re-check their endpoints; the generators check only their labels, and
 composites only that their endpoints meet.  SUSY graph morphisms evaluate
-to recipes: evaluation checks its morphism once and builds the recipe
-unchecked.  Erasing colors is a projection onto classical signatures
-that commutes with evaluation.
+to recipes: evaluation checks its morphism once on every public call and
+builds the recipe unchecked.  Each graph's signature is built once, when
+first read, and reused by every evaluation that reaches the graph.
+Erasing colors is a projection onto classical signatures that commutes
+with evaluation.
 
 Dimension bookkeeping lives here too: the even and odd dimensions of the
 stratum attached to a stable SUSY graph, computed both from closed formulas
@@ -441,7 +443,8 @@ def glue_r_loop(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
 
 
 def _graph_signature(g: SusyGraph) -> tuple[ModuliSignature, dict[str, int]]:
-    """Per-vertex factors with flag ids as labels; vertex -> factor position."""
+    """Per-vertex factors with flag ids as labels; vertex -> factor position.
+    ``SusyGraph.signature`` keeps it, so read that instead."""
     verts = sorted(g.vertices)
     factors = []
     for v in verts:
@@ -469,19 +472,23 @@ def evaluate_operad(h: SusyMorphism) -> GluingRecipe:
 
 def _evaluate(h: SusyMorphism) -> GluingRecipe:
     """``evaluate_operad`` without checking ``h``, for a morphism that is
-    already checked; the stability of its graphs is still checked."""
+    already checked; the stability of its graphs is still checked.  Each
+    graph's stability and signature are read from the graph, which builds
+    them once."""
     for side, g in (("source", h.source), ("target", h.target)):
-        if not is_stable(g).stable:
+        if not g.stability.stable:
             raise ValidationError(f"evaluation needs a stable {side} graph")
-    src_sig, src_pos = _graph_signature(h.source)
-    tgt_sig, tgt_pos = _graph_signature(h.target)
+    src_sig, src_pos = h.source.signature
+    tgt_sig, tgt_pos = h.target.signature
+    vertex_map = h.map.vertex_map
     assignment = [0] * len(src_sig.factors)
     for v, p in src_pos.items():
-        assignment[p] = tgt_pos[h.map.vertex_map[v]]
+        assignment[p] = tgt_pos[vertex_map[v]]
     ns_pairs: list[tuple[str, str]] = []
     r_pairs: list[tuple[str, str]] = []
-    for a, b in h.map.contracted_pairs():
-        (ns_pairs if h.source.color_of(a) == NS else r_pairs).append((a, b))
+    color = h.source.labeling.color
+    for a, b in h.map.orbits:
+        (ns_pairs if color[a] == NS else r_pairs).append((a, b))
     relabeling = {fs: ft for ft, fs in h.map.flag_map.items()}
     return GluingRecipe(
         src_sig, tgt_sig, assignment, ns_pairs, r_pairs, relabeling, len(r_pairs)

@@ -270,8 +270,13 @@ def _shapes(
                 edge = (names[index[n]], names[index[n + 1]])
                 if edge not in covers:
                     covers[edge] = (pd, {names[index[f]]: names[f] for f in range(n)})
+
+    def edge_count(digest: str) -> int:
+        return sum(f != p for f, p in enumerate(found[digest][0].involution)) // 2
+
     out = []
-    for digest, (core, cert, generators, covers) in found.items():
+    for digest in sorted(found, key=lambda d: (edge_count(d), d)):
+        core, cert, generators, covers = found[digest]
         vn, fn = _names("v", len(core.genus)), _names("f", len(core.boundary))
         named = tuple(
             Isomorphism(
@@ -280,7 +285,7 @@ def _shapes(
             for vm, fm in generators
         )
         out.append((digest, cert, _graph_of(core, vn, fn), covers, named))
-    return sorted(out, key=lambda t: (len(edges(t[2].graph)), t[0]))
+    return out
 
 
 def enumerate_modular_shapes(
@@ -385,14 +390,11 @@ def _ordered(
 ) -> tuple[tuple[SusyGraph, ...], tuple[str, ...], tuple[int, ...]]:
     """The strata of ``records`` with their digests and edge counts, ordered
     by edge count and digest."""
-    keyed = sorted(
-        (
-            (len(edges(rec.shape.graph)), d, g)
-            for rec in records
-            for g, d in zip(rec.colorings, rec.digests)
-        ),
-        key=lambda t: t[:2],
-    )
+    keyed = []
+    for rec in records:
+        n_edges = len(edges(rec.shape.graph))
+        keyed.extend((n_edges, d, g) for g, d in zip(rec.colorings, rec.digests))
+    keyed.sort(key=lambda t: t[:2])
     return (
         tuple(g for _, _, g in keyed),
         tuple(d for _, d, _ in keyed),

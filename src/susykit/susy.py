@@ -15,7 +15,8 @@ a genuine SUSY graph, so forget-after-include is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import ValidationError
 from .graphs import (
@@ -24,11 +25,13 @@ from .graphs import (
     ValidationReport,
     connected_components,
     edges,
-    orbit_pairs,
     tails,
     validate_graph,
 )
 from . import graphs as _graphs
+
+if TYPE_CHECKING:
+    from .operad import ModuliSignature
 
 __all__ = [
     "NS",
@@ -116,6 +119,25 @@ class SusyGraph:
     def merged_tail_labels(self) -> dict[str, str]:
         return {**self.labeling.ns_tail_labels, **self.labeling.r_tail_labels}
 
+    # Derived values, each built once on first read and shared by every
+    # reader, so they are read-only, like ``Graph.incidence``.  They are
+    # not fields: equality ignores them and ``dataclasses.replace`` builds
+    # a graph without them.
+
+    @cached_property
+    def stability(self) -> StabilityReport:
+        """``is_stable(self)``."""
+        return is_stable(self)
+
+    @cached_property
+    def signature(self) -> tuple[ModuliSignature, dict[str, int]]:
+        """The moduli signature with one factor per vertex, and each
+        vertex's factor position, for a valid stable graph; see
+        ``operad._graph_signature``."""
+        from .operad import _graph_signature
+
+        return _graph_signature(self)
+
 
 def susy_graph(
     flags: Iterable[str],
@@ -193,49 +215,49 @@ def validate_susy_graph(g: SusyGraph) -> ValidationReport:
     base = g.graph
     lab = g.labeling
 
-    if set(lab.genus) != set(base.vertices):
+    if lab.genus.keys() != base.vertices:
         problems.append("genus: domain must be exactly the vertex set")
-    else:
+    elif not all(type(k) is int and k >= 0 for k in lab.genus.values()):
         bad = sorted(v for v, k in lab.genus.items() if type(k) is not int or k < 0)
-        if bad:
-            problems.append(f"genus: negative or non-integer at {bad}")
+        problems.append(f"genus: negative or non-integer at {bad}")
 
-    if set(lab.color) != set(base.flags):
+    if lab.color.keys() != base.flags:
         problems.append("color: domain must be exactly the flag set")
-    else:
+    elif not all(c in (NS, R) for c in lab.color.values()):
         bad = sorted(f for f, c in lab.color.items() if c not in (NS, R))
-        if bad:
-            problems.append(f"color: values must be NS or R, got bad flags {bad}")
-        else:
-            mismatched = sorted(
-                f for f in base.flags if lab.color[base.involution[f]] != lab.color[f]
+        problems.append(f"color: values must be NS or R, got bad flags {bad}")
+    else:
+        color, inv = lab.color, base.involution
+        # the colour of each flag's partner, read in the colour's key order
+        if [*map(color.__getitem__, map(inv.__getitem__, color))] != [*color.values()]:
+            mismatched = sorted(f for f in base.flags if color[inv[f]] != color[f])
+            problems.append(
+                f"color: edge flags disagree across the involution at {mismatched}"
             )
-            if mismatched:
-                problems.append(
-                    f"color: edge flags disagree across the involution at {mismatched}"
-                )
-            r_count = dict.fromkeys(base.vertices, 0)
-            for f in base.flags:
-                if lab.color[f] == R:
-                    r_count[base.boundary[f]] += 1
+        r_count = dict.fromkeys(base.vertices, 0)
+        for f, c in color.items():
+            if c == R:
+                r_count[base.boundary[f]] += 1
+        if any(n % 2 for n in r_count.values()):
             for v in sorted(base.vertices):
                 if r_count[v] % 2:
                     problems.append(f"vertex {v!r} sees an odd number of R flags")
 
     if not problems:
-        tail_set = set(tails(base))
-        ns_tails = {f for f in tail_set if lab.color[f] == NS}
-        r_tails = tail_set - ns_tails
+        ns_tails, r_tails = set(), set()
+        for f, p in base.involution.items():
+            if f == p:
+                (ns_tails if lab.color[f] == NS else r_tails).add(f)
         for name, mapping, expect in (
             ("NS", lab.ns_tail_labels, ns_tails),
             ("R", lab.r_tail_labels, r_tails),
         ):
-            values = list(mapping.values())
-            if len(set(values)) != len(values) or set(values) != expect:
+            values = set(mapping.values())
+            if len(values) != len(mapping) or values != expect:
                 problems.append(
                     f"{name} tail labeling must be a bijection onto the {name} tails"
                 )
-        if set(lab.ns_tail_labels) & set(lab.r_tail_labels):
+        if lab.ns_tail_labels.keys() & lab.r_tail_labels.keys():
             problems.append("NS and R label sets must be disjoint")
 
     if g.modular:
@@ -315,29 +337,27 @@ def validate_susy_morphism(h: SusyMorphism) -> ValidationReport:
         return ValidationReport(tuple(problems))
 
     src, tgt = h.source, h.target
+    src_color, tgt_color = src.labeling.color, tgt.labeling.color
     for f, pre in h.flag_map.items():
-        if src.color_of(pre) != tgt.color_of(f):
+        if src_color[pre] != tgt_color[f]:
             problems.append(f"color not preserved at target flag {f!r}")
-    for a, b in orbit_pairs(h.contracted):
-        if src.color_of(a) != src.color_of(b):
+    orbits = h.map.orbits
+    for a, b in orbits:
+        if src_color[a] != src_color[b]:
             problems.append(f"contracted orbit ({a!r}, {b!r}) mixes colors")
 
     # Each image vertex carries the summed genus of its fiber plus the number
-    # of independent cycles formed by the contracted orbits over that fiber.
-    fibers: dict[str, list[str]] = {}
-    for v, w in h.vertex_map.items():
-        fibers.setdefault(w, []).append(v)
-    orbits_at: dict[str, int] = {w: 0 for w in tgt.vertices}
-    for a, b in orbit_pairs(h.contracted):
-        orbits_at[h.vertex_map[src.boundary[a]]] += 1
-    for w, fiber in fibers.items():
-        expected = (
-            sum(src.genus_of(v) for v in fiber) + orbits_at[w] - len(fiber) + 1
-        )
-        if tgt.genus_of(w) != expected:
-            problems.append(
-                f"genus at {w!r} should be {expected}, found {tgt.genus_of(w)}"
-            )
+    # of independent cycles formed by the contracted orbits over that fiber:
+    # sum(genus) + #orbits - #fiber + 1, keyed in order of first image.
+    src_genus, vertex_map = src.labeling.genus, h.vertex_map
+    expected: dict[str, int] = {}
+    for v, w in vertex_map.items():
+        expected[w] = expected.get(w, 1) + src_genus[v] - 1
+    for a, _ in orbits:
+        expected[vertex_map[src.boundary[a]]] += 1
+    for w, e in expected.items():
+        if tgt.genus_of(w) != e:
+            problems.append(f"genus at {w!r} should be {e}, found {tgt.genus_of(w)}")
 
     return ValidationReport(tuple(problems))
 

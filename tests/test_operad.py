@@ -4,6 +4,7 @@ morphisms, projection to the colorless theory, and dimension formulas."""
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from susykit import (
     GluingRecipe,
     ModuliFactor,
     ModuliSignature,
+    SusyGraph,
     ValidationError,
     check_operad_axioms,
     compose,
@@ -30,6 +32,8 @@ from susykit import (
     glue_r,
     glue_r_loop,
     identity_recipe,
+    include,
+    is_stable,
     project,
     recipe,
     recipe_compose,
@@ -42,6 +46,7 @@ from susykit import (
     validate_recipe,
 )
 from susykit.jsonio import recipe_to_json
+from susykit.operad import _graph_signature
 from susykit.sampling import (
     random_composable_pair,
     random_morphism,
@@ -527,10 +532,8 @@ class TestEvaluate:
             assert whole == recipe_compose(first, second)
 
     def test_signatures_validated_once_each(self, monkeypatch):
-        g = triple_edge_graph()
-        h1 = contract_pair(g, ("n1", "n2"))
-        h2 = contract_pair(h1.target, ("p1", "p2"))
-        r1, r2 = evaluate_operad(h1), evaluate_operad(h2)
+        # each graph builds and validates its signature once, on the first
+        # evaluation that reads it
         calls = []
         real = susykit.operad.validate_signature
 
@@ -539,10 +542,19 @@ class TestEvaluate:
             return real(sig)
 
         monkeypatch.setattr(susykit.operad, "validate_signature", counting)
-        recipe_compose(r1, r2)
-        assert calls == []
-        evaluate_operad(h1)
+        g = triple_edge_graph()
+        h1 = contract_pair(g, ("n1", "n2"))
+        h2 = contract_pair(h1.target, ("p1", "p2"))
+        r1 = evaluate_operad(h1)
         assert len(calls) == 2
+        assert evaluate_operad(h1) == r1
+        assert len(calls) == 2
+        # h2.source is h1.target, whose signature is already built
+        r2 = evaluate_operad(h2)
+        assert len(calls) == 3
+        assert r2.source is r1.target
+        recipe_compose(r1, r2)
+        assert len(calls) == 3
 
     def test_recipe_corpus_is_pinned(self):
         rows = []
@@ -570,6 +582,46 @@ class TestEvaluate:
         g = star(0, 2)
         with pytest.raises(ValidationError, match="stable"):
             evaluate_operad(total_grafting(g))
+
+
+def fresh_copy(g):
+    """A graph equal to ``g`` built anew, so nothing derived is cached."""
+    return SusyGraph(replace(g.graph), replace(g.labeling), g.modular)
+
+
+class TestCachedDerivedValues:
+    def test_cached_signature_and_stability_match_a_fresh_graph(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_susy_graph(
+                rng, max_vertices=4, max_genus=2, max_extra_edges=2
+            )
+            h, f = random_composable_pair(rng, g)
+            for m in (h, f, compose(h, f)):
+                evaluate_operad(m)
+            for x in (h.source, h.target, f.target):
+                fresh = fresh_copy(x)
+                assert fresh == x and "signature" not in vars(fresh)
+                assert x.signature == _graph_signature(fresh), seed
+                assert x.stability == is_stable(fresh), seed
+
+    def test_contracted_pairs_is_a_fresh_list(self):
+        h = contract_pair(triple_edge_graph(), ("n1", "n2"))
+        pairs = h.contracted_pairs()
+        assert pairs == [("n1", "n2")]
+        pairs.append(("p1", "p2"))
+        pairs[0] = ("x", "y")
+        assert h.contracted_pairs() == [("n1", "n2")]
+        assert h.map.orbits == (("n1", "n2"),)
+
+    def test_replace_builds_its_own_signature(self):
+        m = star(0, 4, modular=True)
+        sig, _ = m.signature
+        assert sig.mode == "classical"
+        g = replace(m, modular=False)
+        assert g.signature[0].mode == "super"
+        assert include(m).signature[0].mode == "super"
+        assert m.signature[0] is sig
 
 
 class TestProjection:

@@ -1,6 +1,7 @@
 """Genus formula, stability, colors, and the forget/include functors."""
 
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 from susykit import (
     NS,
     R,
+    Graph,
+    SusyGraph,
+    SusyMorphism,
     compose,
+    contract_pair,
     edges,
     forget,
     genus,
@@ -18,8 +23,11 @@ from susykit import (
     modular_graph,
     susy_graph,
     tails,
+    validate_graph,
     validate_susy_graph,
+    validate_susy_morphism,
 )
+from susykit.graphs import identity_morphism
 from susykit.sampling import (
     random_composable_pair,
     random_modular_graph,
@@ -248,3 +256,279 @@ class TestColorInvariants:
             r_labels={"4": "u"},
         )
         assert not validate_susy_graph(g).ok
+
+
+# -- exact violation messages, one malformed input per kind -----------------
+
+R_FLAGS = ("ra", "rb", "r0", "r1")
+
+
+def two_vertex_graph() -> SusyGraph:
+    """u (genus 0) and w (genus 1) joined by an NS edge ea-eb and an R edge
+    ra-rb; u carries the tails a0 (NS) and r0 (R), w the tails b0 and r1."""
+    boundary = {"a0": "u", "ea": "u", "ra": "u", "r0": "u"}
+    boundary |= {"b0": "w", "eb": "w", "rb": "w", "r1": "w"}
+    involution = {f: f for f in ("a0", "r0", "b0", "r1")}
+    involution |= {"ea": "eb", "eb": "ea", "ra": "rb", "rb": "ra"}
+    return susy_graph(
+        flags=boundary,
+        vertices=["u", "w"],
+        boundary=boundary,
+        involution=involution,
+        genus={"u": 0, "w": 1},
+        color={f: R if f in R_FLAGS else NS for f in boundary},
+    )
+
+
+def edited(g: SusyGraph, modular: bool | None = None, **changes) -> SusyGraph:
+    """``g`` with the named fields of its graph and labeling replaced,
+    unchecked."""
+    graph_names = {f.name for f in fields(Graph)}
+    on_graph = {k: v for k, v in changes.items() if k in graph_names}
+    on_labeling = {k: v for k, v in changes.items() if k not in graph_names}
+    return SusyGraph(
+        replace(g.graph, **on_graph),
+        replace(g.labeling, **on_labeling),
+        g.modular if modular is None else modular,
+    )
+
+
+def without(d: dict, *keys) -> dict:
+    return {k: v for k, v in d.items() if k not in keys}
+
+
+def base_dicts():
+    g = two_vertex_graph()
+    return g, dict(g.boundary), dict(g.involution), g.labeling
+
+
+def _graph_cases():
+    g, b, inv, lab = base_dicts()
+    yield "boundary domain", edited(g, boundary=without(b, "a0")), (
+        "boundary: domain must be exactly the flag set",
+    )
+    yield "unknown vertices", edited(g, boundary={**b, "a0": "x", "b0": "x"}), (
+        "boundary: unknown vertices ['x', 'x']",
+    )
+    yield "involution domain", edited(g, involution=without(inv, "a0")), (
+        "involution: domain must be exactly the flag set",
+    )
+    yield "unknown flags", edited(g, involution={**inv, "a0": "zz"}), (
+        "involution: unknown flags ['zz']",
+    )
+    yield "not an involution", edited(g, involution={**inv, "a0": "b0"}), (
+        "involution: not an involution at ['a0']",
+    )
+    yield "both domains", edited(
+        g, boundary=without(b, "a0"), involution=without(inv, "b0")
+    ), (
+        "boundary: domain must be exactly the flag set",
+        "involution: domain must be exactly the flag set",
+    )
+
+
+def _susy_cases():
+    g, _, _, lab = base_dicts()
+    yield "genus domain", edited(g, genus={"u": 0}), (
+        "genus: domain must be exactly the vertex set",
+    )
+    yield "negative genus", edited(g, genus={"w": 1.5, "u": -1}), (
+        "genus: negative or non-integer at ['u', 'w']",
+    )
+    yield "color domain", edited(g, color=without(lab.color, "a0")), (
+        "color: domain must be exactly the flag set",
+    )
+    yield "bad color", edited(g, color={**lab.color, "b0": "X", "a0": "Y"}), (
+        "color: values must be NS or R, got bad flags ['a0', 'b0']",
+    )
+    yield "edge colors differ", edited(g, color={**lab.color, "eb": R}), (
+        "color: edge flags disagree across the involution at ['ea', 'eb']",
+        "vertex 'w' sees an odd number of R flags",
+    )
+    yield "odd R flags", edited(g, color={**lab.color, "a0": R, "b0": R}), (
+        "vertex 'u' sees an odd number of R flags",
+        "vertex 'w' sees an odd number of R flags",
+    )
+    yield "genus and color", edited(
+        g, genus={"u": -1, "w": 0}, color={**lab.color, "a0": R}
+    ), (
+        "genus: negative or non-integer at ['u']",
+        "vertex 'u' sees an odd number of R flags",
+    )
+    yield "tail labeling", edited(
+        g, ns_tail_labels={"x": "a0", "y": "a0"}, r_tail_labels={"p": "r0"}
+    ), (
+        "NS tail labeling must be a bijection onto the NS tails",
+        "R tail labeling must be a bijection onto the R tails",
+    )
+    yield "overlapping labels", edited(
+        g,
+        ns_tail_labels={"x": "a0", "y": "b0"},
+        r_tail_labels={"x": "r0", "z": "r1"},
+    ), ("NS and R label sets must be disjoint",)
+    yield "modular view", edited(g, modular=True), (
+        "modular view must be colored all-NS",
+        "modular view must keep every label in the NS slot",
+    )
+    all_ns = {f: NS for f in lab.color}
+    yield "modular labels", edited(
+        g,
+        modular=True,
+        color=all_ns,
+        ns_tail_labels={"a0": "a0", "b0": "b0", "r1": "r1"},
+        r_tail_labels={"r0": "r0"},
+    ), (
+        "NS tail labeling must be a bijection onto the NS tails",
+        "R tail labeling must be a bijection onto the R tails",
+        "modular view must keep every label in the NS slot",
+    )
+
+
+GRAPH_CASES = list(_graph_cases())
+SUSY_CASES = list(_susy_cases())
+
+
+@pytest.mark.parametrize(
+    "g, expected", [c[1:] for c in GRAPH_CASES], ids=[c[0] for c in GRAPH_CASES]
+)
+def test_graph_violations(g, expected):
+    assert validate_graph(g.graph).violations == expected
+    # a malformed graph stops the SUSY check before its labeling is read
+    assert validate_susy_graph(g).violations == expected
+
+
+@pytest.mark.parametrize(
+    "g, expected", [c[1:] for c in SUSY_CASES], ids=[c[0] for c in SUSY_CASES]
+)
+def test_susy_graph_violations(g, expected):
+    assert validate_graph(g.graph).violations == ()
+    assert validate_susy_graph(g).violations == expected
+
+
+def sorted_identity(g: SusyGraph, **swaps) -> SusyMorphism:
+    """The identity of ``g`` with its maps in sorted order and the given
+    target flags pulled back along ``swaps`` (both ways)."""
+    swap = {**swaps, **{v: k for k, v in swaps.items()}}
+    m = identity_morphism(g.graph)
+    flag_map = {f: swap.get(f, f) for f in sorted(g.flags)}
+    vertex_map = {v: v for v in sorted(g.vertices)}
+    return SusyMorphism(g, g, replace(m, flag_map=flag_map, vertex_map=vertex_map))
+
+
+def merged(g: SusyGraph, genus: int, drop=()) -> SusyGraph:
+    """``g`` with u and w made one vertex x of the given genus, the flags
+    ``drop`` removed, and tails labeling themselves."""
+    keep = [f for f in sorted(g.flags) if f not in drop]
+    return susy_graph(
+        flags=keep,
+        vertices=["x"],
+        boundary={f: "x" for f in keep},
+        involution={f: g.involution[f] for f in keep},
+        genus={"x": genus},
+        color={f: g.color_of(f) for f in keep},
+    )
+
+
+def to_merged(g, genus, pairs=()) -> SusyMorphism:
+    """u and w sent onto one vertex x, contracting ``pairs``."""
+    drop = [f for p in pairs for f in p]
+    t = merged(g, genus, drop)
+    return SusyMorphism(
+        g,
+        t,
+        replace(
+            identity_morphism(g.graph),
+            target=t.graph,
+            flag_map={f: f for f in sorted(t.flags)},
+            vertex_map={"u": "x", "w": "x"},
+            contracted={**{a: b for a, b in pairs}, **{b: a for a, b in pairs}},
+        ),
+    )
+
+
+def _morphism_cases():
+    g = two_vertex_graph()
+    h = contract_pair(g, ("ea", "eb"))
+    m = h.map
+    assert validate_susy_morphism(h).ok
+    yield "valid", h, ()
+    yield "source invalid", replace(
+        h, source=edited(h.source, genus={"u": -1, "w": 1})
+    ), ("source: genus: negative or non-integer at ['u']",)
+    yield "target invalid", replace(
+        h, target=edited(h.target, color={**h.target.labeling.color, "a0": R})
+    ), ("target: vertex 'u*w' sees an odd number of R flags",)
+    yield "endpoints", SusyMorphism(h.source, h.target, replace(m, source=h.target.graph)), (
+        "underlying map endpoints disagree with the SUSY endpoints",
+    )
+    yield "modular mix", replace(h, source=edited(h.source, modular=True)), (
+        "source: modular view must be colored all-NS",
+        "source: modular view must keep every label in the NS slot",
+        "morphism mixes the modular view with genuine SUSY graphs",
+    )
+    yield "flag_map domain", replace(h, map=replace(m, flag_map=without(m.flag_map, "a0"))), (
+        "flag_map: domain must be exactly the target flag set",
+    )
+    yield "flag_map values", replace(h, map=replace(m, flag_map={**m.flag_map, "a0": "zz"})), (
+        "flag_map: values must be source flags",
+    )
+    yield "flag_map injective", replace(
+        h, map=replace(m, flag_map={**m.flag_map, "a0": "b0"})
+    ), ("flag_map: must be injective",)
+    yield "vertex_map domain", replace(
+        h, map=replace(m, vertex_map={"w": "u*w"})
+    ), ("vertex_map: domain must be exactly the source vertex set",)
+    yield "vertex_map values", replace(
+        h, map=replace(m, vertex_map={"u": "zz", "w": "u*w"})
+    ), ("vertex_map: values must be target vertices",)
+    ident = sorted_identity(g)
+    yield "vertex_map surjective", replace(
+        ident, map=replace(ident.map, vertex_map={"u": "u", "w": "u"})
+    ), (
+        "vertex_map: must be surjective",
+    )
+    yield "boundary incompatible", sorted_identity(g, a0="b0"), (
+        "flag_map: boundary incompatible at target flag 'a0'",
+        "flag_map: boundary incompatible at target flag 'b0'",
+    )
+    yield "tail and edge pullback", sorted_identity(g, a0="ea"), (
+        "tail 'a0' pulls back to a non-tail 'ea'",
+        "edge ('ea', 'eb') pulls back to neither an edge nor a tail pair",
+    )
+    yield "contracted domain", replace(h, map=replace(m, contracted={})), (
+        "contracted: domain must be exactly the source flags outside the "
+        "flag_map image",
+    )
+    yield "contracted involution", replace(
+        h, map=replace(m, contracted={"ea": "eb", "eb": "eb"})
+    ), ("contracted: not an involution at 'ea'",)
+    yield "contracted fixed point", replace(
+        h, map=replace(m, contracted={"ea": "ea", "eb": "eb"})
+    ), ("contracted: fixed point at 'ea'",)
+    yield "merger", to_merged(g, 2), (
+        "vertices ['u', 'w'] merge into 'x' without a connecting chain of "
+        "contracted orbits",
+    )
+    yield "color not preserved", sorted_identity(g, a0="r0"), (
+        "color not preserved at target flag 'a0'",
+        "color not preserved at target flag 'r0'",
+    )
+    yield "mixed orbit", to_merged(g, 2, [("a0", "r1"), ("b0", "r0")]), (
+        "contracted orbit ('a0', 'r1') mixes colors",
+        "contracted orbit ('b0', 'r0') mixes colors",
+    )
+    yield "genus", replace(h, target=edited(h.target, genus={"u*w": 5})), (
+        "genus at 'u*w' should be 1, found 5",
+    )
+
+
+MORPHISM_CASES = list(_morphism_cases())
+
+
+@pytest.mark.parametrize(
+    "h, expected",
+    [c[1:] for c in MORPHISM_CASES],
+    ids=[c[0] for c in MORPHISM_CASES],
+)
+def test_morphism_violations(h, expected):
+    assert validate_susy_morphism(h).violations == expected
