@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .graphs import (
-    Graph,
-    edges,
-    tails,
-)
+from .graphs import Graph, tails
 from .susy import (
     NS,
     R,
@@ -265,11 +261,12 @@ def iso_between(
 def _grafted_pairs(h: SusyMorphism) -> list[tuple[str, str]]:
     """Target edges whose preimages are source tail pairs."""
     out = []
-    src = h.source
-    for a, b in edges(h.target.graph):
-        pa, pb = h.flag_map[a], h.flag_map[b]
-        if src.involution[pa] != pb:
-            out.append(_sorted_pair(pa, pb))
+    inv = h.source.involution
+    for a, b in h.target.involution.items():
+        if a < b:
+            pa, pb = h.flag_map[a], h.flag_map[b]
+            if inv[pa] != pb:
+                out.append(_sorted_pair(pa, pb))
     return sorted(out)
 
 

@@ -29,6 +29,7 @@ from .jsonio import (
     recipe_to_json,
     write_json,
     _load,
+    _StratumRecord,
 )
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
 from .operad import _evaluate, check_operad_axioms, stratum_dimension
@@ -136,12 +137,6 @@ def _cmd_dual_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stratum_record(g: SusyGraph, digest: str) -> dict:
-    record = graph_to_json(g)
-    record["certificate"] = digest
-    return record
-
-
 def _digest_lines(graphs: Sequence[SusyGraph], digests: Sequence[str]) -> list[str]:
     return [
         f"  [{i}] edges {len(edges(g.graph))} digest {d}"
@@ -156,7 +151,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         digests, _, shapes, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
         data = {
             "count": len(shapes),
-            "shapes": [_stratum_record(s, d) for s, d in zip(shapes, digests)],
+            "shapes": [_StratumRecord(s, d) for s, d in zip(shapes, digests)],
         }
         _emit(
             args,
@@ -176,7 +171,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # the records are rendered and written one at a time
     data = {
         "count": len(strata),
-        "strata": (_stratum_record(s, d) for s, d in zip(strata, digests)),
+        "strata": (_StratumRecord(s, d) for s, d in zip(strata, digests)),
     }
     if poset is not None:
         by_source: dict[str, list[int]] = {str(i): [] for i in range(len(strata))}

@@ -264,18 +264,26 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
                 f"flag_map: boundary incompatible at target flag {f!r}"
             )
 
-    for f in tails(tgt):
-        pre = h.flag_map[f]
-        if src.involution[pre] != pre:
-            problems.append(f"tail {f!r} pulls back to a non-tail {pre!r}")
-    for a, b in edges(tgt):
-        pa, pb = h.flag_map[a], h.flag_map[b]
-        edge_preserved = src.involution[pa] == pb
-        both_tails = src.involution[pa] == pa and src.involution[pb] == pb
-        if not (edge_preserved or both_tails):
-            problems.append(
-                f"edge ({a!r}, {b!r}) pulls back to neither an edge nor a tail pair"
-            )
+    # one unsorted pass over the target's tails and edges; the bad ones are
+    # sorted to report, as ``tails`` and ``edges`` order them
+    bad_tails: list[tuple[str, str]] = []
+    bad_edges: list[tuple[str, str]] = []
+    inv, fmap = src.involution, h.flag_map
+    for a, b in tgt.involution.items():
+        pa = fmap[a]
+        if a == b:
+            if inv[pa] != pa:
+                bad_tails.append((a, pa))
+        elif a < b:
+            pb = fmap[b]
+            if inv[pa] != pb and not (inv[pa] == pa and inv[pb] == pb):
+                bad_edges.append((a, b))
+    for f, pre in sorted(bad_tails):
+        problems.append(f"tail {f!r} pulls back to a non-tail {pre!r}")
+    for a, b in sorted(bad_edges):
+        problems.append(
+            f"edge ({a!r}, {b!r}) pulls back to neither an edge nor a tail pair"
+        )
 
     if h.contracted.keys() != src.flags - image:
         problems.append(

@@ -23,7 +23,13 @@ points carry a "label", node-halves must not.
 Documents are written by one writer, ``write_json``: the bytes of
 ``json.dumps`` with sorted keys and a two-space indent, written through a
 callable, with an iterator rendered as a list and written element by
-element.  ``dumps`` joins its output into one string.
+element.  ``dumps`` joins its output into one string.  The strata that
+``susykit enumerate`` prints are ``_StratumRecord`` dicts.  A printed
+stratum is canonical, named ``v0…`` and ``f0…``, so a document's records
+share few distinct vertex, flag, edge and label entries (159 over the
+2,752 strata of genus 0 with 7 NS tails).  The writer renders each
+distinct entry once per call and joins the text, which it drops when the
+call returns.
 """
 
 from __future__ import annotations
@@ -75,19 +81,27 @@ def write_json(data: Any, write: Callable[[str], object]) -> None:
 
     Strings, ints, bools, None, lists, tuples, iterators and dicts with str
     keys are rendered here, about twice as fast as the pure-Python encoder
-    that ``json.dumps`` falls back to when given an indent.  Any other value
-    is handed to ``json.dumps`` whole, so an iterator under it raises."""
+    that ``json.dumps`` falls back to when given an indent.  A stratum
+    record (``_StratumRecord``) is joined from the text of its vertex, flag,
+    edge and label entries, each rendered once per call and per indent and
+    dropped when the call returns.  Any other value is handed to
+    ``json.dumps`` whole, so an iterator under it raises."""
     parts: list[str] = []
-    _render(data, "\n", parts, write)
+    _render(data, "\n", parts, write, {})
     parts.append("\n")
     write("".join(parts))
 
 
 def _render(
-    value: Any, newline: str, parts: list[str], write: Callable[[str], object]
+    value: Any,
+    newline: str,
+    parts: list[str],
+    write: Callable[[str], object],
+    fragments: dict,
 ) -> None:
     """Append the rendering of ``value`` to ``parts``; ``newline`` is a line
-    break and the indent of the line ``value`` starts on."""
+    break and the indent of the line ``value`` starts on, and
+    ``fragments`` the entry text of this call's stratum records."""
     if isinstance(value, str):
         parts.append(_quote(value))
     elif value is None:
@@ -96,12 +110,14 @@ def _render(
         parts.append("true" if value else "false")
     elif isinstance(value, int):
         parts.append(int.__repr__(value))
+    elif type(value) is _StratumRecord:
+        _render_stratum(value, newline, parts, fragments)
     elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
             parts.append(sep + _quote(key) + ": ")
-            _render(item, inner, parts, write)
+            _render(item, inner, parts, write, fragments)
             sep = "," + inner
         parts.append("{}" if sep[0] == "{" else newline + "}")
     elif isinstance(value, (list, tuple, Iterator)):
@@ -110,7 +126,7 @@ def _render(
         sep = "[" + inner
         for item in value:
             parts.append(sep)
-            _render(item, inner, parts, write)
+            _render(item, inner, parts, write, fragments)
             sep = "," + inner
             if lazy:
                 write("".join(parts))
@@ -121,6 +137,80 @@ def _render(
         parts.append(
             json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
         )
+
+
+class _StratumRecord(dict):
+    """The record of one printed stratum: ``graph_to_json(graph)`` plus its
+    ``"certificate"``, as a plain dict.  ``_render_stratum`` renders it from
+    the text of its entries, so it must not be edited once it is built."""
+
+    __slots__ = ()
+
+    def __init__(self, graph: SusyGraph, certificate: str) -> None:
+        super().__init__(graph_to_json(graph), certificate=certificate)
+
+
+def _render_stratum(
+    record: _StratumRecord, newline: str, parts: list[str], fragments: dict
+) -> None:
+    """Append the rendering of ``record``, as ``_render`` renders a dict,
+    joined from the text of its vertex, flag, edge and label entries, which
+    ``fragments`` holds per indent once each is first rendered."""
+    inner = newline + "  "
+    item = inner + "  "
+    tables = fragments.get(newline)
+    if tables is None:
+        tables = fragments[newline] = ({}, {}, {}, {})
+    vertex_text, flag_text, edge_text, label_text = tables
+    vertices, flags, edges = [], [], []
+    for d in record["vertices"]:
+        key = d["id"], d["genus"]
+        text = vertex_text.get(key)
+        if text is None:
+            text = vertex_text[key] = _fragment(d, item)
+        vertices.append(text)
+    for d in record["flags"]:
+        key = d["id"], d["vertex"], d["color"]
+        text = flag_text.get(key)
+        if text is None:
+            text = flag_text[key] = _fragment(d, item)
+        flags.append(text)
+    for e in record["edges"]:
+        key = tuple(e)
+        text = edge_text.get(key)
+        if text is None:
+            text = edge_text[key] = _fragment(e, item)
+        edges.append(text)
+    labels: tuple[list[str], list[str]] = ([], [])
+    for name, texts in zip(("ns_labels", "r_labels"), labels):
+        for key in record[name].items():
+            text = label_text.get(key)
+            if text is None:
+                text = label_text[key] = _quote(key[0]) + ": " + _quote(key[1])
+            texts.append(text)
+
+    def joined(text: list[str], brackets: str) -> str:
+        if not text:
+            return brackets
+        return brackets[0] + item + ("," + item).join(text) + inner + brackets[1]
+
+    parts.append(
+        "{" + inner + '"certificate": ' + _quote(record["certificate"])
+        + "," + inner + '"edges": ' + joined(edges, "[]")
+        + "," + inner + '"flags": ' + joined(flags, "[]")
+        + "," + inner + '"modular": ' + ("true" if record["modular"] else "false")
+        + "," + inner + '"ns_labels": ' + joined(labels[0], "{}")
+        + "," + inner + '"r_labels": ' + joined(labels[1], "{}")
+        + "," + inner + '"vertices": ' + joined(vertices, "[]")
+        + newline + "}"
+    )
+
+
+def _fragment(entry: Any, newline: str) -> str:
+    """The rendering of one record entry that starts on ``newline``."""
+    parts: list[str] = []
+    _render(entry, newline, parts, parts.append, {})
+    return "".join(parts)
 
 
 def dumps(data: Any) -> str:
@@ -194,18 +284,18 @@ def _pair_list(obj: Any, what: str) -> list[tuple[str, str]]:
 
 
 def graph_to_json(g: SusyGraph) -> dict:
+    lab, boundary = g.labeling, g.graph.boundary
+    genus, color = lab.genus, lab.color
     return {
         "modular": g.modular,
-        "vertices": [
-            {"id": v, "genus": g.genus_of(v)} for v in sorted(g.vertices)
-        ],
+        "vertices": [{"id": v, "genus": genus[v]} for v in sorted(g.vertices)],
         "flags": [
-            {"id": f, "vertex": g.boundary[f], "color": g.color_of(f)}
+            {"id": f, "vertex": boundary[f], "color": color[f]}
             for f in sorted(g.flags)
         ],
         "edges": [list(p) for p in graph_edges(g.graph)],
-        "ns_labels": dict(sorted(g.labeling.ns_tail_labels.items())),
-        "r_labels": dict(sorted(g.labeling.r_tail_labels.items())),
+        "ns_labels": dict(sorted(lab.ns_tail_labels.items())),
+        "r_labels": dict(sorted(lab.r_tail_labels.items())),
     }
 
 

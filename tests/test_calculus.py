@@ -93,6 +93,11 @@ class TestClassify:
         g = star(0, 4)
         assert classify(graft(g, [("vn0", "vn1")])).kind == "grafting"
 
+    def test_grafted_pairs_are_listed_once_sorted(self):
+        g = star(0, 6)
+        h = graft(g, [("vn5", "vn4"), ("vn0", "vn3"), ("vn2", "vn1")])
+        assert classify(h).pairs == (("vn0", "vn3"), ("vn1", "vn2"), ("vn4", "vn5"))
+
     def test_isomorphism(self):
         g = star(0, 3)
         h = make_isomorphism(g, flag_renaming={f: f + "x" for f in g.flags})

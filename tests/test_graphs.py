@@ -178,6 +178,33 @@ class TestValidateMorphism:
         h = susy_morphism(t, dst, flag_map, vertex_map, [("ea", "eb")])
         assert validate_susy_morphism(h).ok
 
+    def test_pullback_violations_are_reported_sorted(self):
+        # the target's involution is iterated last flag first; its tails t0,
+        # t1 pull back to edge flags and each of its edges to neither an
+        # edge nor a tail pair
+        pairs = [("e0", "e1"), ("e2", "e3"), ("e4", "e5")]
+        involution = {f: f for f in ["t0", "t1", "t2", "t3"]}
+        involution.update(involution_from_pairs(pairs))
+        flags = sorted(involution, reverse=True)
+        g = Graph(
+            flags,
+            ["v"],
+            {f: "v" for f in flags},
+            {f: involution[f] for f in flags},
+        )
+        preimage = dict(
+            t0="e0", t1="e2", t2="t2", t3="t3",
+            e0="t0", e1="e4", e2="t1", e3="e5", e4="e1", e5="e3",
+        )
+        h = GraphMorphism(g, g, preimage, {"v": "v"}, {})
+        assert validate_morphism(h).violations == (
+            "tail 't0' pulls back to a non-tail 'e0'",
+            "tail 't1' pulls back to a non-tail 'e2'",
+            "edge ('e0', 'e1') pulls back to neither an edge nor a tail pair",
+            "edge ('e2', 'e3') pulls back to neither an edge nor a tail pair",
+            "edge ('e4', 'e5') pulls back to neither an edge nor a tail pair",
+        )
+
     def test_contracted_pair_must_share_image(self):
         t = two_vertex_tree(2, 2)
         # drop the tails of w into u's image without contracting the edge

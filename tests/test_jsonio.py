@@ -12,12 +12,16 @@ from susykit import (
     R,
     SchemaError,
     ValidationError,
+    canonical_form,
+    certificate_digest,
     contract_pair,
+    enumerate_strata,
     glue_r,
     signature,
     susy_graph,
 )
 from susykit.jsonio import (
+    _StratumRecord,
     curve_from_json,
     curve_to_json,
     dumps,
@@ -486,3 +490,79 @@ class TestWriter:
                 assert cli.main(argv) == 0
             assert capsys.readouterr().out == streamed
             assert streamed == oracle(documents.pop())
+
+
+def stratum_records(genus, ns, r):
+    return [
+        _StratumRecord(g, certificate_digest(g))
+        for g in enumerate_strata(genus, ns, r)
+    ]
+
+
+class TestStratumRecords:
+    """A stratum record is the plain dict ``graph_to_json`` plus its
+    certificate, and the writer's fragment text renders it as ``json.dumps``
+    does, alone, nested, or repeated at several indents in one call."""
+
+    @pytest.mark.parametrize(
+        "genus, ns, r",
+        [
+            (0, ['a"b', "x\\y", "\u00e9", "z"], []),
+            (0, ['a"b', "x\\y"], ["\u00e9", "z\n"]),
+            (2, [], []),
+            (1, ["1"], ["2", "3"]),
+        ],
+    )
+    def test_records_render_as_json_dumps(self, genus, ns, r):
+        records = stratum_records(genus, ns, r)
+        assert records
+        for record in records:
+            assert dumps(record) == oracle(dict(record))
+        nested = {"a": records, "b": [{"c": iter(records)}], "d": records[0]}
+        plain = {
+            "a": [dict(x) for x in records],
+            "b": [{"c": [dict(x) for x in records]}],
+            "d": dict(records[0]),
+        }
+        assert dumps(nested) == oracle(plain)
+
+    def test_record_is_graph_to_json_and_certificate(self):
+        for g in enumerate_strata(1, ["1"], ["2", "3"]):
+            digest = certificate_digest(g)
+            record = _StratumRecord(g, digest)
+            assert type(record) is not dict and isinstance(record, dict)
+            assert record == {**graph_to_json(g), "certificate": digest}
+
+    def test_enumerate_writes_one_chunk_per_stratum(self, monkeypatch):
+        chunks = []
+
+        class Out:
+            def write(self, text):
+                chunks.append(text)
+
+        monkeypatch.setattr(cli.sys, "stdout", Out())
+        assert cli.main(["enumerate", "--genus", "0", "--ns", "5", "--poset"]) == 0
+        doc = json.loads("".join(chunks))
+        assert doc["count"] == len(doc["strata"]) == 26
+        assert len(chunks) == doc["count"] + 1
+
+
+class TestPrintedStrata:
+    """Every stratum a golden ``enumerate`` argv prints parses back to a
+    graph that is its own canonical form, under its certificate."""
+
+    def test_printed_strata_are_canonical(self, capsys):
+        checked = 0
+        for argv in golden_enumerate_argvs():
+            assert cli.main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            printed = doc["shapes"] if "--shapes" in argv else doc["strata"]
+            assert len(printed) == doc["count"]
+            for record in printed:
+                certificate = record.pop("certificate")
+                parsed = graph_from_json(record)
+                form = canonical_form(parsed)
+                assert form.digest == certificate
+                assert form.graph == parsed
+                checked += 1
+        assert checked > 200
