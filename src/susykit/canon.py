@@ -13,11 +13,12 @@ are written directly, as ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))`` writes them.  ``_core_of`` numbers a named graph
 in the sorted order of its names ("f10" before "f2"); a canonical core is
 numbered by its leaf, vertex p at position p and flag i at index i, and
-named ``v{p}`` and ``f{i}`` (``_names``).  Names come back at the edge
-only: ``CanonicalForm`` names its graph, witnesses and generators when
-they are first read, and ``strata`` names each new shape and stratum
-once.  ``canonical_form`` validates its input once; the search does not,
-and refuses a graph past ``MAX_SEARCH_LEAVES`` leaves.
+``_named``, the one naming of a canonical core, names them ``v{p}`` and
+``f{i}``.  Names come back at the edge only: ``CanonicalForm`` names its
+graph, witnesses and generators when they are first read, and ``strata``
+names each new shape and stratum once.  ``canonical_form`` validates its
+input once; the search does not, and refuses a graph past
+``MAX_SEARCH_LEAVES`` leaves.
 
 The same search yields isomorphisms and automorphisms.  Every leaf whose
 certificate ties the least one, mapped onto the winning leaf, gives one
@@ -137,9 +138,10 @@ def _canonical_core(c: Core, leaf: Leaf) -> Core:
     )
 
 
-def _graph_of(c: Core, vertex: Sequence[str], flag: Sequence[str]) -> SusyGraph:
-    """The graph of ``c`` that names vertex v ``vertex[v]`` and flag f
-    ``flag[f]``, each tail labeled by its name."""
+def _named(c: Core) -> SusyGraph:
+    """The graph of the canonical core ``c``, the one naming of a canonical
+    core: vertex p is ``v{p}``, flag i is ``f{i}`` and a tail has its label."""
+    vertex, flag = _names("v", len(c.genus)), _names("f", len(c.boundary))
     tails: tuple[dict[str, str], dict[str, str]] = ({}, {})
     for f, l in enumerate(c.label):
         if l is not None:
@@ -197,8 +199,7 @@ class CanonicalForm:
 
     @cached_property
     def graph(self) -> SusyGraph:
-        vertex, flag = self.vertex_witness.values(), self.flag_witness.values()
-        return _graph_of(self.core, [*vertex], [*flag])
+        return _named(_canonical_core(self.core, self.leaves[0]))
 
 
 def _refine(

@@ -40,7 +40,7 @@ from .strata import (
     enumerate_strata_records,
     strata_poset,
 )
-from .susy import R, SusyGraph, genus, is_stable
+from .susy import R, SusyGraph, genus
 from .dot import graph_to_dot, poset_to_dot
 
 __all__ = ["main"]
@@ -71,7 +71,7 @@ def _graph_summary(g: SusyGraph) -> list[str]:
         f"tails         {len(tail_list)} ({r_tails} R)",
         f"total genus   {genus(g)}",
         f"modular view  {'yes' if g.modular else 'no'}",
-        f"stable        {'yes' if is_stable(g).stable else 'no'}",
+        f"stable        {'yes' if g.stability.stable else 'no'}",
         f"digest        {certificate_digest(g)}",
     ]
 

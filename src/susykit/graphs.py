@@ -317,30 +317,20 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
         return ValidationReport(tuple(problems))
 
     # Merger ban: preimages of a vertex must be connected by contracted
-    # orbits (genuine edges or virtually contracted tail pairs alike).
-    fibers: dict[str, set[str]] = {}
-    for v, w in h.vertex_map.items():
-        fibers.setdefault(w, set()).add(v)
-    adjacency: dict[str, set[str]] = {v: set() for v in src.vertices}
+    # orbits (genuine edges or virtually contracted tail pairs alike).  No
+    # orbit straddles two fibers (checked above), so one union-find over all
+    # orbits suffices: a fiber is connected when its vertices share a root.
+    parent = {v: v for v in src.vertices}
     for a, b in h.orbits:
-        va, vb = src.boundary[a], src.boundary[b]
-        adjacency[va].add(vb)
-        adjacency[vb].add(va)
-    for w, fiber in fibers.items():
-        if len(fiber) == 1:
-            continue
-        start = next(iter(fiber))
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in adjacency[cur]:
-                if nxt in fiber and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != fiber:
+        parent[_root(parent, src.boundary[a])] = _root(parent, src.boundary[b])
+    roots: dict[str, set[str]] = {}
+    for v, w in h.vertex_map.items():
+        roots.setdefault(w, set()).add(_root(parent, v))
+    for w, rs in roots.items():
+        if len(rs) > 1:
+            fiber = sorted(v for v, x in h.vertex_map.items() if x == w)
             problems.append(
-                f"vertices {sorted(fiber)} merge into {w!r} without a "
+                f"vertices {fiber} merge into {w!r} without a "
                 "connecting chain of contracted orbits"
             )
 

@@ -30,17 +30,20 @@ from .susy import (
     SusyGraph,
     SusyLabeling,
     genus,
-    is_stable,
     require_susy,
 )
 
 __all__ = [
+    "MAX_COLORINGS",
     "count_even_partitions",
     "count_lifts",
     "enumerate_edge_colorings",
     "lift_count_general",
     "lift_tree_coloring",
 ]
+
+# a lift refuses to list more colorings than this
+MAX_COLORINGS = 4096
 
 
 def _checked_partition(
@@ -61,7 +64,7 @@ def _require_stable_modular(g: SusyGraph, what: str) -> None:
     require_susy(g)
     if not g.modular:
         raise ValidationError(f"{what} expects the modular (colorless) view")
-    rep = is_stable(g)
+    rep = g.stability
     if not rep.stable:
         raise ValidationError(
             f"{what} expects a stable graph; unstable at {list(rep.unstable_vertices)}"
@@ -139,7 +142,7 @@ def _forest_lift(
 
 
 def _lift_masks(
-    g: SusyGraph, r_set: frozenset[str], limit: int = 4096
+    g: SusyGraph, r_set: frozenset[str]
 ) -> tuple[list[tuple[str, str]], list[int]] | None:
     """The edge ``pairs`` of ``g`` and every lift with R tails ``r_set`` as
     a mask over them, or None if there is none.  Lift ``m`` adds the cycle
@@ -149,9 +152,9 @@ def _lift_masks(
         return None
     pairs, particular, cycles = lift
     count = 2 ** len(cycles)
-    if count > limit:
+    if count > MAX_COLORINGS:
         raise ValidationError(
-            f"too many colorings ({count}) for enumeration; limit is {limit}"
+            f"too many colorings ({count}) for enumeration; limit is {MAX_COLORINGS}"
         )
     masks = [particular]
     for cycle in cycles:
@@ -233,12 +236,11 @@ def enumerate_edge_colorings(
     g: SusyGraph,
     ns_labels: Iterable[str],
     r_labels: Iterable[str],
-    limit: int = 4096,
 ) -> list[SusyGraph]:
     """All SUSY graphs obtained by coloring ``g``'s edges compatibly with
     the tail partition.  Deterministically ordered; errors out past
-    ``limit`` solutions to keep desk-scale use honest."""
+    ``MAX_COLORINGS`` solutions to keep desk-scale use honest."""
     _require_stable_modular(g, "enumerate_edge_colorings")
     ns_set, r_set = _checked_partition(g, ns_labels, r_labels)
-    pairs, masks = _lift_masks(g, r_set, limit) or ([], [])
+    pairs, masks = _lift_masks(g, r_set) or ([], [])
     return [_colored(g, ns_set, r_set, pairs, mask) for mask in masks]

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .graphs import ValidationReport, _root, edges, is_connected, tails
-from .susy import NS, R, SusyGraph, SusyMorphism, genus, is_stable, require_susy
+from .susy import NS, R, SusyGraph, SusyMorphism, genus, require_susy
 from .susy import validate_susy_morphism
 
 __all__ = [
@@ -537,7 +537,7 @@ def stratum_dimension(g: SusyGraph) -> StratumDimension:
     genus and tail counts and as per-vertex sums; disagreement is a hard
     error, as is a non-integer odd dimension."""
     require_susy(g)
-    rep = is_stable(g)
+    rep = g.stability
     if not rep.stable:
         raise ValidationError(
             "dimension formulas need a stable graph; unstable vertices: "
@@ -644,6 +644,8 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
     past an edge gluing, commuting two loop gluings, a loop with an edge,
     and two edge gluings.  NS and R versions (and mixed-color combinations)
     are drawn at random per instance."""
+    if type(cases) is not int or cases < 0:
+        raise ValidationError(f"cases must be a non-negative integer, got {cases!r}")
     rng = random.Random(seed)
     checked: dict[str, int] = {}
     failures: list[str] = []

@@ -19,7 +19,6 @@ from .susy import (
     SusyGraph,
     SusyMorphism,
     compose,
-    is_stable,
     modular_graph,
     susy_identity,
     validate_susy_graph,
@@ -90,7 +89,7 @@ def _assemble(
         genus=genus,
     )
     validate_susy_graph(g).raise_if_invalid("sampled graph")
-    if not is_stable(g).stable:
+    if not g.stability.stable:
         raise ValidationError("sampler produced an unstable graph")
     return g
 

@@ -8,10 +8,11 @@ then NS/R colorings of each shape, counted by the parity argument (2^b1 per
 shape) and deduplicated the same way.  Each split is generated once, not
 once more as its mirror image, and every move of a stable shape is stable.
 
-Shapes are generated as integer cores (see ``canon``): each move is built
-from its parent's canonical core and searched as a core, the winning leaf
-of a new shape renumbers the move into the shape's canonical core, and a
-shape is named as a graph once, when the generation ends.  The colorings
+Shapes are generated as integer cores (see ``canon``): the search starts
+from the corolla's core, each move is built from its parent's canonical
+core and searched as a core, the winning leaf of a new shape renumbers
+the move into the shape's canonical core, and a shape is named as a graph
+once, by ``canon._named``, when the generation ends.  The colorings
 are searched as cores too: each is its shape's core with the colours
 replaced, and a stratum is named once, when its digest is new.
 
@@ -61,12 +62,12 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
 from .canon import Core, Isomorphism, _canonical_core, _core, _core_of
-from .canon import _generators, _graph_of, _names, _unmodular_digest
+from .canon import _generators, _named, _names, _unmodular_digest
 from .canon import certificate_digest
 from .errors import ValidationError
 from .graphs import edges, orbit_pairs
 from .lifting import _lift_masks
-from .susy import SusyGraph, modular_graph
+from .susy import SusyGraph
 from .calculus import contract_pair
 
 __all__ = [
@@ -82,18 +83,6 @@ __all__ = [
 
 # the edge bound an enumeration may reach unless ``max_edges`` raises it
 MAX_EDGES = 8
-
-
-def _corolla(genus: int, labels: list[str]) -> SusyGraph:
-    flags = {f"t:{l}": l for l in labels}
-    return modular_graph(
-        flags=set(flags),
-        vertices={"v"},
-        boundary={f: "v" for f in flags},
-        involution={f: f for f in flags},
-        genus={"v": genus},
-        tail_labels={l: f for f, l in flags.items()},
-    )
 
 
 def _move_keys(c: Core) -> list[tuple]:
@@ -227,7 +216,12 @@ def _shapes(
     the parent's, which is the child's cover; one is kept per edge."""
     if type(genus) is not int or genus < 0:
         raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
-    labels = sorted(set(tail_labels))
+    if max_edges is not None and type(max_edges) is not int:
+        raise ValidationError(f"max_edges must be an integer or None, got {max_edges!r}")
+    labels = [*set(tail_labels)]
+    if not all(isinstance(l, str) for l in labels):
+        raise ValidationError("tail labels must be strings")
+    labels.sort()
     if 2 * genus - 2 + len(labels) <= 0:
         raise ValidationError(
             f"unstable enumeration request: 2*{genus} - 2 + {len(labels)} <= 0"
@@ -255,7 +249,8 @@ def _shapes(
             fresh.append(digest)
         return digest, leaves[0][1]
 
-    search(_core_of(_corolla(genus, labels)))
+    zeros = (0,) * len(labels)  # the corolla: one vertex carrying every tail
+    search(_core((genus,), zeros, tuple(range(len(labels))), zeros, tuple(labels), True))
     depth = 0
     while fresh and depth < bound:
         depth += 1
@@ -284,7 +279,7 @@ def _shapes(
             )
             for vm, fm in generators
         )
-        out.append((digest, cert, _graph_of(core, vn, fn), covers, named))
+        out.append((digest, cert, _named(core), covers, named))
     return out
 
 
@@ -335,7 +330,7 @@ def enumerate_strata_records(
     ns, rr = frozenset(ns_labels), frozenset(r_labels)
     overlap = ns & rr
     if overlap:
-        raise ValidationError(f"labels {sorted(overlap)} are both NS and R")
+        raise ValidationError(f"labels {sorted(overlap, key=str)} are both NS and R")
     if len(rr) % 2:
         raise ValidationError("the number of R tail labels must be even")
     records = []
@@ -367,9 +362,7 @@ def enumerate_strata_records(
                 cert, leaves = canon._search(colored)
                 digest = sha256(cert).hexdigest()
                 if digest not in graphs:
-                    c = _canonical_core(colored, leaves[0])
-                    vn, fn = _names("v", len(c.genus)), _names("f", len(c.boundary))
-                    graphs[digest] = _graph_of(c, vn, fn)
+                    graphs[digest] = _named(_canonical_core(colored, leaves[0]))
             coloring_digests.update(dict.fromkeys(orbit, digest))
         digests = tuple(sorted(graphs))
         records.append(
@@ -439,7 +432,7 @@ class ContractionPoset:
     def index_of(self, g: SusyGraph) -> int:
         d = certificate_digest(g)
         if d not in self._index:
-            raise ValueError(f"stratum {d} is not in the poset")
+            raise ValidationError(f"stratum {d} is not in the poset")
         return self._index[d]
 
     def less_or_equal(self, i: int, j: int) -> bool:

@@ -126,7 +126,8 @@ class SusyGraph:
 
     @cached_property
     def stability(self) -> StabilityReport:
-        """``is_stable(self)``."""
+        """``is_stable(self)``, the package's one call of it, read by the
+        lifts, the operad's evaluation and dimensions, the CLI and samplers."""
         return is_stable(self)
 
     @cached_property
@@ -259,6 +260,10 @@ def validate_susy_graph(g: SusyGraph) -> ValidationReport:
                 )
         if lab.ns_tail_labels.keys() & lab.r_tail_labels.keys():
             problems.append("NS and R label sets must be disjoint")
+        labels = (*lab.ns_tail_labels, *lab.r_tail_labels)
+        if not all(isinstance(l, str) for l in labels):
+            bad = ", ".join(sorted(repr(l) for l in labels if not isinstance(l, str)))
+            problems.append(f"tail labels must be strings, got {bad}")
 
     if g.modular:
         if any(c != NS for c in lab.color.values()):

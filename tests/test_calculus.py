@@ -7,8 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from susykit import (
-    NS,
-    R,
     SusyKitError,
     classify,
     commute_contractions,
@@ -24,7 +22,6 @@ from susykit import (
     make_isomorphism,
     modular_graph,
     susy_identity,
-    susy_morphism,
     tails,
     total_grafting,
     validate_susy_morphism,

@@ -254,6 +254,10 @@ class TestCertificates:
         lazy = {"graph", "vertex_witness", "flag_witness"}
         assert not lazy & set(vars(form))
         assert form.graph is form.graph
+        # the graph is named from the canonical core, not from the witnesses
+        assert lazy & set(vars(form)) == {"graph"}
+        for witness in ("vertex_witness", "flag_witness"):
+            assert getattr(form, witness) is getattr(form, witness)
         assert lazy <= set(vars(form))
 
     @pytest.mark.parametrize("entry", [canonical_form, certificate_digest])
@@ -355,8 +359,7 @@ class TestSortOrder:
     def test_canonical_core_is_the_core_of_the_canonical_graph(self, g):
         form = canonical_form(g)
         core = canon._canonical_core(form.core, form.leaves[0])
-        names = [canon._names("v", len(core.genus)), canon._names("f", len(core.boundary))]
-        assert canon._graph_of(core, *names) == form.graph
+        assert canon._named(core) == form.graph
 
     def test_a_genus_of_true_is_refused(self):
         # the graph equals its genus-1 twin, and once passed validation

@@ -251,13 +251,14 @@ class TestEnumerateSearches:
         assert "contraction_poset" not in counts
 
     def test_shapes_are_named_once(self, monkeypatch):
-        # one Graph per shape, and one for the corolla the search starts from
+        # one Graph per shape, and none for the corolla: the search starts
+        # from its core
         built = []
         init = Graph.__post_init__
         monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or init(g))
         shapes = strata._shapes(3, [])
         assert len(shapes) == 42
-        assert len(built) == len(shapes) + 1
+        assert len(built) == len(shapes)
         assert {id(g.graph) for _, _, g, _, _ in shapes} <= {id(g) for g in built}
 
     @pytest.mark.parametrize(
@@ -413,6 +414,40 @@ class TestDualGraphAndEvaluate:
         assert data["passed"] is True
         assert set(data["checked"].values()) == {5}
         assert data["failures"] == []
+
+
+class TestGraphSummary:
+    """``lift`` and ``dual-graph`` with ``--format table`` print a summary
+    of the one graph they build."""
+
+    def test_tree_lift(self, tmp_path, capsys):
+        path = write(tmp_path, "t.json", graph_to_json(two_vertex_tree()))
+        argv = ["lift", "--tree", path, "--ns", "a0,b0", "--r", "a1,b1"]
+        rc, out, _ = run(capsys, *argv, "--format", "table")
+        assert rc == 0
+        assert out == (
+            "vertices      2\n"
+            "edges         1 (1 R)\n"
+            "tails         4 (2 R)\n"
+            "total genus   0\n"
+            "modular view  no\n"
+            "stable        yes\n"
+            "digest        980bc341b3c8097bc46b5faac8e08b1d69a43b948fe4ff2ff0f7ce5c20184ac8\n"
+        )
+
+    def test_dual_graph(self, tmp_path, capsys):
+        path = write(tmp_path, "c.json", curve_to_json(small_curve()))
+        rc, out, _ = run(capsys, "dual-graph", path, "--format", "table")
+        assert rc == 0
+        assert out == (
+            "vertices      2\n"
+            "edges         1 (0 R)\n"
+            "tails         2 (0 R)\n"
+            "total genus   1\n"
+            "modular view  no\n"
+            "stable        yes\n"
+            "digest        14ef22c9e9faf0d5d7993a62c5ac51716e995efc2254b3c4d0ee70213f0ed5b6\n"
+        )
 
 
 class TestExportDot:

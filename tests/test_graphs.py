@@ -28,7 +28,6 @@ from susykit.graphs import (
     GraphMorphism,
     connected_components,
     disjoint_union as graph_disjoint_union,
-    identity_morphism,
     involution_from_pairs,
     orbit_pairs,
 )

@@ -1,14 +1,20 @@
-"""Every name that a module of the package imports is used there or listed
-in its ``__all__``.  ``__init__.py`` re-exports and is exempt.  The check
-reads each module's syntax tree, so it needs no linter."""
+"""Every name that a module of the package, a test module or a demo imports
+is used there or listed in its ``__all__``.  The package's ``__init__.py``
+re-exports and is exempt.  The check reads each module's syntax tree, so it
+needs no linter."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "susykit"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "susykit"
+# each checked file, by its name in the package or its path from the root
+MODULES = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+MODULES |= {
+    str(p.relative_to(ROOT)): p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py")
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,9 +38,9 @@ def unused_imports(source: str) -> list[str]:
     return sorted(n for n in imported if n not in read and n not in exported)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_every_import_is_used(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_an_unused_import():

@@ -243,7 +243,7 @@ class TestGeneralCount:
         assert enumerate_edge_colorings(g, ns, r) == []
         assert brute_color_sets(g, ns, r) == []
 
-    def test_enumeration_limit_rejected(self):
+    def test_enumeration_limit_rejected(self, monkeypatch):
         g = modular_graph(
             flags=["t", "l1", "m1", "l2", "m2"],
             vertices=["v"],
@@ -251,9 +251,11 @@ class TestGeneralCount:
             involution={"t": "t", "l1": "m1", "m1": "l1", "l2": "m2", "m2": "l2"},
             genus={"v": 0},
         )
-        assert len(enumerate_edge_colorings(g, ["t"], [], limit=4)) == 4
+        monkeypatch.setattr(susykit.lifting, "MAX_COLORINGS", 4)
+        assert len(enumerate_edge_colorings(g, ["t"], [])) == 4
+        monkeypatch.setattr(susykit.lifting, "MAX_COLORINGS", 3)
         with pytest.raises(ValidationError, match="too many colorings"):
-            enumerate_edge_colorings(g, ["t"], [], limit=3)
+            enumerate_edge_colorings(g, ["t"], [])
 
     @given(st.integers(0, 10**6))
     def test_tree_lift_is_the_only_enumerated_coloring(self, seed):

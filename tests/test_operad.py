@@ -41,7 +41,6 @@ from susykit import (
     signature,
     stratum_dimension,
     susy_graph,
-    susy_morphism,
     total_grafting,
     validate_recipe,
 )
@@ -408,6 +407,12 @@ class TestAxiomChecker:
         assert all(n == 0 for n in rep.checked.values())
         assert rep.failures == ()
 
+    @pytest.mark.parametrize("cases", ["3", -1, 2.0, True])
+    def test_cases_must_be_a_non_negative_int(self, cases):
+        # a string once raised TypeError, and -1 passed after checking nothing
+        with pytest.raises(ValidationError, match="cases must be a non-negative integer"):
+            check_operad_axioms(cases=cases)
+
     def test_seed_determinism(self):
         a = check_operad_axioms(seed=42, cases=10)
         b = check_operad_axioms(seed=42, cases=10)
@@ -715,7 +720,7 @@ class TestDimensions:
             stratum_dimension(star(0, 2))
 
     def test_random_graphs_sum_local_dimensions(self, rng):
-        from susykit import flags_at, is_stable, tails
+        from susykit import flags_at, is_stable
 
         seen = 0
         while seen < 30:

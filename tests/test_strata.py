@@ -34,15 +34,15 @@ from susykit import graphs, lifting, strata, susy
 from susykit.lifting import _colored
 from susykit.operad import _graph_signature
 from susykit.susy import R
-from susykit.canon import _core_of, _graph_of, _search
+from susykit.canon import _core_of, _named, _search
 from susykit.strata import (
     MAX_EDGES,
-    _corolla,
     _move,
     _move_keys,
     _shapes,
 )
 
+from conftest import star
 from oracles import (
     brute_automorphism_order,
     brute_color_sets,
@@ -183,7 +183,7 @@ class TestColoringTables:
             "is_stable",
             "enumerate_edge_colorings",
             "_colored",
-            "_graph_of",
+            "_named",
         )
         counts = dict.fromkeys(names, 0)
         for module in (susy, lifting, strata):
@@ -195,7 +195,7 @@ class TestColoringTables:
         all_ns = sum(frozenset() in rec.coloring_digests for rec in records)
         assert n_strata > len(records)
         named = len(records) + n_strata - all_ns
-        assert counts == dict.fromkeys(names[:4], 0) | {"_graph_of": named}
+        assert counts == dict.fromkeys(names[:4], 0) | {"_named": named}
         assert g != 3 or named == 142
 
 
@@ -316,6 +316,11 @@ class TestPoset:
         with pytest.raises(ValueError):
             poset.index_of(enumerate_strata(0, FIVE, [])[0])
 
+    def test_index_of_raises_a_validation_error(self):
+        poset = contraction_poset(enumerate_strata(0, FOUR, []))
+        with pytest.raises(ValidationError, match="not in the poset"):
+            poset.index_of(enumerate_strata(0, FIVE, [])[0])
+
 
 class TestStrataPoset:
     @pytest.mark.parametrize(
@@ -346,11 +351,7 @@ class TestStrataPoset:
 
 def moves_of(shape):
     core = _core_of(shape)
-    moves = [_move(core, key) for key in _move_keys(core)]
-    return [
-        _graph_of(m, [f"v{i}" for i in range(len(m.genus))], [f"f{i}" for i in range(len(m.boundary))])
-        for m in moves
-    ]
+    return [_named(_move(core, key)) for key in _move_keys(core)]
 
 
 def named_move(shape, key):
@@ -401,11 +402,11 @@ class TestMoves:
         # a genus-0 vertex with n labeled tails splits into two stable
         # vertices in one way per subset of 2..n-2 tails, up to mirroring
         assert splits == sum(comb(n, k) for k in range(2, n - 1)) // 2
-        corolla = _corolla(0, [str(i) for i in range(n)])
+        corolla = star(0, n, modular=True)
         assert len(splits_of(corolla)) == splits
 
     def test_flagless_vertex_splits_once_per_genus_pair(self):
-        corolla = _corolla(4, [])
+        corolla = star(4, 0, modular=True)
         # genus 4 = 1 + 3 = 2 + 2; genus 0 + 4 leaves a genus-0 vertex of
         # degree one
         assert len(splits_of(corolla)) == 2
@@ -669,6 +670,25 @@ class TestBoundsAndErrors:
         with pytest.raises(ValidationError, match="non-negative integer"):
             enumerate_modular_shapes(g, ["1", "2", "3", "4", "5"])
 
+    @pytest.mark.parametrize("max_edges", ["9", 9.0, True])
+    def test_max_edges_must_be_an_int_or_none(self, max_edges):
+        # a string once raised TypeError from the bound check
+        with pytest.raises(ValidationError, match="max_edges must be an integer"):
+            enumerate_strata_records(0, FIVE, [], max_edges=max_edges)
+
+    @pytest.mark.parametrize(
+        "enumerate_, labels",
+        [
+            (lambda labels: enumerate_strata(0, labels, []), [1, 2, 3, 4]),
+            (lambda labels: enumerate_modular_shapes(0, labels), ["1", "2", None]),
+        ],
+    )
+    def test_tail_labels_must_be_strings(self, enumerate_, labels):
+        # an integer label once raised TypeError from the certificate, and
+        # None from the sort of the labels
+        with pytest.raises(ValidationError, match="tail labels must be strings"):
+            enumerate_(labels)
+
     def test_odd_r_label_count_rejected(self):
         with pytest.raises(ValidationError, match="even"):
             enumerate_strata(1, ["1"], ["2"])
@@ -676,3 +696,8 @@ class TestBoundsAndErrors:
     def test_overlapping_labels_rejected(self):
         with pytest.raises(ValidationError, match="both NS and R"):
             enumerate_strata(1, ["1"], ["1", "2"])
+
+    def test_overlapping_labels_of_mixed_types_rejected(self):
+        # sorting them for the message once raised TypeError
+        with pytest.raises(ValidationError, match="both NS and R"):
+            enumerate_strata(0, [1, "x", "y"], [1, "x"])

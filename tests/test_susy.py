@@ -35,7 +35,7 @@ from susykit.sampling import (
 )
 
 from conftest import star, two_vertex_tree
-from oracles import forest_b1, oracle_genus, valid_hom_set
+from oracles import oracle_genus, valid_hom_set
 
 
 def loop_vertex(n_loops: int = 2, tails_n: int = 1, g: int = 0):
@@ -366,6 +366,9 @@ def _susy_cases():
         ns_tail_labels={"x": "a0", "y": "b0"},
         r_tail_labels={"x": "r0", "z": "r1"},
     ), ("NS and R label sets must be disjoint",)
+    yield "non-string labels", edited(
+        g, ns_tail_labels={1: "a0", "b0": "b0"}, r_tail_labels={None: "r0", "r1": "r1"}
+    ), ("tail labels must be strings, got 1, None",)
     yield "modular view", edited(g, modular=True), (
         "modular view must be colored all-NS",
         "modular view must keep every label in the NS slot",
