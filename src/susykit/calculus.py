@@ -85,13 +85,26 @@ def _sorted_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def _flag_pair(g: SusyGraph, pair, who: str) -> tuple[str, str]:
+    """``pair`` as two flags of ``g``, sorted; anything else is refused."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"{who}: {pair!r} is not a pair of flags") from None
+    if isinstance(a, str) and isinstance(b, str):
+        a, b = _sorted_pair(a, b)
+        if a in g.flags and b in g.flags:
+            return a, b
+    raise ValidationError(f"{who}: bad pair ({a!r}, {b!r})")
+
+
 def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
     """Join pairs of distinct same-color tails into edges.
 
     The underlying flag and vertex sets are untouched: only the involution
     grows, and the grafted tails' labels drop out of the labeling.
     """
-    pair_list = [_sorted_pair(*p) for p in pairs]
+    pair_list = [_flag_pair(g, p, "graft") for p in pairs]
     used: set[str] = set()
     tail_set = set(tails(g.graph))
     for a, b in pair_list:
@@ -135,8 +148,8 @@ def _grafting(source: SusyGraph, target: SusyGraph) -> SusyMorphism:
 
 
 def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphism:
-    a, b = _sorted_pair(*pair)
-    if a == b or a not in g.flags or b not in g.flags:
+    a, b = pair
+    if a == b:
         raise ValidationError(f"contract: bad pair ({a!r}, {b!r})")
     if virtual:
         tail_set = set(tails(g.graph))
@@ -192,7 +205,7 @@ def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphis
 
 def contract_edge(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract an edge between two distinct vertices, summing their genera."""
-    a, b = pair
+    a, b = pair = _flag_pair(g, pair, "contract")
     if g.boundary[a] == g.boundary[b]:
         raise ValidationError("contract_edge: pair is a loop; use contract_loop")
     return _contract(g, pair, virtual=False)
@@ -200,7 +213,7 @@ def contract_edge(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
 
 def contract_loop(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract a loop, raising its vertex's genus by one."""
-    a, b = pair
+    a, b = pair = _flag_pair(g, pair, "contract")
     if g.boundary[a] != g.boundary[b]:
         raise ValidationError("contract_loop: pair is not a loop")
     return _contract(g, pair, virtual=False)
@@ -208,16 +221,14 @@ def contract_loop(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
 
 def contract_pair(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract an edge, a loop, or (virtually) a pair of tails."""
-    a, b = pair
-    if a in g.flags and b in g.flags and g.involution[a] == b:
-        return _contract(g, pair, virtual=False)
-    return _contract(g, pair, virtual=True)
+    a, b = pair = _flag_pair(g, pair, "contract")
+    return _contract(g, pair, virtual=g.involution[a] != b)
 
 
 def contract_tails(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Virtual contraction: graft two tails and contract the new edge,
     expressed as a single morphism."""
-    return _contract(g, pair, virtual=True)
+    return _contract(g, _flag_pair(g, pair, "contract"), virtual=True)
 
 
 def make_isomorphism(

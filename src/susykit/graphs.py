@@ -74,7 +74,8 @@ class Graph:
 
     ``boundary`` sends each flag to the vertex carrying it; ``involution``
     is the flag pairing (identity on tails).  Instances are plain values:
-    two graphs are equal exactly when all four fields agree.
+    two graphs are equal exactly when all four fields agree.  Two kept,
+    read-only values are not fields: ``incidence`` and ``report``.
     """
 
     flags: frozenset[str]
@@ -98,9 +99,19 @@ class Graph:
             inc[b[f]].append(f)
         return {v: tuple(fl) for v, fl in inc.items()}
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """``validate_graph(self)``, checked once, on first read; frozen."""
+        return _check_graph(self)
+
 
 def validate_graph(g: Graph) -> ValidationReport:
-    """Check the graph axioms and report every violation found."""
+    """Check the graph axioms and report every violation found, once per
+    graph, which keeps the report (``Graph.report``)."""
+    return g.report
+
+
+def _check_graph(g: Graph) -> ValidationReport:
     problems: list[str] = []
     b, inv = g.boundary, g.involution
     if b.keys() != g.flags:

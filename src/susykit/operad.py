@@ -445,17 +445,14 @@ def glue_r_loop(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
 def _graph_signature(g: SusyGraph) -> tuple[ModuliSignature, dict[str, int]]:
     """Per-vertex factors with flag ids as labels; vertex -> factor position.
     ``SusyGraph.signature`` keeps it, so read that instead."""
+    genera, color, incidence = g.labeling.genus, g.labeling.color, g.graph.incidence
     verts = sorted(g.vertices)
     factors = []
     for v in verts:
-        fl = g.graph.incidence[v]
-        factors.append(
-            ModuliFactor(
-                g.genus_of(v),
-                frozenset(f for f in fl if g.color_of(f) == NS),
-                frozenset(f for f in fl if g.color_of(f) == R),
-            )
-        )
+        ns, r = [], []
+        for f in incidence[v]:
+            (ns if color[f] == NS else r).append(f)
+        factors.append(ModuliFactor(genera[v], frozenset(ns), frozenset(r)))
     mode = CLASSICAL if g.modular else SUPER
     sig, position = _fresh_signature(factors, mode)
     return sig, {v: position[i] for i, v in enumerate(verts)}

@@ -81,7 +81,8 @@ class SusyLabeling:
 @dataclass(frozen=True)
 class SusyGraph:
     """A half-edge graph with SUSY labeling; ``modular`` marks the
-    color-erased view used for plain genus-labeled graphs."""
+    color-erased view used for plain genus-labeled graphs.  It keeps
+    ``stability``, ``signature`` and its labeling report, read-only."""
 
     graph: Graph
     labeling: SusyLabeling
@@ -138,6 +139,11 @@ class SusyGraph:
         from .operad import _graph_signature
 
         return _graph_signature(self)
+
+    @cached_property
+    def _labeling_report(self) -> ValidationReport:
+        """The labeling checks, read only once ``self.graph`` is valid."""
+        return _check_labeling(self)
 
 
 def susy_graph(
@@ -210,9 +216,13 @@ def _renamed(
 
 
 def validate_susy_graph(g: SusyGraph) -> ValidationReport:
-    problems = list(validate_graph(g.graph).violations)
-    if problems:
-        return ValidationReport(tuple(problems))
+    """The graph axioms, then the labeling checks, both kept on the graphs."""
+    rep = validate_graph(g.graph)
+    return g._labeling_report if rep.ok else rep
+
+
+def _check_labeling(g: SusyGraph) -> ValidationReport:
+    problems: list[str] = []
     base = g.graph
     lab = g.labeling
 

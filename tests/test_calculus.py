@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from susykit import (
     SusyKitError,
+    ValidationError,
     classify,
     commute_contractions,
     commute_iso_contraction,
@@ -354,3 +355,46 @@ class TestCommuteContractions:
         e1, e2 = edge_list[0], edge_list[1]
         out = commute_contractions(g, e1, e2)
         assert out.commutes
+
+
+class TestMalformedPairs:
+    """Unknown flags and pairs that are not two flags raise ValidationError
+    at every entry that takes a pair, before the graph is read."""
+
+    BAD_PAIR = r"contract: bad pair \('vn1', 'zz'\)"
+
+    def test_contract_edge_refuses_an_unknown_flag(self):
+        with pytest.raises(ValidationError, match=self.BAD_PAIR):
+            contract_edge(star(0, 4), ("zz", "vn1"))
+
+    def test_contract_loop_refuses_an_unknown_flag(self):
+        with pytest.raises(ValidationError, match=self.BAD_PAIR):
+            contract_loop(star(0, 4), ("zz", "vn1"))
+
+    def test_contract_pair_refuses_one_flag(self):
+        with pytest.raises(ValidationError, match="is not a pair of flags"):
+            contract_pair(star(0, 4), ("vn0",))
+
+    def test_graft_refuses_three_flags(self):
+        with pytest.raises(ValidationError, match="is not a pair of flags"):
+            graft(star(0, 4), [("vn0", "vn1", "vn2")])
+
+    @pytest.mark.parametrize(
+        "pair", [("zz", "vn1"), ("vn0",), ("vn0", "vn1", "vn2"), None, (1, "vn1")]
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            contract_edge,
+            contract_loop,
+            contract_pair,
+            contract_tails,
+            lambda g, p: graft(g, [p]),
+        ],
+        ids=[
+            "contract_edge", "contract_loop", "contract_pair", "contract_tails", "graft"
+        ],
+    )
+    def test_every_entry_refuses_a_malformed_pair(self, entry, pair):
+        with pytest.raises(ValidationError):
+            entry(star(0, 4), pair)

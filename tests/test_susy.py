@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import susykit.graphs
+import susykit.susy
 from susykit import (
     NS,
     R,
     Graph,
     SusyGraph,
     SusyMorphism,
+    classify,
     compose,
     contract_pair,
+    decompose_to_elementaries,
     edges,
+    evaluate_operad,
     forget,
     genus,
     include,
@@ -27,6 +32,7 @@ from susykit import (
     validate_susy_graph,
     validate_susy_morphism,
 )
+from susykit.calculus import atomize
 from susykit.graphs import identity_morphism
 from susykit.sampling import (
     random_composable_pair,
@@ -36,6 +42,7 @@ from susykit.sampling import (
 
 from conftest import star, two_vertex_tree
 from oracles import oracle_genus, valid_hom_set
+from test_boundary import contraction_chain, count_calls
 
 
 def loop_vertex(n_loops: int = 2, tails_n: int = 1, g: int = 0):
@@ -535,3 +542,75 @@ MORPHISM_CASES = list(_morphism_cases())
 )
 def test_morphism_violations(h, expected):
     assert validate_susy_morphism(h).violations == expected
+
+
+# -- each graph checks itself once ---------------------------------------------
+
+
+def record_checks(monkeypatch, module, name):
+    """Replace the check ``module.name`` by one that records each object it
+    checks; the list keeps them alive, so their ids stay distinct."""
+    checked = []
+    check = getattr(module, name)
+
+    def recording(g):
+        checked.append(g)
+        return check(g)
+
+    monkeypatch.setattr(module, name, recording)
+    return checked
+
+
+def test_each_graph_is_checked_once_across_entries(monkeypatch):
+    h = contraction_chain()
+    graph_checks = record_checks(monkeypatch, susykit.graphs, "_check_graph")
+    labeling_checks = record_checks(monkeypatch, susykit.susy, "_check_labeling")
+    asks = count_calls(monkeypatch, susykit.susy.validate_susy_graph)
+    for entry in (
+        evaluate_operad,
+        lambda m: decompose_to_elementaries(m, "lex"),
+        lambda m: decompose_to_elementaries(m, "reverse"),
+        atomize,
+        classify,
+    ):
+        asks.clear()
+        entry(h)
+        # every entry still asks for both endpoint graphs
+        assert [g for (g,) in asks] == [h.source, h.target]
+    # but each graph ran its checks on the first ask only
+    assert list(map(id, graph_checks)) == [id(h.source.graph), id(h.target.graph)]
+    assert list(map(id, labeling_checks)) == [id(h.source), id(h.target)]
+
+
+def test_invalid_graphs_report_the_same_violations_on_every_check(monkeypatch):
+    labeling_checks = record_checks(monkeypatch, susykit.susy, "_check_labeling")
+    for _, g, expected in _graph_cases():
+        assert validate_susy_graph(g).violations == expected
+        assert validate_susy_graph(g).violations == expected
+        assert validate_graph(g.graph) is g.graph.report
+    # a malformed Graph never has its labeling checked
+    assert labeling_checks == []
+    for _, g, expected in _susy_cases():
+        assert validate_susy_graph(g).violations == expected
+        assert validate_susy_graph(g).violations == expected
+    assert len(labeling_checks) == len(list(_susy_cases()))
+
+
+def test_new_graph_objects_run_their_own_labeling_check(monkeypatch):
+    g = two_vertex_graph()
+    assert validate_susy_graph(g).ok
+    graph_checks = record_checks(monkeypatch, susykit.graphs, "_check_graph")
+    labeling_checks = record_checks(monkeypatch, susykit.susy, "_check_labeling")
+    forgotten = forget(g)
+    included = include(forgotten)
+    assert validate_susy_graph(forgotten).ok
+    assert validate_susy_graph(included).ok
+    # a replaced graph does not inherit g's kept report
+    assert validate_susy_graph(replace(g, modular=True)).violations == (
+        "modular view must be colored all-NS",
+        "modular view must keep every label in the NS slot",
+    )
+    assert validate_susy_graph(g).ok
+    # all four share g's Graph, which was checked before
+    assert graph_checks == []
+    assert len(labeling_checks) == 3
