@@ -74,8 +74,8 @@ class Graph:
 
     ``boundary`` sends each flag to the vertex carrying it; ``involution``
     is the flag pairing (identity on tails).  Instances are plain values:
-    two graphs are equal exactly when all four fields agree.  Two kept,
-    read-only values are not fields: ``incidence`` and ``report``.
+    two graphs are equal exactly when all four fields agree.  The kept,
+    read-only ``incidence``, ``report`` and ``_forest`` are not fields.
     """
 
     flags: frozenset[str]
@@ -103,6 +103,13 @@ class Graph:
     def report(self) -> ValidationReport:
         """``validate_graph(self)``, checked once, on first read; frozen."""
         return _check_graph(self)
+
+    @cached_property
+    def _forest(self):
+        """``lifting._spanning_forest(self)``, built once, on first read."""
+        from .lifting import _spanning_forest
+
+        return _spanning_forest(self)
 
 
 def validate_graph(g: Graph) -> ValidationReport:

@@ -5,14 +5,16 @@ lift here comes from one spanning-forest rule:
 
 1. Grow a spanning forest by Kruskal's rule, taking edges in ``edges()``
    order.  The loops and the remaining non-tree edges are the free edges;
-   there are ``b1`` of them (first Betti number).
+   there are ``b1`` of them (first Betti number).  The forest does not
+   depend on the partition: the public entries keep it on the graph.
 2. Color the free edges NS and peel each tree from its leaves up to its
    root, its smallest vertex: a tree edge is R exactly when the subtree
    below it carries an odd number of R tails.  A root left odd means its
    component receives an odd number of R tails, and then no lift exists.
 3. Every other lift differs from this one by a sum of fundamental cycles,
    one per free edge (a loop's cycle is the loop itself), so the lifts of
-   a fixed tail partition number 0 or ``2 ** b1``.
+   a fixed tail partition number 0 or ``2 ** b1``.  They are listed by
+   doubling: each cycle in turn copies every lift so far, flipping its edges.
 
 On a stable genus-zero tree there are no free edges, so every even split
 of the tail labels into NS and R parts admits exactly one lift.
@@ -20,18 +22,13 @@ of the tail labels into NS and R parts admits exactly one lift.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import namedtuple
+from operator import xor
+from typing import Callable, Iterable
 
 from .errors import ValidationError
-from .graphs import _root, edges, is_connected, tails
-from .susy import (
-    NS,
-    R,
-    SusyGraph,
-    SusyLabeling,
-    genus,
-    require_susy,
-)
+from .graphs import Graph, _root, edges, tails
+from .susy import NS, R, SusyGraph, SusyLabeling, require_susy
 
 __all__ = [
     "MAX_COLORINGS",
@@ -50,10 +47,9 @@ def _checked_partition(
     g: SusyGraph, ns_labels: Iterable[str], r_labels: Iterable[str]
 ) -> tuple[frozenset[str], frozenset[str]]:
     ns_set, r_set = frozenset(ns_labels), frozenset(r_labels)
-    all_labels = set(g.labeling.ns_tail_labels)
     if ns_set & r_set:
         raise ValidationError("partition parts must be disjoint")
-    if ns_set | r_set != all_labels:
+    if ns_set | r_set != g.labeling.ns_tail_labels.keys():
         raise ValidationError("partition must cover the label set exactly")
     if len(r_set) % 2:
         raise ValidationError("the R part of a partition must have even size")
@@ -72,27 +68,27 @@ def _require_stable_modular(g: SusyGraph, what: str) -> None:
 
 
 def _require_tree(g: SusyGraph) -> None:
-    if not is_connected(g.graph):
+    forest = g.graph._forest
+    if len(forest.roots) > 1:
         raise ValidationError("input is not a tree: disconnected")
-    if genus(g) != 0:
+    # connected, so the total genus is b1 plus the vertex genera
+    if forest.cycles or any(g.labeling.genus.values()):
         raise ValidationError("input is not a tree: total genus must be zero")
 
 
-def _forest_lift(
-    g: SusyGraph, r_set: frozenset[str]
-) -> tuple[list[tuple[str, str]], int, list[int]] | None:
-    """The spanning-forest lift of the module docstring, or None if no lift.
+_Forest = namedtuple("_Forest", "pairs peel roots cycles")
 
-    Returns ``(pairs, particular, cycles)``: ``pairs`` is ``edges(g.graph)``,
-    and colorings are int bitmasks over its indices (bit set means R).
-    ``particular`` colors every free edge NS; ``cycles`` holds one
-    fundamental cycle per free edge, loops first, each group sorted.
-    """
-    base = g.graph
-    boundary = base.boundary
-    pairs = edges(base)
-    component = {v: v for v in base.vertices}
-    tree_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in base.vertices}
+
+def _spanning_forest(g: Graph) -> _Forest:
+    """Step 1 of the module docstring.  ``pairs`` is ``edges(g)``, and edge
+    sets are int bitmasks over its indices.  ``peel`` lists each tree edge
+    as ``(child, parent, bit)``, leaves first; ``roots`` holds one vertex
+    per component; ``cycles`` one fundamental cycle per free edge, loops
+    first, each group sorted."""
+    boundary = g.boundary
+    pairs = edges(g)
+    component = {v: v for v in g.vertices}
+    tree_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in g.vertices}
     loops, chords = [], []
     for i, (a, b) in enumerate(pairs):
         u, v = boundary[a], boundary[b]
@@ -101,92 +97,101 @@ def _forest_lift(
             continue
         cu, cv = _root(component, u), _root(component, v)
         if cu == cv:
-            chords.append(i)
+            chords.append((i, u, v))
             continue
         component[cu] = cv
         tree_edges[u].append((v, i))
         tree_edges[v].append((u, i))
 
-    odd = dict.fromkeys(base.vertices, 0)
-    label_to_tail = g.labeling.ns_tail_labels
-    for lab in r_set:
-        odd[boundary[label_to_tail[lab]]] ^= 1
     # path_to_root[v]: bitmask of the tree edges from v up to its root
     path_to_root: dict[str, int] = {}
-    particular = 0
-    for root in sorted(base.vertices):
+    roots, below = [], []
+    for root in sorted(g.vertices):
         if root in path_to_root:
             continue
+        roots.append(root)
         path_to_root[root] = 0
-        queue, below = [root], []
+        queue = [root]
         for v in queue:
             for w, i in tree_edges[v]:
                 if w not in path_to_root:
                     path_to_root[w] = path_to_root[v] | (1 << i)
                     queue.append(w)
-                    below.append((w, v, i))
-        for v, up, i in reversed(below):
-            if odd[v]:
-                particular |= 1 << i
-                odd[up] ^= 1
-        if odd[root]:
-            return None
+                    below.append((w, v, 1 << i))
 
     cycles = [1 << i for i in loops]
-    for i in chords:
-        a, b = pairs[i]
-        cycles.append(
-            (1 << i) ^ path_to_root[boundary[a]] ^ path_to_root[boundary[b]]
-        )
-    return pairs, particular, cycles
+    cycles += [(1 << i) ^ path_to_root[u] ^ path_to_root[v] for i, u, v in chords]
+    return _Forest(pairs, below[::-1], roots, cycles)
 
 
-def _lift_masks(
-    g: SusyGraph, r_set: frozenset[str]
-) -> tuple[list[tuple[str, str]], list[int]] | None:
-    """The edge ``pairs`` of ``g`` and every lift with R tails ``r_set`` as
-    a mask over them, or None if there is none.  Lift ``m`` adds the cycle
-    of each set bit of ``m`` to the particular one.  Callers check ``g``."""
-    lift = _forest_lift(g, r_set)
-    if lift is None:
-        return None
-    pairs, particular, cycles = lift
+def _peel(g: SusyGraph, forest: _Forest, r_set: frozenset[str]) -> int | None:
+    """Step 2 of the module docstring: the mask of the lift with R tails
+    ``r_set`` and every free edge NS, or None if there is no lift."""
+    odd: set[str] = set()
+    for lab in r_set:
+        odd ^= {g.boundary[g.labeling.ns_tail_labels[lab]]}
+    particular = 0
+    for v, up, bit in forest.peel:
+        if v in odd:
+            particular |= bit
+            odd ^= {v, up}
+    return None if odd else particular
+
+
+def _doubled(first, cycles: list, flipped: Callable) -> list:
+    """``first`` and ``flipped`` images of it, one per subset of ``cycles``:
+    each cycle in turn appends ``flipped(x, cycle)`` for every ``x`` listed
+    so far.  Refuses to list more than ``MAX_COLORINGS``."""
     count = 2 ** len(cycles)
     if count > MAX_COLORINGS:
         raise ValidationError(
             f"too many colorings ({count}) for enumeration; limit is {MAX_COLORINGS}"
         )
-    masks = [particular]
+    out = [first]
     for cycle in cycles:
-        masks += [mask ^ cycle for mask in masks]
-    return pairs, masks
+        out += [flipped(x, cycle) for x in out]
+    return out
 
 
-def _colored(
-    g: SusyGraph,
-    ns_set: frozenset[str],
-    r_set: frozenset[str],
-    pairs: list[tuple[str, str]],
-    mask: int,
-) -> SusyGraph:
-    """``g`` with its tails colored by the partition and edge ``pairs[i]``
-    colored R exactly when bit ``i`` of ``mask`` is set.  Callers check
-    ``g`` and the partition; the forest rule makes every such mask valid."""
+def _lift_masks(g: SusyGraph, r_set: frozenset[str]) -> tuple[list, list[int]] | None:
+    """The edge ``pairs`` of ``g`` and every lift with R tails ``r_set`` as
+    a mask over them, or None if there is none.  Lift ``m`` adds the cycle
+    of each set bit of ``m`` to the particular one.  Callers check ``g``;
+    the forest is not kept, as the enumeration's records hold their shapes."""
+    forest = _spanning_forest(g.graph)
+    particular = _peel(g, forest, r_set)
+    if particular is None:
+        return None
+    return forest.pairs, _doubled(particular, forest.cycles, xor)
+
+
+def _colorings(
+    g: SusyGraph, ns_set: frozenset, r_set: frozenset,
+    pairs: list, mask: int, cycles: list,
+) -> list[SusyGraph]:
+    """``g`` with its tails colored by the partition and its edges by the
+    lift ``mask`` (bit ``i`` set: ``pairs[i]`` is R), then by each lift that
+    doubling over ``cycles`` adds, in ``_lift_masks`` order.  Callers check
+    ``g`` and the partition; ``SusyLabeling`` copies the shared dicts."""
     label_to_tail = g.labeling.ns_tail_labels
-    color = {label_to_tail[lab]: NS for lab in ns_set}
-    color.update((label_to_tail[lab], R) for lab in r_set)
+    ns = {l: label_to_tail[l] for l in ns_set}
+    r = {l: label_to_tail[l] for l in r_set}
+    color = dict.fromkeys(ns.values(), NS)
+    color.update(dict.fromkeys(r.values(), R))
     for i, (a, b) in enumerate(pairs):
         color[a] = color[b] = R if (mask >> i) & 1 else NS
-    return SusyGraph(
-        g.graph,
-        SusyLabeling(
-            genus=dict(g.labeling.genus),
-            color=color,
-            ns_tail_labels={l: label_to_tail[l] for l in ns_set},
-            r_tail_labels={l: label_to_tail[l] for l in r_set},
-        ),
-        modular=False,
-    )
+
+    def colored(color: dict[str, str]) -> SusyGraph:
+        return SusyGraph(g.graph, SusyLabeling(g.labeling.genus, color, ns, r))
+
+    def flipped(h: SusyGraph, flags: list[tuple[str, str]]) -> SusyGraph:
+        color = dict(h.labeling.color)
+        for a, b in flags:
+            color[a] = color[b] = NS if color[a] == R else R
+        return colored(color)
+
+    edge_sets = [[p for i, p in enumerate(pairs) if cycle >> i & 1] for cycle in cycles]
+    return _doubled(colored(color), edge_sets, flipped)
 
 
 def lift_tree_coloring(
@@ -197,8 +202,9 @@ def lift_tree_coloring(
     _require_tree(tree)
     ns_set, r_set = _checked_partition(tree, ns_labels, r_labels)
     # A connected tree with an even R part always lifts, with no free edges.
-    pairs, particular, _ = _forest_lift(tree, r_set)
-    return _colored(tree, ns_set, r_set, pairs, particular)
+    forest = tree.graph._forest
+    particular = _peel(tree, forest, r_set)
+    return _colorings(tree, ns_set, r_set, forest.pairs, particular, [])[0]
 
 
 def count_lifts(tree: SusyGraph) -> int:
@@ -206,8 +212,7 @@ def count_lifts(tree: SusyGraph) -> int:
     exactly 2 ** (#tails - 1)."""
     _require_stable_modular(tree, "count_lifts")
     _require_tree(tree)
-    n = len(tails(tree.graph))
-    return 2 ** (n - 1)
+    return 2 ** (len(tails(tree.graph)) - 1)
 
 
 def count_even_partitions(k: int) -> int:
@@ -228,8 +233,8 @@ def lift_count_general(
     """
     _require_stable_modular(g, "lift_count_general")
     _, r_set = _checked_partition(g, ns_labels, r_labels)
-    lift = _forest_lift(g, r_set)
-    return 0 if lift is None else 2 ** len(lift[2])
+    forest = g.graph._forest
+    return 0 if _peel(g, forest, r_set) is None else 2 ** len(forest.cycles)
 
 
 def enumerate_edge_colorings(
@@ -242,5 +247,8 @@ def enumerate_edge_colorings(
     ``MAX_COLORINGS`` solutions to keep desk-scale use honest."""
     _require_stable_modular(g, "enumerate_edge_colorings")
     ns_set, r_set = _checked_partition(g, ns_labels, r_labels)
-    pairs, masks = _lift_masks(g, r_set) or ([], [])
-    return [_colored(g, ns_set, r_set, pairs, mask) for mask in masks]
+    forest = g.graph._forest
+    particular = _peel(g, forest, r_set)
+    if particular is None:
+        return []
+    return _colorings(g, ns_set, r_set, forest.pairs, particular, forest.cycles)

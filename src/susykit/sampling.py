@@ -12,7 +12,7 @@ from .calculus import contract_pair, contract_tails, graft, make_isomorphism
 from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint, validate_curve_config
 from .errors import ValidationError
 from .graphs import orbit_pairs, tails
-from .lifting import _colored, _lift_masks
+from .lifting import _colorings, _lift_masks
 from .susy import (
     NS,
     R,
@@ -149,7 +149,7 @@ def random_susy_graph(
     ns, r = map(frozenset, random_tail_partition(rng, shape))
     # a connected shape lifts for every even partition
     pairs, masks = _lift_masks(shape, r)
-    return _colored(shape, ns, r, pairs, rng.choice(masks))
+    return _colorings(shape, ns, r, pairs, rng.choice(masks), [])[0]
 
 
 def _same_color_tail_pairs(g: SusyGraph) -> list[tuple[str, str]]:

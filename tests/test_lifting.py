@@ -24,6 +24,7 @@ from susykit import (
     count_lifts,
     edges,
     enumerate_edge_colorings,
+    enumerate_strata_records,
     forget,
     genus,
     lift_count_general,
@@ -286,6 +287,94 @@ class TestGeneralCount:
         )
         assert len(enumerate_edge_colorings(g, ["t"], [])) == 4
         assert calls == [g]
+
+
+class TestKeptForest:
+    """The partition-free spanning forest is built once per graph by the
+    public entries, and never kept on the enumeration's shapes."""
+
+    def test_one_forest_per_graph(self, monkeypatch):
+        built = []
+        real = susykit.lifting._spanning_forest
+
+        def counting(g):
+            built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(susykit.lifting, "_spanning_forest", counting)
+        t = simple_tree()
+        for ns, r in ((["b", "d"], ["a", "c"]), (["a", "b", "c", "d"], [])):
+            assert lift_count_general(t, ns, r) == 1
+            colorings = enumerate_edge_colorings(t, ns, r)
+            assert colorings == [lift_tree_coloring(t, ns, r)]
+        assert count_lifts(t) == 8
+        assert built == [t.graph]
+
+    def test_enumeration_keeps_no_forest(self):
+        records = enumerate_strata_records(0, ["1", "2", "3", "4", "5"], [])
+        assert records
+        for rec in records:
+            assert "_forest" not in vars(rec.shape.graph)
+            for c in rec.colorings:
+                assert "_forest" not in vars(c.graph)
+
+    def test_tree_checks_keep_their_messages(self):
+        loop = modular_graph(
+            flags=["t", "la", "lb"],
+            vertices=["v"],
+            boundary={"t": "v", "la": "v", "lb": "v"},
+            involution={"t": "t", "la": "lb", "lb": "la"},
+            genus={"v": 0},
+        )
+        apart = modular_graph(
+            flags=list("abcdef"),
+            vertices=["v1", "v2"],
+            boundary={f: "v1" if f in "abc" else "v2" for f in "abcdef"},
+            involution={f: f for f in "abcdef"},
+            genus={"v1": 0, "v2": 0},
+        )
+        for g, why in (
+            (loop, "total genus must be zero"),
+            (star(1, 1, modular=True), "total genus must be zero"),
+            (apart, "disconnected"),
+        ):
+            for entry in (count_lifts, lambda h: lift_tree_coloring(h, [], [])):
+                with pytest.raises(ValidationError) as err:
+                    entry(g)
+                assert str(err.value) == f"input is not a tree: {why}"
+
+
+def test_colorings_share_no_mutable_state():
+    # b1 = 2 and two R tails: four colorings built from one base coloring
+    flags = ["s", "t", "u", "l1", "m1", "l2", "m2"]
+    g = modular_graph(
+        flags=flags,
+        vertices=["v"],
+        boundary=dict.fromkeys(flags, "v"),
+        involution={"s": "s", "t": "t", "u": "u", "l1": "m1", "m1": "l1", "l2": "m2", "m2": "l2"},
+        genus={"v": 1},
+    )
+    ns, r = ["s"], ["t", "u"]
+    first, *rest = enumerate_edge_colorings(g, ns, r)
+    again = enumerate_edge_colorings(g, ns, r)
+    assert again == [first, *rest] and len(again) == 4
+    before = [(c.labeling, dict(c.labeling.color)) for c in rest]
+    lab = first.labeling
+    lab.color["l1"] = lab.color["m1"] = "mutated"
+    lab.genus["v"] = 99
+    lab.ns_tail_labels["x"] = "s"
+    lab.r_tail_labels["y"] = "t"
+    for (labeling, color), c in zip(before, rest):
+        assert c.labeling is labeling and c.labeling.color == color
+        assert c.labeling.genus == {"v": 1}
+        assert c.labeling.ns_tail_labels == {"s": "s"}
+        assert c.labeling.r_tail_labels == {"t": "t", "u": "u"}
+    assert g.labeling.genus == {"v": 1}
+    assert "mutated" not in g.labeling.color.values()
+    assert g.labeling.ns_tail_labels == {"s": "s", "t": "t", "u": "u"}
+    assert g.labeling.r_tail_labels == {}
+    assert enumerate_edge_colorings(g, ns, r) == again
+    assert again[0].labeling.color["l1"] != "mutated"
 
 
 def test_coloring_order_is_pinned():

@@ -31,7 +31,7 @@ from susykit import (
     stratum_dimension,
 )
 from susykit import graphs, lifting, strata, susy
-from susykit.lifting import _colored
+from susykit.lifting import _colorings
 from susykit.operad import _graph_signature
 from susykit.susy import R
 from susykit.canon import _core_of, _named, _search
@@ -182,7 +182,7 @@ class TestColoringTables:
             "validate_susy_graph",
             "is_stable",
             "enumerate_edge_colorings",
-            "_colored",
+            "_colorings",
             "_named",
         )
         counts = dict.fromkeys(names, 0)
@@ -214,9 +214,9 @@ class TestAllNsStratum:
         for rec in records:
             digest = rec.coloring_digests[frozenset()]
             graph = rec.colorings[rec.digests.index(digest)]
-            all_ns = _colored(
-                rec.shape, frozenset(labels), frozenset(), edges(rec.shape.graph), 0
-            )
+            all_ns = _colorings(
+                rec.shape, frozenset(labels), frozenset(), edges(rec.shape.graph), 0, []
+            )[0]
             form = canonical_form(all_ns)
             assert digest == form.digest
             assert graph == form.graph
