@@ -67,6 +67,8 @@ COLORS = (NS, R)
 
 # one leaf of the search: each vertex's position and each flag's index
 Leaf = tuple[tuple[int, ...], tuple[int, ...]]
+# an automorphism of a canonical core: its vertex map and its flag map
+Generator = tuple[tuple[int, ...], tuple[int, ...]]
 # the blocks of interchangeable units of ``_blocks``, each with whether its
 # units are loops
 Blocks = list[tuple[list[tuple[int, ...]], bool]]
@@ -192,10 +194,14 @@ class CanonicalForm:
     def generators(self) -> tuple[Isomorphism, ...]:
         """Automorphisms that generate the group of ``graph``, in its names
         (see ``_generators``).  Empty when the group is trivial."""
-        vn = _names("v", len(self.core.genus))
-        fn = _names("f", len(self.core.boundary))
-        maps = _generators(self.core, self.leaves, vn, fn)
-        return tuple(Isomorphism(*m) for m in maps)
+        vn, fn = _names("v", len(self.core.genus)), _names("f", len(self.core.boundary))
+        return tuple(
+            Isomorphism(
+                {vn[a]: vn[b] for a, b in enumerate(vm)},
+                {fn[a]: fn[b] for a, b in enumerate(fm)},
+            )
+            for vm, fm in _generators(self.core, self.leaves)
+        )
 
     @cached_property
     def graph(self) -> SusyGraph:
@@ -373,32 +379,28 @@ def _blocks(c: Core) -> Blocks:
     return [(us, key[0]) for key, us in blocks.items() if key[0] or len(us) > 1]
 
 
-def _generators(
-    c: Core, leaves: Sequence[Leaf], vertex: Sequence, flag: Sequence
-) -> list[tuple[dict, dict]]:
-    """Vertex and flag maps of automorphisms that generate the group of the
-    graph that the first of ``leaves`` renumbers ``c`` to, the vertex at
-    position p called ``vertex[p]`` and the flag at index i ``flag[i]``:
+def _generators(c: Core, leaves: Sequence[Leaf]) -> list[Generator]:
+    """Automorphisms that generate the group of the canonical core that the
+    first of ``leaves`` renumbers ``c`` to, as its vertex and flag maps:
     one per tied leaf after the first (winning positions to tied ones), and
     per block of vertex-fixing moves one transposition per unit after the
     first and, for loops, one flip."""
     pos0, index0 = leaves[0]
+    # the vertex at each position and the flag at each index of the winner
+    vs = sorted(range(len(pos0)), key=pos0.__getitem__)
+    fs = sorted(range(len(index0)), key=index0.__getitem__)
     out = [
-        (
-            {vertex[a]: vertex[p] for a, p in zip(pos0, pos)},
-            {flag[a]: flag[i] for a, i in zip(index0, index)},
-        )
+        (tuple(map(pos.__getitem__, vs)), tuple(map(index.__getitem__, fs)))
         for pos, index in leaves[1:]
     ]
-    fixed = {vertex[a]: vertex[a] for a in pos0}
+    fixed = tuple(range(len(pos0)))
     for units, flip in _blocks(c):
         swaps = [(units[0], u) for u in units[1:]]
         if flip:
             swaps.append((units[0][:1], units[0][1:]))
         for a, b in swaps:
             moved = dict(zip(a + b, b + a))
-            image = [index0[moved.get(f, f)] for f in range(len(index0))]
-            out.append((fixed, {flag[i]: flag[k] for i, k in zip(index0, image)}))
+            out.append((fixed, tuple(index0[moved.get(f, f)] for f in fs)))
     return out
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .canon import certificate_digest
+from .canon import Core, _named, certificate_digest
 from .curves import dual_graph
 from .errors import SchemaError, SusyKitError
 from .graphs import edges, tails
@@ -34,6 +34,7 @@ from .jsonio import (
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
 from .operad import _evaluate, check_operad_axioms, stratum_dimension
 from .strata import (
+    _edge_count,
     _ordered,
     _shapes,
     contraction_poset,
@@ -137,50 +138,53 @@ def _cmd_dual_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _digest_lines(graphs: Sequence[SusyGraph], digests: Sequence[str]) -> list[str]:
+def _digest_lines(ranks: Sequence[int], digests: Sequence[str]) -> list[str]:
     return [
-        f"  [{i}] edges {len(edges(g.graph))} digest {d}"
-        for i, (g, d) in enumerate(zip(graphs, digests))
+        f"  [{i}] edges {n} digest {d}" for i, (n, d) in enumerate(zip(ranks, digests))
     ]
+
+
+def _named_records(
+    cores: Sequence[Core], digests: Sequence[str]
+) -> Iterator[_StratumRecord]:
+    """The printed record of each canonical core, named as it is written
+    and dropped after, so the named strata are never held together."""
+    return (_StratumRecord(_named(c), d) for c, d in zip(cores, digests))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     ns = [str(i) for i in range(1, args.ns + 1)]
     r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
     if args.shapes:
-        digests, _, shapes, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
-        data = {
-            "count": len(shapes),
-            "shapes": [_StratumRecord(s, d) for s, d in zip(shapes, digests)],
-        }
+        digests, _, cores, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
+        data = {"count": len(cores), "shapes": _named_records(cores, digests)}
         _emit(
             args,
             data,
-            lambda: [f"shapes        {len(shapes)}"] + _digest_lines(shapes, digests),
+            lambda: [f"shapes        {len(cores)}"]
+            + _digest_lines([_edge_count(c) for c in cores], digests),
         )
         return 0
     records = enumerate_strata_records(args.genus, ns, r, args.max_edges)
     poset = strata_poset(records) if args.poset else None
     if poset is None:
-        strata, digests, _ = _ordered(records)
+        cores, digests, ranks = _ordered(records)
         covers = []
     else:
-        strata, digests, covers = poset.strata, poset.digests, sorted(poset.covers)
-    # the shapes and colouring tables are not printed: free them first
+        cores, digests, ranks = poset.cores, poset.digests, poset.ranks
+        covers = sorted(poset.covers)
+    # the colouring tables and covers are not printed: free them first
     del records
-    # the records are rendered and written one at a time
-    data = {
-        "count": len(strata),
-        "strata": (_StratumRecord(s, d) for s, d in zip(strata, digests)),
-    }
+    # the records are named, rendered and written one at a time
+    data = {"count": len(cores), "strata": _named_records(cores, digests)}
     if poset is not None:
-        by_source: dict[str, list[int]] = {str(i): [] for i in range(len(strata))}
+        by_source: dict[str, list[int]] = {str(i): [] for i in range(len(cores))}
         for i, j in covers:
             by_source[str(i)].append(j)
-        data["poset"] = {"ranks": list(poset.ranks), "covers": by_source}
+        data["poset"] = {"ranks": list(ranks), "covers": by_source}
 
     def table() -> list[str]:
-        lines = [f"strata        {len(strata)}"] + _digest_lines(strata, digests)
+        lines = [f"strata        {len(cores)}"] + _digest_lines(ranks, digests)
         if poset is not None:
             lines.append("covers:")
             lines.extend(f"  S{i} -> S{j}" for i, j in covers)

@@ -84,8 +84,9 @@ def write_json(data: Any, write: Callable[[str], object]) -> None:
     that ``json.dumps`` falls back to when given an indent.  A stratum
     record (``_StratumRecord``) is joined from the text of its vertex, flag,
     edge and label entries, each rendered once per call and per indent and
-    dropped when the call returns.  Any other value is handed to
-    ``json.dumps`` whole, so an iterator under it raises."""
+    dropped when the call returns, and a list of ints is joined in one
+    pass.  Any other value is handed to ``json.dumps`` whole, so an
+    iterator under it raises."""
     parts: list[str] = []
     _render(data, "\n", parts, write, {})
     parts.append("\n")
@@ -120,6 +121,13 @@ def _render(
             _render(item, inner, parts, write, fragments)
             sep = "," + inner
         parts.append("{}" if sep[0] == "{" else newline + "}")
+    elif isinstance(value, (list, tuple)) and value and all(
+        type(x) is int for x in value
+    ):
+        # ints, bools left out, in one join, as the walk below renders them
+        inner = newline + "  "
+        items = ("," + inner).join(map(int.__repr__, value))
+        parts.append("[" + inner + items + newline + "]")
     elif isinstance(value, (list, tuple, Iterator)):
         lazy = isinstance(value, Iterator)
         inner = newline + "  "

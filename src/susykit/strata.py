@@ -8,45 +8,45 @@ then NS/R colorings of each shape, counted by the parity argument (2^b1 per
 shape) and deduplicated the same way.  Each split is generated once, not
 once more as its mirror image, and every move of a stable shape is stable.
 
-Shapes are generated as integer cores (see ``canon``): the search starts
-from the corolla's core, each move is built from its parent's canonical
-core and searched as a core, the winning leaf of a new shape renumbers
-the move into the shape's canonical core, and a shape is named as a graph
-once, by ``canon._named``, when the generation ends.  The colorings
-are searched as cores too: each is its shape's core with the colours
-replaced, and a stratum is named once, when its digest is new.
+Everything is found and kept on integers (see ``canon``): the search
+starts from the corolla's core, each move is built from its parent's
+canonical core and searched as a core, and the winning leaf of a new shape
+renumbers the move into the shape's canonical core.  Each coloring is its
+shape's core with the colours replaced, searched as a core and kept as its
+stratum's canonical core.  Nothing is named while the strata are found: a
+``StratumRecord`` keeps cores, R-flag masks and integer flag maps, and
+names its shape, strata, colouring table and covers (by ``canon._named``,
+the one naming of a canonical core) when each is first read, as
+``ContractionPoset.strata`` does; the CLI names each stratum as it writes
+it.
 
 The search that finds a shape also gives generators of its automorphism
-group, and they prune both passes.  Moves in one orbit of the parent's
-automorphisms give isomorphic children, so each move is keyed before it
-is built and one move per orbit is searched.  The colorings of a shape are
-lift masks keyed by their R flags, and two are one stratum exactly when an
-automorphism of the shape carries one to the other, so only the first of
-each orbit is built, and the whole orbit takes its digest.  The first of
-each orbit is searched, except the all-NS coloring (no R tails, no R
-edges), which takes its shape's search: it differs from the shape only in
-``modular``, which every leaf of the search shares, so its certificate is
-the shape's with ``"modular":false``, and the shape with ``modular``
-false, sharing its graph and labeling, is its canonical graph.
-
-Each ``StratumRecord`` keeps the certificate digests of its colorings in
-``digests``, parallel to ``colorings``, its shape's digest and, in
-``coloring_digests``, the stratum digest of every raw coloring of the
-shape, keyed by its set of R flags.
+group, as vertex and flag maps of its core, and they prune both passes.
+Moves in one orbit of the parent's automorphisms give isomorphic children,
+so each move is keyed before it is built and one move per orbit is
+searched.  The colorings of a shape are lift masks, each keyed by the mask
+of its R flags, and two are one stratum exactly when an automorphism of
+the shape carries one to the other, so only the first of each orbit is
+searched, and the whole orbit takes its digest in the record's ``masks``.
+The all-NS coloring (no R tails, no R edges) takes its shape's search: it
+differs from the shape only in ``modular``, which every leaf of the search
+shares, so its certificate is the shape's with ``"modular":false``, and
+its canonical core is the shape's with ``modular`` false.
 
 Contraction covers are recorded while the shapes are generated.  Each move
 is the inverse of one edge contraction, and the winning leaf of the child's
-search names the new edge in the child's flags and maps the rest onto the
-parent's, so ``shape_covers`` holds, for at least one edge in each orbit of
-the shape's automorphisms, the digest of the shape that contracting it
-gives and that flag map.  Searching one move per orbit keeps this: an
-automorphism of the parent that carries one move to another extends to an
-isomorphism of the two children that carries new edge to new edge.
-Contracting edge e of a colored stratum (S, k) gives (S/e, k restricted to
-S/e), so ``strata_poset`` carries the R flags of every raw coloring along
-the flag map into the target shape's ``coloring_digests``; it contracts and
-canonizes nothing.  ``contraction_poset`` is the general path for an
-arbitrary list of strata: it canonizes every stratum and contraction.
+search numbers the new edge in the child's flags and maps the rest onto the
+parent's, so a record's ``covers`` holds, for at least one edge in each
+orbit of the shape's automorphisms, the digest of the shape that
+contracting it gives and that flag map.  Searching one move per orbit keeps
+this: an automorphism of the parent that carries one move to another
+extends to an isomorphism of the two children that carries new edge to
+new edge.  Contracting edge e of a colored stratum (S, k) gives (S/e, k
+restricted to S/e), so ``strata_poset`` carries the R-flag mask of every
+raw coloring along the flag map into the target shape's ``masks``; it
+contracts, canonizes and names nothing.  ``contraction_poset`` is the
+general path for an arbitrary list of strata: it canonizes every stratum
+and contraction.
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
 instance guard refuses enumerations whose bound exceeds ``max_edges``
@@ -56,17 +56,18 @@ instance guard refuses enumerations whose bound exceeds ``max_edges``
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from hashlib import sha256
 from itertools import combinations
+from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
-from .canon import Core, Isomorphism, _canonical_core, _core, _core_of
-from .canon import _generators, _named, _names, _unmodular_digest
-from .canon import certificate_digest
+from .canon import Core, Generator, _canonical_core, _core, _generators, _named
+from .canon import _names, _unmodular_digest, canonical_form, certificate_digest
 from .errors import ValidationError
-from .graphs import edges, orbit_pairs
-from .lifting import _lift_masks
+from .graphs import orbit_pairs
+from .lifting import _doubled
 from .susy import SusyGraph
 from .calculus import contract_pair
 
@@ -147,10 +148,6 @@ def _move(c: Core, key: tuple) -> Core:
     )
 
 
-# an automorphism of a core, as its vertex map and its flag map
-Generator = tuple[Mapping[int, int], Mapping[int, int]]
-
-
 def _move_image(gen: Generator, key: tuple) -> tuple:
     """The move that the automorphism ``gen``, a vertex and a flag map of
     the core, takes the move ``key`` to."""
@@ -161,10 +158,15 @@ def _move_image(gen: Generator, key: tuple) -> tuple:
     return (v, tuple(sorted((tuple(sorted(fm[f] for f in p)), gp) for p, gp in key[1])))
 
 
-def _coloring_image(gen: Isomorphism, key: frozenset[str]) -> frozenset[str]:
-    """The R flags of the coloring that ``gen`` takes the coloring with R
-    flags ``key`` to."""
-    return frozenset(gen.flag_map[f] for f in key)
+def _moved(flag_map: Sequence[int], mask: int) -> int:
+    """The mask of the flags that ``flag_map`` takes the flags of ``mask``
+    to."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << flag_map[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 K = TypeVar("K")
@@ -195,25 +197,31 @@ def _orbits(
     return out
 
 
-# edge of a shape (its two flags) -> (digest of the shape that
-# contracting it gives, map from the remaining flags onto that shape's flags)
+# edge of a shape's core (its two flags) -> (digest of the shape that
+# contracting it gives, the flag there of each flag of the core, None for
+# the edge's two)
+Covers = Mapping[tuple[int, int], tuple[str, tuple[int | None, ...]]]
+# ``Covers`` in flag names, the map left without the edge
 ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
+
+
+def _edge_count(c: Core) -> int:
+    return sum(f != p for f, p in enumerate(c.involution)) // 2
 
 
 def _shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
-) -> list[tuple[str, bytes, SusyGraph, ShapeCovers, tuple[Isomorphism, ...]]]:
-    """``enumerate_modular_shapes`` with each shape's certificate digest and
-    certificate, the covers recorded while it was generated, and generators
-    of its automorphism group, in the shape's names, read from the search
-    that found it.
+) -> list[tuple[str, bytes, Core, Covers, list[Generator]]]:
+    """``enumerate_modular_shapes`` as canonical cores, each with its
+    certificate digest and certificate, the covers recorded while it was
+    generated and generators of its automorphism group on the core, read
+    from the search that found it.  Nothing is named.
 
-    Shapes are kept as canonical cores: each move is built and searched as
-    a core, the winning leaf of a new shape's search renumbers the move
-    into the shape's core and gives generators on it, and each shape and
-    its generators are named once, at the end.  The winning leaf also names
-    the new edge of each move in the child's flags and maps the rest onto
-    the parent's, which is the child's cover; one is kept per edge."""
+    Each move is built and searched as a core, and the winning leaf of a
+    new shape's search renumbers the move into the shape's core and gives
+    generators on it.  The winning leaf also numbers the new edge of each
+    move in the child's flags and maps the rest onto the parent's, which is
+    the child's cover; one is kept per edge."""
     if type(genus) is not int or genus < 0:
         raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
     if max_edges is not None and type(max_edges) is not int:
@@ -233,8 +241,8 @@ def _shapes(
             f"shape enumeration needs up to {bound} edges but the limit is "
             f"{limit}; pass max_edges (--max-edges) to go further"
         )
-    # digest -> (canonical core, certificate, generators on the core, covers)
-    found: dict[str, tuple[Core, bytes, list, dict]] = {}
+    # digest -> (certificate, canonical core, covers, generators on the core)
+    found: dict[str, tuple[bytes, Core, dict, list[Generator]]] = {}
     fresh: list[str] = []
 
     def search(child: Core) -> tuple[str, tuple[int, ...]]:
@@ -244,8 +252,7 @@ def _shapes(
         digest = sha256(cert).hexdigest()
         if digest not in found:
             core = _canonical_core(child, leaves[0])
-            maps = _generators(child, leaves, range(len(core.genus)), range(len(core.boundary)))
-            found[digest] = (core, cert, maps, {})
+            found[digest] = (cert, core, {}, _generators(child, leaves))
             fresh.append(digest)
         return digest, leaves[0][1]
 
@@ -256,31 +263,19 @@ def _shapes(
         depth += 1
         frontier, fresh = fresh, []
         for pd in frontier:
-            parent, _, generators, _ = found[pd]
+            _, parent, _, generators = found[pd]
             n = len(parent.boundary)
-            names = _names("f", n + 2)
             for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
                 digest, index = search(_move(parent, key))
-                covers = found[digest][3]
-                edge = (names[index[n]], names[index[n + 1]])
+                covers = found[digest][2]
+                edge = (index[n], index[n + 1])
                 if edge not in covers:
-                    covers[edge] = (pd, {names[index[f]]: names[f] for f in range(n)})
-
-    def edge_count(digest: str) -> int:
-        return sum(f != p for f, p in enumerate(found[digest][0].involution)) // 2
-
-    out = []
-    for digest in sorted(found, key=lambda d: (edge_count(d), d)):
-        core, cert, generators, covers = found[digest]
-        vn, fn = _names("v", len(core.genus)), _names("f", len(core.boundary))
-        named = tuple(
-            Isomorphism(
-                {vn[a]: vn[b] for a, b in vm.items()}, {fn[a]: fn[b] for a, b in fm.items()}
-            )
-            for vm, fm in generators
-        )
-        out.append((digest, cert, _named(core), covers, named))
-    return out
+                    flag_map: list[int | None] = [None] * (n + 2)
+                    for f in range(n):
+                        flag_map[index[f]] = f
+                    covers[edge] = (pd, tuple(flag_map))
+    order = sorted(found, key=lambda d: (_edge_count(found[d][1]), d))
+    return [(d, *found[d]) for d in order]
 
 
 def enumerate_modular_shapes(
@@ -289,28 +284,82 @@ def enumerate_modular_shapes(
     """All stable modular graphs of the given total genus and tail label
     set, one canonical representative per isomorphism class, ordered by
     edge count and certificate."""
-    return [g for _, _, g, _, _ in _shapes(genus, tail_labels, max_edges)]
+    return [_named(core) for _, _, core, _, _ in _shapes(genus, tail_labels, max_edges)]
+
+
+def _lift_keys(c: Core, r_labels: frozenset[str]) -> list[int]:
+    """Every lift of the connected modular core ``c`` with an even number
+    of R tails ``r_labels``, as the mask of its R flags.  A spanning tree
+    is grown breadth first from vertex 0, and ``path`` holds the flags of
+    the tree path from each vertex to vertex 0.  One lift colours R each
+    R tail and the path from it to vertex 0, which pairs the R tails up
+    by tree paths; the others add fundamental cycles, one for each edge off
+    the tree (an edge on it closes none), and are listed by doubling, as
+    in ``lifting``."""
+    b, j = c.boundary, c.involution
+    path, queue = {0: 0}, [0]
+    for v in queue:
+        for f in c.incidence[v]:
+            if b[j[f]] not in path:
+                path[b[j[f]]] = path[v] ^ (1 << f | 1 << j[f])
+                queue.append(b[j[f]])
+    key = 0
+    for f, label in enumerate(c.label):
+        if label in r_labels:
+            key ^= 1 << f ^ path[b[f]]
+    cycles = [
+        1 << f ^ 1 << p ^ path[b[f]] ^ path[b[p]] for f, p in enumerate(j) if f < p
+    ]
+    return _doubled(key, [cycle for cycle in cycles if cycle], xor)
 
 
 @dataclass(frozen=True)
 class StratumRecord:
-    """The strata over one modular shape.  ``coloring_digests`` maps the R
-    flags of each raw coloring of ``shape`` (in the shape's flag names) to
-    that coloring's stratum digest.  ``shape_covers`` maps edges of
-    ``shape``, at least one per orbit under its automorphisms, to the
-    digest of the shape their contraction gives and a map of the remaining
-    flags onto that shape's flags."""
+    """The strata over one modular shape, on integers: the shape's
+    canonical ``core`` and digest, its strata's canonical ``cores`` and
+    ``digests``, in digest order, the stratum digest of each raw coloring
+    keyed by its R-flag mask (``masks``), and ``covers``.  The named views
+    are built when first read, and kept: ``shape``, ``colorings`` (the
+    all-NS stratum is ``shape`` with ``modular`` false), and
+    ``coloring_digests`` and ``shape_covers``, keyed by flag names."""
 
-    shape: SusyGraph
+    core: Core
     shape_digest: str
-    colorings: tuple[SusyGraph, ...]
+    cores: tuple[Core, ...]
     digests: tuple[str, ...]
-    coloring_digests: Mapping[frozenset[str], str]
-    shape_covers: ShapeCovers
+    masks: Mapping[int, str]
+    covers: Covers
+
+    @cached_property
+    def shape(self) -> SusyGraph:
+        return _named(self.core)
+
+    @cached_property
+    def colorings(self) -> tuple[SusyGraph, ...]:
+        return tuple(
+            _named(c) if any(c.color) else replace(self.shape, modular=False)
+            for c in self.cores
+        )
+
+    @cached_property
+    def coloring_digests(self) -> Mapping[frozenset[str], str]:
+        names = _names("f", len(self.core.boundary))
+        return {
+            frozenset(f for i, f in enumerate(names) if mask >> i & 1): d
+            for mask, d in self.masks.items()
+        }
+
+    @cached_property
+    def shape_covers(self) -> ShapeCovers:
+        n = _names("f", len(self.core.boundary))
+        return {
+            (n[a], n[b]): (target, {n[f]: n[p] for f, p in enumerate(fm) if p is not None})
+            for (a, b), (target, fm) in self.covers.items()
+        }
 
     @property
     def predicted_colorings(self) -> int:
-        return len(self.coloring_digests)
+        return len(self.masks)
 
 
 def enumerate_strata_records(
@@ -320,13 +369,13 @@ def enumerate_strata_records(
     max_edges: int | None = None,
 ) -> list[StratumRecord]:
     """Strata grouped by underlying modular shape.  Each record carries the
-    distinct colorings (canonical representatives, in digest order), their
-    certificate digests and the number of raw colorings of the shape
+    distinct colorings (canonical cores, in digest order), their
+    certificate digests and the stratum of each raw coloring of the shape
     (``2 ** b1`` by the parity argument).  Only the labels are checked: the
     raw colorings are lift masks keyed by their R flags, and only the first
     of each orbit under the shape's automorphisms is searched, on the
     shape's core.  The all-NS coloring takes its digest from the shape's
-    certificate and is its own canonical graph, so it is not searched."""
+    certificate and its core from the shape, so it is not searched."""
     ns, rr = frozenset(ns_labels), frozenset(r_labels)
     overlap = ns & rr
     if overlap:
@@ -334,62 +383,44 @@ def enumerate_strata_records(
     if len(rr) % 2:
         raise ValidationError("the number of R tail labels must be even")
     records = []
-    for shape_digest, certificate, shape, covers, generators in _shapes(
+    for shape_digest, certificate, core, covers, generators in _shapes(
         genus, ns | rr, max_edges
     ):
-        pairs, masks = _lift_masks(shape, rr) or ([], [])
-        if not masks:
-            continue
-        r_tails = frozenset(shape.labeling.ns_tail_labels[l] for l in rr)
-        # the R flags: the R tails and both flags of every R edge
-        keys = [
-            r_tails.union(*(p for i, p in enumerate(pairs) if (mask >> i) & 1))
-            for mask in masks
-        ]
-        if any(keys):
-            # the colorings with an R flag are searched on the shape's core
-            core, flags = _core_of(shape), sorted(shape.flags)
-        graphs: dict[str, SusyGraph] = {}
-        coloring_digests = dict.fromkeys(keys, "")
-        for orbit in _orbits(keys, generators, _coloring_image):
+        keys = _lift_keys(core, rr)
+        strata: dict[str, Core] = {}
+        masks = dict.fromkeys(keys, "")
+        for orbit in _orbits(keys, [fm for _, fm in generators], _moved):
             if not orbit[0]:
                 # the all-NS coloring, which takes its shape's search
                 digest = _unmodular_digest(certificate)
-                graphs[digest] = replace(shape, modular=False)
+                strata[digest] = core._replace(modular=False)
             else:
-                color = tuple(int(f in orbit[0]) for f in flags)
+                color = tuple(orbit[0] >> f & 1 for f in range(len(core.boundary)))
                 colored = core._replace(color=color, modular=False)
                 cert, leaves = canon._search(colored)
                 digest = sha256(cert).hexdigest()
-                if digest not in graphs:
-                    graphs[digest] = _named(_canonical_core(colored, leaves[0]))
-            coloring_digests.update(dict.fromkeys(orbit, digest))
-        digests = tuple(sorted(graphs))
-        records.append(
-            StratumRecord(
-                shape,
-                shape_digest,
-                tuple(graphs[d] for d in digests),
-                digests,
-                coloring_digests,
-                covers,
-            )
-        )
+                if digest not in strata:
+                    strata[digest] = _canonical_core(colored, leaves[0])
+            masks.update(dict.fromkeys(orbit, digest))
+        digests = tuple(sorted(strata))
+        cores = tuple(map(strata.get, digests))
+        records.append(StratumRecord(core, shape_digest, cores, digests, masks, covers))
     return records
 
 
 def _ordered(
     records: Iterable[StratumRecord],
-) -> tuple[tuple[SusyGraph, ...], tuple[str, ...], tuple[int, ...]]:
-    """The strata of ``records`` with their digests and edge counts, ordered
-    by edge count and digest."""
-    keyed = []
-    for rec in records:
-        n_edges = len(edges(rec.shape.graph))
-        keyed.extend((n_edges, d, g) for g, d in zip(rec.colorings, rec.digests))
-    keyed.sort(key=lambda t: t[:2])
+) -> tuple[tuple[Core, ...], tuple[str, ...], tuple[int, ...]]:
+    """The strata of ``records`` as cores, with their digests and edge
+    counts, ordered by edge count and digest."""
+    # the digests are distinct, so no two cores are compared
+    keyed = sorted(
+        (_edge_count(rec.core), d, c)
+        for rec in records
+        for c, d in zip(rec.cores, rec.digests)
+    )
     return (
-        tuple(g for _, _, g in keyed),
+        tuple(c for _, _, c in keyed),
         tuple(d for _, d, _ in keyed),
         tuple(n for n, _, _ in keyed),
     )
@@ -405,17 +436,18 @@ def enumerate_strata(
     and labeled NS/R tails, as canonical representatives ordered by edge
     count and certificate digest."""
     records = enumerate_strata_records(genus, ns_labels, r_labels, max_edges)
-    return list(_ordered(records)[0])
+    return [_named(c) for c in _ordered(records)[0]]
 
 
 @dataclass(frozen=True)
 class ContractionPoset:
-    """Strata ordered by edge contraction.  ranks[i] counts edges, so the
-    one-vertex stratum has rank 0 and sits at the top: contracting an edge
-    moves strictly up.  covers holds pairs (i, j) where stratum j is one
-    contraction away from stratum i."""
+    """Strata ordered by edge contraction, each kept as its canonical core
+    in ``cores`` and named in ``strata`` when that is first read.  ranks[i]
+    counts edges, so the one-vertex stratum has rank 0 and sits at the top:
+    contracting an edge moves strictly up.  covers holds pairs (i, j) where
+    stratum j is one contraction away from stratum i."""
 
-    strata: tuple[SusyGraph, ...]
+    cores: tuple[Core, ...]
     digests: tuple[str, ...]
     ranks: tuple[int, ...]
     covers: frozenset[tuple[int, int]]
@@ -429,6 +461,10 @@ class ContractionPoset:
         object.__setattr__(self, "_successors", successors)
         object.__setattr__(self, "_index", {d: i for i, d in enumerate(self.digests)})
 
+    @cached_property
+    def strata(self) -> tuple[SusyGraph, ...]:
+        return tuple(map(_named, self.cores))
+
     def index_of(self, g: SusyGraph) -> int:
         d = certificate_digest(g)
         if d not in self._index:
@@ -437,22 +473,21 @@ class ContractionPoset:
 
     def less_or_equal(self, i: int, j: int) -> bool:
         """True when stratum j is reachable from stratum i by contractions
-        (i lies in the closure of j, i.e. i is deeper in the boundary)."""
-        if i == j:
-            return True
-        frontier = [i]
-        seen = {i}
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for y in self._successors.get(a, ()):
-                    if y not in seen:
-                        nxt.append(y)
-                        seen.add(y)
-            if j in seen:
-                return True
-            frontier = nxt
-        return False
+        (i lies in the closure of j, i.e. i is deeper in the boundary).
+        Each index must be an int (not a bool) naming a stratum."""
+        for x in (i, j):
+            if type(x) is not int or not 0 <= x < len(self.digests):
+                raise ValidationError(
+                    f"stratum index must be an int in range({len(self.digests)}), "
+                    f"got {x!r}"
+                )
+        seen, frontier = {i}, [i]
+        for a in frontier:
+            for y in self._successors.get(a, ()):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return j in seen
 
     @property
     def top(self) -> int:
@@ -465,10 +500,11 @@ class ContractionPoset:
 def contraction_poset(strata: Iterable[SusyGraph]) -> ContractionPoset:
     """Cover relations by single contractions among the given strata.  Every
     single-pair contraction of a listed stratum must land on a listed
-    stratum (the list is closed under contraction)."""
+    stratum (the list is closed under contraction).  The poset's
+    ``strata`` are the given graphs."""
     items = list(strata)
-    digests = [certificate_digest(g) for g in items]
-    index = {d: i for i, d in enumerate(digests)}
+    forms = [canonical_form(g) for g in items]
+    index = {form.digest: i for i, form in enumerate(forms)}
     if len(index) != len(items):
         raise ValidationError("duplicate strata passed to contraction_poset")
     covers: set[tuple[int, int]] = set()
@@ -483,32 +519,41 @@ def contraction_poset(strata: Iterable[SusyGraph]) -> ContractionPoset:
                     "closed under contraction"
                 )
             covers.add((i, j))
-    ranks = tuple(len(edges(g.graph)) for g in items)
-    return ContractionPoset(tuple(items), tuple(digests), ranks, frozenset(covers))
+    cores = tuple(_canonical_core(form.core, form.leaves[0]) for form in forms)
+    poset = ContractionPoset(
+        cores,
+        tuple(form.digest for form in forms),
+        tuple(map(_edge_count, cores)),
+        frozenset(covers),
+    )
+    # the given graphs stand for the strata, not their canonical namings
+    object.__setattr__(poset, "strata", tuple(items))
+    return poset
 
 
 def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:
     """The contraction poset of every stratum in ``records``, which must be
     closed under contraction, as ``enumerate_strata_records`` returns them.
-    Strata come in ``enumerate_strata`` order.  Nothing is contracted or
-    canonized: each recorded shape cover carries the R flags of each raw
-    coloring into the target shape's ``coloring_digests``.  Raw colorings
-    in one orbit of the shape's automorphisms give one stratum, so going
-    through all of them reaches the edges that were not recorded."""
+    Strata come in ``enumerate_strata`` order.  Nothing is contracted,
+    canonized or named: each recorded cover carries the R-flag mask of each
+    raw coloring, less the edge, into the target shape's ``masks``.  Raw
+    colorings in one orbit of the shape's automorphisms give one stratum,
+    so going through all of them reaches the edges that were not
+    recorded."""
     records = list(records)
-    strata, digests, ranks = _ordered(records)
+    cores, digests, ranks = _ordered(records)
     index = {d: i for i, d in enumerate(digests)}
-    tables = {rec.shape_digest: rec.coloring_digests for rec in records}
+    tables = {rec.shape_digest: rec.masks for rec in records}
     covers: set[tuple[int, int]] = set()
     for rec in records:
-        for edge, (target, flag_map) in rec.shape_covers.items():
+        for (a, b), (target, flag_map) in rec.covers.items():
             table = tables.get(target)
             if table is None:
                 raise ValidationError(
                     "contraction leaves the given records; pass every record "
                     "of one enumeration"
                 )
-            for key, d in rec.coloring_digests.items():
-                moved = frozenset(flag_map[f] for f in key if f not in edge)
-                covers.add((index[d], index[table[moved]]))
-    return ContractionPoset(strata, digests, ranks, frozenset(covers))
+            kept = ~(1 << a | 1 << b)
+            for mask, d in rec.masks.items():
+                covers.add((index[d], index[table[_moved(flag_map, mask & kept)]]))
+    return ContractionPoset(cores, digests, ranks, frozenset(covers))

@@ -252,14 +252,36 @@ class TestEnumerateSearches:
 
     def test_shapes_are_named_once(self, monkeypatch):
         # one Graph per shape, and none for the corolla: the search starts
-        # from its core
+        # from its core, and each shape is named once, when it is listed
         built = []
         init = Graph.__post_init__
         monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or init(g))
-        shapes = strata._shapes(3, [])
+        shapes = strata.enumerate_modular_shapes(3, [])
         assert len(shapes) == 42
         assert len(built) == len(shapes)
-        assert {id(g.graph) for _, _, g, _, _ in shapes} <= {id(g) for g in built}
+        assert {id(g.graph) for g in shapes} <= {id(g) for g in built}
+
+    def test_each_printed_stratum_is_named_once(self, monkeypatch, capsys):
+        # the records and the poset name nothing; the CLI names each stratum
+        # from its core as it writes it, and never reads ``poset.strata``
+        named = []
+        name = canon._named
+        for module in (canon, strata, cli):
+            monkeypatch.setattr(module, "_named", lambda c: named.append(c) or name(c))
+        posets = []
+        poset_fn = cli.strata_poset
+
+        def kept_poset(records):
+            posets.append(poset_fn(records))
+            return posets[-1]
+
+        monkeypatch.setattr(cli, "strata_poset", kept_poset)
+        rc, out, _ = run(capsys, "enumerate", "--genus", "3", "--poset")
+        assert rc == 0
+        assert len(named) == len(set(named)) == json.loads(out)["count"] == 142
+        (poset,) = posets
+        assert set(named) == set(poset.cores)
+        assert "strata" not in vars(poset)
 
     @pytest.mark.parametrize(
         "argv, builder",

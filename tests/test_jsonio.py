@@ -37,7 +37,7 @@ from susykit.jsonio import (
     signature_to_json,
     write_json,
 )
-from susykit import cli
+from susykit import cli, jsonio
 from susykit.curves import Component, CurveConfig, SpecialPoint
 from susykit.sampling import random_morphism, random_susy_graph
 
@@ -451,6 +451,36 @@ class TestWriter:
     def test_corner_cases(self, data):
         assert dumps(data) == oracle(data)
 
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [0, 1, -7, 10**30],
+            (3, 1, 2),
+            [True, False],
+            [1, True, 0],
+            [1, 2.5, "3", None],
+            [],
+            [[1, 2], [], [[3]], [True, 4], (5,)],
+        ],
+    )
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_int_lists_match_json_dumps(self, items, depth):
+        data = items
+        for _ in range(depth):
+            data = {"k": data}
+        assert dumps(data) == oracle(data)
+
+    @pytest.mark.parametrize(
+        "items, calls", [([4, 5, 6], 1), ((4, 5), 1), ([True, 5], 3), ([4, 5.0], 3)]
+    )
+    def test_an_int_list_renders_in_one_call(self, monkeypatch, items, calls):
+        # only a list of ints, bools left out, skips the walk over its items
+        seen = []
+        render = jsonio._render
+        monkeypatch.setattr(jsonio, "_render", lambda *a: seen.append(a) or render(*a))
+        assert dumps(items) == oracle(items)
+        assert len(seen) == calls
+
     def test_one_chunk_per_element_of_an_iterator(self):
         chunks = []
         records = ({"i": i, "d": [i, str(i)]} for i in range(5))
@@ -478,7 +508,9 @@ class TestWriter:
         documents = []
 
         def assembled(data, write):
-            doc = {k: list(v) if k == "strata" else v for k, v in data.items()}
+            doc = {
+                k: list(v) if k in ("strata", "shapes") else v for k, v in data.items()
+            }
             documents.append(doc)
             write(dumps(doc))
 

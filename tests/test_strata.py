@@ -6,6 +6,7 @@ lemma per shape."""
 
 from fractions import Fraction
 from functools import lru_cache
+from hashlib import sha256
 from math import comb
 
 import pytest
@@ -30,11 +31,11 @@ from susykit import (
     strata_poset,
     stratum_dimension,
 )
-from susykit import graphs, lifting, strata, susy
+from susykit import canon, graphs, lifting, strata, susy
 from susykit.lifting import _colorings
 from susykit.operad import _graph_signature
 from susykit.susy import R
-from susykit.canon import _core_of, _named, _search
+from susykit.canon import Isomorphism, _core_of, _named, _search
 from susykit.strata import (
     MAX_EDGES,
     _move,
@@ -175,9 +176,9 @@ class TestColoringTables:
     @pytest.mark.parametrize("g, ns, r", [(3, [], []), (1, ["1"], ["2", "3"])])
     def test_records_build_one_coloring_per_stratum(self, monkeypatch, g, ns, r):
         # the enumeration lifts the shapes it made itself, so it checks
-        # none of them again; it colours the shapes' cores, names each shape
-        # once and each stratum with an R flag once, and the all-NS stratum
-        # is its shape
+        # none of them again; it colours the shapes' cores and names
+        # nothing; reading the named views names each shape once and each
+        # stratum with an R flag once, and the all-NS stratum is its shape
         names = (
             "validate_susy_graph",
             "is_stable",
@@ -191,12 +192,52 @@ class TestColoringTables:
                 if hasattr(module, name):
                     counted(monkeypatch, module, name, counts)
         records = enumerate_strata_records(g, ns, r)
+        assert counts["_named"] == 0
+        for rec in records:
+            rec.shape, rec.colorings
         n_strata = sum(len(rec.digests) for rec in records)
         all_ns = sum(frozenset() in rec.coloring_digests for rec in records)
         assert n_strata > len(records)
         named = len(records) + n_strata - all_ns
         assert counts == dict.fromkeys(names[:4], 0) | {"_named": named}
         assert g != 3 or named == 142
+
+
+class TestNamesAtTheEdge:
+    """The records and their poset are built on cores and name nothing;
+    each named view is built when first read, once."""
+
+    @pytest.mark.parametrize("g, labels", [(3, []), (0, FIVE)])
+    def test_records_build_no_graph(self, monkeypatch, g, labels):
+        built = []
+        init = graphs.Graph.__post_init__
+        monkeypatch.setattr(
+            graphs.Graph, "__post_init__", lambda x: built.append(x) or init(x)
+        )
+        counts = {"_named": 0}
+        for module in (canon, strata):
+            counted(monkeypatch, module, "_named", counts)
+        records = enumerate_strata_records(g, labels, [])
+        poset = strata_poset(records)
+        assert len(poset.cores) >= len(records) > 1
+        assert built == []
+        assert counts == {"_named": 0}
+
+    def test_each_view_is_built_once(self, monkeypatch):
+        records = enumerate_strata_records(1, ["1"], ["2", "3"])
+        poset = strata_poset(records)
+        counts = {"_named": 0}
+        counted(monkeypatch, strata, "_named", counts)
+        views = ("shape", "colorings", "coloring_digests", "shape_covers")
+        owners = [(rec, view) for rec in records for view in views]
+        for owner, name in owners + [(poset, "strata")]:
+            first = getattr(owner, name)
+            named = counts["_named"]
+            assert getattr(owner, name) is first
+            assert counts["_named"] == named
+        # each shape, each stratum with an R flag and each poset stratum once
+        with_r = sum(any(c.color) for rec in records for c in rec.cores)
+        assert counts["_named"] == len(records) + with_r + len(poset.strata)
 
 
 class TestAllNsStratum:
@@ -298,6 +339,20 @@ class TestPoset:
         for i in range(n):
             for j in range(n):
                 assert poset.less_or_equal(i, j) == reach[i][j]
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [(99, 99), (0, 4), (-1, 0), (True, 1), (0, False), (1.0, 1), ("0", 0), (None, 0)],
+    )
+    def test_less_or_equal_refuses_a_bad_index(self, i, j):
+        # (99, 99) and (True, 1) once returned True
+        for poset in (
+            contraction_poset(enumerate_strata(0, FOUR, [])),
+            strata_poset(enumerate_strata_records(0, FOUR, [])),
+        ):
+            assert len(poset.digests) == 4
+            with pytest.raises(ValidationError, match="stratum index"):
+                poset.less_or_equal(i, j)
 
     def test_duplicates_rejected(self):
         strata = enumerate_strata(0, FOUR, [])
@@ -468,11 +523,12 @@ class TestRecordedCovers:
 
     @pytest.mark.parametrize("g, labels", COVER_CASES)
     def test_each_cover_is_a_contraction_isomorphism(self, g, labels):
-        found = _shapes(g, labels)
-        by_digest = {d: shape for d, _, shape, _, _ in found}
+        records = enumerate_strata_records(g, labels, [])
+        by_digest = {rec.shape_digest: rec.shape for rec in records}
         entries = 0
-        for _, _, shape, covers, _ in found:
-            for edge, (target, flag_map) in covers.items():
+        for rec in records:
+            shape = rec.shape
+            for edge, (target, flag_map) in rec.shape_covers.items():
                 entries += 1
                 assert shape.involution[edge[0]] == edge[1]
                 contracted = contract_pair(shape, edge).target
@@ -490,11 +546,12 @@ class TestRecordedCovers:
                 vmap = vertex_map(contracted, parent, flag_map)
                 for v, w in vmap.items():
                     assert contracted.genus_of(v) == parent.genus_of(w)
-        assert entries >= sum(1 for _, _, shape, _, _ in found if edges(shape.graph))
+        assert entries >= sum(1 for rec in records if edges(rec.shape.graph))
 
     @pytest.mark.parametrize("g, labels", COVER_CASES)
     def test_recorded_edges_reach_every_edge_orbit(self, g, labels):
-        for _, _, shape, covers, _ in _shapes(g, labels):
+        for rec in enumerate_strata_records(g, labels, []):
+            shape, covers = rec.shape, rec.shape_covers
             reached = {
                 frozenset(fmap[f] for f in edge)
                 for _, fmap in brute_isomorphisms(shape, shape)
@@ -608,13 +665,23 @@ def generated_group(generators, shape):
     return set(group)
 
 
+def named_automorphism(vertex_map, flag_map):
+    """The automorphism of a canonical core with these vertex and flag
+    maps, in the names that ``_named`` gives."""
+    return Isomorphism(
+        {f"v{a}": f"v{b}" for a, b in enumerate(vertex_map)},
+        {f"f{a}": f"f{b}" for a, b in enumerate(flag_map)},
+    )
+
+
 class TestShapeGenerators:
     """The generators the shape generator keeps for each shape generate
     exactly its automorphism group, as the exhaustive oracle lists it."""
 
     @pytest.mark.parametrize("g, labels", [(3, []), (2, ["1"])])
     def test_generators_generate_the_group(self, g, labels):
-        for _, _, shape, _, generators in _shapes(g, labels):
+        for _, _, core, _, maps in _shapes(g, labels):
+            shape, generators = _named(core), [named_automorphism(*m) for m in maps]
             brute = {as_key(*iso) for iso in brute_isomorphisms(shape, shape)}
             assert generated_group(generators, shape) == brute
             assert bool(generators) == (len(brute) > 1)
@@ -701,3 +768,81 @@ class TestBoundsAndErrors:
         # sorting them for the message once raised TypeError
         with pytest.raises(ValidationError, match="both NS and R"):
             enumerate_strata(0, [1, "x", "y"], [1, "x"])
+
+
+def graph_key(g):
+    """Every field of the SUSY graph ``g``, sorted, as plain values."""
+    lab = g.labeling
+    return (
+        sorted(g.flags),
+        sorted(g.vertices),
+        sorted(g.boundary.items()),
+        sorted(g.involution.items()),
+        sorted(lab.genus.items()),
+        sorted(lab.color.items()),
+        sorted(lab.ns_tail_labels.items()),
+        sorted(lab.r_tail_labels.items()),
+        g.modular,
+    )
+
+
+def named_views_digest(g, ns, r):
+    """sha256 over the named views of every record of an enumeration, in
+    shape digest order, and the fields of its contraction poset."""
+    records = enumerate_strata_records(g, ns, r)
+    parts = []
+    for rec in sorted(records, key=lambda rec: rec.shape_digest):
+        parts.append(
+            (
+                rec.shape_digest,
+                graph_key(rec.shape),
+                [graph_key(c) for c in rec.colorings],
+                list(rec.digests),
+                sorted((sorted(k), d) for k, d in rec.coloring_digests.items()),
+                sorted(
+                    (edge, target, sorted(fmap.items()))
+                    for edge, (target, fmap) in rec.shape_covers.items()
+                ),
+                rec.predicted_colorings,
+            )
+        )
+    poset = strata_poset(records)
+    parts.append(
+        (
+            [graph_key(s) for s in poset.strata],
+            list(poset.digests),
+            list(poset.ranks),
+            sorted(poset.covers),
+        )
+    )
+    return sha256(repr(parts).encode()).hexdigest()
+
+
+class TestNamedViewsPinned:
+    """The named views of the records and the poset, hashed; the hashes
+    were taken when the records still held named graphs and name-keyed
+    tables, under two hash seeds."""
+
+    @pytest.mark.parametrize(
+        "g, ns, r, sha",
+        [
+            (
+                3, [], [],
+                "46fb57a25893e2a9718eec3386709de9b14bbecedb69f2910668920648a92bf1",
+            ),
+            (
+                2, ["1"], ["2", "3"],
+                "afe5d1ac49fececfd2b1b3c4505284b7478f81a36d7e13ae306806ef25d51db2",
+            ),
+            (
+                1, ["1", "2", "3"], ["4", "5"],
+                "3c5bb8759d47546951e0a42bc309ac29f35c7d173fbc4d6156bbbd04e6784e8f",
+            ),
+            (
+                0, FOUR + ["5", "6"], [],
+                "aac2765c46c788be73f90b7df0945720257f458db9231927dae8d8d02e73f81a",
+            ),
+        ],
+    )
+    def test_named_views(self, g, ns, r, sha):
+        assert named_views_digest(g, ns, r) == sha
