@@ -2,8 +2,9 @@
 
 The certificate is a byte string: a canonical JSON encoding of the graph
 after vertices and flags are renumbered by a refinement-plus-backtracking
-search that minimizes the encoding.  Two graphs are isomorphic over fixed
-tail labels exactly when their certificates agree.
+search that minimizes the encoding; a partition that refinement leaves
+discrete is the one leaf, encoded with no backtracking.  Two graphs are
+isomorphic over fixed tail labels exactly when their certificates agree.
 
 The search runs on a ``Core``, the graph on integers with its own
 incidence, and a leaf is two integer tuples: each vertex's position and
@@ -236,7 +237,8 @@ def _refine(
 def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
     """The certificate of one vertex ordering, and its leaf.  At each
     vertex come its tails, its edges back to earlier vertices, its loops
-    and its edges on to later vertices, each in the order of its sort key."""
+    and its edges on to later vertices, by one sort of tagged keys, so each
+    vertex's flags take consecutive indices; numbers come from cached text."""
     genus, b, j, color, label, modular, incidence = c
     pos = [0] * len(order)
     for i, v in enumerate(order):
@@ -244,30 +246,35 @@ def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
     index = [0] * len(b)
     sequence: list[int] = []
     for v in order:
-        keys = []
+        at, keys = pos[v], []
         for f in incidence[v]:
             p = j[f]
             if p == f:
                 keys.append((0, color[f], label[f], f))
-            elif b[p] == v:
-                keys.append((2, color[f], min(f, p), f))
-            elif pos[b[p]] < pos[v]:
-                keys.append((1, pos[b[p]], color[f], index[p], f))
+                continue
+            w = pos[b[p]]
+            if w < at:
+                keys.append((1, w, color[f], index[p], f))
+            elif w > at:
+                keys.append((3, w, color[f], f))
             else:
-                keys.append((3, pos[b[p]], color[f], f))
-        for k in sorted(keys):
+                keys.append((2, color[f], min(f, p), f))
+        keys.sort()
+        for k in keys:
             index[k[-1]] = len(sequence)
             sequence.append(k[-1])
-    colors, edges, tails, vertex_of = [], [], [], []
+    text = _names("", max(len(b), len(order)))
+    colors = [('"NS"', '"R"')[color[f]] for f in sequence]
+    edges, tails, vertex_of = [], [], []
     for i, f in enumerate(sequence):
-        colors.append('"R"' if color[f] else '"NS"')
-        vertex_of.append(str(pos[b[f]]))
         p = index[j[f]]
         if i < p:
-            edges.append(f"[{i},{p}]")
+            edges.append(f"[{text[i]},{text[p]}]")
         elif i == p:
             tails.append((label[f], i))
-    tails = [f"[{encode_basestring_ascii(l)},{i}]" for l, i in sorted(tails)]
+    tails = [f"[{encode_basestring_ascii(l)},{text[i]}]" for l, i in sorted(tails)]
+    for v in order:
+        vertex_of += [text[pos[v]]] * len(incidence[v])
     return (
         f'{{"color":[{",".join(colors)}],"edges":[{",".join(edges)}],'
         f'"genus":[{",".join([str(genus[v]) for v in order])}],'
@@ -279,15 +286,15 @@ def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
 def _search(c: Core) -> tuple[bytes, list[Leaf]]:
     """The least certificate over every leaf of the refinement search, with
     each leaf that produced it, the first such leaf first.  The vertices
-    start split by genus, tails and their loop and edge flags per colour.
-    The input is not validated here; past ``MAX_SEARCH_LEAVES`` leaves it
-    raises."""
+    start split by genus, tails and their loop and edge flags per colour;
+    discrete from the start or after one refinement, they are the one leaf,
+    encoded at once.  The input is not validated here; past
+    ``MAX_SEARCH_LEAVES`` leaves it raises."""
     genus, b, j, color, label, _, incidence = c
     keyed: dict[tuple, list[int]] = {}
-    neighbours = []
     for v, fl in enumerate(incidence):
         # tails, then NS loop flags, R loop flags, NS edge flags, R edge flags
-        tails, counts, around = [], [0, 0, 0, 0], []
+        tails, counts = [], [0, 0, 0, 0]
         for f in fl:
             p = j[f]
             if p == f:
@@ -296,16 +303,24 @@ def _search(c: Core) -> tuple[bytes, list[Leaf]]:
                 counts[color[f]] += 1
             else:
                 counts[2 + color[f]] += 1
-                around.append((color[f], b[p]))
-        neighbours.append(around)
-        keyed.setdefault((genus[v], tuple(sorted(tails)), *counts), []).append(v)
+        tails.sort()
+        keyed.setdefault((genus[v], tuple(tails), *counts), []).append(v)
+    cells = [keyed[k] for k in sorted(keyed)]
+    if len(cells) < len(incidence):
+        neighbours = [
+            [(color[f], b[j[f]]) for f in fl if b[j[f]] != v]
+            for v, fl in enumerate(incidence)
+        ]
+        cells = _refine(neighbours, cells)
+    if len(cells) == len(incidence):
+        cert, leaf = _encode(c, [v for v, in cells])
+        return cert, [leaf]
     best: bytes | None = None
     ties: list[Leaf] = []
     leaves = 0
 
     def search(cells: list[list[int]]) -> None:
         nonlocal best, ties, leaves
-        cells = _refine(neighbours, cells)
         split_at = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if split_at is None:
             leaves += 1
@@ -319,12 +334,11 @@ def _search(c: Core) -> tuple[bytes, list[Leaf]]:
             elif cert == best:
                 ties.append(leaf)
             return
-        cell = cells[split_at]
+        cell, head, tail = cells[split_at], cells[:split_at], cells[split_at + 1 :]
         for v in sorted(cell):
-            rest = [w for w in cell if w != v]
-            search(cells[:split_at] + [[v], rest] + cells[split_at + 1 :])
+            search(_refine(neighbours, [*head, [v], [w for w in cell if w != v], *tail]))
 
-    search([keyed[k] for k in sorted(keyed)])
+    search(cells)
     assert best is not None
     return best, ties
 

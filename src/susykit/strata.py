@@ -10,10 +10,10 @@ once more as its mirror image, and every move of a stable shape is stable.
 
 Everything is found and kept on integers (see ``canon``): the search
 starts from the corolla's core, each move is built from its parent's
-canonical core and searched as a core, and the winning leaf of a new shape
-renumbers the move into the shape's canonical core.  Each coloring is its
-shape's core with the colours replaced, searched as a core and kept as its
-stratum's canonical core.  Nothing is named while the strata are found: a
+canonical core, incidence included, and searched as a core, and the
+winning leaf of a new shape renumbers the move into the shape's canonical
+core.  Each coloring is its shape's core with the colours replaced,
+searched as a core and kept as its stratum's canonical core.  Nothing is named while the strata are found: a
 ``StratumRecord`` keeps cores, R-flag masks and integer flag maps, and
 names its shape, strata, colouring table and covers (by ``canon._named``,
 the one naming of a canonical core) when each is first read, as
@@ -125,26 +125,33 @@ def _move(c: Core, key: tuple) -> Core:
     """The move ``key`` of the core ``c`` (see ``_move_keys``), all NS: a
     split keeps its first side at vertex v and moves its second side to a
     new last vertex, and a deloop trades one unit of genus at v for a new
-    loop.  The new edge is the last two flags, the first one at v."""
-    genus, boundary, involution, color, label, _, _ = c
+    loop.  The new edge is the last two flags, the first one at v.  The
+    incidence is carried from ``c``, v and the new vertex taking their
+    sides and the new flags."""
+    genus, boundary, involution, color, label, _, incidence = c
     v, n = key[0], len(boundary)
     new_genus = [*genus]
     new_boundary = [*boundary, v, v]
+    new_incidence = [*incidence]
     if len(key) == 1:
         new_genus[v] -= 1
+        new_incidence[v] += (n, n + 1)
     else:
-        (_, ga), (part, gb) = key[1]
+        (stay, ga), (part, gb) = key[1]
         new_genus[v] = ga
         new_genus.append(gb)
         for f in (*part, n + 1):
             new_boundary[f] = len(genus)
-    return _core(
+        new_incidence[v] = (*stay, n)
+        new_incidence.append((*part, n + 1))
+    return Core(
         tuple(new_genus),
         tuple(new_boundary),
         (*involution, n + 1, n),
         (*color, 0, 0),
         (*label, None, None),
         True,
+        tuple(new_incidence),
     )
 
 
@@ -252,7 +259,10 @@ def _shapes(
         digest = sha256(cert).hexdigest()
         if digest not in found:
             core = _canonical_core(child, leaves[0])
-            found[digest] = (cert, core, {}, _generators(child, leaves))
+            # a tree (its genus all at vertices) has no loop, parallel edge
+            # or repeated label, so with one leaf its group is trivial
+            rigid = len(leaves) == 1 and sum(child.genus) == genus
+            found[digest] = (cert, core, {}, [] if rigid else _generators(child, leaves))
             fresh.append(digest)
         return digest, leaves[0][1]
 

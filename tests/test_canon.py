@@ -595,3 +595,84 @@ class TestSearchLeafGuard:
         calls = counted_blocks(monkeypatch)
         assert automorphisms(k7).order == 5040
         assert len(calls) == 1
+
+
+def renumbered(c, rng):
+    """The core ``c`` with its vertices and flags renumbered at random."""
+    vs, fs = list(range(len(c.genus))), list(range(len(c.boundary)))
+    rng.shuffle(vs)
+    rng.shuffle(fs)
+    genus = [0] * len(vs)
+    for v, w in enumerate(vs):
+        genus[w] = c.genus[v]
+    by_flag = [[None] * len(fs) for _ in range(4)]
+    for f, g in enumerate(fs):
+        by_flag[0][g] = vs[c.boundary[f]]
+        by_flag[1][g] = fs[c.involution[f]]
+        by_flag[2][g] = c.color[f]
+        by_flag[3][g] = c.label[f]
+    return canon._core(tuple(genus), *map(tuple, by_flag), c.modular)
+
+
+class TestSearchPaths:
+    """A partition that is discrete from the start, or after the first
+    refinement, is encoded at once; any other search individualises a
+    vertex.  Every core searched by three enumerations keeps its
+    certificate under renumbering, and on small cores the search's leaves
+    times the vertex-fixing automorphisms is the order of the group."""
+
+    @pytest.fixture(scope="class")
+    def searched(self):
+        """Each core the enumerations search, with its certificate, its
+        leaves and the refinements and encodings its search made."""
+        found = []
+        real_search, real_refine, real_encode = canon._search, canon._refine, canon._encode
+        calls = {}
+
+        def refine(*args):
+            calls["refine"] += 1
+            return real_refine(*args)
+
+        def encode(*args):
+            calls["encode"] += 1
+            return real_encode(*args)
+
+        def search(c):
+            calls.update(refine=0, encode=0)
+            cert, leaves = real_search(c)
+            found.append((c, cert, leaves, calls["refine"], calls["encode"]))
+            return cert, leaves
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(canon, "_search", search)
+            mp.setattr(canon, "_refine", refine)
+            mp.setattr(canon, "_encode", encode)
+            for g, ns, r in [(0, "12345", ""), (1, "12", "ab"), (2, "", "")]:
+                enumerate_strata(g, list(ns), list(r))
+        return found
+
+    def test_both_paths_are_taken(self, searched):
+        paths = {(refines, min(encodes, 2)) for _, _, _, refines, encodes in searched}
+        # discrete at the start, discrete after one refinement, branching
+        assert {(0, 1), (1, 1)} < paths
+        assert {encodes for _, encodes in paths} == {1, 2}
+        for _, _, leaves, refines, encodes in searched:
+            assert encodes >= len(leaves)
+            if encodes == 1:
+                assert refines <= 1 and len(leaves) == 1
+
+    def test_certificates_survive_renumbering(self, searched):
+        rng = random.Random(21)
+        for c, cert, leaves, _, _ in searched:
+            for _ in range(3):
+                again, tied = canon._search(renumbered(c, rng))
+                assert again == cert
+                assert len(tied) == len(leaves)
+
+    def test_small_groups_match_brute(self, searched):
+        small = [s for s in searched if len(s[0].boundary) <= 6]
+        assert len(small) > 40
+        for c, _, leaves, _, _ in small:
+            graph = canon._named(canon._canonical_core(c, leaves[0]))
+            order = len(leaves) * canon._fixer_order(canon._blocks(c))
+            assert order == brute_automorphism_order(graph)

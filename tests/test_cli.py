@@ -250,6 +250,23 @@ class TestEnumerateSearches:
         assert "contract_pair" not in counts
         assert "contraction_poset" not in counts
 
+    @pytest.mark.parametrize(
+        "argv, searches, moves",
+        [("enumerate --genus 2 --poset", 16, 8), ("enumerate --genus 0 --ns 6 --poset", 551, 550)],
+    )
+    def test_search_and_move_counts_are_pinned(
+        self, monkeypatch, capsys, argv, searches, moves
+    ):
+        # one search for the corolla, each move orbit and each stratum with
+        # an R flag, and one move per orbit: a shortcut around ``_search``
+        # or a skipped move changes these counts
+        counts: dict[str, int] = {}
+        counted(monkeypatch, canon, "_search", counts)
+        counted(monkeypatch, strata, "_move", counts)
+        rc, _, _ = run(capsys, *argv.split())
+        assert rc == 0
+        assert (counts["_search"], counts["_move"]) == (searches, moves)
+
     def test_shapes_are_named_once(self, monkeypatch):
         # one Graph per shape, and none for the corolla: the search starts
         # from its core, and each shape is named once, when it is listed

@@ -498,6 +498,33 @@ class TestMoves:
         assert calls == []
 
 
+class TestCarriedIncidence:
+    """A move carries its parent's incidence and a canonical core numbers
+    each vertex's flags in a run; both are the incidence a full pass over
+    the boundary builds."""
+
+    @pytest.mark.parametrize(
+        "g, ns, r", [(2, [], []), (0, FIVE + ["6"], []), (1, ["1", "2"], ["a", "b"])]
+    )
+    def test_incidence_is_the_full_pass(self, monkeypatch, g, ns, r):
+        searched = []
+        real = canon._search
+        monkeypatch.setattr(
+            canon, "_search", lambda c: searched.append((c, real(c))) or searched[-1][1]
+        )
+        records = enumerate_strata_records(g, ns, r)
+        moves = [(rec.core, key) for rec in records for key in _move_keys(rec.core)]
+        assert len(moves) > len(records) > 1
+        for core, key in moves:
+            moved = _move(core, key)
+            assert moved == canon._core(*moved[:6])
+        assert len(searched) > len(records)
+        for c, (_, leaves) in searched:
+            for leaf in leaves:
+                numbered = canon._canonical_core(c, leaf)
+                assert numbered == canon._core(*numbered[:6])
+
+
 COVER_CASES = [(2, []), (3, []), (1, ["1", "2", "3"]), (0, FIVE)]
 
 
