@@ -15,11 +15,11 @@ separators=(",", ":"))`` writes them.  ``_core_of`` numbers a named graph
 in the sorted order of its names ("f10" before "f2"); a canonical core is
 numbered by its leaf, vertex p at position p and flag i at index i, and
 ``_named``, the one naming of a canonical core, names them ``v{p}`` and
-``f{i}``.  Names come back at the edge only: ``CanonicalForm`` names its
-graph, witnesses and generators when they are first read, and ``strata``
-names each new shape and stratum once.  ``canonical_form`` validates its
-input once; the search does not, and refuses a graph past
-``MAX_SEARCH_LEAVES`` leaves.
+``f{i}``, and ``_name_order`` sorts them.  Names come back at the edge
+only: ``CanonicalForm`` names its graph, witnesses and generators when
+they are first read, and ``strata`` names each new shape and stratum once.
+``canonical_form`` validates its input once; the search does not, and
+refuses a graph past ``MAX_SEARCH_LEAVES`` leaves.
 
 The same search yields isomorphisms and automorphisms.  Every leaf whose
 certificate ties the least one, mapped onto the winning leaf, gives one
@@ -122,6 +122,12 @@ def _core_of(g: SusyGraph, labels_fixed: bool = True) -> Core:
 def _names(prefix: str, n: int) -> tuple[str, ...]:
     """The names ``prefix0 .. prefix{n-1}``, one shared tuple per size."""
     return tuple(f"{prefix}{i}" for i in range(n))
+
+
+@cache
+def _name_order(n: int) -> tuple[int, ...]:
+    """``0 .. n-1`` in the sorted order of their ``_names`` ("f10" first)."""
+    return tuple(sorted(range(n), key=str))
 
 
 def _canonical_core(c: Core, leaf: Leaf) -> Core:
@@ -283,28 +289,32 @@ def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
     ).encode("ascii"), (tuple(pos), tuple(index))
 
 
-def _search(c: Core) -> tuple[bytes, list[Leaf]]:
+def _cell_key(c: Core, v: int) -> tuple:
+    """The starting cell key of vertex ``v``: its genus, its tails, and its
+    NS loop flags, R loop flags, NS edge flags and R edge flags."""
+    genus, b, j, color, label, _, incidence = c
+    tails, counts = [], [0, 0, 0, 0]
+    for f in incidence[v]:
+        p = j[f]
+        if p == f:
+            tails.append((color[f], label[f]))
+        else:
+            counts[color[f] + 2 * (b[p] != v)] += 1
+    tails.sort()
+    return (genus[v], tuple(tails), *counts)
+
+
+def _search(c: Core, keys: Sequence[tuple] | None = None) -> tuple[bytes, list[Leaf]]:
     """The least certificate over every leaf of the refinement search, with
     each leaf that produced it, the first such leaf first.  The vertices
-    start split by genus, tails and their loop and edge flags per colour;
-    discrete from the start or after one refinement, they are the one leaf,
-    encoded at once.  The input is not validated here; past
+    start split by their ``_cell_key``, which the caller may pass as
+    ``keys``; discrete from the start or after one refinement, they are the
+    one leaf, encoded at once.  The input is not validated here; past
     ``MAX_SEARCH_LEAVES`` leaves it raises."""
-    genus, b, j, color, label, _, incidence = c
+    _, b, j, color, _, _, incidence = c
     keyed: dict[tuple, list[int]] = {}
-    for v, fl in enumerate(incidence):
-        # tails, then NS loop flags, R loop flags, NS edge flags, R edge flags
-        tails, counts = [], [0, 0, 0, 0]
-        for f in fl:
-            p = j[f]
-            if p == f:
-                tails.append((color[f], label[f]))
-            elif b[p] == v:
-                counts[color[f]] += 1
-            else:
-                counts[2 + color[f]] += 1
-        tails.sort()
-        keyed.setdefault((genus[v], tuple(tails), *counts), []).append(v)
+    for v, k in enumerate(keys or [_cell_key(c, v) for v in range(len(incidence))]):
+        keyed.setdefault(k, []).append(v)
     cells = [keyed[k] for k in sorted(keyed)]
     if len(cells) < len(incidence):
         neighbours = [

@@ -5,6 +5,7 @@ lifting colorings onto modular graphs, dual graphs of curve configurations,
 strata enumeration, dimension formulas, evaluating morphisms to gluing
 recipes, the operad axiom checker, and DOT export.  Exit codes: 0 success,
 1 failed validation or failed check, 2 usage or malformed input documents.
+``enumerate`` writes each record straight from its canonical core.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .canon import Core, _named, certificate_digest
+from .canon import certificate_digest
 from .curves import dual_graph
 from .errors import SchemaError, SusyKitError
 from .graphs import edges, tails
@@ -29,7 +30,7 @@ from .jsonio import (
     recipe_to_json,
     write_json,
     _load,
-    _StratumRecord,
+    _stratum_record,
 )
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
 from .operad import _evaluate, check_operad_axioms, stratum_dimension
@@ -144,20 +145,12 @@ def _digest_lines(ranks: Sequence[int], digests: Sequence[str]) -> list[str]:
     ]
 
 
-def _named_records(
-    cores: Sequence[Core], digests: Sequence[str]
-) -> Iterator[_StratumRecord]:
-    """The printed record of each canonical core, named as it is written
-    and dropped after, so the named strata are never held together."""
-    return (_StratumRecord(_named(c), d) for c, d in zip(cores, digests))
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     ns = [str(i) for i in range(1, args.ns + 1)]
     r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
     if args.shapes:
         digests, _, cores, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
-        data = {"count": len(cores), "shapes": _named_records(cores, digests)}
+        data = {"count": len(cores), "shapes": map(_stratum_record, cores, digests)}
         _emit(
             args,
             data,
@@ -169,25 +162,27 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     poset = strata_poset(records) if args.poset else None
     if poset is None:
         cores, digests, ranks = _ordered(records)
-        covers = []
     else:
         cores, digests, ranks = poset.cores, poset.digests, poset.ranks
-        covers = sorted(poset.covers)
     # the colouring tables and covers are not printed: free them first
     del records
-    # the records are named, rendered and written one at a time
-    data = {"count": len(cores), "strata": _named_records(cores, digests)}
+    # each record is built from its core, rendered, written and dropped
+    data = {"count": len(cores), "strata": map(_stratum_record, cores, digests)}
+    # each stratum's cover targets, sorted per stratum rather than as pairs
+    by_source: list[list[int]] = [[] for _ in cores] if poset is not None else []
     if poset is not None:
-        by_source: dict[str, list[int]] = {str(i): [] for i in range(len(cores))}
-        for i, j in covers:
-            by_source[str(i)].append(j)
-        data["poset"] = {"ranks": list(ranks), "covers": by_source}
+        for i, j in poset.covers:
+            by_source[i].append(j)
+        for targets in by_source:
+            targets.sort()
+        covers = {str(i): targets for i, targets in enumerate(by_source)}
+        data["poset"] = {"ranks": list(ranks), "covers": covers}
 
     def table() -> list[str]:
         lines = [f"strata        {len(cores)}"] + _digest_lines(ranks, digests)
         if poset is not None:
             lines.append("covers:")
-            lines.extend(f"  S{i} -> S{j}" for i, j in covers)
+            lines.extend(f"  S{i} -> S{j}" for i, js in enumerate(by_source) for j in js)
         return lines
 
     _emit(args, data, table)
@@ -316,9 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--ns", type=_count, default=0, help="number of NS tail labels")
     p.add_argument("--r", type=_count, default=0, help="number of R tail labels")
-    p.add_argument("--poset", action="store_true", help="include contraction order")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--poset", action="store_true", help="include contraction order")
     p.add_argument("--max-edges", type=int, default=None)
-    p.add_argument(
+    only.add_argument(
         "--shapes", action="store_true", help="modular shapes only, no colorings"
     )
     add_format(p)

@@ -24,12 +24,13 @@ Documents are written by one writer, ``write_json``: the bytes of
 ``json.dumps`` with sorted keys and a two-space indent, written through a
 callable, with an iterator rendered as a list and written element by
 element.  ``dumps`` joins its output into one string.  The strata that
-``susykit enumerate`` prints are ``_StratumRecord`` dicts.  A printed
-stratum is canonical, named ``v0…`` and ``f0…``, so a document's records
-share few distinct vertex, flag, edge and label entries (159 over the
-2,752 strata of genus 0 with 7 NS tails).  The writer renders each
-distinct entry once per call and joins the text, which it drops when the
-call returns.
+``susykit enumerate`` prints are ``_StratumRecord`` dicts, which
+``_stratum_record`` builds straight from each stratum's canonical core,
+with no graph in between.  A printed stratum is canonical, named ``v0…``
+and ``f0…``, so a document's records share few distinct vertex, flag,
+edge and label entries (159 over the 2,752 strata of genus 0 with 7 NS
+tails).  The writer renders each distinct entry once per call and joins
+the text, which it drops when the call returns.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable
 
+from .canon import COLORS, Core, _name_order, _names
 from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint, validate_curve_config
 from .errors import SchemaError
 from .graphs import edges as graph_edges
@@ -154,8 +156,22 @@ class _StratumRecord(dict):
 
     __slots__ = ()
 
-    def __init__(self, graph: SusyGraph, certificate: str) -> None:
-        super().__init__(graph_to_json(graph), certificate=certificate)
+
+def _stratum_record(c: Core, certificate: str) -> _StratumRecord:
+    """``graph_to_json(canon._named(c))`` plus ``"certificate"``, built with
+    no graph, its entries in the sorted order of their names ("f10" first)."""
+    genus, b, j, color, label, modular, _ = c
+    vn, fn, flags = _names("v", len(genus)), _names("f", len(b)), _name_order(len(b))
+    tails = sorted((l, color[f], fn[f]) for f, l in enumerate(label) if l is not None)
+    return _StratumRecord(
+        modular=modular,
+        vertices=[{"id": vn[v], "genus": genus[v]} for v in _name_order(len(genus))],
+        flags=[{"id": fn[f], "vertex": vn[b[f]], "color": COLORS[color[f]]} for f in flags],
+        edges=[[fn[f], fn[j[f]]] for f in flags if fn[f] < fn[j[f]]],
+        ns_labels={l: f for l, k, f in tails if not k},
+        r_labels={l: f for l, k, f in tails if k},
+        certificate=certificate,
+    )
 
 
 def _render_stratum(

@@ -12,13 +12,15 @@ Everything is found and kept on integers (see ``canon``): the search
 starts from the corolla's core, each move is built from its parent's
 canonical core, incidence included, and searched as a core, and the
 winning leaf of a new shape renumbers the move into the shape's canonical
-core.  Each coloring is its shape's core with the colours replaced,
-searched as a core and kept as its stratum's canonical core.  Nothing is named while the strata are found: a
+core.  A move changes the cell keys of v and the new vertex only, and its
+search takes the others from its parent.  Each coloring is its shape's
+core with the colours replaced, searched as a core and kept as its
+stratum's canonical core.  Nothing is named while the strata are found: a
 ``StratumRecord`` keeps cores, R-flag masks and integer flag maps, and
 names its shape, strata, colouring table and covers (by ``canon._named``,
 the one naming of a canonical core) when each is first read, as
-``ContractionPoset.strata`` does; the CLI names each stratum as it writes
-it.
+``ContractionPoset.strata`` does; the CLI names nothing, and writes each
+stratum's record straight from its core.
 
 The search that finds a shape also gives generators of its automorphism
 group, as vertex and flag maps of its core, and they prune both passes.
@@ -63,8 +65,8 @@ from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
-from .canon import Core, Generator, _canonical_core, _core, _generators, _named
-from .canon import _names, _unmodular_digest, canonical_form, certificate_digest
+from .canon import Core, Generator, _canonical_core, _cell_key, _core, _generators
+from .canon import _named, _names, _unmodular_digest, canonical_form, certificate_digest
 from .errors import ValidationError
 from .graphs import orbit_pairs
 from .lifting import _doubled
@@ -213,7 +215,7 @@ ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
 
 
 def _edge_count(c: Core) -> int:
-    return sum(f != p for f, p in enumerate(c.involution)) // 2
+    return c.label.count(None) // 2  # every tail has a label, and no other flag
 
 
 def _shapes(
@@ -252,10 +254,10 @@ def _shapes(
     found: dict[str, tuple[bytes, Core, dict, list[Generator]]] = {}
     fresh: list[str] = []
 
-    def search(child: Core) -> tuple[str, tuple[int, ...]]:
-        """The digest of ``child``, a new shape kept in ``found`` and
-        ``fresh``, and the canonical index of each of its flags."""
-        cert, leaves = canon._search(child)
+    def search(child: Core, keys: list[tuple] | None = None) -> tuple[str, tuple[int, ...]]:
+        """The digest of ``child``, with cell keys ``keys``, a new shape kept
+        in ``found`` and ``fresh``, and the canonical index of its flags."""
+        cert, leaves = canon._search(child, keys)
         digest = sha256(cert).hexdigest()
         if digest not in found:
             core = _canonical_core(child, leaves[0])
@@ -275,8 +277,12 @@ def _shapes(
         for pd in frontier:
             _, parent, _, generators = found[pd]
             n = len(parent.boundary)
+            keys = [_cell_key(parent, v) for v in range(len(parent.genus))]
             for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
-                digest, index = search(_move(parent, key))
+                child = _move(parent, key)
+                cells = [*keys, _cell_key(child, len(keys))] if len(key) > 1 else [*keys]
+                cells[key[0]] = _cell_key(child, key[0])
+                digest, index = search(child, cells)
                 covers = found[digest][2]
                 edge = (index[n], index[n + 1])
                 if edge not in covers:
@@ -306,6 +312,8 @@ def _lift_keys(c: Core, r_labels: frozenset[str]) -> list[int]:
     by tree paths; the others add fundamental cycles, one for each edge off
     the tree (an edge on it closes none), and are listed by doubling, as
     in ``lifting``."""
+    if not r_labels and _edge_count(c) < len(c.genus):
+        return [0]  # a tree without R tails has the one all-NS lift
     b, j = c.boundary, c.involution
     path, queue = {0: 0}, [0]
     for v in queue:

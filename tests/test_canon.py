@@ -637,9 +637,9 @@ class TestSearchPaths:
             calls["encode"] += 1
             return real_encode(*args)
 
-        def search(c):
+        def search(c, *keys):
             calls.update(refine=0, encode=0)
-            cert, leaves = real_search(c)
+            cert, leaves = real_search(c, *keys)
             found.append((c, cert, leaves, calls["refine"], calls["encode"]))
             return cert, leaves
 

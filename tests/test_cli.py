@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from susykit import calculus, canon, cli, contract_pair, strata
+from susykit import calculus, canon, cli, contract_pair, jsonio, strata
 from susykit.cli import main
 from susykit.graphs import Graph
 from susykit.jsonio import curve_to_json, dumps, graph_to_json, morphism_to_json
@@ -162,6 +162,15 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert "expected a non-negative integer" in capsys.readouterr().err
 
+    def test_shapes_and_poset_are_a_usage_error(self, capsys):
+        # shapes carry no contraction order, so the pair is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--genus", "2", "--shapes", "--poset"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_table_format(self, capsys):
         rc, out, _ = run(
             capsys, "enumerate", "--genus", "1", "--ns", "1",
@@ -278,13 +287,19 @@ class TestEnumerateSearches:
         assert len(built) == len(shapes)
         assert {id(g.graph) for g in shapes} <= {id(g) for g in built}
 
-    def test_each_printed_stratum_is_named_once(self, monkeypatch, capsys):
-        # the records and the poset name nothing; the CLI names each stratum
-        # from its core as it writes it, and never reads ``poset.strata``
-        named = []
-        name = canon._named
-        for module in (canon, strata, cli):
-            monkeypatch.setattr(module, "_named", lambda c: named.append(c) or name(c))
+    def test_each_printed_stratum_is_built_from_its_core(self, monkeypatch, capsys):
+        # nothing is named: the records and the poset hold cores, the CLI
+        # builds each printed record from its core as it writes it, once per
+        # stratum in poset order, and never reads ``poset.strata``
+        counts = {"_named": 0}
+        for module in (canon, strata, cli, jsonio):
+            if hasattr(module, "_named"):
+                counted(monkeypatch, module, "_named", counts)
+        built = []
+        build = cli._stratum_record
+        monkeypatch.setattr(
+            cli, "_stratum_record", lambda c, d: built.append(c) or build(c, d)
+        )
         posets = []
         poset_fn = cli.strata_poset
 
@@ -295,9 +310,11 @@ class TestEnumerateSearches:
         monkeypatch.setattr(cli, "strata_poset", kept_poset)
         rc, out, _ = run(capsys, "enumerate", "--genus", "3", "--poset")
         assert rc == 0
-        assert len(named) == len(set(named)) == json.loads(out)["count"] == 142
+        assert counts == {"_named": 0}
+        assert len(built) == len(set(built)) == json.loads(out)["count"] == 142
         (poset,) = posets
-        assert set(named) == set(poset.cores)
+        assert len(built) == len(poset.cores)
+        assert all(c is core for c, core in zip(built, poset.cores))
         assert "strata" not in vars(poset)
 
     @pytest.mark.parametrize(

@@ -16,12 +16,15 @@ from susykit import (
     certificate_digest,
     contract_pair,
     enumerate_strata,
+    enumerate_strata_records,
     glue_r,
     signature,
     susy_graph,
 )
+from susykit.canon import _canonical_core, _named
 from susykit.jsonio import (
     _StratumRecord,
+    _stratum_record,
     curve_from_json,
     curve_to_json,
     dumps,
@@ -40,8 +43,10 @@ from susykit.jsonio import (
 from susykit import cli, jsonio
 from susykit.curves import Component, CurveConfig, SpecialPoint
 from susykit.sampling import random_morphism, random_susy_graph
+from susykit.strata import _ordered, _shapes
 
 from conftest import star
+from test_canon import cycle_graph
 
 
 def colorful_graph():
@@ -526,7 +531,7 @@ class TestWriter:
 
 def stratum_records(genus, ns, r):
     return [
-        _StratumRecord(g, certificate_digest(g))
+        _StratumRecord(graph_to_json(g), certificate=certificate_digest(g))
         for g in enumerate_strata(genus, ns, r)
     ]
 
@@ -561,7 +566,7 @@ class TestStratumRecords:
     def test_record_is_graph_to_json_and_certificate(self):
         for g in enumerate_strata(1, ["1"], ["2", "3"]):
             digest = certificate_digest(g)
-            record = _StratumRecord(g, digest)
+            record = _StratumRecord(graph_to_json(g), certificate=digest)
             assert type(record) is not dict and isinstance(record, dict)
             assert record == {**graph_to_json(g), "certificate": digest}
 
@@ -577,6 +582,66 @@ class TestStratumRecords:
         doc = json.loads("".join(chunks))
         assert doc["count"] == len(doc["strata"]) == 26
         assert len(chunks) == doc["count"] + 1
+
+
+def escaped_star():
+    """One genus-0 vertex with twelve tails, so that "t10" and "t11" sort
+    before "t2", and NS and R labels that JSON escapes."""
+    flags = [f"t{i}" for i in range(12)]
+    ns = ['a"b', "x\\y", "\u00e9", "n3", "n4", "n5", "n6", "n7"]
+    r = ['r"0', "r\\1", "\u00e9r", "z\n"]
+    return susy_graph(
+        flags=flags,
+        vertices=["v"],
+        boundary=dict.fromkeys(flags, "v"),
+        involution={f: f for f in flags},
+        genus={"v": 0},
+        color={f: NS if i < len(ns) else R for i, f in enumerate(flags)},
+        ns_labels=dict(zip(ns, flags)),
+        r_labels=dict(zip(r, flags[len(ns):])),
+    )
+
+
+class TestRecordsFromCores:
+    """``_stratum_record`` builds the printed record of a canonical core
+    straight from the core: ``graph_to_json`` of the core's naming plus its
+    certificate, listed in the sorted order of the names ("f10" before
+    "f2")."""
+
+    @pytest.mark.parametrize(
+        "genus, ns, r",
+        [(1, ["1", "2"], ["3", "4"]), (3, [], []), (0, ["1", "2", "3", "4"], ["5", "6"])],
+    )
+    def test_every_printed_stratum_and_shape(self, genus, ns, r):
+        cores, digests, _ = _ordered(enumerate_strata_records(genus, ns, r))
+        shapes = [(c, d) for d, _, c, _, _ in _shapes(genus, ns + r)]
+        pairs = [*zip(cores, digests), *shapes]
+        # enough flags that sorted-name order is not index order
+        assert max(len(c.boundary) for c, _ in pairs) >= 10
+        for c, d in pairs:
+            record = _stratum_record(c, d)
+            assert type(record) is _StratumRecord
+            # in the same order too, which the writer keeps for the labels
+            expected = {**graph_to_json(_named(c)), "certificate": d}
+            assert json.dumps(record) == json.dumps(expected)
+            assert dumps(record) == oracle(expected)
+
+    @pytest.mark.parametrize(
+        "g, vertices",
+        [
+            (cycle_graph(12, 5, 7, tails=('a"b', "x\\y", "\u00e9"), r_edges=1, genus=(6,)), 12),
+            (escaped_star(), 1),
+        ],
+    )
+    def test_large_cores_with_escaped_labels(self, g, vertices):
+        form = canonical_form(g)
+        c = _canonical_core(form.core, form.leaves[0])
+        assert (len(c.genus), any(c.color)) == (vertices, True)
+        assert len(c.boundary) >= 10
+        record = _stratum_record(c, form.digest)
+        expected = {**graph_to_json(form.graph), "certificate": form.digest}
+        assert json.dumps(record) == json.dumps(expected)
+        assert dumps(record) == oracle(expected)
 
 
 class TestPrintedStrata:

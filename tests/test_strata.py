@@ -510,7 +510,9 @@ class TestCarriedIncidence:
         searched = []
         real = canon._search
         monkeypatch.setattr(
-            canon, "_search", lambda c: searched.append((c, real(c))) or searched[-1][1]
+            canon,
+            "_search",
+            lambda c, *keys: searched.append((c, real(c, *keys))) or searched[-1][1],
         )
         records = enumerate_strata_records(g, ns, r)
         moves = [(rec.core, key) for rec in records for key in _move_keys(rec.core)]
@@ -523,6 +525,35 @@ class TestCarriedIncidence:
             for leaf in leaves:
                 numbered = canon._canonical_core(c, leaf)
                 assert numbered == canon._core(*numbered[:6])
+
+
+class TestCarriedCellKeys:
+    """Each move's search starts from cell keys carried from its parent,
+    with only those of v and the new vertex computed again; they are the
+    keys a fresh pass computes, and the search finds what a fresh search
+    finds."""
+
+    @pytest.mark.parametrize(
+        "g, ns, r", [(0, FIVE + ["6"], []), (1, ["1", "2"], ["a", "b"]), (2, [], [])]
+    )
+    def test_carried_keys_are_fresh_keys(self, monkeypatch, g, ns, r):
+        carried = []
+        real = canon._search
+
+        def search(c, keys=None):
+            found = real(c, keys)
+            if keys is not None:
+                carried.append((c, list(keys), found))
+            return found
+
+        monkeypatch.setattr(canon, "_search", search)
+        counts = {"_move": 0}
+        counted(monkeypatch, strata, "_move", counts)
+        enumerate_strata_records(g, ns, r)
+        assert len(carried) == counts["_move"] > 1
+        for c, keys, found in carried:
+            assert keys == [canon._cell_key(c, v) for v in range(len(c.genus))]
+            assert found == real(c)
 
 
 COVER_CASES = [(2, []), (3, []), (1, ["1", "2", "3"]), (0, FIVE)]
