@@ -126,8 +126,8 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
     target = SusyGraph(
         Graph(g.flags, g.vertices, dict(g.boundary), involution),
         SusyLabeling(
-            genus=dict(lab.genus),
-            color=dict(lab.color),
+            genus=lab.genus,
+            color=lab.color,
             ns_tail_labels={l: f for l, f in lab.ns_tail_labels.items() if f not in used},
             r_tail_labels={l: f for l, f in lab.r_tail_labels.items() if f not in used},
         ),

@@ -38,12 +38,12 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .graphs import Graph
+from .graphs import Graph, kept
 from .susy import NS, R, SusyGraph, SusyLabeling, require_susy
 
 __all__ = [
@@ -185,19 +185,19 @@ class CanonicalForm:
     core: Core = field(repr=False)
     leaves: tuple[Leaf, ...] = field(repr=False)
 
-    @cached_property
+    @kept
     def vertex_witness(self) -> dict[str, str]:
         pos = self.leaves[0][0]
         vn = _names("v", len(pos))
         return {v: vn[p] for v, p in zip(sorted(self.source.vertices), pos)}
 
-    @cached_property
+    @kept
     def flag_witness(self) -> dict[str, str]:
         index = self.leaves[0][1]
         fn = _names("f", len(index))
         return {f: fn[i] for f, i in zip(sorted(self.source.flags), index)}
 
-    @cached_property
+    @kept
     def generators(self) -> tuple[Isomorphism, ...]:
         """Automorphisms that generate the group of ``graph``, in its names
         (see ``_generators``).  Empty when the group is trivial."""
@@ -210,7 +210,7 @@ class CanonicalForm:
             for vm, fm in _generators(self.core, self.leaves)
         )
 
-    @cached_property
+    @kept
     def graph(self) -> SusyGraph:
         return _named(_canonical_core(self.core, self.leaves[0]))
 

@@ -20,7 +20,6 @@ connects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -61,6 +60,22 @@ class ValidationReport:
             raise ValidationError(f"invalid {what}: {detail}")
 
 
+class kept:
+    """Decorates a method whose value is built on first read and kept in the
+    instance's ``__dict__`` under its name, where later reads find it: like
+    ``functools.cached_property`` without its lock.  The value is not a
+    field, and ``dataclasses.replace`` builds an object without it."""
+
+    def __init__(self, build) -> None:
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 def _freeze_str_set(value: Iterable[str]) -> frozenset[str]:
     out = frozenset(value)
     if not all(isinstance(x, str) for x in out):
@@ -89,7 +104,7 @@ class Graph:
         object.__setattr__(self, "boundary", dict(self.boundary))
         object.__setattr__(self, "involution", dict(self.involution))
 
-    @cached_property
+    @kept
     def incidence(self) -> dict[str, tuple[str, ...]]:
         """The flags at each vertex, sorted, for a valid graph.  Built once,
         on first read, and shared by every reader, so it is read-only."""
@@ -99,12 +114,12 @@ class Graph:
             inc[b[f]].append(f)
         return {v: tuple(fl) for v, fl in inc.items()}
 
-    @cached_property
+    @kept
     def report(self) -> ValidationReport:
         """``validate_graph(self)``, checked once, on first read; frozen."""
         return _check_graph(self)
 
-    @cached_property
+    @kept
     def _forest(self):
         """``lifting._spanning_forest(self)``, built once, on first read."""
         from .lifting import _spanning_forest
@@ -206,7 +221,7 @@ def orbit_pairs(involution: Mapping[str, str]) -> list[tuple[str, str]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GraphMorphism:
     """Morphism of half-edge graphs.
 
@@ -223,12 +238,13 @@ class GraphMorphism:
     vertex_map: dict[str, str]
     contracted: dict[str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flag_map", dict(self.flag_map))
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
-        object.__setattr__(self, "contracted", dict(self.contracted))
+    def __init__(self, source, target, flag_map, vertex_map, contracted) -> None:
+        self.__dict__.update(
+            source=source, target=target, flag_map=dict(flag_map),
+            vertex_map=dict(vertex_map), contracted=dict(contracted),
+        )
 
-    @cached_property
+    @kept
     def orbits(self) -> tuple[tuple[str, str], ...]:
         """The orbits of ``contracted`` as sorted pairs, sorted.  Built
         once, on first read, and shared by every reader, like

@@ -58,7 +58,7 @@ SUPER = "super"
 CLASSICAL = "classical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModuliFactor:
     """One factor of a signature: a genus plus NS and R label sets."""
 
@@ -66,9 +66,10 @@ class ModuliFactor:
     ns_labels: frozenset[str]
     r_labels: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ns_labels", frozenset(self.ns_labels))
-        object.__setattr__(self, "r_labels", frozenset(self.r_labels))
+    def __init__(self, genus, ns_labels, r_labels) -> None:
+        self.__dict__.update(
+            genus=genus, ns_labels=frozenset(ns_labels), r_labels=frozenset(r_labels)
+        )
 
     @property
     def labels(self) -> frozenset[str]:
@@ -79,7 +80,7 @@ def _factor_key(f: ModuliFactor) -> tuple:
     return (f.genus, tuple(sorted(f.ns_labels)), tuple(sorted(f.r_labels)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModuliSignature:
     """A product of factors in canonical order.  Construction validates it
     (raising ValidationError), so every instance is a valid signature."""
@@ -88,14 +89,11 @@ class ModuliSignature:
     mode: str = SUPER
     _factor_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __init__(self, factors, mode: str = SUPER) -> None:
+        self.__dict__.update(factors=tuple(factors), mode=mode)
         validate_signature(self).raise_if_invalid("signature")
-        object.__setattr__(
-            self,
-            "_factor_index",
-            {l: i for i, f in enumerate(self.factors) for l in f.labels},
-        )
+        index = {l: i for i, f in enumerate(self.factors) for l in f.labels}
+        self.__dict__["_factor_index"] = index
 
     @property
     def labels(self) -> frozenset[str]:
@@ -110,28 +108,38 @@ class ModuliSignature:
 
 
 def validate_signature(sig: ModuliSignature) -> ValidationReport:
+    """Every violation, factor by factor.  A factor whose genus is not an int
+    or whose labels are not strings is reported for that alone."""
     problems: list[str] = []
     if sig.mode not in (SUPER, CLASSICAL):
         problems.append(f"unknown mode {sig.mode!r}")
     seen: set[str] = set()
+    keys: list[tuple] = []
     for i, f in enumerate(sig.factors):
+        ns, r = f.ns_labels, f.r_labels
+        labels = ns | r
+        str_labels = all(isinstance(l, str) for l in labels)
         if type(f.genus) is not int or f.genus < 0:
             problems.append(f"factor {i}: genus must be a non-negative integer")
-        overlap = f.ns_labels & f.r_labels
+        if not str_labels:
+            problems.append(f"factor {i}: labels must be strings")
+        if type(f.genus) is not int or not str_labels:
+            continue
+        overlap = ns & r
         if overlap:
             problems.append(f"factor {i}: labels {sorted(overlap)} are both NS and R")
-        for l in sorted(f.labels):
-            if l in seen:
+        if not seen.isdisjoint(labels):
+            for l in sorted(labels & seen):
                 problems.append(f"label {l!r} appears in more than one slot")
-            seen.add(l)
-        if 2 * f.genus - 2 + len(f.labels) <= 0:
+        seen |= labels
+        if 2 * f.genus - 2 + len(labels) <= 0:
             problems.append(f"factor {i}: unstable (2g - 2 + #labels <= 0)")
-        if sig.mode == SUPER and len(f.r_labels) % 2:
+        if sig.mode == SUPER and len(r) % 2:
             problems.append(f"factor {i}: odd number of R labels")
-        if sig.mode == CLASSICAL and f.r_labels:
+        if sig.mode == CLASSICAL and r:
             problems.append(f"factor {i}: classical signatures carry no R labels")
-    expected = tuple(sorted(sig.factors, key=_factor_key))
-    if sig.factors != expected:
+        keys.append(_factor_key(f))
+    if len(keys) == len(sig.factors) and any(b < a for a, b in zip(keys, keys[1:])):
         problems.append("factors are not in canonical order")
     return ValidationReport(tuple(problems))
 
@@ -140,8 +148,12 @@ def _fresh_signature(
     factors: Sequence[ModuliFactor], mode: str
 ) -> tuple[ModuliSignature, list[int]]:
     """Stable-sort factors into a signature; also return old index -> new
-    position."""
-    order = sorted(range(len(factors)), key=lambda i: _factor_key(factors[i]))
+    position.  Keys that do not compare come from a bad genus or label, so
+    their factors are left in place for the signature's check to refuse."""
+    try:
+        order = sorted(range(len(factors)), key=lambda i: _factor_key(factors[i]))
+    except TypeError:
+        order = range(len(factors))
     position = [0] * len(factors)
     for new, old in enumerate(order):
         position[old] = new
@@ -160,7 +172,7 @@ def signature(
     return _fresh_signature(built, mode)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GluingRecipe:
     """Normal form of a signature morphism.
 
@@ -178,23 +190,24 @@ class GluingRecipe:
     relabeling: dict[str, str]
     ramond_fiber_rank: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        object.__setattr__(
-            self,
-            "ns_gluings",
-            tuple(sorted(tuple(sorted(p)) for p in self.ns_gluings)),
+    def __init__(
+        self, source, target, assignment, ns_gluings, r_gluings, relabeling,
+        ramond_fiber_rank,
+    ) -> None:
+        self.__dict__.update(
+            source=source, target=target, assignment=tuple(assignment),
+            ns_gluings=_sorted_pairs(ns_gluings), r_gluings=_sorted_pairs(r_gluings),
+            relabeling=dict(relabeling), ramond_fiber_rank=ramond_fiber_rank,
         )
-        object.__setattr__(
-            self,
-            "r_gluings",
-            tuple(sorted(tuple(sorted(p)) for p in self.r_gluings)),
-        )
-        object.__setattr__(self, "relabeling", dict(self.relabeling))
 
     @property
     def gluings(self) -> tuple[tuple[str, str], ...]:
         return self.ns_gluings + self.r_gluings
+
+
+def _sorted_pairs(pairs) -> tuple[tuple[str, str], ...]:
+    """Each pair sorted, and the pairs sorted; no sort for no pairs."""
+    return tuple(sorted(tuple(sorted(p)) for p in pairs)) if pairs else ()
 
 
 def recipe(
@@ -206,15 +219,9 @@ def recipe(
     relabeling: Mapping[str, str] | None = None,
 ) -> GluingRecipe:
     """Assemble and validate a recipe; the rank is derived, never supplied."""
-    r_pairs = tuple(tuple(p) for p in r_gluings)
+    r_pairs = tuple(r_gluings)
     out = GluingRecipe(
-        source,
-        target,
-        tuple(assignment),
-        tuple(tuple(p) for p in ns_gluings),
-        r_pairs,
-        dict(relabeling) if relabeling is not None else {},
-        ramond_fiber_rank=len(r_pairs),
+        source, target, assignment, ns_gluings, r_pairs, relabeling or {}, len(r_pairs)
     )
     validate_recipe(out).raise_if_invalid("gluing recipe")
     return out
@@ -350,12 +357,9 @@ def relabel_recipe(
         raise ValidationError("renaming domain must be exactly the signature labels")
     if len(set(renaming.values())) != len(renaming):
         raise ValidationError("renaming is not injective")
+    new = renaming.__getitem__
     factors = [
-        ModuliFactor(
-            f.genus,
-            frozenset(renaming[l] for l in f.ns_labels),
-            frozenset(renaming[l] for l in f.r_labels),
-        )
+        ModuliFactor(f.genus, map(new, f.ns_labels), map(new, f.r_labels))
         for f in sig.factors
     ]
     target, position = _fresh_signature(factors, sig.mode)
@@ -444,18 +448,22 @@ def glue_r_loop(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
 
 def _graph_signature(g: SusyGraph) -> tuple[ModuliSignature, dict[str, int]]:
     """Per-vertex factors with flag ids as labels; vertex -> factor position.
-    ``SusyGraph.signature`` keeps it, so read that instead."""
+    ``SusyGraph.signature`` keeps it, so read that instead.  The vertices,
+    in name order, are stably sorted once by their factor keys."""
     genera, color, incidence = g.labeling.genus, g.labeling.color, g.graph.incidence
     verts = sorted(g.vertices)
-    factors = []
+    keys = {}
     for v in verts:
         ns, r = [], []
         for f in incidence[v]:
             (ns if color[f] == NS else r).append(f)
-        factors.append(ModuliFactor(genera[v], frozenset(ns), frozenset(r)))
-    mode = CLASSICAL if g.modular else SUPER
-    sig, position = _fresh_signature(factors, mode)
-    return sig, {v: position[i] for i, v in enumerate(verts)}
+        keys[v] = (genera[v], tuple(ns), tuple(r))
+    order = sorted(verts, key=keys.__getitem__)
+    sig = ModuliSignature(
+        [ModuliFactor(*keys[v]) for v in order], CLASSICAL if g.modular else SUPER
+    )
+    rank = {v: i for i, v in enumerate(order)}
+    return sig, {v: rank[v] for v in verts}
 
 
 def evaluate_operad(h: SusyMorphism) -> GluingRecipe:
@@ -606,11 +614,7 @@ def _random_factor(
     genus = rng.randint(0, 2)
     if 2 * genus - 2 + ns_count + r_count <= 0:
         genus = 2
-    return ModuliFactor(
-        genus,
-        frozenset(pool.take(ns_count)),
-        frozenset(pool.take(r_count)),
-    )
+    return ModuliFactor(genus, pool.take(ns_count), pool.take(r_count))
 
 
 def _pick_pair(

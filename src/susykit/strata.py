@@ -58,7 +58,6 @@ instance guard refuses enumerations whose bound exceeds ``max_edges``
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from hashlib import sha256
 from itertools import combinations
 from operator import xor
@@ -68,7 +67,7 @@ from . import canon
 from .canon import Core, Generator, _canonical_core, _cell_key, _core, _generators
 from .canon import _named, _names, _unmodular_digest, canonical_form, certificate_digest
 from .errors import ValidationError
-from .graphs import orbit_pairs
+from .graphs import kept, orbit_pairs
 from .lifting import _doubled
 from .susy import SusyGraph
 from .calculus import contract_pair
@@ -348,18 +347,18 @@ class StratumRecord:
     masks: Mapping[int, str]
     covers: Covers
 
-    @cached_property
+    @kept
     def shape(self) -> SusyGraph:
         return _named(self.core)
 
-    @cached_property
+    @kept
     def colorings(self) -> tuple[SusyGraph, ...]:
         return tuple(
             _named(c) if any(c.color) else replace(self.shape, modular=False)
             for c in self.cores
         )
 
-    @cached_property
+    @kept
     def coloring_digests(self) -> Mapping[frozenset[str], str]:
         names = _names("f", len(self.core.boundary))
         return {
@@ -367,7 +366,7 @@ class StratumRecord:
             for mask, d in self.masks.items()
         }
 
-    @cached_property
+    @kept
     def shape_covers(self) -> ShapeCovers:
         n = _names("f", len(self.core.boundary))
         return {
@@ -479,7 +478,7 @@ class ContractionPoset:
         object.__setattr__(self, "_successors", successors)
         object.__setattr__(self, "_index", {d: i for i, d in enumerate(self.digests)})
 
-    @cached_property
+    @kept
     def strata(self) -> tuple[SusyGraph, ...]:
         return tuple(map(_named, self.cores))
 

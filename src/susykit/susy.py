@@ -15,7 +15,6 @@ a genuine SUSY graph, so forget-after-include is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import ValidationError
@@ -25,6 +24,7 @@ from .graphs import (
     ValidationReport,
     connected_components,
     edges,
+    kept,
     tails,
     validate_graph,
 )
@@ -58,7 +58,7 @@ NS = "NS"
 R = "R"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SusyLabeling:
     """Genus, color and tail-labeling data riding on top of a graph.
 
@@ -71,11 +71,11 @@ class SusyLabeling:
     ns_tail_labels: dict[str, str]
     r_tail_labels: dict[str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "genus", dict(self.genus))
-        object.__setattr__(self, "color", dict(self.color))
-        object.__setattr__(self, "ns_tail_labels", dict(self.ns_tail_labels))
-        object.__setattr__(self, "r_tail_labels", dict(self.r_tail_labels))
+    def __init__(self, genus, color, ns_tail_labels, r_tail_labels) -> None:
+        self.__dict__.update(
+            genus=dict(genus), color=dict(color),
+            ns_tail_labels=dict(ns_tail_labels), r_tail_labels=dict(r_tail_labels),
+        )
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,13 @@ class SusyGraph:
     # not fields: equality ignores them and ``dataclasses.replace`` builds
     # a graph without them.
 
-    @cached_property
+    @kept
     def stability(self) -> StabilityReport:
         """``is_stable(self)``, the package's one call of it, read by the
         lifts, the operad's evaluation and dimensions, the CLI and samplers."""
         return is_stable(self)
 
-    @cached_property
+    @kept
     def signature(self) -> tuple[ModuliSignature, dict[str, int]]:
         """The moduli signature with one factor per vertex, and each
         vertex's factor position, for a valid stable graph; see
@@ -140,7 +140,7 @@ class SusyGraph:
 
         return _graph_signature(self)
 
-    @cached_property
+    @kept
     def _labeling_report(self) -> ValidationReport:
         """The labeling checks, read only once ``self.graph`` is valid."""
         return _check_labeling(self)
@@ -164,7 +164,7 @@ def susy_graph(
         ns_labels = {f: f for f in tails(g) if color.get(f) == NS}
     if r_labels is None:
         r_labels = {f: f for f in tails(g) if color.get(f) == R}
-    lab = SusyLabeling(dict(genus), color, dict(ns_labels), dict(r_labels))
+    lab = SusyLabeling(genus, color, ns_labels, r_labels)
     return SusyGraph(g, lab, modular)
 
 
@@ -180,16 +180,8 @@ def modular_graph(
     g = Graph(frozenset(flags), frozenset(vertices), dict(boundary), dict(involution))
     if tail_labels is None:
         tail_labels = {f: f for f in tails(g)}
-    return SusyGraph(
-        g,
-        SusyLabeling(
-            genus=dict(genus),
-            color={f: NS for f in g.flags},
-            ns_tail_labels=dict(tail_labels),
-            r_tail_labels={},
-        ),
-        modular=True,
-    )
+    lab = SusyLabeling(genus, dict.fromkeys(g.flags, NS), tail_labels, {})
+    return SusyGraph(g, lab, modular=True)
 
 
 def _renamed(
@@ -288,9 +280,17 @@ def require_susy(g: SusyGraph) -> None:
     validate_susy_graph(g).raise_if_invalid("SUSY graph")
 
 
+def _require_valid(g: SusyGraph) -> None:
+    """``require_susy`` straight from the reports kept on ``g``."""
+    rep = g.graph.report
+    (g._labeling_report if rep.ok else rep).raise_if_invalid("SUSY graph")
+
+
 @dataclass(frozen=True)
 class SusyMorphism:
-    """A graph morphism whose endpoints carry SUSY labelings."""
+    """A graph morphism whose endpoints carry SUSY labelings.  It keeps the
+    checks of its maps (see ``validate_susy_morphism``), so the maps are
+    read-only once checked, as a graph's are once ``Graph.report`` is read."""
 
     source: SusyGraph
     target: SusyGraph
@@ -311,6 +311,11 @@ class SusyMorphism:
     def contracted_pairs(self) -> list[tuple[str, str]]:
         return self.map.contracted_pairs()
 
+    @kept
+    def _report(self) -> ValidationReport:
+        """The checks of the maps, read once the endpoints pass theirs."""
+        return _check_maps(self)
+
 
 def susy_morphism(
     source: SusyGraph,
@@ -325,8 +330,8 @@ def susy_morphism(
         GraphMorphism(
             source.graph,
             target.graph,
-            dict(flag_map),
-            dict(vertex_map),
+            flag_map,
+            vertex_map,
             _graphs.involution_from_pairs(list(contracted_pairs)),
         ),
     )
@@ -334,7 +339,8 @@ def susy_morphism(
 
 def validate_susy_morphism(h: SusyMorphism) -> ValidationReport:
     """Graph-morphism axioms plus genus bookkeeping and color preservation.
-    Each endpoint graph is checked once."""
+    Every call reads the endpoint reports kept on the graphs and checks that
+    the endpoints agree; the checks of the maps run once, kept on ``h``."""
     problems: list[str] = []
     for g, name in ((h.source, "source"), (h.target, "target")):
         rep = validate_susy_graph(g)
@@ -346,7 +352,10 @@ def validate_susy_morphism(h: SusyMorphism) -> ValidationReport:
         problems.append("morphism mixes the modular view with genuine SUSY graphs")
     if problems:
         return ValidationReport(tuple(problems))
+    return h._report
 
+
+def _check_maps(h: SusyMorphism) -> ValidationReport:
     problems = list(_graphs._morphism_axioms(h.map).violations)
     if problems:
         return ValidationReport(tuple(problems))
@@ -393,7 +402,9 @@ def compose(h, f):
 
 
 def genus(g: SusyGraph) -> int:
-    """Total genus: per component, sum of (vertex genus - 1) + #edges + 1."""
+    """Total genus: per component, sum of (vertex genus - 1) + #edges + 1.
+    Raises ValidationError on an invalid graph."""
+    _require_valid(g)
     total = 0
     edge_list = edges(g.graph)
     for comp in connected_components(g.graph):
@@ -409,12 +420,12 @@ class StabilityReport:
 
 
 def is_stable(g: SusyGraph) -> StabilityReport:
-    """Stability: 2*genus(v) - 2 + #flags(v) > 0 at every vertex."""
-    degree: dict[str, int] = {v: 0 for v in g.vertices}
-    for f in g.flags:
-        degree[g.boundary[f]] += 1
+    """Stability: 2*genus(v) - 2 + #flags(v) > 0 at every vertex.  Raises
+    ValidationError on an invalid graph."""
+    _require_valid(g)
+    genera, incidence = g.labeling.genus, g.graph.incidence
     bad = tuple(
-        sorted(v for v in g.vertices if 2 * g.genus_of(v) - 2 + degree[v] <= 0)
+        sorted(v for v, fl in incidence.items() if 2 * genera[v] - 2 + len(fl) <= 0)
     )
     return StabilityReport(not bad, bad)
 
@@ -428,17 +439,9 @@ def forget(x):
     if isinstance(x, SusyMorphism):
         return SusyMorphism(forget(x.source), forget(x.target), x.map)
     g: SusyGraph = x
-    lab = g.labeling
-    return SusyGraph(
-        g.graph,
-        SusyLabeling(
-            genus=dict(lab.genus),
-            color={f: NS for f in g.flags},
-            ns_tail_labels=g.merged_tail_labels(),
-            r_tail_labels={},
-        ),
-        modular=True,
-    )
+    colors = dict.fromkeys(g.flags, NS)
+    lab = SusyLabeling(g.labeling.genus, colors, g.merged_tail_labels(), {})
+    return SusyGraph(g.graph, lab, modular=True)
 
 
 def include(x):

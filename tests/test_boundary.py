@@ -2,6 +2,7 @@
 surgery calculus and in ``susykit evaluate``, and a malformed morphism
 raises only ValidationError."""
 
+import random
 import sys
 from dataclasses import replace
 
@@ -29,6 +30,7 @@ from susykit import (
 from susykit.calculus import atomize
 from susykit.cli import main
 from susykit.jsonio import dumps, morphism_to_json
+from susykit.sampling import random_morphism, random_susy_graph
 
 from conftest import star
 
@@ -166,3 +168,58 @@ def test_malformed_morphism_raises_validation_error(base, mutation):
     for entry in (evaluate_operad, classify, decompose_to_elementaries, atomize):
         with pytest.raises(ValidationError, match="invalid morphism"):
             entry(bad)
+
+
+def test_whole_runs_its_morphism_axioms_once(monkeypatch):
+    h = contraction_chain()
+    whole = compose(h, contract_pair(h.target, ("c0", "b1")))
+    axioms = count_calls(monkeypatch, susykit.graphs._morphism_axioms)
+    evaluate_operad(whole)
+    for order in ("lex", "reverse"):
+        decompose_to_elementaries(whole, order=order)
+    # the two decompositions read the report kept by the evaluation
+    assert [m for (m,) in axioms if m is whole.map] == [whole.map]
+
+
+def _seeded_morphisms():
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_susy_graph(rng, max_vertices=4, max_genus=2, max_extra_edges=2)
+        yield random_morphism(rng, g)
+
+
+@pytest.mark.parametrize("base, mutation", [(None, None), *CASES])
+def test_kept_report_is_a_fresh_check(base, mutation):
+    if base is None:
+        morphisms = list(_seeded_morphisms())
+    else:
+        h = BASES[base]()
+        validate_susy_morphism(h)
+        morphisms = [SusyMorphism(h.source, h.target, MUTATIONS[mutation](h.map))]
+    for m in morphisms:
+        first = validate_susy_morphism(m)
+        assert validate_susy_morphism(m) is first
+        fresh = replace(m)
+        assert "_report" not in vars(fresh)
+        assert first == susykit.susy._check_maps(fresh)
+        assert first.ok == (base is None)
+
+
+def test_a_shared_map_is_checked_against_its_own_endpoints():
+    h = contract_pair(path_graph(), ("p", "q"))
+    assert validate_susy_morphism(h).ok
+    g = h.source
+    all_ns = susy_graph(
+        g.flags, g.vertices, g.boundary, g.involution, g.labeling.genus,
+        color=dict.fromkeys(g.flags, NS),
+    )
+    # a valid source on the same graph shares h's map, not h's kept report
+    recoloured = SusyMorphism(all_ns, h.target, h.map)
+    assert sorted(validate_susy_morphism(recoloured).violations) == [
+        f"color not preserved at target flag {f!r}" for f in ("b1", "c0", "r", "s")
+    ]
+    genus = {**g.labeling.genus, "u": 1}
+    regenused = replace(h, source=replace(g, labeling=replace(g.labeling, genus=genus)))
+    assert validate_susy_morphism(regenused).violations == (
+        "genus at 'u*v' should be 1, found 0",
+    )

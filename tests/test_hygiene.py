@@ -1,7 +1,9 @@
 """Every name that a module of the package, a test module or a demo imports
 is used there or listed in its ``__all__``.  The package's ``__init__.py``
-re-exports and is exempt.  The check reads each module's syntax tree, so it
-needs no linter."""
+re-exports and is exempt.  The package keeps derived values with one
+descriptor, ``graphs.kept``, so no module of it uses
+``functools.cached_property``.  The checks read each module's syntax tree,
+so they need no linter."""
 
 import ast
 from pathlib import Path
@@ -36,6 +38,35 @@ def unused_imports(source: str) -> list[str]:
         ):
             exported |= set(ast.literal_eval(node.value))
     return sorted(n for n in imported if n not in read and n not in exported)
+
+
+def cached_property_uses(source: str) -> list[int]:
+    """The lines of ``source`` that import ``functools.cached_property`` or
+    read it as an attribute of ``functools``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name == "cached_property" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_uses_cached_property(module):
+    assert cached_property_uses((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_cached_property():
+    source = (
+        "import functools\n"
+        "from functools import cache, cached_property\n"
+        "class A:\n"
+        "    x = functools.cached_property(len)\n"
+    )
+    assert cached_property_uses(source) == [2, 4]
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))

@@ -25,6 +25,7 @@ from susykit import (
     edges,
     enumerate_strata,
     evaluate_operad,
+    flags_at,
     forget,
     genus,
     glue_ns,
@@ -148,6 +149,83 @@ class TestSignatureBasics:
             signature([(1, {"a"}, {"r1", "r2"})], mode="classical")
         sig = signature([(1, {"a"}, ())], mode="classical")
         assert sig.mode == "classical"
+
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            (
+                [("x", ["a", "b", "c"], []), (1, ["d", "e", "f"], [])],
+                "factor 0: genus must be a non-negative integer",
+            ),
+            ([("x", ["a", "b", "c"], [])], "factor 0: genus must be a non-negative integer"),
+            ([(0, ["a", 1, "c"], [])], "factor 0: labels must be strings"),
+            ([(0, ["a", "b", "c"], []), (1, ["d", 2], [])], "factor 1: labels must be strings"),
+            ([(0, [1, 2, 3], [])], "factor 0: labels must be strings"),
+        ],
+    )
+    def test_bad_types_raise_validation_error(self, factors, message):
+        with pytest.raises(ValidationError) as err:
+            signature(factors)
+        assert str(err.value) == f"invalid signature: {message}"
+
+    def test_relabeling_to_a_non_string_raises_validation_error(self):
+        sig = signature([(0, {"a", "b", "c"}, ())])
+        with pytest.raises(ValidationError, match="labels must be strings"):
+            relabel_recipe(sig, {"a": "x", "b": 2, "c": "z"})
+
+
+F = ModuliFactor
+# each signature's check, pinned as the code before the one-pass check gave it
+SIGNATURE_VIOLATIONS = {
+    "out_of_order": (
+        (F(1, {"a"}, ()), F(0, {"b", "c", "d"}, ())), "super",
+        "factors are not in canonical order",
+    ),
+    "repeated_label": (
+        (F(0, {"a", "b", "c"}, ()), F(0, {"c", "d", "e"}, ())), "super",
+        "label 'c' appears in more than one slot",
+    ),
+    "ns_r_overlap": (
+        (F(0, {"a", "b", "c"}, {"a", "d"}),), "super",
+        "factor 0: labels ['a'] are both NS and R",
+    ),
+    "unstable": (
+        (F(0, {"a", "b"}, ()),), "super",
+        "factor 0: unstable (2g - 2 + #labels <= 0)",
+    ),
+    "odd_r": ((F(0, {"a", "b"}, {"r"}),), "super", "factor 0: odd number of R labels"),
+    "classical_r": (
+        (F(0, {"a"}, {"r", "s"}),), "classical",
+        "factor 0: classical signatures carry no R labels",
+    ),
+    "several": (
+        (F(1, {"z", "y"}, {"r"}), F(0, {"a", "z"}, {"a"}), F(-1, {"q", "r"}, ())),
+        "super",
+        "factor 0: odd number of R labels; "
+        "factor 1: labels ['a'] are both NS and R; "
+        "label 'z' appears in more than one slot; "
+        "factor 1: unstable (2g - 2 + #labels <= 0); "
+        "factor 1: odd number of R labels; "
+        "factor 2: genus must be a non-negative integer; "
+        "label 'r' appears in more than one slot; "
+        "factor 2: unstable (2g - 2 + #labels <= 0); "
+        "factors are not in canonical order",
+    ),
+    "repeated_many": (
+        (F(0, {"a", "b", "c"}, ()), F(0, {"c", "b", "e"}, {"a", "x"})), "super",
+        "label 'a' appears in more than one slot; "
+        "label 'b' appears in more than one slot; "
+        "label 'c' appears in more than one slot",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNATURE_VIOLATIONS))
+def test_signature_violations_are_pinned(case):
+    factors, mode, message = SIGNATURE_VIOLATIONS[case]
+    with pytest.raises(ValidationError) as err:
+        ModuliSignature(factors, mode)
+    assert str(err.value) == f"invalid signature: {message}"
 
 
 class TestRecipeAlgebra:
@@ -619,6 +697,38 @@ class TestCachedDerivedValues:
         assert h.contracted_pairs() == [("n1", "n2")]
         assert h.map.orbits == (("n1", "n2"),)
 
+    @pytest.mark.parametrize("modular", [False, True])
+    def test_graph_signature_is_the_signature_of_its_vertices(self, modular):
+        # two bare genus-2 vertices have equal factors
+        tails = {"t0": "m", "t1": "m", "t2": "m"}
+        tied = susy_graph(
+            tails, ["x2", "m", "x1"], tails, {f: f for f in tails},
+            {"x1": 2, "m": 0, "x2": 2}, color=dict.fromkeys(tails, NS),
+        )
+        graphs = [tied]
+        for seed in range(100):
+            rng = random.Random(seed)
+            graphs.append(
+                random_susy_graph(rng, max_vertices=5, max_genus=2, max_extra_edges=2)
+            )
+        for g in graphs:
+            g = forget(g) if modular else g
+            verts = sorted(g.vertices)
+            factor = {
+                v: ModuliFactor(
+                    g.genus_of(v),
+                    {f for f in flags_at(g.graph, v) if g.color_of(f) == NS},
+                    {f for f in flags_at(g.graph, v) if g.color_of(f) == R},
+                )
+                for v in verts
+            }
+            sig, position = _graph_signature(g)
+            assert sig == signature(factor.values(), "classical" if modular else "super")
+            # each vertex sits at its factor, equal factors in name order
+            order = sorted(verts, key=lambda v: sig.factors.index(factor[v]))
+            assert list(position) == verts
+            assert position == {v: order.index(v) for v in verts}
+
     def test_replace_builds_its_own_signature(self):
         m = star(0, 4, modular=True)
         sig, _ = m.signature
@@ -720,8 +830,6 @@ class TestDimensions:
             stratum_dimension(star(0, 2))
 
     def test_random_graphs_sum_local_dimensions(self, rng):
-        from susykit import flags_at, is_stable
-
         seen = 0
         while seen < 30:
             g = random_susy_graph(rng)

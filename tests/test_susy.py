@@ -15,6 +15,7 @@ from susykit import (
     Graph,
     SusyGraph,
     SusyMorphism,
+    ValidationError,
     classify,
     compose,
     contract_pair,
@@ -109,6 +110,24 @@ class TestStability:
         t = two_vertex_tree(2, 0)
         report = is_stable(t)
         assert report.unstable_vertices == ("w",)
+
+    @pytest.mark.parametrize(
+        "vertices, genera, violation",
+        [
+            (["v"], {"v": 0}, "boundary: unknown vertices ['w']"),
+            (["v", "w"], {"v": 0}, "genus: domain must be exactly the vertex set"),
+        ],
+    )
+    def test_invalid_graph_raises_validation_error(self, vertices, genera, violation):
+        boundary = {"a": "v", "b": "v", "c": "v", "d": "w"}
+        g = susy_graph(
+            boundary, vertices, boundary, {f: f for f in boundary}, genera,
+            color=dict.fromkeys(boundary, NS),
+        )
+        for read in (is_stable, genus, lambda x: x.stability):
+            with pytest.raises(ValidationError) as err:
+                read(g)
+            assert str(err.value) == f"invalid SUSY graph: {violation}"
 
 
 class TestForgetInclude:
