@@ -20,7 +20,7 @@ connects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -120,11 +120,14 @@ class Graph:
         return _check_graph(self)
 
     @kept
-    def _forest(self):
-        """``lifting._spanning_forest(self)``, built once, on first read."""
-        from .lifting import _spanning_forest
-
-        return _spanning_forest(self)
+    def _forest(self) -> tuple[dict[str, int], _LiftForest]:
+        """Each flag's index, in sorted-name order, and the ``_lift_forest``
+        on those and the sorted vertices of a valid graph.  Built once."""
+        index = {f: i for i, f in enumerate(sorted(self.flags))}
+        vertex = {v: i for i, v in enumerate(sorted(self.vertices))}
+        b, inv = self.boundary, self.involution
+        boundary = [vertex[b[f]] for f in index]
+        return index, _lift_forest(len(vertex), boundary, [index[inv[f]] for f in index])
 
 
 def validate_graph(g: Graph) -> ValidationReport:
@@ -179,16 +182,49 @@ def _root(parent: dict, x):
     return x
 
 
+class _LiftForest(NamedTuple):
+    """A spanning forest on integers, each edge set a mask of its flags:
+    ``boundary`` by flag, each vertex's component ``root`` and the ``path``
+    of tree edges from it to its root, and the fundamental ``cycles``."""
+
+    boundary: Sequence[int]
+    root: list[int]
+    path: list[int]
+    cycles: list[int]
+
+
+def _lift_forest(n: int, boundary: Sequence[int], involution: Sequence[int]) -> _LiftForest:
+    """The spanning forest that Kruskal's rule grows, in flag order, over the
+    edges ``f < involution[f]`` of the graph with ``n`` vertices and flag
+    arrays ``boundary`` and ``involution``, each tree edge hanging the tree
+    of one end from the other; one cycle per loop, then per other free edge."""
+    root, path = list(range(n)), [0] * n
+    members = [[v] for v in range(n)]  # the vertices of each root's tree
+    loops, chords = [], []
+    for f, p in enumerate(involution):
+        if f >= p:
+            continue  # a tail, or an edge's second flag
+        u, v, edge = boundary[f], boundary[p], 1 << f | 1 << p
+        if u == v:
+            loops.append(edge)
+        elif root[u] == root[v]:
+            chords.append(edge ^ path[u] ^ path[v])
+        else:
+            if len(members[root[u]]) < len(members[root[v]]):
+                u, v = v, u  # hang the smaller tree, so each vertex moves O(log n) times
+            # w's path to v, then the edge, then u's path to its root
+            step, hung = path[v] ^ edge ^ path[u], members[root[v]]
+            for w in hung:
+                root[w], path[w] = root[u], path[w] ^ step
+            members[root[u]] += hung
+    return _LiftForest(boundary, root, path, loops + chords)
+
+
 def connected_components(g: Graph) -> list[frozenset[str]]:
     """Vertex sets of the connected components (edges as adjacency)."""
-    parent: dict[str, str] = {v: v for v in g.vertices}
-    for a, b in edges(g):
-        ra, rb = _root(parent, g.boundary[a]), _root(parent, g.boundary[b])
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, set[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(_root(parent, v), set()).add(v)
+    groups: dict[int, set[str]] = {}
+    for v, root in zip(sorted(g.vertices), g._forest[1].root):
+        groups.setdefault(root, set()).add(v)
     return [frozenset(s) for s in groups.values()]
 
 

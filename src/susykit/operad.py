@@ -164,11 +164,16 @@ def signature(
     factors: Iterable[ModuliFactor | tuple], mode: str = SUPER
 ) -> ModuliSignature:
     """Build a signature in canonical factor order.  Tuple shorthand
-    (genus, ns_labels, r_labels) is accepted for factors."""
-    built = [
-        f if isinstance(f, ModuliFactor) else ModuliFactor(f[0], f[1], f[2])
-        for f in factors
-    ]
+    (genus, ns_labels, r_labels) is accepted for factors, and no other."""
+    built = []
+    for i, f in enumerate(factors):
+        try:
+            built.append(f if isinstance(f, ModuliFactor) else ModuliFactor(*f))
+        except TypeError:  # not three arguments, or labels that make no set
+            raise ValidationError(
+                f"invalid signature: factor {i}: expected (genus, ns_labels, "
+                f"r_labels) with string labels, got {f!r}"
+            ) from None
     return _fresh_signature(built, mode)[0]
 
 

@@ -12,7 +12,7 @@ from .calculus import contract_pair, contract_tails, graft, make_isomorphism
 from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint, validate_curve_config
 from .errors import ValidationError
 from .graphs import orbit_pairs, tails
-from .lifting import _colorings, _lift_masks
+from .lifting import _colorings, _doubled, _lift
 from .susy import (
     NS,
     R,
@@ -148,8 +148,8 @@ def random_susy_graph(
     shape = random_modular_graph(rng, max_vertices, max_genus, max_extra_edges)
     ns, r = map(frozenset, random_tail_partition(rng, shape))
     # a connected shape lifts for every even partition
-    pairs, masks = _lift_masks(shape, r)
-    return _colorings(shape, ns, r, pairs, rng.choice(masks), [])[0]
+    particular, cycles = _lift(shape, r)
+    return _colorings(shape, ns, r, rng.choice(_doubled(particular, cycles)), [])[0]
 
 
 def _same_color_tail_pairs(g: SusyGraph) -> list[tuple[str, str]]:

@@ -60,15 +60,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from itertools import combinations
-from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
 from .canon import Core, Generator, _canonical_core, _cell_key, _core, _generators
 from .canon import _named, _names, _unmodular_digest, canonical_form, certificate_digest
 from .errors import ValidationError
-from .graphs import kept, orbit_pairs
-from .lifting import _doubled
+from .graphs import _lift_forest, kept, orbit_pairs
+from .lifting import _doubled, _particular
 from .susy import SusyGraph
 from .calculus import contract_pair
 
@@ -302,34 +301,6 @@ def enumerate_modular_shapes(
     return [_named(core) for _, _, core, _, _ in _shapes(genus, tail_labels, max_edges)]
 
 
-def _lift_keys(c: Core, r_labels: frozenset[str]) -> list[int]:
-    """Every lift of the connected modular core ``c`` with an even number
-    of R tails ``r_labels``, as the mask of its R flags.  A spanning tree
-    is grown breadth first from vertex 0, and ``path`` holds the flags of
-    the tree path from each vertex to vertex 0.  One lift colours R each
-    R tail and the path from it to vertex 0, which pairs the R tails up
-    by tree paths; the others add fundamental cycles, one for each edge off
-    the tree (an edge on it closes none), and are listed by doubling, as
-    in ``lifting``."""
-    if not r_labels and _edge_count(c) < len(c.genus):
-        return [0]  # a tree without R tails has the one all-NS lift
-    b, j = c.boundary, c.involution
-    path, queue = {0: 0}, [0]
-    for v in queue:
-        for f in c.incidence[v]:
-            if b[j[f]] not in path:
-                path[b[j[f]]] = path[v] ^ (1 << f | 1 << j[f])
-                queue.append(b[j[f]])
-    key = 0
-    for f, label in enumerate(c.label):
-        if label in r_labels:
-            key ^= 1 << f ^ path[b[f]]
-    cycles = [
-        1 << f ^ 1 << p ^ path[b[f]] ^ path[b[p]] for f, p in enumerate(j) if f < p
-    ]
-    return _doubled(key, [cycle for cycle in cycles if cycle], xor)
-
-
 @dataclass(frozen=True)
 class StratumRecord:
     """The strata over one modular shape, on integers: the shape's
@@ -403,7 +374,12 @@ def enumerate_strata_records(
     for shape_digest, certificate, core, covers, generators in _shapes(
         genus, ns | rr, max_edges
     ):
-        keys = _lift_keys(core, rr)
+        if not rr and _edge_count(core) < len(core.genus):
+            keys = [0]  # a tree without R tails has the one all-NS lift
+        else:
+            forest = _lift_forest(len(core.genus), core.boundary, core.involution)
+            r_tails = [f for f, label in enumerate(core.label) if label in rr]
+            keys = _doubled(_particular(forest, r_tails), forest.cycles)
         strata: dict[str, Core] = {}
         masks = dict.fromkeys(keys, "")
         for orbit in _orbits(keys, [fm for _, fm in generators], _moved):

@@ -22,8 +22,6 @@ from .graphs import (
     Graph,
     GraphMorphism,
     ValidationReport,
-    connected_components,
-    edges,
     kept,
     tails,
     validate_graph,
@@ -402,15 +400,10 @@ def compose(h, f):
 
 
 def genus(g: SusyGraph) -> int:
-    """Total genus: per component, sum of (vertex genus - 1) + #edges + 1.
-    Raises ValidationError on an invalid graph."""
+    """Total genus: the vertex genera plus the first Betti number, the
+    number of fundamental cycles.  Raises ValidationError on an invalid graph."""
     _require_valid(g)
-    total = 0
-    edge_list = edges(g.graph)
-    for comp in connected_components(g.graph):
-        comp_edges = sum(1 for a, _ in edge_list if g.boundary[a] in comp)
-        total += sum(g.genus_of(v) - 1 for v in comp) + comp_edges + 1
-    return total
+    return sum(g.labeling.genus.values()) + len(g.graph._forest[1].cycles)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 is used there or listed in its ``__all__``.  The package's ``__init__.py``
 re-exports and is exempt.  The package keeps derived values with one
 descriptor, ``graphs.kept``, so no module of it uses
-``functools.cached_property``.  The checks read each module's syntax tree,
-so they need no linter."""
+``functools.cached_property``.  Every private name that a module of the
+package defines at module level is read somewhere in the package, so no
+helper outlives its last caller.  The checks read each module's syntax
+tree, so they need no linter."""
 
 import ast
 from pathlib import Path
@@ -38,6 +40,45 @@ def unused_imports(source: str) -> list[str]:
         ):
             exported |= set(ast.literal_eval(node.value))
     return sorted(n for n in imported if n not in read and n not in exported)
+
+
+def private_definitions(source: str) -> list[str]:
+    """The private names that ``source`` binds at module level, by a
+    function, a class or an assignment; dunder names are not private."""
+    names: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """The names that ``source`` reads, as a name, an attribute or an
+    import."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each private module-level name defined in one
+    of ``sources`` (module name to source) that none of them reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return sorted(
+        f"{module}: {name}"
+        for module, source in sources.items()
+        for name in private_definitions(source)
+        if name not in read
+    )
 
 
 def cached_property_uses(source: str) -> list[int]:
@@ -82,3 +123,25 @@ def test_the_check_sees_an_unused_import():
         "def f(x: Iterable): return x\n"
     )
     assert unused_imports(source) == ["os"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "__version__ = '1'\n"
+            "_used: int = 1\n"
+            "_unused = 2\n"
+            "class _Old: pass\n"
+            "def _helper(): return _used\n"
+            "def public(): pass\n"
+            "class A:\n"
+            "    def _method(self): pass\n"
+        ),
+        "b.py": "from a import _helper\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _Old", "a.py: _unused"]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import susykit.graphs
 import susykit.lifting
 import susykit.susy
 from susykit import (
@@ -36,6 +37,7 @@ from susykit import (
 from susykit.sampling import (
     random_modular_graph,
     random_modular_tree,
+    random_susy_graph,
     random_tail_partition,
 )
 
@@ -290,25 +292,26 @@ class TestGeneralCount:
 
 
 class TestKeptForest:
-    """The partition-free spanning forest is built once per graph by the
-    public entries, and never kept on the enumeration's shapes."""
+    """The partition-free part of the lift rule, ``graphs._lift_forest``,
+    is built once per graph by the public entries, and never kept on the
+    enumeration's shapes."""
 
     def test_one_forest_per_graph(self, monkeypatch):
         built = []
-        real = susykit.lifting._spanning_forest
+        real = susykit.graphs._lift_forest
 
-        def counting(g):
-            built.append(g)
-            return real(g)
+        def counting(n, boundary, involution):
+            built.append((n, list(boundary), list(involution)))
+            return real(n, boundary, involution)
 
-        monkeypatch.setattr(susykit.lifting, "_spanning_forest", counting)
+        monkeypatch.setattr(susykit.graphs, "_lift_forest", counting)
         t = simple_tree()
         for ns, r in ((["b", "d"], ["a", "c"]), (["a", "b", "c", "d"], [])):
             assert lift_count_general(t, ns, r) == 1
             colorings = enumerate_edge_colorings(t, ns, r)
             assert colorings == [lift_tree_coloring(t, ns, r)]
         assert count_lifts(t) == 8
-        assert built == [t.graph]
+        assert built == [(2, [0, 0, 1, 1, 0, 1], [0, 1, 2, 3, 5, 4])]
 
     def test_enumeration_keeps_no_forest(self):
         records = enumerate_strata_records(0, ["1", "2", "3", "4", "5"], [])
@@ -395,6 +398,21 @@ def test_coloring_order_is_pinned():
     assert (
         hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         == "deb043615527598f261bfeae5845bea83f341314eb74642d808bae91d25351aa"
+    )
+
+
+def test_sampled_colorings_are_pinned():
+    # R flags of seeded ``random_susy_graph`` draws, each a random choice
+    # from the lifts of its partition, so it depends on their order
+    rows = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_susy_graph(rng, max_vertices=5, max_genus=3, max_extra_edges=4)
+        rows.append(sorted(f for f in g.flags if g.color_of(f) == R))
+    assert sum(map(len, rows)) == 862
+    assert (
+        hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        == "e907eea7df1b7b292d0c847709f2bd89aa7a91730d17c0d2b17a3ace147b5a92"
     )
 
 

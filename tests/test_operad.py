@@ -168,6 +168,24 @@ class TestSignatureBasics:
             signature(factors)
         assert str(err.value) == f"invalid signature: {message}"
 
+    @pytest.mark.parametrize(
+        "factor",
+        [(0, ["a", "b", "c"]), (0, [["a"], "b", "c"], []), (0, ["a", "b", "c"], [], 1), 7],
+    )
+    def test_malformed_shorthand_raises_validation_error(self, factor):
+        with pytest.raises(ValidationError) as err:
+            signature([(1, {"z"}, ()), factor])
+        assert str(err.value) == (
+            "invalid signature: factor 1: expected (genus, ns_labels, r_labels) "
+            f"with string labels, got {factor!r}"
+        )
+
+    def test_factor_objects_are_taken_as_they_are(self):
+        factor = ModuliFactor(0, {"a", "b", "c"}, ())
+        assert signature([factor]).factors[0] is factor
+        with pytest.raises(ValidationError, match="factor 0: labels must be strings"):
+            signature([ModuliFactor(0, ["a", 1, "c"], ())])
+
     def test_relabeling_to_a_non_string_raises_validation_error(self):
         sig = signature([(0, {"a", "b", "c"}, ())])
         with pytest.raises(ValidationError, match="labels must be strings"):

@@ -255,9 +255,7 @@ class TestAllNsStratum:
         for rec in records:
             digest = rec.coloring_digests[frozenset()]
             graph = rec.colorings[rec.digests.index(digest)]
-            all_ns = _colorings(
-                rec.shape, frozenset(labels), frozenset(), edges(rec.shape.graph), 0, []
-            )[0]
+            all_ns = _colorings(rec.shape, frozenset(labels), frozenset(), 0, [])[0]
             form = canonical_form(all_ns)
             assert digest == form.digest
             assert graph == form.graph
