@@ -197,9 +197,9 @@ def _lift_forest(n: int, boundary: Sequence[int], involution: Sequence[int]) -> 
     """The spanning forest that Kruskal's rule grows, in flag order, over the
     edges ``f < involution[f]`` of the graph with ``n`` vertices and flag
     arrays ``boundary`` and ``involution``, each tree edge hanging the tree
-    of one end from the other; one cycle per loop, then per other free edge."""
+    of its second end from the first; one cycle per loop, then per other
+    free edge."""
     root, path = list(range(n)), [0] * n
-    members = [[v] for v in range(n)]  # the vertices of each root's tree
     loops, chords = [], []
     for f, p in enumerate(involution):
         if f >= p:
@@ -210,13 +210,11 @@ def _lift_forest(n: int, boundary: Sequence[int], involution: Sequence[int]) -> 
         elif root[u] == root[v]:
             chords.append(edge ^ path[u] ^ path[v])
         else:
-            if len(members[root[u]]) < len(members[root[v]]):
-                u, v = v, u  # hang the smaller tree, so each vertex moves O(log n) times
             # w's path to v, then the edge, then u's path to its root
-            step, hung = path[v] ^ edge ^ path[u], members[root[v]]
-            for w in hung:
-                root[w], path[w] = root[u], path[w] ^ step
-            members[root[u]] += hung
+            ru, rv, step = root[u], root[v], path[v] ^ edge ^ path[u]
+            for w in range(n):
+                if root[w] == rv:
+                    root[w], path[w] = ru, path[w] ^ step
     return _LiftForest(boundary, root, path, loops + chords)
 
 
