@@ -7,10 +7,11 @@ discrete is the one leaf, encoded with no backtracking.  Two graphs are
 isomorphic over fixed tail labels exactly when their certificates agree.
 
 The search runs on a ``Core``, the graph on integers with its own
-incidence, and a leaf is two integer tuples: each vertex's position and
-each flag's index.  The certificate does not depend on how a core is
-numbered, since a renumbering only relabels the search tree.  Its bytes
-are written directly, as ``json.dumps(payload, sort_keys=True,
+incidence, and a leaf is four integer tuples: each vertex's position and
+each flag's index, and their inverses, the vertex order and the flag
+sequence that its encoding read.  The certificate does not depend on how
+a core is numbered, since a renumbering only relabels the search tree.
+Its bytes are written directly, as ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))`` writes them.  ``_core_of`` numbers a named graph
 in the sorted order of its names ("f10" before "f2"); a canonical core is
 numbered by its leaf, vertex p at position p and flag i at index i, and
@@ -66,8 +67,9 @@ MAX_SEARCH_LEAVES = 10_000
 # a core numbers NS 0 and R 1
 COLORS = (NS, R)
 
-# one leaf of the search: each vertex's position and each flag's index
-Leaf = tuple[tuple[int, ...], tuple[int, ...]]
+# one leaf of the search: each vertex's position and each flag's index, then
+# the vertex at each position and the flag at each index
+Leaf = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 # an automorphism of a canonical core: its vertex map and its flag map
 Generator = tuple[tuple[int, ...], tuple[int, ...]]
 # the blocks of interchangeable units of ``_blocks``, each with whether its
@@ -133,10 +135,7 @@ def _name_order(n: int) -> tuple[int, ...]:
 def _canonical_core(c: Core, leaf: Leaf) -> Core:
     """The canonical core that ``leaf`` renumbers ``c`` to: each vertex
     numbered by its position and each flag by its index."""
-    pos, index = leaf
-    # the vertices and flags of ``c`` in their new order
-    vs = sorted(range(len(pos)), key=pos.__getitem__)
-    fs = sorted(range(len(index)), key=index.__getitem__)
+    pos, index, vs, fs = leaf
     return _core(
         tuple(c.genus[v] for v in vs),
         tuple(pos[c.boundary[f]] for f in fs),
@@ -286,7 +285,7 @@ def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
         f'"genus":[{",".join([str(genus[v]) for v in order])}],'
         f'"modular":{"true" if modular else "false"},"tails":[{",".join(tails)}],'
         f'"vertex_of":[{",".join(vertex_of)}]}}'
-    ).encode("ascii"), (tuple(pos), tuple(index))
+    ).encode("ascii"), (tuple(pos), tuple(index), tuple(order), tuple(sequence))
 
 
 def _cell_key(c: Core, v: int) -> tuple:
@@ -409,13 +408,10 @@ def _generators(c: Core, leaves: Sequence[Leaf]) -> list[Generator]:
     one per tied leaf after the first (winning positions to tied ones), and
     per block of vertex-fixing moves one transposition per unit after the
     first and, for loops, one flip."""
-    pos0, index0 = leaves[0]
-    # the vertex at each position and the flag at each index of the winner
-    vs = sorted(range(len(pos0)), key=pos0.__getitem__)
-    fs = sorted(range(len(index0)), key=index0.__getitem__)
+    pos0, index0, vs, fs = leaves[0]
     out = [
         (tuple(map(pos.__getitem__, vs)), tuple(map(index.__getitem__, fs)))
-        for pos, index in leaves[1:]
+        for pos, index, _, _ in leaves[1:]
     ]
     fixed = tuple(range(len(pos0)))
     for units, flip in _blocks(c):
@@ -466,9 +462,8 @@ def _isomorphisms(
     vn, fn = sorted(g1.vertices), sorted(g1.flags)
     wn, gn = sorted(g2.vertices), sorted(g2.flags)
     # the vertex and the flag of the target at each position and index
-    at_vertex = sorted(range(len(onto[0])), key=onto[0].__getitem__)
-    at_flag = sorted(range(len(onto[1])), key=onto[1].__getitem__)
-    for pos, index in leaves:
+    at_vertex, at_flag = onto[2:]
+    for pos, index, _, _ in leaves:
         vmap = {vn[v]: wn[at_vertex[p]] for v, p in enumerate(pos)}
         fmap = [at_flag[i] for i in index]
         for fix in _vertex_fixers(blocks):

@@ -168,21 +168,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     del records
     # each record is built from its core, rendered, written and dropped
     data = {"count": len(cores), "strata": map(_stratum_record, cores, digests)}
-    # each stratum's cover targets, sorted per stratum rather than as pairs
-    by_source: list[list[int]] = [[] for _ in cores] if poset is not None else []
     if poset is not None:
-        for i, j in poset.covers:
-            by_source[i].append(j)
-        for targets in by_source:
-            targets.sort()
-        covers = {str(i): targets for i, targets in enumerate(by_source)}
+        covers = {str(i): targets for i, targets in enumerate(poset.successors)}
         data["poset"] = {"ranks": list(ranks), "covers": covers}
 
     def table() -> list[str]:
         lines = [f"strata        {len(cores)}"] + _digest_lines(ranks, digests)
         if poset is not None:
             lines.append("covers:")
-            lines.extend(f"  S{i} -> S{j}" for i, js in enumerate(by_source) for j in js)
+            for i, js in enumerate(poset.successors):
+                lines.extend(f"  S{i} -> S{j}" for j in js)
         return lines
 
     _emit(args, data, table)
@@ -249,6 +244,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     elif isinstance(data, dict) and "strata" in data:
         records = data["strata"]
     if records is not None:
+        if not isinstance(records, list):
+            raise SchemaError("strata must be a list of objects")
         strata = []
         for record in records:
             if not isinstance(record, dict):
@@ -351,7 +348,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        if exc.filename is None:  # not an input path, such as a closed pipe
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SusyKitError as exc:

@@ -58,7 +58,7 @@ def poset_to_dot(poset: ContractionPoset, name: str = "strata") -> str:
         r_edges = sum(1 for a, _ in edges(g.graph) if g.color_of(a) != NS)
         label = f"S{i}: {n_edges}E" + (f" ({r_edges}R)" if r_edges else "")
         lines.append(f"  {_quote(f'S{i}')} [label={_quote(label)}];")
-    for i, j in sorted(poset.covers):
-        lines.append(f"  {_quote(f'S{i}')} -> {_quote(f'S{j}')};")
+    for i, js in enumerate(poset.successors):
+        lines.extend(f"  {_quote(f'S{i}')} -> {_quote(f'S{j}')};" for j in js)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -496,10 +496,9 @@ def recipe_to_json(r: GluingRecipe) -> dict:
 
 
 def _load(path: Path | str) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 

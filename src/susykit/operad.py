@@ -224,9 +224,14 @@ def recipe(
     relabeling: Mapping[str, str] | None = None,
 ) -> GluingRecipe:
     """Assemble and validate a recipe; the rank is derived, never supplied."""
-    r_pairs = tuple(r_gluings)
+    ns_pairs, r_pairs = tuple(ns_gluings), tuple(r_gluings)
+    if not isinstance(assignment, Sequence) or any(type(t) is not int for t in assignment):
+        raise ValidationError("assignment must be a sequence of int factor indices")
+    for pair in ns_pairs + r_pairs:
+        if not isinstance(pair, Sequence) or [type(x) for x in pair] != [str, str]:
+            raise ValidationError(f"gluing {pair!r} is not a pair of labels")
     out = GluingRecipe(
-        source, target, assignment, ns_gluings, r_pairs, relabeling or {}, len(r_pairs)
+        source, target, assignment, ns_pairs, r_pairs, relabeling or {}, len(r_pairs)
     )
     validate_recipe(out).raise_if_invalid("gluing recipe")
     return out
@@ -360,6 +365,8 @@ def relabel_recipe(
     """Generator: rename every label by a bijection, gluing nothing."""
     if set(renaming) != set(sig.labels):
         raise ValidationError("renaming domain must be exactly the signature labels")
+    if not all(isinstance(x, str) for x in renaming.values()):
+        raise ValidationError("renamed labels must be strings")
     if len(set(renaming.values())) != len(renaming):
         raise ValidationError("renaming is not injective")
     new = renaming.__getitem__
@@ -622,17 +629,10 @@ def _random_factor(
     return ModuliFactor(genus, pool.take(ns_count), pool.take(r_count))
 
 
-def _pick_pair(
-    rng: random.Random, factor: ModuliFactor, color: str
-) -> tuple[str, str]:
-    labels = sorted(factor.ns_labels if color == NS else factor.r_labels)
-    a, b = rng.sample(labels, 2)
-    return a, b
-
-
-def _pick_one(rng: random.Random, factor: ModuliFactor, color: str) -> str:
-    labels = sorted(factor.ns_labels if color == NS else factor.r_labels)
-    return rng.choice(labels)
+def _labels(factor: ModuliFactor, color: str, drop: Iterable[str] = ()) -> list[str]:
+    """The labels of ``factor`` of one colour, less ``drop``, sorted."""
+    labels = factor.ns_labels if color == NS else factor.r_labels
+    return sorted(labels.difference(drop))
 
 
 def _glue(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
@@ -704,7 +704,7 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         pool = _LabelPool()
         sig = signature([_random_factor(rng, pool, min_ns=2, min_r=2)])
         color = rng.choice([NS, R])
-        a, b = _pick_pair(rng, sig.factors[0], color)
+        a, b = rng.sample(_labels(sig.factors[0], color), 2)
         return relabel_past_glue(pool, sig, a, b)
 
     def relabel_edge() -> tuple[GluingRecipe, GluingRecipe]:
@@ -713,8 +713,8 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         f2 = _random_factor(rng, pool, min_ns=1, min_r=2)
         sig = signature([f1, f2])
         color = rng.choice([NS, R])
-        a = _pick_one(rng, f1, color)
-        b = _pick_one(rng, f2, color)
+        a = rng.choice(_labels(f1, color))
+        b = rng.choice(_labels(f2, color))
         return relabel_past_glue(pool, sig, a, b)
 
     def two_step(
@@ -728,9 +728,7 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         sig = signature([_random_factor(rng, pool, min_ns=4, min_r=4)])
         f = sig.factors[0]
         c1, c2 = rng.choice([NS, R]), rng.choice([NS, R])
-        ns = sorted(f.ns_labels)
-        rs = sorted(f.r_labels)
-        picks = {NS: iter(rng.sample(ns, 4)), R: iter(rng.sample(rs, 4))}
+        picks = {c: iter(rng.sample(_labels(f, c), 4)) for c in (NS, R)}
         p1 = (next(picks[c1]), next(picks[c1]))
         p2 = (next(picks[c2]), next(picks[c2]))
         return two_step(sig, p1, p2), two_step(sig, p2, p1)
@@ -743,30 +741,19 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         c_loop, c_edge = rng.choice([NS, R]), rng.choice([NS, R])
         if rng.random() < 0.5:
             # loop inside the first factor, edge across the two
-            loop_pool = sorted(f1.ns_labels if c_loop == NS else f1.r_labels)
-            la, lb = rng.sample(loop_pool, 2)
-            ea = rng.choice(
-                sorted((f1.ns_labels if c_edge == NS else f1.r_labels) - {la, lb})
-            )
-            eb = rng.choice(sorted(f2.ns_labels if c_edge == NS else f2.r_labels))
+            la, lb = rng.sample(_labels(f1, c_loop), 2)
+            ea = rng.choice(_labels(f1, c_edge, (la, lb)))
+            eb = rng.choice(_labels(f2, c_edge))
             return two_step(sig, (la, lb), (ea, eb)), two_step(
                 sig, (ea, eb), (la, lb)
             )
         # two cross pairs; gluing one turns the other into a loop
         c2 = c_loop
-        pool1 = sorted(f1.ns_labels if c_edge == NS else f1.r_labels)
-        pool2 = sorted(f2.ns_labels if c_edge == NS else f2.r_labels)
-        a1 = rng.choice(pool1)
-        b1 = rng.choice(pool2)
-        # min_ns/min_r above leave pool1b and pool2b non-empty
-        pool1b = sorted(
-            (f1.ns_labels if c2 == NS else f1.r_labels) - {a1, b1}
-        )
-        pool2b = sorted(
-            (f2.ns_labels if c2 == NS else f2.r_labels) - {a1, b1}
-        )
-        a2 = rng.choice(pool1b)
-        b2 = rng.choice(pool2b)
+        a1 = rng.choice(_labels(f1, c_edge))
+        b1 = rng.choice(_labels(f2, c_edge))
+        # min_ns/min_r above leave both second pools non-empty
+        a2 = rng.choice(_labels(f1, c2, (a1, b1)))
+        b2 = rng.choice(_labels(f2, c2, (a1, b1)))
         return two_step(sig, (a1, b1), (a2, b2)), two_step(
             sig, (a2, b2), (a1, b1)
         )
@@ -778,12 +765,11 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         f3 = _random_factor(rng, pool, min_ns=1, min_r=2)
         sig = signature([f1, f2, f3])
         c1, c2 = rng.choice([NS, R]), rng.choice([NS, R])
-        a1 = rng.choice(sorted(f1.ns_labels if c1 == NS else f1.r_labels))
-        b1 = rng.choice(sorted(f2.ns_labels if c1 == NS else f2.r_labels))
-        # f2's min_ns/min_r leave mid non-empty
-        mid = (f2.ns_labels if c2 == NS else f2.r_labels) - {b1}
-        a2 = rng.choice(sorted(mid))
-        b2 = rng.choice(sorted(f3.ns_labels if c2 == NS else f3.r_labels))
+        a1 = rng.choice(_labels(f1, c1))
+        b1 = rng.choice(_labels(f2, c1))
+        # f2's min_ns/min_r leave its second pool non-empty
+        a2 = rng.choice(_labels(f2, c2, (b1,)))
+        b2 = rng.choice(_labels(f3, c2))
         return two_step(sig, (a1, b1), (a2, b2)), two_step(
             sig, (a2, b2), (a1, b1)
         )

@@ -57,13 +57,13 @@ instance guard refuses enumerations whose bound exceeds ``max_edges``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from hashlib import sha256
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
-from .canon import Core, Generator, _canonical_core, _cell_key, _core, _generators
+from .canon import Core, Generator, Leaf, _canonical_core, _cell_key, _core, _generators
 from .canon import _named, _names, _unmodular_digest, canonical_form, certificate_digest
 from .errors import ValidationError
 from .graphs import _lift_forest, kept, orbit_pairs
@@ -252,9 +252,9 @@ def _shapes(
     found: dict[str, tuple[bytes, Core, dict, list[Generator]]] = {}
     fresh: list[str] = []
 
-    def search(child: Core, keys: list[tuple] | None = None) -> tuple[str, tuple[int, ...]]:
+    def search(child: Core, keys: list[tuple] | None = None) -> tuple[str, Leaf]:
         """The digest of ``child``, with cell keys ``keys``, a new shape kept
-        in ``found`` and ``fresh``, and the canonical index of its flags."""
+        in ``found`` and ``fresh``, and the winning leaf of its search."""
         cert, leaves = canon._search(child, keys)
         digest = sha256(cert).hexdigest()
         if digest not in found:
@@ -264,7 +264,7 @@ def _shapes(
             rigid = len(leaves) == 1 and sum(child.genus) == genus
             found[digest] = (cert, core, {}, [] if rigid else _generators(child, leaves))
             fresh.append(digest)
-        return digest, leaves[0][1]
+        return digest, leaves[0]
 
     zeros = (0,) * len(labels)  # the corolla: one vertex carrying every tail
     search(_core((genus,), zeros, tuple(range(len(labels))), zeros, tuple(labels), True))
@@ -280,14 +280,11 @@ def _shapes(
                 child = _move(parent, key)
                 cells = [*keys, _cell_key(child, len(keys))] if len(key) > 1 else [*keys]
                 cells[key[0]] = _cell_key(child, key[0])
-                digest, index = search(child, cells)
+                digest, (_, index, _, sequence) = search(child, cells)
                 covers = found[digest][2]
                 edge = (index[n], index[n + 1])
                 if edge not in covers:
-                    flag_map: list[int | None] = [None] * (n + 2)
-                    for f in range(n):
-                        flag_map[index[f]] = f
-                    covers[edge] = (pd, tuple(flag_map))
+                    covers[edge] = (pd, tuple(f if f < n else None for f in sequence))
     order = sorted(found, key=lambda d: (_edge_count(found[d][1]), d))
     return [(d, *found[d]) for d in order]
 
@@ -438,25 +435,29 @@ class ContractionPoset:
     in ``cores`` and named in ``strata`` when that is first read.  ranks[i]
     counts edges, so the one-vertex stratum has rank 0 and sits at the top:
     contracting an edge moves strictly up.  covers holds pairs (i, j) where
-    stratum j is one contraction away from stratum i."""
+    stratum j is one contraction away from stratum i, and ``successors``
+    groups them by i."""
 
     cores: tuple[Core, ...]
     digests: tuple[str, ...]
     ranks: tuple[int, ...]
     covers: frozenset[tuple[int, int]]
-    _successors: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        successors: dict[int, list[int]] = {}
-        for x, y in self.covers:
-            successors.setdefault(x, []).append(y)
-        object.__setattr__(self, "_successors", successors)
-        object.__setattr__(self, "_index", {d: i for i, d in enumerate(self.digests)})
 
     @kept
     def strata(self) -> tuple[SusyGraph, ...]:
         return tuple(map(_named, self.cores))
+
+    @kept
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Each stratum's cover targets, ascending."""
+        targets: list[list[int]] = [[] for _ in self.digests]
+        for i, j in self.covers:
+            targets[i].append(j)
+        return tuple(tuple(sorted(js)) for js in targets)
+
+    @kept
+    def _index(self) -> dict[str, int]:
+        return {d: i for i, d in enumerate(self.digests)}
 
     def index_of(self, g: SusyGraph) -> int:
         d = certificate_digest(g)
@@ -476,7 +477,7 @@ class ContractionPoset:
                 )
         seen, frontier = {i}, [i]
         for a in frontier:
-            for y in self._successors.get(a, ()):
+            for y in self.successors[a]:
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)

@@ -661,6 +661,17 @@ class TestSearchPaths:
             if encodes == 1:
                 assert refines <= 1 and len(leaves) == 1
 
+    def test_each_leaf_carries_its_inverses(self, searched):
+        """A leaf's vertex order and flag sequence invert its positions and
+        indices."""
+        leaves = [leaf for _, _, found, _, _ in searched for leaf in found]
+        assert len(leaves) > len(searched)
+        for pos, index, order, sequence in leaves:
+            assert [pos[v] for v in order] == list(range(len(pos)))
+            assert [index[f] for f in sequence] == list(range(len(index)))
+            assert sorted(order) == list(range(len(pos)))
+            assert sorted(sequence) == list(range(len(index)))
+
     def test_certificates_survive_renumbering(self, searched):
         rng = random.Random(21)
         for c, cert, leaves, _, _ in searched:

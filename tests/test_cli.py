@@ -3,8 +3,10 @@ output shapes, and the 0/1/2 exit code contract."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -543,6 +545,90 @@ class TestExportDot:
         assert first == second
 
 
+def script_env() -> dict[str, str]:
+    """The environment, with this checkout's sources first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+# every subcommand that reads a file, as its argv up to the path
+READERS = [
+    ["validate"],
+    ["validate", "--kind", "graph"],
+    ["validate", "--kind", "morphism"],
+    ["validate", "--kind", "curve"],
+    ["lift", "--tree"],
+    ["dual-graph"],
+    ["dims"],
+    ["evaluate"],
+    ["export-dot"],
+]
+# inputs that no reader can take: a directory, bytes that are not UTF-8,
+# and JSON documents of the wrong top-level type
+UNREADABLE = {
+    "dir": None,
+    "bytes.json": b"\xff\xfe{",
+    "number.json": b"5",
+    "string.json": b'"x"',
+    "null.json": b"null",
+    "true.json": b"true",
+}
+
+
+class TestUnreadableInputs:
+    """Every subcommand that reads a file refuses a file it cannot read or
+    parse with exit code 2 and one ``error:`` line, and no traceback."""
+
+    @staticmethod
+    def make(tmp_path, name):
+        path = tmp_path / name
+        if UNREADABLE[name] is None:
+            path.mkdir()
+        else:
+            path.write_bytes(UNREADABLE[name])
+        return str(path)
+
+    @pytest.mark.parametrize("name", UNREADABLE)
+    @pytest.mark.parametrize("prefix", READERS, ids=" ".join)
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, prefix, name):
+        rc, out, err = run(capsys, *prefix, self.make(tmp_path, name))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [{"strata": 5}, {"strata": True}, {"strata": "S0"}])
+    def test_export_dot_refuses_strata_that_are_not_a_list(self, tmp_path, capsys, doc):
+        rc, out, err = run(capsys, "export-dot", write(tmp_path, "s.json", doc))
+        assert (rc, out) == (2, "")
+        assert err == "error: strata must be a list of objects\n"
+
+    @pytest.mark.parametrize("name", ["dir", "bytes.json"])
+    def test_the_script_prints_no_traceback(self, tmp_path, name):
+        proc = subprocess.run(
+            [sys.executable, "-m", "susykit.cli", "validate", self.make(tmp_path, name)],
+            capture_output=True,
+            text=True,
+            env=script_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_a_closed_output_is_not_an_input_error(self, tmp_path, monkeypatch, capsys):
+        """An ``OSError`` without a file name, such as a closed pipe on
+        stdout, is not mapped to exit 2."""
+        path = write(tmp_path, "g.json", graph_to_json(star(0, 3)))
+
+        def closed(*_):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "write_json", closed)
+        with pytest.raises(BrokenPipeError):
+            main(["dims", path])
+
+
 def test_installed_script_smoke(tmp_path):
     doc = graph_to_json(star(0, 4))
     path = tmp_path / "g.json"
@@ -551,6 +637,7 @@ def test_installed_script_smoke(tmp_path):
         [sys.executable, "-m", "susykit.cli", "dims", str(path)],
         capture_output=True,
         text=True,
+        env=script_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"even": 1, "odd": 2, "codim": [0, 0]}

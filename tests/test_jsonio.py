@@ -189,6 +189,12 @@ class TestGraphSchema:
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_graph(path)
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_graph(path)
+
 
 class TestMorphisms:
     def test_inline_round_trip(self):

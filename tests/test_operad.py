@@ -191,6 +191,38 @@ class TestSignatureBasics:
         with pytest.raises(ValidationError, match="labels must be strings"):
             relabel_recipe(sig, {"a": "x", "b": 2, "c": "z"})
 
+    def test_unhashable_renamed_label_raises_validation_error(self):
+        sig = signature([(0, ["a", "b", "c"], [])])
+        with pytest.raises(ValidationError, match="renamed labels must be strings"):
+            relabel_recipe(sig, {"a": ["x"], "b": "b", "c": "c"})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"assignment": [None]}, "assignment must be"),
+            ({"assignment": ["0"]}, "assignment must be"),
+            ({"assignment": 5}, "assignment must be"),
+            ({"assignment": [0], "ns_gluings": [("a",)]}, "not a pair of labels"),
+            ({"assignment": [0], "ns_gluings": [("a", "b", "c")]}, "not a pair of labels"),
+            ({"assignment": [0], "ns_gluings": [("a", 2)]}, "not a pair of labels"),
+            ({"assignment": [0], "r_gluings": [("a", 2)]}, "not a pair of labels"),
+            ({"assignment": [0], "ns_gluings": [5]}, "not a pair of labels"),
+        ],
+    )
+    def test_malformed_recipe_arguments_raise_validation_error(self, kwargs, message):
+        sig = signature([(0, ["a", "b", "c"], [])])
+        with pytest.raises(ValidationError, match=message):
+            recipe(sig, sig, **kwargs)
+
+    def test_well_formed_recipe_arguments_are_taken_as_before(self):
+        src = signature([(0, {"a", "b", "f"}, ()), (0, {"g", "c", "e"}, ())])
+        tgt = signature([(0, {"a", "b", "c", "e"}, ())])
+        relabeling = {l: l for l in "abce"}
+        expected = recipe(src, tgt, (0, 0), [("f", "g")], relabeling=relabeling)
+        assert expected.ns_gluings == (("f", "g"),)
+        for assignment, pairs in [([0, 0], [["g", "f"]]), ((0, 0), iter([("f", "g")]))]:
+            assert recipe(src, tgt, assignment, pairs, relabeling=relabeling) == expected
+
 
 F = ModuliFactor
 # each signature's check, pinned as the code before the one-pass check gave it

@@ -395,6 +395,21 @@ class TestStrataPoset:
         assert mine.ranks == ref.ranks
         assert mine.covers == ref.covers
 
+    @pytest.mark.parametrize(
+        "g, ns, r", [(0, FIVE, []), (1, ["1", "2"], ["3", "4"]), (2, [], [])]
+    )
+    def test_successors_group_the_covers(self, g, ns, r):
+        """``successors`` lists each stratum's cover targets, ascending, on
+        both paths to the poset."""
+        for poset in (
+            strata_poset(enumerate_strata_records(g, ns, r)),
+            contraction_poset(enumerate_strata(g, ns, r)),
+        ):
+            assert len(poset.successors) == len(poset.digests)
+            for i, targets in enumerate(poset.successors):
+                assert list(targets) == sorted(j for x, j in poset.covers if x == i)
+            assert sum(map(len, poset.successors)) == len(poset.covers)
+
     def test_records_must_be_closed_under_contraction(self):
         records = enumerate_strata_records(1, ["1"], [])
         nodal = [rec for rec in records if edges(rec.shape.graph)]
