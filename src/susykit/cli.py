@@ -4,20 +4,22 @@ Subcommands cover the main library entry points: validating documents,
 lifting colorings onto modular graphs, dual graphs of curve configurations,
 strata enumeration, dimension formulas, evaluating morphisms to gluing
 recipes, the operad axiom checker, and DOT export.  Exit codes: 0 success,
-1 failed validation or failed check, 2 usage or malformed input documents.
+1 failed validation, failed check or closed stdout, 2 usage or malformed
+input documents.
 ``enumerate`` writes each record straight from its canonical core.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .canon import certificate_digest
 from .curves import dual_graph
-from .errors import SchemaError, SusyKitError
+from .errors import SchemaError, SusyKitError, ValidationError
 from .graphs import edges, tails
 from .jsonio import (
     curve_from_json,
@@ -35,10 +37,10 @@ from .jsonio import (
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
 from .operad import _evaluate, check_operad_axioms, stratum_dimension
 from .strata import (
+    ContractionPoset,
     _edge_count,
     _ordered,
     _shapes,
-    contraction_poset,
     enumerate_strata_records,
     strata_poset,
 )
@@ -235,25 +237,47 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _document_poset(strata: list[SusyGraph]) -> ContractionPoset:
+    """The contraction poset of ``strata``, every stratum of one enumeration
+    once each, in any order, numbered in that order.  The enumeration runs
+    at the first stratum's genus and labels, up to the most edges a stratum
+    of the list has, and each stratum is found in it by one search."""
+    if not strata:
+        return ContractionPoset((), (), (), frozenset())
+    g, ns, r = genus(strata[0]), strata[0].ns_labels(), strata[0].r_labels()
+    reach = max(len(edges(s.graph)) for s in strata)
+    deepest = 3 * g - 3 + len(ns) + len(r)  # the edges of the deepest stratum
+    whole = "export-dot takes every stratum of one enumeration exactly once"
+    if reach < deepest:
+        raise ValidationError(f"{whole}, but none has the {deepest} edges of the deepest")
+    poset = strata_poset(enumerate_strata_records(g, ns, r, reach))
+    order = [poset.index_of(s) for s in strata]
+    if sorted(order) != list(range(len(poset.ranks))):
+        held = f"{len(order)} strata hold {len(set(order))} of its {len(poset.ranks)}"
+        raise ValidationError(f"{whole}, but {held}")
+    place = {i: k for k, i in enumerate(order)}
+    return ContractionPoset(
+        tuple(poset.cores[i] for i in order),
+        tuple(poset.digests[i] for i in order),
+        tuple(poset.ranks[i] for i in order),
+        frozenset((place[i], place[j]) for i, j in poset.covers),
+    )
+
+
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     data = _load(args.file)
     # strata documents render as a poset; single graphs as a picture
-    records = None
-    if isinstance(data, list):
-        records = data
-    elif isinstance(data, dict) and "strata" in data:
-        records = data["strata"]
-    if records is not None:
+    records = data.get("strata") if isinstance(data, dict) else data
+    if isinstance(data, (dict, list)) and records is not None:
         if not isinstance(records, list):
             raise SchemaError("strata must be a list of objects")
         strata = []
         for record in records:
             if not isinstance(record, dict):
                 raise SchemaError("strata entries must be objects")
-            record = dict(record)
-            record.pop("certificate", None)
+            record = {k: v for k, v in record.items() if k != "certificate"}
             strata.append(graph_from_json(record))
-        sys.stdout.write(poset_to_dot(contraction_poset(strata)))
+        sys.stdout.write(poset_to_dot(_document_poset(strata)))
         return 0
     sys.stdout.write(graph_to_dot(graph_from_json(data)))
     return 0
@@ -348,8 +372,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed: "Note on SIGPIPE" in Python's signal docs
+        with open(os.devnull, "w") as null:  # so that the flush at exit passes
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     except OSError as exc:
-        if exc.filename is None:  # not an input path, such as a closed pipe
+        if exc.filename is None:  # not an input path
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -224,14 +224,21 @@ def recipe(
     relabeling: Mapping[str, str] | None = None,
 ) -> GluingRecipe:
     """Assemble and validate a recipe; the rank is derived, never supplied."""
+    if not (isinstance(ns_gluings, Iterable) and isinstance(r_gluings, Iterable)):
+        raise ValidationError("gluings must be iterables of label pairs")
     ns_pairs, r_pairs = tuple(ns_gluings), tuple(r_gluings)
     if not isinstance(assignment, Sequence) or any(type(t) is not int for t in assignment):
         raise ValidationError("assignment must be a sequence of int factor indices")
     for pair in ns_pairs + r_pairs:
         if not isinstance(pair, Sequence) or [type(x) for x in pair] != [str, str]:
             raise ValidationError(f"gluing {pair!r} is not a pair of labels")
+    relabeling = {} if relabeling is None else relabeling
+    if not isinstance(relabeling, Mapping) or any(
+        type(x) is not str for item in relabeling.items() for x in item
+    ):
+        raise ValidationError("relabeling must map labels to labels")
     out = GluingRecipe(
-        source, target, assignment, ns_pairs, r_pairs, relabeling or {}, len(r_pairs)
+        source, target, assignment, ns_pairs, r_pairs, relabeling, len(r_pairs)
     )
     validate_recipe(out).raise_if_invalid("gluing recipe")
     return out

@@ -46,9 +46,9 @@ extends to an isomorphism of the two children that carries new edge to
 new edge.  Contracting edge e of a colored stratum (S, k) gives (S/e, k
 restricted to S/e), so ``strata_poset`` carries the R-flag mask of every
 raw coloring along the flag map into the target shape's ``masks``; it
-contracts, canonizes and names nothing.  ``contraction_poset`` is the
-general path for an arbitrary list of strata: it canonizes every stratum
-and contraction.
+contracts, canonizes and names nothing.  It is the one builder of the
+contraction order: a list of strata is ordered by finding each of them in
+the poset of its enumeration (``ContractionPoset.index_of``).
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
 instance guard refuses enumerations whose bound exceeds ``max_edges``
@@ -64,18 +64,16 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
 from .canon import Core, Generator, Leaf, _canonical_core, _cell_key, _core, _generators
-from .canon import _named, _names, _unmodular_digest, canonical_form, certificate_digest
+from .canon import _named, _names, _unmodular_digest, certificate_digest
 from .errors import ValidationError
-from .graphs import _lift_forest, kept, orbit_pairs
+from .graphs import _lift_forest, kept
 from .lifting import _doubled, _particular
 from .susy import SusyGraph
-from .calculus import contract_pair
 
 __all__ = [
     "MAX_EDGES",
     "ContractionPoset",
     "StratumRecord",
-    "contraction_poset",
     "enumerate_modular_shapes",
     "enumerate_strata",
     "enumerate_strata_records",
@@ -489,40 +487,6 @@ class ContractionPoset:
         if len(tops) != 1:
             raise ValidationError("poset does not have a unique one-vertex top")
         return tops[0]
-
-
-def contraction_poset(strata: Iterable[SusyGraph]) -> ContractionPoset:
-    """Cover relations by single contractions among the given strata.  Every
-    single-pair contraction of a listed stratum must land on a listed
-    stratum (the list is closed under contraction).  The poset's
-    ``strata`` are the given graphs."""
-    items = list(strata)
-    forms = [canonical_form(g) for g in items]
-    index = {form.digest: i for i, form in enumerate(forms)}
-    if len(index) != len(items):
-        raise ValidationError("duplicate strata passed to contraction_poset")
-    covers: set[tuple[int, int]] = set()
-    for i, g in enumerate(items):
-        for pair in orbit_pairs(g.graph.involution):
-            step = contract_pair(g, pair)
-            d = certificate_digest(step.target)
-            j = index.get(d)
-            if j is None:
-                raise ValidationError(
-                    "contraction leaves the given stratum list; pass a list "
-                    "closed under contraction"
-                )
-            covers.add((i, j))
-    cores = tuple(_canonical_core(form.core, form.leaves[0]) for form in forms)
-    poset = ContractionPoset(
-        cores,
-        tuple(form.digest for form in forms),
-        tuple(map(_edge_count, cores)),
-        frozenset(covers),
-    )
-    # the given graphs stand for the strata, not their canonical namings
-    object.__setattr__(poset, "strata", tuple(items))
-    return poset
 
 
 def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:

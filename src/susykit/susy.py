@@ -207,6 +207,8 @@ def _renamed(
 
 def validate_susy_graph(g: SusyGraph) -> ValidationReport:
     """The graph axioms, then the labeling checks, both kept on the graphs."""
+    if not isinstance(g, SusyGraph):
+        return ValidationReport((f"expected a SusyGraph, got {type(g).__name__}",))
     rep = validate_graph(g.graph)
     return g._labeling_report if rep.ok else rep
 

@@ -5,7 +5,9 @@ forests grown edge by edge, exhaustive enumeration of colorings and
 bijections, and a strata generator that builds multigraphs directly from
 vertex counts, tail assignments, and edge multisets.  None of these call
 the library code paths they are used to check; they only consume the
-plain data structures (graphs, labelings) and the constructors.
+plain data structures (graphs, labelings) and the constructors.  The
+contraction order is found by contracting every edge of every stratum and
+canonizing the result, not from the covers the enumeration records.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from susykit import (
     NS,
     R,
     SusyGraph,
+    canonical_form,
+    contract_pair,
     edges,
     flags_at,
     is_stable,
@@ -369,6 +373,30 @@ def brute_strata(
             if not any(brute_is_isomorphic(colored, rep) for rep in out):
                 out.append(colored)
     return out
+
+
+# ---------------------------------------------------------------------------
+# contraction order by contracting every edge
+
+
+def contraction_poset(
+    strata: Iterable[SusyGraph],
+) -> tuple[list[str], list[int], frozenset[tuple[int, int]]]:
+    """The certificate digests, edge counts and covers of ``strata``, in the
+    given order: (i, j) is a cover when contracting one edge of stratum i
+    gives stratum j.  The list must hold each stratum once and be closed
+    under contraction."""
+    items = list(strata)
+    digests = [canonical_form(g).digest for g in items]
+    index = {d: i for i, d in enumerate(digests)}
+    assert len(index) == len(items), "duplicate strata"
+    covers = set()
+    for i, g in enumerate(items):
+        for pair in edges(g.graph):
+            target = canonical_form(contract_pair(g, pair).target).digest
+            assert target in index, "the strata are not closed under contraction"
+            covers.add((i, index[target]))
+    return digests, [len(edges(g.graph)) for g in items], frozenset(covers)
 
 
 # ---------------------------------------------------------------------------

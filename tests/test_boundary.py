@@ -1,6 +1,7 @@
 """Morphisms are checked once, at the public entries of evaluation and the
 surgery calculus and in ``susykit evaluate``, and a malformed morphism
-raises only ValidationError."""
+raises only ValidationError.  A public entry given something that is not
+a SUSY graph raises only a SusyKitError."""
 
 import random
 import sys
@@ -14,15 +15,21 @@ import susykit.susy
 from susykit import (
     NS,
     R,
+    SusyKitError,
     SusyMorphism,
     ValidationError,
+    are_isomorphic,
+    automorphisms,
+    canonical_form,
     classify,
     compose,
     contract_pair,
     contract_tails,
+    count_lifts,
     decompose_to_elementaries,
     evaluate_operad,
     graft,
+    stratum_dimension,
     susy_graph,
     susy_identity,
     validate_susy_morphism,
@@ -223,3 +230,20 @@ def test_a_shared_map_is_checked_against_its_own_endpoints():
     assert validate_susy_morphism(regenused).violations == (
         "genus at 'u*v' should be 1, found 0",
     )
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (canonical_form, (5,)),
+        (are_isomorphic, (1, 2)),
+        (automorphisms, (5,)),
+        (count_lifts, ("a",)),
+        (stratum_dimension, (5,)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_a_non_graph_raises_only_a_susykit_error(fn, args):
+    # each once raised AttributeError: 'int' object has no attribute 'graph'
+    with pytest.raises(SusyKitError, match="expected a SusyGraph"):
+        fn(*args)

@@ -2,6 +2,7 @@
 output shapes, and the 0/1/2 exit code contract."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -231,10 +232,7 @@ class TestEnumerateSearches:
         counts: dict[str, int] = {}
         counted(monkeypatch, canon, "_search", counts)
         counted(monkeypatch, strata, "_move", counts)
-        counted(monkeypatch, strata, "contract_pair", counts)
         counted(monkeypatch, calculus, "contract_pair", counts)
-        counted(monkeypatch, cli, "contraction_poset", counts)
-        counted(monkeypatch, strata, "contraction_poset", counts)
         records = []
         searches = []
         poset_fn = cli.strata_poset
@@ -259,7 +257,6 @@ class TestEnumerateSearches:
         assert before == 1 + orbits + n_strata - len(records) == 193
         assert after == before == counts["_search"]
         assert "contract_pair" not in counts
-        assert "contraction_poset" not in counts
 
     @pytest.mark.parametrize(
         "argv, searches, moves",
@@ -544,6 +541,61 @@ class TestExportDot:
         _, second, _ = run(capsys, "export-dot", path)
         assert first == second
 
+    @staticmethod
+    def strata_of(capsys, *argv):
+        rc, out, _ = run(capsys, "enumerate", *argv)
+        assert rc == 0
+        return json.loads(out)
+
+    @pytest.mark.parametrize(
+        "poset, reverse, digest",
+        [
+            (False, False, "80e75ce9c965d08e4d72bacbbd21c76ed4d94fb81638a7bfb3ea9d881b7fc4af"),
+            (True, False, "80e75ce9c965d08e4d72bacbbd21c76ed4d94fb81638a7bfb3ea9d881b7fc4af"),
+            (False, True, "de2f704f2ca4360ef07d6be9467d31b863de08f6df17052e1e846022df8b4af2"),
+        ],
+    )
+    def test_strata_bytes_are_pinned(self, tmp_path, capsys, poset, reverse, digest):
+        """The (1; 2 NS; 2 R) document, with or without its poset, and its
+        strata as a reversed bare list: node S{i} is document position i."""
+        argv = ["--genus", "1", "--ns", "2", "--r", "2"] + ["--poset"] * poset
+        doc = self.strata_of(capsys, *argv)
+        if reverse:
+            doc = doc["strata"][::-1]
+        rc, out, _ = run(capsys, "export-dot", write(tmp_path, "s.json", doc))
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_an_empty_list_renders_the_empty_digraph(self, tmp_path, capsys):
+        rc, out, err = run(capsys, "export-dot", write(tmp_path, "s.json", []))
+        assert (rc, out, err) == (0, 'digraph "strata" {\n}\n', "")
+
+    @pytest.mark.parametrize(
+        "case", ["corolla", "nodal", "duplicate", "other genus", "unstable", "modular"]
+    )
+    def test_refuses_what_is_not_one_whole_enumeration(self, tmp_path, capsys, case):
+        """Strata are every stratum of one enumeration, each once: a list
+        missing some, repeating one or holding a foreign, unstable or
+        modular graph is refused with exit 1 and one ``error:`` line."""
+        # the corolla, then its two one-loop strata
+        strata = self.strata_of(capsys, "--genus", "1", "--ns", "1")["strata"]
+        whole = "export-dot takes every stratum of one enumeration exactly once"
+        doc, message = {
+            "corolla": (strata[:1], whole),
+            "nodal": (strata[1:], whole),
+            "duplicate": (strata + strata[:1], whole),
+            "other genus": (
+                self.strata_of(capsys, "--genus", "0", "--ns", "4")["strata"] + strata[:1],
+                "not in the poset",
+            ),
+            "unstable": ([graph_to_json(star(0, 2))], "unstable"),
+            "modular": ([graph_to_json(star(0, 3, modular=True))], "not in the poset"),
+        }[case]
+        rc, out, err = run(capsys, "export-dot", write(tmp_path, "s.json", doc))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 def script_env() -> dict[str, str]:
     """The environment, with this checkout's sources first on PYTHONPATH."""
@@ -616,17 +668,38 @@ class TestUnreadableInputs:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
-    def test_a_closed_output_is_not_an_input_error(self, tmp_path, monkeypatch, capsys):
-        """An ``OSError`` without a file name, such as a closed pipe on
-        stdout, is not mapped to exit 2."""
+    def test_a_closed_output_is_not_an_input_error(self, tmp_path, monkeypatch):
+        """A closed pipe on stdout is not mapped to exit 2: the command
+        exits 1, writes nothing to stderr and points stdout at /dev/null."""
         path = write(tmp_path, "g.json", graph_to_json(star(0, 3)))
 
         def closed(*_):
             raise BrokenPipeError(32, "Broken pipe")
 
         monkeypatch.setattr(cli, "write_json", closed)
-        with pytest.raises(BrokenPipeError):
-            main(["dims", path])
+        stderr = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        with open(tmp_path / "out", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["dims", path]) == 1
+            stdout.write("dropped")
+        assert stderr.getvalue() == ""
+        assert (tmp_path / "out").read_text() == ""
+
+    def test_the_script_exits_quietly_when_its_reader_stops(self):
+        """The reader closes the pipe after a few bytes of a 400 kB output."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "susykit.cli", "enumerate", "--genus", "0", "--ns", "6"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=script_env(),
+        )
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 def test_installed_script_smoke(tmp_path):

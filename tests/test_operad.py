@@ -207,6 +207,12 @@ class TestSignatureBasics:
             ({"assignment": [0], "ns_gluings": [("a", 2)]}, "not a pair of labels"),
             ({"assignment": [0], "r_gluings": [("a", 2)]}, "not a pair of labels"),
             ({"assignment": [0], "ns_gluings": [5]}, "not a pair of labels"),
+            ({"assignment": [0], "ns_gluings": 5}, "gluings must be iterables"),
+            ({"assignment": [0], "relabeling": 5}, "relabeling must map labels"),
+            (
+                {"assignment": [0], "relabeling": {"a": ["x"], "b": "b", "c": "c"}},
+                "relabeling must map labels",
+            ),
         ],
     )
     def test_malformed_recipe_arguments_raise_validation_error(self, kwargs, message):

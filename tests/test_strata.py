@@ -16,7 +16,6 @@ from susykit import (
     canonical_form,
     certificate_digest,
     contract_pair,
-    contraction_poset,
     edges,
     enumerate_edge_colorings,
     enumerate_modular_shapes,
@@ -52,6 +51,7 @@ from oracles import (
     brute_strata,
     brute_strata_shapes,
     color_set_of,
+    contraction_poset,
     forest_b1,
 )
 from test_boundary import count_calls
@@ -283,20 +283,24 @@ class TestColoringCounts:
             assert len(raw) == len(expected)
 
 
+def poset_of(g, ns, r):
+    return strata_poset(enumerate_strata_records(g, ns, r))
+
+
 class TestPoset:
+    """The ``ContractionPoset`` methods, on the poset of one enumeration."""
+
     def test_four_ns_corolla_tops_three_trees(self):
-        strata = enumerate_strata(0, FOUR, [])
-        poset = contraction_poset(strata)
+        poset = poset_of(0, FOUR, [])
         assert poset.ranks[poset.top] == 0
         assert sorted(poset.ranks) == [0, 1, 1, 1]
         assert len(poset.covers) == 3
         assert all(j == poset.top for _, j in poset.covers)
-        for i in range(len(strata)):
+        for i in range(len(poset.digests)):
             assert poset.less_or_equal(i, poset.top)
 
     def test_genus1_corolla_covers_both_loops(self):
-        strata = enumerate_strata(1, ["1"], [])
-        poset = contraction_poset(strata)
+        poset = poset_of(1, ["1"], [])
         top = poset.top
         below = [i for i in range(3) if i != top]
         assert {(i, top) for i in below} == set(poset.covers)
@@ -306,27 +310,20 @@ class TestPoset:
         assert not poset.less_or_equal(top, a)
 
     def test_singleton_enumeration_gives_point_poset(self):
-        strata = enumerate_strata(0, ["1", "2", "3"], [])
-        assert len(strata) == 1
-        poset = contraction_poset(strata)
+        poset = poset_of(0, ["1", "2", "3"], [])
+        assert len(poset.digests) == 1
         assert poset.top == 0
         assert poset.covers == frozenset()
-
-    def test_list_must_be_closed_under_contraction(self):
-        strata = enumerate_strata(1, ["1"], [])
-        nodal = [g for g in strata if edges(g.graph)]
-        with pytest.raises(ValidationError, match="closed under contraction"):
-            contraction_poset(nodal)
+        assert poset.successors == ((),)
 
     def test_digests_are_the_strata_digests(self):
         strata = enumerate_strata(1, ["1", "2"], ["3", "4"])
-        poset = contraction_poset(strata)
+        poset = poset_of(1, ["1", "2"], ["3", "4"])
         assert list(poset.digests) == [canonical_form(g).digest for g in strata]
 
     def test_less_or_equal_is_the_transitive_closure(self):
-        strata = enumerate_strata(0, FIVE, [])
-        poset = contraction_poset(strata)
-        n = len(strata)
+        poset = poset_of(0, FIVE, [])
+        n = len(poset.digests)
         reach = [[i == j for j in range(n)] for i in range(n)]
         for i, j in poset.covers:
             reach[i][j] = True
@@ -344,33 +341,24 @@ class TestPoset:
     )
     def test_less_or_equal_refuses_a_bad_index(self, i, j):
         # (99, 99) and (True, 1) once returned True
-        for poset in (
-            contraction_poset(enumerate_strata(0, FOUR, [])),
-            strata_poset(enumerate_strata_records(0, FOUR, [])),
-        ):
-            assert len(poset.digests) == 4
-            with pytest.raises(ValidationError, match="stratum index"):
-                poset.less_or_equal(i, j)
-
-    def test_duplicates_rejected(self):
-        strata = enumerate_strata(0, FOUR, [])
-        with pytest.raises(ValidationError, match="duplicate"):
-            contraction_poset(strata + [strata[0]])
+        poset = poset_of(0, FOUR, [])
+        assert len(poset.digests) == 4
+        with pytest.raises(ValidationError, match="stratum index"):
+            poset.less_or_equal(i, j)
 
     def test_index_of_round_trips(self):
         strata = enumerate_strata(1, ["1"], [])
-        poset = contraction_poset(strata)
+        poset = poset_of(1, ["1"], [])
         for i, g in enumerate(strata):
             assert poset.index_of(g) == i
 
-
     def test_index_of_rejects_a_stratum_not_listed(self):
-        poset = contraction_poset(enumerate_strata(0, FOUR, []))
+        poset = poset_of(0, FOUR, [])
         with pytest.raises(ValueError):
             poset.index_of(enumerate_strata(0, FIVE, [])[0])
 
     def test_index_of_raises_a_validation_error(self):
-        poset = contraction_poset(enumerate_strata(0, FOUR, []))
+        poset = poset_of(0, FOUR, [])
         with pytest.raises(ValidationError, match="not in the poset"):
             poset.index_of(enumerate_strata(0, FIVE, [])[0])
 
@@ -388,27 +376,24 @@ class TestStrataPoset:
         ],
     )
     def test_equals_contraction_poset(self, g, ns, r):
-        mine = strata_poset(enumerate_strata_records(g, ns, r))
-        ref = contraction_poset(enumerate_strata(g, ns, r))
-        assert mine.strata == ref.strata
-        assert mine.digests == ref.digests
-        assert mine.ranks == ref.ranks
-        assert mine.covers == ref.covers
+        mine = poset_of(g, ns, r)
+        strata = enumerate_strata(g, ns, r)
+        digests, ranks, covers = contraction_poset(strata)
+        assert mine.strata == tuple(strata)
+        assert list(mine.digests) == digests
+        assert list(mine.ranks) == ranks
+        assert mine.covers == covers
 
     @pytest.mark.parametrize(
         "g, ns, r", [(0, FIVE, []), (1, ["1", "2"], ["3", "4"]), (2, [], [])]
     )
     def test_successors_group_the_covers(self, g, ns, r):
-        """``successors`` lists each stratum's cover targets, ascending, on
-        both paths to the poset."""
-        for poset in (
-            strata_poset(enumerate_strata_records(g, ns, r)),
-            contraction_poset(enumerate_strata(g, ns, r)),
-        ):
-            assert len(poset.successors) == len(poset.digests)
-            for i, targets in enumerate(poset.successors):
-                assert list(targets) == sorted(j for x, j in poset.covers if x == i)
-            assert sum(map(len, poset.successors)) == len(poset.covers)
+        """``successors`` lists each stratum's cover targets, ascending."""
+        poset = poset_of(g, ns, r)
+        assert len(poset.successors) == len(poset.digests)
+        for i, targets in enumerate(poset.successors):
+            assert list(targets) == sorted(j for x, j in poset.covers if x == i)
+        assert sum(map(len, poset.successors)) == len(poset.covers)
 
     def test_records_must_be_closed_under_contraction(self):
         records = enumerate_strata_records(1, ["1"], [])
