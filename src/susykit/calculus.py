@@ -9,7 +9,11 @@ commutation lemmas (isomorphisms slide past contractions; disjoint
 contractions commute).
 
 Each public entry checks the morphism it is given once; the steps and
-pieces built from a checked morphism are not checked again.
+pieces built from a checked morphism are not checked again.  The
+graftings, contractions and isomorphisms built here, and the final
+isomorphism of a decomposition, are valid by construction when their
+source graph is valid: each keeps a passing check of its maps from the
+start (``susy._built``), while every check of it still checks its endpoints.
 
 Identifier conventions: contracting an edge between distinct vertices
 names the merged vertex by joining the sorted ``*``-separated parts of
@@ -23,13 +27,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .graphs import Graph, tails
+from .graphs import Graph, GraphMorphism, tails
 from .susy import (
     NS,
     R,
     SusyGraph,
     SusyLabeling,
     SusyMorphism,
+    _built,
     _renamed,
     compose,
     susy_identity,
@@ -139,11 +144,10 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
 def _grafting(source: SusyGraph, target: SusyGraph) -> SusyMorphism:
     """The morphism between graphs on the same flags and vertices whose
     flag and vertex maps are identities."""
-    return susy_morphism(
-        source,
-        target,
-        flag_map={f: f for f in target.flags},
-        vertex_map={v: v for v in target.vertices},
+    flag_map = {f: f for f in target.flags}
+    vertex_map = {v: v for v in target.vertices}
+    return _built(
+        source, target, GraphMorphism(source.graph, target.graph, flag_map, vertex_map, {})
     )
 
 
@@ -194,12 +198,9 @@ def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphis
         ),
         modular=g.modular,
     )
-    return susy_morphism(
-        g,
-        target,
-        flag_map={f: f for f in new_flags},
-        vertex_map=vertex_map,
-        contracted_pairs=[(a, b)],
+    flag_map = {f: f for f in new_flags}
+    return _built(
+        g, target, GraphMorphism(g.graph, target.graph, flag_map, vertex_map, {a: b, b: a})
     )
 
 
@@ -245,12 +246,9 @@ def make_isomorphism(
         set(new_vert.values())
     ) != len(new_vert):
         raise ValidationError("renaming must stay injective")
-    return susy_morphism(
-        g,
-        _renamed(g, new_flag, new_vert),
-        flag_map={new_flag[f]: f for f in g.flags},
-        vertex_map=new_vert,
-    )
+    target = _renamed(g, new_flag, new_vert)
+    flag_map = {new_flag[f]: f for f in g.flags}
+    return _built(g, target, GraphMorphism(g.graph, target.graph, flag_map, new_vert, {}))
 
 
 def iso_between(
@@ -497,7 +495,11 @@ def decompose_to_elementaries(
         and all(v == k for k, v in iso_vertex_map.items())
     )
     if not is_trivial:
-        iso = susy_morphism(current, tgt, iso_flag_map, iso_vertex_map)
+        iso = _built(
+            current,
+            tgt,
+            GraphMorphism(current.graph, tgt.graph, iso_flag_map, iso_vertex_map, {}),
+        )
         steps.append(_classify(iso))
 
     composite = compose_chain(src, [s.morphism for s in steps])

@@ -53,9 +53,9 @@ def graph_to_dot(g: SusyGraph, name: str = "susy") -> str:
 def poset_to_dot(poset: ContractionPoset, name: str = "strata") -> str:
     """Cover relations as arrows pointing at the contraction (upward)."""
     lines = [f"digraph {_quote(name)} {{"]
-    for i, g in enumerate(poset.strata):
+    for i, c in enumerate(poset.cores):
         n_edges = poset.ranks[i]
-        r_edges = sum(1 for a, _ in edges(g.graph) if g.color_of(a) != NS)
+        r_edges = sum(1 for f, p in enumerate(c.involution) if f < p and c.color[f] == 1)
         label = f"S{i}: {n_edges}E" + (f" ({r_edges}R)" if r_edges else "")
         lines.append(f"  {_quote(f'S{i}')} [label={_quote(label)}];")
     for i, js in enumerate(poset.successors):

@@ -133,6 +133,8 @@ class Graph:
 def validate_graph(g: Graph) -> ValidationReport:
     """Check the graph axioms and report every violation found, once per
     graph, which keeps the report (``Graph.report``)."""
+    if not isinstance(g, Graph):
+        return ValidationReport((f"expected a Graph, got {type(g).__name__}",))
     return g.report
 
 

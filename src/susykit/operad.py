@@ -22,12 +22,12 @@ and from per-vertex sums, which must agree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .graphs import ValidationReport, _root, edges, is_connected, tails
+from .graphs import ValidationReport, _root, edges, is_connected, kept, tails
 from .susy import NS, R, SusyGraph, SusyMorphism, genus, require_susy
 from .susy import validate_susy_morphism
 
@@ -83,17 +83,20 @@ def _factor_key(f: ModuliFactor) -> tuple:
 @dataclass(frozen=True, init=False)
 class ModuliSignature:
     """A product of factors in canonical order.  Construction validates it
-    (raising ValidationError), so every instance is a valid signature."""
+    (raising ValidationError), so every instance is a valid signature.  The
+    signature of a valid stable graph is valid by construction, so
+    ``SusyGraph.signature`` builds it unchecked (``_unchecked_signature``)."""
 
     factors: tuple[ModuliFactor, ...]
     mode: str = SUPER
-    _factor_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, factors, mode: str = SUPER) -> None:
         self.__dict__.update(factors=tuple(factors), mode=mode)
         validate_signature(self).raise_if_invalid("signature")
-        index = {l: i for i, f in enumerate(self.factors) for l in f.labels}
-        self.__dict__["_factor_index"] = index
+
+    @kept
+    def _factor_index(self) -> dict[str, int]:
+        return {l: i for i, f in enumerate(self.factors) for l in f.labels}
 
     @property
     def labels(self) -> frozenset[str]:
@@ -105,6 +108,14 @@ class ModuliSignature:
     def color_of(self, label: str) -> str:
         f = self.factors[self.factor_of(label)]
         return NS if label in f.ns_labels else R
+
+
+def _unchecked_signature(factors: Iterable[ModuliFactor], mode: str) -> ModuliSignature:
+    """A signature built without ``validate_signature``, for factors that
+    are valid and in canonical order by construction."""
+    sig = object.__new__(ModuliSignature)
+    sig.__dict__.update(factors=tuple(factors), mode=mode)
+    return sig
 
 
 def validate_signature(sig: ModuliSignature) -> ValidationReport:
@@ -165,6 +176,8 @@ def signature(
 ) -> ModuliSignature:
     """Build a signature in canonical factor order.  Tuple shorthand
     (genus, ns_labels, r_labels) is accepted for factors, and no other."""
+    if not isinstance(factors, Iterable):
+        raise ValidationError(f"invalid signature: {factors!r} is not a list of factors")
     built = []
     for i, f in enumerate(factors):
         try:
@@ -468,7 +481,13 @@ def glue_r_loop(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
 def _graph_signature(g: SusyGraph) -> tuple[ModuliSignature, dict[str, int]]:
     """Per-vertex factors with flag ids as labels; vertex -> factor position.
     ``SusyGraph.signature`` keeps it, so read that instead.  The vertices,
-    in name order, are stably sorted once by their factor keys."""
+    in name order, are stably sorted once by their factor keys.  A valid
+    stable graph gives a valid signature: one factor per vertex, each flag
+    a string label at one vertex in one colour, even R flags per vertex (or
+    none when modular), so it is built unchecked once stability is read."""
+    if not g.stability.stable:
+        unstable = list(g.stability.unstable_vertices)
+        raise ValidationError(f"invalid signature: unstable vertices {unstable}")
     genera, color, incidence = g.labeling.genus, g.labeling.color, g.graph.incidence
     verts = sorted(g.vertices)
     keys = {}
@@ -478,7 +497,7 @@ def _graph_signature(g: SusyGraph) -> tuple[ModuliSignature, dict[str, int]]:
             (ns if color[f] == NS else r).append(f)
         keys[v] = (genera[v], tuple(ns), tuple(r))
     order = sorted(verts, key=keys.__getitem__)
-    sig = ModuliSignature(
+    sig = _unchecked_signature(
         [ModuliFactor(*keys[v]) for v in order], CLASSICAL if g.modular else SUPER
     )
     rank = {v: i for i, v in enumerate(order)}
@@ -543,7 +562,7 @@ def project(x: ModuliSignature | GluingRecipe):
             ns_gluings=x.ns_gluings + x.r_gluings,
             relabeling=x.relabeling,
         )
-    raise TypeError(f"cannot project {type(x).__name__}")
+    raise ValidationError(f"cannot project {type(x).__name__}")
 
 
 @dataclass(frozen=True)

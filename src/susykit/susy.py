@@ -290,7 +290,11 @@ def _require_valid(g: SusyGraph) -> None:
 class SusyMorphism:
     """A graph morphism whose endpoints carry SUSY labelings.  It keeps the
     checks of its maps (see ``validate_susy_morphism``), so the maps are
-    read-only once checked, as a graph's are once ``Graph.report`` is read."""
+    read-only once checked, as a graph's are once ``Graph.report`` is read.
+    The maps of a morphism that the calculus builds (its graftings,
+    contractions and isomorphisms, ``susy_identity``, and ``compose`` of
+    two morphisms whose maps passed) are valid by construction: it keeps a
+    passing report from the start, and only its endpoints are checked."""
 
     source: SusyGraph
     target: SusyGraph
@@ -317,6 +321,19 @@ class SusyMorphism:
         return _check_maps(self)
 
 
+_PASSED = ValidationReport(())
+
+
+def _built(source: SusyGraph, target: SusyGraph, map: GraphMorphism) -> SusyMorphism:
+    """A morphism built by a rule of the calculus, which keeps the morphism
+    axioms, the colours and the genus, so its maps pass their checks when
+    its source is valid; it keeps the one shared passing report unchecked.
+    ``validate_susy_morphism`` still checks both endpoints on every call."""
+    h = SusyMorphism(source, target, map)
+    h.__dict__["_report"] = _PASSED
+    return h
+
+
 def susy_morphism(
     source: SusyGraph,
     target: SusyGraph,
@@ -341,6 +358,8 @@ def validate_susy_morphism(h: SusyMorphism) -> ValidationReport:
     """Graph-morphism axioms plus genus bookkeeping and color preservation.
     Every call reads the endpoint reports kept on the graphs and checks that
     the endpoints agree; the checks of the maps run once, kept on ``h``."""
+    if not isinstance(h, SusyMorphism):
+        return ValidationReport((f"expected a SusyMorphism, got {type(h).__name__}",))
     problems: list[str] = []
     for g, name in ((h.source, "source"), (h.target, "target")):
         rep = validate_susy_graph(g)
@@ -387,15 +406,20 @@ def _check_maps(h: SusyMorphism) -> ValidationReport:
 
 
 def susy_identity(g: SusyGraph) -> SusyMorphism:
-    return SusyMorphism(g, g, _graphs.identity_morphism(g.graph))
+    return _built(g, g, _graphs.identity_morphism(g.graph))
 
 
 def compose(h, f):
-    """Composite of two morphisms, SUSY-labeled or plain."""
+    """Composite of two morphisms, SUSY-labeled or plain.  The category is
+    closed under composition, so the composite of two SUSY morphisms whose
+    kept map checks passed keeps a passing report unchecked."""
     if isinstance(h, SusyMorphism) and isinstance(f, SusyMorphism):
         if h.target != f.source:
             raise ValidationError("compose: endpoints do not match")
-        return SusyMorphism(h.source, f.target, _graphs.compose(h.map, f.map))
+        m = _graphs.compose(h.map, f.map)
+        if vars(h).get("_report") and vars(f).get("_report"):
+            return _built(h.source, f.target, m)
+        return SusyMorphism(h.source, f.target, m)
     if isinstance(h, GraphMorphism) and isinstance(f, GraphMorphism):
         return _graphs.compose(h, f)
     raise TypeError("compose expects two morphisms of the same kind")

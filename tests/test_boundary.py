@@ -1,7 +1,9 @@
 """Morphisms are checked once, at the public entries of evaluation and the
 surgery calculus and in ``susykit evaluate``, and a malformed morphism
-raises only ValidationError.  A public entry given something that is not
-a SUSY graph raises only a SusyKitError."""
+raises only ValidationError; a morphism that the calculus built skips the
+checks of its maps, which hold by construction.  A public entry given
+something that is not a SUSY graph, a morphism, a graph or a signature
+raises only a SusyKitError."""
 
 import random
 import sys
@@ -15,6 +17,7 @@ import susykit.susy
 from susykit import (
     NS,
     R,
+    SusyGraph,
     SusyKitError,
     SusyMorphism,
     ValidationError,
@@ -29,13 +32,17 @@ from susykit import (
     decompose_to_elementaries,
     evaluate_operad,
     graft,
+    project,
+    signature,
     stratum_dimension,
     susy_graph,
     susy_identity,
+    susy_morphism,
     validate_susy_morphism,
 )
 from susykit.calculus import atomize
 from susykit.cli import main
+from susykit.graphs import GraphMorphism, validate_graph, validate_morphism
 from susykit.jsonio import dumps, morphism_to_json
 from susykit.sampling import random_morphism, random_susy_graph
 
@@ -177,15 +184,36 @@ def test_malformed_morphism_raises_validation_error(base, mutation):
             entry(bad)
 
 
-def test_whole_runs_its_morphism_axioms_once(monkeypatch):
+def whole_chain():
     h = contraction_chain()
-    whole = compose(h, contract_pair(h.target, ("c0", "b1")))
+    return compose(h, contract_pair(h.target, ("c0", "b1")))
+
+
+def axioms_run_on(monkeypatch, whole):
+    """The ``_morphism_axioms`` calls on ``whole``'s map while it is
+    evaluated and decomposed in both orders."""
     axioms = count_calls(monkeypatch, susykit.graphs._morphism_axioms)
     evaluate_operad(whole)
     for order in ("lex", "reverse"):
         decompose_to_elementaries(whole, order=order)
+    return [m for (m,) in axioms if m is whole.map]
+
+
+def test_whole_runs_its_morphism_axioms_once(monkeypatch):
+    # a composite of contractions is valid by construction, so its map
+    # checks never run; its endpoints are still checked on every entry
+    assert axioms_run_on(monkeypatch, whole_chain()) == []
+
+
+def test_a_user_built_morphism_runs_its_axioms_once(monkeypatch):
+    built = whole_chain()
+    whole = susy_morphism(
+        built.source, built.target, built.flag_map, built.vertex_map,
+        built.contracted_pairs(),
+    )
+    assert whole == built and "_report" not in vars(whole)
     # the two decompositions read the report kept by the evaluation
-    assert [m for (m,) in axioms if m is whole.map] == [whole.map]
+    assert axioms_run_on(monkeypatch, whole) == [whole.map]
 
 
 def _seeded_morphisms():
@@ -247,3 +275,39 @@ def test_a_non_graph_raises_only_a_susykit_error(fn, args):
     # each once raised AttributeError: 'int' object has no attribute 'graph'
     with pytest.raises(SusyKitError, match="expected a SusyGraph"):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn", [evaluate_operad, classify, decompose_to_elementaries, atomize],
+    ids=lambda fn: fn.__name__,
+)
+def test_a_non_morphism_raises_only_a_validation_error(fn):
+    # each once raised AttributeError: 'int' object has no attribute 'source'
+    with pytest.raises(ValidationError, match="expected a SusyMorphism, got int"):
+        fn(5)
+
+
+def test_a_non_morphism_is_reported():
+    assert validate_susy_morphism(5).violations == ("expected a SusyMorphism, got int",)
+
+
+def test_a_non_graph_is_reported_by_the_graph_check():
+    # validate_graph(5) once raised AttributeError from ``g.report``
+    assert validate_graph(5).violations == ("expected a Graph, got int",)
+    h = GraphMorphism(5, star(0).graph, {}, {}, {})
+    assert validate_morphism(h).violations == ("source graph: expected a Graph, got int",)
+    no_graph = SusyGraph(5, star(0).labeling)
+    with pytest.raises(ValidationError, match="expected a Graph, got int"):
+        canonical_form(no_graph)
+
+
+@pytest.mark.parametrize(
+    "fn, arg, message",
+    [(project, 5, "cannot project int"), (signature, 5, "5 is not a list of factors")],
+    ids=["project", "signature"],
+)
+def test_a_non_signature_raises_only_a_validation_error(fn, arg, message):
+    # project(5) once raised its own TypeError, and signature(5) a TypeError
+    # that 'int' object is not iterable
+    with pytest.raises(ValidationError, match=message):
+        fn(arg)

@@ -1,0 +1,160 @@
+"""The calculus builds its graftings, contractions, isomorphisms, identities
+and composites without checking their maps, and each stable graph builds
+its signature without checking it, since both are valid by construction.
+The oracle here records every morphism and signature built that way over
+seeded plans and checks each afresh with the full checks; a contraction
+that drops a colour or a grafting that loses a genus fails it."""
+
+import random
+import sys
+from contextlib import suppress
+from dataclasses import replace
+
+import pytest
+
+import susykit.calculus
+import susykit.operad
+import susykit.susy
+from susykit import (
+    NS,
+    SusyGraph,
+    SusyKitError,
+    SusyLabeling,
+    atomize,
+    check_operad_axioms,
+    classify,
+    compose,
+    decompose_to_elementaries,
+    evaluate_operad,
+    total_grafting,
+    validate_signature,
+)
+from susykit.graphs import GraphMorphism
+from susykit.sampling import random_composable_pair, random_susy_graph
+from susykit.susy import _check_maps
+
+SEEDS = range(5)
+KINDS = {
+    "identity", "grafting", "edge_contraction", "loop_contraction",
+    "virtual_contraction", "isomorphism", "composite",
+}
+
+
+def replace_everywhere(monkeypatch, fn, new):
+    """Put ``new`` in place of ``fn`` in every susykit module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("susykit") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, new)
+
+
+def record_unchecked(monkeypatch):
+    """The morphisms that ``susy._built`` returns and the signatures that
+    ``operad._unchecked_signature`` returns from now on, as two lists."""
+    morphisms, signatures = [], []
+    for fn, out in (
+        (susykit.susy._built, morphisms),
+        (susykit.operad._unchecked_signature, signatures),
+    ):
+        def recording(*args, fn=fn, out=out):
+            out.append(fn(*args))
+            return out[-1]
+
+        replace_everywhere(monkeypatch, fn, recording)
+    return morphisms, signatures
+
+
+def run_calculus(seed):
+    """Seeded plans over every builder of the calculus, each evaluated (so
+    every graph reached reads its signature), decomposed and atomized,
+    then the operad's axiom check."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        g = random_susy_graph(rng, max_vertices=4, max_genus=2, max_extra_edges=2)
+        h, f = random_composable_pair(rng, g)
+        whole = compose(h, f)
+        for m in (h, f, whole, total_grafting(g)):
+            evaluate_operad(m)
+        for order in ("lex", "reverse"):
+            for step in decompose_to_elementaries(whole, order=order):
+                evaluate_operad(step.morphism)
+        atomize(whole)
+    assert check_operad_axioms(seed=seed, cases=20).passed
+
+
+def fails_a_fresh_check(morphisms, signatures):
+    """Each recorded morphism or signature that its full check refuses."""
+    bad = [m for m in morphisms if not _check_maps(replace(m)).ok]
+    return bad + [s for s in signatures if not validate_signature(s).ok]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_what_is_built_unchecked_passes_a_fresh_check(monkeypatch, seed):
+    morphisms, signatures = record_unchecked(monkeypatch)
+    run_calculus(seed)
+    assert fails_a_fresh_check(morphisms, signatures) == []
+    # every builder was reached
+    assert {classify(m).kind for m in morphisms} == KINDS
+    assert signatures
+
+
+def rebuilt(h, target):
+    """``h``'s maps onto ``target``, through the calculus's builder."""
+    m = h.map
+    return susykit.calculus._built(
+        h.source,
+        target,
+        GraphMorphism(m.source, target.graph, m.flag_map, m.vertex_map, m.contracted),
+    )
+
+
+def colour_dropping(contract):
+    """``_contract`` with every flag of its target coloured NS."""
+
+    def dropped(g, pair, virtual):
+        h = contract(g, pair, virtual)
+        lab = h.target.labeling
+        colour = dict.fromkeys(lab.color, NS)
+        labels = {**lab.ns_tail_labels, **lab.r_tail_labels}
+        target = SusyGraph(
+            h.target.graph,
+            SusyLabeling(lab.genus, colour, labels, {}),
+            h.target.modular,
+        )
+        return rebuilt(h, target)
+
+    return dropped
+
+
+def genus_losing(graft):
+    """``graft`` with one less genus at its target's highest-genus vertex."""
+
+    def lost(g, pairs):
+        h = graft(g, pairs)
+        lab = h.target.labeling
+        v = max(sorted(lab.genus), key=lab.genus.__getitem__)
+        genus = {**lab.genus, v: lab.genus[v] - 1}
+        target = replace(
+            h.target,
+            labeling=SusyLabeling(genus, lab.color, lab.ns_tail_labels, lab.r_tail_labels),
+        )
+        return rebuilt(h, target)
+
+    return lost
+
+
+@pytest.mark.parametrize(
+    "name, breaking",
+    [("_contract", colour_dropping), ("graft", genus_losing)],
+    ids=["contract_drops_a_colour", "graft_loses_a_genus"],
+)
+def test_the_oracle_sees_a_broken_builder(monkeypatch, name, breaking):
+    fn = getattr(susykit.calculus, name)
+    replace_everywhere(monkeypatch, fn, breaking(fn))
+    morphisms, signatures = record_unchecked(monkeypatch)
+    for seed in SEEDS:
+        # downstream checks may refuse what the broken builder made
+        with suppress(SusyKitError):
+            run_calculus(seed)
+    assert fails_a_fresh_check(morphisms, signatures)

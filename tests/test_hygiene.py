@@ -4,8 +4,10 @@ re-exports and is exempt.  The package keeps derived values with one
 descriptor, ``graphs.kept``, so no module of it uses
 ``functools.cached_property``.  Every private name that a module of the
 package defines at module level is read somewhere in the package, so no
-helper outlives its last caller.  The checks read each module's syntax
-tree, so they need no linter."""
+helper outlives its last caller.  Only ``susy`` writes a morphism's kept
+``_report``, so the morphisms trusted without a check of their maps are
+built in one place.  The checks read each module's syntax tree, so they
+need no linter."""
 
 import ast
 from pathlib import Path
@@ -145,3 +147,48 @@ def test_the_check_sees_an_unread_private_name():
         "b.py": "from a import _helper\n",
     }
     assert unread_private_names(sources) == ["a.py: _Old", "a.py: _unused"]
+
+
+def report_writes(source: str) -> list[int]:
+    """The lines of ``source`` that write a ``_report``: by assignment to
+    the attribute or to a ``"_report"`` key, by ``setattr`` or
+    ``__setattr__`` with that name, or by ``update(_report=...)``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Attribute) and t.attr == "_report" or (
+                    isinstance(t, ast.Subscript)
+                    and isinstance(t.slice, ast.Constant)
+                    and t.slice.value == "_report"
+                ):
+                    lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            named = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
+            if name in ("setattr", "__setattr__") and named == ["_report"] or (
+                name == "update" and any(k.arg == "_report" for k in node.keywords)
+            ):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_susy_writes_a_kept_report(module):
+    writes = report_writes((SRC / module).read_text(encoding="utf-8"))
+    assert bool(writes) == (module == "susy.py"), writes
+
+
+def test_the_check_sees_a_report_write():
+    source = (
+        "h.__dict__['_report'] = ok\n"
+        "h._report = ok\n"
+        "setattr(h, '_report', ok)\n"
+        "object.__setattr__(h, '_report', ok)\n"
+        "vars(h).update(_report=ok)\n"
+        "h.__dict__['report'] = ok\n"
+        "r = h._report\n"
+    )
+    assert report_writes(source) == [1, 2, 3, 4, 5]

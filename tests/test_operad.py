@@ -670,30 +670,45 @@ class TestEvaluate:
                 assert validate_recipe(r).ok, validate_recipe(r).violations
             assert whole == recipe_compose(first, second)
 
-    def test_signatures_validated_once_each(self, monkeypatch):
-        # each graph builds and validates its signature once, on the first
-        # evaluation that reads it
-        calls = []
-        real = susykit.operad.validate_signature
+    def test_signatures_built_once_each(self, monkeypatch):
+        # each graph builds its signature once, on the first evaluation that
+        # reads it, and a stable graph's signature is valid by construction,
+        # so it is built unchecked
+        calls = {"_unchecked_signature": 0, "validate_signature": 0}
 
-        def counting(sig):
-            calls.append(sig)
-            return real(sig)
+        def counting(name):
+            real = getattr(susykit.operad, name)
 
-        monkeypatch.setattr(susykit.operad, "validate_signature", counting)
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(susykit.operad, name, counting(name))
+
+        def counts():
+            return calls["_unchecked_signature"], calls["validate_signature"]
+
         g = triple_edge_graph()
         h1 = contract_pair(g, ("n1", "n2"))
         h2 = contract_pair(h1.target, ("p1", "p2"))
         r1 = evaluate_operad(h1)
-        assert len(calls) == 2
+        assert counts() == (2, 0)
         assert evaluate_operad(h1) == r1
-        assert len(calls) == 2
+        assert counts() == (2, 0)
         # h2.source is h1.target, whose signature is already built
         r2 = evaluate_operad(h2)
-        assert len(calls) == 3
+        assert counts() == (3, 0)
         assert r2.source is r1.target
         recipe_compose(r1, r2)
-        assert len(calls) == 3
+        assert counts() == (3, 0)
+
+    def test_an_unstable_graph_has_no_signature(self):
+        g = star(0, 2)
+        with pytest.raises(ValidationError, match=r"unstable vertices \['v'\]"):
+            g.signature
 
     def test_recipe_corpus_is_pinned(self):
         rows = []
@@ -818,7 +833,8 @@ class TestProjection:
         assert p == glue_ns_loop(project(sig), "r1", "r2")
 
     def test_project_rejects_other_types(self):
-        with pytest.raises(TypeError):
+        # once its own TypeError
+        with pytest.raises(ValidationError, match="cannot project int"):
             project(42)
 
     def test_projection_square_fixed(self):
