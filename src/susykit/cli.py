@@ -17,12 +17,13 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .canon import certificate_digest
+from .canon import Core, certificate_digest
 from .curves import dual_graph
 from .errors import SchemaError, SusyKitError, ValidationError
 from .graphs import edges, tails
 from .jsonio import (
     curve_from_json,
+    dumps,
     graph_from_json,
     graph_to_json,
     load_curve,
@@ -30,9 +31,8 @@ from .jsonio import (
     load_morphism,
     morphism_from_json,
     recipe_to_json,
-    write_json,
     _load,
-    _stratum_record,
+    _write_strata,
 )
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
 from .operad import _evaluate, check_operad_axioms, stratum_dimension
@@ -55,13 +55,21 @@ def _labels(raw: str) -> list[str]:
 
 
 def _emit(
-    args: argparse.Namespace, data: dict, table: Callable[[], list[str]]
+    args: argparse.Namespace,
+    data: dict,
+    table: Callable[[], list[str]],
+    records: tuple[str, Sequence[Core], Sequence[str]] | None = None,
 ) -> None:
-    """Write ``data`` as JSON, or the lines ``table()`` builds on demand."""
-    if args.format == "json":
-        write_json(data, sys.stdout.write)
-    else:
+    """Write ``data`` as JSON, or the lines ``table()`` builds on demand.
+    ``records``, a key with the canonical cores and certificates of a
+    strata document, are written under that key after ``data``, one
+    stratum at a time."""
+    if args.format == "table":
         sys.stdout.write("\n".join(table()) + "\n")
+    elif records is None:
+        sys.stdout.write(dumps(data))
+    else:
+        _write_strata(sys.stdout.write, data, *records)
 
 
 def _graph_summary(g: SusyGraph) -> list[str]:
@@ -152,12 +160,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
     if args.shapes:
         digests, _, cores, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
-        data = {"count": len(cores), "shapes": map(_stratum_record, cores, digests)}
         _emit(
             args,
-            data,
+            {"count": len(cores)},
             lambda: [f"shapes        {len(cores)}"]
             + _digest_lines([_edge_count(c) for c in cores], digests),
+            ("shapes", cores, digests),
         )
         return 0
     records = enumerate_strata_records(args.genus, ns, r, args.max_edges)
@@ -168,11 +176,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         cores, digests, ranks = poset.cores, poset.digests, poset.ranks
     # the colouring tables and covers are not printed: free them first
     del records
-    # each record is built from its core, rendered, written and dropped
-    data = {"count": len(cores), "strata": map(_stratum_record, cores, digests)}
+    head: dict = {"count": len(cores)}
     if poset is not None:
         covers = {str(i): targets for i, targets in enumerate(poset.successors)}
-        data["poset"] = {"ranks": list(ranks), "covers": covers}
+        head["poset"] = {"ranks": list(ranks), "covers": covers}
 
     def table() -> list[str]:
         lines = [f"strata        {len(cores)}"] + _digest_lines(ranks, digests)
@@ -182,7 +189,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 lines.extend(f"  S{i} -> S{j}" for j in js)
         return lines
 
-    _emit(args, data, table)
+    _emit(args, head, table, ("strata", cores, digests))
     return 0
 
 

@@ -64,6 +64,8 @@ def component_id(index: int) -> str:
 
 
 def validate_curve_config(c: CurveConfig) -> ValidationReport:
+    if not isinstance(c, CurveConfig):
+        return ValidationReport((f"expected a CurveConfig, got {type(c).__name__}",))
     problems: list[str] = []
     seen_ids: set[str] = set()
     ns_labels: set[str] = set()

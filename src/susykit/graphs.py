@@ -294,6 +294,8 @@ class GraphMorphism:
 
 def validate_morphism(h: GraphMorphism) -> ValidationReport:
     """Check every morphism axiom; graph-level problems are reported too."""
+    if not isinstance(h, GraphMorphism):
+        return ValidationReport((f"expected a GraphMorphism, got {type(h).__name__}",))
     problems: list[str] = []
     for g, name in ((h.source, "source"), (h.target, "target")):
         rep = validate_graph(g)

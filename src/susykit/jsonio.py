@@ -20,23 +20,20 @@ relative to the morphism file), "flag_map", "vertex_map" and a "contracted"
 pair list.  Curve documents hold "components" and "node_pairing"; puncture
 points carry a "label", node-halves must not.
 
-Documents are written by one writer, ``write_json``: the bytes of
-``json.dumps`` with sorted keys and a two-space indent, written through a
-callable, with an iterator rendered as a list and written element by
-element.  ``dumps`` joins its output into one string.  The strata that
-``susykit enumerate`` prints are ``_StratumRecord`` dicts, which
-``_stratum_record`` builds straight from each stratum's canonical core,
-with no graph in between.  A printed stratum is canonical, named ``v0…``
-and ``f0…``, so a document's records share few distinct vertex, flag,
-edge and label entries (159 over the 2,752 strata of genus 0 with 7 NS
-tails).  The writer renders each distinct entry once per call and joins
-the text, which it drops when the call returns.
+Every document is rendered by ``dumps``: ``json.dumps`` with sorted keys
+and a two-space indent, plus a newline.  The strata document that
+``susykit enumerate`` prints can hold tens of thousands of strata, so
+``_write_strata`` writes it in chunks with the same bytes: its head
+(``count`` and the ``poset``) through ``dumps``, then each stratum's record
+as soon as its text is built from the stratum's canonical core, with no
+graph or dict in between.  A printed stratum is canonical, named ``v0…``
+and ``f0…`` as ``canon._named`` names it.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable
@@ -70,179 +67,71 @@ __all__ = [
     "recipe_to_json",
     "save_graph",
     "signature_to_json",
-    "write_json",
 ]
 
 
-def write_json(data: Any, write: Callable[[str], object]) -> None:
-    """Write ``data`` through ``write`` as ``json.dumps(data, sort_keys=True,
-    indent=2) + "\\n"`` renders it, raising ``TypeError`` where that
-    raises, except that an iterator renders as a list and is consumed one
-    element at a time: each element is written as one joined chunk once it
-    is rendered, so a generator of records is never held whole.
-
-    Strings, ints, bools, None, lists, tuples, iterators and dicts with str
-    keys are rendered here, about twice as fast as the pure-Python encoder
-    that ``json.dumps`` falls back to when given an indent.  A stratum
-    record (``_StratumRecord``) is joined from the text of its vertex, flag,
-    edge and label entries, each rendered once per call and per indent and
-    dropped when the call returns, and a list of ints is joined in one
-    pass.  Any other value is handed to ``json.dumps`` whole, so an
-    iterator under it raises."""
-    parts: list[str] = []
-    _render(data, "\n", parts, write, {})
-    parts.append("\n")
-    write("".join(parts))
+def dumps(data: Any) -> str:
+    """``data`` as every document is written: ``json.dumps`` with sorted
+    keys and a two-space indent, plus a newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _render(
-    value: Any,
-    newline: str,
-    parts: list[str],
+def _write_strata(
     write: Callable[[str], object],
-    fragments: dict,
+    head: dict,
+    key: str,
+    cores: Sequence[Core],
+    digests: Sequence[str],
 ) -> None:
-    """Append the rendering of ``value`` to ``parts``; ``newline`` is a line
-    break and the indent of the line ``value`` starts on, and
-    ``fragments`` the entry text of this call's stratum records."""
-    if isinstance(value, str):
-        parts.append(_quote(value))
-    elif value is None:
-        parts.append("null")
-    elif isinstance(value, bool):
-        parts.append("true" if value else "false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif type(value) is _StratumRecord:
-        _render_stratum(value, newline, parts, fragments)
-    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            parts.append(sep + _quote(key) + ": ")
-            _render(item, inner, parts, write, fragments)
-            sep = "," + inner
-        parts.append("{}" if sep[0] == "{" else newline + "}")
-    elif isinstance(value, (list, tuple)) and value and all(
-        type(x) is int for x in value
-    ):
-        # ints, bools left out, in one join, as the walk below renders them
-        inner = newline + "  "
-        items = ("," + inner).join(map(int.__repr__, value))
-        parts.append("[" + inner + items + newline + "]")
-    elif isinstance(value, (list, tuple, Iterator)):
-        lazy = isinstance(value, Iterator)
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _render(item, inner, parts, write, fragments)
-            sep = "," + inner
-            if lazy:
-                write("".join(parts))
-                parts.clear()
-        parts.append("[]" if sep[0] == "[" else newline + "]")
-    else:
-        # with ASCII output no string holds a raw newline, so this re-indents
-        parts.append(
-            json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
-        )
+    """Write ``dumps(head | {key: records})``, where record i is
+    ``graph_to_json(canon._named(cores[i]))`` plus ``"certificate":
+    digests[i]``, ``head`` is not empty and ``key`` sorts after its keys:
+    the head in one chunk, then each record in one chunk once its text is built, then
+    the close, so that no list of records is held."""
+    write(dumps(head)[:-3] + ",\n  " + _quote(key) + ": [")
+    sep = "\n    "
+    for c, d in zip(cores, digests):
+        write(sep + _stratum_text(c, d))
+        sep = ",\n    "
+    write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 
 
-class _StratumRecord(dict):
-    """The record of one printed stratum: ``graph_to_json(graph)`` plus its
-    ``"certificate"``, as a plain dict.  ``_render_stratum`` renders it from
-    the text of its entries, so it must not be edited once it is built."""
+# the text of a printed record and of its entries, at the indent of an item
+# of the document's list of strata
+_RECORD = (
+    '{\n      "certificate": %s,\n      "edges": %s,\n      "flags": %s,'
+    '\n      "modular": %s,\n      "ns_labels": %s,\n      "r_labels": %s,'
+    '\n      "vertices": %s\n    }'
+)
+_VERTEX = '{\n          "genus": %d,\n          "id": "%s"\n        }'
+_FLAG = '{\n          "color": "%s",\n          "id": "%s",\n          "vertex": "%s"\n        }'
+_EDGE = '[\n          "%s",\n          "%s"\n        ]'
 
-    __slots__ = ()
 
-
-def _stratum_record(c: Core, certificate: str) -> _StratumRecord:
-    """``graph_to_json(canon._named(c))`` plus ``"certificate"``, built with
-    no graph, its entries in the sorted order of their names ("f10" first)."""
+def _stratum_text(c: Core, certificate: str) -> str:
+    """The text of the record of the canonical core ``c``, its entries in
+    the sorted order of their names ("f10" before "f2")."""
     genus, b, j, color, label, modular, _ = c
     vn, fn, flags = _names("v", len(genus)), _names("f", len(b)), _name_order(len(b))
-    tails = sorted((l, color[f], fn[f]) for f, l in enumerate(label) if l is not None)
-    return _StratumRecord(
-        modular=modular,
-        vertices=[{"id": vn[v], "genus": genus[v]} for v in _name_order(len(genus))],
-        flags=[{"id": fn[f], "vertex": vn[b[f]], "color": COLORS[color[f]]} for f in flags],
-        edges=[[fn[f], fn[j[f]]] for f in flags if fn[f] < fn[j[f]]],
-        ns_labels={l: f for l, k, f in tails if not k},
-        r_labels={l: f for l, k, f in tails if k},
-        certificate=certificate,
-    )
-
-
-def _render_stratum(
-    record: _StratumRecord, newline: str, parts: list[str], fragments: dict
-) -> None:
-    """Append the rendering of ``record``, as ``_render`` renders a dict,
-    joined from the text of its vertex, flag, edge and label entries, which
-    ``fragments`` holds per indent once each is first rendered."""
-    inner = newline + "  "
-    item = inner + "  "
-    tables = fragments.get(newline)
-    if tables is None:
-        tables = fragments[newline] = ({}, {}, {}, {})
-    vertex_text, flag_text, edge_text, label_text = tables
-    vertices, flags, edges = [], [], []
-    for d in record["vertices"]:
-        key = d["id"], d["genus"]
-        text = vertex_text.get(key)
-        if text is None:
-            text = vertex_text[key] = _fragment(d, item)
-        vertices.append(text)
-    for d in record["flags"]:
-        key = d["id"], d["vertex"], d["color"]
-        text = flag_text.get(key)
-        if text is None:
-            text = flag_text[key] = _fragment(d, item)
-        flags.append(text)
-    for e in record["edges"]:
-        key = tuple(e)
-        text = edge_text.get(key)
-        if text is None:
-            text = edge_text[key] = _fragment(e, item)
-        edges.append(text)
     labels: tuple[list[str], list[str]] = ([], [])
-    for name, texts in zip(("ns_labels", "r_labels"), labels):
-        for key in record[name].items():
-            text = label_text.get(key)
-            if text is None:
-                text = label_text[key] = _quote(key[0]) + ": " + _quote(key[1])
-            texts.append(text)
-
-    def joined(text: list[str], brackets: str) -> str:
-        if not text:
-            return brackets
-        return brackets[0] + item + ("," + item).join(text) + inner + brackets[1]
-
-    parts.append(
-        "{" + inner + '"certificate": ' + _quote(record["certificate"])
-        + "," + inner + '"edges": ' + joined(edges, "[]")
-        + "," + inner + '"flags": ' + joined(flags, "[]")
-        + "," + inner + '"modular": ' + ("true" if record["modular"] else "false")
-        + "," + inner + '"ns_labels": ' + joined(labels[0], "{}")
-        + "," + inner + '"r_labels": ' + joined(labels[1], "{}")
-        + "," + inner + '"vertices": ' + joined(vertices, "[]")
-        + newline + "}"
+    for l, k, f in sorted((l, color[f], fn[f]) for f, l in enumerate(label) if l is not None):
+        labels[k].append(_quote(l) + ': "' + f + '"')
+    return _RECORD % (
+        _quote(certificate),
+        _listed([_EDGE % (fn[f], fn[j[f]]) for f in flags if fn[f] < fn[j[f]]], "[]"),
+        _listed([_FLAG % (COLORS[color[f]], fn[f], vn[b[f]]) for f in flags], "[]"),
+        "true" if modular else "false",
+        _listed(labels[0], "{}"),
+        _listed(labels[1], "{}"),
+        _listed([_VERTEX % (genus[v], vn[v]) for v in _name_order(len(genus))], "[]"),
     )
 
 
-def _fragment(entry: Any, newline: str) -> str:
-    """The rendering of one record entry that starts on ``newline``."""
-    parts: list[str] = []
-    _render(entry, newline, parts, parts.append, {})
-    return "".join(parts)
-
-
-def dumps(data: Any) -> str:
-    """The canonical rendering of ``data`` as one string: what
-    ``write_json`` writes, joined."""
-    parts: list[str] = []
-    write_json(data, parts.append)
-    return "".join(parts)
+def _listed(entries: list[str], brackets: str) -> str:
+    """``entries``, the text of a record's list or object items, bracketed."""
+    if not entries:
+        return brackets
+    return brackets[0] + "\n        " + ",\n        ".join(entries) + "\n      " + brackets[1]
 
 
 def _kind_ok(value: Any, kind) -> bool:

@@ -214,6 +214,16 @@ def _edge_count(c: Core) -> int:
     return c.label.count(None) // 2  # every tail has a label, and no other flag
 
 
+def _label_set(labels: Iterable[str]) -> frozenset[str]:
+    """``labels`` as a set, refusing what cannot be one; ``_shapes`` checks
+    that they are strings."""
+    try:
+        return frozenset(labels)
+    except TypeError:
+        kind = type(labels).__name__
+        raise ValidationError(f"tail labels must be an iterable of strings, got {kind}") from None
+
+
 def _shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
 ) -> list[tuple[str, bytes, Core, Covers, list[Generator]]]:
@@ -231,7 +241,7 @@ def _shapes(
         raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
     if max_edges is not None and type(max_edges) is not int:
         raise ValidationError(f"max_edges must be an integer or None, got {max_edges!r}")
-    labels = [*set(tail_labels)]
+    labels = [*_label_set(tail_labels)]
     if not all(isinstance(l, str) for l in labels):
         raise ValidationError("tail labels must be strings")
     labels.sort()
@@ -359,7 +369,7 @@ def enumerate_strata_records(
     of each orbit under the shape's automorphisms is searched, on the
     shape's core.  The all-NS coloring takes its digest from the shape's
     certificate and its core from the shape, so it is not searched."""
-    ns, rr = frozenset(ns_labels), frozenset(r_labels)
+    ns, rr = _label_set(ns_labels), _label_set(r_labels)
     overlap = ns & rr
     if overlap:
         raise ValidationError(f"labels {sorted(overlap, key=str)} are both NS and R")
@@ -498,7 +508,9 @@ def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:
     colorings in one orbit of the shape's automorphisms give one stratum,
     so going through all of them reaches the edges that were not
     recorded."""
-    records = list(records)
+    records = list(records) if isinstance(records, Iterable) else [records]
+    if not all(isinstance(rec, StratumRecord) for rec in records):
+        raise ValidationError("strata_poset takes the records of enumerate_strata_records")
     cores, digests, ranks = _ordered(records)
     index = {d: i for i, d in enumerate(digests)}
     tables = {rec.shape_digest: rec.masks for rec in records}

@@ -282,6 +282,8 @@ def require_susy(g: SusyGraph) -> None:
 
 def _require_valid(g: SusyGraph) -> None:
     """``require_susy`` straight from the reports kept on ``g``."""
+    if not (isinstance(g, SusyGraph) and isinstance(g.graph, Graph)):
+        require_susy(g)  # says what ``g`` is instead
     rep = g.graph.report
     (g._labeling_report if rep.ok else rep).raise_if_invalid("SUSY graph")
 
@@ -422,7 +424,7 @@ def compose(h, f):
         return SusyMorphism(h.source, f.target, m)
     if isinstance(h, GraphMorphism) and isinstance(f, GraphMorphism):
         return _graphs.compose(h, f)
-    raise TypeError("compose expects two morphisms of the same kind")
+    raise ValidationError("compose expects two morphisms of the same kind")
 
 
 def genus(g: SusyGraph) -> int:

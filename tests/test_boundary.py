@@ -2,8 +2,9 @@
 surgery calculus and in ``susykit evaluate``, and a malformed morphism
 raises only ValidationError; a morphism that the calculus built skips the
 checks of its maps, which hold by construction.  A public entry given
-something that is not a SUSY graph, a morphism, a graph or a signature
-raises only a SusyKitError."""
+something that is not a SUSY graph, a morphism, a graph, a signature, a
+curve, a label iterable or the records of an enumeration raises only a
+SusyKitError."""
 
 import random
 import sys
@@ -30,14 +31,22 @@ from susykit import (
     contract_tails,
     count_lifts,
     decompose_to_elementaries,
+    dual_graph,
+    enumerate_modular_shapes,
+    enumerate_strata,
+    enumerate_strata_records,
     evaluate_operad,
+    genus,
     graft,
+    is_stable,
     project,
     signature,
     stratum_dimension,
+    strata_poset,
     susy_graph,
     susy_identity,
     susy_morphism,
+    validate_curve_config,
     validate_susy_morphism,
 )
 from susykit.calculus import atomize
@@ -311,3 +320,32 @@ def test_a_non_signature_raises_only_a_validation_error(fn, arg, message):
     # that 'int' object is not iterable
     with pytest.raises(ValidationError, match=message):
         fn(arg)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (compose, (5, 5), "compose expects two morphisms of the same kind"),
+        (validate_morphism, (5,), "invalid argument: expected a GraphMorphism, got int"),
+        (genus, (5,), "invalid SUSY graph: expected a SusyGraph, got int"),
+        (is_stable, (5,), "invalid SUSY graph: expected a SusyGraph, got int"),
+        (genus, (SusyGraph(5, star(0).labeling),), "expected a Graph, got int"),
+        (enumerate_strata_records, (0, 7, 0), "must be an iterable of strings, got int"),
+        (enumerate_strata, (0, 5, []), "must be an iterable of strings, got int"),
+        (enumerate_modular_shapes, (0, 5), "must be an iterable of strings, got int"),
+        (strata_poset, ([1],), "takes the records of enumerate_strata_records"),
+        (strata_poset, (5,), "takes the records of enumerate_strata_records"),
+        (dual_graph, (5,), "invalid curve configuration: expected a CurveConfig, got int"),
+        (validate_curve_config, (5,), "invalid argument: expected a CurveConfig, got int"),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
+    # compose(5, 5) once raised its own TypeError, the three enumerations and
+    # strata_poset(5) a TypeError that 'int' object is not iterable, and the
+    # others an AttributeError; a check that returns a report is asked to
+    # raise it
+    with pytest.raises(SusyKitError, match=message) as caught:
+        report = fn(*args)
+        report.raise_if_invalid("argument")
+    assert type(caught.value) is ValidationError

@@ -7,17 +7,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from susykit import calculus, canon, cli, contract_pair, jsonio, strata
+from susykit import calculus, canon, cli, contract_pair, jsonio, modular_graph, strata
 from susykit.cli import main
+from susykit.curves import CurveConfig
 from susykit.graphs import Graph
 from susykit.jsonio import curve_to_json, dumps, graph_to_json, morphism_to_json
 
 from conftest import star, two_vertex_tree
 from oracles import brute_isomorphisms
+from test_boundary import contraction_chain
 from test_jsonio import colorful_graph, small_curve
 from test_operad import two_corolla_graph
 
@@ -288,16 +291,16 @@ class TestEnumerateSearches:
 
     def test_each_printed_stratum_is_built_from_its_core(self, monkeypatch, capsys):
         # nothing is named: the records and the poset hold cores, the CLI
-        # builds each printed record from its core as it writes it, once per
-        # stratum in poset order, and never reads ``poset.strata``
+        # writes each printed record's text from its core, once per stratum
+        # in poset order, and never reads ``poset.strata``
         counts = {"_named": 0}
         for module in (canon, strata, cli, jsonio):
             if hasattr(module, "_named"):
                 counted(monkeypatch, module, "_named", counts)
         built = []
-        build = cli._stratum_record
+        build = jsonio._stratum_text
         monkeypatch.setattr(
-            cli, "_stratum_record", lambda c, d: built.append(c) or build(c, d)
+            jsonio, "_stratum_text", lambda c, d: built.append(c) or build(c, d)
         )
         posets = []
         poset_fn = cli.strata_poset
@@ -387,6 +390,99 @@ class TestGoldenOutput:
     )
     def test_stdout_hash(self, capsys, argv, sha):
         rc, out, _ = run(capsys, *argv.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def looped_pair():
+    """Two vertices joined by an edge, each with a loop and two tails, so
+    that a tail partition lifts in four ways."""
+    boundary = dict.fromkeys(["a0", "a1", "ea", "l0", "m0"], "u")
+    boundary |= dict.fromkeys(["b0", "b1", "eb", "l1", "m1"], "w")
+    involution = {f: f for f in ("a0", "a1", "b0", "b1")}
+    for x, y in (("ea", "eb"), ("l0", "m0"), ("l1", "m1")):
+        involution[x], involution[y] = y, x
+    return modular_graph(
+        flags=boundary,
+        vertices=["u", "w"],
+        boundary=boundary,
+        involution=involution,
+        genus={"u": 0, "w": 1},
+    )
+
+
+def escaped_curve():
+    """``small_curve`` with puncture labels that JSON escapes."""
+    (left, right), pairing = small_curve().components, small_curve().node_pairing
+    points = (
+        replace(left.special_points[0], label='a"b'),
+        replace(left.special_points[1], label="é\n"),
+        left.special_points[2],
+    )
+    return CurveConfig((replace(left, special_points=points), right), pairing)
+
+
+# the input documents of the golden non-enumerate commands, by file name
+GOLDEN_INPUTS = {
+    "looped.json": lambda: graph_to_json(looped_pair()),
+    "tree.json": lambda: graph_to_json(two_vertex_tree()),
+    "corollas.json": lambda: graph_to_json(two_corolla_graph()),
+    "curve.json": lambda: curve_to_json(escaped_curve()),
+    "contraction.json": lambda: morphism_to_json(
+        contract_pair(two_corolla_graph(), ("f", "fp"))
+    ),
+    "chain.json": lambda: morphism_to_json(contraction_chain()),
+}
+
+
+class TestGoldenDocuments:
+    """sha256 of stdout for the commands other than ``enumerate``, each
+    on documents built by the test helpers, taken before every document
+    was rendered by ``json.dumps``."""
+
+    @pytest.mark.parametrize(
+        "argv, sha",
+        [
+            (
+                "lift --tree looped.json --ns a0,b0 --r a1,b1 --enumerate",
+                "f062277741c7184c395e776cadcac22c65a95cd866b64a25e9897ff25e2e81a1",
+            ),
+            (
+                "lift --tree looped.json --ns a0,b0 --r a1,b1 --count",
+                "19c2b9b9817283f0c31744f2c2318f5e9c868b37fd631434c125dbe18b86103f",
+            ),
+            (
+                "lift --tree tree.json --ns a0,b0 --r a1,b1",
+                "79ed28f1c05c1435322eabd43ec1487703388905d8223d3641dbcb483aade36e",
+            ),
+            (
+                "dims corollas.json",
+                "36114e5f4bb8bcb0d49dbef18ab89084dd29b95cb1a69d1f7cfbd3c1ef95253e",
+            ),
+            (
+                "evaluate contraction.json",
+                "742860854f5d914b0dd44beb4c423b7324faaadb4c4896cc21190e76d19bd42b",
+            ),
+            (
+                "evaluate chain.json",
+                "c3fa7cd2650edda943c913663012a9140bfa4da40ccef750d23202426e3669f6",
+            ),
+            (
+                "dual-graph curve.json",
+                "115c48f11e06c84d721414be45ddb51ee290acf68da56459c852166a50cfc6e3",
+            ),
+            (
+                "check-axioms --cases 200 --seed 3",
+                "669f807445c9fae07d9e49e6b1feb55306b0cf6d74559c341160788c11d7d02c",
+            ),
+        ],
+    )
+    def test_stdout_hash(self, tmp_path, capsys, argv, sha):
+        args = [
+            write(tmp_path, a, GOLDEN_INPUTS[a]()) if a in GOLDEN_INPUTS else a
+            for a in argv.split()
+        ]
+        rc, out, _ = run(capsys, *args)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
@@ -676,7 +772,7 @@ class TestUnreadableInputs:
         def closed(*_):
             raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setattr(cli, "write_json", closed)
+        monkeypatch.setattr(cli, "dumps", closed)
         stderr = io.StringIO()
         monkeypatch.setattr(sys, "stderr", stderr)
         with open(tmp_path / "out", "w") as stdout:

@@ -6,7 +6,9 @@ descriptor, ``graphs.kept``, so no module of it uses
 package defines at module level is read somewhere in the package, so no
 helper outlives its last caller.  Only ``susy`` writes a morphism's kept
 ``_report``, so the morphisms trusted without a check of their maps are
-built in one place.  The checks read each module's syntax tree, so they
+built in one place.  Only ``jsonio`` imports the stdlib ``json``, so one
+module owns the document format; ``canon`` takes its string quoting for
+the certificate.  The checks read each module's syntax tree, so they
 need no linter."""
 
 import ast
@@ -192,3 +194,47 @@ def test_the_check_sees_a_report_write():
         "r = h._report\n"
     )
     assert report_writes(source) == [1, 2, 3, 4, 5]
+
+
+def json_imports(source: str) -> list[str]:
+    """What ``source`` imports from the stdlib ``json`` package: each
+    module it imports and each name it imports from one, dotted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "json":
+                found += [f"{node.module}.{a.name}" for a in node.names]
+    return sorted(found)
+
+
+# what a module other than ``jsonio`` may import from ``json``
+JSON_ALLOWED = {"canon.py": ["json.encoder.encode_basestring_ascii"]}
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "jsonio.py")
+)
+def test_only_jsonio_reads_or_writes_json(module):
+    found = json_imports((SRC / module).read_text(encoding="utf-8"))
+    assert found == JSON_ALLOWED.get(module, [])
+
+
+def test_the_check_sees_a_json_import():
+    source = (
+        "import json\n"
+        "import json.decoder as d, os\n"
+        "from json import dumps, loads\n"
+        "from json.encoder import encode_basestring_ascii\n"
+        "from .json import x\n"
+        "import jsonschema\n"
+        "r = json.loads('1')\n"
+    )
+    assert json_imports(source) == [
+        "json",
+        "json.decoder",
+        "json.dumps",
+        "json.encoder.encode_basestring_ascii",
+        "json.loads",
+    ]

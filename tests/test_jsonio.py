@@ -13,9 +13,7 @@ from susykit import (
     SchemaError,
     ValidationError,
     canonical_form,
-    certificate_digest,
     contract_pair,
-    enumerate_strata,
     enumerate_strata_records,
     glue_r,
     signature,
@@ -23,8 +21,7 @@ from susykit import (
 )
 from susykit.canon import _canonical_core, _named
 from susykit.jsonio import (
-    _StratumRecord,
-    _stratum_record,
+    _write_strata,
     curve_from_json,
     curve_to_json,
     dumps,
@@ -38,9 +35,8 @@ from susykit.jsonio import (
     recipe_to_json,
     save_graph,
     signature_to_json,
-    write_json,
 )
-from susykit import cli, jsonio
+from susykit import cli
 from susykit.curves import Component, CurveConfig, SpecialPoint
 from susykit.sampling import random_morphism, random_susy_graph
 from susykit.strata import _ordered, _shapes
@@ -404,16 +400,6 @@ def oracle(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def lazy_lists(data):
-    """``data`` with every list turned into an iterator over its items,
-    except under a dict with non-str keys, which ``json.dumps`` renders."""
-    if isinstance(data, dict) and all(isinstance(k, str) for k in data):
-        return {k: lazy_lists(v) for k, v in data.items()}
-    if isinstance(data, (list, tuple)):
-        return iter([lazy_lists(x) for x in data])
-    return data
-
-
 def golden_enumerate_argvs():
     """The argv of every case of ``test_cli.TestGoldenOutput``, JSON format.
     Read when a test runs: ``test_cli`` imports this module."""
@@ -427,20 +413,13 @@ def golden_enumerate_argvs():
 
 
 class TestWriter:
-    """``dumps`` and ``write_json`` write the bytes of ``json.dumps`` with
-    sorted keys and a two-space indent, plus a newline."""
+    """``dumps`` writes the bytes of ``json.dumps`` with sorted keys and a
+    two-space indent, plus a newline."""
 
     @settings(derandomize=True, max_examples=300)
     @given(WRITER_TREES)
     def test_random_trees_match_json_dumps(self, data):
         assert dumps(data) == oracle(data)
-
-    @settings(derandomize=True, max_examples=100)
-    @given(WRITER_TREES)
-    def test_iterators_render_as_lists(self, data):
-        chunks = []
-        write_json(lazy_lists(data), chunks.append)
-        assert "".join(chunks) == oracle(data)
 
     @pytest.mark.parametrize(
         "data",
@@ -463,131 +442,13 @@ class TestWriter:
         assert dumps(data) == oracle(data)
 
     @pytest.mark.parametrize(
-        "items",
-        [
-            [0, 1, -7, 10**30],
-            (3, 1, 2),
-            [True, False],
-            [1, True, 0],
-            [1, 2.5, "3", None],
-            [],
-            [[1, 2], [], [[3]], [True, 4], (5,)],
-        ],
-    )
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_int_lists_match_json_dumps(self, items, depth):
-        data = items
-        for _ in range(depth):
-            data = {"k": data}
-        assert dumps(data) == oracle(data)
-
-    @pytest.mark.parametrize(
-        "items, calls", [([4, 5, 6], 1), ((4, 5), 1), ([True, 5], 3), ([4, 5.0], 3)]
-    )
-    def test_an_int_list_renders_in_one_call(self, monkeypatch, items, calls):
-        # only a list of ints, bools left out, skips the walk over its items
-        seen = []
-        render = jsonio._render
-        monkeypatch.setattr(jsonio, "_render", lambda *a: seen.append(a) or render(*a))
-        assert dumps(items) == oracle(items)
-        assert len(seen) == calls
-
-    def test_one_chunk_per_element_of_an_iterator(self):
-        chunks = []
-        records = ({"i": i, "d": [i, str(i)]} for i in range(5))
-        write_json({"count": 5, "strata": records}, chunks.append)
-        assert len(chunks) == 6
-        assert "".join(chunks) == oracle(
-            {"count": 5, "strata": [{"i": i, "d": [i, str(i)]} for i in range(5)]}
-        )
-
-    @pytest.mark.parametrize(
-        "data", [{"a": 1, 2: "b"}, [object()], {"x": {1, 2}}, b"bytes"]
+        "data", [{"a": 1, 2: "b"}, [object()], {"x": {1, 2}}, b"bytes", iter([])]
     )
     def test_what_json_dumps_rejects_raises_type_error(self, data):
         with pytest.raises(TypeError):
             oracle(data)
         with pytest.raises(TypeError):
             dumps(data)
-
-    @pytest.mark.parametrize("data", [{1: iter([])}, {"a": {2: iter([])}}])
-    def test_an_iterator_under_a_non_str_key_raises_type_error(self, data):
-        with pytest.raises(TypeError):
-            dumps(data)
-
-    def test_streamed_enumerate_is_dumps_of_the_document(self, monkeypatch, capsys):
-        documents = []
-
-        def assembled(data, write):
-            doc = {
-                k: list(v) if k in ("strata", "shapes") else v for k, v in data.items()
-            }
-            documents.append(doc)
-            write(dumps(doc))
-
-        for argv in golden_enumerate_argvs():
-            assert cli.main(argv) == 0
-            streamed = capsys.readouterr().out
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "write_json", assembled)
-                assert cli.main(argv) == 0
-            assert capsys.readouterr().out == streamed
-            assert streamed == oracle(documents.pop())
-
-
-def stratum_records(genus, ns, r):
-    return [
-        _StratumRecord(graph_to_json(g), certificate=certificate_digest(g))
-        for g in enumerate_strata(genus, ns, r)
-    ]
-
-
-class TestStratumRecords:
-    """A stratum record is the plain dict ``graph_to_json`` plus its
-    certificate, and the writer's fragment text renders it as ``json.dumps``
-    does, alone, nested, or repeated at several indents in one call."""
-
-    @pytest.mark.parametrize(
-        "genus, ns, r",
-        [
-            (0, ['a"b', "x\\y", "\u00e9", "z"], []),
-            (0, ['a"b', "x\\y"], ["\u00e9", "z\n"]),
-            (2, [], []),
-            (1, ["1"], ["2", "3"]),
-        ],
-    )
-    def test_records_render_as_json_dumps(self, genus, ns, r):
-        records = stratum_records(genus, ns, r)
-        assert records
-        for record in records:
-            assert dumps(record) == oracle(dict(record))
-        nested = {"a": records, "b": [{"c": iter(records)}], "d": records[0]}
-        plain = {
-            "a": [dict(x) for x in records],
-            "b": [{"c": [dict(x) for x in records]}],
-            "d": dict(records[0]),
-        }
-        assert dumps(nested) == oracle(plain)
-
-    def test_record_is_graph_to_json_and_certificate(self):
-        for g in enumerate_strata(1, ["1"], ["2", "3"]):
-            digest = certificate_digest(g)
-            record = _StratumRecord(graph_to_json(g), certificate=digest)
-            assert type(record) is not dict and isinstance(record, dict)
-            assert record == {**graph_to_json(g), "certificate": digest}
-
-    def test_enumerate_writes_one_chunk_per_stratum(self, monkeypatch):
-        chunks = []
-
-        class Out:
-            def write(self, text):
-                chunks.append(text)
-
-        monkeypatch.setattr(cli.sys, "stdout", Out())
-        assert cli.main(["enumerate", "--genus", "0", "--ns", "5", "--poset"]) == 0
-        doc = json.loads("".join(chunks))
-        assert doc["count"] == len(doc["strata"]) == 26
-        assert len(chunks) == doc["count"] + 1
 
 
 def escaped_star():
@@ -608,11 +469,70 @@ def escaped_star():
     )
 
 
-class TestRecordsFromCores:
-    """``_stratum_record`` builds the printed record of a canonical core
-    straight from the core: ``graph_to_json`` of the core's naming plus its
-    certificate, listed in the sorted order of the names ("f10" before
-    "f2")."""
+def plain_document(head, key, cores, digests):
+    """The strata document ``_write_strata`` writes, as plain dicts, each
+    record built through the named graph of its core."""
+    records = [
+        graph_to_json(_named(c)) | {"certificate": d} for c, d in zip(cores, digests)
+    ]
+    return head | {key: records}
+
+
+def streamed(head, key, cores, digests):
+    """The chunks that ``_write_strata`` writes."""
+    chunks = []
+    _write_strata(chunks.append, head, key, cores, digests)
+    return chunks
+
+
+class TestStrataWriter:
+    """``_write_strata`` writes the bytes of ``json.dumps`` of the plain
+    strata document, with each record built through ``canon._named`` and
+    ``graph_to_json``: for every golden ``enumerate`` argv, for labels that
+    JSON escapes, for cores with at least ten flags, whose names do not
+    sort in index order ("f10" before "f2"), and for no strata at all."""
+
+    def test_streamed_enumerate_is_dumps_of_the_document(self, monkeypatch, capsys):
+        documents = []
+
+        def assembled(write, head, key, cores, digests):
+            documents.append(plain_document(head, key, cores, digests))
+            write(oracle(documents[-1]))
+
+        for argv in golden_enumerate_argvs():
+            assert cli.main(argv) == 0
+            streamed_out = capsys.readouterr().out
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_write_strata", assembled)
+                assert cli.main(argv) == 0
+            assert capsys.readouterr().out == streamed_out
+            (doc,) = documents
+            documents.clear()
+            key = "shapes" if "--shapes" in argv else "strata"
+            assert set(doc) == {"count", key} | ({"poset"} if "--poset" in argv else set())
+            assert doc["count"] == len(doc[key]) > 0
+
+    @pytest.mark.parametrize(
+        "genus, ns, r",
+        [
+            (0, ['a"b', "x\\y", "\u00e9", "z"], []),
+            (0, ['a"b', "x\\y"], ["\u00e9", "z\n"]),
+            (2, [], []),
+            (1, ["1"], ["2", "3"]),
+        ],
+    )
+    def test_strata_and_shapes_with_escaped_labels(self, genus, ns, r):
+        cores, digests, _ = _ordered(enumerate_strata_records(genus, ns, r))
+        shape_digests, _, shapes, _, _ = zip(*_shapes(genus, ns + r))
+        for key, cs, ds in (("strata", cores, digests), ("shapes", shapes, shape_digests)):
+            head = {"count": len(cs)}
+            chunks = streamed(head, key, cs, ds)
+            assert len(chunks) == len(cs) + 2
+            assert "".join(chunks) == oracle(plain_document(head, key, cs, ds))
+
+    @pytest.mark.parametrize("key", ["strata", "shapes"])
+    def test_no_strata(self, key):
+        assert "".join(streamed({"count": 0}, key, (), ())) == oracle({"count": 0, key: []})
 
     @pytest.mark.parametrize(
         "genus, ns, r",
@@ -625,12 +545,8 @@ class TestRecordsFromCores:
         # enough flags that sorted-name order is not index order
         assert max(len(c.boundary) for c, _ in pairs) >= 10
         for c, d in pairs:
-            record = _stratum_record(c, d)
-            assert type(record) is _StratumRecord
-            # in the same order too, which the writer keeps for the labels
-            expected = {**graph_to_json(_named(c)), "certificate": d}
-            assert json.dumps(record) == json.dumps(expected)
-            assert dumps(record) == oracle(expected)
+            text = "".join(streamed({"count": 1}, "strata", [c], [d]))
+            assert text == oracle(plain_document({"count": 1}, "strata", [c], [d]))
 
     @pytest.mark.parametrize(
         "g, vertices",
@@ -644,10 +560,23 @@ class TestRecordsFromCores:
         c = _canonical_core(form.core, form.leaves[0])
         assert (len(c.genus), any(c.color)) == (vertices, True)
         assert len(c.boundary) >= 10
-        record = _stratum_record(c, form.digest)
-        expected = {**graph_to_json(form.graph), "certificate": form.digest}
-        assert json.dumps(record) == json.dumps(expected)
-        assert dumps(record) == oracle(expected)
+        text = "".join(streamed({"count": 1}, "strata", [c], [form.digest]))
+        record = graph_to_json(form.graph) | {"certificate": form.digest}
+        assert text == oracle({"count": 1, "strata": [record]})
+
+    def test_enumerate_writes_one_chunk_per_stratum(self, monkeypatch):
+        chunks = []
+
+        class Out:
+            def write(self, text):
+                chunks.append(text)
+
+        monkeypatch.setattr(cli.sys, "stdout", Out())
+        assert cli.main(["enumerate", "--genus", "0", "--ns", "5", "--poset"]) == 0
+        doc = json.loads("".join(chunks))
+        assert doc["count"] == len(doc["strata"]) == 26
+        # the head, one chunk per stratum, and the close
+        assert len(chunks) == doc["count"] + 2
 
 
 class TestPrintedStrata:
