@@ -45,10 +45,20 @@ __all__ = [
 MAX_COLORINGS = 4096
 
 
+def _label_set(labels: Iterable[str]) -> frozenset[str]:
+    """``labels`` as a set, refusing what cannot be one; a partition's
+    cover check and ``strata._shapes`` refuse a label that is not a string."""
+    try:
+        return frozenset(labels)
+    except TypeError:
+        kind = type(labels).__name__
+        raise ValidationError(f"tail labels must be an iterable of strings, got {kind}") from None
+
+
 def _checked_partition(
     g: SusyGraph, ns_labels: Iterable[str], r_labels: Iterable[str]
 ) -> tuple[frozenset[str], frozenset[str]]:
-    ns_set, r_set = frozenset(ns_labels), frozenset(r_labels)
+    ns_set, r_set = _label_set(ns_labels), _label_set(r_labels)
     if ns_set & r_set:
         raise ValidationError("partition parts must be disjoint")
     if ns_set | r_set != g.labeling.ns_tail_labels.keys():
@@ -162,8 +172,8 @@ def count_lifts(tree: SusyGraph) -> int:
 def count_even_partitions(k: int) -> int:
     """Number of two-block ordered partitions of a k-set with even second
     block: 2 ** (k - 1) for k >= 1, and 1 for the empty set."""
-    if k < 0:
-        raise ValidationError("label count must be non-negative")
+    if type(k) is not int or k < 0:
+        raise ValidationError(f"label count must be a non-negative integer, got {k!r}")
     return 1 if k == 0 else 2 ** (k - 1)
 
 

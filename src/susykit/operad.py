@@ -3,14 +3,15 @@
 A moduli signature is a finite formal product of factors, each recording a
 genus together with the NS and R marked-point label sets.  Morphisms between
 signatures are gluing recipes: a normal form listing which source factors
-land where, which label pairs get glued into nodes, how surviving labels are
-renamed, and the count of Ramond gluings (the rank of the odd gluing
-parameters).  Signatures are validated when constructed, so recipes never
-re-check their endpoints; the generators check only their labels, and
-composites only that their endpoints meet.  SUSY graph morphisms evaluate
-to recipes: evaluation checks its morphism once on every public call and
-builds the recipe unchecked.  Each graph's signature is built once, when
-first read, and reused by every evaluation that reaches the graph.
+land where, which label pairs get glued into nodes and how surviving labels
+are renamed.  A recipe's Ramond fiber rank, one odd parameter per R gluing,
+is read from its R gluings.  Only ``signature()`` and
+``ModuliSignature(...)`` validate: every other signature (a glued,
+relabelled or erased target, or a stable graph's) is valid by construction
+and built unchecked by ``_fresh_signature``, the one sorter.  The
+generators share one builder, ``_glue``, which checks their labels;
+composites check only that their endpoints meet, and evaluation its
+morphism, once per public call.  Each graph builds its signature once.
 Erasing colors is a projection onto classical signatures that commutes
 with evaluation.
 
@@ -83,9 +84,9 @@ def _factor_key(f: ModuliFactor) -> tuple:
 @dataclass(frozen=True, init=False)
 class ModuliSignature:
     """A product of factors in canonical order.  Construction validates it
-    (raising ValidationError), so every instance is a valid signature.  The
-    signature of a valid stable graph is valid by construction, so
-    ``SusyGraph.signature`` builds it unchecked (``_unchecked_signature``)."""
+    (raising ValidationError); ``_fresh_signature`` builds, unchecked, only
+    signatures that are valid by construction, so every instance is a
+    valid signature."""
 
     factors: tuple[ModuliFactor, ...]
     mode: str = SUPER
@@ -110,17 +111,11 @@ class ModuliSignature:
         return NS if label in f.ns_labels else R
 
 
-def _unchecked_signature(factors: Iterable[ModuliFactor], mode: str) -> ModuliSignature:
-    """A signature built without ``validate_signature``, for factors that
-    are valid and in canonical order by construction."""
-    sig = object.__new__(ModuliSignature)
-    sig.__dict__.update(factors=tuple(factors), mode=mode)
-    return sig
-
-
 def validate_signature(sig: ModuliSignature) -> ValidationReport:
     """Every violation, factor by factor.  A factor whose genus is not an int
     or whose labels are not strings is reported for that alone."""
+    if not isinstance(sig, ModuliSignature):
+        return ValidationReport((f"expected a ModuliSignature, got {type(sig).__name__}",))
     problems: list[str] = []
     if sig.mode not in (SUPER, CLASSICAL):
         problems.append(f"unknown mode {sig.mode!r}")
@@ -156,19 +151,24 @@ def validate_signature(sig: ModuliSignature) -> ValidationReport:
 
 
 def _fresh_signature(
-    factors: Sequence[ModuliFactor], mode: str
+    factors: Sequence[ModuliFactor], mode: str, keys: Sequence[tuple] | None = None
 ) -> tuple[ModuliSignature, list[int]]:
-    """Stable-sort factors into a signature; also return old index -> new
-    position.  Keys that do not compare come from a bad genus or label, so
-    their factors are left in place for the signature's check to refuse."""
+    """Stable-sort factors, on ``keys`` (their ``_factor_key``s) when the
+    caller has them, into a signature built unchecked; also return old index
+    -> new position.  Keys that do not compare come from a bad genus or
+    label, so their factors are left in place for ``signature()``'s check:
+    every other caller's factors are valid by construction."""
+    key = (lambda i: _factor_key(factors[i])) if keys is None else keys.__getitem__
     try:
-        order = sorted(range(len(factors)), key=lambda i: _factor_key(factors[i]))
+        order = sorted(range(len(factors)), key=key)
     except TypeError:
         order = range(len(factors))
     position = [0] * len(factors)
     for new, old in enumerate(order):
         position[old] = new
-    return ModuliSignature(tuple(factors[i] for i in order), mode), position
+    sig = object.__new__(ModuliSignature)
+    sig.__dict__.update(factors=tuple(factors[i] for i in order), mode=mode)
+    return sig, position
 
 
 def signature(
@@ -187,7 +187,9 @@ def signature(
                 f"invalid signature: factor {i}: expected (genus, ns_labels, "
                 f"r_labels) with string labels, got {f!r}"
             ) from None
-    return _fresh_signature(built, mode)[0]
+    sig = _fresh_signature(built, mode)[0]
+    validate_signature(sig).raise_if_invalid("signature")
+    return sig
 
 
 @dataclass(frozen=True, init=False)
@@ -196,8 +198,7 @@ class GluingRecipe:
 
     assignment[i] is the target factor receiving source factor i;
     ns_gluings and r_gluings pair off source labels into nodes; relabeling
-    renames the surviving source labels to the target's labels; the Ramond
-    fiber rank counts the odd gluing parameters and equals len(r_gluings).
+    renames the surviving source labels to the target's labels.
     """
 
     source: ModuliSignature
@@ -206,17 +207,18 @@ class GluingRecipe:
     ns_gluings: tuple[tuple[str, str], ...]
     r_gluings: tuple[tuple[str, str], ...]
     relabeling: dict[str, str]
-    ramond_fiber_rank: int
 
-    def __init__(
-        self, source, target, assignment, ns_gluings, r_gluings, relabeling,
-        ramond_fiber_rank,
-    ) -> None:
+    def __init__(self, source, target, assignment, ns_gluings, r_gluings, relabeling) -> None:
         self.__dict__.update(
             source=source, target=target, assignment=tuple(assignment),
             ns_gluings=_sorted_pairs(ns_gluings), r_gluings=_sorted_pairs(r_gluings),
-            relabeling=dict(relabeling), ramond_fiber_rank=ramond_fiber_rank,
+            relabeling=dict(relabeling),
         )
+
+    @property
+    def ramond_fiber_rank(self) -> int:
+        """The odd gluing parameters: one per R gluing."""
+        return len(self.r_gluings)
 
     @property
     def gluings(self) -> tuple[tuple[str, str], ...]:
@@ -236,7 +238,7 @@ def recipe(
     r_gluings: Iterable[tuple[str, str]] = (),
     relabeling: Mapping[str, str] | None = None,
 ) -> GluingRecipe:
-    """Assemble and validate a recipe; the rank is derived, never supplied."""
+    """Assemble and validate a recipe."""
     if not (isinstance(ns_gluings, Iterable) and isinstance(r_gluings, Iterable)):
         raise ValidationError("gluings must be iterables of label pairs")
     ns_pairs, r_pairs = tuple(ns_gluings), tuple(r_gluings)
@@ -250,14 +252,14 @@ def recipe(
         type(x) is not str for item in relabeling.items() for x in item
     ):
         raise ValidationError("relabeling must map labels to labels")
-    out = GluingRecipe(
-        source, target, assignment, ns_pairs, r_pairs, relabeling, len(r_pairs)
-    )
+    out = GluingRecipe(source, target, assignment, ns_pairs, r_pairs, relabeling)
     validate_recipe(out).raise_if_invalid("gluing recipe")
     return out
 
 
 def validate_recipe(r: GluingRecipe) -> ValidationReport:
+    if not isinstance(r, GluingRecipe):
+        return ValidationReport((f"expected a GluingRecipe, got {type(r).__name__}",))
     problems: list[str] = []
     if r.source.mode != r.target.mode:
         problems.append("source and target modes differ")
@@ -340,22 +342,27 @@ def validate_recipe(r: GluingRecipe) -> ValidationReport:
         roots = {_root(parent, i) for i in fiber}
         if len(roots) != 1:
             problems.append(f"target factor {t}: glued factors are not connected")
-
-    if r.ramond_fiber_rank != len(r.r_gluings):
-        problems.append("Ramond fiber rank must equal the number of R gluings")
     return ValidationReport(tuple(problems))
+
+
+def _require_signature(sig) -> None:
+    if not isinstance(sig, ModuliSignature):
+        raise ValidationError(f"expected a ModuliSignature, got {type(sig).__name__}")
 
 
 def identity_recipe(sig: ModuliSignature) -> GluingRecipe:
     """Generator: the identity.  The generators skip ``validate_recipe``:
     each recipe is valid by construction once its labels are checked."""
+    _require_signature(sig)
     identity = tuple(range(len(sig.factors)))
-    return GluingRecipe(sig, sig, identity, (), (), {l: l for l in sig.labels}, 0)
+    return GluingRecipe(sig, sig, identity, (), (), {l: l for l in sig.labels})
 
 
 def recipe_compose(first: GluingRecipe, second: GluingRecipe) -> GluingRecipe:
     """Compose recipes applied in order (first, then second).  Only the
     endpoints are checked: a composite of valid recipes is valid."""
+    if not (isinstance(first, GluingRecipe) and isinstance(second, GluingRecipe)):
+        raise ValidationError("recipe_compose expects two gluing recipes")
     if first.target != second.source:
         raise ValidationError(
             "recipes do not compose: first.target differs from second.source"
@@ -373,18 +380,16 @@ def recipe_compose(first: GluingRecipe, second: GluingRecipe) -> GluingRecipe:
         for a, b in first.relabeling.items()
         if b in second.relabeling
     }
-    return GluingRecipe(
-        first.source, second.target, assignment, ns_pairs, r_pairs, relabeling,
-        len(r_pairs),
-    )
+    return GluingRecipe(first.source, second.target, assignment, ns_pairs, r_pairs, relabeling)
 
 
 def relabel_recipe(
     sig: ModuliSignature, renaming: Mapping[str, str]
 ) -> GluingRecipe:
     """Generator: rename every label by a bijection, gluing nothing."""
-    if set(renaming) != set(sig.labels):
-        raise ValidationError("renaming domain must be exactly the signature labels")
+    _require_signature(sig)
+    if not isinstance(renaming, Mapping) or set(renaming) != set(sig.labels):
+        raise ValidationError("renaming must map exactly the signature labels")
     if not all(isinstance(x, str) for x in renaming.values()):
         raise ValidationError("renamed labels must be strings")
     if len(set(renaming.values())) != len(renaming):
@@ -395,14 +400,18 @@ def relabel_recipe(
         for f in sig.factors
     ]
     target, position = _fresh_signature(factors, sig.mode)
-    return GluingRecipe(sig, target, position, (), (), renaming, 0)
+    return GluingRecipe(sig, target, position, (), (), renaming)
 
 
-def _glued_factors(
-    sig: ModuliSignature, a: str, b: str, color: str
-) -> tuple[int, int]:
-    """The factors of ``a`` and ``b``, which must be two distinct labels of
-    ``sig`` of the given colour."""
+def _glue(sig: ModuliSignature, a: str, b: str, color: str, loop: bool) -> GluingRecipe:
+    """Glue labels ``a`` and ``b`` of ``sig``, of one colour, into a node in
+    one factor (``loop``, raising its genus) or across two, which merge.
+    The target is valid by construction once the labels are checked.  A
+    loop keeps its factor's slot and a merged factor goes last, before the
+    stable sort that ties keep."""
+    _require_signature(sig)
+    if type(a) is not str or type(b) is not str:
+        raise ValidationError(f"{color} gluing ({a!r}, {b!r}) is not a pair of labels")
     if a == b:
         raise ValidationError(f"{color} gluing ({a!r}, {b!r}) is degenerate")
     for x in (a, b):
@@ -410,98 +419,72 @@ def _glued_factors(
             raise ValidationError(f"{color} gluing mentions unknown label {x!r}")
         if sig.color_of(x) != color:
             raise ValidationError(f"{color} gluing uses {x!r} of the wrong color")
-    return sig.factor_of(a), sig.factor_of(b)
-
-
-def _glue_edge(sig: ModuliSignature, a: str, b: str, color: str) -> GluingRecipe:
-    i, j = _glued_factors(sig, a, b, color)
-    if i == j:
-        raise ValidationError(
-            f"labels {a!r}, {b!r} share a factor; use the loop gluing"
-        )
+    i, j = sig.factor_of(a), sig.factor_of(b)
+    if loop and i != j:
+        raise ValidationError(f"labels {a!r}, {b!r} sit in different factors; use the edge gluing")
+    if not loop and i == j:
+        raise ValidationError(f"labels {a!r}, {b!r} share a factor; use the loop gluing")
     fi, fj = sig.factors[i], sig.factors[j]
     merged = ModuliFactor(
-        fi.genus + fj.genus,
+        fi.genus + (1 if loop else fj.genus),
         (fi.ns_labels | fj.ns_labels) - {a, b},
         (fi.r_labels | fj.r_labels) - {a, b},
     )
-    factors: list[ModuliFactor] = []
-    slot: dict[int, int] = {}
-    for k, f in enumerate(sig.factors):
-        if k == i or k == j:
-            continue
-        slot[k] = len(factors)
-        factors.append(f)
-    slot[i] = slot[j] = len(factors)
-    factors.append(merged)
+    n = len(sig.factors)
+    # source factors in unsorted target order; an edge's, i with j, goes last
+    stay = list(range(n)) if loop else [k for k in range(n) if k not in (i, j)] + [i]
+    slot = {k: s for s, k in enumerate(stay)}
+    slot[j] = slot[i]
+    factors = [merged if k == i else sig.factors[k] for k in stay]
     target, position = _fresh_signature(factors, sig.mode)
-    assignment = tuple(position[slot[k]] for k in range(len(sig.factors)))
+    assignment = [position[slot[k]] for k in range(n)]
     ns, r = ([(a, b)], []) if color == NS else ([], [(a, b)])
     relabeling = {l: l for l in sig.labels if l not in (a, b)}
-    return GluingRecipe(sig, target, assignment, ns, r, relabeling, len(r))
-
-
-def _glue_loop(sig: ModuliSignature, a: str, b: str, color: str) -> GluingRecipe:
-    i, j = _glued_factors(sig, a, b, color)
-    if i != j:
-        raise ValidationError(
-            f"labels {a!r}, {b!r} sit in different factors; use the edge gluing"
-        )
-    f = sig.factors[i]
-    looped = ModuliFactor(
-        f.genus + 1, f.ns_labels - {a, b}, f.r_labels - {a, b}
-    )
-    factors = [looped if k == i else g for k, g in enumerate(sig.factors)]
-    target, position = _fresh_signature(factors, sig.mode)
-    ns, r = ([(a, b)], []) if color == NS else ([], [(a, b)])
-    relabeling = {l: l for l in sig.labels if l not in (a, b)}
-    return GluingRecipe(sig, target, position, ns, r, relabeling, len(r))
+    return GluingRecipe(sig, target, assignment, ns, r, relabeling)
 
 
 def glue_ns(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
     """Generator: glue NS labels in two different factors into a node."""
-    return _glue_edge(sig, a, b, NS)
+    return _glue(sig, a, b, NS, loop=False)
 
 
 def glue_r(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
     """Generator: glue R labels in two different factors into a node."""
-    return _glue_edge(sig, a, b, R)
+    return _glue(sig, a, b, R, loop=False)
 
 
 def glue_ns_loop(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
     """Generator: glue two NS labels of one factor, raising its genus."""
-    return _glue_loop(sig, a, b, NS)
+    return _glue(sig, a, b, NS, loop=True)
 
 
 def glue_r_loop(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
     """Generator: glue two R labels of one factor, raising its genus."""
-    return _glue_loop(sig, a, b, R)
+    return _glue(sig, a, b, R, loop=True)
 
 
 def _graph_signature(g: SusyGraph) -> tuple[ModuliSignature, dict[str, int]]:
     """Per-vertex factors with flag ids as labels; vertex -> factor position.
-    ``SusyGraph.signature`` keeps it, so read that instead.  The vertices,
-    in name order, are stably sorted once by their factor keys.  A valid
-    stable graph gives a valid signature: one factor per vertex, each flag
-    a string label at one vertex in one colour, even R flags per vertex (or
-    none when modular), so it is built unchecked once stability is read."""
+    ``SusyGraph.signature`` keeps it, so read that instead.  The factors, in
+    vertex-name order, are stably sorted by ``_fresh_signature`` on keys
+    read from the sorted incidence.  A valid stable graph gives a valid
+    signature: one factor per vertex, each flag a string label at one vertex
+    in one colour, even R flags per vertex (or none when modular), so it is
+    built unchecked once stability is read."""
     if not g.stability.stable:
         unstable = list(g.stability.unstable_vertices)
         raise ValidationError(f"invalid signature: unstable vertices {unstable}")
     genera, color, incidence = g.labeling.genus, g.labeling.color, g.graph.incidence
     verts = sorted(g.vertices)
-    keys = {}
+    keys = []
     for v in verts:
         ns, r = [], []
         for f in incidence[v]:
             (ns if color[f] == NS else r).append(f)
-        keys[v] = (genera[v], tuple(ns), tuple(r))
-    order = sorted(verts, key=keys.__getitem__)
-    sig = _unchecked_signature(
-        [ModuliFactor(*keys[v]) for v in order], CLASSICAL if g.modular else SUPER
-    )
-    rank = {v: i for i, v in enumerate(order)}
-    return sig, {v: rank[v] for v in verts}
+        keys.append((genera[v], tuple(ns), tuple(r)))
+    factors = [ModuliFactor(*k) for k in keys]
+    sig, position = _fresh_signature(factors, CLASSICAL if g.modular else SUPER, keys)
+    return sig, dict(zip(verts, position))
 
 
 def evaluate_operad(h: SusyMorphism) -> GluingRecipe:
@@ -527,15 +510,11 @@ def _evaluate(h: SusyMorphism) -> GluingRecipe:
     assignment = [0] * len(src_sig.factors)
     for v, p in src_pos.items():
         assignment[p] = tgt_pos[vertex_map[v]]
-    ns_pairs: list[tuple[str, str]] = []
-    r_pairs: list[tuple[str, str]] = []
-    color = h.source.labeling.color
-    for a, b in h.map.orbits:
-        (ns_pairs if color[a] == NS else r_pairs).append((a, b))
+    color, orbits = h.source.labeling.color, h.map.orbits
+    ns_pairs = [p for p in orbits if color[p[0]] == NS]
+    r_pairs = [p for p in orbits if color[p[0]] == R]
     relabeling = {fs: ft for ft, fs in h.map.flag_map.items()}
-    return GluingRecipe(
-        src_sig, tgt_sig, assignment, ns_pairs, r_pairs, relabeling, len(r_pairs)
-    )
+    return GluingRecipe(src_sig, tgt_sig, assignment, ns_pairs, r_pairs, relabeling)
 
 
 def _erased(sig: ModuliSignature) -> tuple[ModuliSignature, list[int]]:
@@ -661,13 +640,6 @@ def _labels(factor: ModuliFactor, color: str, drop: Iterable[str] = ()) -> list[
     return sorted(labels.difference(drop))
 
 
-def _glue(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
-    color = sig.color_of(a)
-    if sig.factor_of(a) == sig.factor_of(b):
-        return _glue_loop(sig, a, b, color)
-    return _glue_edge(sig, a, b, color)
-
-
 def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
     """Exercise the generator relations on random signatures.
 
@@ -696,6 +668,10 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         rng.shuffle(new)
         return dict(zip(labels, new))
 
+    def glue(sig: ModuliSignature, a: str, b: str) -> GluingRecipe:
+        # the generator for ``a`` and ``b``: a loop when they share a factor
+        return _glue(sig, a, b, sig.color_of(a), sig.factor_of(a) == sig.factor_of(b))
+
     def relabel_compose() -> tuple[GluingRecipe, GluingRecipe]:
         pool = _LabelPool()
         sig = signature(
@@ -712,7 +688,7 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         pool: _LabelPool, sig: ModuliSignature, a: str, b: str
     ) -> tuple[GluingRecipe, GluingRecipe]:
         ren = fresh_renaming(rng, pool, sig.labels)
-        glue_first = _glue(sig, a, b)
+        glue_first = glue(sig, a, b)
         lhs = recipe_compose(
             glue_first,
             relabel_recipe(
@@ -722,7 +698,7 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
         )
         relabel_first = relabel_recipe(sig, ren)
         rhs = recipe_compose(
-            relabel_first, _glue(relabel_first.target, ren[a], ren[b])
+            relabel_first, glue(relabel_first.target, ren[a], ren[b])
         )
         return lhs, rhs
 
@@ -746,8 +722,8 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
     def two_step(
         sig: ModuliSignature, p1: tuple[str, str], p2: tuple[str, str]
     ) -> GluingRecipe:
-        first = _glue(sig, *p1)
-        return recipe_compose(first, _glue(first.target, *p2))
+        first = glue(sig, *p1)
+        return recipe_compose(first, glue(first.target, *p2))
 
     def loops_commute() -> tuple[GluingRecipe, GluingRecipe]:
         pool = _LabelPool()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .calculus import contract_pair, contract_tails, graft, make_isomorphism
+from .calculus import compose_chain, contract_pair, contract_tails, graft, make_isomorphism
 from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint, validate_curve_config
 from .errors import ValidationError
 from .graphs import orbit_pairs, tails
@@ -18,9 +18,7 @@ from .susy import (
     R,
     SusyGraph,
     SusyMorphism,
-    compose,
     modular_graph,
-    susy_identity,
     validate_susy_graph,
 )
 
@@ -194,10 +192,7 @@ def random_morphism(
             )
         chain.append(step)
         current = step.target
-    out = susy_identity(g)
-    for step in chain:
-        out = compose(out, step)
-    return out
+    return compose_chain(g, chain)
 
 
 def random_composable_pair(

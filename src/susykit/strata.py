@@ -67,7 +67,7 @@ from .canon import Core, Generator, Leaf, _canonical_core, _cell_key, _core, _ge
 from .canon import _named, _names, _unmodular_digest, certificate_digest
 from .errors import ValidationError
 from .graphs import _lift_forest, kept
-from .lifting import _doubled, _particular
+from .lifting import _doubled, _label_set, _particular
 from .susy import SusyGraph
 
 __all__ = [
@@ -212,16 +212,6 @@ ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
 
 def _edge_count(c: Core) -> int:
     return c.label.count(None) // 2  # every tail has a label, and no other flag
-
-
-def _label_set(labels: Iterable[str]) -> frozenset[str]:
-    """``labels`` as a set, refusing what cannot be one; ``_shapes`` checks
-    that they are strings."""
-    try:
-        return frozenset(labels)
-    except TypeError:
-        kind = type(labels).__name__
-        raise ValidationError(f"tail labels must be an iterable of strings, got {kind}") from None
 
 
 def _shapes(

@@ -3,8 +3,8 @@ surgery calculus and in ``susykit evaluate``, and a malformed morphism
 raises only ValidationError; a morphism that the calculus built skips the
 checks of its maps, which hold by construction.  A public entry given
 something that is not a SUSY graph, a morphism, a graph, a signature, a
-curve, a label iterable or the records of an enumeration raises only a
-SusyKitError."""
+gluing recipe, a renaming, a label, a curve, a label iterable, a label
+count or the records of an enumeration raises only a SusyKitError."""
 
 import random
 import sys
@@ -29,17 +29,25 @@ from susykit import (
     compose,
     contract_pair,
     contract_tails,
+    count_even_partitions,
     count_lifts,
     decompose_to_elementaries,
     dual_graph,
+    enumerate_edge_colorings,
     enumerate_modular_shapes,
     enumerate_strata,
     enumerate_strata_records,
     evaluate_operad,
     genus,
+    glue_ns,
     graft,
+    identity_recipe,
     is_stable,
+    lift_count_general,
+    lift_tree_coloring,
     project,
+    recipe_compose,
+    relabel_recipe,
     signature,
     stratum_dimension,
     strata_poset,
@@ -47,6 +55,8 @@ from susykit import (
     susy_identity,
     susy_morphism,
     validate_curve_config,
+    validate_recipe,
+    validate_signature,
     validate_susy_morphism,
 )
 from susykit.calculus import atomize
@@ -322,6 +332,11 @@ def test_a_non_signature_raises_only_a_validation_error(fn, arg, message):
         fn(arg)
 
 
+SIG = signature([(0, ["a", "b", "c"], []), (0, ["d", "e", "f"], [])])
+TREE = star(0, 3, modular=True)
+LABELS = sorted(TREE.labeling.ns_tail_labels)
+
+
 @pytest.mark.parametrize(
     "fn, args, message",
     [
@@ -337,14 +352,29 @@ def test_a_non_signature_raises_only_a_validation_error(fn, arg, message):
         (strata_poset, (5,), "takes the records of enumerate_strata_records"),
         (dual_graph, (5,), "invalid curve configuration: expected a CurveConfig, got int"),
         (validate_curve_config, (5,), "invalid argument: expected a CurveConfig, got int"),
+        (identity_recipe, (5,), "expected a ModuliSignature, got int"),
+        (recipe_compose, (5, 5), "recipe_compose expects two gluing recipes"),
+        (relabel_recipe, (5, {}), "expected a ModuliSignature, got int"),
+        (relabel_recipe, (SIG, 5), "renaming must map exactly the signature labels"),
+        (glue_ns, (5, "a", "d"), "expected a ModuliSignature, got int"),
+        (glue_ns, (SIG, "a", ["d"]), r"gluing \('a', \['d'\]\) is not a pair of labels"),
+        (validate_signature, (5,), "invalid argument: expected a ModuliSignature, got int"),
+        (validate_recipe, (5,), "invalid argument: expected a GluingRecipe, got int"),
+        (lift_count_general, (TREE, 5, []), "must be an iterable of strings, got int"),
+        (enumerate_edge_colorings, (TREE, LABELS, 5), "must be an iterable of strings, got int"),
+        (lift_tree_coloring, (TREE, None, []), "must be an iterable of strings, got NoneType"),
+        (count_even_partitions, ("x",), "label count must be a non-negative integer"),
+        (count_even_partitions, (True,), "label count must be a non-negative integer"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
 def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # compose(5, 5) once raised its own TypeError, the three enumerations and
     # strata_poset(5) a TypeError that 'int' object is not iterable, and the
-    # others an AttributeError; a check that returns a report is asked to
-    # raise it
+    # others an AttributeError; of the later rows, the operad's entries and
+    # the lifts raised TypeError or AttributeError, and count_even_partitions
+    # a TypeError for "x" and a count for True; a check that returns a report
+    # is asked to raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
         report.raise_if_invalid("argument")

@@ -1,9 +1,11 @@
 """The calculus builds its graftings, contractions, isomorphisms, identities
-and composites without checking their maps, and each stable graph builds
-its signature without checking it, since both are valid by construction.
-The oracle here records every morphism and signature built that way over
-seeded plans and checks each afresh with the full checks; a contraction
-that drops a colour or a grafting that loses a genus fails it."""
+and composites without checking their maps, and ``operad`` builds each
+stable graph's signature and each glued, relabelled and erased target
+without checking it, since all are valid by construction.  The oracle
+here records every morphism and signature built that way over seeded
+plans and checks each afresh with the full checks; a contraction that
+drops a colour, a grafting that loses a genus or a loop gluing that
+forgets its genus fails it."""
 
 import random
 import sys
@@ -17,6 +19,8 @@ import susykit.operad
 import susykit.susy
 from susykit import (
     NS,
+    GluingRecipe,
+    ModuliFactor,
     SusyGraph,
     SusyKitError,
     SusyLabeling,
@@ -51,17 +55,21 @@ def replace_everywhere(monkeypatch, fn, new):
 
 def record_unchecked(monkeypatch):
     """The morphisms that ``susy._built`` returns and the signatures that
-    ``operad._unchecked_signature`` returns from now on, as two lists."""
+    ``operad._fresh_signature`` builds from now on, as two lists."""
     morphisms, signatures = [], []
-    for fn, out in (
-        (susykit.susy._built, morphisms),
-        (susykit.operad._unchecked_signature, signatures),
-    ):
-        def recording(*args, fn=fn, out=out):
-            out.append(fn(*args))
-            return out[-1]
+    built, fresh = susykit.susy._built, susykit.operad._fresh_signature
 
-        replace_everywhere(monkeypatch, fn, recording)
+    def recording_built(*args):
+        morphisms.append(built(*args))
+        return morphisms[-1]
+
+    def recording_fresh(*args):
+        sig, position = fresh(*args)
+        signatures.append(sig)
+        return sig, position
+
+    replace_everywhere(monkeypatch, built, recording_built)
+    replace_everywhere(monkeypatch, fresh, recording_fresh)
     return morphisms, signatures
 
 
@@ -144,13 +152,36 @@ def genus_losing(graft):
     return lost
 
 
+def loop_genus_forgetting(glue):
+    """``operad._glue`` with a loop's target factor left at its old genus."""
+
+    def forgot(sig, a, b, color, loop):
+        r = glue(sig, a, b, color, loop)
+        if not loop:
+            return r
+        t = r.assignment[sig.factor_of(a)]
+        factors = list(r.target.factors)
+        f = factors[t]
+        factors[t] = ModuliFactor(f.genus - 1, f.ns_labels, f.r_labels)
+        # looked up at call time, so a recording ``_fresh_signature`` sees it
+        target, position = susykit.operad._fresh_signature(factors, sig.mode)
+        assignment = [position[k] for k in r.assignment]
+        return GluingRecipe(sig, target, assignment, r.ns_gluings, r.r_gluings, r.relabeling)
+
+    return forgot
+
+
 @pytest.mark.parametrize(
-    "name, breaking",
-    [("_contract", colour_dropping), ("graft", genus_losing)],
-    ids=["contract_drops_a_colour", "graft_loses_a_genus"],
+    "module, name, breaking",
+    [
+        (susykit.calculus, "_contract", colour_dropping),
+        (susykit.calculus, "graft", genus_losing),
+        (susykit.operad, "_glue", loop_genus_forgetting),
+    ],
+    ids=["contract_drops_a_colour", "graft_loses_a_genus", "loop_forgets_its_genus"],
 )
-def test_the_oracle_sees_a_broken_builder(monkeypatch, name, breaking):
-    fn = getattr(susykit.calculus, name)
+def test_the_oracle_sees_a_broken_builder(monkeypatch, module, name, breaking):
+    fn = getattr(module, name)
     replace_everywhere(monkeypatch, fn, breaking(fn))
     morphisms, signatures = record_unchecked(monkeypatch)
     for seed in SEEDS:

@@ -6,10 +6,12 @@ descriptor, ``graphs.kept``, so no module of it uses
 package defines at module level is read somewhere in the package, so no
 helper outlives its last caller.  Only ``susy`` writes a morphism's kept
 ``_report``, so the morphisms trusted without a check of their maps are
-built in one place.  Only ``jsonio`` imports the stdlib ``json``, so one
-module owns the document format; ``canon`` takes its string quoting for
-the certificate.  The checks read each module's syntax tree, so they
-need no linter."""
+built in one place.  Only ``operad._fresh_signature`` builds a
+``ModuliSignature`` past its validating constructor, so the signatures
+trusted without a check are built in one place too.  Only ``jsonio``
+imports the stdlib ``json``, so one module owns the document format;
+``canon`` takes its string quoting for the certificate.  The checks read
+each module's syntax tree, so they need no linter."""
 
 import ast
 from pathlib import Path
@@ -238,3 +240,52 @@ def test_the_check_sees_a_json_import():
         "json.encoder.encode_basestring_ascii",
         "json.loads",
     ]
+
+
+def signature_news(source: str) -> list[str]:
+    """The dotted path of the function or class (``<module>`` at module
+    level) around each ``__new__`` call in ``source`` whose first argument
+    names ``ModuliSignature``, directly or as a module attribute."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, path: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = path
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*path, child.name]
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "__new__"
+                and child.args
+                and "ModuliSignature" in (
+                    getattr(child.args[0], "id", None), getattr(child.args[0], "attr", None)
+                )
+            ):
+                found.append(".".join(path) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_fresh_signature_builds_an_unchecked_signature(module):
+    found = signature_news((SRC / module).read_text(encoding="utf-8"))
+    assert found == (["_fresh_signature"] if module == "operad.py" else [])
+
+
+def test_the_check_sees_an_unchecked_signature():
+    source = (
+        "sig = object.__new__(ModuliSignature)\n"
+        "def build():\n"
+        "    def inner():\n"
+        "        return object.__new__(operad.ModuliSignature)\n"
+        "    return inner\n"
+        "class Sig(ModuliSignature):\n"
+        "    def __new__(cls):\n"
+        "        return ModuliSignature.__new__(ModuliSignature)\n"
+        "other = object.__new__(ModuliFactor)\n"
+        "checked = ModuliSignature(())\n"
+    )
+    assert signature_news(source) == ["<module>", "build.inner", "Sig.__new__"]

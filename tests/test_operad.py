@@ -4,7 +4,7 @@ morphisms, projection to the colorless theory, and dimension formulas."""
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -330,24 +330,21 @@ class TestRecipeAlgebra:
         assert both.ramond_fiber_rank == 2
         assert len(both.r_gluings) == 2
 
-    def test_rank_field_is_checked(self):
+    def test_rank_is_read_from_the_r_gluings(self):
         r = glue_r(
             signature([(0, {"a"}, {"r1", "r2"}), (0, {"b"}, {"s1", "s2"})]),
             "r1",
             "s1",
         )
-        bad = GluingRecipe(
-            r.source,
-            r.target,
-            r.assignment,
-            r.ns_gluings,
-            r.r_gluings,
-            r.relabeling,
-            ramond_fiber_rank=0,
+        assert [f.name for f in fields(GluingRecipe)] == [
+            "source", "target", "assignment", "ns_gluings", "r_gluings", "relabeling",
+        ]
+        rebuilt = GluingRecipe(
+            r.source, r.target, r.assignment, r.ns_gluings, r.r_gluings, r.relabeling
         )
-        rep = validate_recipe(bad)
-        assert not rep.ok
-        assert any("fiber rank" in v for v in rep.violations)
+        assert rebuilt == r and rebuilt.ramond_fiber_rank == 1
+        with pytest.raises(AttributeError):
+            rebuilt.ramond_fiber_rank = 0
 
     def test_genus_bookkeeping_enforced(self):
         src = signature([(0, {"a", "b", "f"}, ()), (0, {"g", "c", "e"}, ())])
@@ -416,6 +413,14 @@ class TestGenerators:
             glue_ns(sig, "a", "b")
         with pytest.raises(ValidationError, match="edge gluing"):
             glue_ns_loop(sig, "a", "e")
+
+    def test_tied_factors_keep_the_gluing_order(self):
+        # the merged factor goes last and the looped one keeps its slot,
+        # before the stable sort: each ties with a bare genus-2 factor
+        edge = glue_ns(signature([(1, ["a"], []), (1, ["b"], []), (2, [], [])]), "a", "b")
+        assert edge.assignment == (1, 1, 0)
+        loop = glue_ns_loop(signature([(1, ["a", "b"], []), (2, [], [])]), "a", "b")
+        assert loop.assignment == (0, 1)
 
     def test_identity_renaming_is_identity_recipe(self):
         sig = signature([(0, {"a", "b"}, {"r1", "r2"})])
@@ -674,7 +679,7 @@ class TestEvaluate:
         # each graph builds its signature once, on the first evaluation that
         # reads it, and a stable graph's signature is valid by construction,
         # so it is built unchecked
-        calls = {"_unchecked_signature": 0, "validate_signature": 0}
+        calls = {"_fresh_signature": 0, "validate_signature": 0}
 
         def counting(name):
             real = getattr(susykit.operad, name)
@@ -689,7 +694,7 @@ class TestEvaluate:
             monkeypatch.setattr(susykit.operad, name, counting(name))
 
         def counts():
-            return calls["_unchecked_signature"], calls["validate_signature"]
+            return calls["_fresh_signature"], calls["validate_signature"]
 
         g = triple_edge_graph()
         h1 = contract_pair(g, ("n1", "n2"))
