@@ -14,6 +14,8 @@ graftings, contractions and isomorphisms built here, and the final
 isomorphism of a decomposition, are valid by construction when their
 source graph is valid: each keeps a passing check of its maps from the
 start (``susy._built``), while every check of it still checks its endpoints.
+Each entry checks its source graph first, and the target graphs built here
+keep passing reports from the start (``susy._valid``).
 
 Identifier conventions: contracting an edge between distinct vertices
 names the merged vertex by joining the sorted ``*``-separated parts of
@@ -36,6 +38,8 @@ from .susy import (
     SusyMorphism,
     _built,
     _renamed,
+    _require_valid,
+    _valid,
     compose,
     susy_identity,
     susy_morphism,
@@ -91,7 +95,8 @@ def _sorted_pair(a: str, b: str) -> tuple[str, str]:
 
 
 def _flag_pair(g: SusyGraph, pair, who: str) -> tuple[str, str]:
-    """``pair`` as two flags of ``g``, sorted; anything else is refused."""
+    """``pair`` as two flags of a valid ``g``, sorted; else it is refused."""
+    _require_valid(g)
     try:
         a, b = pair
     except (TypeError, ValueError):
@@ -109,6 +114,7 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
     The underlying flag and vertex sets are untouched: only the involution
     grows, and the grafted tails' labels drop out of the labeling.
     """
+    _require_valid(g)
     pair_list = [_flag_pair(g, p, "graft") for p in pairs]
     used: set[str] = set()
     tail_set = set(tails(g.graph))
@@ -128,7 +134,7 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
         involution[a] = b
         involution[b] = a
     lab = g.labeling
-    target = SusyGraph(
+    target = _valid(
         Graph(g.flags, g.vertices, dict(g.boundary), involution),
         SusyLabeling(
             genus=lab.genus,
@@ -136,7 +142,7 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
             ns_tail_labels={l: f for l, f in lab.ns_tail_labels.items() if f not in used},
             r_tail_labels={l: f for l, f in lab.r_tail_labels.items() if f not in used},
         ),
-        modular=g.modular,
+        g.modular,
     )
     return _grafting(g, target)
 
@@ -184,7 +190,7 @@ def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphis
         boundary = {f: (merged if v in (va, vb) else v) for f, v in boundary.items()}
         genus = {v: lab.genus[v] for v in g.vertices if v not in (va, vb)}
         genus[merged] = lab.genus[va] + lab.genus[vb]
-    target = SusyGraph(
+    target = _valid(
         Graph(new_flags, vertices, boundary, involution),
         SusyLabeling(
             genus=genus,
@@ -196,7 +202,7 @@ def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphis
                 l: f for l, f in lab.r_tail_labels.items() if f not in (a, b)
             },
         ),
-        modular=g.modular,
+        g.modular,
     )
     flag_map = {f: f for f in new_flags}
     return _built(
@@ -238,6 +244,7 @@ def make_isomorphism(
     vertex_renaming: Mapping[str, str] | None = None,
 ) -> SusyMorphism:
     """Rename flags and vertices; omitted identifiers keep their names."""
+    _require_valid(g)
     fr = dict(flag_renaming or {})
     vr = dict(vertex_renaming or {})
     new_flag = {f: fr.get(f, f) for f in g.flags}
@@ -325,6 +332,7 @@ def _classify(h: SusyMorphism) -> Elementary:
 def total_grafting(g: SusyGraph) -> SusyMorphism:
     """The grafting from the disjoint union of ``g``'s vertex corollas to
     ``g`` itself; flag and vertex maps are identities."""
+    _require_valid(g)
     return _grafting(_piece_graph(g, g.vertices, g.flags, {}), g)
 
 
@@ -334,9 +342,9 @@ def _piece_graph(
     flags: set[str] | frozenset[str],
     keep: Mapping[str, str],
 ) -> SusyGraph:
-    """Piece of ``g`` on the given vertices/flags keeping only the edge
-    pairs listed in ``keep`` (everything else becomes a tail, and tails
-    label themselves)."""
+    """Piece of a valid ``g`` on the given vertices and all their flags,
+    keeping only the edges of ``g`` listed in ``keep`` (every other flag
+    becomes a tail, and tails label themselves); none of this is checked."""
     lab = g.labeling
     involution = {f: keep.get(f, f) for f in flags}
     base = Graph(
@@ -346,7 +354,7 @@ def _piece_graph(
         involution,
     )
     new_tails = [f for f in flags if involution[f] == f]
-    return SusyGraph(
+    return _valid(
         base,
         SusyLabeling(
             genus={v: lab.genus[v] for v in vertices},
@@ -354,7 +362,7 @@ def _piece_graph(
             ns_tail_labels={f: f for f in new_tails if lab.color[f] == NS},
             r_tail_labels={f: f for f in new_tails if lab.color[f] == R},
         ),
-        modular=g.modular,
+        g.modular,
     )
 
 
@@ -552,7 +560,7 @@ def commute_contractions(
     g: SusyGraph, e1: tuple[str, str], e2: tuple[str, str]
 ) -> CommutedContractions:
     """Contract two flag-disjoint pairs in both orders and compare."""
-    if set(e1) & set(e2):
+    if set(_flag_pair(g, e1, "contract")) & set(_flag_pair(g, e2, "contract")):
         raise ValidationError("pairs must be flag-disjoint")
     m1 = contract_pair(g, e1)
     m12 = contract_pair(m1.target, e2)

@@ -158,18 +158,28 @@ def _check_graph(g: Graph) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+def _require_a(cls: type, *xs) -> None:
+    """Refuse each of ``xs`` that is not a ``cls`` before it is read."""
+    for x in xs:
+        if not isinstance(x, cls):
+            raise ValidationError(f"expected a {cls.__name__}, got {type(x).__name__}")
+
+
 def tails(g: Graph) -> list[str]:
     """Flags fixed by the involution, sorted."""
+    _require_a(Graph, g)
     return sorted(f for f in g.flags if g.involution[f] == f)
 
 
 def edges(g: Graph) -> list[tuple[str, str]]:
     """Two-element involution orbits as sorted pairs, sorted."""
+    _require_a(Graph, g)
     return orbit_pairs(g.involution)
 
 
 def flags_at(g: Graph, v: str) -> list[str]:
     """Flags attached to vertex ``v``, sorted; KeyError on unknown vertex."""
+    _require_a(Graph, g)
     if v not in g.vertices:
         raise KeyError(f"unknown vertex {v!r}")
     return sorted(f for f in g.flags if g.boundary[f] == v)

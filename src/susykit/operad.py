@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .graphs import ValidationReport, _root, edges, is_connected, kept, tails
+from .graphs import ValidationReport, _require_a, _root, edges, is_connected, kept, tails
 from .susy import NS, R, SusyGraph, SusyMorphism, genus, require_susy
 from .susy import validate_susy_morphism
 
@@ -345,15 +345,10 @@ def validate_recipe(r: GluingRecipe) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _require_signature(sig) -> None:
-    if not isinstance(sig, ModuliSignature):
-        raise ValidationError(f"expected a ModuliSignature, got {type(sig).__name__}")
-
-
 def identity_recipe(sig: ModuliSignature) -> GluingRecipe:
     """Generator: the identity.  The generators skip ``validate_recipe``:
     each recipe is valid by construction once its labels are checked."""
-    _require_signature(sig)
+    _require_a(ModuliSignature, sig)
     identity = tuple(range(len(sig.factors)))
     return GluingRecipe(sig, sig, identity, (), (), {l: l for l in sig.labels})
 
@@ -387,7 +382,7 @@ def relabel_recipe(
     sig: ModuliSignature, renaming: Mapping[str, str]
 ) -> GluingRecipe:
     """Generator: rename every label by a bijection, gluing nothing."""
-    _require_signature(sig)
+    _require_a(ModuliSignature, sig)
     if not isinstance(renaming, Mapping) or set(renaming) != set(sig.labels):
         raise ValidationError("renaming must map exactly the signature labels")
     if not all(isinstance(x, str) for x in renaming.values()):
@@ -409,7 +404,7 @@ def _glue(sig: ModuliSignature, a: str, b: str, color: str, loop: bool) -> Gluin
     The target is valid by construction once the labels are checked.  A
     loop keeps its factor's slot and a merged factor goes last, before the
     stable sort that ties keep."""
-    _require_signature(sig)
+    _require_a(ModuliSignature, sig)
     if type(a) is not str or type(b) is not str:
         raise ValidationError(f"{color} gluing ({a!r}, {b!r}) is not a pair of labels")
     if a == b:
@@ -650,7 +645,10 @@ def check_operad_axioms(seed: int = 0, cases: int = 100) -> AxiomReport:
     are drawn at random per instance."""
     if type(cases) is not int or cases < 0:
         raise ValidationError(f"cases must be a non-negative integer, got {cases!r}")
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
     checked: dict[str, int] = {}
     failures: list[str] = []
 

@@ -182,13 +182,24 @@ def modular_graph(
     return SusyGraph(g, lab, modular=True)
 
 
+_PASSED = ValidationReport(())
+
+
+def _valid(graph: Graph, labeling: SusyLabeling, modular: bool) -> SusyGraph:
+    """A graph that a rule of the calculus built from a valid source, so
+    valid too: it keeps the shared passing report as both of its reports."""
+    g = SusyGraph(graph, labeling, modular)
+    graph.__dict__["report"] = g.__dict__["_labeling_report"] = _PASSED
+    return g
+
+
 def _renamed(
     g: SusyGraph, flag_name: Mapping[str, str], vertex_name: Mapping[str, str]
 ) -> SusyGraph:
     """``g`` with each flag and vertex renamed; both renamings must cover
-    every name and be injective, which is not checked here."""
+    every name and be injective, and ``g`` valid, which is not checked."""
     fn, vn, lab = flag_name, vertex_name, g.labeling
-    return SusyGraph(
+    return _valid(
         Graph(
             frozenset(fn.values()),
             frozenset(vn.values()),
@@ -201,7 +212,7 @@ def _renamed(
             {l: fn[f] for l, f in lab.ns_tail_labels.items()},
             {l: fn[f] for l, f in lab.r_tail_labels.items()},
         ),
-        modular=g.modular,
+        g.modular,
     )
 
 
@@ -296,7 +307,8 @@ class SusyMorphism:
     The maps of a morphism that the calculus builds (its graftings,
     contractions and isomorphisms, ``susy_identity``, and ``compose`` of
     two morphisms whose maps passed) are valid by construction: it keeps a
-    passing report from the start, and only its endpoints are checked."""
+    passing report from the start, and so does each target graph that the
+    calculus builds from a checked source (``_valid``)."""
 
     source: SusyGraph
     target: SusyGraph
@@ -323,14 +335,12 @@ class SusyMorphism:
         return _check_maps(self)
 
 
-_PASSED = ValidationReport(())
-
-
 def _built(source: SusyGraph, target: SusyGraph, map: GraphMorphism) -> SusyMorphism:
     """A morphism built by a rule of the calculus, which keeps the morphism
     axioms, the colours and the genus, so its maps pass their checks when
-    its source is valid; it keeps the one shared passing report unchecked.
-    ``validate_susy_morphism`` still checks both endpoints on every call."""
+    its source is valid; it keeps the one shared passing report unchecked,
+    as a target from ``_valid`` keeps its own.  ``validate_susy_morphism``
+    still asks both endpoints for their reports on every call."""
     h = SusyMorphism(source, target, map)
     h.__dict__["_report"] = _PASSED
     return h
@@ -408,6 +418,7 @@ def _check_maps(h: SusyMorphism) -> ValidationReport:
 
 
 def susy_identity(g: SusyGraph) -> SusyMorphism:
+    _require_valid(g)
     return _built(g, g, _graphs.identity_morphism(g.graph))
 
 
@@ -459,6 +470,7 @@ def forget(x):
     """
     if isinstance(x, SusyMorphism):
         return SusyMorphism(forget(x.source), forget(x.target), x.map)
+    _graphs._require_a(SusyGraph, x)
     g: SusyGraph = x
     colors = dict.fromkeys(g.flags, NS)
     lab = SusyLabeling(g.labeling.genus, colors, g.merged_tail_labels(), {})
@@ -469,6 +481,7 @@ def include(x):
     """Reinterpret a modular graph (or morphism) as an all-NS SUSY graph."""
     if isinstance(x, SusyMorphism):
         return SusyMorphism(include(x.source), include(x.target), x.map)
+    _graphs._require_a(SusyGraph, x)
     g: SusyGraph = x
     if not g.modular:
         raise ValidationError("include expects the modular view")
@@ -479,6 +492,7 @@ def disjoint_union(
     g1: SusyGraph, g2: SusyGraph, tags: tuple[str, str] = ("0", "1")
 ) -> SusyGraph:
     """Tagged monoidal sum carrying genus, colors and labels along."""
+    _graphs._require_a(SusyGraph, g1, g2)
     t1, t2 = tags
     base = _graphs.disjoint_union(g1.graph, g2.graph, tags)
     lab = SusyLabeling(

@@ -1,7 +1,9 @@
 """Morphisms are checked once, at the public entries of evaluation and the
 surgery calculus and in ``susykit evaluate``, and a malformed morphism
 raises only ValidationError; a morphism that the calculus built skips the
-checks of its maps, which hold by construction.  A public entry given
+checks of its maps, which hold by construction.  Each calculus entry that
+takes a graph checks it before reading it, so an invalid SUSY graph raises
+ValidationError when the entry is called.  A public entry given
 something that is not a SUSY graph, a morphism, a graph, a signature, a
 gluing recipe, a renaming, a label, a curve, a label iterable, a label
 count or the records of an enumeration raises only a SusyKitError."""
@@ -25,26 +27,37 @@ from susykit import (
     are_isomorphic,
     automorphisms,
     canonical_form,
+    check_operad_axioms,
     classify,
+    commute_contractions,
     compose,
+    compose_chain,
+    contract_edge,
+    contract_loop,
     contract_pair,
     contract_tails,
     count_even_partitions,
     count_lifts,
     decompose_to_elementaries,
+    disjoint_union,
     dual_graph,
+    edges,
     enumerate_edge_colorings,
     enumerate_modular_shapes,
     enumerate_strata,
     enumerate_strata_records,
     evaluate_operad,
+    flags_at,
+    forget,
     genus,
     glue_ns,
     graft,
     identity_recipe,
+    include,
     is_stable,
     lift_count_general,
     lift_tree_coloring,
+    make_isomorphism,
     project,
     recipe_compose,
     relabel_recipe,
@@ -54,6 +67,8 @@ from susykit import (
     susy_graph,
     susy_identity,
     susy_morphism,
+    tails,
+    total_grafting,
     validate_curve_config,
     validate_recipe,
     validate_signature,
@@ -365,6 +380,21 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
         (lift_tree_coloring, (TREE, None, []), "must be an iterable of strings, got NoneType"),
         (count_even_partitions, ("x",), "label count must be a non-negative integer"),
         (count_even_partitions, (True,), "label count must be a non-negative integer"),
+        (graft, (5, []), "invalid SUSY graph: expected a SusyGraph, got int"),
+        (total_grafting, (5,), "invalid SUSY graph: expected a SusyGraph, got int"),
+        (make_isomorphism, (5,), "invalid SUSY graph: expected a SusyGraph, got int"),
+        (susy_identity, (5,), "invalid SUSY graph: expected a SusyGraph, got int"),
+        (compose_chain, (5, []), "invalid SUSY graph: expected a SusyGraph, got int"),
+        (contract_pair, (5, ("a", "b")), "invalid SUSY graph: expected a SusyGraph, got int"),
+        (tails, (5,), "expected a Graph, got int"),
+        (edges, (5,), "expected a Graph, got int"),
+        (flags_at, (5, "v"), "expected a Graph, got int"),
+        (forget, (5,), "expected a SusyGraph, got int"),
+        (include, (5,), "expected a SusyGraph, got int"),
+        (disjoint_union, (5, 5), "expected a SusyGraph, got int"),
+        (disjoint_union, (TREE, 5), "expected a SusyGraph, got int"),
+        (commute_contractions, (TREE, 5, 5), "contract: 5 is not a pair of flags"),
+        (check_operad_axioms, ([1],), r"seed must be an integer, got \[1\]"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -373,9 +403,42 @@ def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # strata_poset(5) a TypeError that 'int' object is not iterable, and the
     # others an AttributeError; of the later rows, the operad's entries and
     # the lifts raised TypeError or AttributeError, and count_even_partitions
-    # a TypeError for "x" and a count for True; a check that returns a report
-    # is asked to raise it
+    # a TypeError for "x" and a count for True; the calculus's graph entries,
+    # the graph readers, forget, include and disjoint_union raised
+    # AttributeError, commute_contractions and check_operad_axioms a
+    # TypeError; a check that returns a report is asked to raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
         report.raise_if_invalid("argument")
     assert type(caught.value) is ValidationError
+
+
+def recoloured_path():
+    """``path_graph`` with the NS edge's flag ``p`` coloured R, so colours
+    disagree across that edge and ``u`` sees an odd number of R flags."""
+    g = path_graph()
+    return replace(g, labeling=replace(g.labeling, color={**g.labeling.color, "p": R}))
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (graft, ([("a0", "a1")],)),
+        (contract_pair, (("p", "q"),)),
+        (contract_edge, (("p", "q"),)),
+        (contract_loop, (("p", "q"),)),
+        (contract_tails, (("a0", "a1"),)),
+        (make_isomorphism, ()),
+        (total_grafting, ()),
+        (susy_identity, ()),
+        (commute_contractions, (("p", "q"), ("r", "s"))),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_an_invalid_source_raises_when_the_entry_is_called(entry, args):
+    # each entry once built a morphism whose endpoint check failed later
+    # (contract_loop refused the pair as no loop, and commute_contractions
+    # compared two such morphisms); the source is now checked first, since
+    # the graphs that the calculus builds from it are trusted
+    with pytest.raises(ValidationError, match="^invalid SUSY graph: color: edge flags"):
+        entry(recoloured_path(), *args)

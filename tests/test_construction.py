@@ -1,11 +1,12 @@
 """The calculus builds its graftings, contractions, isomorphisms, identities
-and composites without checking their maps, and ``operad`` builds each
-stable graph's signature and each glued, relabelled and erased target
-without checking it, since all are valid by construction.  The oracle
-here records every morphism and signature built that way over seeded
-plans and checks each afresh with the full checks; a contraction that
-drops a colour, a grafting that loses a genus or a loop gluing that
-forgets its genus fails it."""
+and composites without checking their maps, and their target graphs
+without checking them, and ``operad`` builds each stable graph's
+signature and each glued, relabelled and erased target without checking
+it, since all are valid by construction.  The oracle here records every
+morphism, graph and signature built that way over seeded plans and checks
+each afresh with the full checks; a contraction that drops a colour, a
+grafting that loses a genus or keeps the labels of the tails it joined,
+or a loop gluing that forgets its genus fails it."""
 
 import random
 import sys
@@ -33,15 +34,17 @@ from susykit import (
     total_grafting,
     validate_signature,
 )
-from susykit.graphs import GraphMorphism
+from susykit.graphs import GraphMorphism, _check_graph
 from susykit.sampling import random_composable_pair, random_susy_graph
-from susykit.susy import _check_maps
+from susykit.susy import _check_labeling, _check_maps
 
 SEEDS = range(5)
 KINDS = {
     "identity", "grafting", "edge_contraction", "loop_contraction",
     "virtual_contraction", "isomorphism", "composite",
 }
+# the builders that ask ``susy._valid`` for a graph
+GRAPH_BUILDERS = {"graft", "_contract", "_renamed", "_piece_graph"}
 
 
 def replace_everywhere(monkeypatch, fn, new):
@@ -54,14 +57,22 @@ def replace_everywhere(monkeypatch, fn, new):
 
 
 def record_unchecked(monkeypatch):
-    """The morphisms that ``susy._built`` returns and the signatures that
-    ``operad._fresh_signature`` builds from now on, as two lists."""
-    morphisms, signatures = [], []
-    built, fresh = susykit.susy._built, susykit.operad._fresh_signature
+    """The morphisms that ``susy._built`` returns, the graphs that
+    ``susy._valid`` returns, each listed under the name of the function
+    that asked for it, and the signatures that ``operad._fresh_signature``
+    builds from now on: a list, a dict and a list."""
+    morphisms, graphs, signatures = [], {}, []
+    built, valid = susykit.susy._built, susykit.susy._valid
+    fresh = susykit.operad._fresh_signature
 
     def recording_built(*args):
         morphisms.append(built(*args))
         return morphisms[-1]
+
+    def recording_valid(*args):
+        g = valid(*args)
+        graphs.setdefault(sys._getframe(1).f_code.co_name, []).append(g)
+        return g
 
     def recording_fresh(*args):
         sig, position = fresh(*args)
@@ -69,8 +80,9 @@ def record_unchecked(monkeypatch):
         return sig, position
 
     replace_everywhere(monkeypatch, built, recording_built)
+    replace_everywhere(monkeypatch, valid, recording_valid)
     replace_everywhere(monkeypatch, fresh, recording_fresh)
-    return morphisms, signatures
+    return morphisms, graphs, signatures
 
 
 def run_calculus(seed):
@@ -91,19 +103,28 @@ def run_calculus(seed):
     assert check_operad_axioms(seed=seed, cases=20).passed
 
 
-def fails_a_fresh_check(morphisms, signatures):
-    """Each recorded morphism or signature that its full check refuses."""
+def fresh_graph_check(g):
+    """The graph axioms of ``g``, then its labeling checks, run afresh."""
+    report = _check_graph(g.graph)
+    return _check_labeling(g) if report.ok else report
+
+
+def fails_a_fresh_check(morphisms, graphs, signatures):
+    """Each recorded morphism, graph or signature that its full check
+    refuses."""
     bad = [m for m in morphisms if not _check_maps(replace(m)).ok]
+    bad += [g for gs in graphs.values() for g in gs if not fresh_graph_check(g).ok]
     return bad + [s for s in signatures if not validate_signature(s).ok]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_what_is_built_unchecked_passes_a_fresh_check(monkeypatch, seed):
-    morphisms, signatures = record_unchecked(monkeypatch)
+    morphisms, graphs, signatures = record_unchecked(monkeypatch)
     run_calculus(seed)
-    assert fails_a_fresh_check(morphisms, signatures) == []
+    assert fails_a_fresh_check(morphisms, graphs, signatures) == []
     # every builder was reached
     assert {classify(m).kind for m in morphisms} == KINDS
+    assert graphs.keys() == GRAPH_BUILDERS
     assert signatures
 
 
@@ -152,6 +173,23 @@ def genus_losing(graft):
     return lost
 
 
+def tail_label_keeping(graft):
+    """``graft`` whose target keeps the labels of the tails it joined, so
+    its tail labelling is no longer a bijection onto its tails."""
+
+    def kept(g, pairs):
+        h = graft(g, pairs)
+        lab = h.target.labeling
+        labels = SusyLabeling(
+            lab.genus, lab.color, g.labeling.ns_tail_labels, g.labeling.r_tail_labels
+        )
+        # looked up at call time, so a recording ``_valid`` sees it
+        target = susykit.susy._valid(h.target.graph, labels, h.target.modular)
+        return rebuilt(h, target)
+
+    return kept
+
+
 def loop_genus_forgetting(glue):
     """``operad._glue`` with a loop's target factor left at its old genus."""
 
@@ -176,16 +214,22 @@ def loop_genus_forgetting(glue):
     [
         (susykit.calculus, "_contract", colour_dropping),
         (susykit.calculus, "graft", genus_losing),
+        (susykit.calculus, "graft", tail_label_keeping),
         (susykit.operad, "_glue", loop_genus_forgetting),
     ],
-    ids=["contract_drops_a_colour", "graft_loses_a_genus", "loop_forgets_its_genus"],
+    ids=[
+        "contract_drops_a_colour",
+        "graft_loses_a_genus",
+        "graft_keeps_its_tail_labels",
+        "loop_forgets_its_genus",
+    ],
 )
 def test_the_oracle_sees_a_broken_builder(monkeypatch, module, name, breaking):
     fn = getattr(module, name)
     replace_everywhere(monkeypatch, fn, breaking(fn))
-    morphisms, signatures = record_unchecked(monkeypatch)
+    morphisms, graphs, signatures = record_unchecked(monkeypatch)
     for seed in SEEDS:
         # downstream checks may refuse what the broken builder made
         with suppress(SusyKitError):
             run_calculus(seed)
-    assert fails_a_fresh_check(morphisms, signatures)
+    assert fails_a_fresh_check(morphisms, graphs, signatures)

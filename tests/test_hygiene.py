@@ -4,8 +4,10 @@ re-exports and is exempt.  The package keeps derived values with one
 descriptor, ``graphs.kept``, so no module of it uses
 ``functools.cached_property``.  Every private name that a module of the
 package defines at module level is read somewhere in the package, so no
-helper outlives its last caller.  Only ``susy`` writes a morphism's kept
-``_report``, so the morphisms trusted without a check of their maps are
+helper outlives its last caller.  Only ``susy._built`` writes a
+morphism's kept ``_report`` and only ``susy._valid`` a graph's kept
+``report`` and ``_labeling_report``, so the morphisms trusted without a
+check of their maps, and the graphs trusted without a check, are each
 built in one place.  Only ``operad._fresh_signature`` builds a
 ``ModuliSignature`` past its validating constructor, so the signatures
 trusted without a check are built in one place too.  Only ``jsonio``
@@ -153,36 +155,53 @@ def test_the_check_sees_an_unread_private_name():
     assert unread_private_names(sources) == ["a.py: _Old", "a.py: _unused"]
 
 
+# the kept reports: a morphism's, a graph's and a SUSY graph's labeling's
+REPORTS = {"_report", "report", "_labeling_report"}
+
+
 def report_writes(source: str) -> list[int]:
-    """The lines of ``source`` that write a ``_report``: by assignment to
-    the attribute or to a ``"_report"`` key, by ``setattr`` or
-    ``__setattr__`` with that name, or by ``update(_report=...)``."""
+    """The lines of ``source`` that write a kept report (``REPORTS``): by
+    assignment to the attribute or to a key of that name, by ``setattr``
+    or ``__setattr__`` with that name, or by ``update`` with it as a
+    keyword."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:
-                if isinstance(t, ast.Attribute) and t.attr == "_report" or (
+                if isinstance(t, ast.Attribute) and t.attr in REPORTS or (
                     isinstance(t, ast.Subscript)
                     and isinstance(t.slice, ast.Constant)
-                    and t.slice.value == "_report"
+                    and t.slice.value in REPORTS
                 ):
                     lines.append(node.lineno)
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             named = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
-            if name in ("setattr", "__setattr__") and named == ["_report"] or (
-                name == "update" and any(k.arg == "_report" for k in node.keywords)
+            if name in ("setattr", "__setattr__") and named and named[0] in REPORTS or (
+                name == "update" and any(k.arg in REPORTS for k in node.keywords)
             ):
                 lines.append(node.lineno)
     return sorted(set(lines))
 
 
+def functions_at(source: str, lines: list[int]) -> set[str]:
+    """The names of the module-level statements of ``source`` that hold
+    ``lines``: a function's or class's name, or ``<module>``."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in ast.parse(source).body
+        if any(node.lineno <= n <= node.end_lineno for n in lines)
+    }
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_only_susy_writes_a_kept_report(module):
-    writes = report_writes((SRC / module).read_text(encoding="utf-8"))
-    assert bool(writes) == (module == "susy.py"), writes
+    source = (SRC / module).read_text(encoding="utf-8")
+    writers = functions_at(source, report_writes(source))
+    # the trusted morphisms' builder and the trusted graphs' builder
+    assert writers == ({"_built", "_valid"} if module == "susy.py" else set())
 
 
 def test_the_check_sees_a_report_write():
@@ -193,9 +212,26 @@ def test_the_check_sees_a_report_write():
         "object.__setattr__(h, '_report', ok)\n"
         "vars(h).update(_report=ok)\n"
         "h.__dict__['report'] = ok\n"
+        "g.report = g._labeling_report = ok\n"
+        "setattr(g, '_labeling_report', ok)\n"
         "r = h._report\n"
+        "h.__dict__['reports'] = h.reporter = ok\n"
+        "setattr(h, name, ok)\n"
     )
-    assert report_writes(source) == [1, 2, 3, 4, 5]
+    assert report_writes(source) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def test_the_check_names_each_writer():
+    source = (
+        "def _built(h):\n"
+        "    h.__dict__['_report'] = ok\n"
+        "class A:\n"
+        "    def f(self, g):\n"
+        "        g.report = ok\n"
+        "x = 1\n"
+        "h._report = x\n"
+    )
+    assert functions_at(source, report_writes(source)) == {"_built", "A", "<module>"}
 
 
 def json_imports(source: str) -> list[str]:

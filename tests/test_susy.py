@@ -581,9 +581,9 @@ def record_checks(monkeypatch, module, name):
 
 
 def test_each_graph_is_checked_once_across_entries(monkeypatch):
-    h = contraction_chain()
     graph_checks = record_checks(monkeypatch, susykit.graphs, "_check_graph")
     labeling_checks = record_checks(monkeypatch, susykit.susy, "_check_labeling")
+    h = contraction_chain()
     asks = count_calls(monkeypatch, susykit.susy.validate_susy_graph)
     for entry in (
         evaluate_operad,
@@ -596,9 +596,11 @@ def test_each_graph_is_checked_once_across_entries(monkeypatch):
         entry(h)
         # every entry still asks for both endpoint graphs
         assert [g for (g,) in asks] == [h.source, h.target]
-    # but each graph ran its checks on the first ask only
-    assert list(map(id, graph_checks)) == [id(h.source.graph), id(h.target.graph)]
-    assert list(map(id, labeling_checks)) == [id(h.source), id(h.target)]
+    # but only the user-built source ran its checks, once, when the first
+    # contraction of the chain was built; the calculus built every other
+    # graph, the target included, valid and unchecked
+    assert list(map(id, graph_checks)) == [id(h.source.graph)]
+    assert list(map(id, labeling_checks)) == [id(h.source)]
 
 
 def test_invalid_graphs_report_the_same_violations_on_every_check(monkeypatch):
