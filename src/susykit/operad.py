@@ -112,8 +112,9 @@ class ModuliSignature:
 
 
 def validate_signature(sig: ModuliSignature) -> ValidationReport:
-    """Every violation, factor by factor.  A factor whose genus is not an int
-    or whose labels are not strings is reported for that alone."""
+    """Every violation, factor by factor.  An entry that is not a
+    ``ModuliFactor``, or a factor whose genus is not an int or whose labels
+    are not strings, is reported for that alone."""
     if not isinstance(sig, ModuliSignature):
         return ValidationReport((f"expected a ModuliSignature, got {type(sig).__name__}",))
     problems: list[str] = []
@@ -122,6 +123,9 @@ def validate_signature(sig: ModuliSignature) -> ValidationReport:
     seen: set[str] = set()
     keys: list[tuple] = []
     for i, f in enumerate(sig.factors):
+        if not isinstance(f, ModuliFactor):
+            problems.append(f"factor {i}: expected a ModuliFactor, got {type(f).__name__}")
+            continue
         ns, r = f.ns_labels, f.r_labels
         labels = ns | r
         str_labels = all(isinstance(l, str) for l in labels)
@@ -239,6 +243,7 @@ def recipe(
     relabeling: Mapping[str, str] | None = None,
 ) -> GluingRecipe:
     """Assemble and validate a recipe."""
+    _require_a(ModuliSignature, source, target)
     if not (isinstance(ns_gluings, Iterable) and isinstance(r_gluings, Iterable)):
         raise ValidationError("gluings must be iterables of label pairs")
     ns_pairs, r_pairs = tuple(ns_gluings), tuple(r_gluings)

@@ -126,7 +126,7 @@ class SusyGraph:
     @kept
     def stability(self) -> StabilityReport:
         """``is_stable(self)``, the package's one call of it, read by the
-        lifts, the operad's evaluation and dimensions, the CLI and samplers."""
+        lifts, the operad's evaluation and dimensions and the CLI."""
         return is_stable(self)
 
     @kept
@@ -353,6 +353,7 @@ def susy_morphism(
     vertex_map: Mapping[str, str],
     contracted_pairs: Iterable[tuple[str, str]] = (),
 ) -> SusyMorphism:
+    _graphs._require_a(SusyGraph, source, target)
     return SusyMorphism(
         source,
         target,

@@ -1,26 +1,36 @@
 """Seeded random generators for graphs, morphisms and curve configurations.
 
-Everything takes an explicit ``random.Random`` so test runs are
-reproducible; nothing here touches the global RNG state.
+Test support: the suite draws its random inputs here, through the public
+API of ``susykit`` alone.  Everything takes an explicit ``random.Random``
+so test runs are reproducible; nothing here touches the global RNG state.
 """
 
 from __future__ import annotations
 
 import random
 
-from .calculus import compose_chain, contract_pair, contract_tails, graft, make_isomorphism
-from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint, validate_curve_config
-from .errors import ValidationError
-from .graphs import orbit_pairs, tails
-from .lifting import _colorings, _doubled, _lift
-from .susy import (
+from susykit import (
     NS,
     R,
+    Component,
+    CurveConfig,
+    SpecialPoint,
     SusyGraph,
     SusyMorphism,
+    ValidationError,
+    compose_chain,
+    contract_pair,
+    contract_tails,
+    enumerate_edge_colorings,
+    graft,
+    make_isomorphism,
     modular_graph,
+    tails,
+    validate_curve_config,
     validate_susy_graph,
 )
+from susykit.curves import NODE_HALF, PUNCTURE
+from susykit.graphs import orbit_pairs
 
 __all__ = [
     "random_composable_pair",
@@ -144,10 +154,8 @@ def random_susy_graph(
     """A stable connected SUSY graph: a sampled modular shape with a random
     even tail partition and a random compatible edge coloring."""
     shape = random_modular_graph(rng, max_vertices, max_genus, max_extra_edges)
-    ns, r = map(frozenset, random_tail_partition(rng, shape))
     # a connected shape lifts for every even partition
-    particular, cycles = _lift(shape, r)
-    return _colorings(shape, ns, r, rng.choice(_doubled(particular, cycles)), [])[0]
+    return rng.choice(enumerate_edge_colorings(shape, *random_tail_partition(rng, shape)))
 
 
 def _same_color_tail_pairs(g: SusyGraph) -> list[tuple[str, str]]:

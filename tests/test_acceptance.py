@@ -25,6 +25,14 @@ from oracles import (
     forest_b1,
     oracle_genus,
 )
+from sampling import (
+    random_composable_pair,
+    random_curve_config,
+    random_modular_tree,
+    random_morphism,
+    random_susy_graph,
+    random_tail_partition,
+)
 from test_strata import match_one_to_one
 
 from susykit import (
@@ -53,14 +61,6 @@ from susykit import (
     validate_susy_graph,
 )
 from susykit.graphs import edges, flags_at, tails
-from susykit.sampling import (
-    random_composable_pair,
-    random_curve_config,
-    random_modular_tree,
-    random_morphism,
-    random_susy_graph,
-    random_tail_partition,
-)
 
 
 def test_criterion_1_unique_tree_lift():

@@ -23,6 +23,7 @@ from susykit import (
     SusyGraph,
     SusyKitError,
     SusyMorphism,
+    ModuliSignature,
     ValidationError,
     are_isomorphic,
     automorphisms,
@@ -52,6 +53,7 @@ from susykit import (
     genus,
     glue_ns,
     graft,
+    iso_between,
     identity_recipe,
     include,
     is_stable,
@@ -59,6 +61,7 @@ from susykit import (
     lift_tree_coloring,
     make_isomorphism,
     project,
+    recipe,
     recipe_compose,
     relabel_recipe,
     signature,
@@ -78,9 +81,9 @@ from susykit.calculus import atomize
 from susykit.cli import main
 from susykit.graphs import GraphMorphism, validate_graph, validate_morphism
 from susykit.jsonio import dumps, morphism_to_json
-from susykit.sampling import random_morphism, random_susy_graph
 
 from conftest import star
+from sampling import random_morphism, random_susy_graph
 
 
 def path_graph():
@@ -395,6 +398,10 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
         (disjoint_union, (TREE, 5), "expected a SusyGraph, got int"),
         (commute_contractions, (TREE, 5, 5), "contract: 5 is not a pair of flags"),
         (check_operad_axioms, ([1],), r"seed must be an integer, got \[1\]"),
+        (susy_morphism, (5, 5, {}, {}), "expected a SusyGraph, got int"),
+        (iso_between, (5, 5, {}, {}), "expected a SusyGraph, got int"),
+        (recipe, ([1], [1], [1]), "expected a ModuliSignature, got list"),
+        (ModuliSignature, ([(0, ["a"], [])],), "factor 0: expected a ModuliFactor, got tuple"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -406,7 +413,9 @@ def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # a TypeError for "x" and a count for True; the calculus's graph entries,
     # the graph readers, forget, include and disjoint_union raised
     # AttributeError, commute_contractions and check_operad_axioms a
-    # TypeError; a check that returns a report is asked to raise it
+    # TypeError; susy_morphism and iso_between, recipe and a signature with
+    # a plain tuple for a factor raised AttributeError; a check that returns
+    # a report is asked to raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
         report.raise_if_invalid("argument")

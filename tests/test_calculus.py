@@ -28,9 +28,9 @@ from susykit import (
     validate_susy_morphism,
 )
 from susykit.calculus import atomize, compose_chain
-from susykit.sampling import random_morphism, random_susy_graph
 
 from conftest import star, two_vertex_tree
+from sampling import random_morphism, random_susy_graph
 
 
 def loop_with_tails(n: int = 2):

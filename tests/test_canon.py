@@ -28,10 +28,10 @@ from susykit import (
     susy_graph,
 )
 from susykit import canon
-from susykit.sampling import random_susy_graph
 
 from conftest import star
 from oracles import brute_automorphism_order, brute_is_isomorphic, brute_isomorphisms
+from sampling import random_susy_graph
 
 
 def labeled_tree(split):

@@ -35,8 +35,9 @@ from susykit import (
     validate_signature,
 )
 from susykit.graphs import GraphMorphism, _check_graph
-from susykit.sampling import random_composable_pair, random_susy_graph
 from susykit.susy import _check_labeling, _check_maps
+
+from sampling import random_composable_pair, random_susy_graph
 
 SEEDS = range(5)
 KINDS = {

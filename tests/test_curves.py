@@ -24,9 +24,9 @@ from susykit import (
     validate_susy_graph,
 )
 from susykit.curves import reduction_compatibility
-from susykit.sampling import random_curve_config
 
 from oracles import oracle_genus
+from sampling import random_curve_config
 
 
 def pt(pid, color, kind="puncture", label=None):

@@ -31,14 +31,14 @@ from susykit.graphs import (
     involution_from_pairs,
     orbit_pairs,
 )
-from susykit.sampling import (
+
+from conftest import star, two_vertex_tree
+from sampling import (
     random_composable_pair,
     random_modular_graph,
     random_morphism,
     random_susy_graph,
 )
-
-from conftest import star, two_vertex_tree
 
 
 def corolla_graph(n: int = 3) -> Graph:

@@ -12,8 +12,11 @@ built in one place.  Only ``operad._fresh_signature`` builds a
 ``ModuliSignature`` past its validating constructor, so the signatures
 trusted without a check are built in one place too.  Only ``jsonio``
 imports the stdlib ``json``, so one module owns the document format;
-``canon`` takes its string quoting for the certificate.  The checks read
-each module's syntax tree, so they need no linter."""
+``canon`` takes its string quoting for the certificate.  Every module of
+the package is reached by its package imports from ``__init__.py`` or
+``cli.py``, the console script, so nothing ships that neither the library
+nor the CLI runs; test support lives in ``tests/``.  The checks read each
+module's syntax tree, so they need no linter."""
 
 import ast
 from pathlib import Path
@@ -153,6 +156,59 @@ def test_the_check_sees_an_unread_private_name():
         "b.py": "from a import _helper\n",
     }
     assert unread_private_names(sources) == ["a.py: _Old", "a.py: _unused"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that ``source`` imports, anywhere in it:
+    ``x`` for ``from .x import``, ``from . import x`` and
+    ``from susykit.x import``."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            package, _, module = node.module.partition(".")
+            if package == "susykit" and module:
+                found.add(module)
+    return found
+
+
+def unreached_modules(sources: dict[str, str], roots: list[str]) -> list[str]:
+    """The modules of ``sources`` (module name to source) that no chain of
+    package imports reaches from ``roots``."""
+    reached: set[str] = set()
+    todo = list(roots)
+    while todo:
+        module = todo.pop()
+        if module in sources and module not in reached:
+            reached.add(module)
+            todo += package_imports(sources[module])
+    return sorted(sources.keys() - reached)
+
+
+# the package and its console script, ``[project.scripts]`` in pyproject.toml
+ENTRY_POINTS = ["__init__", "cli"]
+
+
+def test_every_module_is_reached():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unreached_modules(sources, ENTRY_POINTS) == []
+
+
+def test_the_check_sees_an_unreached_module():
+    sources = {
+        "__init__": "from .a import f\nfrom os.path import join\n",
+        "a": "from . import b\nfrom .errors import E\n",
+        "b": "def g():\n    from susykit.c import h\n",
+        "c": "import susykit\n",
+        "errors": "",
+        "cli": "from .d import x\n",
+        "d": "",
+        "orphan": "from .stale import x\nfrom .a import f\n",
+        "stale": "",
+        "path": "",
+    }
+    assert unreached_modules(sources, ENTRY_POINTS) == ["orphan", "path", "stale"]
 
 
 # the kept reports: a morphism's, a graph's and a SUSY graph's labeling's

@@ -38,10 +38,10 @@ from susykit.jsonio import (
 )
 from susykit import cli
 from susykit.curves import Component, CurveConfig, SpecialPoint
-from susykit.sampling import random_morphism, random_susy_graph
 from susykit.strata import _ordered, _shapes
 
 from conftest import star
+from sampling import random_morphism, random_susy_graph
 from test_canon import cycle_graph
 
 

@@ -34,15 +34,15 @@ from susykit import (
     tails,
     validate_susy_graph,
 )
-from susykit.sampling import (
+
+from conftest import star, two_vertex_tree
+from oracles import brute_color_sets, color_set_of, forest_b1
+from sampling import (
     random_modular_graph,
     random_modular_tree,
     random_susy_graph,
     random_tail_partition,
 )
-
-from conftest import star, two_vertex_tree
-from oracles import brute_color_sets, color_set_of, forest_b1
 
 
 def simple_tree():

@@ -47,13 +47,13 @@ from susykit import (
 )
 from susykit.jsonio import recipe_to_json
 from susykit.operad import _graph_signature
-from susykit.sampling import (
+
+from conftest import star
+from sampling import (
     random_composable_pair,
     random_morphism,
     random_susy_graph,
 )
-
-from conftest import star
 
 
 def two_corolla_graph():
@@ -961,8 +961,6 @@ def test_evaluation_is_functorial_on_every_contraction_chain(g, ns, r, chains):
 
 
 def test_evaluate_composite_equals_composed_recipes_many(rng):
-    from susykit.sampling import random_composable_pair
-
     for _ in range(30):
         g = random_susy_graph(rng)
         h, f = random_composable_pair(rng, g)

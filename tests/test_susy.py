@@ -35,14 +35,14 @@ from susykit import (
 )
 from susykit.calculus import atomize
 from susykit.graphs import identity_morphism
-from susykit.sampling import (
+
+from conftest import star, two_vertex_tree
+from oracles import oracle_genus, valid_hom_set
+from sampling import (
     random_composable_pair,
     random_modular_graph,
     random_susy_graph,
 )
-
-from conftest import star, two_vertex_tree
-from oracles import oracle_genus, valid_hom_set
 from test_boundary import contraction_chain, count_calls
 
 
