@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .graphs import Graph, GraphMorphism, tails
+from .graphs import Graph, GraphMorphism, _owned, tails
 from .susy import (
     NS,
     R,
@@ -135,10 +135,10 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
         involution[b] = a
     lab = g.labeling
     target = _valid(
-        Graph(g.flags, g.vertices, dict(g.boundary), involution),
-        SusyLabeling(
-            genus=lab.genus,
-            color=lab.color,
+        _owned(Graph, flags=g.flags, vertices=g.vertices, boundary=dict(g.boundary),
+               involution=involution),
+        _owned(
+            SusyLabeling, genus=dict(lab.genus), color=dict(lab.color),
             ns_tail_labels={l: f for l, f in lab.ns_tail_labels.items() if f not in used},
             r_tail_labels={l: f for l, f in lab.r_tail_labels.items() if f not in used},
         ),
@@ -150,11 +150,10 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
 def _grafting(source: SusyGraph, target: SusyGraph) -> SusyMorphism:
     """The morphism between graphs on the same flags and vertices whose
     flag and vertex maps are identities."""
-    flag_map = {f: f for f in target.flags}
-    vertex_map = {v: v for v in target.vertices}
-    return _built(
-        source, target, GraphMorphism(source.graph, target.graph, flag_map, vertex_map, {})
-    )
+    return _built(source, target, _owned(
+        GraphMorphism, source=source.graph, target=target.graph, contracted={},
+        flag_map={f: f for f in target.flags}, vertex_map={v: v for v in target.vertices},
+    ))
 
 
 def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphism:
@@ -175,7 +174,7 @@ def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphis
 
     va, vb = g.boundary[a], g.boundary[b]
     lab = g.labeling
-    new_flags = frozenset(g.flags - {a, b})
+    new_flags = g.flags - {a, b}
     boundary = {f: v for f, v in g.boundary.items() if f not in (a, b)}
     involution = {f: p for f, p in g.involution.items() if f not in (a, b)}
     genus = dict(lab.genus)
@@ -191,9 +190,10 @@ def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphis
         genus = {v: lab.genus[v] for v in g.vertices if v not in (va, vb)}
         genus[merged] = lab.genus[va] + lab.genus[vb]
     target = _valid(
-        Graph(new_flags, vertices, boundary, involution),
-        SusyLabeling(
-            genus=genus,
+        _owned(Graph, flags=new_flags, vertices=vertices, boundary=boundary,
+               involution=involution),
+        _owned(
+            SusyLabeling, genus=genus,
             color={f: c for f, c in lab.color.items() if f not in (a, b)},
             ns_tail_labels={
                 l: f for l, f in lab.ns_tail_labels.items() if f not in (a, b)
@@ -204,10 +204,10 @@ def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphis
         ),
         g.modular,
     )
-    flag_map = {f: f for f in new_flags}
-    return _built(
-        g, target, GraphMorphism(g.graph, target.graph, flag_map, vertex_map, {a: b, b: a})
-    )
+    return _built(g, target, _owned(
+        GraphMorphism, source=g.graph, target=target.graph, flag_map={f: f for f in new_flags},
+        vertex_map=vertex_map, contracted={a: b, b: a},
+    ))
 
 
 def contract_edge(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
@@ -254,8 +254,10 @@ def make_isomorphism(
     ) != len(new_vert):
         raise ValidationError("renaming must stay injective")
     target = _renamed(g, new_flag, new_vert)
-    flag_map = {new_flag[f]: f for f in g.flags}
-    return _built(g, target, GraphMorphism(g.graph, target.graph, flag_map, new_vert, {}))
+    return _built(g, target, _owned(
+        GraphMorphism, source=g.graph, target=target.graph,
+        flag_map={new_flag[f]: f for f in g.flags}, vertex_map=new_vert, contracted={},
+    ))
 
 
 def iso_between(
@@ -347,17 +349,15 @@ def _piece_graph(
     becomes a tail, and tails label themselves); none of this is checked."""
     lab = g.labeling
     involution = {f: keep.get(f, f) for f in flags}
-    base = Graph(
-        frozenset(flags),
-        frozenset(vertices),
-        {f: g.boundary[f] for f in flags},
-        involution,
+    base = _owned(
+        Graph, flags=frozenset(flags), vertices=frozenset(vertices),
+        boundary={f: g.boundary[f] for f in flags}, involution=involution,
     )
     new_tails = [f for f in flags if involution[f] == f]
     return _valid(
         base,
-        SusyLabeling(
-            genus={v: lab.genus[v] for v in vertices},
+        _owned(
+            SusyLabeling, genus={v: lab.genus[v] for v in vertices},
             color={f: lab.color[f] for f in flags},
             ns_tail_labels={f: f for f in new_tails if lab.color[f] == NS},
             r_tail_labels={f: f for f in new_tails if lab.color[f] == R},
@@ -503,11 +503,10 @@ def decompose_to_elementaries(
         and all(v == k for k, v in iso_vertex_map.items())
     )
     if not is_trivial:
-        iso = _built(
-            current,
-            tgt,
-            GraphMorphism(current.graph, tgt.graph, iso_flag_map, iso_vertex_map, {}),
-        )
+        iso = _built(current, tgt, _owned(
+            GraphMorphism, source=current.graph, target=tgt.graph,
+            flag_map=iso_flag_map, vertex_map=iso_vertex_map, contracted={},
+        ))
         steps.append(_classify(iso))
 
     composite = compose_chain(src, [s.morphism for s in steps])

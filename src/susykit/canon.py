@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .graphs import Graph, kept
+from .graphs import Graph, _owned, kept
 from .susy import NS, R, SusyGraph, SusyLabeling, require_susy
 
 __all__ = [
@@ -154,14 +154,16 @@ def _named(c: Core) -> SusyGraph:
     for f, l in enumerate(c.label):
         if l is not None:
             tails[c.color[f]][l] = flag[f]
-    graph = Graph(
-        frozenset(flag),
-        frozenset(vertex),
-        {flag[f]: vertex[v] for f, v in enumerate(c.boundary)},
-        {flag[f]: flag[p] for f, p in enumerate(c.involution)},
+    graph = _owned(
+        Graph, flags=frozenset(flag), vertices=frozenset(vertex),
+        boundary={flag[f]: vertex[v] for f, v in enumerate(c.boundary)},
+        involution={flag[f]: flag[p] for f, p in enumerate(c.involution)},
     )
-    colors = {f: COLORS[k] for f, k in zip(flag, c.color)}
-    labeling = SusyLabeling(dict(zip(vertex, c.genus)), colors, *tails)
+    labeling = _owned(
+        SusyLabeling, genus=dict(zip(vertex, c.genus)),
+        color={f: COLORS[k] for f, k in zip(flag, c.color)},
+        ns_tail_labels=tails[0], r_tail_labels=tails[1],
+    )
     return SusyGraph(graph, labeling, c.modular)
 
 

@@ -20,7 +20,7 @@ connects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -76,8 +76,26 @@ class kept:
         return value
 
 
-def _freeze_str_set(value: Iterable[str]) -> frozenset[str]:
-    out = frozenset(value)
+def _owned(cls: type, **fields):
+    """A ``cls`` that takes ``fields`` as they are, with no freezing, copying
+    or sorting: the one place that skips a value type's ``__init__``.  Each
+    field is of the constructor's type and order, in a container just made."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+def _copied(make: Callable, value, field: str):
+    """``make(value)``, the frozen or copied ``field`` that a public
+    constructor keeps; a ``value`` that makes none is refused by name."""
+    try:
+        return make(value)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"invalid {field}: {err}") from None
+
+
+def _freeze_str_set(value: Iterable[str], field: str) -> frozenset[str]:
+    out = _copied(frozenset, value, field)
     if not all(isinstance(x, str) for x in out):
         raise ValidationError("identifiers must be strings")
     return out
@@ -91,6 +109,8 @@ class Graph:
     is the flag pairing (identity on tails).  Instances are plain values:
     two graphs are equal exactly when all four fields agree.  The kept,
     read-only ``incidence``, ``report`` and ``_forest`` are not fields.
+    The public constructor freezes the name sets and copies the dicts;
+    ``_owned`` takes ownership of fresh ones.
     """
 
     flags: frozenset[str]
@@ -99,10 +119,10 @@ class Graph:
     involution: dict[str, str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flags", _freeze_str_set(self.flags))
-        object.__setattr__(self, "vertices", _freeze_str_set(self.vertices))
-        object.__setattr__(self, "boundary", dict(self.boundary))
-        object.__setattr__(self, "involution", dict(self.involution))
+        object.__setattr__(self, "flags", _freeze_str_set(self.flags, "flags"))
+        object.__setattr__(self, "vertices", _freeze_str_set(self.vertices, "vertices"))
+        object.__setattr__(self, "boundary", _copied(dict, self.boundary, "boundary"))
+        object.__setattr__(self, "involution", _copied(dict, self.involution, "involution"))
 
     @kept
     def incidence(self) -> dict[str, tuple[str, ...]]:
@@ -275,7 +295,8 @@ class GraphMorphism:
     ``vertex_map`` sends every source vertex to a target vertex
     (surjectively); ``contracted`` is a fixed-point-free involution on the
     source flags missing from ``flag_map``'s image, stored with both
-    directions present.
+    directions present.  The public constructor copies the three maps;
+    ``_owned`` takes ownership of fresh ones.
     """
 
     source: Graph
@@ -286,8 +307,9 @@ class GraphMorphism:
 
     def __init__(self, source, target, flag_map, vertex_map, contracted) -> None:
         self.__dict__.update(
-            source=source, target=target, flag_map=dict(flag_map),
-            vertex_map=dict(vertex_map), contracted=dict(contracted),
+            source=source, target=target, flag_map=_copied(dict, flag_map, "flag_map"),
+            vertex_map=_copied(dict, vertex_map, "vertex_map"),
+            contracted=_copied(dict, contracted, "contracted"),
         )
 
     @kept
@@ -420,12 +442,9 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
 
 
 def identity_morphism(g: Graph) -> GraphMorphism:
-    return GraphMorphism(
-        source=g,
-        target=g,
-        flag_map={f: f for f in g.flags},
-        vertex_map={v: v for v in g.vertices},
-        contracted={},
+    return _owned(
+        GraphMorphism, source=g, target=g, flag_map={f: f for f in g.flags},
+        vertex_map={v: v for v in g.vertices}, contracted={},
     )
 
 
@@ -443,7 +462,10 @@ def compose(h: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
     contracted = dict(h.contracted)
     for x, y in f.contracted.items():
         contracted[h.flag_map[x]] = h.flag_map[y]
-    return GraphMorphism(h.source, f.target, flag_map, vertex_map, contracted)
+    return _owned(
+        GraphMorphism, source=h.source, target=f.target, flag_map=flag_map,
+        vertex_map=vertex_map, contracted=contracted,
+    )
 
 
 def disjoint_union(g1: Graph, g2: Graph, tags: tuple[str, str] = ("0", "1")) -> Graph:

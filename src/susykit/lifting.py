@@ -29,8 +29,8 @@ from operator import xor
 from typing import Callable, Iterable
 
 from .errors import ValidationError
-from .graphs import _LiftForest, tails
-from .susy import NS, R, SusyGraph, SusyLabeling, genus, require_susy
+from .graphs import _LiftForest, _owned, tails
+from .susy import NS, R, SusyGraph, SusyLabeling, _valid, genus, require_susy
 
 __all__ = [
     "MAX_COLORINGS",
@@ -128,7 +128,9 @@ def _colorings(
     """``g`` with its tail labels split by the partition and its flags
     colored by the lift ``mask`` (flag ``f``, in sorted-name order, is R
     when bit ``f`` is set), then by each lift that doubling over ``cycles``
-    adds; none for no ``mask``.  Callers check ``g`` and the partition."""
+    adds; none for no ``mask``.  Callers check ``g`` and the partition.
+    The forest rule makes every colouring valid, so each comes from
+    ``susy._valid`` and owns fresh dicts."""
     if mask is None:
         return []
     label_to_tail = g.labeling.ns_tail_labels
@@ -144,10 +146,14 @@ def _colorings(
 
     first = {f: R if mask >> i & 1 else NS for f, i in index.items()}
     flag_sets = [[f for f, i in index.items() if cycle >> i & 1] for cycle in cycles]
-    return [  # ``SusyLabeling`` copies the dicts that the colorings share
-        SusyGraph(g.graph, SusyLabeling(g.labeling.genus, color, ns, r))
-        for color in _doubled(first, flag_sets, flipped)
-    ]
+    graph, genera, out = g.graph, g.labeling.genus, []
+    for color in _doubled(first, flag_sets, flipped):
+        labeling = _owned(
+            SusyLabeling, genus=dict(genera), color=color, ns_tail_labels=dict(ns),
+            r_tail_labels=dict(r),
+        )
+        out.append(_valid(graph, labeling, False))
+    return out
 
 
 def lift_tree_coloring(

@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .graphs import ValidationReport, _require_a, _root, edges, is_connected, kept, tails
+from .graphs import ValidationReport, _copied, _owned, _require_a, _root, edges, is_connected
+from .graphs import kept, tails
 from .susy import NS, R, SusyGraph, SusyMorphism, genus, require_susy
 from .susy import validate_susy_morphism
 
@@ -69,7 +70,8 @@ class ModuliFactor:
 
     def __init__(self, genus, ns_labels, r_labels) -> None:
         self.__dict__.update(
-            genus=genus, ns_labels=frozenset(ns_labels), r_labels=frozenset(r_labels)
+            genus=genus, ns_labels=_copied(frozenset, ns_labels, "ns_labels"),
+            r_labels=_copied(frozenset, r_labels, "r_labels"),
         )
 
     @property
@@ -170,8 +172,7 @@ def _fresh_signature(
     position = [0] * len(factors)
     for new, old in enumerate(order):
         position[old] = new
-    sig = object.__new__(ModuliSignature)
-    sig.__dict__.update(factors=tuple(factors[i] for i in order), mode=mode)
+    sig = _owned(ModuliSignature, factors=tuple(factors[i] for i in order), mode=mode)
     return sig, position
 
 
@@ -186,7 +187,7 @@ def signature(
     for i, f in enumerate(factors):
         try:
             built.append(f if isinstance(f, ModuliFactor) else ModuliFactor(*f))
-        except TypeError:  # not three arguments, or labels that make no set
+        except (TypeError, ValidationError):  # not three arguments, or labels that make no set
             raise ValidationError(
                 f"invalid signature: factor {i}: expected (genus, ns_labels, "
                 f"r_labels) with string labels, got {f!r}"
@@ -202,7 +203,9 @@ class GluingRecipe:
 
     assignment[i] is the target factor receiving source factor i;
     ns_gluings and r_gluings pair off source labels into nodes; relabeling
-    renames the surviving source labels to the target's labels.
+    renames the surviving source labels to the target's labels.  The
+    public constructor copies the fields and sorts the gluings;
+    ``graphs._owned`` takes ownership of fresh, sorted ones.
     """
 
     source: ModuliSignature
@@ -214,9 +217,10 @@ class GluingRecipe:
 
     def __init__(self, source, target, assignment, ns_gluings, r_gluings, relabeling) -> None:
         self.__dict__.update(
-            source=source, target=target, assignment=tuple(assignment),
-            ns_gluings=_sorted_pairs(ns_gluings), r_gluings=_sorted_pairs(r_gluings),
-            relabeling=dict(relabeling),
+            source=source, target=target, assignment=_copied(tuple, assignment, "assignment"),
+            ns_gluings=_copied(_sorted_pairs, ns_gluings, "ns_gluings"),
+            r_gluings=_copied(_sorted_pairs, r_gluings, "r_gluings"),
+            relabeling=_copied(dict, relabeling, "relabeling"),
         )
 
     @property
@@ -265,6 +269,9 @@ def recipe(
 def validate_recipe(r: GluingRecipe) -> ValidationReport:
     if not isinstance(r, GluingRecipe):
         return ValidationReport((f"expected a GluingRecipe, got {type(r).__name__}",))
+    for sig in (r.source, r.target):
+        if not isinstance(sig, ModuliSignature):
+            return ValidationReport((f"expected a ModuliSignature, got {type(sig).__name__}",))
     problems: list[str] = []
     if r.source.mode != r.target.mode:
         problems.append("source and target modes differ")
@@ -354,8 +361,10 @@ def identity_recipe(sig: ModuliSignature) -> GluingRecipe:
     """Generator: the identity.  The generators skip ``validate_recipe``:
     each recipe is valid by construction once its labels are checked."""
     _require_a(ModuliSignature, sig)
-    identity = tuple(range(len(sig.factors)))
-    return GluingRecipe(sig, sig, identity, (), (), {l: l for l in sig.labels})
+    return _owned(
+        GluingRecipe, source=sig, target=sig, assignment=tuple(range(len(sig.factors))),
+        ns_gluings=(), r_gluings=(), relabeling={l: l for l in sig.labels},
+    )
 
 
 def recipe_compose(first: GluingRecipe, second: GluingRecipe) -> GluingRecipe:
@@ -380,7 +389,11 @@ def recipe_compose(first: GluingRecipe, second: GluingRecipe) -> GluingRecipe:
         for a, b in first.relabeling.items()
         if b in second.relabeling
     }
-    return GluingRecipe(first.source, second.target, assignment, ns_pairs, r_pairs, relabeling)
+    return _owned(
+        GluingRecipe, source=first.source, target=second.target, assignment=assignment,
+        ns_gluings=_sorted_pairs(ns_pairs), r_gluings=_sorted_pairs(r_pairs),
+        relabeling=relabeling,
+    )
 
 
 def relabel_recipe(
@@ -511,10 +524,13 @@ def _evaluate(h: SusyMorphism) -> GluingRecipe:
     for v, p in src_pos.items():
         assignment[p] = tgt_pos[vertex_map[v]]
     color, orbits = h.source.labeling.color, h.map.orbits
-    ns_pairs = [p for p in orbits if color[p[0]] == NS]
-    r_pairs = [p for p in orbits if color[p[0]] == R]
-    relabeling = {fs: ft for ft, fs in h.map.flag_map.items()}
-    return GluingRecipe(src_sig, tgt_sig, assignment, ns_pairs, r_pairs, relabeling)
+    # the orbits are sorted pairs in sorted order, as the gluings must be
+    return _owned(
+        GluingRecipe, source=src_sig, target=tgt_sig, assignment=tuple(assignment),
+        ns_gluings=tuple(p for p in orbits if color[p[0]] == NS),
+        r_gluings=tuple(p for p in orbits if color[p[0]] == R),
+        relabeling={fs: ft for ft, fs in h.map.flag_map.items()},
+    )
 
 
 def _erased(sig: ModuliSignature) -> tuple[ModuliSignature, list[int]]:

@@ -22,6 +22,8 @@ from .graphs import (
     Graph,
     GraphMorphism,
     ValidationReport,
+    _copied,
+    _owned,
     kept,
     tails,
     validate_graph,
@@ -61,7 +63,9 @@ class SusyLabeling:
     """Genus, color and tail-labeling data riding on top of a graph.
 
     ``ns_tail_labels`` and ``r_tail_labels`` map external labels to tail
-    flags, bijectively onto the NS and R tails respectively.
+    flags, bijectively onto the NS and R tails respectively.  The public
+    constructor copies the four dicts; ``graphs._owned`` takes ownership
+    of fresh ones.
     """
 
     genus: dict[str, int]
@@ -71,8 +75,9 @@ class SusyLabeling:
 
     def __init__(self, genus, color, ns_tail_labels, r_tail_labels) -> None:
         self.__dict__.update(
-            genus=dict(genus), color=dict(color),
-            ns_tail_labels=dict(ns_tail_labels), r_tail_labels=dict(r_tail_labels),
+            genus=_copied(dict, genus, "genus"), color=_copied(dict, color, "color"),
+            ns_tail_labels=_copied(dict, ns_tail_labels, "ns_tail_labels"),
+            r_tail_labels=_copied(dict, r_tail_labels, "r_tail_labels"),
         )
 
 
@@ -156,8 +161,8 @@ def susy_graph(
     modular: bool = False,
 ) -> SusyGraph:
     """Assemble a SusyGraph; labelings default to tails labeling themselves."""
-    g = Graph(frozenset(flags), frozenset(vertices), dict(boundary), dict(involution))
-    color = dict(color)
+    g = Graph(flags, vertices, boundary, involution)
+    color = _copied(dict, color, "color")
     if ns_labels is None:
         ns_labels = {f: f for f in tails(g) if color.get(f) == NS}
     if r_labels is None:
@@ -175,7 +180,7 @@ def modular_graph(
     tail_labels: Mapping[str, str] | None = None,
 ) -> SusyGraph:
     """Genus-labeled graph without colors, i.e. the all-NS modular view."""
-    g = Graph(frozenset(flags), frozenset(vertices), dict(boundary), dict(involution))
+    g = Graph(flags, vertices, boundary, involution)
     if tail_labels is None:
         tail_labels = {f: f for f in tails(g)}
     lab = SusyLabeling(genus, dict.fromkeys(g.flags, NS), tail_labels, {})
@@ -186,11 +191,13 @@ _PASSED = ValidationReport(())
 
 
 def _valid(graph: Graph, labeling: SusyLabeling, modular: bool) -> SusyGraph:
-    """A graph that a rule of the calculus built from a valid source, so
+    """A graph that a rule of the calculus built from a valid source, or a
+    colouring that a lift built on a valid graph by the forest rule, so
     valid too: it keeps the shared passing report as both of its reports."""
-    g = SusyGraph(graph, labeling, modular)
-    graph.__dict__["report"] = g.__dict__["_labeling_report"] = _PASSED
-    return g
+    graph.__dict__["report"] = _PASSED
+    return _owned(
+        SusyGraph, graph=graph, labeling=labeling, modular=modular, _labeling_report=_PASSED
+    )
 
 
 def _renamed(
@@ -200,17 +207,16 @@ def _renamed(
     every name and be injective, and ``g`` valid, which is not checked."""
     fn, vn, lab = flag_name, vertex_name, g.labeling
     return _valid(
-        Graph(
-            frozenset(fn.values()),
-            frozenset(vn.values()),
-            {fn[f]: vn[v] for f, v in g.boundary.items()},
-            {fn[f]: fn[p] for f, p in g.involution.items()},
+        _owned(
+            Graph, flags=frozenset(fn.values()), vertices=frozenset(vn.values()),
+            boundary={fn[f]: vn[v] for f, v in g.boundary.items()},
+            involution={fn[f]: fn[p] for f, p in g.involution.items()},
         ),
-        SusyLabeling(
-            {vn[v]: k for v, k in lab.genus.items()},
-            {fn[f]: c for f, c in lab.color.items()},
-            {l: fn[f] for l, f in lab.ns_tail_labels.items()},
-            {l: fn[f] for l, f in lab.r_tail_labels.items()},
+        _owned(
+            SusyLabeling, genus={vn[v]: k for v, k in lab.genus.items()},
+            color={fn[f]: c for f, c in lab.color.items()},
+            ns_tail_labels={l: fn[f] for l, f in lab.ns_tail_labels.items()},
+            r_tail_labels={l: fn[f] for l, f in lab.r_tail_labels.items()},
         ),
         g.modular,
     )

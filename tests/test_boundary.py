@@ -20,8 +20,12 @@ import susykit.susy
 from susykit import (
     NS,
     R,
+    GluingRecipe,
+    Graph,
+    ModuliFactor,
     SusyGraph,
     SusyKitError,
+    SusyLabeling,
     SusyMorphism,
     ModuliSignature,
     ValidationError,
@@ -60,6 +64,7 @@ from susykit import (
     lift_count_general,
     lift_tree_coloring,
     make_isomorphism,
+    modular_graph,
     project,
     recipe,
     recipe_compose,
@@ -402,6 +407,18 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
         (iso_between, (5, 5, {}, {}), "expected a SusyGraph, got int"),
         (recipe, ([1], [1], [1]), "expected a ModuliSignature, got list"),
         (ModuliSignature, ([(0, ["a"], [])],), "factor 0: expected a ModuliFactor, got tuple"),
+        (validate_recipe, (GluingRecipe(5, 5, [], (), (), {}),), "expected a ModuliSignature"),
+        (Graph, (5, 5, 5, 5), "invalid flags: 'int' object is not iterable"),
+        (Graph, ([], [], [1], {}), "invalid boundary: cannot convert"),
+        (SusyLabeling, (5, 5, 5, 5), "invalid genus: 'int' object is not iterable"),
+        (GraphMorphism, (None, None, 5, 5, 5), "invalid flag_map: 'int' object is not"),
+        (GluingRecipe, (None, None, 5, 5, 5, 5), "invalid assignment: 'int' object is not"),
+        (GluingRecipe, (None, None, [], [(1, "a")], [], {}), "invalid ns_gluings: '<' not"),
+        (ModuliFactor, (0, 5, 5), "invalid ns_labels: 'int' object is not iterable"),
+        (susy_graph, (5, 5, 5, 5, 5, 5), "invalid flags: 'int' object is not iterable"),
+        (susy_graph, ([], [], {}, {}, {}, 5), "invalid color: 'int' object is not iterable"),
+        (modular_graph, (5, 5, 5, 5, 5), "invalid flags: 'int' object is not iterable"),
+        (modular_graph, ([], [], {}, {}, 5), "invalid genus: 'int' object is not iterable"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -414,8 +431,11 @@ def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # the graph readers, forget, include and disjoint_union raised
     # AttributeError, commute_contractions and check_operad_axioms a
     # TypeError; susy_morphism and iso_between, recipe and a signature with
-    # a plain tuple for a factor raised AttributeError; a check that returns
-    # a report is asked to raise it
+    # a plain tuple for a factor raised AttributeError; validate_recipe of a
+    # recipe between non-signatures raised AttributeError, and the value
+    # constructors and graph builders given a field that makes no set, dict
+    # or tuple raised TypeError; a check that returns a report is asked to
+    # raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
         report.raise_if_invalid("argument")

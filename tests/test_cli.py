@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from susykit import calculus, canon, cli, contract_pair, jsonio, modular_graph, strata
+from susykit import calculus, canon, cli, contract_pair, graphs, jsonio, modular_graph, strata
 from susykit.cli import main
 from susykit.curves import CurveConfig
 from susykit.graphs import Graph
@@ -198,6 +198,25 @@ def counted(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, wrapper)
 
 
+def graphs_built(monkeypatch):
+    """A list of each ``Graph`` built from now on, by its constructor or by
+    ``graphs._owned`` in any module of the package."""
+    built = []
+    init, owned = Graph.__post_init__, graphs._owned
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or init(g))
+
+    def owning(cls, **fields):
+        value = owned(cls, **fields)
+        if cls is Graph:
+            built.append(value)
+        return value
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("susykit") and getattr(module, "_owned", None) is owned:
+            monkeypatch.setattr(module, "_owned", owning)
+    return built
+
+
 def move_orbits(shape):
     """The number of orbits of the shape's moves under its automorphisms,
     the group taken from the exhaustive oracle."""
@@ -281,9 +300,7 @@ class TestEnumerateSearches:
     def test_shapes_are_named_once(self, monkeypatch):
         # one Graph per shape, and none for the corolla: the search starts
         # from its core, and each shape is named once, when it is listed
-        built = []
-        init = Graph.__post_init__
-        monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or init(g))
+        built = graphs_built(monkeypatch)
         shapes = strata.enumerate_modular_shapes(3, [])
         assert len(shapes) == 42
         assert len(built) == len(shapes)

@@ -2,11 +2,13 @@
 and composites without checking their maps, and their target graphs
 without checking them, and ``operad`` builds each stable graph's
 signature and each glued, relabelled and erased target without checking
-it, since all are valid by construction.  The oracle here records every
-morphism, graph and signature built that way over seeded plans and checks
-each afresh with the full checks; a contraction that drops a colour, a
-grafting that loses a genus or keeps the labels of the tails it joined,
-or a loop gluing that forgets its genus fails it."""
+it, and ``lifting`` each colouring it lists, since all are valid by
+construction.  The oracle here records every morphism, graph and
+signature built that way over seeded plans and checks each afresh with
+the full checks; a contraction that drops a colour, a grafting that loses
+a genus or keeps the labels of the tails it joined, a lift that recolours
+an edge, or a loop gluing that forgets its genus fails it.  The graphs
+built that way own their dicts: changing one changes no other graph."""
 
 import random
 import sys
@@ -16,10 +18,12 @@ from dataclasses import replace
 import pytest
 
 import susykit.calculus
+import susykit.lifting
 import susykit.operad
 import susykit.susy
 from susykit import (
     NS,
+    R,
     GluingRecipe,
     ModuliFactor,
     SusyGraph,
@@ -29,23 +33,34 @@ from susykit import (
     check_operad_axioms,
     classify,
     compose,
+    contract_pair,
+    contract_tails,
     decompose_to_elementaries,
+    enumerate_edge_colorings,
     evaluate_operad,
+    graft,
+    make_isomorphism,
     total_grafting,
     validate_signature,
 )
 from susykit.graphs import GraphMorphism, _check_graph
 from susykit.susy import _check_labeling, _check_maps
 
-from sampling import random_composable_pair, random_susy_graph
+from conftest import two_vertex_tree
+from sampling import (
+    random_composable_pair,
+    random_modular_graph,
+    random_susy_graph,
+    random_tail_partition,
+)
 
 SEEDS = range(5)
 KINDS = {
     "identity", "grafting", "edge_contraction", "loop_contraction",
     "virtual_contraction", "isomorphism", "composite",
 }
-# the builders that ask ``susy._valid`` for a graph
-GRAPH_BUILDERS = {"graft", "_contract", "_renamed", "_piece_graph"}
+# the builders that ask ``susy._valid`` for a graph: the calculus's and the lift's
+GRAPH_BUILDERS = {"graft", "_contract", "_renamed", "_piece_graph", "_colorings"}
 
 
 def replace_everywhere(monkeypatch, fn, new):
@@ -129,6 +144,51 @@ def test_what_is_built_unchecked_passes_a_fresh_check(monkeypatch, seed):
     assert signatures
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_coloring_passes_a_fresh_check(seed):
+    # the lifts keep a passing report unchecked, so each colouring of the
+    # seeded graphs is checked here afresh, for a few partitions each
+    rng = random.Random(seed)
+    for _ in range(20):
+        shape = random_modular_graph(rng, max_vertices=4, max_genus=2, max_extra_edges=3)
+        for _ in range(3):
+            colorings = enumerate_edge_colorings(shape, *random_tail_partition(rng, shape))
+            assert colorings
+            for c in colorings:
+                assert _check_graph(c.graph).ok and _check_labeling(c).ok
+
+
+def dicts_of(g):
+    """The dicts of ``g``: its graph's two and its labeling's four."""
+    lab = g.labeling
+    return [g.boundary, g.involution, lab.genus, lab.color, lab.ns_tail_labels, lab.r_tail_labels]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: graft(g, [("a0", "b0")]),
+        lambda g: contract_pair(g, ("ea", "eb")),
+        lambda g: contract_tails(g, ("a0", "a1")),
+        lambda g: make_isomorphism(g, {"a0": "z"}, {"u": "x"}),
+        make_isomorphism,
+        total_grafting,
+    ],
+    ids=["graft", "contract_pair", "contract_tails", "make_isomorphism", "renamed_as_is",
+         "total_grafting"],
+)
+def test_built_graphs_share_no_mutable_state(build):
+    # the built graph is the target, or the corollas of a total grafting
+    g = two_vertex_tree(2, 2)
+    h = build(g)
+    built, given = (h.source, h.target) if build is total_grafting else (h.target, h.source)
+    assert given is g
+    before = [dict(d) for d in dicts_of(g)]
+    for d in dicts_of(built):
+        d.clear()
+    assert dicts_of(g) == before
+
+
 def rebuilt(h, target):
     """``h``'s maps onto ``target``, through the calculus's builder."""
     m = h.map
@@ -191,6 +251,22 @@ def tail_label_keeping(graft):
     return kept
 
 
+def edge_recolouring(colorings):
+    """``lifting._colorings`` with both flags of one edge between two
+    vertices recoloured, so each of its ends sees an odd number of R flags."""
+
+    def recoloured(g, *args):
+        out = colorings(g, *args)
+        links = [(a, b) for a, b in g.involution.items() if g.boundary[a] != g.boundary[b]]
+        if out and links:
+            color = out[0].labeling.color
+            for f in links[0]:
+                color[f] = R if color[f] == NS else NS
+        return out
+
+    return recoloured
+
+
 def loop_genus_forgetting(glue):
     """``operad._glue`` with a loop's target factor left at its old genus."""
 
@@ -216,12 +292,14 @@ def loop_genus_forgetting(glue):
         (susykit.calculus, "_contract", colour_dropping),
         (susykit.calculus, "graft", genus_losing),
         (susykit.calculus, "graft", tail_label_keeping),
+        (susykit.lifting, "_colorings", edge_recolouring),
         (susykit.operad, "_glue", loop_genus_forgetting),
     ],
     ids=[
         "contract_drops_a_colour",
         "graft_loses_a_genus",
         "graft_keeps_its_tail_labels",
+        "lift_recolours_an_edge",
         "loop_forgets_its_genus",
     ],
 )

@@ -8,7 +8,10 @@ helper outlives its last caller.  Only ``susy._built`` writes a
 morphism's kept ``_report`` and only ``susy._valid`` a graph's kept
 ``report`` and ``_labeling_report``, so the morphisms trusted without a
 check of their maps, and the graphs trusted without a check, are each
-built in one place.  Only ``operad._fresh_signature`` builds a
+built in one place.  Only ``graphs._owned`` calls a ``__new__``, so it is
+the one builder that skips a value type's constructor; each of its calls
+names exactly the fields of the type it builds, and only ``_valid`` adds
+the kept ``_labeling_report``.  Only ``operad._fresh_signature`` builds a
 ``ModuliSignature`` past its validating constructor, so the signatures
 trusted without a check are built in one place too.  Only ``jsonio``
 imports the stdlib ``json``, so one module owns the document format;
@@ -19,9 +22,12 @@ nor the CLI runs; test support lives in ``tests/``.  The checks read each
 module's syntax tree, so they need no linter."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+import susykit
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "susykit"
@@ -218,8 +224,8 @@ REPORTS = {"_report", "report", "_labeling_report"}
 def report_writes(source: str) -> list[int]:
     """The lines of ``source`` that write a kept report (``REPORTS``): by
     assignment to the attribute or to a key of that name, by ``setattr``
-    or ``__setattr__`` with that name, or by ``update`` with it as a
-    keyword."""
+    or ``__setattr__`` with that name, or by any call, ``update`` or
+    ``_owned`` among them, with it as a keyword."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -235,8 +241,8 @@ def report_writes(source: str) -> list[int]:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             named = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
-            if name in ("setattr", "__setattr__") and named and named[0] in REPORTS or (
-                name == "update" and any(k.arg in REPORTS for k in node.keywords)
+            if name in ("setattr", "__setattr__") and named and named[0] in REPORTS or any(
+                k.arg in REPORTS for k in node.keywords
             ):
                 lines.append(node.lineno)
     return sorted(set(lines))
@@ -273,8 +279,12 @@ def test_the_check_sees_a_report_write():
         "r = h._report\n"
         "h.__dict__['reports'] = h.reporter = ok\n"
         "setattr(h, name, ok)\n"
+        "g = _owned(SusyGraph, graph=x, _labeling_report=ok)\n"
+        "h = graphs._owned(SusyMorphism, _report=ok)\n"
+        "dict(report=ok)\n"
+        "ValidationReport(violations=())\n"
     )
-    assert report_writes(source) == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert report_writes(source) == [1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14]
 
 
 def test_the_check_names_each_writer():
@@ -334,31 +344,49 @@ def test_the_check_sees_a_json_import():
     ]
 
 
-def signature_news(source: str) -> list[str]:
-    """The dotted path of the function or class (``<module>`` at module
-    level) around each ``__new__`` call in ``source`` whose first argument
-    names ``ModuliSignature``, directly or as a module attribute."""
-    found: list[str] = []
+def call_sites(source: str, matches) -> list[tuple[str, ast.Call]]:
+    """Each call in ``source`` that ``matches``, with the dotted path of the
+    function or class around it (``<module>`` at module level)."""
+    found: list[tuple[str, ast.Call]] = []
 
     def visit(node: ast.AST, path: list[str]) -> None:
         for child in ast.iter_child_nodes(node):
             inner = path
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = [*path, child.name]
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "__new__"
-                and child.args
-                and "ModuliSignature" in (
-                    getattr(child.args[0], "id", None), getattr(child.args[0], "attr", None)
-                )
-            ):
-                found.append(".".join(path) or "<module>")
+            elif isinstance(child, ast.Call) and matches(child):
+                found.append((".".join(path) or "<module>", child))
             visit(child, inner)
 
     visit(ast.parse(source), [])
     return found
+
+
+def called(call: ast.Call) -> str | None:
+    """The name that ``call`` calls: ``f`` for ``f(...)`` and ``m.f(...)``."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def first_argument(call: ast.Call) -> str | None:
+    """The name that the first argument of ``call`` reads, directly or as a
+    module attribute."""
+    first = call.args[0] if call.args else None
+    return getattr(first, "id", None) or getattr(first, "attr", None)
+
+
+def signature_news(source: str) -> list[str]:
+    """The dotted path of the function or class (``<module>`` at module
+    level) around each ``__new__`` or ``_owned`` call in ``source`` whose
+    first argument names ``ModuliSignature``, directly or as a module
+    attribute."""
+    return [
+        path
+        for path, call in call_sites(
+            source,
+            lambda c: called(c) in ("__new__", "_owned")
+            and first_argument(c) == "ModuliSignature",
+        )
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
@@ -379,5 +407,98 @@ def test_the_check_sees_an_unchecked_signature():
         "        return ModuliSignature.__new__(ModuliSignature)\n"
         "other = object.__new__(ModuliFactor)\n"
         "checked = ModuliSignature(())\n"
+        "def trusted():\n"
+        "    return _owned(ModuliSignature, factors=(), mode='super')\n"
+        "owned = graphs._owned(ModuliSignature, factors=(), mode='super')\n"
+        "factor = _owned(ModuliFactor, genus=0)\n"
     )
-    assert signature_news(source) == ["<module>", "build.inner", "Sig.__new__"]
+    assert signature_news(source) == [
+        "<module>", "build.inner", "Sig.__new__", "trusted", "<module>"
+    ]
+
+
+def new_calls(source: str) -> list[str]:
+    """The dotted path around each ``__new__`` call in ``source``."""
+    return [path for path, _ in call_sites(source, lambda c: called(c) == "__new__")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_owned_skips_a_constructor(module):
+    found = new_calls((SRC / module).read_text(encoding="utf-8"))
+    assert found == (["_owned"] if module == "graphs.py" else [])
+
+
+def test_the_check_sees_a_new_call():
+    source = (
+        "def _owned(cls, **fields):\n"
+        "    value = object.__new__(cls)\n"
+        "class A:\n"
+        "    def copy(self):\n"
+        "        return A.__new__(A)\n"
+        "x = super().__new__(B)\n"
+        "y = _owned(A, x=1)\n"
+        "z = A()\n"
+    )
+    assert new_calls(source) == ["_owned", "A.copy", "<module>"]
+
+
+# the value types of the package by name, which ``_owned`` may build
+VALUE_TYPES = {
+    name: cls
+    for module in vars(susykit).values()
+    if getattr(module, "__name__", "").startswith("susykit.")
+    for name, cls in vars(module).items()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+}
+
+
+def owned_field_errors(source: str, types: dict[str, type]) -> list[str]:
+    """Each ``_owned(Cls, ...)`` call in ``source`` that does not pass, by
+    keyword, exactly the fields of ``types[Cls]``, as ``path: Cls: ...``;
+    the one extra allowed is ``_labeling_report``, in ``_valid`` alone."""
+    errors = []
+    for path, call in call_sites(source, lambda c: called(c) == "_owned"):
+        name = first_argument(call)
+        if name not in types or len(call.args) != 1 or None in [k.arg for k in call.keywords]:
+            errors.append(f"{path}: {name}: not a value type with keyword fields")
+            continue
+        given = {k.arg for k in call.keywords}
+        if path == "_valid":
+            given.discard("_labeling_report")
+        fields = {f.name for f in dataclasses.fields(types[name])}
+        if given != fields:
+            missing, extra = sorted(fields - given), sorted(given - fields)
+            errors.append(f"{path}: {name}: missing {missing}, extra {extra}")
+    return errors
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_owned_names_exactly_the_fields(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert owned_field_errors(source, VALUE_TYPES) == []
+
+
+def test_the_check_sees_a_wrong_field():
+    @dataclasses.dataclass
+    class Pair:
+        a: int
+        b: int
+
+    source = (
+        "def _valid():\n"
+        "    return _owned(Pair, a=1, b=2, _labeling_report=ok)\n"
+        "def f():\n"
+        "    _owned(Pair, a=1, b=2)\n"
+        "    graphs._owned(Pair, a=1, c=2)\n"
+        "    _owned(Pair, a=1, b=2, _labeling_report=ok)\n"
+        "    _owned(Pair, **fields)\n"
+        "    _owned(Pair, 1, 2)\n"
+        "    _owned(Other, a=1)\n"
+    )
+    assert owned_field_errors(source, {"Pair": Pair}) == [
+        "f: Pair: missing ['b'], extra ['c']",
+        "f: Pair: missing [], extra ['_labeling_report']",
+        "f: Pair: not a value type with keyword fields",
+        "f: Pair: not a value type with keyword fields",
+        "f: Other: not a value type with keyword fields",
+    ]

@@ -56,7 +56,7 @@ from oracles import (
 )
 from test_boundary import count_calls
 from test_canon import cycle_graph
-from test_cli import counted
+from test_cli import counted, graphs_built
 
 FOUR = ["1", "2", "3", "4"]
 FIVE = FOUR + ["5"]
@@ -209,11 +209,7 @@ class TestNamesAtTheEdge:
 
     @pytest.mark.parametrize("g, labels", [(3, []), (0, FIVE)])
     def test_records_build_no_graph(self, monkeypatch, g, labels):
-        built = []
-        init = graphs.Graph.__post_init__
-        monkeypatch.setattr(
-            graphs.Graph, "__post_init__", lambda x: built.append(x) or init(x)
-        )
+        built = graphs_built(monkeypatch)
         counts = {"_named": 0}
         for module in (canon, strata):
             counted(monkeypatch, module, "_named", counts)
