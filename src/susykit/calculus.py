@@ -8,12 +8,17 @@ morphism into its per-target-vertex pieces, and witnesses the two
 commutation lemmas (isomorphisms slide past contractions; disjoint
 contractions commute).
 
+An elementary morphism is fixed by its maps, so one builder, ``_image``,
+derives every grafting, contraction and isomorphism, target and all, from
+the flag and vertex maps and the contracted and grafted pairs; ``graft``,
+``_contract`` and ``make_isomorphism`` check their arguments and compute
+those maps.
+
 Each public entry checks the morphism it is given once; the steps and
 pieces built from a checked morphism are not checked again.  The
-graftings, contractions and isomorphisms built here, and the final
-isomorphism of a decomposition, are valid by construction when their
-source graph is valid: each keeps a passing check of its maps from the
-start (``susy._built``), while every check of it still checks its endpoints.
+morphisms built here are valid by construction when their source graph
+is valid: each keeps a passing check of its maps from the start
+(``susy._built``), while every check of it still checks its endpoints.
 Each entry checks its source graph first, and the target graphs built here
 keep passing reports from the start (``susy._valid``).
 
@@ -26,10 +31,10 @@ order; a fresh name colliding with an existing vertex gains ``'`` marks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .graphs import Graph, GraphMorphism, _owned, tails
+from .graphs import Graph, GraphMorphism, _copied, _owned, involution_from_pairs
 from .susy import (
     NS,
     R,
@@ -37,7 +42,6 @@ from .susy import (
     SusyLabeling,
     SusyMorphism,
     _built,
-    _renamed,
     _require_valid,
     _valid,
     compose,
@@ -115,36 +119,71 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
     grows, and the grafted tails' labels drop out of the labeling.
     """
     _require_valid(g)
-    pair_list = [_flag_pair(g, p, "graft") for p in pairs]
+    pair_list = [_flag_pair(g, p, "graft") for p in _copied(list, pairs, "pairs")]
     used: set[str] = set()
-    tail_set = set(tails(g.graph))
+    inv = g.involution
     for a, b in pair_list:
         if a == b:
             raise ValidationError(f"graft: pair ({a!r}, {b!r}) is degenerate")
-        if a not in tail_set or b not in tail_set:
+        if inv[a] != a or inv[b] != b:
             raise ValidationError(f"graft: ({a!r}, {b!r}) must both be tails")
         if a in used or b in used:
             raise ValidationError(f"graft: flag reused at ({a!r}, {b!r})")
         if g.color_of(a) != g.color_of(b):
             raise ValidationError(f"graft: ({a!r}, {b!r}) mixes colors")
         used.update((a, b))
+    return _image(g, {f: f for f in g.flags}, {v: v for v in g.vertices}, grafted=pair_list)
 
-    involution = dict(g.involution)
-    for a, b in pair_list:
-        involution[a] = b
-        involution[b] = a
-    lab = g.labeling
+
+def _image(
+    g: SusyGraph,
+    flag_name: dict[str, str],
+    vertex_name: dict[str, str],
+    contracted: Sequence[tuple[str, str]] = (),
+    grafted: Sequence[tuple[str, str]] = (),
+) -> SusyMorphism:
+    """The elementary morphism out of a valid ``g`` that its maps fix:
+    each flag is renamed by ``flag_name``, which skips the flags of the
+    ``contracted`` pairs, each vertex is sent by ``vertex_name``, a fresh
+    dict that it keeps as the vertex map, and the ``grafted`` pairs of
+    tails are joined.  Its target is derived from those maps.  The boundary
+    goes through the vertex map; the involution, plus the grafted pairs,
+    and the colours are carried over; a tail label stays on its flag while
+    that flag is still a tail; each vertex's genus is its fiber's genera,
+    plus one per contracted pair over it, less one per fiber vertex past
+    the first.  Nothing is checked: the morphism and its target are valid
+    by construction."""
+    fn, vn, lab = flag_name, vertex_name, g.labeling
+    joined, cut = involution_from_pairs(grafted), involution_from_pairs(contracted)
+    dropped, partner = {**joined, **cut}, {**g.involution, **joined}
+    source_boundary, source_color = g.boundary, lab.color
+    boundary, involution, color, flag_map = {}, {}, {}, {}
+    for f, t in fn.items():
+        boundary[t] = vn[source_boundary[f]]
+        involution[t] = fn[partner[f]]
+        color[t] = source_color[f]
+        flag_map[t] = f
+    genus: dict[str, int] = {}
+    for v, k in lab.genus.items():
+        genus[vn[v]] = genus.get(vn[v], 1) + k - 1
+    for a, _ in contracted:
+        genus[vn[source_boundary[a]]] += 1
     target = _valid(
-        _owned(Graph, flags=g.flags, vertices=g.vertices, boundary=dict(g.boundary),
-               involution=involution),
         _owned(
-            SusyLabeling, genus=dict(lab.genus), color=dict(lab.color),
-            ns_tail_labels={l: f for l, f in lab.ns_tail_labels.items() if f not in used},
-            r_tail_labels={l: f for l, f in lab.r_tail_labels.items() if f not in used},
+            Graph, flags=frozenset(flag_map), vertices=frozenset(vn.values()),
+            boundary=boundary, involution=involution,
+        ),
+        _owned(
+            SusyLabeling, genus=genus, color=color,
+            ns_tail_labels={l: fn[f] for l, f in lab.ns_tail_labels.items() if f not in dropped},
+            r_tail_labels={l: fn[f] for l, f in lab.r_tail_labels.items() if f not in dropped},
         ),
         g.modular,
     )
-    return _grafting(g, target)
+    return _built(g, target, _owned(
+        GraphMorphism, source=g.graph, target=target.graph, flag_map=flag_map,
+        vertex_map=vn, contracted=cut,
+    ))
 
 
 def _grafting(source: SusyGraph, target: SusyGraph) -> SusyMorphism:
@@ -160,54 +199,23 @@ def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphis
     a, b = pair
     if a == b:
         raise ValidationError(f"contract: bad pair ({a!r}, {b!r})")
+    inv = g.involution
     if virtual:
-        tail_set = set(tails(g.graph))
-        if a not in tail_set or b not in tail_set:
+        if inv[a] != a or inv[b] != b:
             raise ValidationError(
                 f"virtual contraction needs two tails, got ({a!r}, {b!r})"
             )
         if g.color_of(a) != g.color_of(b):
             raise ValidationError(f"contract: ({a!r}, {b!r}) mixes colors")
-    else:
-        if g.involution[a] != b:
-            raise ValidationError(f"contract: ({a!r}, {b!r}) is not an edge")
+    elif inv[a] != b:
+        raise ValidationError(f"contract: ({a!r}, {b!r}) is not an edge")
 
     va, vb = g.boundary[a], g.boundary[b]
-    lab = g.labeling
-    new_flags = g.flags - {a, b}
-    boundary = {f: v for f, v in g.boundary.items() if f not in (a, b)}
-    involution = {f: p for f, p in g.involution.items() if f not in (a, b)}
-    genus = dict(lab.genus)
-    if va == vb:
-        vertices = g.vertices
-        vertex_map = {v: v for v in g.vertices}
-        genus[va] += 1
-    else:
-        merged = merged_vertex_id(va, vb, g.vertices - {va, vb})
-        vertices = frozenset((g.vertices - {va, vb}) | {merged})
-        vertex_map = {v: (merged if v in (va, vb) else v) for v in g.vertices}
-        boundary = {f: (merged if v in (va, vb) else v) for f, v in boundary.items()}
-        genus = {v: lab.genus[v] for v in g.vertices if v not in (va, vb)}
-        genus[merged] = lab.genus[va] + lab.genus[vb]
-    target = _valid(
-        _owned(Graph, flags=new_flags, vertices=vertices, boundary=boundary,
-               involution=involution),
-        _owned(
-            SusyLabeling, genus=genus,
-            color={f: c for f, c in lab.color.items() if f not in (a, b)},
-            ns_tail_labels={
-                l: f for l, f in lab.ns_tail_labels.items() if f not in (a, b)
-            },
-            r_tail_labels={
-                l: f for l, f in lab.r_tail_labels.items() if f not in (a, b)
-            },
-        ),
-        g.modular,
-    )
-    return _built(g, target, _owned(
-        GraphMorphism, source=g.graph, target=target.graph, flag_map={f: f for f in new_flags},
-        vertex_map=vertex_map, contracted={a: b, b: a},
-    ))
+    vertex_name = {v: v for v in g.vertices}
+    if va != vb:
+        vertex_name[va] = vertex_name[vb] = merged_vertex_id(va, vb, g.vertices - {va, vb})
+    flag_name = {f: f for f in g.flags if f != a and f != b}
+    return _image(g, flag_name, vertex_name, contracted=[(a, b)])
 
 
 def contract_edge(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
@@ -245,19 +253,14 @@ def make_isomorphism(
 ) -> SusyMorphism:
     """Rename flags and vertices; omitted identifiers keep their names."""
     _require_valid(g)
-    fr = dict(flag_renaming or {})
-    vr = dict(vertex_renaming or {})
+    fr = _copied(dict, flag_renaming or {}, "flag_renaming")
+    vr = _copied(dict, vertex_renaming or {}, "vertex_renaming")
     new_flag = {f: fr.get(f, f) for f in g.flags}
     new_vert = {v: vr.get(v, v) for v in g.vertices}
-    if len(set(new_flag.values())) != len(new_flag) or len(
-        set(new_vert.values())
-    ) != len(new_vert):
-        raise ValidationError("renaming must stay injective")
-    target = _renamed(g, new_flag, new_vert)
-    return _built(g, target, _owned(
-        GraphMorphism, source=g.graph, target=target.graph,
-        flag_map={new_flag[f]: f for f in g.flags}, vertex_map=new_vert, contracted={},
-    ))
+    for new in (new_flag, new_vert):
+        if not all(isinstance(x, str) for x in new.values()) or len(set(new.values())) != len(new):
+            raise ValidationError("renaming must stay injective, onto string names")
+    return _image(g, new_flag, new_vert)
 
 
 def iso_between(
@@ -453,7 +456,7 @@ def atomize(h: SusyMorphism) -> Atomization:
 
 def compose_chain(source: SusyGraph, morphisms: Iterable[SusyMorphism]) -> SusyMorphism:
     out = susy_identity(source)
-    for m in morphisms:
+    for m in _copied(list, morphisms, "morphisms"):
         out = compose(out, m)
     return out
 
@@ -532,7 +535,7 @@ def commute_iso_contraction(
     kind = classify(a).kind
     if kind not in ("identity", "isomorphism"):
         raise ValidationError(f"expected an isomorphism, got a {kind}")
-    f1, f2 = pair
+    f1, f2 = _flag_pair(a.target, pair, "contract")
     con_t = contract_pair(a.target, (f1, f2))
     con_s = contract_pair(a.source, (a.flag_map[f1], a.flag_map[f2]))
     flag_map = {x: a.flag_map[x] for x in con_t.target.flags}

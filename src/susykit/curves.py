@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graphs import Graph, ValidationReport
+from .graphs import Graph, ValidationReport, _copied
 from .susy import NS, R, SusyGraph, SusyLabeling, forget, validate_susy_graph
 
 __all__ = [
@@ -43,7 +43,9 @@ class Component:
     special_points: tuple[SpecialPoint, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "special_points", tuple(self.special_points))
+        object.__setattr__(
+            self, "special_points", _copied(tuple, self.special_points, "special_points")
+        )
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,9 @@ class CurveConfig:
     node_pairing: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(
-            self, "node_pairing", tuple(tuple(p) for p in self.node_pairing)
-        )
+        object.__setattr__(self, "components", _copied(tuple, self.components, "components"))
+        pairs = _copied(lambda ps: tuple(map(tuple, ps)), self.node_pairing, "node_pairing")
+        object.__setattr__(self, "node_pairing", pairs)
 
 
 def component_id(index: int) -> str:

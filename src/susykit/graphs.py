@@ -188,7 +188,7 @@ def _require_a(cls: type, *xs) -> None:
 def tails(g: Graph) -> list[str]:
     """Flags fixed by the involution, sorted."""
     _require_a(Graph, g)
-    return sorted(f for f in g.flags if g.involution[f] == f)
+    return sorted(f for f in g.flags if g.involution.get(f) == f)
 
 
 def edges(g: Graph) -> list[tuple[str, str]]:
@@ -200,9 +200,9 @@ def edges(g: Graph) -> list[tuple[str, str]]:
 def flags_at(g: Graph, v: str) -> list[str]:
     """Flags attached to vertex ``v``, sorted; KeyError on unknown vertex."""
     _require_a(Graph, g)
-    if v not in g.vertices:
+    if not (isinstance(v, str) and v in g.vertices):
         raise KeyError(f"unknown vertex {v!r}")
-    return sorted(f for f in g.flags if g.boundary[f] == v)
+    return sorted(f for f in g.flags if g.boundary.get(f) == v)
 
 
 def _root(parent: dict, x):

@@ -94,7 +94,7 @@ class ModuliSignature:
     mode: str = SUPER
 
     def __init__(self, factors, mode: str = SUPER) -> None:
-        self.__dict__.update(factors=tuple(factors), mode=mode)
+        self.__dict__.update(factors=_copied(tuple, factors, "factors"), mode=mode)
         validate_signature(self).raise_if_invalid("signature")
 
     @kept
@@ -234,8 +234,8 @@ class GluingRecipe:
 
 
 def _sorted_pairs(pairs) -> tuple[tuple[str, str], ...]:
-    """Each pair sorted, and the pairs sorted; no sort for no pairs."""
-    return tuple(sorted(tuple(sorted(p)) for p in pairs)) if pairs else ()
+    """Each pair sorted, and the pairs sorted."""
+    return tuple(sorted(tuple(sorted(p)) for p in pairs))
 
 
 def recipe(
@@ -251,15 +251,13 @@ def recipe(
     if not (isinstance(ns_gluings, Iterable) and isinstance(r_gluings, Iterable)):
         raise ValidationError("gluings must be iterables of label pairs")
     ns_pairs, r_pairs = tuple(ns_gluings), tuple(r_gluings)
-    if not isinstance(assignment, Sequence) or any(type(t) is not int for t in assignment):
+    if not isinstance(assignment, Sequence):
         raise ValidationError("assignment must be a sequence of int factor indices")
     for pair in ns_pairs + r_pairs:
         if not isinstance(pair, Sequence) or [type(x) for x in pair] != [str, str]:
             raise ValidationError(f"gluing {pair!r} is not a pair of labels")
     relabeling = {} if relabeling is None else relabeling
-    if not isinstance(relabeling, Mapping) or any(
-        type(x) is not str for item in relabeling.items() for x in item
-    ):
+    if not isinstance(relabeling, Mapping):
         raise ValidationError("relabeling must map labels to labels")
     out = GluingRecipe(source, target, assignment, ns_pairs, r_pairs, relabeling)
     validate_recipe(out).raise_if_invalid("gluing recipe")
@@ -278,6 +276,9 @@ def validate_recipe(r: GluingRecipe) -> ValidationReport:
 
     n_src = len(r.source.factors)
     n_tgt = len(r.target.factors)
+    if any(type(t) is not int for t in r.assignment):
+        problems.append("assignment must be a sequence of int factor indices")
+        return ValidationReport(tuple(problems))
     if len(r.assignment) != n_src:
         problems.append("assignment length differs from the source factor count")
         return ValidationReport(tuple(problems))
@@ -286,6 +287,11 @@ def validate_recipe(r: GluingRecipe) -> ValidationReport:
         return ValidationReport(tuple(problems))
     if set(r.assignment) != set(range(n_tgt)):
         problems.append("assignment must be surjective onto the target factors")
+
+    for pair in r.gluings:
+        if [type(x) for x in pair] != [str, str]:
+            problems.append(f"gluing {pair!r} is not a pair of labels")
+            return ValidationReport(tuple(problems))
 
     src_labels = r.source.labels
     glued: set[str] = set()
@@ -317,6 +323,8 @@ def validate_recipe(r: GluingRecipe) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
+    if any(type(x) is not str for item in r.relabeling.items() for x in item):
+        return ValidationReport(("relabeling must map labels to labels",))
     surviving = src_labels - glued
     if set(r.relabeling) != surviving:
         problems.append("relabeling domain must be exactly the unglued labels")

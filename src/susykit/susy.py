@@ -191,34 +191,14 @@ _PASSED = ValidationReport(())
 
 
 def _valid(graph: Graph, labeling: SusyLabeling, modular: bool) -> SusyGraph:
-    """A graph that a rule of the calculus built from a valid source, or a
-    colouring that a lift built on a valid graph by the forest rule, so
-    valid too: it keeps the shared passing report as both of its reports."""
+    """A graph that a rule of the calculus built from a valid source (the
+    target of ``calculus._image`` or a piece from ``calculus._piece_graph``),
+    or a colouring that a lift built on a valid graph by the forest rule
+    (``lifting._colorings``), so valid too: it keeps the shared passing
+    report as both of its reports."""
     graph.__dict__["report"] = _PASSED
     return _owned(
         SusyGraph, graph=graph, labeling=labeling, modular=modular, _labeling_report=_PASSED
-    )
-
-
-def _renamed(
-    g: SusyGraph, flag_name: Mapping[str, str], vertex_name: Mapping[str, str]
-) -> SusyGraph:
-    """``g`` with each flag and vertex renamed; both renamings must cover
-    every name and be injective, and ``g`` valid, which is not checked."""
-    fn, vn, lab = flag_name, vertex_name, g.labeling
-    return _valid(
-        _owned(
-            Graph, flags=frozenset(fn.values()), vertices=frozenset(vn.values()),
-            boundary={fn[f]: vn[v] for f, v in g.boundary.items()},
-            involution={fn[f]: fn[p] for f, p in g.involution.items()},
-        ),
-        _owned(
-            SusyLabeling, genus={vn[v]: k for v, k in lab.genus.items()},
-            color={fn[f]: c for f, c in lab.color.items()},
-            ns_tail_labels={l: fn[f] for l, f in lab.ns_tail_labels.items()},
-            r_tail_labels={l: fn[f] for l, f in lab.r_tail_labels.items()},
-        ),
-        g.modular,
     )
 
 
@@ -311,10 +291,11 @@ class SusyMorphism:
     checks of its maps (see ``validate_susy_morphism``), so the maps are
     read-only once checked, as a graph's are once ``Graph.report`` is read.
     The maps of a morphism that the calculus builds (its graftings,
-    contractions and isomorphisms, ``susy_identity``, and ``compose`` of
-    two morphisms whose maps passed) are valid by construction: it keeps a
-    passing report from the start, and so does each target graph that the
-    calculus builds from a checked source (``_valid``)."""
+    contractions and isomorphisms, all from ``calculus._image``, the
+    total graftings, ``susy_identity``, and ``compose`` of two morphisms
+    whose maps passed) are valid by construction: it keeps a passing
+    report from the start, and so does each target graph that the calculus
+    builds from a checked source (``_valid``)."""
 
     source: SusyGraph
     target: SusyGraph
@@ -368,7 +349,7 @@ def susy_morphism(
             target.graph,
             flag_map,
             vertex_map,
-            _graphs.involution_from_pairs(list(contracted_pairs)),
+            _copied(_graphs.involution_from_pairs, contracted_pairs, "contracted_pairs"),
         ),
     )
 
@@ -500,7 +481,10 @@ def disjoint_union(
 ) -> SusyGraph:
     """Tagged monoidal sum carrying genus, colors and labels along."""
     _graphs._require_a(SusyGraph, g1, g2)
-    t1, t2 = tags
+    try:
+        t1, t2 = tags
+    except (TypeError, ValueError):
+        raise ValidationError(f"disjoint_union: {tags!r} is not a pair of tags") from None
     base = _graphs.disjoint_union(g1.graph, g2.graph, tags)
     lab = SusyLabeling(
         genus={

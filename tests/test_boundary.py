@@ -6,20 +6,27 @@ takes a graph checks it before reading it, so an invalid SUSY graph raises
 ValidationError when the entry is called.  A public entry given
 something that is not a SUSY graph, a morphism, a graph, a signature, a
 gluing recipe, a renaming, a label, a curve, a label iterable, a label
-count or the records of an enumeration raises only a SusyKitError."""
+count or the records of an enumeration raises only a SusyKitError; a
+sweep gives every argument of every callable in ``susykit.__all__`` each
+of a few wrong values in turn."""
 
+import inspect
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 
 import pytest
 
+import susykit
 import susykit.graphs
 import susykit.operad
 import susykit.susy
 from susykit import (
     NS,
     R,
+    Component,
+    CurveConfig,
     GluingRecipe,
     Graph,
     ModuliFactor,
@@ -28,6 +35,7 @@ from susykit import (
     SusyLabeling,
     SusyMorphism,
     ModuliSignature,
+    SpecialPoint,
     ValidationError,
     are_isomorphic,
     automorphisms,
@@ -35,6 +43,7 @@ from susykit import (
     check_operad_axioms,
     classify,
     commute_contractions,
+    commute_iso_contraction,
     compose,
     compose_chain,
     contract_edge,
@@ -80,6 +89,7 @@ from susykit import (
     validate_curve_config,
     validate_recipe,
     validate_signature,
+    validate_susy_graph,
     validate_susy_morphism,
 )
 from susykit.calculus import atomize
@@ -419,6 +429,26 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
         (susy_graph, ([], [], {}, {}, {}, 5), "invalid color: 'int' object is not iterable"),
         (modular_graph, (5, 5, 5, 5, 5), "invalid flags: 'int' object is not iterable"),
         (modular_graph, ([], [], {}, {}, 5), "invalid genus: 'int' object is not iterable"),
+        (graft, (TREE, 5), "invalid pairs: 'int' object is not iterable"),
+        (compose_chain, (TREE, 5), "invalid morphisms: 'int' object is not iterable"),
+        (susy_morphism, (TREE, TREE, {}, {}, 5), "invalid contracted_pairs: 'int' object"),
+        (susy_morphism, (TREE, TREE, {}, {}, "x"), "invalid contracted_pairs: not enough"),
+        (make_isomorphism, (TREE, 5), "invalid flag_renaming: 'int' object is not iterable"),
+        (make_isomorphism, (TREE, "x"), "invalid flag_renaming: dictionary update"),
+        (make_isomorphism, (TREE, {}, {"v": 5}), "onto string names"),
+        (commute_iso_contraction, (susy_identity(TREE), 5), "contract: 5 is not a pair"),
+        (disjoint_union, (TREE, TREE, 5), "disjoint_union: 5 is not a pair of tags"),
+        (Component, (5, 5), "invalid special_points: 'int' object is not iterable"),
+        (CurveConfig, (5, 5), "invalid components: 'int' object is not iterable"),
+        (CurveConfig, ((), [5]), "invalid node_pairing: 'int' object is not iterable"),
+        (ModuliSignature, (5,), "invalid factors: 'int' object is not iterable"),
+        (GluingRecipe, (None, None, [], 0, 0, {}), "invalid ns_gluings: 'int' object is not"),
+        (validate_recipe, (GluingRecipe(SIG, SIG, ["x"], (), (), {}),),
+         "assignment must be a sequence of int factor indices"),
+        (validate_recipe, (GluingRecipe(SIG, SIG, [0, 1], [("a", "b", "c")], (), {}),),
+         r"gluing \('a', 'b', 'c'\) is not a pair of labels"),
+        (validate_recipe, (GluingRecipe(SIG, SIG, [0, 1], (), (), {"a": [1]}),),
+         "relabeling must map labels to labels"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -434,12 +464,27 @@ def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # a plain tuple for a factor raised AttributeError; validate_recipe of a
     # recipe between non-signatures raised AttributeError, and the value
     # constructors and graph builders given a field that makes no set, dict
-    # or tuple raised TypeError; a check that returns a report is asked to
-    # raise it
+    # or tuple raised TypeError; of the last rows, each raised TypeError or
+    # ValueError, but GluingRecipe built a recipe with no gluings from a 0;
+    # a check that returns a report is asked to raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
         report.raise_if_invalid("argument")
     assert type(caught.value) is ValidationError
+
+
+def test_a_graph_missing_map_entries_is_read_and_reported():
+    # tails and flags_at once raised KeyError: 'x', and so did susy_graph and
+    # modular_graph while they picked the default tail labels
+    assert tails(Graph(["x"], [], {}, {})) == []
+    assert flags_at(Graph(["x"], ["v"], {}, {}), "v") == []
+    assert validate_susy_graph(susy_graph(["x"], [], {}, {}, {}, {})).violations == (
+        "boundary: domain must be exactly the flag set",
+        "involution: domain must be exactly the flag set",
+    )
+    assert validate_susy_graph(modular_graph([], [], {}, {"k": 5}, {})).violations == (
+        "involution: domain must be exactly the flag set",
+    )
 
 
 def recoloured_path():
@@ -471,3 +516,170 @@ def test_an_invalid_source_raises_when_the_entry_is_called(entry, args):
     # the graphs that the calculus builds from it are trusted
     with pytest.raises(ValidationError, match="^invalid SUSY graph: color: edge flags"):
         entry(recoloured_path(), *args)
+
+
+# The sweep over ``susykit.__all__``: one valid call of each public callable,
+# then each of its arguments in turn replaced by each wrong value below.
+# The table is keyed by callable, then parameter, since a name such as ``g``,
+# ``h``, ``genus`` or ``source`` takes a different type in different callables.
+G = path_graph()
+FIRST = contract_pair(G, ("p", "q"))
+SECOND = contract_pair(FIRST.target, ("r", "s"))
+H = compose(FIRST, SECOND)
+ISO = make_isomorphism(G, {"a0": "z"}, {"u": "x"})
+LOOPED = graft(star(0, 4), [("vn0", "vn1")]).target
+SIG_R = signature([(0, ["a"], ["r1", "r2"]), (0, ["b"], ["r3", "r4"])])
+GLUED = glue_ns(SIG, "a", "d")
+POINTS = tuple(SpecialPoint(f"p{i}", NS, "puncture", str(i)) for i in range(3))
+CONFIG = CurveConfig((Component(0, POINTS),), ())
+RECORDS = enumerate_strata_records(0, ["1", "2", "3", "4"], [], 1)
+POSET = strata_poset(RECORDS)
+
+
+def fields(value, *names):
+    return {name: getattr(value, name) for name in names}
+
+
+def graph_fields(g):
+    return fields(g, "flags", "vertices", "boundary", "involution")
+
+
+VALID_CALLS = {
+    "Component": dict(genus=0, special_points=POINTS),
+    "ContractionPoset": fields(POSET, "cores", "digests", "ranks", "covers"),
+    "CurveConfig": dict(components=CONFIG.components, node_pairing=()),
+    "GluingRecipe": fields(
+        GLUED, "source", "target", "assignment", "ns_gluings", "r_gluings", "relabeling"
+    ),
+    "Graph": graph_fields(G),
+    "GraphMorphism": fields(H.map, "source", "target", "flag_map", "vertex_map", "contracted"),
+    "ModuliFactor": fields(SIG.factors[0], "genus", "ns_labels", "r_labels"),
+    "ModuliSignature": fields(SIG, "factors", "mode"),
+    "SpecialPoint": fields(POINTS[0], "id", "color", "kind", "label"),
+    "SusyGraph": fields(G, "graph", "labeling", "modular"),
+    "SusyLabeling": fields(G.labeling, "genus", "color", "ns_tail_labels", "r_tail_labels"),
+    "SusyMorphism": fields(H, "source", "target", "map"),
+    "ValidationReport": dict(violations=()),
+    "are_isomorphic": dict(g1=G, g2=G, labels_fixed=True),
+    "atomize": dict(h=H),
+    "automorphisms": dict(g=G, labels_fixed=True),
+    "canonical_form": dict(g=G),
+    "certificate_digest": dict(g=G),
+    "check_operad_axioms": dict(seed=0, cases=2),
+    "classify": dict(h=H),
+    "colorless_dual_graph": dict(c=CONFIG),
+    "commute_contractions": dict(g=G, e1=("p", "q"), e2=("r", "s")),
+    "commute_iso_contraction": dict(a=ISO, pair=("p", "q")),
+    "compose": dict(h=FIRST, f=SECOND),
+    "compose_chain": dict(source=G, morphisms=[FIRST, SECOND]),
+    "contract_edge": dict(g=G, pair=("p", "q")),
+    "contract_loop": dict(g=LOOPED, pair=("vn0", "vn1")),
+    "contract_pair": dict(g=G, pair=("r", "s")),
+    "contract_tails": dict(g=G, pair=("a0", "a1")),
+    "count_even_partitions": dict(k=4),
+    "count_lifts": dict(tree=TREE),
+    "decompose_to_elementaries": dict(h=H, order="lex"),
+    "disjoint_union": dict(g1=G, g2=G, tags=("0", "1")),
+    "dual_graph": dict(c=CONFIG),
+    "edges": dict(g=G.graph),
+    "enumerate_edge_colorings": dict(g=TREE, ns_labels=LABELS, r_labels=[]),
+    "enumerate_modular_shapes": dict(genus=0, tail_labels=["1", "2", "3", "4"], max_edges=1),
+    "enumerate_strata": dict(genus=0, ns_labels=["1", "2", "3", "4"], r_labels=[], max_edges=1),
+    "enumerate_strata_records": dict(
+        genus=0, ns_labels=["1", "2", "3", "4"], r_labels=[], max_edges=1
+    ),
+    "evaluate_operad": dict(h=H),
+    "flags_at": dict(g=G.graph, v="u"),
+    "forget": dict(x=G),
+    "genus": dict(g=G),
+    "glue_ns": dict(sig=SIG, a="a", b="d"),
+    "glue_ns_loop": dict(sig=SIG, a="a", b="b"),
+    "glue_r": dict(sig=SIG_R, a="r1", b="r3"),
+    "glue_r_loop": dict(sig=SIG_R, a="r1", b="r2"),
+    "graft": dict(g=G, pairs=[("a0", "a1")]),
+    "identity_recipe": dict(sig=SIG),
+    "include": dict(x=forget(G)),
+    "is_stable": dict(g=G),
+    "iso_between": dict(
+        source=G, target=ISO.target, flag_map=ISO.flag_map, vertex_map=ISO.vertex_map
+    ),
+    "isomorphisms_between": dict(g1=G, g2=G, labels_fixed=True),
+    "lift_count_general": dict(g=TREE, ns_labels=LABELS, r_labels=[]),
+    "lift_tree_coloring": dict(tree=TREE, ns_labels=LABELS, r_labels=[]),
+    "make_isomorphism": dict(g=G, flag_renaming={"a0": "z"}, vertex_renaming={"u": "x"}),
+    "modular_graph": dict(
+        **graph_fields(TREE), genus=TREE.labeling.genus,
+        tail_labels=TREE.labeling.ns_tail_labels,
+    ),
+    "project": dict(x=SIG),
+    "recipe": dict(
+        fields(GLUED, "source", "target", "assignment", "ns_gluings", "r_gluings"),
+        relabeling=GLUED.relabeling,
+    ),
+    "recipe_compose": dict(first=GLUED, second=identity_recipe(GLUED.target)),
+    "relabel_recipe": dict(sig=SIG, renaming={l: l.upper() for l in SIG.labels}),
+    "signature": dict(factors=[(0, ["a", "b", "c"], [])], mode="super"),
+    "strata_poset": dict(records=RECORDS),
+    "stratum_dimension": dict(g=G),
+    "susy_graph": dict(
+        **graph_fields(G), genus=G.labeling.genus, color=G.labeling.color,
+        ns_labels=G.labeling.ns_tail_labels, r_labels=G.labeling.r_tail_labels, modular=False,
+    ),
+    "susy_identity": dict(g=G),
+    "susy_morphism": dict(
+        **fields(H, "source", "target", "flag_map", "vertex_map"),
+        contracted_pairs=H.contracted_pairs(),
+    ),
+    "tails": dict(g=G.graph),
+    "total_grafting": dict(g=G),
+    "validate_curve_config": dict(c=CONFIG),
+    "validate_graph": dict(g=G.graph),
+    "validate_morphism": dict(h=H.map),
+    "validate_recipe": dict(r=GLUED),
+    "validate_signature": dict(sig=SIG),
+    "validate_susy_graph": dict(g=G),
+    "validate_susy_morphism": dict(h=H),
+}
+WRONG_VALUES = [5, None, "x", [1], 2.5, {"k": 5}]
+# the one exemption: an unknown vertex is a KeyError, as documented and
+# pinned by tests/test_graphs.py::test_flags_at_unknown_vertex
+EXEMPT = {("flags_at", "v"): KeyError}
+PUBLIC_CALLABLES = sorted(
+    name for name in susykit.__all__
+    if callable(obj := getattr(susykit, name))
+    and not (isinstance(obj, type) and issubclass(obj, SusyKitError))
+)
+
+
+def call(fn, kwargs):
+    """``fn(**kwargs)``, run to the end: ``isomorphisms_between`` is lazy."""
+    out = fn(**kwargs)
+    return list(out) if isinstance(out, Iterator) else out
+
+
+def test_the_sweep_has_one_valid_call_per_public_callable():
+    assert VALID_CALLS.keys() == set(PUBLIC_CALLABLES)
+    for name in PUBLIC_CALLABLES:
+        params = inspect.signature(getattr(susykit, name)).parameters
+        assert VALID_CALLS[name].keys() == params.keys(), name
+
+
+@pytest.mark.parametrize("name", PUBLIC_CALLABLES)
+def test_a_wrong_value_for_any_argument_raises_only_a_susykit_error(name):
+    fn, valid = getattr(susykit, name), VALID_CALLS[name]
+    call(fn, valid)
+    # the other optional arguments keep their defaults, which some callables
+    # fill from the wrong value (susy_graph's tail labels from its flags)
+    params = inspect.signature(fn).parameters
+    required = {k: v for k, v in valid.items() if params[k].default is params[k].empty}
+    leaks = []
+    for param in valid:
+        allowed = (SusyKitError, EXEMPT.get((name, param), SusyKitError))
+        for wrong in WRONG_VALUES:
+            try:
+                call(fn, {**required, param: wrong})
+            except allowed:
+                pass
+            except Exception as exc:
+                leaks.append(f"{param}={wrong!r}: {type(exc).__name__}: {exc}")
+    assert leaks == []

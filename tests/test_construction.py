@@ -6,8 +6,9 @@ it, and ``lifting`` each colouring it lists, since all are valid by
 construction.  The oracle here records every morphism, graph and
 signature built that way over seeded plans and checks each afresh with
 the full checks; a contraction that drops a colour, a grafting that loses
-a genus or keeps the labels of the tails it joined, a lift that recolours
-an edge, or a loop gluing that forgets its genus fails it.  The graphs
+a genus or keeps the labels of the tails it joined, an elementary builder
+that forgets the genus a contracted loop adds, a lift that recolours an
+edge, or a loop gluing that forgets its genus fails it.  The graphs
 built that way own their dicts: changing one changes no other graph."""
 
 import random
@@ -59,8 +60,9 @@ KINDS = {
     "identity", "grafting", "edge_contraction", "loop_contraction",
     "virtual_contraction", "isomorphism", "composite",
 }
-# the builders that ask ``susy._valid`` for a graph: the calculus's and the lift's
-GRAPH_BUILDERS = {"graft", "_contract", "_renamed", "_piece_graph", "_colorings"}
+# the builders that ask ``susy._valid`` for a graph: the calculus's (``_image``
+# for every elementary target, ``_piece_graph`` for pieces) and the lift's
+GRAPH_BUILDERS = {"_image", "_piece_graph", "_colorings"}
 
 
 def replace_everywhere(monkeypatch, fn, new):
@@ -251,6 +253,24 @@ def tail_label_keeping(graft):
     return kept
 
 
+def loop_genus_dropping(image):
+    """``calculus._image`` without the genus that each contracted loop adds."""
+
+    def dropped(g, flag_name, vertex_name, contracted=(), grafted=()):
+        h = image(g, flag_name, vertex_name, contracted, grafted)
+        loops = [a for a, b in contracted if g.boundary[a] == g.boundary[b]]
+        if not loops:
+            return h
+        lab = h.target.labeling
+        genus = dict(lab.genus)
+        for a in loops:
+            genus[vertex_name[g.boundary[a]]] -= 1
+        labels = SusyLabeling(genus, lab.color, lab.ns_tail_labels, lab.r_tail_labels)
+        return rebuilt(h, replace(h.target, labeling=labels))
+
+    return dropped
+
+
 def edge_recolouring(colorings):
     """``lifting._colorings`` with both flags of one edge between two
     vertices recoloured, so each of its ends sees an odd number of R flags."""
@@ -292,6 +312,7 @@ def loop_genus_forgetting(glue):
         (susykit.calculus, "_contract", colour_dropping),
         (susykit.calculus, "graft", genus_losing),
         (susykit.calculus, "graft", tail_label_keeping),
+        (susykit.calculus, "_image", loop_genus_dropping),
         (susykit.lifting, "_colorings", edge_recolouring),
         (susykit.operad, "_glue", loop_genus_forgetting),
     ],
@@ -299,6 +320,7 @@ def loop_genus_forgetting(glue):
         "contract_drops_a_colour",
         "graft_loses_a_genus",
         "graft_keeps_its_tail_labels",
+        "image_drops_a_loop_genus",
         "lift_recolours_an_edge",
         "loop_forgets_its_genus",
     ],
