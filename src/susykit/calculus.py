@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .graphs import Graph, GraphMorphism, _copied, _owned, involution_from_pairs
+from .graphs import Graph, GraphMorphism, _copied, _owned, _strings, involution_from_pairs
 from .susy import (
     NS,
     R,
@@ -258,7 +258,7 @@ def make_isomorphism(
     new_flag = {f: fr.get(f, f) for f in g.flags}
     new_vert = {v: vr.get(v, v) for v in g.vertices}
     for new in (new_flag, new_vert):
-        if not all(isinstance(x, str) for x in new.values()) or len(set(new.values())) != len(new):
+        if not _strings(new.values()) or len(set(new.values())) != len(new):
             raise ValidationError("renaming must stay injective, onto string names")
     return _image(g, new_flag, new_vert)
 
@@ -396,7 +396,7 @@ def atomize(h: SusyMorphism) -> Atomization:
     # into the target (preserved loops included) are cut here and grafted
     # back by the corolla grafting on the target side.
     keep: dict[str, str] = {}
-    for a, b in h.contracted_pairs():
+    for a, b in h.map.orbits:
         if src.involution[a] == b:
             keep[a] = b
             keep[b] = a
@@ -404,12 +404,6 @@ def atomize(h: SusyMorphism) -> Atomization:
     pieces: dict[str, SusyGraph] = {}
     piece_morphisms: dict[str, SusyMorphism] = {}
     target_grafting = total_grafting(tgt)
-    corolla_union = target_grafting.source
-
-    union_flag_map: dict[str, str] = {}
-    union_vertex_map: dict[str, str] = {}
-    union_contracted_pairs: list[tuple[str, str]] = []
-
     for v in sorted(tgt.vertices):
         fiber_vertices = {w for w, img in h.vertex_map.items() if img == v}
         fiber_flags = {f for f in src.flags if h.vertex_map[src.boundary[f]] == v}
@@ -419,25 +413,15 @@ def atomize(h: SusyMorphism) -> Atomization:
         )
         flag_map = {f: h.flag_map[f] for f in corolla.flags}
         vertex_map = {w: v for w in fiber_vertices}
-        contracted = [
-            p for p in h.contracted_pairs() if src.boundary[p[0]] in fiber_vertices
-        ]
-        hm = susy_morphism(piece, corolla, flag_map, vertex_map, contracted)
+        contracted = [p for p in h.map.orbits if src.boundary[p[0]] in fiber_vertices]
         pieces[v] = piece
-        piece_morphisms[v] = hm
-        union_flag_map.update(flag_map)
-        union_vertex_map.update(vertex_map)
-        union_contracted_pairs.extend(contracted)
+        piece_morphisms[v] = susy_morphism(piece, corolla, flag_map, vertex_map, contracted)
 
+    # the pieces' maps together are exactly h's maps
     source_union = _piece_graph(src, set(src.vertices), set(src.flags), keep)
-
     tails_grafting = _grafting(source_union, src)
     pieces_morphism = susy_morphism(
-        source_union,
-        corolla_union,
-        union_flag_map,
-        union_vertex_map,
-        union_contracted_pairs,
+        source_union, target_grafting.source, h.flag_map, h.vertex_map, h.map.orbits
     )
 
     left = compose(tails_grafting, h)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graphs import Graph, ValidationReport, _copied
+from .graphs import Graph, ValidationReport, _copied, _strings
 from .susy import NS, R, SusyGraph, SusyLabeling, forget, validate_susy_graph
 
 __all__ = [
@@ -68,20 +68,30 @@ def validate_curve_config(c: CurveConfig) -> ValidationReport:
     if not isinstance(c, CurveConfig):
         return ValidationReport((f"expected a CurveConfig, got {type(c).__name__}",))
     problems: list[str] = []
-    seen_ids: set[str] = set()
+    color_of: dict[str, str] = {}
     ns_labels: set[str] = set()
     r_labels: set[str] = set()
     halves: set[str] = set()
 
     for idx, comp in enumerate(c.components):
         where = f"component {idx}"
+        if not isinstance(comp, Component):
+            problems.append(f"{where}: expected a Component, got {type(comp).__name__}")
+            continue
         if type(comp.genus) is not int or comp.genus < 0:
             problems.append(f"{where}: genus must be a non-negative integer")
         r_count = 0
-        for pt in comp.special_points:
-            if pt.id in seen_ids:
+        for j, pt in enumerate(comp.special_points):
+            if not isinstance(pt, SpecialPoint):
+                kind = type(pt).__name__
+                problems.append(f"{where}: point {j}: expected a SpecialPoint, got {kind}")
+                continue
+            if not isinstance(pt.id, str):
+                problems.append(f"{where}: point {j}: id must be a string, got {pt.id!r}")
+                continue
+            if pt.id in color_of:
                 problems.append(f"{where}: duplicate point id {pt.id!r}")
-            seen_ids.add(pt.id)
+            color_of[pt.id] = pt.color
             if pt.color not in (NS, R):
                 problems.append(f"{where}: point {pt.id!r} has bad color {pt.color!r}")
             elif pt.color == R:
@@ -89,6 +99,8 @@ def validate_curve_config(c: CurveConfig) -> ValidationReport:
             if pt.kind == PUNCTURE:
                 if pt.label is None:
                     problems.append(f"{where}: puncture {pt.id!r} needs a label")
+                elif not isinstance(pt.label, str):
+                    problems.append(f"{where}: puncture {pt.id!r} has a non-string label")
                 elif pt.color == NS:
                     if pt.label in ns_labels:
                         problems.append(f"duplicate NS label {pt.label!r}")
@@ -105,17 +117,18 @@ def validate_curve_config(c: CurveConfig) -> ValidationReport:
                 problems.append(f"{where}: point {pt.id!r} has bad kind {pt.kind!r}")
         if r_count % 2:
             problems.append(f"{where}: odd number of R special points")
-        if 2 * comp.genus - 2 + len(comp.special_points) <= 0:
+        if type(comp.genus) is int and 2 * comp.genus - 2 + len(comp.special_points) <= 0:
             problems.append(f"{where}: unstable (2g - 2 + #points <= 0)")
 
     if ns_labels & r_labels:
         problems.append("NS and R puncture labels must be disjoint")
 
     paired: set[str] = set()
-    color_of = {
-        pt.id: pt.color for comp in c.components for pt in comp.special_points
-    }
-    for a, b in c.node_pairing:
+    for j, pair in enumerate(c.node_pairing):
+        if len(pair) != 2 or not _strings(pair):
+            problems.append(f"node pairing {j}: expected a pair of point ids")
+            continue
+        a, b = pair
         if a == b:
             problems.append(f"node pairing ({a!r}, {b!r}) is degenerate")
             continue

@@ -24,10 +24,10 @@ def _style(color: str) -> str:
     return "solid" if color == NS else "dashed"
 
 
-def graph_to_dot(g: SusyGraph, name: str = "susy") -> str:
+def graph_to_dot(g: SusyGraph) -> str:
     label_of = {f: l for l, f in g.labeling.ns_tail_labels.items()}
     label_of.update({f: l for l, f in g.labeling.r_tail_labels.items()})
-    lines = [f"graph {_quote(name)} {{"]
+    lines = ['graph "susy" {']
     for v in sorted(g.vertices):
         lines.append(
             f"  {_quote('v:' + v)} [label={_quote(f'g={g.genus_of(v)}')}, shape=circle];"
@@ -50,9 +50,9 @@ def graph_to_dot(g: SusyGraph, name: str = "susy") -> str:
     return "\n".join(lines) + "\n"
 
 
-def poset_to_dot(poset: ContractionPoset, name: str = "strata") -> str:
+def poset_to_dot(poset: ContractionPoset) -> str:
     """Cover relations as arrows pointing at the contraction (upward)."""
-    lines = [f"digraph {_quote(name)} {{"]
+    lines = ['digraph "strata" {']
     for i, c in enumerate(poset.cores):
         n_edges = poset.ranks[i]
         r_edges = sum(1 for f, p in enumerate(c.involution) if f < p and c.color[f] == 1)

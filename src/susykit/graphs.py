@@ -20,6 +20,7 @@ connects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -94,9 +95,15 @@ def _copied(make: Callable, value, field: str):
         raise ValidationError(f"invalid {field}: {err}") from None
 
 
+def _strings(values: Iterable) -> bool:
+    """Whether each of ``values`` is a string; the checks ask this before
+    they hash the values into a set."""
+    return all(map(isinstance, values, repeat(str)))
+
+
 def _freeze_str_set(value: Iterable[str], field: str) -> frozenset[str]:
     out = _copied(frozenset, value, field)
-    if not all(isinstance(x, str) for x in out):
+    if not _strings(out):
         raise ValidationError("identifiers must be strings")
     return out
 
@@ -163,11 +170,15 @@ def _check_graph(g: Graph) -> ValidationReport:
     b, inv = g.boundary, g.involution
     if b.keys() != g.flags:
         problems.append("boundary: domain must be exactly the flag set")
+    elif not _strings(b.values()):
+        problems.append("boundary: values must be strings")
     elif not g.vertices.issuperset(b.values()):
         bad = sorted(v for v in b.values() if v not in g.vertices)
         problems.append(f"boundary: unknown vertices {bad}")
     if inv.keys() != g.flags:
         problems.append("involution: domain must be exactly the flag set")
+    elif not _strings(inv.values()):
+        problems.append("involution: values must be strings")
     elif not g.flags.issuperset(inv.values()):
         bad = sorted(f for f in inv.values() if f not in g.flags)
         problems.append(f"involution: unknown flags {bad}")
@@ -259,7 +270,8 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    """Whether ``g`` has at most one component: one root in its forest."""
+    return len(set(g._forest[1].root)) <= 1
 
 
 def involution_from_pairs(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
@@ -340,7 +352,12 @@ def validate_morphism(h: GraphMorphism) -> ValidationReport:
 
 def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
     """The morphism axioms of ``h``; its graphs are already checked."""
-    problems: list[str] = []
+    maps = {"flag_map": h.flag_map, "vertex_map": h.vertex_map, "contracted": h.contracted}
+    problems = [
+        f"{name}: values must be strings" for name, m in maps.items() if not _strings(m.values())
+    ]
+    if problems:
+        return ValidationReport(tuple(problems))
     src, tgt = h.source, h.target
 
     image = set(h.flag_map.values())
@@ -442,6 +459,7 @@ def _morphism_axioms(h: GraphMorphism) -> ValidationReport:
 
 
 def identity_morphism(g: Graph) -> GraphMorphism:
+    _require_a(Graph, g)
     return _owned(
         GraphMorphism, source=g, target=g, flag_map={f: f for f in g.flags},
         vertex_map={v: v for v in g.vertices}, contracted={},
@@ -455,6 +473,7 @@ def compose(h: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
     composite contracts ``h``'s orbits together with the ``h``-pullback of
     ``f``'s orbits.
     """
+    _require_a(GraphMorphism, h, f)
     if h.target != f.source:
         raise ValidationError("compose: endpoints do not match")
     flag_map = {fc: h.flag_map[fb] for fc, fb in f.flag_map.items()}
@@ -468,25 +487,14 @@ def compose(h: GraphMorphism, f: GraphMorphism) -> GraphMorphism:
     )
 
 
-def disjoint_union(g1: Graph, g2: Graph, tags: tuple[str, str] = ("0", "1")) -> Graph:
-    """Monoidal sum; identifiers are tagged ``{tag}:{id}`` to stay disjoint."""
-    t1, t2 = tags
-
-    def re1(x: str) -> str:
-        return f"{t1}:{x}"
-
-    def re2(x: str) -> str:
-        return f"{t2}:{x}"
-
-    return Graph(
-        flags=frozenset(map(re1, g1.flags)) | frozenset(map(re2, g2.flags)),
-        vertices=frozenset(map(re1, g1.vertices)) | frozenset(map(re2, g2.vertices)),
-        boundary={
-            **{re1(f): re1(v) for f, v in g1.boundary.items()},
-            **{re2(f): re2(v) for f, v in g2.boundary.items()},
-        },
-        involution={
-            **{re1(f): re1(p) for f, p in g1.involution.items()},
-            **{re2(f): re2(p) for f, p in g2.involution.items()},
-        },
-    )
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """Monoidal sum; identifiers are tagged ``0:{id}`` in ``g1`` and
+    ``1:{id}`` in ``g2`` to stay disjoint."""
+    _require_a(Graph, g1, g2)
+    flags, vertices, boundary, involution = set(), set(), {}, {}
+    for t, g in (("0", g1), ("1", g2)):
+        flags.update(f"{t}:{f}" for f in g.flags)
+        vertices.update(f"{t}:{v}" for v in g.vertices)
+        boundary.update({f"{t}:{f}": f"{t}:{v}" for f, v in g.boundary.items()})
+        involution.update({f"{t}:{f}": f"{t}:{p}" for f, p in g.involution.items()})
+    return Graph(flags, vertices, boundary, involution)

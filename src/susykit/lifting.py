@@ -29,7 +29,7 @@ from operator import xor
 from typing import Callable, Iterable
 
 from .errors import ValidationError
-from .graphs import _LiftForest, _owned, tails
+from .graphs import _LiftForest, _owned, is_connected, tails
 from .susy import NS, R, SusyGraph, SusyLabeling, _valid, genus, require_susy
 
 __all__ = [
@@ -80,7 +80,7 @@ def _require_stable_modular(g: SusyGraph, what: str) -> None:
 
 
 def _require_tree(g: SusyGraph) -> None:
-    if len(set(g.graph._forest[1].root)) > 1:
+    if not is_connected(g.graph):
         raise ValidationError("input is not a tree: disconnected")
     if genus(g):
         raise ValidationError("input is not a tree: total genus must be zero")
@@ -168,11 +168,11 @@ def lift_tree_coloring(
 
 
 def count_lifts(tree: SusyGraph) -> int:
-    """Number of SUSY lifts of a stable tree over all even partitions:
-    exactly 2 ** (#tails - 1)."""
+    """Number of SUSY lifts of a stable tree over all even partitions of
+    its tails, each of which lifts once."""
     _require_stable_modular(tree, "count_lifts")
     _require_tree(tree)
-    return 2 ** (len(tails(tree.graph)) - 1)
+    return count_even_partitions(len(tails(tree.graph)))
 
 
 def count_even_partitions(k: int) -> int:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .graphs import ValidationReport, _copied, _owned, _require_a, _root, edges, is_connected
-from .graphs import kept, tails
+from .graphs import _strings, kept, tails
 from .susy import NS, R, SusyGraph, SusyMorphism, genus, require_susy
 from .susy import validate_susy_morphism
 
@@ -130,7 +130,7 @@ def validate_signature(sig: ModuliSignature) -> ValidationReport:
             continue
         ns, r = f.ns_labels, f.r_labels
         labels = ns | r
-        str_labels = all(isinstance(l, str) for l in labels)
+        str_labels = _strings(labels)
         if type(f.genus) is not int or f.genus < 0:
             problems.append(f"factor {i}: genus must be a non-negative integer")
         if not str_labels:
@@ -411,7 +411,7 @@ def relabel_recipe(
     _require_a(ModuliSignature, sig)
     if not isinstance(renaming, Mapping) or set(renaming) != set(sig.labels):
         raise ValidationError("renaming must map exactly the signature labels")
-    if not all(isinstance(x, str) for x in renaming.values()):
+    if not _strings(renaming.values()):
         raise ValidationError("renamed labels must be strings")
     if len(set(renaming.values())) != len(renaming):
         raise ValidationError("renaming is not injective")

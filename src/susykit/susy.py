@@ -158,9 +158,9 @@ def susy_graph(
     color: Mapping[str, str],
     ns_labels: Mapping[str, str] | None = None,
     r_labels: Mapping[str, str] | None = None,
-    modular: bool = False,
 ) -> SusyGraph:
-    """Assemble a SusyGraph; labelings default to tails labeling themselves."""
+    """Assemble a SusyGraph; labelings default to tails labeling themselves.
+    ``modular_graph`` builds the modular view."""
     g = Graph(flags, vertices, boundary, involution)
     color = _copied(dict, color, "color")
     if ns_labels is None:
@@ -168,7 +168,7 @@ def susy_graph(
     if r_labels is None:
         r_labels = {f: f for f in tails(g) if color.get(f) == R}
     lab = SusyLabeling(genus, color, ns_labels, r_labels)
-    return SusyGraph(g, lab, modular)
+    return SusyGraph(g, lab)
 
 
 def modular_graph(
@@ -211,6 +211,8 @@ def validate_susy_graph(g: SusyGraph) -> ValidationReport:
 
 
 def _check_labeling(g: SusyGraph) -> ValidationReport:
+    if not isinstance(g.labeling, SusyLabeling):
+        return ValidationReport((f"expected a SusyLabeling, got {type(g.labeling).__name__}",))
     problems: list[str] = []
     base = g.graph
     lab = g.labeling
@@ -252,7 +254,8 @@ def _check_labeling(g: SusyGraph) -> ValidationReport:
             ("NS", lab.ns_tail_labels, ns_tails),
             ("R", lab.r_tail_labels, r_tails),
         ):
-            values = set(mapping.values())
+            # a value that is not a string is dropped, so the sizes differ
+            values = {f for f in mapping.values() if isinstance(f, str)}
             if len(values) != len(mapping) or values != expect:
                 problems.append(
                     f"{name} tail labeling must be a bijection onto the {name} tails"
@@ -260,7 +263,7 @@ def _check_labeling(g: SusyGraph) -> ValidationReport:
         if lab.ns_tail_labels.keys() & lab.r_tail_labels.keys():
             problems.append("NS and R label sets must be disjoint")
         labels = (*lab.ns_tail_labels, *lab.r_tail_labels)
-        if not all(isinstance(l, str) for l in labels):
+        if not _graphs._strings(labels):
             bad = ", ".join(sorted(repr(l) for l in labels if not isinstance(l, str)))
             problems.append(f"tail labels must be strings, got {bad}")
 
@@ -476,34 +479,18 @@ def include(x):
     return replace(g, modular=False)
 
 
-def disjoint_union(
-    g1: SusyGraph, g2: SusyGraph, tags: tuple[str, str] = ("0", "1")
-) -> SusyGraph:
-    """Tagged monoidal sum carrying genus, colors and labels along."""
+def disjoint_union(g1: SusyGraph, g2: SusyGraph) -> SusyGraph:
+    """Monoidal sum carrying genus, colors and labels along; identifiers
+    and labels are tagged ``0:`` in ``g1`` and ``1:`` in ``g2``."""
     _graphs._require_a(SusyGraph, g1, g2)
-    try:
-        t1, t2 = tags
-    except (TypeError, ValueError):
-        raise ValidationError(f"disjoint_union: {tags!r} is not a pair of tags") from None
-    base = _graphs.disjoint_union(g1.graph, g2.graph, tags)
-    lab = SusyLabeling(
-        genus={
-            **{f"{t1}:{v}": k for v, k in g1.labeling.genus.items()},
-            **{f"{t2}:{v}": k for v, k in g2.labeling.genus.items()},
-        },
-        color={
-            **{f"{t1}:{f}": c for f, c in g1.labeling.color.items()},
-            **{f"{t2}:{f}": c for f, c in g2.labeling.color.items()},
-        },
-        ns_tail_labels={
-            **{f"{t1}:{l}": f"{t1}:{f}" for l, f in g1.labeling.ns_tail_labels.items()},
-            **{f"{t2}:{l}": f"{t2}:{f}" for l, f in g2.labeling.ns_tail_labels.items()},
-        },
-        r_tail_labels={
-            **{f"{t1}:{l}": f"{t1}:{f}" for l, f in g1.labeling.r_tail_labels.items()},
-            **{f"{t2}:{l}": f"{t2}:{f}" for l, f in g2.labeling.r_tail_labels.items()},
-        },
-    )
     if g1.modular != g2.modular:
         raise ValidationError("disjoint_union: cannot mix modular and SUSY views")
-    return SusyGraph(base, lab, g1.modular)
+    base = _graphs.disjoint_union(g1.graph, g2.graph)
+    genera, colors, ns_labels, r_labels = {}, {}, {}, {}
+    for t, g in (("0", g1), ("1", g2)):
+        lab = g.labeling
+        genera.update({f"{t}:{v}": k for v, k in lab.genus.items()})
+        colors.update({f"{t}:{f}": c for f, c in lab.color.items()})
+        ns_labels.update({f"{t}:{l}": f"{t}:{f}" for l, f in lab.ns_tail_labels.items()})
+        r_labels.update({f"{t}:{l}": f"{t}:{f}" for l, f in lab.r_tail_labels.items()})
+    return SusyGraph(base, SusyLabeling(genera, colors, ns_labels, r_labels), g1.modular)

@@ -14,7 +14,7 @@ import inspect
 import random
 import sys
 from collections.abc import Iterator
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, is_dataclass, replace
 
 import pytest
 
@@ -37,6 +37,7 @@ from susykit import (
     ModuliSignature,
     SpecialPoint,
     ValidationError,
+    ValidationReport,
     are_isomorphic,
     automorphisms,
     canonical_form,
@@ -437,7 +438,6 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
         (make_isomorphism, (TREE, "x"), "invalid flag_renaming: dictionary update"),
         (make_isomorphism, (TREE, {}, {"v": 5}), "onto string names"),
         (commute_iso_contraction, (susy_identity(TREE), 5), "contract: 5 is not a pair"),
-        (disjoint_union, (TREE, TREE, 5), "disjoint_union: 5 is not a pair of tags"),
         (Component, (5, 5), "invalid special_points: 'int' object is not iterable"),
         (CurveConfig, (5, 5), "invalid components: 'int' object is not iterable"),
         (CurveConfig, ((), [5]), "invalid node_pairing: 'int' object is not iterable"),
@@ -449,6 +449,9 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
          r"gluing \('a', 'b', 'c'\) is not a pair of labels"),
         (validate_recipe, (GluingRecipe(SIG, SIG, [0, 1], (), (), {"a": [1]}),),
          "relabeling must map labels to labels"),
+        (susykit.graphs.disjoint_union, (5, 5), "expected a Graph, got int"),
+        (susykit.graphs.identity_morphism, (5,), "expected a Graph, got int"),
+        (susykit.graphs.compose, (5, 5), "expected a GraphMorphism, got int"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -466,6 +469,7 @@ def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # constructors and graph builders given a field that makes no set, dict
     # or tuple raised TypeError; of the last rows, each raised TypeError or
     # ValueError, but GluingRecipe built a recipe with no gluings from a 0;
+    # the graph-level union, identity and composite raised AttributeError;
     # a check that returns a report is asked to raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
@@ -579,7 +583,7 @@ VALID_CALLS = {
     "count_even_partitions": dict(k=4),
     "count_lifts": dict(tree=TREE),
     "decompose_to_elementaries": dict(h=H, order="lex"),
-    "disjoint_union": dict(g1=G, g2=G, tags=("0", "1")),
+    "disjoint_union": dict(g1=G, g2=G),
     "dual_graph": dict(c=CONFIG),
     "edges": dict(g=G.graph),
     "enumerate_edge_colorings": dict(g=TREE, ns_labels=LABELS, r_labels=[]),
@@ -623,7 +627,7 @@ VALID_CALLS = {
     "stratum_dimension": dict(g=G),
     "susy_graph": dict(
         **graph_fields(G), genus=G.labeling.genus, color=G.labeling.color,
-        ns_labels=G.labeling.ns_tail_labels, r_labels=G.labeling.r_tail_labels, modular=False,
+        ns_labels=G.labeling.ns_tail_labels, r_labels=G.labeling.r_tail_labels,
     ),
     "susy_identity": dict(g=G),
     "susy_morphism": dict(
@@ -683,3 +687,107 @@ def test_a_wrong_value_for_any_argument_raises_only_a_susykit_error(name):
             except Exception as exc:
                 leaks.append(f"{param}={wrong!r}: {type(exc).__name__}: {exc}")
     assert leaks == []
+
+
+# The nested sweep: each validator, given a valid value with one map value
+# or container entry replaced, at any depth, by each wrong value below.
+NESTED_WRONG = [5, None, [1]]
+NODAL = CurveConfig(
+    (
+        Component(0, (*POINTS[:2], SpecialPoint("n1", NS, "node-half"))),
+        Component(0, (
+            SpecialPoint("r1", R, "puncture", "r1"), SpecialPoint("r2", R, "puncture", "r2"),
+            SpecialPoint("n2", NS, "node-half"),
+        )),
+    ),
+    (("n1", "n2"),),
+)
+
+
+def entries(value):
+    """The named entries of a value type, a map or a container, and the
+    builder of a copy from new entries; a set's copy is a list."""
+    if is_dataclass(value):
+        names = [f.name for f in dataclass_fields(value)]
+        return names, [getattr(value, n) for n in names], (
+            lambda xs: type(value)(**dict(zip(names, xs)))
+        )
+    if isinstance(value, dict):
+        return list(value), list(value.values()), lambda xs: dict(zip(value, xs))
+    if isinstance(value, (tuple, list, set, frozenset)):
+        items = sorted(value) if isinstance(value, (set, frozenset)) else list(value)
+        return list(range(len(items))), items, type(value) if type(value) is tuple else list
+    return [], [], None
+
+
+def nested_copies(value, path=""):
+    """``(path, build)`` for each copy of ``value`` with one entry at
+    ``path`` replaced by a wrong value; ``build`` may raise SusyKitError."""
+    names, items, rebuild = entries(value)
+    for i, (name, item) in enumerate(zip(names, items)):
+        where = f"{path}[{name!r}]"
+
+        def put(x, i=i):
+            return rebuild([*items[:i], x, *items[i + 1:]])
+
+        for wrong in NESTED_WRONG:
+            yield f"{where}={wrong!r}", lambda put=put, wrong=wrong: put(wrong)
+        for deeper, build in nested_copies(item, where):
+            yield deeper, lambda put=put, build=build: put(build())
+
+
+@pytest.mark.parametrize(
+    "check, value",
+    [
+        (validate_graph, G.graph),
+        (validate_morphism, H.map),
+        (validate_susy_graph, G),
+        (validate_curve_config, CONFIG),
+        (validate_curve_config, NODAL),
+    ],
+    ids=["graph", "morphism", "susy_graph", "curve", "nodal_curve"],
+)
+def test_a_wrong_nested_value_is_only_reported(check, value):
+    # each validator once hashed a list value, and the curve check read the
+    # fields of a component or point of the wrong type
+    assert check(value).ok
+    leaks = []
+    for path, build in nested_copies(value):
+        try:
+            report = check(build())
+        except SusyKitError:
+            continue
+        except Exception as exc:
+            leaks.append(f"{path}: {type(exc).__name__}: {exc}")
+            continue
+        if not isinstance(report, ValidationReport):
+            leaks.append(f"{path}: returned {report!r}")
+    assert leaks == []
+
+
+def test_a_wrong_nested_value_is_reported_by_position():
+    graph = Graph(["a"], ["v"], {"a": "v"}, {"a": "a"})
+    unlabeled = replace(POINTS[0], label=[1])
+    cases = [
+        (validate_curve_config(CurveConfig([5], ())), "component 0: expected a Component, got int"),
+        (validate_curve_config(CurveConfig([Component(0, [5, *POINTS])], ())),
+         "component 0: point 0: expected a SpecialPoint, got int"),
+        (validate_curve_config(CurveConfig([Component(0, [replace(POINTS[0], id=[1])])], ())),
+         "component 0: point 0: id must be a string, got [1]"),
+        (validate_curve_config(CurveConfig([Component(0, [*POINTS[1:], unlabeled])], ())),
+         "component 0: puncture 'p0' has a non-string label"),
+        (validate_curve_config(CurveConfig(CONFIG.components, [[1]])),
+         "node pairing 0: expected a pair of point ids"),
+        (validate_graph(replace(graph, boundary={"a": [1]})), "boundary: values must be strings"),
+        (validate_graph(replace(graph, involution={"a": [1]})),
+         "involution: values must be strings"),
+        (validate_morphism(GraphMorphism(graph, graph, {"a": [1]}, {"v": "v"}, {})),
+         "flag_map: values must be strings"),
+        (validate_morphism(GraphMorphism(graph, graph, {"a": "a"}, {"v": [1]}, {})),
+         "vertex_map: values must be strings"),
+        (validate_susy_graph(replace(G, labeling=replace(G.labeling, r_tail_labels={"b1": [1]}))),
+         "R tail labeling must be a bijection onto the R tails"),
+        (validate_susy_graph(replace(G, labeling=5)), "expected a SusyLabeling, got int"),
+    ]
+    for report, first in cases:
+        assert report.violations[0] == first

@@ -146,6 +146,11 @@ class TestAtomize:
         left = compose(atom.tails_grafting, h)
         right = compose(atom.pieces_morphism, atom.target_grafting)
         assert left == right
+        # the union of the pieces' maps is exactly h's maps
+        union = atom.pieces_morphism
+        assert (union.flag_map, union.vertex_map, union.contracted) == (
+            h.flag_map, h.vertex_map, h.contracted
+        )
         # atomize does not check what it builds: each piece is valid anyway
         for m in [*atom.piece_morphisms.values(), atom.pieces_morphism]:
             assert validate_susy_morphism(m).ok, validate_susy_morphism(m).violations
