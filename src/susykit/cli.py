@@ -198,12 +198,12 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     dim = stratum_dimension(g)
     data = {
         "even": dim.even,
-        "odd": int(dim.odd),
+        "odd": dim.odd,
         "codim": list(dim.codimension),
     }
     table = [
         f"even dimension  {dim.even}",
-        f"odd dimension   {int(dim.odd)}",
+        f"odd dimension   {dim.odd}",
         f"codimension     ({dim.codimension[0]}, {dim.codimension[1]})",
     ]
     _emit(args, data, lambda: table)

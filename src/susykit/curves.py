@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graphs import Graph, ValidationReport, _copied, _strings
-from .susy import NS, R, SusyGraph, SusyLabeling, forget, validate_susy_graph
+from .graphs import Graph, ValidationReport, _copied, _owned, _strings
+from .susy import NS, R, SusyGraph, SusyLabeling, _valid
 
 __all__ = [
     "Component",
@@ -21,7 +21,6 @@ __all__ = [
     "SpecialPoint",
     "colorless_dual_graph",
     "dual_graph",
-    "reduction_compatibility",
     "validate_curve_config",
 ]
 
@@ -55,13 +54,10 @@ class CurveConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", _copied(tuple, self.components, "components"))
-        pairs = _copied(lambda ps: tuple(map(tuple, ps)), self.node_pairing, "node_pairing")
+        # a string entry stays whole, so the check reports it as no pair
+        pairs = _copied(lambda ps: tuple(p if isinstance(p, str) else tuple(p) for p in ps),
+                        self.node_pairing, "node_pairing")
         object.__setattr__(self, "node_pairing", pairs)
-
-
-def component_id(index: int) -> str:
-    """Components are identified positionally in the dual graph."""
-    return f"c{index}"
 
 
 def validate_curve_config(c: CurveConfig) -> ValidationReport:
@@ -125,7 +121,7 @@ def validate_curve_config(c: CurveConfig) -> ValidationReport:
 
     paired: set[str] = set()
     for j, pair in enumerate(c.node_pairing):
-        if len(pair) != 2 or not _strings(pair):
+        if isinstance(pair, str) or len(pair) != 2 or not _strings(pair):
             problems.append(f"node pairing {j}: expected a pair of point ids")
             continue
         a, b = pair
@@ -148,38 +144,41 @@ def validate_curve_config(c: CurveConfig) -> ValidationReport:
 
 
 def dual_graph(c: CurveConfig) -> SusyGraph:
-    """Dual SUSY graph: components become vertices, special points flags,
-    nodes edges; puncture labels carry over as tail labels."""
+    """Dual SUSY graph: the components become the vertices ``c0``, ``c1``,
+    ... in order, special points flags, nodes edges; puncture labels carry
+    over as tail labels."""
     validate_curve_config(c).raise_if_invalid("curve configuration")
-    boundary: dict[str, str] = {}
-    color: dict[str, str] = {}
-    genus: dict[str, int] = {}
-    ns_tail_labels: dict[str, str] = {}
-    r_tail_labels: dict[str, str] = {}
-    flags: list[str] = []
+    return _dual(c, False)
+
+
+def _dual(c: CurveConfig, modular: bool) -> SusyGraph:
+    """The dual graph of a valid ``c``, in the modular view if ``modular``.
+    ``validate_curve_config`` has checked every SUSY-graph axiom that it
+    could break, so it is built unchecked, like the calculus's graphs."""
+    boundary, color, genus, ns_labels, r_labels = {}, {}, {}, {}, {}
     for idx, comp in enumerate(c.components):
-        v = component_id(idx)
+        v = f"c{idx}"
         genus[v] = comp.genus
         for pt in comp.special_points:
-            flags.append(pt.id)
             boundary[pt.id] = v
             color[pt.id] = pt.color
             if pt.kind == PUNCTURE:
-                if pt.color == NS:
-                    ns_tail_labels[pt.label] = pt.id
-                else:
-                    r_tail_labels[pt.label] = pt.id
-    involution = {f: f for f in flags}
+                (ns_labels if pt.color == NS else r_labels)[pt.label] = pt.id
+    involution = {f: f for f in boundary}
     for a, b in c.node_pairing:
         involution[a] = b
         involution[b] = a
-    out = SusyGraph(
-        Graph(frozenset(flags), frozenset(genus), boundary, involution),
-        SusyLabeling(genus, color, ns_tail_labels, r_tail_labels),
-        modular=False,
+    return _valid(
+        _owned(
+            Graph, flags=frozenset(boundary), vertices=frozenset(genus),
+            boundary=boundary, involution=involution,
+        ),
+        _owned(
+            SusyLabeling, genus=genus, color=color,
+            ns_tail_labels=ns_labels, r_tail_labels=r_labels,
+        ),
+        modular,
     )
-    validate_susy_graph(out).raise_if_invalid("dual graph")
-    return out
 
 
 def colorless_dual_graph(c: CurveConfig) -> SusyGraph:
@@ -198,9 +197,4 @@ def colorless_dual_graph(c: CurveConfig) -> SusyGraph:
         ),
         c.node_pairing,
     )
-    return replace(dual_graph(erased), modular=True)
-
-
-def reduction_compatibility(c: CurveConfig) -> bool:
-    """Erasing colors commutes with taking dual graphs."""
-    return forget(dual_graph(c)) == colorless_dual_graph(c)
+    return _dual(erased, True)

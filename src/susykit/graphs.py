@@ -261,14 +261,6 @@ def _lift_forest(n: int, boundary: Sequence[int], involution: Sequence[int]) -> 
     return _LiftForest(boundary, root, path, loops + chords)
 
 
-def connected_components(g: Graph) -> list[frozenset[str]]:
-    """Vertex sets of the connected components (edges as adjacency)."""
-    groups: dict[int, set[str]] = {}
-    for v, root in zip(sorted(g.vertices), g._forest[1].root):
-        groups.setdefault(root, set()).add(v)
-    return [frozenset(s) for s in groups.values()]
-
-
 def is_connected(g: Graph) -> bool:
     """Whether ``g`` has at most one component: one root in its forest."""
     return len(set(g._forest[1].root)) <= 1

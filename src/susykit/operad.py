@@ -16,15 +16,13 @@ Erasing colors is a projection onto classical signatures that commutes
 with evaluation.
 
 Dimension bookkeeping lives here too: the even and odd dimensions of the
-stratum attached to a stable SUSY graph, computed both from closed formulas
-and from per-vertex sums, which must agree.
+stratum attached to a stable SUSY graph, in closed form.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
@@ -571,7 +569,7 @@ def project(x: ModuliSignature | GluingRecipe):
 @dataclass(frozen=True)
 class StratumDimension:
     even: int
-    odd: Fraction
+    odd: int
     codimension: tuple[int, int]
 
 
@@ -579,9 +577,11 @@ def stratum_dimension(g: SusyGraph) -> StratumDimension:
     """Even and odd dimensions of the stratum of a stable SUSY graph, with
     the codimension of the stratum inside the total space.
 
-    Both dimensions are computed twice, from closed formulas in the total
-    genus and tail counts and as per-vertex sums; disagreement is a hard
-    error, as is a non-integer odd dimension."""
+    They are (3g - 3 + n | 2g - 2 + n_NS + n_R / 2) in the total genus and
+    tail counts, which on a connected graph equal, by Euler's formula, the
+    per-vertex sums plus one odd parameter per Ramond node.  The odd one is
+    an integer since n_R is even: an unstable or disconnected graph, or one
+    with an odd number of R tails, is refused."""
     require_susy(g)
     rep = g.stability
     if not rep.stable:
@@ -599,30 +599,8 @@ def stratum_dimension(g: SusyGraph) -> StratumDimension:
     t_r = len(tail_list) - t_ns
     if t_r % 2:
         raise ValidationError("odd number of R tails")
-    e_r = sum(1 for a, _ in edge_list if g.color_of(a) == R)
-
     even = 3 * gt - 3 + len(tail_list) - len(edge_list)
-    odd = 2 * gt - 2 + t_ns + Fraction(t_r, 2)
-    # Per-vertex route: factor dimensions summed, plus one odd parameter
-    # per Ramond node (the Ramond gluing fiber).
-    even_local = 0
-    odd_local = Fraction(0)
-    for v, fl in base.incidence.items():
-        ns_v = sum(1 for f in fl if g.color_of(f) == NS)
-        r_v = len(fl) - ns_v
-        even_local += 3 * g.genus_of(v) - 3 + ns_v + r_v
-        odd_local += 2 * g.genus_of(v) - 2 + ns_v + Fraction(r_v, 2)
-    odd_local += e_r
-    if even != even_local:
-        raise ValidationError(
-            f"even dimension mismatch: closed {even}, per-vertex {even_local}"
-        )
-    if odd != odd_local:
-        raise ValidationError(
-            f"odd dimension mismatch: closed {odd}, per-vertex {odd_local}"
-        )
-    if odd.denominator != 1:
-        raise ValidationError(f"odd dimension {odd} is not an integer")
+    odd = 2 * gt - 2 + t_ns + t_r // 2
     return StratumDimension(even, odd, (len(edge_list), 0))
 
 

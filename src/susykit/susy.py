@@ -363,6 +363,9 @@ def validate_susy_morphism(h: SusyMorphism) -> ValidationReport:
     the endpoints agree; the checks of the maps run once, kept on ``h``."""
     if not isinstance(h, SusyMorphism):
         return ValidationReport((f"expected a SusyMorphism, got {type(h).__name__}",))
+    for x, cls in ((h.source, SusyGraph), (h.target, SusyGraph), (h.map, GraphMorphism)):
+        if not isinstance(x, cls):
+            return ValidationReport((f"expected a {cls.__name__}, got {type(x).__name__}",))
     problems: list[str] = []
     for g, name in ((h.source, "source"), (h.target, "target")):
         rep = validate_susy_graph(g)

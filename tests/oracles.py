@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from susykit import (
@@ -78,6 +79,19 @@ def component_count(g: Graph) -> int:
 def oracle_genus(g: SusyGraph) -> int:
     """Total genus as vertex genera plus the spanning-forest Betti number."""
     return sum(g.genus_of(v) for v in g.vertices) + forest_b1(g.graph)
+
+
+def local_dimension(g: SusyGraph) -> tuple[int, Fraction]:
+    """Even and odd dimensions of a stable graph's stratum as per-vertex
+    sums of factor dimensions (3g - 3 + n | 2g - 2 + n_NS + n_R / 2), in
+    exact fractions, plus one odd parameter per Ramond node."""
+    even, odd = 0, Fraction(0)
+    for v in g.vertices:
+        here = flags_at(g.graph, v)
+        r_v = sum(1 for f in here if g.color_of(f) == R)
+        even += 3 * g.genus_of(v) - 3 + len(here)
+        odd += 2 * g.genus_of(v) - 2 + (len(here) - r_v) + Fraction(r_v, 2)
+    return even, odd + sum(1 for a, _ in edges(g.graph) if g.color_of(a) == R)
 
 
 # ---------------------------------------------------------------------------

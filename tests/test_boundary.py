@@ -744,12 +744,17 @@ def nested_copies(value, path=""):
         (validate_susy_graph, G),
         (validate_curve_config, CONFIG),
         (validate_curve_config, NODAL),
+        (validate_susy_morphism, H),
+        (validate_signature, SIG),
+        (validate_recipe, GLUED),
     ],
-    ids=["graph", "morphism", "susy_graph", "curve", "nodal_curve"],
+    ids=["graph", "morphism", "susy_graph", "curve", "nodal_curve", "susy_morphism",
+         "signature", "recipe"],
 )
 def test_a_wrong_nested_value_is_only_reported(check, value):
-    # each validator once hashed a list value, and the curve check read the
-    # fields of a component or point of the wrong type
+    # each validator once hashed a list value, the curve check read the
+    # fields of a component or point of the wrong type, and the SUSY
+    # morphism check those of an endpoint or map of the wrong type
     assert check(value).ok
     leaks = []
     for path, build in nested_copies(value):
@@ -788,6 +793,10 @@ def test_a_wrong_nested_value_is_reported_by_position():
         (validate_susy_graph(replace(G, labeling=replace(G.labeling, r_tail_labels={"b1": [1]}))),
          "R tail labeling must be a bijection onto the R tails"),
         (validate_susy_graph(replace(G, labeling=5)), "expected a SusyLabeling, got int"),
+        (validate_curve_config(CurveConfig((), ["ab"])),
+         "node pairing 0: expected a pair of point ids"),
+        (validate_susy_morphism(SusyMorphism(G, G, 5)), "expected a GraphMorphism, got int"),
+        (validate_susy_morphism(replace(H, target=[1])), "expected a SusyGraph, got list"),
     ]
     for report, first in cases:
         assert report.violations[0] == first

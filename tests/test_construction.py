@@ -3,12 +3,14 @@ and composites without checking their maps, and their target graphs
 without checking them, and ``operad`` builds each stable graph's
 signature and each glued, relabelled and erased target without checking
 it, and ``lifting`` each colouring it lists, since all are valid by
-construction.  The oracle here records every morphism, graph and
-signature built that way over seeded plans and checks each afresh with
-the full checks; a contraction that drops a colour, a grafting that loses
-a genus or keeps the labels of the tails it joined, an elementary builder
-that forgets the genus a contracted loop adds, a lift that recolours an
-edge, or a loop gluing that forgets its genus fails it.  The graphs
+construction; so is each dual graph that ``curves`` builds from a curve
+configuration it has checked.  The oracle here records every morphism,
+graph and signature built that way over seeded plans and curves and
+checks each afresh with the full checks; a contraction that drops a
+colour, a grafting that loses a genus or keeps the labels of the tails it
+joined, an elementary builder that forgets the genus a contracted loop
+adds, a lift that recolours an edge, a loop gluing that forgets its genus,
+or a dual graph that recolours one side of a node fails it.  The graphs
 built that way own their dicts: changing one changes no other graph."""
 
 import random
@@ -19,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 import susykit.calculus
+import susykit.curves
 import susykit.lifting
 import susykit.operad
 import susykit.susy
@@ -33,10 +36,12 @@ from susykit import (
     atomize,
     check_operad_axioms,
     classify,
+    colorless_dual_graph,
     compose,
     contract_pair,
     contract_tails,
     decompose_to_elementaries,
+    dual_graph,
     enumerate_edge_colorings,
     evaluate_operad,
     graft,
@@ -50,6 +55,7 @@ from susykit.susy import _check_labeling, _check_maps
 from conftest import two_vertex_tree
 from sampling import (
     random_composable_pair,
+    random_curve_config,
     random_modular_graph,
     random_susy_graph,
     random_tail_partition,
@@ -61,8 +67,9 @@ KINDS = {
     "virtual_contraction", "isomorphism", "composite",
 }
 # the builders that ask ``susy._valid`` for a graph: the calculus's (``_image``
-# for every elementary target, ``_piece_graph`` for pieces) and the lift's
-GRAPH_BUILDERS = {"_image", "_piece_graph", "_colorings"}
+# for every elementary target, ``_piece_graph`` for pieces), the lift's and
+# the dual graph's
+GRAPH_BUILDERS = {"_image", "_piece_graph", "_colorings", "_dual"}
 
 
 def replace_everywhere(monkeypatch, fn, new):
@@ -106,7 +113,7 @@ def record_unchecked(monkeypatch):
 def run_calculus(seed):
     """Seeded plans over every builder of the calculus, each evaluated (so
     every graph reached reads its signature), decomposed and atomized,
-    then the operad's axiom check."""
+    both dual graphs of seeded curves, then the operad's axiom check."""
     rng = random.Random(seed)
     for _ in range(20):
         g = random_susy_graph(rng, max_vertices=4, max_genus=2, max_extra_edges=2)
@@ -118,6 +125,10 @@ def run_calculus(seed):
             for step in decompose_to_elementaries(whole, order=order):
                 evaluate_operad(step.morphism)
         atomize(whole)
+    for _ in range(20):
+        c = random_curve_config(rng)
+        dual_graph(c)
+        colorless_dual_graph(c)
     assert check_operad_axioms(seed=seed, cases=20).passed
 
 
@@ -287,6 +298,21 @@ def edge_recolouring(colorings):
     return recoloured
 
 
+def node_recolouring(dual):
+    """``curves._dual`` with one half of its first node recoloured, so the
+    node's two halves disagree."""
+
+    def recoloured(c, modular):
+        g = dual(c, modular)
+        nodes = [f for f, p in g.involution.items() if f != p]
+        if nodes:
+            color = g.labeling.color
+            color[nodes[0]] = R if color[nodes[0]] == NS else NS
+        return g
+
+    return recoloured
+
+
 def loop_genus_forgetting(glue):
     """``operad._glue`` with a loop's target factor left at its old genus."""
 
@@ -315,6 +341,7 @@ def loop_genus_forgetting(glue):
         (susykit.calculus, "_image", loop_genus_dropping),
         (susykit.lifting, "_colorings", edge_recolouring),
         (susykit.operad, "_glue", loop_genus_forgetting),
+        (susykit.curves, "_dual", node_recolouring),
     ],
     ids=[
         "contract_drops_a_colour",
@@ -323,6 +350,7 @@ def loop_genus_forgetting(glue):
         "image_drops_a_loop_genus",
         "lift_recolours_an_edge",
         "loop_forgets_its_genus",
+        "dual_recolours_a_node",
     ],
 )
 def test_the_oracle_sees_a_broken_builder(monkeypatch, module, name, breaking):

@@ -4,11 +4,13 @@ re-exports and is exempt.  The package keeps derived values with one
 descriptor, ``graphs.kept``, so no module of it uses
 ``functools.cached_property``.  Every private name that a module of the
 package defines at module level is read somewhere in the package, so no
-helper outlives its last caller.  Only ``susy._built`` writes a
-morphism's kept ``_report`` and only ``susy._valid`` a graph's kept
-``report`` and ``_labeling_report``, so the morphisms trusted without a
-check of their maps, and the graphs trusted without a check, are each
-built in one place.  Only ``graphs._owned`` calls a ``__new__``, so it is
+helper outlives its last caller, and every function or class that a
+module leaves out of its ``__all__`` is named somewhere else in the
+package, so no unlisted primitive ships without a caller.  Only
+``susy._built`` writes a morphism's kept ``_report`` and only
+``susy._valid`` a graph's kept ``report`` and ``_labeling_report``, so
+the morphisms trusted without a check of their maps, and the graphs
+trusted without a check, are each built in one place.  Only ``graphs._owned`` calls a ``__new__``, so it is
 the one builder that skips a value type's constructor; each of its calls
 names exactly the fields of the type it builds, and only ``_valid`` adds
 the kept ``_labeling_report``.  Only ``operad._fresh_signature`` builds a
@@ -38,13 +40,23 @@ MODULES |= {
 }
 
 
+def listed(tree: ast.AST) -> set[str]:
+    """The names that the ``__all__`` assignments in ``tree`` list."""
+    return {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
 def unused_imports(source: str) -> list[str]:
     """The names bound by the imports of ``source`` that it neither reads
     nor lists in ``__all__``; ``__future__`` imports bind no name."""
     tree = ast.parse(source)
     imported: list[str] = []
     read: set[str] = set()
-    exported: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
@@ -52,10 +64,7 @@ def unused_imports(source: str) -> list[str]:
             imported += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.Name):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= set(ast.literal_eval(node.value))
+    exported = listed(tree)
     return sorted(n for n in imported if n not in read and n not in exported)
 
 
@@ -72,11 +81,12 @@ def private_definitions(source: str) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def names_read(source: str) -> set[str]:
-    """The names that ``source`` reads, as a name, an attribute or an
-    import."""
+def names_read(source: str | ast.AST) -> set[str]:
+    """The names that ``source``, a text or a syntax tree, reads, as a
+    name, an attribute or an import."""
     read: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source) if isinstance(source, str) else source
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -162,6 +172,53 @@ def test_the_check_sees_an_unread_private_name():
         "b.py": "from a import _helper\n",
     }
     assert unread_private_names(sources) == ["a.py: _Old", "a.py: _unused"]
+
+
+def unnamed_unlisted_definitions(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each function or class that one of ``sources``
+    (module name to source) defines at module level and leaves out of its
+    ``__all__``, and that none of them names outside that definition."""
+    read = {module: names_read(source) for module, source in sources.items()}
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exported = listed(tree)
+        elsewhere = set().union(*(names for m, names in read.items() if m != module))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in exported or node.name in elsewhere:
+                continue
+            rest = ast.Module([n for n in tree.body if n is not node], [])
+            if node.name not in names_read(rest):
+                found.append(f"{module}: {node.name}")
+    return sorted(found)
+
+
+def test_every_unlisted_definition_is_named():
+    # a function or class outside ``__all__`` is there for the package alone
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unnamed_unlisted_definitions(sources) == []
+
+
+def test_the_check_sees_an_unnamed_unlisted_definition():
+    sources = {
+        "a.py": (
+            "__all__ = ['public']\n"
+            "def public(): pass\n"
+            "def helper(): return used()\n"
+            "def used(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Old: pass\n"
+            "class Kept: pass\n"
+            "def imported(): pass\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": "from a import imported\nx = a.Kept\n",
+    }
+    assert unnamed_unlisted_definitions(sources) == [
+        "a.py: Old", "a.py: _private", "a.py: helper", "a.py: recursive"
+    ]
 
 
 def package_imports(source: str) -> set[str]:
