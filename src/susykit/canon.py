@@ -3,24 +3,27 @@
 The certificate is a byte string: a canonical JSON encoding of the graph
 after vertices and flags are renumbered by a refinement-plus-backtracking
 search that minimizes the encoding; a partition that refinement leaves
-discrete is the one leaf, encoded with no backtracking.  Two graphs are
+discrete is the one leaf, found with no backtracking.  Two graphs are
 isomorphic over fixed tail labels exactly when their certificates agree.
 
 The search runs on a ``Core``, the graph on integers with its own
 incidence, and a leaf is four integer tuples: each vertex's position and
 each flag's index, and their inverses, the vertex order and the flag
-sequence that its encoding read.  The certificate does not depend on how
-a core is numbered, since a renumbering only relabels the search tree.
-Its bytes are written directly, as ``json.dumps(payload, sort_keys=True,
-separators=(",", ":"))`` writes them.  ``_core_of`` numbers a named graph
-in the sorted order of its names ("f10" before "f2"); a canonical core is
-numbered by its leaf, vertex p at position p and flag i at index i, and
-``_named``, the one naming of a canonical core, names them ``v{p}`` and
-``f{i}``, and ``_name_order`` sorts them.  Names come back at the edge
-only: ``CanonicalForm`` names its graph, witnesses and generators when
-they are first read, and ``strata`` names each new shape and stratum once.
-``canonical_form`` validates its input once; the search does not, and
-refuses a graph past ``MAX_SEARCH_LEAVES`` leaves.
+sequence that the certificate reads.  A certificate is written only when
+leaves are compared or a class is new: it encodes the canonical core
+one-to-one, so ``strata`` finds a shape it has seen by its canonical core.
+It does not depend on how a core is numbered, since a renumbering only
+relabels the search tree, and its bytes are written directly, as
+``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` writes
+them.  ``_core_of`` numbers a named graph in the sorted order of its names
+("f10" before "f2"); a canonical core is numbered by its leaf, vertex p at
+position p and flag i at index i, and ``_named``, the one naming of a
+canonical core, names them ``v{p}`` and ``f{i}``, and ``_name_order``
+sorts them.  Names come back at the edge only: ``CanonicalForm`` names its
+graph, witnesses and generators when they are first read, and ``strata``
+names each new shape and stratum once.  ``canonical_form`` validates its
+input once; the search does not, and refuses a graph past
+``MAX_SEARCH_LEAVES`` leaves.
 
 The same search yields isomorphisms and automorphisms.  Every leaf whose
 certificate ties the least one, mapped onto the winning leaf, gives one
@@ -132,17 +135,30 @@ def _name_order(n: int) -> tuple[int, ...]:
     return tuple(sorted(range(n), key=str))
 
 
+@cache
+def _runs(degrees: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The boundary and the incidence of a canonical core whose vertices
+    have ``degrees``, each vertex's flags the next run of indices."""
+    starts = itertools.accumulate(degrees, initial=0)
+    runs = tuple(tuple(range(a, a + d)) for a, d in zip(starts, degrees))
+    return tuple(p for p, run in enumerate(runs) for _ in run), runs
+
+
 def _canonical_core(c: Core, leaf: Leaf) -> Core:
     """The canonical core that ``leaf`` renumbers ``c`` to: each vertex
-    numbered by its position and each flag by its index."""
-    pos, index, vs, fs = leaf
-    return _core(
-        tuple(c.genus[v] for v in vs),
-        tuple(pos[c.boundary[f]] for f in fs),
-        tuple(index[c.involution[f]] for f in fs),
-        tuple(c.color[f] for f in fs),
-        tuple(c.label[f] for f in fs),
-        c.modular,
+    numbered by its position and each flag by its index.  A leaf gives each
+    vertex's flags a run of consecutive indices, which is its incidence."""
+    genus, _, j, color, label, modular, incidence = c
+    _, index, vs, fs = leaf
+    boundary, runs = _runs(tuple([len(incidence[v]) for v in vs]))
+    return Core(
+        tuple([genus[v] for v in vs]),
+        boundary,
+        tuple([index[j[f]] for f in fs]),
+        tuple([color[f] for f in fs]),
+        tuple([label[f] for f in fs]),
+        modular,
+        runs,
     )
 
 
@@ -241,12 +257,12 @@ def _refine(
         cells = out
 
 
-def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
-    """The certificate of one vertex ordering, and its leaf.  At each
-    vertex come its tails, its edges back to earlier vertices, its loops
-    and its edges on to later vertices, by one sort of tagged keys, so each
-    vertex's flags take consecutive indices; numbers come from cached text."""
-    genus, b, j, color, label, modular, incidence = c
+def _leaf(c: Core, order: list[int]) -> Leaf:
+    """The leaf of one vertex ordering.  At each vertex come its tails, its
+    edges back to earlier vertices, its loops and its edges on to later
+    vertices, by one sort of tagged keys, so each vertex's flags take
+    consecutive indices."""
+    _, b, j, color, label, _, incidence = c
     pos = [0] * len(order)
     for i, v in enumerate(order):
         pos[v] = i
@@ -270,7 +286,14 @@ def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
         for k in keys:
             index[k[-1]] = len(sequence)
             sequence.append(k[-1])
-    text = _names("", max(len(b), len(order)))
+    return tuple(pos), tuple(index), tuple(order), tuple(sequence)
+
+
+def _certificate(c: Core, leaf: Leaf) -> bytes:
+    """The certificate of ``c`` renumbered by ``leaf``, from cached number text."""
+    genus, _, j, color, label, modular, incidence = c
+    _, index, order, sequence = leaf
+    text = _names("", max(len(sequence), len(order)))
     colors = [('"NS"', '"R"')[color[f]] for f in sequence]
     edges, tails, vertex_of = [], [], []
     for i, f in enumerate(sequence):
@@ -280,14 +303,14 @@ def _encode(c: Core, order: list[int]) -> tuple[bytes, Leaf]:
         elif i == p:
             tails.append((label[f], i))
     tails = [f"[{encode_basestring_ascii(l)},{text[i]}]" for l, i in sorted(tails)]
-    for v in order:
-        vertex_of += [text[pos[v]]] * len(incidence[v])
+    for p, v in enumerate(order):
+        vertex_of += [text[p]] * len(incidence[v])
     return (
         f'{{"color":[{",".join(colors)}],"edges":[{",".join(edges)}],'
         f'"genus":[{",".join([str(genus[v]) for v in order])}],'
         f'"modular":{"true" if modular else "false"},"tails":[{",".join(tails)}],'
         f'"vertex_of":[{",".join(vertex_of)}]}}'
-    ).encode("ascii"), (tuple(pos), tuple(index), tuple(order), tuple(sequence))
+    ).encode("ascii")
 
 
 def _cell_key(c: Core, v: int) -> tuple:
@@ -305,13 +328,13 @@ def _cell_key(c: Core, v: int) -> tuple:
     return (genus[v], tuple(tails), *counts)
 
 
-def _search(c: Core, keys: Sequence[tuple] | None = None) -> tuple[bytes, list[Leaf]]:
-    """The least certificate over every leaf of the refinement search, with
-    each leaf that produced it, the first such leaf first.  The vertices
-    start split by their ``_cell_key``, which the caller may pass as
-    ``keys``; discrete from the start or after one refinement, they are the
-    one leaf, encoded at once.  The input is not validated here; past
-    ``MAX_SEARCH_LEAVES`` leaves it raises."""
+def _search(c: Core, keys: Sequence[tuple] | None = None) -> tuple[bytes | None, list[Leaf]]:
+    """Each leaf of the refinement search with the least certificate, the
+    first such leaf first, and that certificate if leaves were compared,
+    else None.  The vertices start split by their ``_cell_key``, which the
+    caller may pass as ``keys``; discrete from the start or after one
+    refinement, they are the one leaf.  The input is not validated here;
+    past ``MAX_SEARCH_LEAVES`` leaves it raises."""
     _, b, j, color, _, _, incidence = c
     keyed: dict[tuple, list[int]] = {}
     for v, k in enumerate(keys or [_cell_key(c, v) for v in range(len(incidence))]):
@@ -324,8 +347,7 @@ def _search(c: Core, keys: Sequence[tuple] | None = None) -> tuple[bytes, list[L
         ]
         cells = _refine(neighbours, cells)
     if len(cells) == len(incidence):
-        cert, leaf = _encode(c, [v for v, in cells])
-        return cert, [leaf]
+        return None, [_leaf(c, [v for v, in cells])]
     best: bytes | None = None
     ties: list[Leaf] = []
     leaves = 0
@@ -339,7 +361,8 @@ def _search(c: Core, keys: Sequence[tuple] | None = None) -> tuple[bytes, list[L
                 raise ValidationError(
                     f"the search passed MAX_SEARCH_LEAVES = {MAX_SEARCH_LEAVES} leaves"
                 )
-            cert, leaf = _encode(c, [v for cell in cells for v in cell])
+            leaf = _leaf(c, [v for cell in cells for v in cell])
+            cert = _certificate(c, leaf)
             if best is None or cert < best:
                 best, ties = cert, [leaf]
             elif cert == best:
@@ -372,6 +395,7 @@ def canonical_form(g: SusyGraph) -> CanonicalForm:
     require_susy(g)
     core = _core_of(g)
     cert, leaves = _search(core)
+    cert = cert or _certificate(core, leaves[0])
     return CanonicalForm(cert, hashlib.sha256(cert).hexdigest(), g, core, tuple(leaves))
 
 
@@ -481,10 +505,9 @@ def isomorphisms_between(
     per automorphism of ``g1``, from one search of each graph."""
     require_susy(g1)
     require_susy(g2)
-    core2 = _core_of(g2, labels_fixed)
-    cert1, leaves1 = _search(_core_of(g1, labels_fixed))
-    cert2, leaves2 = _search(core2)
-    if cert1 == cert2:
+    core1, core2 = _core_of(g1, labels_fixed), _core_of(g2, labels_fixed)
+    (cert1, leaves1), (cert2, leaves2) = _search(core1), _search(core2)
+    if (cert1 or _certificate(core1, leaves1[0])) == (cert2 or _certificate(core2, leaves2[0])):
         yield from _isomorphisms(leaves1, _blocks(core2), leaves2[0], g1, g2)
 
 

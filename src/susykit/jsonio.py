@@ -23,17 +23,19 @@ points carry a "label", node-halves must not.
 Every document is rendered by ``dumps``: ``json.dumps`` with sorted keys
 and a two-space indent, plus a newline.  The strata document that
 ``susykit enumerate`` prints can hold tens of thousands of strata, so
-``_write_strata`` writes it in chunks with the same bytes: its head
-(``count`` and the ``poset``) through ``dumps``, then each stratum's record
-as soon as its text is built from the stratum's canonical core, with no
-graph or dict in between.  A printed stratum is canonical, named ``v0…``
-and ``f0…`` as ``canon._named`` names it.
+``_write_strata`` writes it in chunks with the same bytes, as text and not
+through ``dumps``, whose indent falls back to the pure-Python encoder: its
+head (``count`` and the ``poset``), then each stratum's record as soon as
+its text is built from the stratum's canonical core, with no graph or dict
+in between.  A printed stratum is canonical, named ``v0…`` and ``f0…`` as
+``canon._named`` names it.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable
@@ -88,12 +90,24 @@ def _write_strata(
     digests[i]``, ``head`` is not empty and ``key`` sorts after its keys:
     the head in one chunk, then each record in one chunk once its text is built, then
     the close, so that no list of records is held."""
-    write(dumps(head)[:-3] + ",\n  " + _quote(key) + ": [")
+    write(_head_text(head, "")[:-2] + ",\n  " + _quote(key) + ": [")
     sep = "\n    "
     for c, d in zip(cores, digests):
         write(sep + _stratum_text(c, d))
         sep = ",\n    "
     write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+
+
+def _head_text(value: Any, pad: str) -> str:
+    """``value``, a scalar, a list of ints or a dict of these by string key,
+    as ``dumps`` writes it at the indent ``pad``."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        entries = [_quote(k) + ": " + _head_text(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "}"
+    return "[\n" + inner + (",\n" + inner).join(map(str, value)) + "\n" + pad + "]"
 
 
 # the text of a printed record and of its entries, at the indent of an item
@@ -103,27 +117,29 @@ _RECORD = (
     '\n      "modular": %s,\n      "ns_labels": %s,\n      "r_labels": %s,'
     '\n      "vertices": %s\n    }'
 )
-_VERTEX = '{\n          "genus": %d,\n          "id": "%s"\n        }'
-_FLAG = '{\n          "color": "%s",\n          "id": "%s",\n          "vertex": "%s"\n        }'
-_EDGE = '[\n          "%s",\n          "%s"\n        ]'
+_VERTEX = '{\n          "genus": %d,\n          "id": "v%d"\n        }'
+_FLAG = '{\n          "color": "%s",\n          "id": "f%d",\n          "vertex": "v%d"\n        }'
+_EDGE = '[\n          "f%d",\n          "f%d"\n        ]'
+# each entry's text, formatted once per tuple of values, as ``_edge((f, p))``
+_vertex, _flag, _edge = (cache(text.__mod__) for text in (_VERTEX, _FLAG, _EDGE))
 
 
 def _stratum_text(c: Core, certificate: str) -> str:
     """The text of the record of the canonical core ``c``, its entries in
     the sorted order of their names ("f10" before "f2")."""
     genus, b, j, color, label, modular, _ = c
-    vn, fn, flags = _names("v", len(genus)), _names("f", len(b)), _name_order(len(b))
+    fn, flags = _names("f", len(b)), _name_order(len(b))
     labels: tuple[list[str], list[str]] = ([], [])
     for l, k, f in sorted((l, color[f], fn[f]) for f, l in enumerate(label) if l is not None):
         labels[k].append(_quote(l) + ': "' + f + '"')
     return _RECORD % (
         _quote(certificate),
-        _listed([_EDGE % (fn[f], fn[j[f]]) for f in flags if fn[f] < fn[j[f]]], "[]"),
-        _listed([_FLAG % (COLORS[color[f]], fn[f], vn[b[f]]) for f in flags], "[]"),
+        _listed([_edge((f, j[f])) for f in flags if fn[f] < fn[j[f]]], "[]"),
+        _listed([_flag((COLORS[color[f]], f, b[f])) for f in flags], "[]"),
         "true" if modular else "false",
         _listed(labels[0], "{}"),
         _listed(labels[1], "{}"),
-        _listed([_VERTEX % (genus[v], vn[v]) for v in _name_order(len(genus))], "[]"),
+        _listed([_vertex((genus[v], v)) for v in _name_order(len(genus))], "[]"),
     )
 
 

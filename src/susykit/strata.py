@@ -3,19 +3,21 @@
 Strata of the moduli space with a fixed total genus and labeled tail set
 are isomorphism classes of stable SUSY graphs.  Enumeration proceeds in two
 passes: modular shapes first, generated from the one-vertex graph by vertex
-splitting and genus-to-loop moves and deduplicated by canonical certificate,
-then NS/R colorings of each shape, counted by the parity argument (2^b1 per
-shape) and deduplicated the same way.  Each split is generated once, not
-once more as its mirror image, and every move of a stable shape is stable.
+splitting and genus-to-loop moves and deduplicated by canonical core, which
+the certificate encodes one-to-one, then NS/R colorings of each shape,
+counted by the parity argument (2^b1 per shape) and deduplicated by
+certificate.  Each split is generated once, not once more as its mirror
+image, and every move of a stable shape is stable.
 
 Everything is found and kept on integers (see ``canon``): the search
 starts from the corolla's core, each move is built from its parent's
 canonical core, incidence included, and searched as a core, and the
-winning leaf of a new shape renumbers the move into the shape's canonical
-core.  A move changes the cell keys of v and the new vertex only, and its
-search takes the others from its parent.  Each coloring is its shape's
-core with the colours replaced, searched as a core and kept as its
-stratum's canonical core.  Nothing is named while the strata are found: a
+winning leaf renumbers the move into its canonical core, by which the
+shape is looked up; only a new shape's certificate is written.  A move
+changes the cell keys of v and the new vertex only, and its search takes
+the others from its parent.  Each coloring is its shape's core with the
+colours replaced, searched as a core and kept as its stratum's canonical
+core.  Nothing is named while the strata are found: a
 ``StratumRecord`` keeps cores, R-flag masks and integer flag maps, and
 names its shape, strata, colouring table and covers (by ``canon._named``,
 the one naming of a canonical core) when each is first read, as
@@ -40,7 +42,8 @@ is the inverse of one edge contraction, and the winning leaf of the child's
 search numbers the new edge in the child's flags and maps the rest onto the
 parent's, so a record's ``covers`` holds, for at least one edge in each
 orbit of the shape's automorphisms, the digest of the shape that
-contracting it gives and that flag map.  Searching one move per orbit keeps
+contracting it gives and that flag map, the leaf's own flag sequence, read
+without the edge.  Searching one move per orbit keeps
 this: an automorphism of the parent that carries one move to another
 extends to an isomorphism of the two children that carries new edge to
 new edge.  Contracting edge e of a colored stratum (S, k) gives (S/e, k
@@ -203,9 +206,9 @@ def _orbits(
 
 
 # edge of a shape's core (its two flags) -> (digest of the shape that
-# contracting it gives, the flag there of each flag of the core, None for
-# the edge's two)
-Covers = Mapping[tuple[int, int], tuple[str, tuple[int | None, ...]]]
+# contracting it gives, the winning leaf's flag sequence: the flag there of
+# each flag of the core, and past the last for the edge's two)
+Covers = Mapping[tuple[int, int], tuple[str, tuple[int, ...]]]
 # ``Covers`` in flag names, the map left without the edge
 ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
 
@@ -222,11 +225,12 @@ def _shapes(
     generated and generators of its automorphism group on the core, read
     from the search that found it.  Nothing is named.
 
-    Each move is built and searched as a core, and the winning leaf of a
-    new shape's search renumbers the move into the shape's core and gives
-    generators on it.  The winning leaf also numbers the new edge of each
-    move in the child's flags and maps the rest onto the parent's, which is
-    the child's cover; one is kept per edge."""
+    Each move is built and searched as a core, and the winning leaf of its
+    search renumbers the move into its canonical core, which finds the
+    shape, and gives a new shape's generators.  The winning leaf also
+    numbers the new edge of each move in the child's flags and maps the
+    rest onto the parent's, which is the child's cover; one is kept per
+    edge."""
     if type(genus) is not int or genus < 0:
         raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
     if max_edges is not None and type(max_edges) is not int:
@@ -246,23 +250,25 @@ def _shapes(
             f"shape enumeration needs up to {bound} edges but the limit is "
             f"{limit}; pass max_edges (--max-edges) to go further"
         )
-    # digest -> (certificate, canonical core, covers, generators on the core)
-    found: dict[str, tuple[bytes, Core, dict, list[Generator]]] = {}
-    fresh: list[str] = []
+    # canonical core -> (digest, certificate, covers, generators on the core)
+    found: dict[Core, tuple[str, bytes, dict, list[Generator]]] = {}
+    fresh: list[Core] = []
 
-    def search(child: Core, keys: list[tuple] | None = None) -> tuple[str, Leaf]:
-        """The digest of ``child``, with cell keys ``keys``, a new shape kept
-        in ``found`` and ``fresh``, and the winning leaf of its search."""
+    def search(child: Core, keys: list[tuple] | None = None) -> tuple[Core, Leaf]:
+        """The canonical core of ``child``, with cell keys ``keys``, a new
+        shape kept in ``found`` and ``fresh``, and the winning leaf of its
+        search; only a new shape's certificate is written."""
         cert, leaves = canon._search(child, keys)
-        digest = sha256(cert).hexdigest()
-        if digest not in found:
-            core = _canonical_core(child, leaves[0])
+        core = _canonical_core(child, leaves[0])
+        if core not in found:
+            cert = cert or canon._certificate(child, leaves[0])
             # a tree (its genus all at vertices) has no loop, parallel edge
             # or repeated label, so with one leaf its group is trivial
             rigid = len(leaves) == 1 and sum(child.genus) == genus
-            found[digest] = (cert, core, {}, [] if rigid else _generators(child, leaves))
-            fresh.append(digest)
-        return digest, leaves[0]
+            gens = [] if rigid else _generators(child, leaves)
+            found[core] = (sha256(cert).hexdigest(), cert, {}, gens)
+            fresh.append(core)
+        return core, leaves[0]
 
     zeros = (0,) * len(labels)  # the corolla: one vertex carrying every tail
     search(_core((genus,), zeros, tuple(range(len(labels))), zeros, tuple(labels), True))
@@ -270,21 +276,21 @@ def _shapes(
     while fresh and depth < bound:
         depth += 1
         frontier, fresh = fresh, []
-        for pd in frontier:
-            _, parent, _, generators = found[pd]
+        for parent in frontier:
+            pd, _, _, generators = found[parent]
             n = len(parent.boundary)
             keys = [_cell_key(parent, v) for v in range(len(parent.genus))]
             for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
                 child = _move(parent, key)
                 cells = [*keys, _cell_key(child, len(keys))] if len(key) > 1 else [*keys]
                 cells[key[0]] = _cell_key(child, key[0])
-                digest, (_, index, _, sequence) = search(child, cells)
-                covers = found[digest][2]
+                core, (_, index, _, sequence) = search(child, cells)
+                covers = found[core][2]
                 edge = (index[n], index[n + 1])
                 if edge not in covers:
-                    covers[edge] = (pd, tuple(f if f < n else None for f in sequence))
-    order = sorted(found, key=lambda d: (_edge_count(found[d][1]), d))
-    return [(d, *found[d]) for d in order]
+                    covers[edge] = (pd, sequence)
+    shapes = [(d, cert, core, *rest) for core, (d, cert, *rest) in found.items()]
+    return sorted(shapes, key=lambda s: (_edge_count(s[2]), s[0]))
 
 
 def enumerate_modular_shapes(
@@ -336,7 +342,7 @@ class StratumRecord:
     def shape_covers(self) -> ShapeCovers:
         n = _names("f", len(self.core.boundary))
         return {
-            (n[a], n[b]): (target, {n[f]: n[p] for f, p in enumerate(fm) if p is not None})
+            (n[a], n[b]): (target, {n[f]: n[p] for f, p in enumerate(fm) if f not in (a, b)})
             for (a, b), (target, fm) in self.covers.items()
         }
 
@@ -386,7 +392,7 @@ def enumerate_strata_records(
                 color = tuple(orbit[0] >> f & 1 for f in range(len(core.boundary)))
                 colored = core._replace(color=color, modular=False)
                 cert, leaves = canon._search(colored)
-                digest = sha256(cert).hexdigest()
+                digest = sha256(cert or canon._certificate(colored, leaves[0])).hexdigest()
                 if digest not in strata:
                     strata[digest] = _canonical_core(colored, leaves[0])
             masks.update(dict.fromkeys(orbit, digest))

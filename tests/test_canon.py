@@ -616,55 +616,68 @@ def renumbered(c, rng):
 
 class TestSearchPaths:
     """A partition that is discrete from the start, or after the first
-    refinement, is encoded at once; any other search individualises a
-    vertex.  Every core searched by three enumerations keeps its
-    certificate under renumbering, and on small cores the search's leaves
-    times the vertex-fixing automorphisms is the order of the group."""
+    refinement, is the one leaf, and its search writes no certificate; any
+    other search individualises a vertex and writes one certificate per
+    leaf.  Every core searched by three enumerations keeps its certificate
+    under renumbering, equal certificates are equal canonical cores, and on
+    small cores the search's leaves times the vertex-fixing automorphisms
+    is the order of the group."""
 
     @pytest.fixture(scope="class")
     def searched(self):
-        """Each core the enumerations search, with its certificate, its
-        leaves and the refinements and encodings its search made."""
+        """Each core the enumerations search, with the certificate of its
+        winning leaf, its leaves, the refinements its search made, the
+        leaves it built and the certificates it wrote."""
         found = []
-        real_search, real_refine, real_encode = canon._search, canon._refine, canon._encode
+        real_search, real_refine = canon._search, canon._refine
+        real_leaf, real_certificate = canon._leaf, canon._certificate
         calls = {}
 
         def refine(*args):
             calls["refine"] += 1
             return real_refine(*args)
 
-        def encode(*args):
-            calls["encode"] += 1
-            return real_encode(*args)
+        def leaf(*args):
+            calls["leaf"] += 1
+            return real_leaf(*args)
+
+        def certificate(*args):
+            calls["certificate"] += 1
+            return real_certificate(*args)
 
         def search(c, *keys):
-            calls.update(refine=0, encode=0)
+            calls.update(refine=0, leaf=0, certificate=0)
             cert, leaves = real_search(c, *keys)
-            found.append((c, cert, leaves, calls["refine"], calls["encode"]))
+            best, written = real_certificate(c, leaves[0]), calls["certificate"]
+            assert cert == (best if written else None)
+            found.append((c, best, leaves, calls["refine"], calls["leaf"], written))
             return cert, leaves
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(canon, "_search", search)
             mp.setattr(canon, "_refine", refine)
-            mp.setattr(canon, "_encode", encode)
+            mp.setattr(canon, "_leaf", leaf)
+            mp.setattr(canon, "_certificate", certificate)
             for g, ns, r in [(0, "12345", ""), (1, "12", "ab"), (2, "", "")]:
                 enumerate_strata(g, list(ns), list(r))
         return found
 
     def test_both_paths_are_taken(self, searched):
-        paths = {(refines, min(encodes, 2)) for _, _, _, refines, encodes in searched}
+        paths = {(refines, min(built, 2)) for _, _, _, refines, built, _ in searched}
         # discrete at the start, discrete after one refinement, branching
         assert {(0, 1), (1, 1)} < paths
-        assert {encodes for _, encodes in paths} == {1, 2}
-        for _, _, leaves, refines, encodes in searched:
-            assert encodes >= len(leaves)
-            if encodes == 1:
+        assert {built for _, built in paths} == {1, 2}
+        for _, _, leaves, refines, built, written in searched:
+            assert built >= len(leaves)
+            if built == 1:
                 assert refines <= 1 and len(leaves) == 1
+            # a certificate for each leaf compared, and none for one leaf
+            assert written == (built if built > 1 else 0)
 
     def test_each_leaf_carries_its_inverses(self, searched):
         """A leaf's vertex order and flag sequence invert its positions and
         indices."""
-        leaves = [leaf for _, _, found, _, _ in searched for leaf in found]
+        leaves = [leaf for _, _, found, *_ in searched for leaf in found]
         assert len(leaves) > len(searched)
         for pos, index, order, sequence in leaves:
             assert [pos[v] for v in order] == list(range(len(pos)))
@@ -674,16 +687,41 @@ class TestSearchPaths:
 
     def test_certificates_survive_renumbering(self, searched):
         rng = random.Random(21)
-        for c, cert, leaves, _, _ in searched:
+        for c, cert, leaves, *_ in searched:
+            assert cert.startswith(b'{"color":[')
             for _ in range(3):
-                again, tied = canon._search(renumbered(c, rng))
-                assert again == cert
+                moved = renumbered(c, rng)
+                _, tied = canon._search(moved)
+                assert canon._certificate(moved, tied[0]) == cert
                 assert len(tied) == len(leaves)
+
+    @pytest.mark.parametrize(
+        "canonical_core, one_to_one",
+        [
+            (canon._canonical_core, True),
+            # a breaker: a core without its labels merges distinct classes
+            (lambda c, leaf: canon._canonical_core(c, leaf)._replace(label=()), False),
+        ],
+        ids=["canonical_core", "labels_dropped"],
+    )
+    def test_equal_cores_are_equal_certificates(self, searched, canonical_core, one_to_one):
+        """The oracle of the shape generator's dedupe: two winning leaves
+        give equal certificates exactly when they give equal canonical
+        cores."""
+        cores_of, certificates_of = {}, {}
+        for c, cert, leaves, *_ in searched:
+            core = canonical_core(c, leaves[0])
+            cores_of.setdefault(cert, set()).add(core)
+            certificates_of.setdefault(core, set()).add(cert)
+        # the enumerations reach many classes more than once
+        assert len(searched) - len(cores_of) > 200
+        sizes = {len(s) for s in [*cores_of.values(), *certificates_of.values()]}
+        assert (sizes == {1}) is one_to_one
 
     def test_small_groups_match_brute(self, searched):
         small = [s for s in searched if len(s[0].boundary) <= 6]
         assert len(small) > 40
-        for c, _, leaves, _, _ in small:
+        for c, _, leaves, *_ in small:
             graph = canon._named(canon._canonical_core(c, leaves[0]))
             order = len(leaves) * canon._fixer_order(canon._blocks(c))
             assert order == brute_automorphism_order(graph)

@@ -297,6 +297,25 @@ class TestEnumerateSearches:
         assert rc == 0
         assert (counts["_search"], counts["_move"]) == (searches, moves)
 
+    @pytest.mark.parametrize(
+        "argv, searches, certificates",
+        [("enumerate --genus 2 --poset", 16, 21), ("enumerate --genus 0 --ns 6 --poset", 551, 236)],
+    )
+    def test_certificate_writes_are_pinned(
+        self, monkeypatch, capsys, argv, searches, certificates
+    ):
+        # one certificate per leaf of a search that compares leaves, and one
+        # per new shape or coloured stratum: a shortcut that writes the
+        # certificate of a shape that was already found changes the count
+        counts: dict[str, int] = {}
+        counted(monkeypatch, canon, "_search", counts)
+        counted(monkeypatch, canon, "_certificate", counts)
+        rc, out, _ = run(capsys, *argv.split())
+        assert rc == 0
+        assert (counts["_search"], counts["_certificate"]) == (searches, certificates)
+        # every printed stratum was written once, by its search or after it
+        assert json.loads(out)["count"] <= certificates
+
     def test_shapes_are_named_once(self, monkeypatch):
         # one Graph per shape, and none for the corolla: the search starts
         # from its core, and each shape is named once, when it is listed

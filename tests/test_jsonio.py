@@ -493,13 +493,17 @@ class TestStrataWriter:
     sort in index order ("f10" before "f2"), and for no strata at all."""
 
     def test_streamed_enumerate_is_dumps_of_the_document(self, monkeypatch, capsys):
+        """Head and records alike: the golden argvs, one stratum with a
+        poset of one cover list, and one without a poset."""
         documents = []
 
         def assembled(write, head, key, cores, digests):
             documents.append(plain_document(head, key, cores, digests))
             write(oracle(documents[-1]))
 
-        for argv in golden_enumerate_argvs():
+        counts = []
+        extra = ["enumerate --genus 0 --ns 3 --poset", "enumerate --genus 0 --ns 4"]
+        for argv in golden_enumerate_argvs() + [a.split() for a in extra]:
             assert cli.main(argv) == 0
             streamed_out = capsys.readouterr().out
             with monkeypatch.context() as patch:
@@ -511,6 +515,12 @@ class TestStrataWriter:
             key = "shapes" if "--shapes" in argv else "strata"
             assert set(doc) == {"count", key} | ({"poset"} if "--poset" in argv else set())
             assert doc["count"] == len(doc[key]) > 0
+            counts.append(doc["count"])
+            if "--poset" in argv and doc["count"] == 1:
+                assert doc["poset"] == {"covers": {"0": ()}, "ranks": [0]}
+        # a poset of eleven or more strata, so that cover key "10" sorts
+        # before "2", and the poset of one stratum
+        assert max(counts) >= 11 and 1 in counts
 
     @pytest.mark.parametrize(
         "genus, ns, r",

@@ -34,7 +34,7 @@ from susykit import canon, graphs, lifting, strata, susy
 from susykit.lifting import _colorings
 from susykit.operad import _graph_signature
 from susykit.susy import R
-from susykit.canon import Isomorphism, _core_of, _named, _search
+from susykit.canon import Isomorphism, _certificate, _core_of, _named, _search
 from susykit.strata import (
     MAX_EDGES,
     _move,
@@ -469,7 +469,9 @@ class TestMoves:
         for shape in shapes:
             core = _core_of(shape)
             for key in _move_keys(core):
-                certificate, _ = _search(_move(core, key))
+                moved = _move(core, key)
+                _, leaves = _search(moved)
+                certificate = _certificate(moved, leaves[0])
                 assert certificate == canonical_form(named_move(shape, key)).certificate
         assert _move_keys(_core_of(necklace))
 
@@ -495,7 +497,7 @@ class TestMoves:
 class TestCarriedIncidence:
     """A move carries its parent's incidence and a canonical core numbers
     each vertex's flags in a run; both are the incidence a full pass over
-    the boundary builds."""
+    the boundary builds, for every leaf searched and every core kept."""
 
     @pytest.mark.parametrize(
         "g, ns, r", [(2, [], []), (0, FIVE + ["6"], []), (1, ["1", "2"], ["a", "b"])]
@@ -519,6 +521,8 @@ class TestCarriedIncidence:
             for leaf in leaves:
                 numbered = canon._canonical_core(c, leaf)
                 assert numbered == canon._core(*numbered[:6])
+        kept = [core for rec in records for core in (rec.core, *rec.cores)]
+        assert all(core.incidence == canon._core(*core[:6]).incidence for core in kept)
 
 
 class TestCarriedCellKeys:
