@@ -14,8 +14,10 @@ the flag and vertex maps and the contracted and grafted pairs; ``graft``,
 ``_contract`` and ``make_isomorphism`` check their arguments and compute
 those maps.
 
-Each public entry checks the morphism it is given once; the steps and
-pieces built from a checked morphism are not checked again.  The
+Each public entry checks the morphism it is given once; the steps,
+pieces and squares built from a checked morphism are not checked again,
+and neither is it confirmed at run time that they recompose to it or
+commute: they do by construction, and the tests check that they do.  The
 morphisms built here are valid by construction when their source graph
 is valid: each keeps a passing check of its maps from the start
 (``susy._built``), while every check of it still checks its endpoints.
@@ -42,9 +44,9 @@ from .susy import (
     SusyLabeling,
     SusyMorphism,
     _built,
-    _require_valid,
     _valid,
     compose,
+    require_susy,
     susy_identity,
     susy_morphism,
     validate_susy_morphism,
@@ -100,7 +102,7 @@ def _sorted_pair(a: str, b: str) -> tuple[str, str]:
 
 def _flag_pair(g: SusyGraph, pair, who: str) -> tuple[str, str]:
     """``pair`` as two flags of a valid ``g``, sorted; else it is refused."""
-    _require_valid(g)
+    require_susy(g)
     try:
         a, b = pair
     except (TypeError, ValueError):
@@ -118,7 +120,7 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
     The underlying flag and vertex sets are untouched: only the involution
     grows, and the grafted tails' labels drop out of the labeling.
     """
-    _require_valid(g)
+    require_susy(g)
     pair_list = [_flag_pair(g, p, "graft") for p in _copied(list, pairs, "pairs")]
     used: set[str] = set()
     inv = g.involution
@@ -186,13 +188,23 @@ def _image(
     ))
 
 
+def _uncontracting(
+    source: SusyGraph, target: SusyGraph, flag_map: dict[str, str], vertex_map: dict[str, str]
+) -> SusyMorphism:
+    """The morphism with these fresh maps that contracts nothing, built
+    unchecked: a grafting or an isomorphism that its caller derived."""
+    return _built(source, target, _owned(
+        GraphMorphism, source=source.graph, target=target.graph, flag_map=flag_map,
+        vertex_map=vertex_map, contracted={},
+    ))
+
+
 def _grafting(source: SusyGraph, target: SusyGraph) -> SusyMorphism:
     """The morphism between graphs on the same flags and vertices whose
     flag and vertex maps are identities."""
-    return _built(source, target, _owned(
-        GraphMorphism, source=source.graph, target=target.graph, contracted={},
-        flag_map={f: f for f in target.flags}, vertex_map={v: v for v in target.vertices},
-    ))
+    return _uncontracting(
+        source, target, {f: f for f in target.flags}, {v: v for v in target.vertices}
+    )
 
 
 def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphism:
@@ -252,7 +264,7 @@ def make_isomorphism(
     vertex_renaming: Mapping[str, str] | None = None,
 ) -> SusyMorphism:
     """Rename flags and vertices; omitted identifiers keep their names."""
-    _require_valid(g)
+    require_susy(g)
     fr = _copied(dict, flag_renaming or {}, "flag_renaming")
     vr = _copied(dict, vertex_renaming or {}, "vertex_renaming")
     new_flag = {f: fr.get(f, f) for f in g.flags}
@@ -273,7 +285,7 @@ def iso_between(
     (``flag_map`` runs target -> source, ``vertex_map`` source -> target)."""
     h = susy_morphism(source, target, flag_map, vertex_map)
     validate_susy_morphism(h).raise_if_invalid("isomorphism")
-    kind = _classify(h).kind
+    kind = classify(h).kind
     if kind not in ("identity", "isomorphism"):
         raise ValidationError(f"maps describe a {kind}, not an isomorphism")
     return h
@@ -294,11 +306,6 @@ def _grafted_pairs(h: SusyMorphism) -> list[tuple[str, str]]:
 def classify(h: SusyMorphism) -> Elementary:
     """Tag a valid morphism with its elementary kind (or ``composite``)."""
     validate_susy_morphism(h).raise_if_invalid("morphism")
-    return _classify(h)
-
-
-def _classify(h: SusyMorphism) -> Elementary:
-    """``classify`` for a morphism already checked or built here."""
     orbits = h.contracted_pairs()
     grafted = _grafted_pairs(h)
     flag_identity = all(v == k for k, v in h.flag_map.items())
@@ -337,7 +344,7 @@ def _classify(h: SusyMorphism) -> Elementary:
 def total_grafting(g: SusyGraph) -> SusyMorphism:
     """The grafting from the disjoint union of ``g``'s vertex corollas to
     ``g`` itself; flag and vertex maps are identities."""
-    _require_valid(g)
+    require_susy(g)
     return _grafting(_piece_graph(g, g.vertices, g.flags, {}), g)
 
 
@@ -375,9 +382,10 @@ class Atomization:
 
     ``tails_grafting`` grafts the source pieces back into the source graph;
     ``target_grafting`` is the target's total grafting; ``pieces_morphism``
-    is the disjoint union of the piece morphisms.  The square
+    is the disjoint union of the piece morphisms, whose maps are exactly
+    the original's.  So the square
     ``tails_grafting ; original  ==  pieces_morphism ; target_grafting``
-    is checked on construction.
+    commutes by construction; it is not checked at run time.
     """
 
     morphism: SusyMorphism
@@ -417,24 +425,18 @@ def atomize(h: SusyMorphism) -> Atomization:
         pieces[v] = piece
         piece_morphisms[v] = susy_morphism(piece, corolla, flag_map, vertex_map, contracted)
 
-    # the pieces' maps together are exactly h's maps
+    # the pieces' maps together are exactly h's maps, so both sides of the
+    # square are h's maps from the source union to the target
     source_union = _piece_graph(src, set(src.vertices), set(src.flags), keep)
-    tails_grafting = _grafting(source_union, src)
-    pieces_morphism = susy_morphism(
-        source_union, target_grafting.source, h.flag_map, h.vertex_map, h.map.orbits
-    )
-
-    left = compose(tails_grafting, h)
-    right = compose(pieces_morphism, target_grafting)
-    if left != right:
-        raise ValidationError("atomization square failed to commute")
     return Atomization(
         morphism=h,
         pieces=pieces,
         piece_morphisms=piece_morphisms,
-        tails_grafting=tails_grafting,
+        tails_grafting=_grafting(source_union, src),
         target_grafting=target_grafting,
-        pieces_morphism=pieces_morphism,
+        pieces_morphism=susy_morphism(
+            source_union, target_grafting.source, h.flag_map, h.vertex_map, h.map.orbits
+        ),
     )
 
 
@@ -453,7 +455,9 @@ def decompose_to_elementaries(
 
     ``order`` picks the contraction sequence: ``lex`` contracts orbits in
     lexicographic order of their smaller flag, ``reverse`` in the opposite
-    order.  Both composites equal ``h`` structurally.
+    order.  Each step is tagged with the kind it is built as, and in both
+    orders the steps compose to ``h`` exactly; neither is checked again
+    here (the tests recompose and classify the steps).
     """
     if order not in ("lex", "reverse"):
         raise ValidationError(f"unknown decomposition order {order!r}")
@@ -463,7 +467,7 @@ def decompose_to_elementaries(
     current = src
     chain_vm = {w: w for w in src.vertices}
 
-    orbits = h.contracted_pairs()
+    orbits = h.map.orbits
     virtual_pairs = [
         p for p in orbits if src.involution[p[0]] == p[0]
     ]  # tail-pair orbits must be grafted before they can be contracted
@@ -473,12 +477,12 @@ def decompose_to_elementaries(
         steps.append(Elementary("grafting", m, tuple(graft_pairs)))
         current = m.target
 
-    ordered = sorted(orbits)
-    if order == "reverse":
-        ordered.reverse()
-    for a, b in ordered:
+    # every orbit is an edge of ``current`` now, a loop when its two flags
+    # sit at one vertex
+    for a, b in reversed(orbits) if order == "reverse" else orbits:
         m = contract_pair(current, (a, b))
-        steps.append(_classify(m))
+        loop = current.boundary[a] == current.boundary[b]
+        steps.append(Elementary("loop_contraction" if loop else "edge_contraction", m, ((a, b),)))
         current = m.target
         chain_vm = {w: m.vertex_map[chain_vm[w]] for w in chain_vm}
 
@@ -490,15 +494,9 @@ def decompose_to_elementaries(
         and all(v == k for k, v in iso_vertex_map.items())
     )
     if not is_trivial:
-        iso = _built(current, tgt, _owned(
-            GraphMorphism, source=current.graph, target=tgt.graph,
-            flag_map=iso_flag_map, vertex_map=iso_vertex_map, contracted={},
+        steps.append(Elementary(
+            "isomorphism", _uncontracting(current, tgt, iso_flag_map, iso_vertex_map)
         ))
-        steps.append(_classify(iso))
-
-    composite = compose_chain(src, [s.morphism for s in steps])
-    if composite != h:
-        raise ValidationError("decomposition failed to recompose")
     return steps
 
 
@@ -515,7 +513,10 @@ def commute_iso_contraction(
     a: SusyMorphism, pair: tuple[str, str]
 ) -> CommutedSquare:
     """Given an isomorphism ``a`` and a contractible pair of its target,
-    produce the unique isomorphism closing the commuting square."""
+    produce the unique isomorphism closing the commuting square, and both
+    sides of the square.  The induced isomorphism is derived from the maps
+    of ``a`` and of the two contractions, so it is built unchecked, and the
+    square commutes by construction."""
     kind = classify(a).kind
     if kind not in ("identity", "isomorphism"):
         raise ValidationError(f"expected an isomorphism, got a {kind}")
@@ -527,12 +528,8 @@ def commute_iso_contraction(
         con_s.vertex_map[w]: con_t.vertex_map[a.vertex_map[w]]
         for w in a.source.vertices
     }
-    induced = iso_between(con_s.target, con_t.target, flag_map, vertex_map)
-    left = compose(a, con_t)
-    right = compose(con_s, induced)
-    if left != right:
-        raise ValidationError("iso/contraction square failed to commute")
-    return CommutedSquare(induced, left, right)
+    induced = _uncontracting(con_s.target, con_t.target, flag_map, vertex_map)
+    return CommutedSquare(induced, compose(a, con_t), compose(con_s, induced))
 
 
 @dataclass(frozen=True)

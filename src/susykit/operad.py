@@ -615,12 +615,11 @@ class AxiomReport:
 
 
 class _LabelPool:
-    def __init__(self, prefix: str = "x") -> None:
-        self.prefix = prefix
+    def __init__(self) -> None:
         self.n = 0
 
     def take(self, count: int) -> list[str]:
-        out = [f"{self.prefix}{self.n + i}" for i in range(count)]
+        out = [f"x{self.n + i}" for i in range(count)]
         self.n += count
         return out
 

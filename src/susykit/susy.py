@@ -277,13 +277,10 @@ def _check_labeling(g: SusyGraph) -> ValidationReport:
 
 
 def require_susy(g: SusyGraph) -> None:
-    validate_susy_graph(g).raise_if_invalid("SUSY graph")
-
-
-def _require_valid(g: SusyGraph) -> None:
-    """``require_susy`` straight from the reports kept on ``g``."""
+    """Raise ``validate_susy_graph(g)`` if it fails, read straight from the
+    reports kept on ``g``."""
     if not (isinstance(g, SusyGraph) and isinstance(g.graph, Graph)):
-        require_susy(g)  # says what ``g`` is instead
+        validate_susy_graph(g).raise_if_invalid("SUSY graph")  # says what ``g`` is
     rep = g.graph.report
     (g._labeling_report if rep.ok else rep).raise_if_invalid("SUSY graph")
 
@@ -412,7 +409,7 @@ def _check_maps(h: SusyMorphism) -> ValidationReport:
 
 
 def susy_identity(g: SusyGraph) -> SusyMorphism:
-    _require_valid(g)
+    require_susy(g)
     return _built(g, g, _graphs.identity_morphism(g.graph))
 
 
@@ -435,7 +432,7 @@ def compose(h, f):
 def genus(g: SusyGraph) -> int:
     """Total genus: the vertex genera plus the first Betti number, the
     number of fundamental cycles.  Raises ValidationError on an invalid graph."""
-    _require_valid(g)
+    require_susy(g)
     return sum(g.labeling.genus.values()) + len(g.graph._forest[1].cycles)
 
 
@@ -448,7 +445,7 @@ class StabilityReport:
 def is_stable(g: SusyGraph) -> StabilityReport:
     """Stability: 2*genus(v) - 2 + #flags(v) > 0 at every vertex.  Raises
     ValidationError on an invalid graph."""
-    _require_valid(g)
+    require_susy(g)
     genera, incidence = g.labeling.genus, g.graph.incidence
     bad = tuple(
         sorted(v for v, fl in incidence.items() if 2 * genera[v] - 2 + len(fl) <= 0)

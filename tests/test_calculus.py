@@ -1,6 +1,7 @@
 """Total grafting, atomization, decomposition, and the commutation lemmas."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,10 @@ from susykit import (
     total_grafting,
     validate_susy_morphism,
 )
+import susykit.calculus
 from susykit.calculus import atomize, compose_chain
+from susykit.graphs import GraphMorphism
+from susykit.susy import SusyMorphism
 
 from conftest import star, two_vertex_tree
 from sampling import random_morphism, random_susy_graph
@@ -403,3 +407,76 @@ class TestMalformedPairs:
     def test_every_entry_refuses_a_malformed_pair(self, entry, pair):
         with pytest.raises(ValidationError):
             entry(star(0, 4), pair)
+
+
+def two_tails_swapped(target, flag_map):
+    """``flag_map``, on the flags of ``target``, with the images of two
+    tails of one colour at one vertex swapped: the maps of another valid
+    morphism onto ``target``."""
+    a, b = next(
+        (a, b)
+        for a, b in combinations(tails(target.graph), 2)
+        if target.boundary[a] == target.boundary[b] and target.color_of(a) == target.color_of(b)
+    )
+    return {**flag_map, a: flag_map[b], b: flag_map[a]}
+
+
+def swap_two_tails(monkeypatch):
+    """Make the calculus hand out each isomorphism it derives with two
+    tails swapped, whether it builds the isomorphism unchecked or through
+    ``iso_between``; returns the list of the swapped morphisms, each built
+    afresh, so that its check runs in full."""
+    made = []
+    built, iso_between = susykit.calculus._built, susykit.calculus.iso_between
+
+    def swapped_built(source, target, m):
+        if not m.contracted:
+            flag_map = two_tails_swapped(target, m.flag_map)
+            m = GraphMorphism(m.source, m.target, flag_map, m.vertex_map, {})
+            made.append(SusyMorphism(source, target, m))
+        return built(source, target, m)
+
+    def swapped_iso_between(source, target, flag_map, vertex_map):
+        h = iso_between(source, target, two_tails_swapped(target, flag_map), vertex_map)
+        made.append(SusyMorphism(source, target, h.map))
+        return h
+
+    monkeypatch.setattr(susykit.calculus, "_built", swapped_built)
+    monkeypatch.setattr(susykit.calculus, "iso_between", swapped_iso_between)
+    return made
+
+
+class TestTheOraclesSeeASwappedIsomorphism:
+    """The calculus does not confirm at run time that a decomposition
+    recomposes to its morphism or that a square commutes; the tests above
+    do.  An isomorphism replaced by another valid one passes a fresh check
+    but fails those oracles.  (A library that confirms them itself refuses
+    the fault with ``ValidationError`` instead.)"""
+
+    def test_recomposition_sees_the_last_step_swapped(self, monkeypatch):
+        t = two_vertex_tree(2, 2)
+        c = contract_edge(t, ("ea", "eb"))
+        h = compose(c, make_isomorphism(c.target, {"a0": "z"}))
+        made = swap_two_tails(monkeypatch)
+        try:
+            steps = decompose_to_elementaries(h)
+        except ValidationError as e:
+            assert "failed to recompose" in str(e)
+        else:
+            assert [s.kind for s in steps] == ["edge_contraction", "isomorphism"]
+            assert compose_chain(t, [s.morphism for s in steps]) != h
+        (fault,) = made
+        assert validate_susy_morphism(fault).ok, validate_susy_morphism(fault).violations
+
+    def test_the_square_sees_the_induced_isomorphism_swapped(self, monkeypatch):
+        t = two_vertex_tree(2, 2)
+        a = make_isomorphism(t, {f: f + "z" for f in t.flags})
+        made = swap_two_tails(monkeypatch)
+        try:
+            sq = commute_iso_contraction(a, ("eaz", "ebz"))
+        except ValidationError as e:
+            assert "failed to commute" in str(e)
+        else:
+            assert sq.iso_then_contract != sq.contract_then_iso
+        (fault,) = made
+        assert validate_susy_morphism(fault).ok, validate_susy_morphism(fault).violations

@@ -5,17 +5,19 @@ signature and each glued, relabelled and erased target without checking
 it, and ``lifting`` each colouring it lists, since all are valid by
 construction; so is each dual graph that ``curves`` builds from a curve
 configuration it has checked.  The oracle here records every morphism,
-graph and signature built that way over seeded plans and curves and
-checks each afresh with the full checks; a contraction that drops a
-colour, a grafting that loses a genus or keeps the labels of the tails it
-joined, an elementary builder that forgets the genus a contracted loop
-adds, a lift that recolours an edge, a loop gluing that forgets its genus,
-or a dual graph that recolours one side of a node fails it.  The graphs
-built that way own their dicts: changing one changes no other graph."""
+graph and signature built that way over seeded plans, curves and
+commuting squares and checks each afresh with the full checks; a
+contraction that drops a colour, a grafting that loses a genus or keeps
+the labels of the tails it joined, an elementary builder that forgets the
+genus a contracted loop adds, a lift that recolours an edge, a loop
+gluing that forgets its genus, or a dual graph that recolours one side of
+a node fails it.  The graphs built that way own their dicts: changing
+one changes no other graph."""
 
 import random
 import sys
 from contextlib import suppress
+from itertools import combinations
 from dataclasses import replace
 
 import pytest
@@ -37,15 +39,19 @@ from susykit import (
     check_operad_axioms,
     classify,
     colorless_dual_graph,
+    commute_contractions,
+    commute_iso_contraction,
     compose,
     contract_pair,
     contract_tails,
     decompose_to_elementaries,
     dual_graph,
+    edges,
     enumerate_edge_colorings,
     evaluate_operad,
     graft,
     make_isomorphism,
+    tails,
     total_grafting,
     validate_signature,
 )
@@ -110,10 +116,19 @@ def record_unchecked(monkeypatch):
     return morphisms, graphs, signatures
 
 
+def contractible_pairs(g):
+    """The edges of ``g``, loops included, and its pairs of same-coloured
+    tails."""
+    same = [(a, b) for a, b in combinations(tails(g.graph), 2) if g.color_of(a) == g.color_of(b)]
+    return edges(g.graph) + same
+
+
 def run_calculus(seed):
     """Seeded plans over every builder of the calculus, each evaluated (so
     every graph reached reads its signature), decomposed and atomized,
-    both dual graphs of seeded curves, then the operad's axiom check."""
+    both dual graphs of seeded curves, seeded isomorphisms slid past a
+    contraction and pairs of contractions commuted, then the operad's
+    axiom check."""
     rng = random.Random(seed)
     for _ in range(20):
         g = random_susy_graph(rng, max_vertices=4, max_genus=2, max_extra_edges=2)
@@ -129,6 +144,22 @@ def run_calculus(seed):
         c = random_curve_config(rng)
         dual_graph(c)
         colorless_dual_graph(c)
+    for _ in range(20):
+        g = random_susy_graph(rng, max_vertices=4, max_genus=2, max_extra_edges=2)
+        # an isomorphism that permutes the names of the flags and vertices
+        flags, vertices = sorted(g.flags), sorted(g.vertices)
+        a = make_isomorphism(
+            g,
+            dict(zip(flags, rng.sample(flags, len(flags)))),
+            dict(zip(vertices, rng.sample(vertices, len(vertices)))),
+        )
+        if pairs := contractible_pairs(a.target):
+            commute_iso_contraction(a, rng.choice(pairs))
+        disjoint = [
+            (p, q) for p, q in combinations(contractible_pairs(g), 2) if not set(p) & set(q)
+        ]
+        if disjoint:
+            commute_contractions(g, *rng.choice(disjoint))
     assert check_operad_axioms(seed=seed, cases=20).passed
 
 

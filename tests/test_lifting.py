@@ -276,16 +276,21 @@ class TestGeneralCount:
             involution={"t": "t", "l1": "m1", "m1": "l1", "l2": "m2", "m2": "l2"},
             genus={"v": 0},
         )
+        # ``require_susy`` reads the reports kept on the graph without
+        # calling ``validate_susy_graph``, so the lift's calls of it count
+        # too (``is_stable`` asks it again, from the kept reports)
         calls = []
+
+        def counting(real):
+            return lambda h: calls.append(h) or real(h)
+
         real = susykit.susy.validate_susy_graph
-
-        def counting(h):
-            calls.append(h)
-            return real(h)
-
-        monkeypatch.setattr(susykit.susy, "validate_susy_graph", counting)
+        monkeypatch.setattr(susykit.susy, "validate_susy_graph", counting(real))
         monkeypatch.setattr(
-            susykit.lifting, "validate_susy_graph", counting, raising=False
+            susykit.lifting, "validate_susy_graph", counting(real), raising=False
+        )
+        monkeypatch.setattr(
+            susykit.lifting, "require_susy", counting(susykit.lifting.require_susy)
         )
         assert len(enumerate_edge_colorings(g, ["t"], [])) == 4
         assert calls == [g]

@@ -481,8 +481,10 @@ class TestMoves:
         monkeypatch.setattr(
             susy, "validate_susy_graph", lambda g: calls.append(g) or check(g)
         )
+        # ``require_susy`` reads the kept reports without calling it
+        requires = count_calls(monkeypatch, susy.require_susy)
         assert len(_shapes(2, ["1"])) > 1
-        assert calls == []
+        assert calls == [] and requires == []
 
     def test_moves_and_signatures_read_the_incidence(self, monkeypatch):
         shapes = enumerate_modular_shapes(1, FOUR)
