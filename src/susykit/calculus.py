@@ -10,19 +10,16 @@ contractions commute).
 
 An elementary morphism is fixed by its maps, so one builder, ``_image``,
 derives every grafting, contraction and isomorphism, target and all, from
-the flag and vertex maps and the contracted and grafted pairs; ``graft``,
-``_contract`` and ``make_isomorphism`` check their arguments and compute
-those maps.
-
-Each public entry checks the morphism it is given once; the steps,
-pieces and squares built from a checked morphism are not checked again,
-and neither is it confirmed at run time that they recompose to it or
-commute: they do by construction, and the tests check that they do.  The
-morphisms built here are valid by construction when their source graph
-is valid: each keeps a passing check of its maps from the start
-(``susy._built``), while every check of it still checks its endpoints.
-Each entry checks its source graph first, and the target graphs built here
-keep passing reports from the start (``susy._valid``).
+the flag and vertex maps and the contracted and grafted pairs.  The
+builders ``_grafted`` and ``_contracted`` pass it identity or merged-vertex
+maps and check nothing.  Only the public entries check: each its graph or
+morphism once and first, then its pairs or renaming, so ``require_susy``
+and ``_flag_pair`` are called from public names alone.  The steps, pieces
+and squares built from a checked morphism are not checked again, nor is
+it confirmed at run time that they recompose to it or commute: they do by
+construction, and the tests check that they do.  The morphisms and target
+graphs built here keep passing reports from the start (``susy._built``,
+``susy._valid``), while every check of a morphism still checks its ends.
 
 Identifier conventions: contracting an edge between distinct vertices
 names the merged vertex by joining the sorted ``*``-separated parts of
@@ -87,10 +84,9 @@ class Elementary:
     pairs: tuple[tuple[str, str], ...] = ()
 
 
-def merged_vertex_id(v1: str, v2: str, taken: Iterable[str]) -> str:
+def merged_vertex_id(v1: str, v2: str, taken: frozenset[str]) -> str:
     parts = sorted(v1.split("*") + v2.split("*"))
     candidate = "*".join(parts)
-    taken = set(taken)
     while candidate in taken:
         candidate += "'"
     return candidate
@@ -101,10 +97,9 @@ def _sorted_pair(a: str, b: str) -> tuple[str, str]:
 
 
 def _flag_pair(g: SusyGraph, pair, who: str) -> tuple[str, str]:
-    """``pair`` as two flags of a valid ``g``, sorted; else it is refused."""
-    require_susy(g)
+    """``pair`` as two flags of a checked ``g``, sorted; else (a string too) it is refused."""
     try:
-        a, b = pair
+        a, b = () if isinstance(pair, str) else pair
     except (TypeError, ValueError):
         raise ValidationError(f"{who}: {pair!r} is not a pair of flags") from None
     if isinstance(a, str) and isinstance(b, str):
@@ -134,7 +129,12 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
         if g.color_of(a) != g.color_of(b):
             raise ValidationError(f"graft: ({a!r}, {b!r}) mixes colors")
         used.update((a, b))
-    return _image(g, {f: f for f in g.flags}, {v: v for v in g.vertices}, grafted=pair_list)
+    return _grafted(g, pair_list)
+
+
+def _grafted(g: SusyGraph, pairs: Sequence[tuple[str, str]]) -> SusyMorphism:
+    """The grafting of a valid ``g`` that joins ``pairs`` of its tails; unchecked."""
+    return _image(g, {f: f for f in g.flags}, {v: v for v in g.vertices}, grafted=pairs)
 
 
 def _image(
@@ -207,55 +207,64 @@ def _grafting(source: SusyGraph, target: SusyGraph) -> SusyMorphism:
     )
 
 
-def _contract(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> SusyMorphism:
+def _contractible(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> tuple[str, str]:
+    """``pair``, two sorted flags of a checked ``g``, refused unless it is an
+    edge or, when ``virtual``, two tails of one colour."""
     a, b = pair
     if a == b:
         raise ValidationError(f"contract: bad pair ({a!r}, {b!r})")
-    inv = g.involution
     if virtual:
-        if inv[a] != a or inv[b] != b:
-            raise ValidationError(
-                f"virtual contraction needs two tails, got ({a!r}, {b!r})"
-            )
+        if g.involution[a] != a or g.involution[b] != b:
+            raise ValidationError(f"virtual contraction needs two tails, got ({a!r}, {b!r})")
         if g.color_of(a) != g.color_of(b):
             raise ValidationError(f"contract: ({a!r}, {b!r}) mixes colors")
-    elif inv[a] != b:
+    elif g.involution[a] != b:
         raise ValidationError(f"contract: ({a!r}, {b!r}) is not an edge")
+    return pair
 
+
+def _contracted(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
+    """The contraction of ``pair`` of a valid ``g``, an edge, a loop or two
+    tails of one colour; nothing is checked."""
+    a, b = pair
     va, vb = g.boundary[a], g.boundary[b]
     vertex_name = {v: v for v in g.vertices}
     if va != vb:
         vertex_name[va] = vertex_name[vb] = merged_vertex_id(va, vb, g.vertices - {va, vb})
     flag_name = {f: f for f in g.flags if f != a and f != b}
-    return _image(g, flag_name, vertex_name, contracted=[(a, b)])
+    return _image(g, flag_name, vertex_name, contracted=[pair])
 
 
 def contract_edge(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract an edge between two distinct vertices, summing their genera."""
-    a, b = pair = _flag_pair(g, pair, "contract")
+    require_susy(g)
+    a, b = pair = _contractible(g, _flag_pair(g, pair, "contract"), virtual=False)
     if g.boundary[a] == g.boundary[b]:
         raise ValidationError("contract_edge: pair is a loop; use contract_loop")
-    return _contract(g, pair, virtual=False)
+    return _contracted(g, pair)
 
 
 def contract_loop(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract a loop, raising its vertex's genus by one."""
+    require_susy(g)
     a, b = pair = _flag_pair(g, pair, "contract")
     if g.boundary[a] != g.boundary[b]:
         raise ValidationError("contract_loop: pair is not a loop")
-    return _contract(g, pair, virtual=False)
+    return _contracted(g, _contractible(g, pair, virtual=False))
 
 
 def contract_pair(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract an edge, a loop, or (virtually) a pair of tails."""
+    require_susy(g)
     a, b = pair = _flag_pair(g, pair, "contract")
-    return _contract(g, pair, virtual=g.involution[a] != b)
+    return _contracted(g, _contractible(g, pair, virtual=g.involution[a] != b))
 
 
 def contract_tails(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Virtual contraction: graft two tails and contract the new edge,
     expressed as a single morphism."""
-    return _contract(g, _flag_pair(g, pair, "contract"), virtual=True)
+    require_susy(g)
+    return _contracted(g, _contractible(g, _flag_pair(g, pair, "contract"), virtual=True))
 
 
 def make_isomorphism(
@@ -272,6 +281,8 @@ def make_isomorphism(
     for new in (new_flag, new_vert):
         if not _strings(new.values()) or len(set(new.values())) != len(new):
             raise ValidationError("renaming must stay injective, onto string names")
+    if not (fr.keys() <= g.flags and vr.keys() <= g.vertices):
+        raise ValidationError("renaming must name only flags and vertices of the graph")
     return _image(g, new_flag, new_vert)
 
 
@@ -403,11 +414,7 @@ def atomize(h: SusyMorphism) -> Atomization:
     # A piece keeps exactly the contracted edge orbits; edges that survive
     # into the target (preserved loops included) are cut here and grafted
     # back by the corolla grafting on the target side.
-    keep: dict[str, str] = {}
-    for a, b in h.map.orbits:
-        if src.involution[a] == b:
-            keep[a] = b
-            keep[b] = a
+    keep = involution_from_pairs(p for p in h.map.orbits if src.involution[p[0]] == p[1])
 
     pieces: dict[str, SusyGraph] = {}
     piece_morphisms: dict[str, SusyMorphism] = {}
@@ -447,9 +454,7 @@ def compose_chain(source: SusyGraph, morphisms: Iterable[SusyMorphism]) -> SusyM
     return out
 
 
-def decompose_to_elementaries(
-    h: SusyMorphism, order: str = "lex"
-) -> list[Elementary]:
+def decompose_to_elementaries(h: SusyMorphism, order: str = "lex") -> list[Elementary]:
     """Factor a morphism as grafting, single-orbit contractions, and a final
     isomorphism, dropping trivial steps.
 
@@ -468,19 +473,18 @@ def decompose_to_elementaries(
     chain_vm = {w: w for w in src.vertices}
 
     orbits = h.map.orbits
-    virtual_pairs = [
-        p for p in orbits if src.involution[p[0]] == p[0]
-    ]  # tail-pair orbits must be grafted before they can be contracted
+    # tail-pair orbits must be grafted before they can be contracted
+    virtual_pairs = [p for p in orbits if src.involution[p[0]] == p[0]]
     graft_pairs = sorted(set(_grafted_pairs(h)) | set(virtual_pairs))
     if graft_pairs:
-        m = graft(current, graft_pairs)
+        m = _grafted(current, graft_pairs)
         steps.append(Elementary("grafting", m, tuple(graft_pairs)))
         current = m.target
 
     # every orbit is an edge of ``current`` now, a loop when its two flags
     # sit at one vertex
     for a, b in reversed(orbits) if order == "reverse" else orbits:
-        m = contract_pair(current, (a, b))
+        m = _contracted(current, (a, b))
         loop = current.boundary[a] == current.boundary[b]
         steps.append(Elementary("loop_contraction" if loop else "edge_contraction", m, ((a, b),)))
         current = m.target
@@ -509,9 +513,7 @@ class CommutedSquare:
     contract_then_iso: SusyMorphism
 
 
-def commute_iso_contraction(
-    a: SusyMorphism, pair: tuple[str, str]
-) -> CommutedSquare:
+def commute_iso_contraction(a: SusyMorphism, pair: tuple[str, str]) -> CommutedSquare:
     """Given an isomorphism ``a`` and a contractible pair of its target,
     produce the unique isomorphism closing the commuting square, and both
     sides of the square.  The induced isomorphism is derived from the maps
@@ -520,14 +522,12 @@ def commute_iso_contraction(
     kind = classify(a).kind
     if kind not in ("identity", "isomorphism"):
         raise ValidationError(f"expected an isomorphism, got a {kind}")
-    f1, f2 = _flag_pair(a.target, pair, "contract")
-    con_t = contract_pair(a.target, (f1, f2))
-    con_s = contract_pair(a.source, (a.flag_map[f1], a.flag_map[f2]))
+    f1, f2 = pair = _flag_pair(a.target, pair, "contract")
+    con_t = _contracted(a.target, _contractible(a.target, pair, a.target.involution[f1] != f2))
+    con_s = _contracted(a.source, _sorted_pair(a.flag_map[f1], a.flag_map[f2]))
     flag_map = {x: a.flag_map[x] for x in con_t.target.flags}
-    vertex_map = {
-        con_s.vertex_map[w]: con_t.vertex_map[a.vertex_map[w]]
-        for w in a.source.vertices
-    }
+    sv, tv = con_s.vertex_map, con_t.vertex_map
+    vertex_map = {sv[w]: tv[a.vertex_map[w]] for w in a.source.vertices}
     induced = _uncontracting(con_s.target, con_t.target, flag_map, vertex_map)
     return CommutedSquare(induced, compose(a, con_t), compose(con_s, induced))
 
@@ -542,13 +542,15 @@ class CommutedContractions:
 def commute_contractions(
     g: SusyGraph, e1: tuple[str, str], e2: tuple[str, str]
 ) -> CommutedContractions:
-    """Contract two flag-disjoint pairs in both orders and compare."""
-    if set(_flag_pair(g, e1, "contract")) & set(_flag_pair(g, e2, "contract")):
+    """Contract two flag-disjoint pairs in both orders and compare; each is
+    checked on ``g`` alone, as it stays contractible once the other is."""
+    require_susy(g)
+    e1, e2 = _flag_pair(g, e1, "contract"), _flag_pair(g, e2, "contract")
+    if set(e1) & set(e2):
         raise ValidationError("pairs must be flag-disjoint")
-    m1 = contract_pair(g, e1)
-    m12 = contract_pair(m1.target, e2)
-    left = compose(m1, m12)
-    m2 = contract_pair(g, e2)
-    m21 = contract_pair(m2.target, e1)
-    right = compose(m2, m21)
+    for e in e1, e2:
+        _contractible(g, e, virtual=g.involution[e[0]] != e[1])
+    m1, m2 = _contracted(g, e1), _contracted(g, e2)
+    left = compose(m1, _contracted(m1.target, e2))
+    right = compose(m2, _contracted(m2.target, e1))
     return CommutedContractions(left == right, left, right)

@@ -437,6 +437,9 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
         (make_isomorphism, (TREE, 5), "invalid flag_renaming: 'int' object is not iterable"),
         (make_isomorphism, (TREE, "x"), "invalid flag_renaming: dictionary update"),
         (make_isomorphism, (TREE, {}, {"v": 5}), "onto string names"),
+        (make_isomorphism, (TREE, {"zzz": "q"}), "renaming must name only flags and vertices"),
+        (make_isomorphism, (TREE, {1: "b"}), "renaming must name only flags and vertices"),
+        (make_isomorphism, (TREE, {}, {"zzz": "x"}), "renaming must name only flags and"),
         (commute_iso_contraction, (susy_identity(TREE), 5), "contract: 5 is not a pair"),
         (Component, (5, 5), "invalid special_points: 'int' object is not iterable"),
         (CurveConfig, (5, 5), "invalid components: 'int' object is not iterable"),
@@ -470,7 +473,9 @@ def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # or tuple raised TypeError; of the last rows, each raised TypeError or
     # ValueError, but GluingRecipe built a recipe with no gluings from a 0;
     # the graph-level union, identity and composite raised AttributeError;
-    # a check that returns a report is asked to raise it
+    # make_isomorphism ignored a renaming key that names no flag or vertex,
+    # a non-string one too, and returned a morphism; a check that returns a
+    # report is asked to raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
         report.raise_if_invalid("argument")

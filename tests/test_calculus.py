@@ -408,6 +408,84 @@ class TestMalformedPairs:
         with pytest.raises(ValidationError):
             entry(star(0, 4), pair)
 
+    @pytest.mark.parametrize(
+        "entry, pair, message",
+        [
+            # two tails at one vertex were once refused as a loop
+            (contract_edge, ("a", "b"), r"contract: \('a', 'b'\) is not an edge"),
+            # and so was a flag paired with itself
+            (contract_edge, ("a", "a"), r"contract: bad pair \('a', 'a'\)"),
+            # a string was once read as the pair of its two letters
+            (contract_pair, "ab", "contract: 'ab' is not a pair of flags"),
+            (lambda g, p: graft(g, [p]), "ab", "graft: 'ab' is not a pair of flags"),
+        ],
+        ids=["contract_edge_two_tails", "contract_edge_one_flag", "contract_pair_string",
+             "graft_string"],
+    )
+    def test_an_entry_refuses_a_pair_with_its_message(self, entry, pair, message):
+        g = modular_graph(
+            flags=["a", "b", "c"],
+            vertices=["v"],
+            boundary=dict.fromkeys("abc", "v"),
+            involution={f: f for f in "abc"},
+            genus={"v": 0},
+        )
+        with pytest.raises(ValidationError, match=message):
+            entry(g, pair)
+
+
+class TestOneCheckPerEntry:
+    """Each public entry checks its input once; the steps and squares it
+    builds from that input are built by the unchecked builders
+    ``_grafted`` and ``_contracted``, so their graphs and pairs are not
+    checked again."""
+
+    CHECKS = ("validate_susy_morphism", "require_susy", "_flag_pair")
+
+    def counted(self, monkeypatch):
+        """The calls of the calculus's checks, by name, from now on."""
+        calls = dict.fromkeys(self.CHECKS, 0)
+        for name in self.CHECKS:
+            real = getattr(susykit.calculus, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(susykit.calculus, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("order", ["lex", "reverse"])
+    def test_a_decomposition_checks_its_morphism_once(self, monkeypatch, order):
+        # a grafting, a virtual contraction, an edge contraction and a
+        # renaming, so the decomposition grafts, contracts and renames
+        g = two_vertex_tree(3, 3)
+        first = graft(g, [("a0", "a1")])
+        second = contract_tails(first.target, ("b0", "b1"))
+        third = contract_edge(second.target, ("ea", "eb"))
+        fourth = make_isomorphism(third.target, {"a2": "z"})
+        h = compose_chain(g, [first, second, third, fourth])
+        calls = self.counted(monkeypatch)
+        steps = decompose_to_elementaries(h, order=order)
+        contractions = ["loop_contraction", "edge_contraction"]
+        if order == "reverse":
+            contractions.reverse()
+        assert [s.kind for s in steps] == ["grafting", *contractions, "isomorphism"]
+        assert calls == {"validate_susy_morphism": 1, "require_susy": 0, "_flag_pair": 0}
+
+    def test_commuting_contractions_checks_the_graph_once(self, monkeypatch):
+        g = two_vertex_tree(3, 3)
+        calls = self.counted(monkeypatch)
+        assert commute_contractions(g, ("a0", "a1"), ("ea", "eb")).commutes
+        assert calls == {"validate_susy_morphism": 0, "require_susy": 1, "_flag_pair": 2}
+
+    def test_sliding_an_isomorphism_checks_it_once(self, monkeypatch):
+        g = two_vertex_tree(3, 3)
+        a = make_isomorphism(g, {"a0": "b0", "b0": "a0"}, {"u": "w", "w": "u"})
+        calls = self.counted(monkeypatch)
+        commute_iso_contraction(a, ("a0", "a1"))
+        assert calls == {"validate_susy_morphism": 1, "require_susy": 0, "_flag_pair": 1}
+
 
 def two_tails_swapped(target, flag_map):
     """``flag_map``, on the flags of ``target``, with the images of two

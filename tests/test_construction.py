@@ -244,10 +244,10 @@ def rebuilt(h, target):
 
 
 def colour_dropping(contract):
-    """``_contract`` with every flag of its target coloured NS."""
+    """``_contracted`` with every flag of its target coloured NS."""
 
-    def dropped(g, pair, virtual):
-        h = contract(g, pair, virtual)
+    def dropped(g, pair):
+        h = contract(g, pair)
         lab = h.target.labeling
         colour = dict.fromkeys(lab.color, NS)
         labels = {**lab.ns_tail_labels, **lab.r_tail_labels}
@@ -262,7 +262,7 @@ def colour_dropping(contract):
 
 
 def genus_losing(graft):
-    """``graft`` with one less genus at its target's highest-genus vertex."""
+    """``_grafted`` with one less genus at its target's highest-genus vertex."""
 
     def lost(g, pairs):
         h = graft(g, pairs)
@@ -279,7 +279,7 @@ def genus_losing(graft):
 
 
 def tail_label_keeping(graft):
-    """``graft`` whose target keeps the labels of the tails it joined, so
+    """``_grafted`` whose target keeps the labels of the tails it joined, so
     its tail labelling is no longer a bijection onto its tails."""
 
     def kept(g, pairs):
@@ -366,9 +366,9 @@ def loop_genus_forgetting(glue):
 @pytest.mark.parametrize(
     "module, name, breaking",
     [
-        (susykit.calculus, "_contract", colour_dropping),
-        (susykit.calculus, "graft", genus_losing),
-        (susykit.calculus, "graft", tail_label_keeping),
+        (susykit.calculus, "_contracted", colour_dropping),
+        (susykit.calculus, "_grafted", genus_losing),
+        (susykit.calculus, "_grafted", tail_label_keeping),
         (susykit.calculus, "_image", loop_genus_dropping),
         (susykit.lifting, "_colorings", edge_recolouring),
         (susykit.operad, "_glue", loop_genus_forgetting),

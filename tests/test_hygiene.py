@@ -15,9 +15,11 @@ the one builder that skips a value type's constructor; each of its calls
 names exactly the fields of the type it builds, and only ``_valid`` adds
 the kept ``_labeling_report``.  Only ``operad._fresh_signature`` builds a
 ``ModuliSignature`` past its validating constructor, so the signatures
-trusted without a check are built in one place too.  Only ``jsonio``
-imports the stdlib ``json``, so one module owns the document format;
-``canon`` takes its string quoting for the certificate.  Every module of
+trusted without a check are built in one place too.  Inside ``calculus``,
+only the names in its ``__all__`` call ``require_susy`` or ``_flag_pair``,
+so its private builders check nothing and each entry checks once.  Only
+``jsonio`` imports the stdlib ``json``, so one module owns the document
+format; ``canon`` takes its string quoting for the certificate.  Every module of
 the package is reached by its package imports from ``__init__.py`` or
 ``cli.py``, the console script, so nothing ships that neither the library
 nor the CLI runs; test support lives in ``tests/``.  The checks read each
@@ -558,4 +560,49 @@ def test_the_check_sees_a_wrong_field():
         "f: Pair: not a value type with keyword fields",
         "f: Pair: not a value type with keyword fields",
         "f: Other: not a value type with keyword fields",
+    ]
+
+
+# the checks of a graph and of a pair of its flags in ``calculus``
+CALCULUS_CHECKS = {"require_susy", "_flag_pair"}
+
+
+def private_checkers(source: str) -> list[str]:
+    """The dotted path around each call of a ``CALCULUS_CHECKS`` name in
+    ``source`` whose module-level name is not listed in its ``__all__``."""
+    public = listed(ast.parse(source))
+    return [
+        path
+        for path, _ in call_sites(source, lambda c: called(c) in CALCULUS_CHECKS)
+        if path.split(".")[0] not in public
+    ]
+
+
+def test_the_calculus_checks_in_its_public_entries_only():
+    assert private_checkers((SRC / "calculus.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_private_checker():
+    source = (
+        "__all__ = ['graft', 'Square']\n"
+        "def graft(g, pairs):\n"
+        "    require_susy(g)\n"
+        "    return _grafted(g, [_flag_pair(g, p, 'graft') for p in pairs])\n"
+        "def _grafted(g, pairs):\n"
+        "    susy.require_susy(g)\n"
+        "def _contracted(g, pair):\n"
+        "    def inner():\n"
+        "        return _flag_pair(g, pair, 'contract')\n"
+        "    return inner\n"
+        "class Square:\n"
+        "    def side(self, g):\n"
+        "        require_susy(g)\n"
+        "class _Helper:\n"
+        "    def side(self, g):\n"
+        "        require_susy(g)\n"
+        "require_susy(G)\n"
+        "validate_susy_graph(G)\n"
+    )
+    assert private_checkers(source) == [
+        "_grafted", "_contracted.inner", "_Helper.side", "<module>"
     ]
