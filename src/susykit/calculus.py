@@ -418,7 +418,7 @@ def atomize(h: SusyMorphism) -> Atomization:
 
     pieces: dict[str, SusyGraph] = {}
     piece_morphisms: dict[str, SusyMorphism] = {}
-    target_grafting = total_grafting(tgt)
+    target_grafting = _grafting(_piece_graph(tgt, tgt.vertices, tgt.flags, {}), tgt)
     for v in sorted(tgt.vertices):
         fiber_vertices = {w for w, img in h.vertex_map.items() if img == v}
         fiber_flags = {f for f in src.flags if h.vertex_map[src.boundary[f]] == v}

@@ -6,7 +6,9 @@ strata enumeration, dimension formulas, evaluating morphisms to gluing
 recipes, the operad axiom checker, and DOT export.  Exit codes: 0 success,
 1 failed validation, failed check or closed stdout, 2 usage or malformed
 input documents.
-``enumerate`` writes each record straight from its canonical core.
+``enumerate`` writes each record straight from its canonical core.  A
+command that needs the operad, curves or DOT export imports it when it
+runs, so ``enumerate`` loads none of them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .canon import Core, certificate_digest
-from .curves import dual_graph
 from .errors import SchemaError, SusyKitError, ValidationError
 from .graphs import edges, tails
 from .jsonio import (
@@ -35,7 +36,6 @@ from .jsonio import (
     _write_strata,
 )
 from .lifting import enumerate_edge_colorings, lift_count_general, lift_tree_coloring
-from .operad import _evaluate, check_operad_axioms, stratum_dimension
 from .strata import (
     ContractionPoset,
     _edge_count,
@@ -45,7 +45,6 @@ from .strata import (
     strata_poset,
 )
 from .susy import R, SusyGraph, genus
-from .dot import graph_to_dot, poset_to_dot
 
 __all__ = ["main"]
 
@@ -144,6 +143,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_dual_graph(args: argparse.Namespace) -> int:
+    from .curves import dual_graph
     g = dual_graph(load_curve(args.file))
     _emit(args, graph_to_json(g), lambda: _graph_summary(g))
     return 0
@@ -194,6 +194,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
+    from .operad import stratum_dimension
     g = load_graph(args.file)
     dim = stratum_dimension(g)
     data = {
@@ -211,6 +212,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .operad import _evaluate
     # load_morphism has checked the morphism
     h = load_morphism(args.file)
     rec = _evaluate(h)
@@ -228,6 +230,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
+    from .operad import check_operad_axioms
     report = check_operad_axioms(seed=args.seed, cases=args.cases)
     data = {
         "checked": dict(sorted(report.checked.items())),
@@ -272,6 +275,7 @@ def _document_poset(strata: list[SusyGraph]) -> ContractionPoset:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
+    from .dot import graph_to_dot, poset_to_dot
     data = _load(args.file)
     # strata documents render as a poset; single graphs as a picture
     records = data.get("strata") if isinstance(data, dict) else data

@@ -38,13 +38,11 @@ from collections.abc import Sequence
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .canon import COLORS, Core, _name_order, _names
-from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint, validate_curve_config
 from .errors import SchemaError
 from .graphs import edges as graph_edges
-from .operad import GluingRecipe, ModuliSignature
 from .susy import (
     SusyGraph,
     SusyLabeling,
@@ -54,6 +52,10 @@ from .susy import (
     validate_susy_morphism,
 )
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    from .curves import CurveConfig
+    from .operad import GluingRecipe, ModuliSignature
 
 __all__ = [
     "curve_from_json",
@@ -347,6 +349,8 @@ def curve_to_json(c: CurveConfig) -> dict:
 
 
 def curve_from_json(data: Any) -> CurveConfig:
+    from .curves import NODE_HALF, PUNCTURE, Component, CurveConfig, SpecialPoint
+    from .curves import validate_curve_config
     _check_keys(data, "curve", {"components": list, "node_pairing": list})
     comps = []
     for i, item in enumerate(data["components"]):

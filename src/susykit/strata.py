@@ -235,6 +235,8 @@ def _shapes(
         raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
     if max_edges is not None and type(max_edges) is not int:
         raise ValidationError(f"max_edges must be an integer or None, got {max_edges!r}")
+    if max_edges is not None and max_edges < 0:
+        raise ValidationError(f"max_edges must be a non-negative integer or None, got {max_edges}")
     labels = [*_label_set(tail_labels)]
     if not all(isinstance(l, str) for l in labels):
         raise ValidationError("tail labels must be strings")

@@ -382,6 +382,8 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
         (enumerate_strata_records, (0, 7, 0), "must be an iterable of strings, got int"),
         (enumerate_strata, (0, 5, []), "must be an iterable of strings, got int"),
         (enumerate_modular_shapes, (0, 5), "must be an iterable of strings, got int"),
+        (enumerate_strata_records, (0, ["1", "2", "3"], [], -1),
+         "max_edges must be a non-negative integer or None, got -1"),
         (strata_poset, ([1],), "takes the records of enumerate_strata_records"),
         (strata_poset, (5,), "takes the records of enumerate_strata_records"),
         (dual_graph, (5,), "invalid curve configuration: expected a CurveConfig, got int"),
@@ -474,8 +476,9 @@ def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # ValueError, but GluingRecipe built a recipe with no gluings from a 0;
     # the graph-level union, identity and composite raised AttributeError;
     # make_isomorphism ignored a renaming key that names no flag or vertex,
-    # a non-string one too, and returned a morphism; a check that returns a
-    # report is asked to raise it
+    # a non-string one too, and returned a morphism; a max_edges of -1 was
+    # refused as a limit below the 0 edges needed, not as a negative; a
+    # check that returns a report is asked to raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
         report.raise_if_invalid("argument")

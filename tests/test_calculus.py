@@ -486,6 +486,13 @@ class TestOneCheckPerEntry:
         commute_iso_contraction(a, ("a0", "a1"))
         assert calls == {"validate_susy_morphism": 1, "require_susy": 0, "_flag_pair": 1}
 
+    def test_atomizing_checks_the_morphism_once(self, monkeypatch):
+        # the target's grafting is built unchecked, not by total_grafting
+        h = contract_edge(two_vertex_tree(3, 3), ("ea", "eb"))
+        calls = self.counted(monkeypatch)
+        atomize(h)
+        assert calls == {"validate_susy_morphism": 1, "require_susy": 0, "_flag_pair": 0}
+
 
 def two_tails_swapped(target, flag_map):
     """``flag_map``, on the flags of ``target``, with the images of two

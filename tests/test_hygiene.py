@@ -6,7 +6,9 @@ descriptor, ``graphs.kept``, so no module of it uses
 package defines at module level is read somewhere in the package, so no
 helper outlives its last caller, and every function or class that a
 module leaves out of its ``__all__`` is named somewhere else in the
-package, so no unlisted primitive ships without a caller.  Only
+package, so no unlisted primitive ships without a caller; the module
+hooks ``__getattr__`` and ``__dir__``, which Python calls by name, are
+exempt.  Only
 ``susy._built`` writes a morphism's kept ``_report`` and only
 ``susy._valid`` a graph's kept ``report`` and ``_labeling_report``, so
 the morphisms trusted without a check of their maps, and the graphs
@@ -176,10 +178,15 @@ def test_the_check_sees_an_unread_private_name():
     assert unread_private_names(sources) == ["a.py: _Old", "a.py: _unused"]
 
 
+# the module hooks of PEP 562, which Python calls by name
+MODULE_HOOKS = {"__getattr__", "__dir__"}
+
+
 def unnamed_unlisted_definitions(sources: dict[str, str]) -> list[str]:
     """``module: name`` for each function or class that one of ``sources``
     (module name to source) defines at module level and leaves out of its
-    ``__all__``, and that none of them names outside that definition."""
+    ``__all__``, and that none of them names outside that definition; the
+    module hooks are exempt."""
     read = {module: names_read(source) for module, source in sources.items()}
     found = []
     for module, source in sources.items():
@@ -189,7 +196,7 @@ def unnamed_unlisted_definitions(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if node.name in exported or node.name in elsewhere:
+            if node.name in exported or node.name in elsewhere or node.name in MODULE_HOOKS:
                 continue
             rest = ast.Module([n for n in tree.body if n is not node], [])
             if node.name not in names_read(rest):
@@ -220,6 +227,21 @@ def test_the_check_sees_an_unnamed_unlisted_definition():
     }
     assert unnamed_unlisted_definitions(sources) == [
         "a.py: Old", "a.py: _private", "a.py: helper", "a.py: recursive"
+    ]
+
+
+def test_the_check_exempts_only_the_module_hooks():
+    sources = {
+        "__init__.py": (
+            "__all__ = []\n"
+            "def __getattr__(name): pass\n"
+            "def __dir__(): pass\n"
+            "def __getattribute__(name): pass\n"
+            "def loader(name): pass\n"
+        ),
+    }
+    assert unnamed_unlisted_definitions(sources) == [
+        "__init__.py: __getattribute__", "__init__.py: loader"
     ]
 
 
