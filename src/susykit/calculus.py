@@ -13,8 +13,9 @@ derives every grafting, contraction and isomorphism, target and all, from
 the flag and vertex maps and the contracted and grafted pairs.  The
 builders ``_grafted`` and ``_contracted`` pass it identity or merged-vertex
 maps and check nothing.  Only the public entries check: each its graph or
-morphism once and first, then its pairs or renaming, so ``require_susy``
-and ``_flag_pair`` are called from public names alone.  The steps, pieces
+morphism once and first, then its renaming, or each pair through
+``_flag_pair``, the one check of a pair, so ``require_susy`` and
+``_flag_pair`` are called from public names alone.  The steps, pieces
 and squares built from a checked morphism are not checked again, nor is
 it confirmed at run time that they recompose to it or commute: they do by
 construction, and the tests check that they do.  The morphisms and target
@@ -96,17 +97,29 @@ def _sorted_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-def _flag_pair(g: SusyGraph, pair, who: str) -> tuple[str, str]:
-    """``pair`` as two flags of a checked ``g``, sorted; else (a string too) it is refused."""
+def _flag_pair(g: SusyGraph, pair, who: str, virtual: bool | None) -> tuple[str, str]:
+    """The one check of a pair: ``pair`` as two distinct flags of a checked
+    ``g``, sorted, that the entry ``who`` may join: an edge when ``virtual``
+    is False, two tails of one colour when it is True, and either, as ``g``
+    has it, when it is None.  Anything else, a string too, is refused."""
     try:
         a, b = () if isinstance(pair, str) else pair
     except (TypeError, ValueError):
         raise ValidationError(f"{who}: {pair!r} is not a pair of flags") from None
-    if isinstance(a, str) and isinstance(b, str):
+    named = isinstance(a, str) and isinstance(b, str)
+    if named:
         a, b = _sorted_pair(a, b)
-        if a in g.flags and b in g.flags:
-            return a, b
-    raise ValidationError(f"{who}: bad pair ({a!r}, {b!r})")
+    if not named or a == b or a not in g.flags or b not in g.flags:
+        raise ValidationError(f"{who}: bad pair ({a!r}, {b!r})")
+    inv = g.involution
+    virtual = inv[a] != b if virtual is None else virtual
+    if not virtual and inv[a] != b:
+        raise ValidationError(f"{who}: ({a!r}, {b!r}) is not an edge")
+    if virtual and (inv[a] != a or inv[b] != b):
+        raise ValidationError(f"{who}: ({a!r}, {b!r}) must both be tails")
+    if virtual and g.color_of(a) != g.color_of(b):
+        raise ValidationError(f"{who}: ({a!r}, {b!r}) mixes colors")
+    return a, b
 
 
 def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
@@ -116,18 +129,11 @@ def graft(g: SusyGraph, pairs: Iterable[tuple[str, str]]) -> SusyMorphism:
     grows, and the grafted tails' labels drop out of the labeling.
     """
     require_susy(g)
-    pair_list = [_flag_pair(g, p, "graft") for p in _copied(list, pairs, "pairs")]
+    pair_list = [_flag_pair(g, p, "graft", True) for p in _copied(list, pairs, "pairs")]
     used: set[str] = set()
-    inv = g.involution
     for a, b in pair_list:
-        if a == b:
-            raise ValidationError(f"graft: pair ({a!r}, {b!r}) is degenerate")
-        if inv[a] != a or inv[b] != b:
-            raise ValidationError(f"graft: ({a!r}, {b!r}) must both be tails")
         if a in used or b in used:
             raise ValidationError(f"graft: flag reused at ({a!r}, {b!r})")
-        if g.color_of(a) != g.color_of(b):
-            raise ValidationError(f"graft: ({a!r}, {b!r}) mixes colors")
         used.update((a, b))
     return _grafted(g, pair_list)
 
@@ -207,22 +213,6 @@ def _grafting(source: SusyGraph, target: SusyGraph) -> SusyMorphism:
     )
 
 
-def _contractible(g: SusyGraph, pair: tuple[str, str], virtual: bool) -> tuple[str, str]:
-    """``pair``, two sorted flags of a checked ``g``, refused unless it is an
-    edge or, when ``virtual``, two tails of one colour."""
-    a, b = pair
-    if a == b:
-        raise ValidationError(f"contract: bad pair ({a!r}, {b!r})")
-    if virtual:
-        if g.involution[a] != a or g.involution[b] != b:
-            raise ValidationError(f"virtual contraction needs two tails, got ({a!r}, {b!r})")
-        if g.color_of(a) != g.color_of(b):
-            raise ValidationError(f"contract: ({a!r}, {b!r}) mixes colors")
-    elif g.involution[a] != b:
-        raise ValidationError(f"contract: ({a!r}, {b!r}) is not an edge")
-    return pair
-
-
 def _contracted(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """The contraction of ``pair`` of a valid ``g``, an edge, a loop or two
     tails of one colour; nothing is checked."""
@@ -238,7 +228,7 @@ def _contracted(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
 def contract_edge(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract an edge between two distinct vertices, summing their genera."""
     require_susy(g)
-    a, b = pair = _contractible(g, _flag_pair(g, pair, "contract"), virtual=False)
+    a, b = pair = _flag_pair(g, pair, "contract", False)
     if g.boundary[a] == g.boundary[b]:
         raise ValidationError("contract_edge: pair is a loop; use contract_loop")
     return _contracted(g, pair)
@@ -247,24 +237,23 @@ def contract_edge(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
 def contract_loop(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract a loop, raising its vertex's genus by one."""
     require_susy(g)
-    a, b = pair = _flag_pair(g, pair, "contract")
+    a, b = pair = _flag_pair(g, pair, "contract", False)
     if g.boundary[a] != g.boundary[b]:
         raise ValidationError("contract_loop: pair is not a loop")
-    return _contracted(g, _contractible(g, pair, virtual=False))
+    return _contracted(g, pair)
 
 
 def contract_pair(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Contract an edge, a loop, or (virtually) a pair of tails."""
     require_susy(g)
-    a, b = pair = _flag_pair(g, pair, "contract")
-    return _contracted(g, _contractible(g, pair, virtual=g.involution[a] != b))
+    return _contracted(g, _flag_pair(g, pair, "contract", None))
 
 
 def contract_tails(g: SusyGraph, pair: tuple[str, str]) -> SusyMorphism:
     """Virtual contraction: graft two tails and contract the new edge,
     expressed as a single morphism."""
     require_susy(g)
-    return _contracted(g, _contractible(g, _flag_pair(g, pair, "contract"), virtual=True))
+    return _contracted(g, _flag_pair(g, pair, "contract", True))
 
 
 def make_isomorphism(
@@ -522,8 +511,8 @@ def commute_iso_contraction(a: SusyMorphism, pair: tuple[str, str]) -> CommutedS
     kind = classify(a).kind
     if kind not in ("identity", "isomorphism"):
         raise ValidationError(f"expected an isomorphism, got a {kind}")
-    f1, f2 = pair = _flag_pair(a.target, pair, "contract")
-    con_t = _contracted(a.target, _contractible(a.target, pair, a.target.involution[f1] != f2))
+    f1, f2 = pair = _flag_pair(a.target, pair, "contract", None)
+    con_t = _contracted(a.target, pair)
     con_s = _contracted(a.source, _sorted_pair(a.flag_map[f1], a.flag_map[f2]))
     flag_map = {x: a.flag_map[x] for x in con_t.target.flags}
     sv, tv = con_s.vertex_map, con_t.vertex_map
@@ -545,11 +534,9 @@ def commute_contractions(
     """Contract two flag-disjoint pairs in both orders and compare; each is
     checked on ``g`` alone, as it stays contractible once the other is."""
     require_susy(g)
-    e1, e2 = _flag_pair(g, e1, "contract"), _flag_pair(g, e2, "contract")
+    e1, e2 = _flag_pair(g, e1, "contract", None), _flag_pair(g, e2, "contract", None)
     if set(e1) & set(e2):
         raise ValidationError("pairs must be flag-disjoint")
-    for e in e1, e2:
-        _contractible(g, e, virtual=g.involution[e[0]] != e[1])
     m1, m2 = _contracted(g, e1), _contracted(g, e2)
     left = compose(m1, _contracted(m1.target, e2))
     right = compose(m2, _contracted(m2.target, e1))

@@ -88,7 +88,10 @@ def _owned(cls: type, **fields):
 
 def _copied(make: Callable, value, field: str):
     """``make(value)``, the frozen or copied ``field`` that a public
-    constructor keeps; a ``value`` that makes none is refused by name."""
+    constructor keeps; a ``value`` that makes none, or a string where a set
+    of names is kept, is refused by name."""
+    if make is frozenset and isinstance(value, str):
+        raise ValidationError(f"invalid {field}: a string is not a set of names")
     try:
         return make(value)
     except (TypeError, ValueError) as err:

@@ -46,13 +46,16 @@ MAX_COLORINGS = 4096
 
 
 def _label_set(labels: Iterable[str]) -> frozenset[str]:
-    """``labels`` as a set, refusing what cannot be one; a partition's
-    cover check and ``strata._shapes`` refuse a label that is not a string."""
-    try:
-        return frozenset(labels)
-    except TypeError:
-        kind = type(labels).__name__
-        raise ValidationError(f"tail labels must be an iterable of strings, got {kind}") from None
+    """``labels`` as a set, refusing what cannot be one, a string too; a
+    partition's cover check and ``strata._shapes`` refuse a label that is
+    not a string."""
+    if not isinstance(labels, str):
+        try:
+            return frozenset(labels)
+        except TypeError:
+            pass
+    kind = type(labels).__name__
+    raise ValidationError(f"tail labels must be an iterable of strings, got {kind}")
 
 
 def _checked_partition(

@@ -369,6 +369,9 @@ def test_a_non_signature_raises_only_a_validation_error(fn, arg, message):
 SIG = signature([(0, ["a", "b", "c"], []), (0, ["d", "e", "f"], [])])
 TREE = star(0, 3, modular=True)
 LABELS = sorted(TREE.labeling.ns_tail_labels)
+# a corolla whose tail labels are single letters, so a string of them
+# could pass for its label set
+LETTERED = enumerate_modular_shapes(0, ["a", "b", "c"])[0]
 
 
 @pytest.mark.parametrize(
@@ -384,6 +387,17 @@ LABELS = sorted(TREE.labeling.ns_tail_labels)
         (enumerate_modular_shapes, (0, 5), "must be an iterable of strings, got int"),
         (enumerate_strata_records, (0, ["1", "2", "3"], [], -1),
          "max_edges must be a non-negative integer or None, got -1"),
+        (enumerate_strata, (0, "1234", []), "must be an iterable of strings, got str"),
+        (enumerate_strata_records, (0, ["1", "2"], "34"), "must be an iterable of strings"),
+        (enumerate_modular_shapes, (0, "abc"), "must be an iterable of strings, got str"),
+        (lift_count_general, (LETTERED, "abc", []), "must be an iterable of strings, got str"),
+        (lift_count_general, (LETTERED, ["a", "b", "c"], ""), "must be an iterable of strings"),
+        (Graph, ("ab", "v", {"a": "v", "b": "v"}, {"a": "b", "b": "a"}),
+         "invalid flags: a string is not a set of names"),
+        (Graph, (["a"], "v", {"a": "v"}, {"a": "a"}), "invalid vertices: a string is not a set"),
+        (ModuliFactor, (0, "abc", ""), "invalid ns_labels: a string is not a set of names"),
+        (ModuliFactor, (0, [], "ab"), "invalid r_labels: a string is not a set of names"),
+        (signature, ([(0, "xyz", "")],), "factor 0: expected .* with string labels"),
         (strata_poset, ([1],), "takes the records of enumerate_strata_records"),
         (strata_poset, (5,), "takes the records of enumerate_strata_records"),
         (dual_graph, (5,), "invalid curve configuration: expected a CurveConfig, got int"),
@@ -478,7 +492,8 @@ def test_a_malformed_argument_raises_only_a_susykit_error(fn, args, message):
     # make_isomorphism ignored a renaming key that names no flag or vertex,
     # a non-string one too, and returned a morphism; a max_edges of -1 was
     # refused as a limit below the 0 edges needed, not as a negative; a
-    # check that returns a report is asked to raise it
+    # string, where a set of labels or names is taken, was read as the set
+    # of its characters; a check that returns a report is asked to raise it
     with pytest.raises(SusyKitError, match=message) as caught:
         report = fn(*args)
         report.raise_if_invalid("argument")

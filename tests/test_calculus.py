@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from susykit import (
+    NS,
+    R,
     SusyKitError,
     ValidationError,
     classify,
@@ -23,6 +25,7 @@ from susykit import (
     graft,
     make_isomorphism,
     modular_graph,
+    susy_graph,
     susy_identity,
     tails,
     total_grafting,
@@ -432,6 +435,63 @@ class TestMalformedPairs:
         )
         with pytest.raises(ValidationError, match=message):
             entry(g, pair)
+
+
+def path_with_two_colors():
+    """A path u - v - w of the edges (eu, ev) and (fv, fw), with the NS
+    tail n0 and the R tails r0 and r1 at u, n1 at v, and n2 and n3 at w."""
+    boundary = dict(n0="u", r0="u", r1="u", eu="u", ev="v", fv="v", n1="v", fw="w", n2="w", n3="w")
+    return susy_graph(
+        flags=list(boundary),
+        vertices=["u", "v", "w"],
+        boundary=boundary,
+        involution={f: f for f in boundary} | dict(eu="ev", ev="eu", fv="fw", fw="fv"),
+        genus=dict(u=0, v=0, w=0),
+        color={f: R if f[0] == "r" else NS for f in boundary},
+    )
+
+
+# each entry that takes a pair, by name, given the graph and the pair
+PAIR_ENTRIES = {
+    "graft": lambda g, p: graft(g, [p]),
+    "contract_edge": contract_edge,
+    "contract_loop": contract_loop,
+    "contract_pair": contract_pair,
+    "contract_tails": contract_tails,
+    "commute_iso_contraction": lambda g, p: commute_iso_contraction(susy_identity(g), p),
+    "commute_contractions": lambda g, p: commute_contractions(g, p, ("eu", "ev")),
+}
+# each bad pair, with its refusal by an entry that joins an edge alone and
+# by one that joins two tails of one colour
+BAD_PAIRS = {
+    "degenerate": (("n0", "n0"), "bad pair ('n0', 'n0')", "bad pair ('n0', 'n0')"),
+    "unknown_flag": (("zz", "n0"), "bad pair ('n0', 'zz')", "bad pair ('n0', 'zz')"),
+    "non_string": ((1, "n0"), "bad pair (1, 'n0')", "bad pair (1, 'n0')"),
+    "string": ("n0", "'n0' is not a pair of flags", "'n0' is not a pair of flags"),
+    "not_an_edge": (
+        ("fw", "eu"), "('eu', 'fw') is not an edge", "('eu', 'fw') must both be tails"
+    ),
+    "two_colors": (("r0", "n2"), "('n2', 'r0') is not an edge", "('n2', 'r0') mixes colors"),
+    "tail_and_edge_flag": (
+        ("n0", "eu"), "('eu', 'n0') is not an edge", "('eu', 'n0') must both be tails"
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS)
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
+def test_each_entry_refuses_each_bad_pair_with_one_message(entry, bad):
+    # once, graft called a flag paired with itself degenerate, the virtual
+    # entries refused an edge flag with "virtual contraction needs two
+    # tails", contract_loop refused two tails at two vertices as "not a
+    # loop", and commute_contractions refused a pair that overlaps the
+    # other as "pairs must be flag-disjoint" before asking if it contracts
+    pair, as_edge, as_tails = BAD_PAIRS[bad]
+    who = "graft" if entry == "graft" else "contract"
+    edge_alone = entry in ("contract_edge", "contract_loop")
+    with pytest.raises(ValidationError) as caught:
+        PAIR_ENTRIES[entry](path_with_two_colors(), pair)
+    assert str(caught.value) == f"{who}: {as_edge if edge_alone else as_tails}"
 
 
 class TestOneCheckPerEntry:

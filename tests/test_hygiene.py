@@ -29,11 +29,10 @@ module's syntax tree, so they need no linter."""
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
-
-import susykit
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "susykit"
@@ -523,12 +522,13 @@ def test_the_check_sees_a_new_call():
     assert new_calls(source) == ["_owned", "A.copy", "<module>"]
 
 
-# the value types of the package by name, which ``_owned`` may build
+# the value types of the package by name, which ``_owned`` may build, read
+# from every module: the package loads some of them only on first use
 VALUE_TYPES = {
     name: cls
-    for module in vars(susykit).values()
-    if getattr(module, "__name__", "").startswith("susykit.")
-    for name, cls in vars(module).items()
+    for path in MODULES.values()
+    if path.parent == SRC
+    for name, cls in vars(importlib.import_module(f"susykit.{path.stem}")).items()
     if isinstance(cls, type) and dataclasses.is_dataclass(cls)
 }
 

@@ -8,6 +8,7 @@ runs in a fresh interpreter, since a test run has loaded everything."""
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,3 +104,15 @@ def test_a_deferred_command_runs_from_a_fresh_interpreter(tmp_path, capsys, argv
 def test_the_public_surface_on_a_fresh_import(code):
     proc = fresh(f"import sys, susykit\n{code}")
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_the_hygiene_checks_pass_run_alone():
+    # they once read the value types from the modules that the package had
+    # bound, so run alone, before another test file loaded the operad, they
+    # missed its types
+    hygiene = Path(__file__).with_name("test_hygiene.py")
+    proc = fresh(
+        "import sys, pytest\nsys.exit(pytest.main(sys.argv[1:]))",
+        "-q", "-p", "no:cacheprovider", str(hygiene),
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:]
