@@ -147,7 +147,8 @@ def _runs(degrees: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, .
 def _canonical_core(c: Core, leaf: Leaf) -> Core:
     """The canonical core that ``leaf`` renumbers ``c`` to: each vertex
     numbered by its position and each flag by its index.  A leaf gives each
-    vertex's flags a run of consecutive indices, which is its incidence."""
+    vertex's flags a run of consecutive indices, which is its incidence.  An
+    all-NS core keeps its colours: no renumbering changes them."""
     genus, _, j, color, label, modular, incidence = c
     _, index, vs, fs = leaf
     boundary, runs = _runs(tuple([len(incidence[v]) for v in vs]))
@@ -155,7 +156,7 @@ def _canonical_core(c: Core, leaf: Leaf) -> Core:
         tuple([genus[v] for v in vs]),
         boundary,
         tuple([index[j[f]] for f in fs]),
-        tuple([color[f] for f in fs]),
+        tuple([color[f] for f in fs]) if 1 in color else color,
         tuple([label[f] for f in fs]),
         modular,
         runs,
@@ -332,28 +333,29 @@ def _search(c: Core, keys: Sequence[tuple] | None = None) -> tuple[bytes | None,
     """Each leaf of the refinement search with the least certificate, the
     first such leaf first, and that certificate if leaves were compared,
     else None.  The vertices start split by their ``_cell_key``, which the
-    caller may pass as ``keys``; discrete from the start or after one
-    refinement, they are the one leaf.  The input is not validated here;
-    past ``MAX_SEARCH_LEAVES`` leaves it raises."""
+    caller may pass as ``keys``, read from one sort: distinct keys give the
+    one leaf, as do cells that one refinement leaves discrete; otherwise a
+    depth-first search from a stack branches.  The input is not validated
+    here; past ``MAX_SEARCH_LEAVES`` leaves it raises."""
     _, b, j, color, _, _, incidence = c
-    keyed: dict[tuple, list[int]] = {}
-    for v, k in enumerate(keys or [_cell_key(c, v) for v in range(len(incidence))]):
-        keyed.setdefault(k, []).append(v)
-    cells = [keyed[k] for k in sorted(keyed)]
-    if len(cells) < len(incidence):
-        neighbours = [
-            [(color[f], b[j[f]]) for f in fl if b[j[f]] != v]
-            for v, fl in enumerate(incidence)
-        ]
-        cells = _refine(neighbours, cells)
-    if len(cells) == len(incidence):
+    n = len(incidence)
+    keys = keys or [_cell_key(c, v) for v in range(n)]
+    order = sorted(range(n), key=keys.__getitem__)
+    if len(set(keys)) == n:
+        return None, [_leaf(c, order)]
+    cells = [list(cell) for _, cell in itertools.groupby(order, keys.__getitem__)]
+    neighbours = [
+        [(color[f], b[j[f]]) for f in fl if b[j[f]] != v] for v, fl in enumerate(incidence)
+    ]
+    cells = _refine(neighbours, cells)
+    if len(cells) == n:
         return None, [_leaf(c, [v for v, in cells])]
     best: bytes | None = None
     ties: list[Leaf] = []
     leaves = 0
-
-    def search(cells: list[list[int]]) -> None:
-        nonlocal best, ties, leaves
+    stack = [cells]
+    while stack:
+        cells = stack.pop()
         split_at = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if split_at is None:
             leaves += 1
@@ -367,12 +369,11 @@ def _search(c: Core, keys: Sequence[tuple] | None = None) -> tuple[bytes | None,
                 best, ties = cert, [leaf]
             elif cert == best:
                 ties.append(leaf)
-            return
+            continue
         cell, head, tail = cells[split_at], cells[:split_at], cells[split_at + 1 :]
-        for v in sorted(cell):
-            search(_refine(neighbours, [*head, [v], [w for w in cell if w != v], *tail]))
-
-    search(cells)
+        # the last vertex is pushed first, so the least is searched first
+        for v in sorted(cell, reverse=True):
+            stack.append(_refine(neighbours, [*head, [v], [w for w in cell if w != v], *tail]))
     assert best is not None
     return best, ties
 

@@ -126,6 +126,17 @@ _EDGE = '[\n          "f%d",\n          "f%d"\n        ]'
 _vertex, _flag, _edge = (cache(text.__mod__) for text in (_VERTEX, _FLAG, _EDGE))
 
 
+def _flags_text(b: tuple[int, ...], color: Sequence[int]) -> str:
+    """A record's flag block: flag f at vertex ``b[f]``, in ``color[f]``."""
+    return _listed([_flag((COLORS[color[f]], f, b[f])) for f in _name_order(len(b))], "[]")
+
+
+# the vertex block, written once per tuple of genera, and an all-NS flag
+# block, once per boundary, which ``canon._runs`` shares per degree sequence
+_vertices_text = cache(lambda g: _listed([_vertex((g[v], v)) for v in _name_order(len(g))], "[]"))
+_ns_flags_text = cache(lambda b: _flags_text(b, [0] * len(b)))
+
+
 def _stratum_text(c: Core, certificate: str) -> str:
     """The text of the record of the canonical core ``c``, its entries in
     the sorted order of their names ("f10" before "f2")."""
@@ -137,11 +148,11 @@ def _stratum_text(c: Core, certificate: str) -> str:
     return _RECORD % (
         _quote(certificate),
         _listed([_edge((f, j[f])) for f in flags if fn[f] < fn[j[f]]], "[]"),
-        _listed([_flag((COLORS[color[f]], f, b[f])) for f in flags], "[]"),
+        _flags_text(b, color) if 1 in color else _ns_flags_text(b),
         "true" if modular else "false",
         _listed(labels[0], "{}"),
         _listed(labels[1], "{}"),
-        _listed([_vertex((genus[v], v)) for v in _name_order(len(genus))], "[]"),
+        _vertices_text(genus),
     )
 
 

@@ -91,11 +91,11 @@ def _move_keys(c: Core) -> list[tuple]:
     """Every stable move of the core ``c``, keyed without building it: a
     split is (v, ((part, genus), (part, genus))), the flags and the genus
     of ``v`` shared out between the two new vertices, and a deloop is
-    (v,).  A split and its mirror, with the two sides swapped, are one
-    graph, so each side is a sorted tuple, the two sides are sorted, and
-    only the split that puts the vertex's first flag on the first side is
-    listed (at a vertex without flags, the one with ga <= gb).  Splits come
-    first."""
+    (v,).  A split and its mirror are one graph, so only the split that
+    puts the vertex's first flag in ``part`` is listed (at a vertex without
+    flags, the one with ga <= gb).  Each side is a sorted tuple, and the
+    sides are listed in sorted order without a sort: an empty side first,
+    else the one with the vertex's first flag.  Splits come first."""
     splits: list[tuple] = []
     deloops: list[tuple] = []
     for v, fl in enumerate(c.incidence):
@@ -112,11 +112,13 @@ def _move_keys(c: Core) -> list[tuple]:
             ]
             if not genera:
                 continue
+            swap = fl and size == len(rest)  # ``other`` is empty, so it leads
             for more in combinations(rest, size):
                 part = (*head, *more)
                 other = tuple(f for f in rest if f not in more)
                 for ga, gb in genera:
-                    splits.append((v, tuple(sorted([(part, ga), (other, gb)]))))
+                    sides = ((other, gb), (part, ga)) if swap else ((part, ga), (other, gb))
+                    splits.append((v, sides))
         if gv >= 1:
             deloops.append((v,))
     return splits + deloops
@@ -256,21 +258,22 @@ def _shapes(
     found: dict[Core, tuple[str, bytes, dict, list[Generator]]] = {}
     fresh: list[Core] = []
 
-    def search(child: Core, keys: list[tuple] | None = None) -> tuple[Core, Leaf]:
-        """The canonical core of ``child``, with cell keys ``keys``, a new
-        shape kept in ``found`` and ``fresh``, and the winning leaf of its
-        search; only a new shape's certificate is written."""
+    def search(child: Core, keys: list[tuple] | None = None) -> tuple[tuple, Leaf]:
+        """The ``found`` entry of the canonical core of ``child``, with cell
+        keys ``keys``, a new shape kept in ``found`` and ``fresh``, and the
+        winning leaf of its search; only a new shape's certificate is written."""
         cert, leaves = canon._search(child, keys)
         core = _canonical_core(child, leaves[0])
-        if core not in found:
+        entry = found.get(core)
+        if entry is None:
             cert = cert or canon._certificate(child, leaves[0])
             # a tree (its genus all at vertices) has no loop, parallel edge
             # or repeated label, so with one leaf its group is trivial
             rigid = len(leaves) == 1 and sum(child.genus) == genus
             gens = [] if rigid else _generators(child, leaves)
-            found[core] = (sha256(cert).hexdigest(), cert, {}, gens)
+            entry = found[core] = (sha256(cert).hexdigest(), cert, {}, gens)
             fresh.append(core)
-        return core, leaves[0]
+        return entry, leaves[0]
 
     zeros = (0,) * len(labels)  # the corolla: one vertex carrying every tail
     search(_core((genus,), zeros, tuple(range(len(labels))), zeros, tuple(labels), True))
@@ -286,8 +289,7 @@ def _shapes(
                 child = _move(parent, key)
                 cells = [*keys, _cell_key(child, len(keys))] if len(key) > 1 else [*keys]
                 cells[key[0]] = _cell_key(child, key[0])
-                core, (_, index, _, sequence) = search(child, cells)
-                covers = found[core][2]
+                (_, _, covers, _), (_, index, _, sequence) = search(child, cells)
                 edge = (index[n], index[n + 1])
                 if edge not in covers:
                     covers[edge] = (pd, sequence)
@@ -389,7 +391,7 @@ def enumerate_strata_records(
             if not orbit[0]:
                 # the all-NS coloring, which takes its shape's search
                 digest = _unmodular_digest(certificate)
-                strata[digest] = core._replace(modular=False)
+                strata[digest] = Core(*core[:5], False, core.incidence)
             else:
                 color = tuple(orbit[0] >> f & 1 for f in range(len(core.boundary)))
                 colored = core._replace(color=color, modular=False)

@@ -369,74 +369,6 @@ class TestCommuteContractions:
         assert out.commutes
 
 
-class TestMalformedPairs:
-    """Unknown flags and pairs that are not two flags raise ValidationError
-    at every entry that takes a pair, before the graph is read."""
-
-    BAD_PAIR = r"contract: bad pair \('vn1', 'zz'\)"
-
-    def test_contract_edge_refuses_an_unknown_flag(self):
-        with pytest.raises(ValidationError, match=self.BAD_PAIR):
-            contract_edge(star(0, 4), ("zz", "vn1"))
-
-    def test_contract_loop_refuses_an_unknown_flag(self):
-        with pytest.raises(ValidationError, match=self.BAD_PAIR):
-            contract_loop(star(0, 4), ("zz", "vn1"))
-
-    def test_contract_pair_refuses_one_flag(self):
-        with pytest.raises(ValidationError, match="is not a pair of flags"):
-            contract_pair(star(0, 4), ("vn0",))
-
-    def test_graft_refuses_three_flags(self):
-        with pytest.raises(ValidationError, match="is not a pair of flags"):
-            graft(star(0, 4), [("vn0", "vn1", "vn2")])
-
-    @pytest.mark.parametrize(
-        "pair", [("zz", "vn1"), ("vn0",), ("vn0", "vn1", "vn2"), None, (1, "vn1")]
-    )
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            contract_edge,
-            contract_loop,
-            contract_pair,
-            contract_tails,
-            lambda g, p: graft(g, [p]),
-        ],
-        ids=[
-            "contract_edge", "contract_loop", "contract_pair", "contract_tails", "graft"
-        ],
-    )
-    def test_every_entry_refuses_a_malformed_pair(self, entry, pair):
-        with pytest.raises(ValidationError):
-            entry(star(0, 4), pair)
-
-    @pytest.mark.parametrize(
-        "entry, pair, message",
-        [
-            # two tails at one vertex were once refused as a loop
-            (contract_edge, ("a", "b"), r"contract: \('a', 'b'\) is not an edge"),
-            # and so was a flag paired with itself
-            (contract_edge, ("a", "a"), r"contract: bad pair \('a', 'a'\)"),
-            # a string was once read as the pair of its two letters
-            (contract_pair, "ab", "contract: 'ab' is not a pair of flags"),
-            (lambda g, p: graft(g, [p]), "ab", "graft: 'ab' is not a pair of flags"),
-        ],
-        ids=["contract_edge_two_tails", "contract_edge_one_flag", "contract_pair_string",
-             "graft_string"],
-    )
-    def test_an_entry_refuses_a_pair_with_its_message(self, entry, pair, message):
-        g = modular_graph(
-            flags=["a", "b", "c"],
-            vertices=["v"],
-            boundary=dict.fromkeys("abc", "v"),
-            involution={f: f for f in "abc"},
-            genus={"v": 0},
-        )
-        with pytest.raises(ValidationError, match=message):
-            entry(g, pair)
-
-
 def path_with_two_colors():
     """A path u - v - w of the edges (eu, ev) and (fv, fw), with the NS
     tail n0 and the R tails r0 and r1 at u, n1 at v, and n2 and n3 at w."""
@@ -468,6 +400,13 @@ BAD_PAIRS = {
     "unknown_flag": (("zz", "n0"), "bad pair ('n0', 'zz')", "bad pair ('n0', 'zz')"),
     "non_string": ((1, "n0"), "bad pair (1, 'n0')", "bad pair (1, 'n0')"),
     "string": ("n0", "'n0' is not a pair of flags", "'n0' is not a pair of flags"),
+    "one_flag": (("n0",), "('n0',) is not a pair of flags", "('n0',) is not a pair of flags"),
+    "three_flags": (
+        ("n0", "n1", "n2"),
+        "('n0', 'n1', 'n2') is not a pair of flags",
+        "('n0', 'n1', 'n2') is not a pair of flags",
+    ),
+    "none": (None, "None is not a pair of flags", "None is not a pair of flags"),
     "not_an_edge": (
         ("fw", "eu"), "('eu', 'fw') is not an edge", "('eu', 'fw') must both be tails"
     ),
@@ -492,6 +431,13 @@ def test_each_entry_refuses_each_bad_pair_with_one_message(entry, bad):
     with pytest.raises(ValidationError) as caught:
         PAIR_ENTRIES[entry](path_with_two_colors(), pair)
     assert str(caught.value) == f"{who}: {as_edge if edge_alone else as_tails}"
+
+
+def test_contract_edge_refuses_two_tails_at_one_vertex():
+    # two tails at one vertex were once refused as a loop
+    with pytest.raises(ValidationError) as caught:
+        contract_edge(path_with_two_colors(), ("r1", "r0"))
+    assert str(caught.value) == "contract: ('r0', 'r1') is not an edge"
 
 
 class TestOneCheckPerEntry:

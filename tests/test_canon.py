@@ -1,6 +1,7 @@
 """Canonical forms, certificates, and automorphism groups, cross-checked
 against the exhaustive bijection oracle."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -28,6 +29,7 @@ from susykit import (
     susy_graph,
 )
 from susykit import canon
+from susykit.strata import _shapes
 
 from conftest import star
 from oracles import brute_automorphism_order, brute_is_isomorphic, brute_isomorphisms
@@ -725,3 +727,23 @@ class TestSearchPaths:
             graph = canon._named(canon._canonical_core(c, leaves[0]))
             order = len(leaves) * canon._fixer_order(canon._blocks(c))
             assert order == brute_automorphism_order(graph)
+
+
+class TestSearchCycles:
+    """A search that compares leaves leaves no reference cycle behind, so
+    what it built is freed when it returns, not at the next collection."""
+
+    def test_a_branching_search_leaves_nothing_to_collect(self):
+        core = _shapes(2, [])[-1][2]
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cert, leaves = canon._search(core)
+            unreachable = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        # leaves were compared, and two tie
+        assert cert is not None and len(leaves) == 2
+        assert unreachable == 0

@@ -430,6 +430,31 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+class TestBenchmarkOutput:
+    """sha256 of stdout for the two enumerations that the benchmark's
+    strata workloads run, kept apart from ``TestGoldenOutput``, whose argvs
+    other tests parse in full."""
+
+    @pytest.mark.parametrize(
+        "argv, sha",
+        [
+            (
+                "enumerate --genus 0 --ns 7 --poset",
+                "ae4b98529f501166418593a09616859c60f411ee90c54701fd7e6bd8dacfdfb4",
+            ),
+            (
+                "enumerate --genus 4 --ns 0 --max-edges 9 --poset",
+                "44b5863e5d0bb50dc23699116c5974cd30daf782a8141b8b836d9fbc60bc8153",
+            ),
+        ],
+        ids=["strata_tree", "strata_closed"],
+    )
+    def test_stdout_hash(self, capsys, argv, sha):
+        rc, out, _ = run(capsys, *argv.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def looped_pair():
     """Two vertices joined by an edge, each with a loop and two tails, so
     that a tail partition lifts in four ways."""

@@ -475,6 +475,36 @@ class TestMoves:
                 assert certificate == canonical_form(named_move(shape, key)).certificate
         assert _move_keys(_core_of(necklace))
 
+    @pytest.fixture(scope="class")
+    def shape_cores(self):
+        """The cores of three shape enumerations; the last two have
+        vertices without flags."""
+        runs = [(0, list("123456")), (2, []), (4, [], 9)]
+        return [shape[2] for args in runs for shape in _shapes(*args)]
+
+    @pytest.mark.parametrize(
+        "move_keys, sorted_form",
+        [
+            (_move_keys, True),
+            # a breaker: each split with an empty side first puts it second
+            (
+                lambda c: [
+                    (k[0], k[1][::-1]) if len(k) > 1 and not k[1][0][0] else k
+                    for k in _move_keys(c)
+                ],
+                False,
+            ),
+        ],
+        ids=["move_keys", "empty_side_second"],
+    )
+    def test_split_sides_come_sorted(self, shape_cores, move_keys, sorted_form):
+        """``_move_image`` and the orbit search compare split keys in this
+        form: each split's two sides in sorted order."""
+        splits = [k for c in shape_cores for k in move_keys(c) if len(k) > 1]
+        assert any(not fl for c in shape_cores for fl in c.incidence)
+        assert any(not side for k in splits for side, _ in k[1])
+        assert all(k[1] == tuple(sorted(k[1])) for k in splits) is sorted_form
+
     def test_shape_searches_validate_nothing(self, monkeypatch):
         calls = []
         check = susy.validate_susy_graph
