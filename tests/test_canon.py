@@ -747,3 +747,64 @@ class TestSearchCycles:
         # leaves were compared, and two tie
         assert cert is not None and len(leaves) == 2
         assert unreachable == 0
+
+    @pytest.fixture(scope="class")
+    def shape_cores(self):
+        """The shape cores of two closed enumerations, whose searches are
+        discrete at the start, after one refinement, or branch."""
+        return [shape[2] for args in [(2, []), (4, [], 9)] for shape in _shapes(*args)]
+
+    def test_no_shape_search_leaves_anything_to_collect(self, shape_cores):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            searched = [canon._search(c) for c in shape_cores]
+            unreachable = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert any(cert is None for cert, _ in searched)
+        assert any(len(leaves) > 1 for _, leaves in searched)
+        assert unreachable == 0
+
+    def test_ties_come_in_the_order_of_a_recursive_search(self, shape_cores):
+        """The leaves tie in the order in which a recursive search, which
+        individualises the least vertex of a cell first, reaches them."""
+
+        def leaves_of(c):
+            _, b, j, color, _, _, incidence = c
+            n = len(incidence)
+            keys = [canon._cell_key(c, v) for v in range(n)]
+            cells = [[v for v in range(n) if keys[v] == k] for k in sorted(set(keys))]
+            neighbours = [
+                [(color[f], b[j[f]]) for f in fl if b[j[f]] != v]
+                for v, fl in enumerate(incidence)
+            ]
+            found = []
+
+            def walk(cells):
+                split_at = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+                if split_at is None:
+                    found.append(canon._leaf(c, [v for v, in cells]))
+                    return
+                cell, head, tail = cells[split_at], cells[:split_at], cells[split_at + 1 :]
+                for v in sorted(cell):
+                    rest = [w for w in cell if w != v]
+                    walk(canon._refine(neighbours, [*head, [v], rest, *tail]))
+
+            walk(canon._refine(neighbours, cells))
+            return found
+
+        branching = 0
+        for c in shape_cores:
+            found = leaves_of(c)
+            certs = [canon._certificate(c, leaf) for leaf in found]
+            cert, leaves = canon._search(c)
+            if len(found) > 1:
+                branching += 1
+                assert cert == min(certs)
+                assert leaves == [leaf for leaf, x in zip(found, certs) if x == cert]
+            else:
+                assert (cert, leaves) == (None, found)
+        assert branching

@@ -433,9 +433,10 @@ class TestGoldenOutput:
 class TestBenchmarkOutput:
     """sha256 of stdout for the two enumerations that the benchmark's
     strata workloads run, kept apart from ``TestGoldenOutput``, whose argvs
-    other tests parse in full."""
+    other tests parse in full.  The script writes the same bytes whatever
+    the seed of ``str`` hashing, so no set or dict order leaks out."""
 
-    @pytest.mark.parametrize(
+    OUTPUTS = pytest.mark.parametrize(
         "argv, sha",
         [
             (
@@ -449,10 +450,24 @@ class TestBenchmarkOutput:
         ],
         ids=["strata_tree", "strata_closed"],
     )
+
+    @OUTPUTS
     def test_stdout_hash(self, capsys, argv, sha):
         rc, out, _ = run(capsys, *argv.split())
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @OUTPUTS
+    def test_the_script_writes_it_under_each_hash_seed(self, argv, sha, seed):
+        proc = subprocess.run(
+            [sys.executable, "-m", "susykit.cli", *argv.split()],
+            capture_output=True,
+            env=dict(script_env(), PYTHONHASHSEED=seed),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == sha
 
 
 def looped_pair():

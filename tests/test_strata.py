@@ -486,7 +486,8 @@ class TestMoves:
         "move_keys, sorted_form",
         [
             (_move_keys, True),
-            # a breaker: each split with an empty side first puts it second
+            # breakers, one per rule: each split with an empty side first
+            # puts it second, ...
             (
                 lambda c: [
                     (k[0], k[1][::-1]) if len(k) > 1 and not k[1][0][0] else k
@@ -494,8 +495,24 @@ class TestMoves:
                 ],
                 False,
             ),
+            # ... with two non-empty sides puts the vertex's first flag second,
+            (
+                lambda c: [
+                    (k[0], k[1][::-1]) if len(k) > 1 and k[1][0][0] and k[1][1][0] else k
+                    for k in _move_keys(c)
+                ],
+                False,
+            ),
+            # ... and at a vertex without flags puts the greater genus first
+            (
+                lambda c: [
+                    (k[0], k[1][::-1]) if len(k) > 1 and not c.incidence[k[0]] else k
+                    for k in _move_keys(c)
+                ],
+                False,
+            ),
         ],
-        ids=["move_keys", "empty_side_second"],
+        ids=["move_keys", "empty_side_second", "first_flag_second", "greater_genus_first"],
     )
     def test_split_sides_come_sorted(self, shape_cores, move_keys, sorted_form):
         """``_move_image`` and the orbit search compare split keys in this
