@@ -253,7 +253,7 @@ def _document_poset(strata: list[SusyGraph]) -> ContractionPoset:
     at the first stratum's genus and labels, up to the most edges a stratum
     of the list has, and each stratum is found in it by one search."""
     if not strata:
-        return ContractionPoset((), (), (), frozenset())
+        return ContractionPoset((), (), (), ())
     g, ns, r = genus(strata[0]), strata[0].ns_labels(), strata[0].r_labels()
     reach = max(len(edges(s.graph)) for s in strata)
     deepest = 3 * g - 3 + len(ns) + len(r)  # the edges of the deepest stratum
@@ -270,7 +270,7 @@ def _document_poset(strata: list[SusyGraph]) -> ContractionPoset:
         tuple(poset.cores[i] for i in order),
         tuple(poset.digests[i] for i in order),
         tuple(poset.ranks[i] for i in order),
-        frozenset((place[i], place[j]) for i, j in poset.covers),
+        tuple(tuple(sorted(place[j] for j in poset.successors[i])) for i in order),
     )
 
 

@@ -579,9 +579,9 @@ def stratum_dimension(g: SusyGraph) -> StratumDimension:
 
     They are (3g - 3 + n | 2g - 2 + n_NS + n_R / 2) in the total genus and
     tail counts, which on a connected graph equal, by Euler's formula, the
-    per-vertex sums plus one odd parameter per Ramond node.  The odd one is
-    an integer since n_R is even: an unstable or disconnected graph, or one
-    with an odd number of R tails, is refused."""
+    per-vertex sums plus one odd parameter per Ramond node.  It is whole:
+    R flags are even at each vertex and paired along edges, so n_R is
+    even.  An unstable or disconnected graph is refused."""
     require_susy(g)
     rep = g.stability
     if not rep.stable:
@@ -597,8 +597,6 @@ def stratum_dimension(g: SusyGraph) -> StratumDimension:
     gt = genus(g)
     t_ns = sum(1 for f in tail_list if g.color_of(f) == NS)
     t_r = len(tail_list) - t_ns
-    if t_r % 2:
-        raise ValidationError("odd number of R tails")
     even = 3 * gt - 3 + len(tail_list) - len(edge_list)
     odd = 2 * gt - 2 + t_ns + t_r // 2
     return StratumDimension(even, odd, (len(edge_list), 0))

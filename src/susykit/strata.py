@@ -48,10 +48,11 @@ this: an automorphism of the parent that carries one move to another
 extends to an isomorphism of the two children that carries new edge to
 new edge.  Contracting edge e of a colored stratum (S, k) gives (S/e, k
 restricted to S/e), so ``strata_poset`` carries the R-flag mask of every
-raw coloring along the flag map into the target shape's ``masks``; it
-contracts, canonizes and names nothing.  It is the one builder of the
-contraction order: a list of strata is ordered by finding each of them in
-the poset of its enumeration (``ContractionPoset.index_of``).
+raw coloring along the flag map into the target shape's ``masks``, and
+groups each stratum's cover targets into ``ContractionPoset.successors``
+as it finds them; it contracts, canonizes and names nothing.  It is the
+one builder of the contraction order: a list of strata is ordered by
+finding each in the poset of its enumeration (``ContractionPoset.index_of``).
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
 instance guard refuses enumerations whose bound exceeds ``max_edges``
@@ -60,7 +61,7 @@ instance guard refuses enumerations whose bound exceeds ``max_edges``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from hashlib import sha256
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -221,11 +222,12 @@ def _edge_count(c: Core) -> int:
 
 def _shapes(
     genus: int, tail_labels: Iterable[str], max_edges: int | None = None
-) -> list[tuple[str, bytes, Core, Covers, list[Generator]]]:
+) -> list[tuple[str, str, Core, Covers, list[Generator]]]:
     """``enumerate_modular_shapes`` as canonical cores, each with its
-    certificate digest and certificate, the covers recorded while it was
-    generated and generators of its automorphism group on the core, read
-    from the search that found it.  Nothing is named.
+    certificate digest and the digest of its all-NS coloring, the covers
+    recorded while it was generated and generators of its automorphism
+    group on the core, read from the search that found it.  Nothing is
+    named, and no certificate is kept.
 
     Each move is built and searched as a core, and the winning leaf of its
     search renumbers the move into its canonical core, which finds the
@@ -254,8 +256,8 @@ def _shapes(
             f"shape enumeration needs up to {bound} edges but the limit is "
             f"{limit}; pass max_edges (--max-edges) to go further"
         )
-    # canonical core -> (digest, certificate, covers, generators on the core)
-    found: dict[Core, tuple[str, bytes, dict, list[Generator]]] = {}
+    # canonical core -> (digest, all-NS digest, covers, generators on the core)
+    found: dict[Core, tuple[str, str, dict, list[Generator]]] = {}
     fresh: list[Core] = []
 
     def search(child: Core, keys: list[tuple] | None = None) -> tuple[tuple, Leaf]:
@@ -271,7 +273,7 @@ def _shapes(
             # or repeated label, so with one leaf its group is trivial
             rigid = len(leaves) == 1 and sum(child.genus) == genus
             gens = [] if rigid else _generators(child, leaves)
-            entry = found[core] = (sha256(cert).hexdigest(), cert, {}, gens)
+            entry = found[core] = (sha256(cert).hexdigest(), _unmodular_digest(cert), {}, gens)
             fresh.append(core)
         return entry, leaves[0]
 
@@ -293,7 +295,7 @@ def _shapes(
                 edge = (index[n], index[n + 1])
                 if edge not in covers:
                     covers[edge] = (pd, sequence)
-    shapes = [(d, cert, core, *rest) for core, (d, cert, *rest) in found.items()]
+    shapes = [(d, ns, core, *rest) for core, (d, ns, *rest) in found.items()]
     return sorted(shapes, key=lambda s: (_edge_count(s[2]), s[0]))
 
 
@@ -312,9 +314,9 @@ class StratumRecord:
     canonical ``core`` and digest, its strata's canonical ``cores`` and
     ``digests``, in digest order, the stratum digest of each raw coloring
     keyed by its R-flag mask (``masks``), and ``covers``.  The named views
-    are built when first read, and kept: ``shape``, ``colorings`` (the
-    all-NS stratum is ``shape`` with ``modular`` false), and
-    ``coloring_digests`` and ``shape_covers``, keyed by flag names."""
+    are built when first read, and kept: ``shape``, ``colorings``, each
+    named from its core, and ``coloring_digests`` and ``shape_covers``,
+    keyed by flag names."""
 
     core: Core
     shape_digest: str
@@ -329,10 +331,7 @@ class StratumRecord:
 
     @kept
     def colorings(self) -> tuple[SusyGraph, ...]:
-        return tuple(
-            _named(c) if any(c.color) else replace(self.shape, modular=False)
-            for c in self.cores
-        )
+        return tuple(map(_named, self.cores))
 
     @kept
     def coloring_digests(self) -> Mapping[frozenset[str], str]:
@@ -376,7 +375,7 @@ def enumerate_strata_records(
     if len(rr) % 2:
         raise ValidationError("the number of R tail labels must be even")
     records = []
-    for shape_digest, certificate, core, covers, generators in _shapes(
+    for shape_digest, all_ns, core, covers, generators in _shapes(
         genus, ns | rr, max_edges
     ):
         if not rr and _edge_count(core) < len(core.genus):
@@ -390,7 +389,7 @@ def enumerate_strata_records(
         for orbit in _orbits(keys, [fm for _, fm in generators], _moved):
             if not orbit[0]:
                 # the all-NS coloring, which takes its shape's search
-                digest = _unmodular_digest(certificate)
+                digest = all_ns
                 strata[digest] = Core(*core[:5], False, core.incidence)
             else:
                 color = tuple(orbit[0] >> f & 1 for f in range(len(core.boundary)))
@@ -442,26 +441,23 @@ class ContractionPoset:
     """Strata ordered by edge contraction, each kept as its canonical core
     in ``cores`` and named in ``strata`` when that is first read.  ranks[i]
     counts edges, so the one-vertex stratum has rank 0 and sits at the top:
-    contracting an edge moves strictly up.  covers holds pairs (i, j) where
-    stratum j is one contraction away from stratum i, and ``successors``
-    groups them by i."""
+    contracting an edge moves strictly up.  successors[i] holds, ascending,
+    each stratum j one contraction away from stratum i; ``covers``, the
+    pairs (i, j), is built from it when first read."""
 
     cores: tuple[Core, ...]
     digests: tuple[str, ...]
     ranks: tuple[int, ...]
-    covers: frozenset[tuple[int, int]]
+    successors: tuple[tuple[int, ...], ...]
 
     @kept
     def strata(self) -> tuple[SusyGraph, ...]:
         return tuple(map(_named, self.cores))
 
     @kept
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Each stratum's cover targets, ascending."""
-        targets: list[list[int]] = [[] for _ in self.digests]
-        for i, j in self.covers:
-            targets[i].append(j)
-        return tuple(tuple(sorted(js)) for js in targets)
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """The pairs (i, j) of ``successors``."""
+        return frozenset((i, j) for i, js in enumerate(self.successors) for j in js)
 
     @kept
     def _index(self) -> dict[str, int]:
@@ -514,7 +510,7 @@ def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:
     cores, digests, ranks = _ordered(records)
     index = {d: i for i, d in enumerate(digests)}
     tables = {rec.shape_digest: rec.masks for rec in records}
-    covers: set[tuple[int, int]] = set()
+    targets: list[set[int]] = [set() for _ in digests]
     for rec in records:
         for (a, b), (target, flag_map) in rec.covers.items():
             table = tables.get(target)
@@ -525,5 +521,5 @@ def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:
                 )
             kept = ~(1 << a | 1 << b)
             for mask, d in rec.masks.items():
-                covers.add((index[d], index[table[_moved(flag_map, mask & kept)]]))
-    return ContractionPoset(cores, digests, ranks, frozenset(covers))
+                targets[index[d]].add(index[table[_moved(flag_map, mask & kept)]])
+    return ContractionPoset(cores, digests, ranks, tuple(tuple(sorted(t)) for t in targets))

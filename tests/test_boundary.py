@@ -26,6 +26,7 @@ from susykit import (
     NS,
     R,
     Component,
+    ContractionPoset,
     CurveConfig,
     GluingRecipe,
     Graph,
@@ -93,9 +94,15 @@ from susykit import (
     validate_susy_graph,
     validate_susy_morphism,
 )
-from susykit.calculus import atomize
+from susykit.calculus import atomize, merged_vertex_id
 from susykit.cli import main
-from susykit.graphs import GraphMorphism, validate_graph, validate_morphism
+from susykit.graphs import (
+    GraphMorphism,
+    involution_from_pairs,
+    validate_graph,
+    validate_morphism,
+)
+from susykit.operad import CLASSICAL
 from susykit.jsonio import dumps, morphism_to_json
 
 from conftest import star
@@ -573,7 +580,7 @@ def graph_fields(g):
 
 VALID_CALLS = {
     "Component": dict(genus=0, special_points=POINTS),
-    "ContractionPoset": fields(POSET, "cores", "digests", "ranks", "covers"),
+    "ContractionPoset": fields(POSET, "cores", "digests", "ranks", "successors"),
     "CurveConfig": dict(components=CONFIG.components, node_pairing=()),
     "GluingRecipe": fields(
         GLUED, "source", "target", "assignment", "ns_gluings", "r_gluings", "relabeling"
@@ -823,3 +830,99 @@ def test_a_wrong_nested_value_is_reported_by_position():
     ]
     for report, first in cases:
         assert report.violations[0] == first
+
+
+# Refusals that no other test reaches, each with its whole message.  The
+# recipes and curves are built unchecked and their reports raised.
+GRAFTED = graft(star(0, 4), [("vn0", "vn1")])
+IDENTITY = {label: label for label in sorted(SIG.labels)}
+SWAPPED = {"a": "d", "d": "a"}
+SMALL = signature([(0, ["a", "b", "c"], []), (1, ["d"], [])])
+HALVES = Component(0, (
+    *POINTS[:2], SpecialPoint("h", NS, "node-half"), SpecialPoint("k", NS, "node-half"),
+))
+
+
+def recipe_of(source, target, assignment, ns=(), r=(), relabeling=IDENTITY):
+    return GluingRecipe(source, target, assignment, ns, r, relabeling)
+
+
+def curve_of(*punctures):
+    """One genus-0 component with the punctures (id, colour, label)."""
+    points = tuple(SpecialPoint(i, color, "puncture", label) for i, color, label in punctures)
+    return CurveConfig((Component(0, points),), ())
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (contract_edge, (LOOPED, ("vn0", "vn1")),
+         "contract_edge: pair is a loop; use contract_loop"),
+        (contract_loop, (G, ("p", "q")), "contract_loop: pair is not a loop"),
+        (graft, (star(0, 4), [("vn0", "vn1"), ("vn1", "vn2")]),
+         "graft: flag reused at ('vn1', 'vn2')"),
+        (commute_contractions, (G, ("p", "q"), ("q", "p")), "pairs must be flag-disjoint"),
+        (iso_between, (GRAFTED.source, GRAFTED.target, GRAFTED.map.flag_map,
+                       GRAFTED.map.vertex_map), "maps describe a grafting, not an isomorphism"),
+        (validate_recipe, (recipe_of(SIG, signature(SIG.factors, CLASSICAL), [0, 1]),),
+         "invalid argument: source and target modes differ"),
+        (validate_recipe, (recipe_of(SIG, SIG, [0, 0]),),
+         "invalid argument: assignment must be surjective onto the target factors"),
+        (validate_recipe, (recipe_of(SIG, SIG, [0, 1], [("a", "a")]),),
+         "invalid argument: NS gluing ('a', 'a') is degenerate"),
+        (validate_recipe, (recipe_of(SIG, SIG, [0, 1], [("a", "z")]),),
+         "invalid argument: NS gluing mentions unknown label 'z'"),
+        (validate_recipe, (recipe_of(
+            SIG_R, SIG_R, [0, 1], [("a", "r1")], relabeling={x: x for x in SIG_R.labels},
+        ),), "invalid argument: NS gluing uses 'r1' of the wrong color"),
+        (validate_recipe, (recipe_of(SIG, SIG, [0, 1], [("a", "b"), ("a", "c")]),),
+         "invalid argument: label 'a' glued twice"),
+        (validate_recipe, (recipe_of(SIG, SIG, [0, 1], [("a", "d")]),),
+         "invalid argument: glued labels 'a', 'd' land in different target factors"),
+        (validate_recipe, (recipe_of(
+            SIG, SMALL, [0, 1], relabeling={**{x: x for x in "abcd"}, "e": "d", "f": "d"},
+        ),), "invalid argument: relabeling is not injective"),
+        (validate_recipe, (recipe_of(SIG, SIG, [0, 1], relabeling=IDENTITY | SWAPPED),),
+         "invalid argument: relabeling 'a' -> 'd' lands in the wrong factor; "
+         "relabeling 'd' -> 'a' lands in the wrong factor"),
+        (lift_count_general, (TREE, LABELS[:2], LABELS[1:]), "partition parts must be disjoint"),
+        (lift_count_general, (star(0, 3), LABELS, []),
+         "lift_count_general expects the modular (colorless) view"),
+        (ContractionPoset.top.fget, (ContractionPoset((), (), (), ()),),
+         "poset does not have a unique one-vertex top"),
+        (include, (star(0, 3),), "include expects the modular view"),
+        (disjoint_union, (TREE, star(0, 3)), "disjoint_union: cannot mix modular and SUSY views"),
+        (involution_from_pairs, ([("a", "a")],), "contracted pair ('a', 'a') is degenerate"),
+        (involution_from_pairs, ([("a", "b"), ("b", "c")],),
+         "flag reused across contracted pairs: 'b'/'c'"),
+        (susykit.graphs.compose, (SECOND.map, FIRST.map), "compose: endpoints do not match"),
+        (validate_curve_config, (curve_of(("p", NS, "1"), ("q", NS, "2"), ("q", NS, "3")),),
+         "invalid argument: component 0: duplicate point id 'q'"),
+        (validate_curve_config, (curve_of(("p", NS, "1"), ("q", R, "x"), ("s", R, "x")),),
+         "invalid argument: duplicate R label 'x'"),
+        (validate_curve_config, (curve_of(("p", NS, "x"), ("q", R, "x"), ("s", R, "y")),),
+         "invalid argument: NS and R puncture labels must be disjoint"),
+        (validate_curve_config, (CurveConfig((HALVES,), [("h", "h")]),),
+         "invalid argument: node pairing ('h', 'h') is degenerate; "
+         "unpaired node-halves ['h', 'k']"),
+        (validate_curve_config, (CurveConfig((HALVES,), [("h", "k"), ("k", "h")]),),
+         "invalid argument: node-half 'k' paired twice; node-half 'h' paired twice"),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_a_refusal_carries_its_whole_message(fn, args, message):
+    with pytest.raises(ValidationError) as caught:
+        report = fn(*args)
+        report.raise_if_invalid("argument")
+    assert str(caught.value) == message
+
+
+def test_a_merged_vertex_name_that_is_taken_is_marked():
+    # the contracted edge joins u and v, and the third vertex is named u*v
+    g = make_isomorphism(path_graph(), vertex_renaming={"w": "u*v"}).target
+    assert contract_edge(g, ("p", "q")).target.vertices == {"u*v", "u*v'"}
+    assert merged_vertex_id("u", "v", frozenset({"u*v", "u*v'"})) == "u*v''"
+
+
+def test_compose_of_graph_morphisms_composes_their_maps():
+    assert compose(FIRST.map, SECOND.map) == compose(FIRST, SECOND).map

@@ -828,6 +828,12 @@ class TestUnreadableInputs:
         assert (rc, out) == (2, "")
         assert err == "error: strata must be a list of objects\n"
 
+    @pytest.mark.parametrize("doc", [{"strata": [5]}, [5]])
+    def test_export_dot_refuses_strata_entries_that_are_not_objects(self, tmp_path, capsys, doc):
+        rc, out, err = run(capsys, "export-dot", write(tmp_path, "s.json", doc))
+        assert (rc, out) == (2, "")
+        assert err == "error: strata entries must be objects\n"
+
     @pytest.mark.parametrize("name", ["dir", "bytes.json"])
     def test_the_script_prints_no_traceback(self, tmp_path, name):
         proc = subprocess.run(

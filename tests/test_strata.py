@@ -4,6 +4,8 @@ by the shape generator, the automorphism generators it keeps, the orbifold
 Euler characteristic with the universal-curve identity, and Burnside's
 lemma per shape."""
 
+import json
+from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import sha256
@@ -30,11 +32,11 @@ from susykit import (
     strata_poset,
     stratum_dimension,
 )
-from susykit import canon, graphs, lifting, strata, susy
+from susykit import canon, cli, graphs, lifting, strata, susy
 from susykit.lifting import _colorings
 from susykit.operad import _graph_signature
 from susykit.susy import R
-from susykit.canon import Isomorphism, _certificate, _core_of, _named, _search
+from susykit.canon import Isomorphism, _certificate, _core_of, _named, _search, _unmodular_digest
 from susykit.strata import (
     MAX_EDGES,
     _move,
@@ -178,7 +180,7 @@ class TestColoringTables:
         # the enumeration lifts the shapes it made itself, so it checks
         # none of them again; it colours the shapes' cores and names
         # nothing; reading the named views names each shape once and each
-        # stratum with an R flag once, and the all-NS stratum is its shape
+        # stratum once, the all-NS one too
         names = (
             "validate_susy_graph",
             "is_stable",
@@ -196,11 +198,10 @@ class TestColoringTables:
         for rec in records:
             rec.shape, rec.colorings
         n_strata = sum(len(rec.digests) for rec in records)
-        all_ns = sum(frozenset() in rec.coloring_digests for rec in records)
         assert n_strata > len(records)
-        named = len(records) + n_strata - all_ns
+        named = len(records) + n_strata
         assert counts == dict.fromkeys(names[:4], 0) | {"_named": named}
-        assert g != 3 or named == 142
+        assert g != 3 or named == 184
 
 
 class TestNamesAtTheEdge:
@@ -255,6 +256,20 @@ class TestAllNsStratum:
             form = canonical_form(all_ns)
             assert digest == form.digest
             assert graph == form.graph
+
+    @pytest.mark.parametrize(
+        "g, labels",
+        [(0, FOUR + ["5", "6"]), (1, ["1", "2", "3"]), (2, ["1", "2"]), (3, [])],
+    )
+    def test_shapes_keep_the_all_ns_digest_not_the_certificate(self, g, labels):
+        records = {rec.shape_digest: rec for rec in enumerate_strata_records(g, labels, [])}
+        for digest, all_ns, core, _, _ in _shapes(g, labels):
+            assert type(all_ns) is str and len(all_ns) == 64
+            assert set(all_ns) <= set("0123456789abcdef")
+            certificate = canonical_form(_named(core)).certificate
+            assert sha256(certificate).hexdigest() == digest
+            assert all_ns == _unmodular_digest(certificate)
+            assert all_ns == records[digest].coloring_digests[frozenset()]
 
 
 class TestColoringCounts:
@@ -390,6 +405,30 @@ class TestStrataPoset:
         for i, targets in enumerate(poset.successors):
             assert list(targets) == sorted(j for x, j in poset.covers if x == i)
         assert sum(map(len, poset.successors)) == len(poset.covers)
+
+    def test_successors_are_stored_and_covers_derived(self):
+        """The poset stores ``successors``; the CLI's reads build no cover
+        pairs, and ``covers`` is built from ``successors`` when first read."""
+        poset = poset_of(0, FIVE, [])
+        assert [f.name for f in fields(poset)] == ["cores", "digests", "ranks", "successors"]
+        poset.cores, poset.digests, poset.ranks, poset.successors
+        assert "covers" not in vars(poset)
+        assert all(type(js) is tuple and list(js) == sorted(set(js)) for js in poset.successors)
+        pairs = frozenset((i, j) for i, js in enumerate(poset.successors) for j in js)
+        assert poset.covers == pairs
+        assert vars(poset)["covers"] is poset.covers
+
+    def test_enumerate_builds_no_cover_pairs(self, monkeypatch, capsys):
+        built = []
+
+        def keeping(records):
+            built.append(strata_poset(records))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "strata_poset", keeping)
+        assert cli.main(["enumerate", "--genus", "0", "--ns", "5", "--poset"]) == 0
+        assert json.loads(capsys.readouterr().out)["poset"]["covers"]["1"] == [0]
+        assert len(built) == 1 and "covers" not in vars(built[0])
 
     def test_records_must_be_closed_under_contraction(self):
         records = enumerate_strata_records(1, ["1"], [])
