@@ -4,23 +4,25 @@ Strata of the moduli space with a fixed total genus and labeled tail set
 are isomorphism classes of stable SUSY graphs.  Enumeration proceeds in two
 passes: modular shapes first, generated from the one-vertex graph by vertex
 splitting and genus-to-loop moves and deduplicated by canonical core, which
-the certificate encodes one-to-one, then NS/R colorings of each shape,
-counted by the parity argument (2^b1 per shape) and deduplicated by
-certificate.  Each split is generated once, not once more as its mirror
-image, and every move of a stable shape is stable.
+the certificate encodes one-to-one, or at genus 0 by split set, then NS/R
+colorings of each shape, counted by the parity argument (2^b1 per shape)
+and deduplicated by certificate.  Each split is generated once, not once
+more as its mirror image, and every move of a stable shape is stable.
 
-Everything is found and kept on integers (see ``canon``): the search
-starts from the corolla's core, each move is built from its parent's
-canonical core, incidence included, and searched as a core, and the
-winning leaf renumbers the move into its canonical core, by which the
-shape is looked up; only a new shape's certificate is written.  A move
-changes the cell keys of v and the new vertex only, and its search takes
-the others from its parent.  Each coloring is its shape's core with the
-colours replaced, searched as a core and kept as its stratum's canonical
-core.  Nothing is named while the strata are found: a
-``StratumRecord`` keeps cores, R-flag masks and integer flag maps, and
-names its shape, strata, colouring table and covers (by ``canon._named``,
-the one naming of a canonical core) when each is first read, as
+Everything is found and kept on integers (see ``canon``): the search starts
+from the corolla's core, each move is built from its parent's canonical
+core, incidence included, and searched as a core, and the winning leaf
+renumbers the move into its canonical core, by which the shape is looked up;
+only a new shape's certificate is written.  A genus-0 shape is a tree, fixed
+by its splits, the labels each edge cuts off (Buneman 1971): each flag keeps
+the mask of the labels beyond it, and a move is looked up by its split set
+before it is built.  A move changes the cell keys of v and the new vertex
+only, and its search takes the others from its parent.  Each coloring is its
+shape's core with the colours replaced, searched as a core and kept as its
+stratum's canonical core.  Nothing is named while the strata are found: a
+``StratumRecord`` keeps cores, R-flag masks and integer flag maps, and names
+its shape, strata, colouring table and covers (by ``canon._named``, the one
+naming of a canonical core) when each is first read, as
 ``ContractionPoset.strata`` does; the CLI names nothing, and writes each
 stratum's record straight from its core.
 
@@ -43,16 +45,19 @@ search numbers the new edge in the child's flags and maps the rest onto the
 parent's, so a record's ``covers`` holds, for at least one edge in each
 orbit of the shape's automorphisms, the digest of the shape that
 contracting it gives and that flag map, the leaf's own flag sequence, read
-without the edge.  Searching one move per orbit keeps
-this: an automorphism of the parent that carries one move to another
-extends to an isomorphism of the two children that carries new edge to
-new edge.  Contracting edge e of a colored stratum (S, k) gives (S/e, k
-restricted to S/e), so ``strata_poset`` carries the R-flag mask of every
-raw coloring along the flag map into the target shape's ``masks``, and
-groups each stratum's cover targets into ``ContractionPoset.successors``
-as it finds them; it contracts, canonizes and names nothing.  It is the
-one builder of the contraction order: a list of strata is ordered by
-finding each in the poset of its enumeration (``ContractionPoset.index_of``).
+without the edge.  Searching one move per orbit keeps this: an automorphism
+of the parent that carries one move to another extends to an isomorphism
+of the two children that carries new edge to new edge.  At genus 0 the
+new edge is found by its split among the child's masks, and its cover
+keeps the target's core, from which ``shape_covers`` builds the flag map.
+Contracting edge e of a colored stratum (S, k) gives (S/e, k restricted to
+S/e), so ``strata_poset`` carries the R-flag mask of every raw coloring
+along the flag map into the target shape's ``masks`` (a target with one
+coloring, as a tree, is read directly), and groups each stratum's cover
+targets into ``ContractionPoset.successors`` as it finds them; it
+contracts, canonizes and names nothing.  It is the one builder of the
+contraction order: a list of strata is ordered by finding each in the
+poset of its enumeration (``ContractionPoset.index_of``).
 
 The number of edges of a stable shape is bounded by 3g - 3 + #tails.  An
 instance guard refuses enumerations whose bound exceeds ``max_edges``
@@ -67,7 +72,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
-from .canon import Core, Generator, Leaf, _canonical_core, _cell_key, _core, _generators
+from .canon import Core, Generator, _canonical_core, _cell_key, _core, _generators
 from .canon import _named, _names, _unmodular_digest, certificate_digest
 from .errors import ValidationError
 from .graphs import _lift_forest, kept
@@ -210,10 +215,24 @@ def _orbits(
 
 # edge of a shape's core (its two flags) -> (digest of the shape that
 # contracting it gives, the winning leaf's flag sequence: the flag there of
-# each flag of the core, and past the last for the edge's two)
-Covers = Mapping[tuple[int, int], tuple[str, tuple[int, ...]]]
+# each flag of the core, and past the last for the edge's two; at genus 0,
+# no flag sequence but that shape's core, the flag map built when read)
+Covers = Mapping[tuple[int, int], tuple[str, tuple]]
 # ``Covers`` in flag names, the map left without the edge
 ShapeCovers = Mapping[tuple[str, str], tuple[str, Mapping[str, str]]]
+
+
+def _beyond(c: Core) -> list[int]:
+    """The labels beyond each flag of the genus-0 core ``c``, a mask over its
+    sorted labels; in a stable tree no two flags have one mask."""
+    bit = {l: 1 << i for i, l in enumerate(sorted(l for l in c.label if l is not None))}
+    out = [bit.get(l, 0) for l in c.label]
+    while 0 in out:  # an edge flag's, once the flags past it have theirs
+        for f, p in enumerate(c.involution):
+            past = [out[g] for g in c.incidence[c.boundary[p]] if g != p]
+            if not out[f] and all(past):
+                out[f] = sum(past)  # the masks are disjoint
+    return out
 
 
 def _edge_count(c: Core) -> int:
@@ -234,7 +253,8 @@ def _shapes(
     shape, and gives a new shape's generators.  The winning leaf also
     numbers the new edge of each move in the child's flags and maps the
     rest onto the parent's, which is the child's cover; one is kept per
-    edge."""
+    edge.  At genus 0 a move is looked up by its split set first, and only
+    a new tree is built and searched; its edge is read from the masks."""
     if type(genus) is not int or genus < 0:
         raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
     if max_edges is not None and type(max_edges) is not int:
@@ -256,46 +276,61 @@ def _shapes(
             f"shape enumeration needs up to {bound} edges but the limit is "
             f"{limit}; pass max_edges (--max-edges) to go further"
         )
-    # canonical core -> (digest, all-NS digest, covers, generators on the core)
-    found: dict[Core, tuple[str, str, dict, list[Generator]]] = {}
-    fresh: list[Core] = []
+    # split set at genus 0, else canonical core -> (canonical core, digest,
+    # all-NS digest, covers, generators on the core, genus-0 flag masks)
+    found: dict[object, tuple[Core, str, str, dict, list[Generator], tuple[int, ...]]] = {}
+    fresh: list[object] = []
+    full = (1 << len(labels)) - 1
 
-    def search(child: Core, keys: list[tuple] | None = None) -> tuple[tuple, Leaf]:
-        """The ``found`` entry of the canonical core of ``child``, with cell
-        keys ``keys``, a new shape kept in ``found`` and ``fresh``, and the
-        winning leaf of its search; only a new shape's certificate is written."""
+    def search(child: Core, keys: list | None, split: int | None, masks: tuple) -> tuple:
+        """The ``found`` entry of ``child`` and its winning leaf; only a new
+        shape, kept with its flags' ``masks``, has its certificate written."""
         cert, leaves = canon._search(child, keys)
         core = _canonical_core(child, leaves[0])
-        entry = found.get(core)
+        key = core if genus else split
+        entry = found.get(key)
         if entry is None:
             cert = cert or canon._certificate(child, leaves[0])
             # a tree (its genus all at vertices) has no loop, parallel edge
             # or repeated label, so with one leaf its group is trivial
             rigid = len(leaves) == 1 and sum(child.genus) == genus
             gens = [] if rigid else _generators(child, leaves)
-            entry = found[core] = (sha256(cert).hexdigest(), _unmodular_digest(cert), {}, gens)
-            fresh.append(core)
+            beyond = () if genus else tuple([masks[f] for f in leaves[0][3]])
+            entry = (core, sha256(cert).hexdigest(), _unmodular_digest(cert), {}, gens, beyond)
+            found[key] = entry
+            fresh.append(key)
         return entry, leaves[0]
 
     zeros = (0,) * len(labels)  # the corolla: one vertex carrying every tail
-    search(_core((genus,), zeros, tuple(range(len(labels))), zeros, tuple(labels), True))
+    corolla = _core((genus,), zeros, tuple(range(len(labels))), zeros, tuple(labels), True)
+    search(corolla, None, 0, _beyond(corolla))
     depth = 0
     while fresh and depth < bound:
         depth += 1
         frontier, fresh = fresh, []
-        for parent in frontier:
-            pd, _, _, generators = found[parent]
+        for found_key in frontier:
+            parent, pd, _, _, generators, masks = found[found_key]
             n = len(parent.boundary)
             keys = [_cell_key(parent, v) for v in range(len(parent.genus))]
+            onto = (pd, parent)  # a genus-0 cover, its flag map built when read
             for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
-                child = _move(parent, key)
-                cells = [*keys, _cell_key(child, len(keys))] if len(key) > 1 else [*keys]
-                cells[key[0]] = _cell_key(child, key[0])
-                (_, _, covers, _), (_, index, _, sequence) = search(child, cells)
-                edge = (index[n], index[n + 1])
-                if edge not in covers:
-                    covers[edge] = (pd, sequence)
-    shapes = [(d, ns, core, *rest) for core, (d, ns, *rest) in found.items()]
+                entry = split = None
+                if masks:  # genus 0: the labels that move are the new split
+                    m = sum([masks[f] for f in key[1][1][0]])  # disjoint masks
+                    split = found_key | 1 << (m ^ full if m & 1 else m)  # side without bit 0
+                    entry = found.get(split)
+                if entry is None:
+                    child = _move(parent, key)
+                    cells = [*keys, _cell_key(child, len(keys))] if len(key) > 1 else [*keys]
+                    cells[key[0]] = _cell_key(child, key[0])
+                    more = masks and (*masks, m, m ^ full)
+                    entry, (_, index, _, sequence) = search(child, cells, split, more)
+                covers = entry[3]
+                if masks:
+                    covers[entry[5].index(m), entry[5].index(m ^ full)] = onto
+                elif (index[n], index[n + 1]) not in covers:
+                    covers[index[n], index[n + 1]] = (pd, sequence)
+    shapes = [(d, ns, core, *rest) for core, d, ns, *rest, _ in found.values()]
     return sorted(shapes, key=lambda s: (_edge_count(s[2]), s[0]))
 
 
@@ -313,10 +348,11 @@ class StratumRecord:
     """The strata over one modular shape, on integers: the shape's
     canonical ``core`` and digest, its strata's canonical ``cores`` and
     ``digests``, in digest order, the stratum digest of each raw coloring
-    keyed by its R-flag mask (``masks``), and ``covers``.  The named views
-    are built when first read, and kept: ``shape``, ``colorings``, each
-    named from its core, and ``coloring_digests`` and ``shape_covers``,
-    keyed by flag names."""
+    keyed by its R-flag mask (``masks``), and ``covers``, at genus 0 with no
+    flag sequence.  The named views are built when first read, and kept:
+    ``shape``, ``colorings``, each named from its core, and
+    ``coloring_digests`` and ``shape_covers``, keyed by flag names (at
+    genus 0, each flag map matches the flags beyond the same labels)."""
 
     core: Core
     shape_digest: str
@@ -344,10 +380,12 @@ class StratumRecord:
     @kept
     def shape_covers(self) -> ShapeCovers:
         n = _names("f", len(self.core.boundary))
-        return {
-            (n[a], n[b]): (target, {n[f]: n[p] for f, p in enumerate(fm) if f not in (a, b)})
-            for (a, b), (target, fm) in self.covers.items()
-        }
+        out = {}
+        for (a, b), (target, fm) in self.covers.items():
+            if isinstance(fm, Core):  # genus 0: match the flags beyond the same labels
+                fm = list(map({m: p for p, m in enumerate(_beyond(fm))}.get, _beyond(self.core)))
+            out[n[a], n[b]] = (target, {n[f]: n[p] for f, p in enumerate(fm) if f not in (a, b)})
+        return out
 
     @property
     def predicted_colorings(self) -> int:
@@ -500,9 +538,10 @@ def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:
     closed under contraction, as ``enumerate_strata_records`` returns them.
     Strata come in ``enumerate_strata`` order.  Nothing is contracted,
     canonized or named: each recorded cover carries the R-flag mask of each
-    raw coloring, less the edge, into the target shape's ``masks``.  Raw
-    colorings in one orbit of the shape's automorphisms give one stratum,
-    so going through all of them reaches the edges that were not
+    raw coloring, less the edge, into the target shape's ``masks``, unless
+    the target has one coloring, as a tree has, which is read directly.
+    Raw colorings in one orbit of the shape's automorphisms give one
+    stratum, so going through all of them reaches the edges that were not
     recorded."""
     records = list(records) if isinstance(records, Iterable) else [records]
     if not all(isinstance(rec, StratumRecord) for rec in records):
@@ -519,7 +558,8 @@ def strata_poset(records: Iterable[StratumRecord]) -> ContractionPoset:
                     "contraction leaves the given records; pass every record "
                     "of one enumeration"
                 )
+            one = [*table.values()][0] if len(table) == 1 else None
             kept = ~(1 << a | 1 << b)
             for mask, d in rec.masks.items():
-                targets[index[d]].add(index[table[_moved(flag_map, mask & kept)]])
+                targets[index[d]].add(index[one or table[_moved(flag_map, mask & kept)]])
     return ContractionPoset(cores, digests, ranks, tuple(tuple(sorted(t)) for t in targets))

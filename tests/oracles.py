@@ -414,6 +414,57 @@ def contraction_poset(
 
 
 # ---------------------------------------------------------------------------
+# genus-0 trees by their splits (Buneman 1971)
+
+
+def tree_splits(g: SusyGraph) -> frozenset[frozenset[str]]:
+    """The splits of the tree ``g``: for each edge, the tail labels on the
+    side without the least label, found by walking the tree with that edge
+    cut."""
+    lab = g.labeling
+    label_of = {f: l for l, f in [*lab.ns_tail_labels.items(), *lab.r_tail_labels.items()]}
+    labels = frozenset(label_of.values())
+    splits = set()
+    for cut in edges(g.graph):
+        start = g.boundary[cut[0]]
+        seen, todo, side = {start}, [start], set()
+        while todo:
+            for f in flags_at(g.graph, todo.pop()):
+                if f in label_of:
+                    side.add(label_of[f])
+                elif f not in cut and g.boundary[g.involution[f]] not in seen:
+                    seen.add(g.boundary[g.involution[f]])
+                    todo.append(g.boundary[g.involution[f]])
+        splits.add(labels - side if min(labels) in side else frozenset(side))
+    return frozenset(splits)
+
+
+def split_systems(labels: Iterable[str]) -> set[frozenset[frozenset[str]]]:
+    """Every set of pairwise compatible splits of ``labels`` with two labels
+    or more on each side, each split named by its side without the least
+    label: one set per tree (Buneman 1971).  Two splits are compatible when
+    one side of the first misses one side of the second."""
+    labels = frozenset(labels)
+    rest = sorted(labels - {min(labels)})
+    splits = [
+        frozenset(side)
+        for size in range(2, len(labels) - 1)
+        for side in itertools.combinations(rest, size)
+    ]
+
+    def compatible(a: frozenset[str], b: frozenset[str]) -> bool:
+        return any(not x & y for x in (a, labels - a) for y in (b, labels - b))
+
+    def grow(start: int, chosen: list[frozenset[str]]) -> Iterator[frozenset[frozenset[str]]]:
+        yield frozenset(chosen)
+        for i in range(start, len(splits)):
+            if all(compatible(splits[i], s) for s in chosen):
+                yield from grow(i + 1, [*chosen, splits[i]])
+
+    return set(grow(0, []))
+
+
+# ---------------------------------------------------------------------------
 # exhaustive morphism enumeration (tiny graphs only)
 
 

@@ -244,11 +244,12 @@ def move_orbits(shape):
 
 class TestEnumerateSearches:
     """The shape generator searches the corolla and one move per orbit of
-    each shape's moves under its automorphisms, the records search one
-    raw coloring per stratum with an R flag (the all-NS stratum of each
-    shape takes the shape's search), the poset is looked up from the
-    covers recorded during generation, and no emitted stratum is searched
-    again after the records are built."""
+    each shape's moves under its automorphisms (at genus 0, only a move
+    whose split set is new), the records search one raw coloring per
+    stratum with an R flag (the all-NS stratum of each shape takes the
+    shape's search), the poset is looked up from the covers recorded during
+    generation, and no emitted stratum is searched again after the records
+    are built."""
 
     def test_poset_contracts_and_searches_nothing(self, monkeypatch, capsys):
         counts: dict[str, int] = {}
@@ -282,14 +283,20 @@ class TestEnumerateSearches:
 
     @pytest.mark.parametrize(
         "argv, searches, moves",
-        [("enumerate --genus 2 --poset", 16, 8), ("enumerate --genus 0 --ns 6 --poset", 551, 550)],
+        [
+            ("enumerate --genus 2 --poset", 16, 8),
+            ("enumerate --genus 0 --ns 6 --poset", 236, 235),
+            # 236 trees, each searched once as a shape and once coloured
+            ("enumerate --genus 0 --ns 4 --r 2 --poset", 472, 235),
+        ],
     )
     def test_search_and_move_counts_are_pinned(
         self, monkeypatch, capsys, argv, searches, moves
     ):
-        # one search for the corolla, each move orbit and each stratum with
-        # an R flag, and one move per orbit: a shortcut around ``_search``
-        # or a skipped move changes these counts
+        # one search for the corolla, each move orbit (at genus 0, each
+        # move with a new split set, so each tree) and each stratum with an
+        # R flag, and one move per shape search: a shortcut around
+        # ``_search`` or a skipped move changes these counts
         counts: dict[str, int] = {}
         counted(monkeypatch, canon, "_search", counts)
         counted(monkeypatch, strata, "_move", counts)
@@ -299,7 +306,7 @@ class TestEnumerateSearches:
 
     @pytest.mark.parametrize(
         "argv, searches, certificates",
-        [("enumerate --genus 2 --poset", 16, 21), ("enumerate --genus 0 --ns 6 --poset", 551, 236)],
+        [("enumerate --genus 2 --poset", 16, 21), ("enumerate --genus 0 --ns 6 --poset", 236, 236)],
     )
     def test_certificate_writes_are_pinned(
         self, monkeypatch, capsys, argv, searches, certificates

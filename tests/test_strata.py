@@ -55,6 +55,8 @@ from oracles import (
     color_set_of,
     contraction_poset,
     forest_b1,
+    split_systems,
+    tree_splits,
 )
 from test_boundary import count_calls
 from test_canon import cycle_graph
@@ -604,7 +606,10 @@ class TestCarriedIncidence:
         for core, key in moves:
             moved = _move(core, key)
             assert moved == canon._core(*moved[:6])
-        assert len(searched) > len(records)
+        if g == 0:  # a tree is found by its splits, so only a new one is searched
+            assert len(searched) == len(records)
+        else:
+            assert len(searched) > len(records)
         for c, (_, leaves) in searched:
             for leaf in leaves:
                 numbered = canon._canonical_core(c, leaf)
@@ -703,6 +708,23 @@ class TestRecordedCovers:
             }
             assert reached == {frozenset(e) for e in edges(shape.graph)}
 
+    @pytest.mark.parametrize("ns, r", [(FIVE + ["6"], []), (FOUR, ["a", "b"])])
+    def test_a_tree_cover_keeps_its_target_not_a_flag_map(self, ns, r):
+        # a tree has one coloring, so its covers keep the target's core and
+        # ``shape_covers`` builds each full flag map when it is read
+        records = enumerate_strata_records(0, ns, r)
+        core_of = {rec.shape_digest: rec.core for rec in records}
+        for rec in records:
+            assert len(rec.covers) == strata._edge_count(rec.core)
+            assert all(kept is core_of[d] for d, kept in rec.covers.values())
+            shape = rec.shape
+            assert {frozenset(e) for e in rec.shape_covers} == {
+                frozenset(e) for e in edges(shape.graph)
+            }
+            for edge, (target, fmap) in rec.shape_covers.items():
+                assert set(fmap) == shape.flags - set(edge)
+                assert sorted(fmap.values()) == sorted(_named(core_of[target]).flags)
+
 
 def bernoulli(m):
     b = [Fraction(1)]
@@ -772,6 +794,32 @@ class TestEulerCharacteristic:
             for shape, term in open_strata(g, n)
         )
         assert sum(term for _, term in open_strata(g, n + 1)) == fibred
+
+
+@lru_cache(maxsize=None)
+def seven_tails():
+    records = enumerate_strata_records(0, [str(i) for i in range(7)], [])
+    return records, strata_poset(records)
+
+
+class TestSplitSystems:
+    """A genus-0 shape is a tree, fixed by its splits (Buneman 1971): the
+    shapes are the compatible split systems, each once, and contracting
+    an edge drops its split."""
+
+    def test_shapes_are_the_split_systems(self):
+        records, _ = seven_tails()
+        splits = [tree_splits(rec.shape) for rec in records]
+        assert len(set(splits)) == len(splits) == 2752
+        assert set(splits) == split_systems(str(i) for i in range(7))
+
+    def test_a_cover_drops_one_split(self):
+        _, poset = seven_tails()
+        splits = [tree_splits(s) for s in poset.strata]
+        index = {s: i for i, s in enumerate(splits)}
+        # j covers i exactly when splits(j) is splits(i) less one split
+        for i, s in enumerate(splits):
+            assert poset.successors[i] == tuple(sorted(index[s - {x}] for x in s))
 
 
 class TestCounts:
