@@ -14,6 +14,7 @@ runs, so ``enumerate`` loads none of them.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -156,41 +157,47 @@ def _digest_lines(ranks: Sequence[int], digests: Sequence[str]) -> list[str]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    ns = [str(i) for i in range(1, args.ns + 1)]
-    r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
-    if args.shapes:
-        digests, _, cores, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
-        _emit(
-            args,
-            {"count": len(cores)},
-            lambda: [f"shapes        {len(cores)}"]
-            + _digest_lines([_edge_count(c) for c in cores], digests),
-            ("shapes", cores, digests),
-        )
-        return 0
-    records = enumerate_strata_records(args.genus, ns, r, args.max_edges)
-    poset = strata_poset(records) if args.poset else None
-    if poset is None:
-        cores, digests, ranks = _ordered(records)
-    else:
-        cores, digests, ranks = poset.cores, poset.digests, poset.ranks
-    # the colouring tables and covers are not printed: free them first
-    del records
-    head: dict = {"count": len(cores)}
-    if poset is not None:
-        covers = {str(i): targets for i, targets in enumerate(poset.successors)}
-        head["poset"] = {"ranks": list(ranks), "covers": covers}
-
-    def table() -> list[str]:
-        lines = [f"strata        {len(cores)}"] + _digest_lines(ranks, digests)
+    enabled = gc.isenabled()
+    gc.disable()  # the enumeration makes no reference cycle, so collecting frees nothing
+    try:
+        ns = [str(i) for i in range(1, args.ns + 1)]
+        r = [str(i) for i in range(args.ns + 1, args.ns + args.r + 1)]
+        if args.shapes:
+            digests, _, cores, _, _ = zip(*_shapes(args.genus, ns + r, args.max_edges))
+            _emit(
+                args,
+                {"count": len(cores)},
+                lambda: [f"shapes        {len(cores)}"]
+                + _digest_lines([_edge_count(c) for c in cores], digests),
+                ("shapes", cores, digests),
+            )
+            return 0
+        records = enumerate_strata_records(args.genus, ns, r, args.max_edges)
+        poset = strata_poset(records) if args.poset else None
+        if poset is None:
+            cores, digests, ranks = _ordered(records)
+        else:
+            cores, digests, ranks = poset.cores, poset.digests, poset.ranks
+        # the colouring tables and covers are not printed: free them first
+        del records
+        head: dict = {"count": len(cores)}
         if poset is not None:
-            lines.append("covers:")
-            for i, js in enumerate(poset.successors):
-                lines.extend(f"  S{i} -> S{j}" for j in js)
-        return lines
+            covers = {str(i): targets for i, targets in enumerate(poset.successors)}
+            head["poset"] = {"ranks": list(ranks), "covers": covers}
 
-    _emit(args, head, table, ("strata", cores, digests))
-    return 0
+        def table() -> list[str]:
+            lines = [f"strata        {len(cores)}"] + _digest_lines(ranks, digests)
+            if poset is not None:
+                lines.append("covers:")
+                for i, js in enumerate(poset.successors):
+                    lines.extend(f"  S{i} -> S{j}" for j in js)
+            return lines
+
+        _emit(args, head, table, ("strata", cores, digests))
+        return 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:

@@ -15,8 +15,9 @@ core, incidence included, and searched as a core, and the winning leaf
 renumbers the move into its canonical core, by which the shape is looked up;
 only a new shape's certificate is written.  A genus-0 shape is a tree, fixed
 by its splits, the labels each edge cuts off (Buneman 1971): each flag keeps
-the mask of the labels beyond it, and a move is looked up by its split set
-before it is built.  A move changes the cell keys of v and the new vertex
+the mask of the labels beyond it, each vertex's splits are walked as the
+masks of the labels that move, and only a new split set has its move keyed,
+built and searched.  A move changes the cell keys of v and the new vertex
 only, and its search takes the others from its parent.  Each coloring is its
 shape's core with the colours replaced, searched as a core and kept as its
 stratum's canonical core.  Nothing is named while the strata are found: a
@@ -29,15 +30,16 @@ stratum's record straight from its core.
 The search that finds a shape also gives generators of its automorphism
 group, as vertex and flag maps of its core, and they prune both passes.
 Moves in one orbit of the parent's automorphisms give isomorphic children,
-so each move is keyed before it is built and one move per orbit is
-searched.  The colorings of a shape are lift masks, each keyed by the mask
-of its R flags, and two are one stratum exactly when an automorphism of
-the shape carries one to the other, so only the first of each orbit is
-searched, and the whole orbit takes its digest in the record's ``masks``.
-The all-NS coloring (no R tails, no R edges) takes its shape's search: it
-differs from the shape only in ``modular``, which every leaf of the search
-shares, so its certificate is the shape's with ``"modular":false``, and
-its canonical core is the shape's with ``modular`` false.
+so at genus >= 1 each move is keyed before it is built and one move per
+orbit is searched.  The colorings of a shape are lift masks, each keyed by
+the mask of its R flags, and two are one stratum exactly when an
+automorphism of the shape carries one to the other, so only the first of
+each orbit is searched, and the whole orbit takes its digest in the
+record's ``masks``.  The all-NS coloring (no R tails, no R edges) takes its
+shape's search: it differs from the shape only in ``modular``, which every
+leaf of the search shares, so its certificate is the shape's with
+``"modular":false``, and its canonical core is the shape's with ``modular``
+false.
 
 Contraction covers are recorded while the shapes are generated.  Each move
 is the inverse of one edge contraction, and the winning leaf of the child's
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import canon
@@ -101,7 +103,8 @@ def _move_keys(c: Core) -> list[tuple]:
     puts the vertex's first flag in ``part`` is listed (at a vertex without
     flags, the one with ga <= gb).  Each side is a sorted tuple, and the
     sides are listed in sorted order without a sort: an empty side first,
-    else the one with the vertex's first flag.  Splits come first."""
+    else the one with the vertex's first flag.  Splits come first.  These
+    keys serve genus >= 1; ``_shapes`` walks a tree's splits in this order."""
     splits: list[tuple] = []
     deloops: list[tuple] = []
     for v, fl in enumerate(c.incidence):
@@ -253,8 +256,10 @@ def _shapes(
     shape, and gives a new shape's generators.  The winning leaf also
     numbers the new edge of each move in the child's flags and maps the
     rest onto the parent's, which is the child's cover; one is kept per
-    edge.  At genus 0 a move is looked up by its split set first, and only
-    a new tree is built and searched; its edge is read from the masks."""
+    edge.  At genus 0 each vertex's splits are walked in ``_move_keys``
+    order as the masks of the labels that move, and a move's key is built,
+    and the move built and searched, only for a new split set; every
+    cover's edge is read from the masks."""
     if type(genus) is not int or genus < 0:
         raise ValidationError(f"genus must be a non-negative integer, got {genus!r}")
     if max_edges is not None and type(max_edges) is not int:
@@ -301,6 +306,17 @@ def _shapes(
             fresh.append(key)
         return entry, leaves[0]
 
+    def moved(parent: Core, key: tuple, keys: list[tuple]) -> tuple[Core, list[tuple]]:
+        """The move ``key`` of ``parent`` and the cell keys its search starts
+        from: the parent's ``keys``, filled when a move first needs them,
+        with those of v and the new vertex computed again."""
+        if not keys:
+            keys += [_cell_key(parent, v) for v in range(len(parent.genus))]
+        child = _move(parent, key)
+        cells = [*keys, _cell_key(child, len(keys))] if len(key) > 1 else [*keys]
+        cells[key[0]] = _cell_key(child, key[0])
+        return child, cells
+
     zeros = (0,) * len(labels)  # the corolla: one vertex carrying every tail
     corolla = _core((genus,), zeros, tuple(range(len(labels))), zeros, tuple(labels), True)
     search(corolla, None, 0, _beyond(corolla))
@@ -310,26 +326,27 @@ def _shapes(
         frontier, fresh = fresh, []
         for found_key in frontier:
             parent, pd, _, _, generators, masks = found[found_key]
+            keys: list[tuple] = []
+            if masks:  # genus 0: each vertex's splits, walked in ``_move_keys`` order
+                onto = (pd, parent)  # a tree cover, its flag map built when read
+                for v, (head, *rest) in enumerate(parent.incidence):
+                    total = sum([masks[f] for f in rest])  # disjoint masks
+                    for more in chain(*(combinations(rest, k) for k in range(1, len(rest) - 1))):
+                        m = total - sum([masks[f] for f in more])  # the labels that move
+                        split = found_key | 1 << (m ^ full if m & 1 else m)  # side without bit 0
+                        entry = found.get(split)
+                        if entry is None:
+                            moving = [f for f in rest if f not in more]
+                            key = (v, (((head, *more), 0), (moving, 0)))
+                            child, cells = moved(parent, key, keys)
+                            entry = search(child, cells, split, (*masks, m, m ^ full))[0]
+                        entry[3][entry[5].index(m), entry[5].index(m ^ full)] = onto
+                continue
             n = len(parent.boundary)
-            keys = [_cell_key(parent, v) for v in range(len(parent.genus))]
-            onto = (pd, parent)  # a genus-0 cover, its flag map built when read
             for key, *_ in _orbits(_move_keys(parent), generators, _move_image):
-                entry = split = None
-                if masks:  # genus 0: the labels that move are the new split
-                    m = sum([masks[f] for f in key[1][1][0]])  # disjoint masks
-                    split = found_key | 1 << (m ^ full if m & 1 else m)  # side without bit 0
-                    entry = found.get(split)
-                if entry is None:
-                    child = _move(parent, key)
-                    cells = [*keys, _cell_key(child, len(keys))] if len(key) > 1 else [*keys]
-                    cells[key[0]] = _cell_key(child, key[0])
-                    more = masks and (*masks, m, m ^ full)
-                    entry, (_, index, _, sequence) = search(child, cells, split, more)
-                covers = entry[3]
-                if masks:
-                    covers[entry[5].index(m), entry[5].index(m ^ full)] = onto
-                elif (index[n], index[n + 1]) not in covers:
-                    covers[index[n], index[n + 1]] = (pd, sequence)
+                entry, (_, index, _, sequence) = search(*moved(parent, key, keys), None, ())
+                if (index[n], index[n + 1]) not in entry[3]:
+                    entry[3][index[n], index[n + 1]] = (pd, sequence)
     shapes = [(d, ns, core, *rest) for core, d, ns, *rest, _ in found.values()]
     return sorted(shapes, key=lambda s: (_edge_count(s[2]), s[0]))
 

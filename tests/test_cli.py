@@ -1,6 +1,7 @@
 """End-to-end command-line coverage: every subcommand, the documented
 output shapes, and the 0/1/2 exit code contract."""
 
+import gc
 import hashlib
 import io
 import json
@@ -185,6 +186,31 @@ class TestEnumerate:
         assert rc == 0
         assert "strata        3" in out
         assert "S1 -> S0" in out
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [("enumerate --genus 0 --ns 4 --poset", 0), ("enumerate --genus 0 --ns 2", 1)],
+    )
+    def test_collector_is_paused_and_restored(self, monkeypatch, capsys, enabled, argv, code):
+        # the records are built with the cyclic collector off, and the
+        # caller's setting holds after main returns, also from a refusal
+        during = []
+        records = cli.enumerate_strata_records
+
+        def spy(*args):
+            during.append(gc.isenabled())
+            return records(*args)
+
+        monkeypatch.setattr(cli, "enumerate_strata_records", spy)
+        was = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            rc, _, _ = run(capsys, *argv.split())
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert (rc, during) == (code, [False])
 
 
 def counted(monkeypatch, module, name, counts):

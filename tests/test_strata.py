@@ -821,6 +821,29 @@ class TestSplitSystems:
         for i, s in enumerate(splits):
             assert poset.successors[i] == tuple(sorted(index[s - {x}] for x in s))
 
+    def test_labels_out_of_numeric_order(self):
+        # the labels are numbered as bits in string order, where "10" comes
+        # before "2": the shapes and covers must not depend on that order
+        labels = ["1", "2", "3", "10", "11", "20"]
+        poset = strata_poset(enumerate_strata_records(0, labels, []))
+        splits = [tree_splits(s) for s in poset.strata]
+        assert len(set(splits)) == len(splits) == 236
+        assert set(splits) == split_systems(labels)
+        index = {s: i for i, s in enumerate(splits)}
+        for i, s in enumerate(splits):
+            assert poset.successors[i] == tuple(sorted(index[s - {x}] for x in s))
+
+    def test_a_tree_is_built_only_for_a_new_split_set(self, monkeypatch):
+        # each vertex's splits are walked as label masks, so no move is
+        # keyed or grouped into orbits, and one move is built per tree
+        # other than the corolla
+        counts = dict.fromkeys(["_move_keys", "_orbits", "_move"], 0)
+        for name in counts:
+            counted(monkeypatch, strata, name, counts)
+        shapes = _shapes(0, FIVE + ["6"])
+        assert len(shapes) == 236
+        assert counts == {"_move_keys": 0, "_orbits": 0, "_move": 235}
+
 
 class TestCounts:
     """Closed-form counts: the Schroeder numbers A000311 for genus-0 strata
